@@ -5,7 +5,7 @@ point."""
 
 from .besselseries import BesselCoefficients, bessel_coefficients, build_f, verify_reciprocal
 from .exactalg import (QPolynomial, QRationalFunction, TruncatedSeries,
-                       q_factorial, q_integer, ratfun_reduce, series_reciprocal)
+                       q_factorial, q_integer)
 from .permstats import (Permutation, PermutationPair, ascent_set,
                         enumerate_no_common_ascent, has_common_ascent,
                         inversions, q_binomial, verify_q_csv_identity,

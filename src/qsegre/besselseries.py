@@ -1,19 +1,22 @@
-"""The alternating series with coefficients (-1)^n/([n]_q!)^2 and its formal
+"""The alternating series f with coefficients (-1)^n/([n]_q!)^2 and its formal
 reciprocal.
 
-The reciprocal's coefficient at z^n is, up to the same q-factorial-squared
-denominator, the no-common-ascent pair polynomial; verify_reciprocal checks
-that claim coefficient by coefficient.  q stays symbolic here: all work is in
-rational functions, and specializing q is a caller convenience only.
+The reciprocal is computed fraction-free.  Writing its z^n coefficient as
+g_n/([n]_q!)^2 and clearing denominators in f * (1/f) = 1 gives
+sum_k (-1)^k [n choose k]_q^2 g_(n-k) = [n = 0], the q-analogue of the
+Carlitz-Scoville-Vaughan recurrence, so every g_n is an integer polynomial.
+verify_reciprocal checks g_n == W_n(q) against the enumerated pair
+polynomial; bessel_coefficients displays the same g_n over ([n]_q!)^2 as
+reduced rational functions.  q stays symbolic; specializing it is a caller
+convenience only.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .exactalg import (ONE, QRationalFunction, TruncatedSeries, q_factorial,
-                       series_reciprocal)
-from .permstats import w_polynomial
+from .exactalg import ONE, QPolynomial, QRationalFunction, TruncatedSeries, q_factorial
+from .permstats import check_enumeration_bound, csv_recurrence, w_polynomial
 
 
 def build_f(order: int) -> TruncatedSeries:
@@ -26,6 +29,13 @@ def build_f(order: int) -> TruncatedSeries:
     return TruncatedSeries(order, coeffs)
 
 
+def reciprocal_numerators(order: int) -> list[QPolynomial]:
+    """g_0..g_order, where g_n = ([n]_q!)^2 times the z^n coefficient of 1/f."""
+    if order < 0:
+        raise ValueError("order must be nonnegative")
+    return csv_recurrence([ONE], order)
+
+
 @dataclass(frozen=True)
 class BesselCoefficients:
     order: int
@@ -36,18 +46,19 @@ class BesselCoefficients:
 def bessel_coefficients(order: int) -> BesselCoefficients:
     """Series plus reciprocal, with the product-identity invariant checked."""
     f = build_f(order)
-    f_inv = series_reciprocal(f)
-    assert f * f_inv == TruncatedSeries.one(order)
+    f_inv = TruncatedSeries(order, [
+        QRationalFunction(g, q_factorial(n) * q_factorial(n))
+        for n, g in enumerate(reciprocal_numerators(order))])
+    if f * f_inv != TruncatedSeries.one(order):
+        raise ArithmeticError(
+            f"f times its reciprocal is not 1 through order {order}")
     return BesselCoefficients(order, f, f_inv)
 
 
 def verify_reciprocal(order: int, bound=None) -> list[bool]:
-    """Entry n is True when coefficient n of the reciprocal equals
-    W_n(q)/([n]_q!)^2 as reduced rational functions."""
-    inverse = series_reciprocal(build_f(order))
-    out = []
-    for n in range(order + 1):
-        fact = q_factorial(n)
-        expected = QRationalFunction(w_polynomial(n, bound=bound), fact * fact)
-        out.append(inverse.coeffs[n] == expected)
-    return out
+    """Entry n is True when g_n, the cleared z^n coefficient of the
+    reciprocal, equals W_n(q) as integer polynomials.  An order beyond the
+    enumeration bound is refused before any work."""
+    check_enumeration_bound(order, bound)
+    return [g == w_polynomial(n, bound=bound)
+            for n, g in enumerate(reciprocal_numerators(order))]

@@ -274,8 +274,8 @@ def _cmd_qbinom(args) -> int:
 
 
 def _cmd_bessel(args) -> int:
+    checks = besselseries.verify_reciprocal(args.order)  # refuses big orders
     data = besselseries.bessel_coefficients(args.order)
-    checks = besselseries.verify_reciprocal(args.order)
     print(_dump({
         "order": args.order,
         "f": [_ratfun_json(c) for c in data.f.coeffs],
@@ -578,6 +578,6 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, ZeroDivisionError) as exc:
+    except (ValueError, ArithmeticError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

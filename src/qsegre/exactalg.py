@@ -1,14 +1,19 @@
 """Exact arithmetic in the indeterminate q.
 
-Coefficient arithmetic is fractions.Fraction throughout, so every result in
-this module is exact; nothing here ever touches floating point.  A polynomial
-is a tuple of coefficients in ascending degree with no trailing zeros (the
-zero polynomial is the empty tuple), which makes structural equality coincide
-with mathematical equality.  A rational function keeps a fully reduced
-numerator/denominator pair with monic denominator, the canonical form used
-for every equality test.  Truncated power series in z carry rational-function
-coefficients, since the series of interest have coefficients of the shape
-1/([n]_q!)^2.
+Every object the paper needs is an integer polynomial over a denominator
+known in advance, so a polynomial keeps integral coefficients as Python int:
+an integral Fraction is normalised to int on entry, products and sums of ints
+stay ints, and long division by a +1 or -1 leading coefficient stays in the
+integers.  fractions.Fraction survives only where a caller passes a
+non-integral value or divides by a non-unit, as the reduced rational
+functions (gcd over the rationals, monic denominator) and the symmetric
+function coefficients do.  Nothing here ever touches floating point.
+
+A polynomial is a tuple of coefficients in ascending degree with no trailing
+zeros (the zero polynomial is the empty tuple), which makes structural
+equality coincide with mathematical equality.  Truncated power series in z
+carry rational-function coefficients and display the alternating series and
+its reciprocal.
 
 Every value here is immutable once constructed and safe to share between
 threads.
@@ -23,11 +28,12 @@ from typing import Iterable, Union
 Coefficient = Union[int, Fraction]
 
 
-def _coerce(value: Coefficient) -> Fraction:
-    if isinstance(value, Fraction):
-        return value
+def _coerce(value: Coefficient) -> Coefficient:
+    """An int, or a Fraction only when the value is not integral."""
     if isinstance(value, int):
-        return Fraction(value)
+        return int(value)
+    if isinstance(value, Fraction):
+        return value.numerator if value.denominator == 1 else value
     raise TypeError(f"expected an integer or Fraction, got {type(value).__name__}")
 
 
@@ -40,7 +46,7 @@ class QPolynomial:
         cs = [_coerce(c) for c in coeffs]
         while cs and cs[-1] == 0:
             cs.pop()
-        self.coeffs: tuple[Fraction, ...] = tuple(cs)
+        self.coeffs: tuple[Coefficient, ...] = tuple(cs)
 
     @property
     def degree(self) -> int:
@@ -50,18 +56,18 @@ class QPolynomial:
     def is_zero(self) -> bool:
         return not self.coeffs
 
-    def leading_coefficient(self) -> Fraction:
+    def leading_coefficient(self) -> Coefficient:
         if not self.coeffs:
             raise ValueError("the zero polynomial has no leading coefficient")
         return self.coeffs[-1]
 
-    def evaluate(self, value: Coefficient) -> Fraction:
+    def evaluate(self, value: Coefficient) -> Coefficient:
         """Exact value at q = value, by Horner's rule."""
         v = _coerce(value)
-        acc = Fraction(0)
+        acc = 0
         for c in reversed(self.coeffs):
             acc = acc * v + c
-        return acc
+        return _coerce(acc)
 
     def __add__(self, other: "QPolynomial") -> "QPolynomial":
         if not isinstance(other, QPolynomial):
@@ -84,13 +90,14 @@ class QPolynomial:
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
+            other = _coerce(other)
             return QPolynomial(c * other for c in self.coeffs)
         if not isinstance(other, QPolynomial):
             return NotImplemented
         a, b = self.coeffs, other.coeffs
         if not a or not b:
             return QPolynomial()
-        out = [Fraction(0)] * (len(a) + len(b) - 1)
+        out = [0] * (len(a) + len(b) - 1)
         for i, ca in enumerate(a):
             if ca:
                 for j, cb in enumerate(b):
@@ -108,7 +115,9 @@ class QPolynomial:
         return out
 
     def __divmod__(self, other: "QPolynomial"):
-        """Long division; exact because coefficients are rational."""
+        """Long division.  A +1 or -1 leading coefficient keeps integer
+        operands in the integers; any other divisor makes quotient digits
+        Fractions, which is exact because the coefficients are rational."""
         if not isinstance(other, QPolynomial):
             return NotImplemented
         if other.is_zero():
@@ -117,10 +126,16 @@ class QPolynomial:
         dlen = len(other.coeffs)
         if len(rem) < dlen:
             return QPolynomial(), self
-        quo = [Fraction(0)] * (len(rem) - dlen + 1)
+        quo = [0] * (len(rem) - dlen + 1)
         dlead = other.coeffs[-1]
         for shift in range(len(rem) - dlen, -1, -1):
-            factor = rem[shift + dlen - 1] / dlead
+            top = rem[shift + dlen - 1]
+            if dlead == 1:
+                factor = top
+            elif dlead == -1:
+                factor = -top
+            else:
+                factor = Fraction(top) / dlead
             if factor:
                 quo[shift] = factor
                 for i, c in enumerate(other.coeffs):
@@ -177,18 +192,6 @@ def constant(value: Coefficient) -> QPolynomial:
     return QPolynomial([value])
 
 
-def poly_arith(a: QPolynomial, b: QPolynomial, op: str) -> QPolynomial:
-    """Dispatch by name for callers that carry the operation as data;
-    everything else should just use the operators."""
-    if op == "add":
-        return a + b
-    if op == "sub":
-        return a - b
-    if op == "mul":
-        return a * b
-    raise ValueError(f"unknown operation {op!r}")
-
-
 def q_power(k: int) -> QPolynomial:
     if k < 0:
         raise ValueError("exponent must be nonnegative")
@@ -210,7 +213,7 @@ def poly_gcd(a: QPolynomial, b: QPolynomial) -> QPolynomial:
         a, b = b, divmod(a, b)[1]
     if a.is_zero():
         return ZERO
-    return a * (1 / a.leading_coefficient())
+    return a * Fraction(1, a.leading_coefficient())
 
 
 @lru_cache(maxsize=None)
@@ -258,7 +261,7 @@ class QRationalFunction:
         den = den.exact_div(g)
         lead = den.leading_coefficient()
         if lead != 1:
-            inv = 1 / lead
+            inv = Fraction(1, lead)
             num = num * inv
             den = den * inv
         self.num, self.den = num, den
@@ -309,7 +312,7 @@ class QRationalFunction:
         bottom = self.den.evaluate(value)
         if bottom == 0:
             raise ZeroDivisionError(f"denominator vanishes at q={value}")
-        return self.num.evaluate(value) / bottom
+        return Fraction(self.num.evaluate(value), bottom)
 
     def __eq__(self, other) -> bool:
         return (isinstance(other, QRationalFunction)
@@ -332,11 +335,6 @@ class QRationalFunction:
 
 RF_ZERO = QRationalFunction(ZERO)
 RF_ONE = QRationalFunction(ONE)
-
-
-def ratfun_reduce(num: QPolynomial, den: QPolynomial) -> QRationalFunction:
-    """Reduced canonical fraction num/den; rejects a zero denominator."""
-    return QRationalFunction(num, den)
 
 
 def _as_ratfun(value) -> QRationalFunction:
@@ -387,22 +385,3 @@ class TruncatedSeries:
 
     def __repr__(self) -> str:
         return f"TruncatedSeries(order={self.order}, coeffs={[str(c) for c in self.coeffs]})"
-
-
-def series_reciprocal(s: TruncatedSeries) -> TruncatedSeries:
-    """Multiplicative inverse modulo z^(order+1).
-
-    Triangular recurrence: t_0 = 1/s_0 and
-    t_n = -(1/s_0) * sum_{k=1..n} s_k t_{n-k}.
-    """
-    c0 = s.coeffs[0]
-    if c0.is_zero():
-        raise ValueError("series with zero constant term has no reciprocal")
-    inv0 = RF_ONE / c0
-    out = [inv0]
-    for n in range(1, s.order + 1):
-        acc = RF_ZERO
-        for k in range(1, n + 1):
-            acc = acc + s.coeffs[k] * out[n - k]
-        out.append(-(inv0 * acc))
-    return TruncatedSeries(s.order, out)

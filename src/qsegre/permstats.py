@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from math import comb
 
-from .exactalg import QPolynomial, q_factorial
+from .exactalg import ONE, ZERO, QPolynomial, q_power
 
 ENUMERATION_BOUND = 7
 
@@ -81,10 +81,17 @@ def has_common_ascent(pair: PermutationPair) -> bool:
 
 
 def _effective_bound(bound) -> int:
-    return ENUMERATION_BOUND if bound is None else int(bound)
+    if bound is None:
+        return ENUMERATION_BOUND
+    if int(bound) < 0:
+        raise ValueError(f"the enumeration bound must be nonnegative, got {bound}")
+    return int(bound)
 
 
-def _require_within_bound(n: int, bound: int) -> None:
+def check_enumeration_bound(n: int, bound=None) -> None:
+    """Reject n outside [0, bound] before any work; bound defaults to
+    ENUMERATION_BOUND."""
+    bound = _effective_bound(bound)
     if n < 0:
         raise ValueError("n must be nonnegative")
     if n > bound:
@@ -118,8 +125,7 @@ def enumerate_no_common_ascent(n: int, bound=None) -> list[PermutationPair]:
     Iterates omega for each sigma, rejecting on the first shared ascent (a
     single bitmask intersection).
     """
-    bound = _effective_bound(bound)
-    _require_within_bound(n, bound)
+    check_enumeration_bound(n, bound)
     perms = [Permutation(img) for img in itertools.permutations(range(1, n + 1))]
     stats = _perm_stats(n)
     out = []
@@ -132,36 +138,57 @@ def enumerate_no_common_ascent(n: int, bound=None) -> list[PermutationPair]:
 
 def no_common_ascent_count(n: int, bound=None) -> int:
     """|D_n| by the same full pair scan, without materializing the pairs."""
-    bound = _effective_bound(bound)
-    _require_within_bound(n, bound)
+    check_enumeration_bound(n, bound)
     stats = _perm_stats(n)
     return sum(1 for m1, _ in stats for m2, _ in stats if m1 & m2 == 0)
 
 
 @lru_cache(maxsize=None)
 def _w_polynomial_enumerated(n: int) -> QPolynomial:
-    stats = _perm_stats(n)
-    coeffs = [0] * (n * (n - 1) + 1)
-    for m1, i1 in stats:
-        for m2, i2 in stats:
-            if m1 & m2 == 0:
-                coeffs[i1 + i2] += 1
-    return QPolynomial(coeffs)
+    """W_n(q) from the ascent classes of S_n.
+
+    Every permutation is visited once and filed under its ascent bitmask m,
+    giving the inversion polynomial A_m(q) of each class; then W_n is the sum
+    of A_m1 * A_m2 over disjoint masks.  Summing A over the submasks of each
+    mask first (one bit at a time) leaves one product per class: 2^(n-1)
+    products instead of (n!)^2 pair tests.
+    """
+    full = (1 << max(n - 1, 0)) - 1
+    counts = [[0] * (n * (n - 1) // 2 + 1) for _ in range(full + 1)]
+    for mask, inv in _perm_stats(n):
+        counts[mask][inv] += 1
+    classes = [QPolynomial(c) for c in counts]
+    below = list(classes)  # below[m] = sum of A_s over the submasks s of m
+    for bit in range(n - 1):
+        for m in range(full + 1):
+            if m >> bit & 1:
+                below[m] = below[m] + below[m ^ (1 << bit)]
+    total = ZERO
+    for m, a in enumerate(classes):
+        total = total + a * below[full ^ m]
+    return total
 
 
 def w_polynomial(n: int, bound=None) -> QPolynomial:
     """Generating polynomial of q^(inv(sigma)+inv(omega)) over the pairs of
     S_n x S_n with no common ascent, computed by full enumeration."""
-    bound = _effective_bound(bound)
-    _require_within_bound(n, bound)
+    check_enumeration_bound(n, bound)
     return _w_polynomial_enumerated(n)
 
 
 def q_binomial(n: int, k: int) -> QPolynomial:
-    """Gaussian binomial [n choose k]_q as an exact polynomial quotient."""
+    """Gaussian binomial [n choose k]_q, by the q-Pascal rule."""
     if k < 0 or n < 0 or k > n:
         raise ValueError(f"q_binomial requires 0 <= k <= n, got n={n}, k={k}")
-    return q_factorial(n).exact_div(q_factorial(k) * q_factorial(n - k))
+    return _q_pascal(n, k)
+
+
+@lru_cache(maxsize=None)
+def _q_pascal(n: int, k: int) -> QPolynomial:
+    """[n choose k]_q = [n-1 choose k-1]_q + q^k [n-1 choose k]_q."""
+    if k == 0 or k == n:
+        return ONE
+    return _q_pascal(n - 1, k - 1) + q_power(k) * _q_pascal(n - 1, k)
 
 
 def verify_q_csv_identity(n: int, bound=None) -> QPolynomial:
@@ -173,6 +200,7 @@ def verify_q_csv_identity(n: int, bound=None) -> QPolynomial:
     """
     if n < 1:
         raise ValueError("n must be at least 1")
+    check_enumeration_bound(n, bound)
     total = QPolynomial()
     for i in range(n + 1):
         b = q_binomial(n, i)
@@ -181,28 +209,37 @@ def verify_q_csv_identity(n: int, bound=None) -> QPolynomial:
     return total
 
 
+def csv_recurrence(seeds: list[QPolynomial], n: int) -> list[QPolynomial]:
+    """Extend W_0..W_(k-1), given as seeds, to W_0..W_n by solving the
+    alternating identity for its last term:
+    W_m = sum_{i<m} (-1)^(m-1+i) [m choose i]_q^2 W_i.
+
+    Seeded with W_0 = 1 alone, this is the fraction-free reciprocal of the
+    alternating q-factorial series (see besselseries).
+    """
+    values = list(seeds)
+    for m in range(len(values), n + 1):
+        acc = ZERO
+        for i in range(m):
+            b = q_binomial(m, i)
+            term = b * b * values[i]
+            acc = acc + term if (m - 1 + i) % 2 == 0 else acc - term
+        values.append(acc)
+    return values
+
+
 def w_polynomial_recurrence(n: int, bound=None) -> QPolynomial:
     """W_n(q) computed from the alternating identity instead of enumeration.
 
-    Values at or below the enumeration bound come from the pair scan; larger
+    Values at or below the enumeration bound come from enumeration; larger
     indices are solved for recursively, so enumeration stays the ground truth
     of the recurrence's base.
     """
     if n < 0:
         raise ValueError("n must be nonnegative")
     bound = _effective_bound(bound)
-    values: list[QPolynomial] = []
-    for m in range(n + 1):
-        if m <= bound:
-            values.append(_w_polynomial_enumerated(m))
-            continue
-        acc = QPolynomial()
-        for i in range(m):
-            b = q_binomial(m, i)
-            term = b * b * values[i]
-            acc = acc + term if (m - 1 + i) % 2 == 0 else acc - term
-        values.append(acc)
-    return values[n]
+    seeds = [_w_polynomial_enumerated(m) for m in range(min(n, bound) + 1)]
+    return csv_recurrence(seeds, n)[n]
 
 
 def omega_by_recurrence(n: int) -> int:

@@ -469,7 +469,9 @@ def rational_betti_numbers(p: GradedPoset) -> list[int]:
             rows.append(row)
         ranks[j] = _rank_of_sparse_rows(rows)
     betti = [len(chains[j]) - ranks[j] - ranks[j + 1] for j in range(top + 1)]
-    assert all(b >= 0 for b in betti)
+    if any(b < 0 for b in betti):
+        raise ArithmeticError(f"negative Betti numbers {betti} on a poset of "
+                              f"{len(p)} elements and rank sizes {p.rank_sizes()}")
     return betti
 
 

@@ -133,7 +133,10 @@ class FiniteField:
             acc = 1
             for _ in range(order - 1):
                 acc = self._mul[acc][a]
-            assert acc == 1, "field construction failed the unit-group check"
+            if acc != 1:
+                raise ArithmeticError(
+                    f"field of order {order} (p={p}, k={k}) failed the "
+                    f"unit-group check at element {a}")
 
     def add(self, a: int, b: int) -> int:
         return self._add[a][b]
@@ -305,7 +308,9 @@ def label_set(s: Subspace) -> frozenset[int]:
     out = set()
     for vec in _nonzero_vectors(s):
         out.add(max(i for i, x in enumerate(vec) if x) + 1)
-    assert len(out) == s.dim, "a dimension-d subspace must reach exactly d indices"
+    if len(out) != s.dim:
+        raise ArithmeticError(f"{s!r} reaches {len(out)} rightmost indices, "
+                              f"not its dimension {s.dim}")
     return frozenset(out)
 
 
@@ -332,7 +337,9 @@ def edge_label(x: Subspace, y: Subspace) -> int:
     if y.dim != x.dim + 1 or not y.contains(x):
         raise ValueError("edge_label requires y to cover x")
     difference = label_set(y) - label_set(x)
-    assert len(difference) == 1
+    if len(difference) != 1:
+        raise ArithmeticError(f"cover {x!r} < {y!r} gains labels "
+                              f"{sorted(difference)}, not exactly one")
     return next(iter(difference))
 
 
@@ -359,7 +366,10 @@ def build_bnq(n: int, field: FiniteField,
                 a = index[lower.rows]
                 covers.append((a, b))
                 difference = fsets[b] - fsets[a]
-                assert len(difference) == 1
+                if len(difference) != 1:
+                    raise ArithmeticError(
+                        f"cover {lower!r} < {upper!r} of B_{n}({field.order}) "
+                        f"gains labels {sorted(difference)}, not exactly one")
                 labels[(a, b)] = next(iter(difference))
     poset = GradedPoset(names, ranks, covers)
     return poset, EdgeLabeling.with_integer_labels(labels)

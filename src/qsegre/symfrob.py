@@ -375,7 +375,10 @@ def lefschetz_character(n: int, bound: int = TOP_HOMOLOGY_BOUND) -> CharacterTab
                 pointwise = sum(1 for c in level if all(act[v] == v for v in c))
                 setwise = sum(1 for c in level
                               if sorted(act[v] for v in c) == sorted(c))
-                assert pointwise == setwise
+                if pointwise != setwise:
+                    raise ArithmeticError(
+                        f"n={n}, classes {mu}|{lam}: {setwise} chains of "
+                        f"dimension {dim} fixed setwise but {pointwise} pointwise")
                 euler += pointwise if dim % 2 == 0 else -pointwise
             values[(mu, lam)] = euler if n % 2 == 0 else -euler
     return CharacterTable2(n, n, values)

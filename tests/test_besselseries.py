@@ -2,10 +2,14 @@ from fractions import Fraction
 
 import pytest
 
-from qsegre.besselseries import bessel_coefficients, build_f, verify_reciprocal
+from qsegre import besselseries, permstats
+from qsegre.besselseries import (bessel_coefficients, build_f,
+                                 reciprocal_numerators, verify_reciprocal)
 from qsegre.exactalg import (ONE, QPolynomial, QRationalFunction,
-                             TruncatedSeries, q_factorial, series_reciprocal)
+                             TruncatedSeries, q_factorial)
 from qsegre.permstats import w_polynomial
+
+from oracles import series_reciprocal
 
 
 class TestBuildF:
@@ -59,3 +63,36 @@ class TestReciprocal:
         for n in range(5):
             fact = q_factorial(n)
             assert inverse.coeffs[n] == QRationalFunction(w_polynomial(n), fact * fact)
+
+
+class TestFractionFreeNumerators:
+    def test_match_the_rational_function_reciprocal_through_order_five(self):
+        inverse = series_reciprocal(build_f(5))
+        for n, g in enumerate(reciprocal_numerators(5)):
+            fact = q_factorial(n)
+            assert QRationalFunction(g, fact * fact) == inverse.coeffs[n]
+
+    def test_coefficients_are_ints(self):
+        for g in reciprocal_numerators(7):
+            assert all(type(c) is int for c in g.coeffs)
+
+    def test_displayed_reciprocal_is_built_from_the_numerators(self):
+        data = bessel_coefficients(3)
+        for n, g in enumerate(reciprocal_numerators(3)):
+            fact = q_factorial(n)
+            assert data.f_inv.coeffs[n] == QRationalFunction(g, fact * fact)
+
+    def test_negative_order_rejected(self):
+        with pytest.raises(ValueError):
+            reciprocal_numerators(-1)
+
+    def test_order_beyond_the_bound_does_no_work(self, monkeypatch):
+        def fail(*args, **kwargs):
+            raise AssertionError("work started before the bound check")
+        monkeypatch.setattr(besselseries, "csv_recurrence", fail)
+        monkeypatch.setattr(besselseries, "w_polynomial", fail)
+        monkeypatch.setattr(permstats, "_perm_stats", fail)
+        with pytest.raises(ValueError, match="bound 7"):
+            verify_reciprocal(8)
+        with pytest.raises(ValueError, match="bound 3"):
+            verify_reciprocal(4, bound=3)

@@ -104,6 +104,54 @@ class TestComputationCommands:
         assert code == 0 and "long runtime" in err
 
 
+def assert_clean_rejection(code, out, err):
+    assert code == 2 and out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("error:")
+    assert "Traceback" not in err
+
+
+class TestBoundsBeforeWork:
+    def test_negative_bound_is_rejected(self, capsys):
+        code, out, err = run(capsys, "wq", "--n", "3", "--bound", "-1")
+        assert_clean_rejection(code, out, err)
+        assert "nonnegative" in err
+
+    def test_verify_csv_beyond_bound_does_no_work(self, capsys, monkeypatch):
+        from qsegre import permstats
+        for name in ("_perm_stats", "q_binomial", "w_polynomial"):
+            monkeypatch.setattr(permstats, name, fail_if_called)
+        code, out, err = run(capsys, "verify", "csv", "--n", "8")
+        assert_clean_rejection(code, out, err)
+        assert "bound 7" in err
+
+    def test_bessel_beyond_bound_does_no_work(self, capsys, monkeypatch):
+        from qsegre import besselseries, permstats
+        for name in ("bessel_coefficients", "csv_recurrence", "w_polynomial"):
+            monkeypatch.setattr(besselseries, name, fail_if_called)
+        monkeypatch.setattr(permstats, "_perm_stats", fail_if_called)
+        for argv in (("bessel", "--order", "8"),
+                     ("verify", "bessel", "--order", "8", "--json")):
+            code, out, err = run(capsys, *argv)
+            assert_clean_rejection(code, out, err)
+            assert "bound 7" in err
+
+
+def fail_if_called(*args, **kwargs):
+    raise AssertionError("work started before the bound check")
+
+
+class TestErrorHandling:
+    def test_arithmetic_error_is_a_clean_error(self, capsys, monkeypatch):
+        from qsegre import symfrob
+
+        def not_integral(*args, **kwargs):
+            raise ArithmeticError("induced character value is not integral")
+        monkeypatch.setattr(symfrob, "verify_induction_homomorphism", not_integral)
+        code, out, err = run(capsys, "verify", "prop26", "--sizes", "1,1,1,1")
+        assert_clean_rejection(code, out, err)
+        assert "not integral" in err
+
+
 class TestVerifyCommands:
     def test_verify_csv(self, capsys):
         code, out, _ = run(capsys, "verify", "csv", "--n", "4")

@@ -10,6 +10,10 @@ from qsegre.permstats import (ENUMERATION_BOUND, Permutation, PermutationPair,
 
 import itertools
 
+from qsegre import permstats
+
+from oracles import w_polynomial_by_pair_scan
+
 
 def perm(*image):
     return Permutation(image)
@@ -89,6 +93,24 @@ class TestWPolynomial:
                 coeffs[inversions(pair.first) + inversions(pair.second)] += 1
             assert w_polynomial(n) == QPolynomial(coeffs)
 
+    def test_ascent_classes_match_the_pair_scan(self):
+        for n in range(7):
+            assert w_polynomial(n) == w_polynomial_by_pair_scan(n)
+
+    def test_ascent_classes_match_the_pair_scan_at_seven(self):
+        assert w_polynomial(7) == w_polynomial_by_pair_scan(7)
+
+    def test_coefficients_are_ints(self):
+        for n in range(8):
+            assert all(type(c) is int for c in w_polynomial(n).coeffs)
+        assert all(type(c) is int for c in w_polynomial_recurrence(10).coeffs)
+
+    def test_negative_bound_rejected(self):
+        with pytest.raises(ValueError, match="nonnegative"):
+            w_polynomial_recurrence(3, bound=-1)
+        with pytest.raises(ValueError, match="nonnegative"):
+            w_polynomial(0, bound=-1)
+
     def test_value_at_one_counts_the_pairs(self):
         for n in range(5):
             assert w_polynomial(n).evaluate(1) == len(enumerate_no_common_ascent(n))
@@ -115,8 +137,21 @@ class TestQBinomial:
         with pytest.raises(ValueError):
             q_binomial(3, -1)
 
+    def test_matches_q_factorial_quotient(self):
+        for n in range(13):
+            for k in range(n + 1):
+                quotient = q_factorial(n).exact_div(q_factorial(k) * q_factorial(n - k))
+                assert q_binomial(n, k) == quotient
+
+    def test_coefficients_are_ints(self):
+        for n in range(13):
+            assert all(type(c) is int for c in q_factorial(n).coeffs)
+            for k in range(n + 1):
+                assert all(type(c) is int for c in q_binomial(n, k).coeffs)
+
     def test_pascal_recurrence(self):
-        # independent route to the same polynomials
+        # the rule q_binomial is built by; the q-factorial quotient above is
+        # the independent route
         from qsegre.exactalg import q_power
         for n in range(1, 9):
             for k in range(1, n):
@@ -132,6 +167,14 @@ class TestIdentities:
     def test_identity_requires_positive_n(self):
         with pytest.raises(ValueError):
             verify_q_csv_identity(0)
+
+    def test_identity_beyond_the_bound_does_no_work(self, monkeypatch):
+        def fail(*args, **kwargs):
+            raise AssertionError("work started before the bound check")
+        monkeypatch.setattr(permstats, "q_binomial", fail)
+        monkeypatch.setattr(permstats, "w_polynomial", fail)
+        with pytest.raises(ValueError, match="bound 7"):
+            verify_q_csv_identity(ENUMERATION_BOUND + 1)
 
     def test_inversion_distribution_is_q_factorial(self):
         for n in range(7):
