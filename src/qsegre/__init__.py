@@ -3,9 +3,8 @@ lattices: shellable edge labelings, descending-chain polynomials, and
 two-alphabet symmetric function identities, all verified without floating
 point."""
 
-from .besselseries import BesselCoefficients, bessel_coefficients, build_f, verify_reciprocal
-from .exactalg import (QPolynomial, QRationalFunction, TruncatedSeries,
-                       q_factorial, q_integer)
+from .besselseries import BesselCoefficients, bessel_coefficients, verify_reciprocal
+from .exactalg import QPolynomial, q_factorial, q_integer
 from .permstats import (Permutation, PermutationPair, ascent_set,
                         enumerate_no_common_ascent, has_common_ascent,
                         inversions, q_binomial, verify_q_csv_identity,
@@ -15,14 +14,12 @@ from .poset import (ChainReport, EdgeLabeling, GradedPoset, boolean_lattice,
                     proper_part, rational_betti_numbers,
                     reduced_euler_characteristic, segre_product)
 from .subspace import (FiniteField, Subspace, atom_label, build_bnq,
-                       build_segre_bnq, edge_label, enumerate_subspaces,
-                       field_make)
+                       build_segre_bnq, enumerate_subspaces)
 from .symfrob import (CharacterTable2, SymFun2, h_alternating_residual,
                       h_to_p, induce_product_character, irreducible_table2,
                       lefschetz_character, partitions_of,
                       principal_specialization, product_frobenius,
-                      symfun2_mul, trivial_character,
-                      verify_induction_homomorphism,
+                      trivial_character, verify_induction_homomorphism,
                       verify_specialization_identity, z_of)
 
 __version__ = "0.1.0"

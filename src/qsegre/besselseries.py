@@ -1,32 +1,22 @@
 """The alternating series f with coefficients (-1)^n/([n]_q!)^2 and its formal
-reciprocal.
+reciprocal, both kept as integer numerators over the known denominators
+([n]_q!)^2.
 
-The reciprocal is computed fraction-free.  Writing its z^n coefficient as
-g_n/([n]_q!)^2 and clearing denominators in f * (1/f) = 1 gives
+Writing the reciprocal's z^n coefficient as g_n/([n]_q!)^2 and clearing
+denominators in f * (1/f) = 1 gives
 sum_k (-1)^k [n choose k]_q^2 g_(n-k) = [n = 0], the q-analogue of the
 Carlitz-Scoville-Vaughan recurrence, so every g_n is an integer polynomial.
 verify_reciprocal checks g_n == W_n(q) against the enumerated pair
-polynomial; bessel_coefficients displays the same g_n over ([n]_q!)^2 as
-reduced rational functions.  q stays symbolic; specializing it is a caller
-convenience only.
+polynomial.  q stays symbolic; specializing it is a caller convenience only.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .exactalg import ONE, QPolynomial, QRationalFunction, TruncatedSeries, q_factorial
-from .permstats import check_enumeration_bound, csv_recurrence, w_polynomial
-
-
-def build_f(order: int) -> TruncatedSeries:
-    """The truncated series whose z^n coefficient is (-1)^n / ([n]_q!)^2."""
-    coeffs = []
-    for n in range(order + 1):
-        fact = q_factorial(n)
-        num = ONE if n % 2 == 0 else -ONE
-        coeffs.append(QRationalFunction(num, fact * fact))
-    return TruncatedSeries(order, coeffs)
+from .exactalg import ONE, ZERO, QPolynomial, q_factorial
+from .permstats import (check_enumeration_bound, csv_recurrence, q_binomial,
+                        w_polynomial)
 
 
 def reciprocal_numerators(order: int) -> list[QPolynomial]:
@@ -38,21 +28,37 @@ def reciprocal_numerators(order: int) -> list[QPolynomial]:
 
 @dataclass(frozen=True)
 class BesselCoefficients:
+    """The z^n coefficients of f and of 1/f through z^order are f[n]/den[n]
+    and f_inv[n]/den[n], with den[n] = ([n]_q!)^2; f[n] is +1 or -1 and
+    f_inv[n] is g_n."""
     order: int
-    f: TruncatedSeries
-    f_inv: TruncatedSeries
+    f: tuple[QPolynomial, ...]
+    f_inv: tuple[QPolynomial, ...]
+    den: tuple[QPolynomial, ...]
+
+    def pair_polynomial_checks(self, bound=None) -> list[bool]:
+        """Entry n is True when g_n equals the enumerated W_n(q)."""
+        return [g == w_polynomial(n, bound=bound) for n, g in enumerate(self.f_inv)]
 
 
 def bessel_coefficients(order: int) -> BesselCoefficients:
-    """Series plus reciprocal, with the product-identity invariant checked."""
-    f = build_f(order)
-    f_inv = TruncatedSeries(order, [
-        QRationalFunction(g, q_factorial(n) * q_factorial(n))
-        for n, g in enumerate(reciprocal_numerators(order))])
-    if f * f_inv != TruncatedSeries.one(order):
-        raise ArithmeticError(
-            f"f times its reciprocal is not 1 through order {order}")
-    return BesselCoefficients(order, f, f_inv)
+    """Series and reciprocal as numerators over ([n]_q!)^2, with the cleared
+    product identity sum_k (-1)^k [n choose k]_q^2 g_(n-k) = [n = 0] checked."""
+    g = reciprocal_numerators(order)
+    for n in range(order + 1):
+        acc = ZERO
+        for k in range(n + 1):
+            b = q_binomial(n, k)
+            term = b * b * g[n - k]
+            acc = acc + term if k % 2 == 0 else acc - term
+        if acc != (ONE if n == 0 else ZERO):
+            raise ArithmeticError(
+                f"f times its reciprocal is not 1 at z^{n} (order {order})")
+    return BesselCoefficients(
+        order,
+        f=tuple(ONE if n % 2 == 0 else -ONE for n in range(order + 1)),
+        f_inv=tuple(g),
+        den=tuple(q_factorial(n) * q_factorial(n) for n in range(order + 1)))
 
 
 def verify_reciprocal(order: int, bound=None) -> list[bool]:
@@ -60,5 +66,4 @@ def verify_reciprocal(order: int, bound=None) -> list[bool]:
     reciprocal, equals W_n(q) as integer polynomials.  An order beyond the
     enumeration bound is refused before any work."""
     check_enumeration_bound(order, bound)
-    return [g == w_polynomial(n, bound=bound)
-            for n, g in enumerate(reciprocal_numerators(order))]
+    return bessel_coefficients(order).pair_polynomial_checks(bound)

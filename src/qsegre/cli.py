@@ -7,6 +7,7 @@ rendering, so identical invocations produce identical bytes.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from concurrent.futures import ProcessPoolExecutor
@@ -35,23 +36,14 @@ def prime_power(q: int) -> tuple[int, int]:
     return p, k
 
 
-_BNQ_CACHE: dict = {}
-
-
-def _bnq(n: int, q: int, count_bound=None):
-    key = ("b", n, q, count_bound)
-    if key not in _BNQ_CACHE:
-        field = subspace.field_make(*prime_power(q))
-        _BNQ_CACHE[key] = subspace.build_bnq(n, field, count_bound)
-    return _BNQ_CACHE[key]
-
-
-def _segre(n: int, q: int, count_bound=None):
-    key = ("s", n, q, count_bound)
-    if key not in _BNQ_CACHE:
-        field = subspace.field_make(*prime_power(q))
-        _BNQ_CACHE[key] = subspace.build_segre_bnq(n, field, count_bound)
-    return _BNQ_CACHE[key]
+@functools.lru_cache(maxsize=None)
+def _lattice(n: int, q: int, segre: bool, count_bound=None):
+    """B_n(q), or its Segre square, with its labeling.  The cache lives for
+    one process and its keys come from one command line or the suite's fixed
+    matrices, so it needs no eviction."""
+    field = subspace.FiniteField(*prime_power(q))
+    build = subspace.build_segre_bnq if segre else subspace.build_bnq
+    return build(n, field, count_bound)
 
 
 def _warn_raised_bound(name: str, value, default) -> None:
@@ -60,9 +52,21 @@ def _warn_raised_bound(name: str, value, default) -> None:
               "expect a long runtime", file=sys.stderr)
 
 
-def _ratfun_json(r: exactalg.QRationalFunction) -> dict:
-    return {"num": exactalg.poly_coeff_strings(r.num),
-            "den": exactalg.poly_coeff_strings(r.den)}
+def _lattice_for(args):
+    """The lattice or Segre square a compute verb names, after a warning on
+    stderr if its subspace count bound was raised."""
+    _warn_raised_bound("subspace count bound", args.count_bound,
+                       subspace.SUBSPACE_COUNT_BOUND)
+    return _lattice(args.n, args.q, args.segre, args.count_bound)
+
+
+def _ratfun_json(num: exactalg.QPolynomial, den: exactalg.QPolynomial) -> dict:
+    return {"num": exactalg.poly_coeff_strings(num),
+            "den": exactalg.poly_coeff_strings(den)}
+
+
+def _result(check: str, ok: bool, detail: str) -> dict:
+    return {"check": check, "status": "PASS" if ok else "FAIL", "detail": detail}
 
 
 def _word_str(word: tuple) -> str:
@@ -111,26 +115,38 @@ def _check_bessel(order: int) -> dict:
             "detail": f"reciprocal coefficients match through order {order}"}
 
 
+def _el_instance(n: int, q: int, segre: bool) -> tuple[bool, str]:
+    """The shelling check on one lattice or Segre square."""
+    ok, violation = poset.check_el_labeling(*_lattice(n, q, segre))
+    reason = "every interval shellable" if ok else violation.reason
+    return ok, f"{'segre' if segre else 'lattice'} n={n} q={q}: {reason}"
+
+
+def _mobius_instance(n: int, q: int) -> tuple[bool, str]:
+    """mu and the descending chain count of one Segre square against W_n(q)."""
+    sp, labeling = _lattice(n, q, True)
+    mu = poset.mobius_number(sp)
+    descending = poset.chain_report(sp, labeling).descending_count
+    w_q = permstats.w_polynomial(n).evaluate(q)
+    return (mu == (-1) ** n * w_q and descending == w_q,
+            f"mu={mu} descending={descending} expected W={w_q}")
+
+
 def _check_el(_arg=None) -> dict:
-    for n, q in EL_MATRIX:
-        ok, violation = poset.check_el_labeling(*_bnq(n, q))
+    instances = ([(n, q, False) for n, q in EL_MATRIX]
+                 + [(n, q, True) for n, q in EL_SEGRE_MATRIX])
+    for n, q, segre in instances:
+        ok, detail = _el_instance(n, q, segre)
         if not ok:
-            return {"check": "el", "status": "FAIL",
-                    "detail": f"lattice n={n} q={q}: {violation.reason}"}
-    for n, q in EL_SEGRE_MATRIX:
-        ok, violation = poset.check_el_labeling(*_segre(n, q))
-        if not ok:
-            return {"check": "el", "status": "FAIL",
-                    "detail": f"segre n={n} q={q}: {violation.reason}"}
-    return {"check": "el", "status": "PASS",
-            "detail": f"every interval shellable on {len(EL_MATRIX)} lattices "
-                      f"and {len(EL_SEGRE_MATRIX)} segre squares"}
+            return _result("el", ok, detail)
+    return _result("el", True, f"every interval shellable on {len(EL_MATRIX)} "
+                               f"lattices and {len(EL_SEGRE_MATRIX)} segre squares")
 
 
 def _check_chains(_arg=None) -> dict:
     import itertools
     for n, q in CHAIN_MATRIX:
-        p, labeling = _bnq(n, q)
+        p, labeling = _lattice(n, q, False)
         report = poset.chain_report(p, labeling)
         expected = {}
         for img in itertools.permutations(range(1, n + 1)):
@@ -148,20 +164,16 @@ def _check_chains(_arg=None) -> dict:
 
 def _check_mobius(_arg=None) -> dict:
     for n, q in MOBIUS_MATRIX:
-        sp, labeling = _segre(n, q)
-        mu = poset.mobius_number(sp)
-        descending = poset.chain_report(sp, labeling).descending_count
-        w_q = int(permstats.w_polynomial(n).evaluate(q))
-        if mu != (-1) ** n * w_q or descending != w_q:
-            return {"check": "mobius", "status": "FAIL",
-                    "detail": f"n={n} q={q}: mu={mu} descending={descending} W={w_q}"}
-    return {"check": "mobius", "status": "PASS",
-            "detail": "Mobius and descending counts match the pair polynomial"}
+        ok, detail = _mobius_instance(n, q)
+        if not ok:
+            return _result("mobius", ok, f"n={n} q={q}: {detail}")
+    return _result("mobius", True,
+                   "Mobius and descending counts match the pair polynomial")
 
 
 def _check_betti(_arg=None) -> dict:
     for n, q in BETTI_MATRIX:
-        sp, _ = _segre(n, q)
+        sp, _ = _lattice(n, q, True)
         betti = poset.rational_betti_numbers(poset.proper_part(sp))
         w_q = int(permstats.w_polynomial(n).evaluate(q))
         if len(betti) != n - 1 or betti[-1] != w_q or any(betti[:-1]):
@@ -274,23 +286,20 @@ def _cmd_qbinom(args) -> int:
 
 
 def _cmd_bessel(args) -> int:
-    checks = besselseries.verify_reciprocal(args.order)  # refuses big orders
+    permstats.check_enumeration_bound(args.order)  # before any work
     data = besselseries.bessel_coefficients(args.order)
+    checks = data.pair_polynomial_checks()
     print(_dump({
         "order": args.order,
-        "f": [_ratfun_json(c) for c in data.f.coeffs],
-        "f_inv": [_ratfun_json(c) for c in data.f_inv.coeffs],
+        "f": [_ratfun_json(num, den) for num, den in zip(data.f, data.den)],
+        "f_inv": [_ratfun_json(num, den) for num, den in zip(data.f_inv, data.den)],
         "checks": checks,
     }))
     return 0 if all(checks) else 1
 
 
 def _cmd_lattice(args) -> int:
-    count_bound = getattr(args, "count_bound", None)
-    _warn_raised_bound("subspace count bound", count_bound,
-                       subspace.SUBSPACE_COUNT_BOUND)
-    builder = _segre if getattr(args, "segre", False) else _bnq
-    p, labeling = builder(args.n, args.q, count_bound)
+    p, labeling = _lattice_for(args)
     doc = {"poset": poset.to_interchange(p, labeling)}
     if args.chains:
         doc["chains"] = _chain_report_json(poset.chain_report(p, labeling))
@@ -301,7 +310,7 @@ def _cmd_lattice(args) -> int:
     if args.json:
         print(_dump(doc))
     else:
-        kind = "segre square" if getattr(args, "segre", False) else "lattice"
+        kind = "segre square" if args.segre else "lattice"
         print(f"{kind} n={args.n} q={args.q}: {len(p)} elements, "
               f"rank sizes {p.rank_sizes()}")
         if args.chains:
@@ -323,10 +332,7 @@ def _cmd_segre(args) -> int:
 
 
 def _cmd_mobius(args) -> int:
-    count_bound = getattr(args, "count_bound", None)
-    _warn_raised_bound("subspace count bound", count_bound,
-                       subspace.SUBSPACE_COUNT_BOUND)
-    p, _ = (_segre if args.segre else _bnq)(args.n, args.q, count_bound)
+    p, _ = _lattice_for(args)
     value = poset.mobius_number(p)
     if args.json:
         print(_dump({"n": args.n, "q": args.q, "segre": args.segre,
@@ -337,10 +343,7 @@ def _cmd_mobius(args) -> int:
 
 
 def _cmd_betti(args) -> int:
-    count_bound = getattr(args, "count_bound", None)
-    _warn_raised_bound("subspace count bound", count_bound,
-                       subspace.SUBSPACE_COUNT_BOUND)
-    p, _ = (_segre if args.segre else _bnq)(args.n, args.q, count_bound)
+    p, _ = _lattice_for(args)
     betti = poset.rational_betti_numbers(poset.proper_part(p))
     if args.json:
         print(_dump({"n": args.n, "q": args.q, "segre": args.segre,
@@ -353,13 +356,14 @@ def _cmd_betti(args) -> int:
 def _cmd_frobenius(args) -> int:
     table = symfrob.lefschetz_character(args.n)
     characteristic = symfrob.homology_characteristic(args.n)
-    specialized = symfrob.principal_specialization(characteristic)
+    numerator = symfrob.principal_specialization(characteristic, args.n)
+    denominator = symfrob.specialization_denominator(args.n)
     doc = {
         "character": {f"{_parts_str(mu)}|{_parts_str(lam)}": v
                       for (mu, lam), v in table.values.items()},
         "ch": {f"{_parts_str(mu)}|{_parts_str(lam)}": str(c)
                for (mu, lam), c in characteristic.terms.items()},
-        "ps": str(specialized),
+        "ps": f"({numerator})/({denominator})",
     }
     print(_dump(doc))
     return 0
@@ -392,38 +396,25 @@ def _cmd_verify_bessel(args) -> int:
 
 
 def _cmd_verify_el(args) -> int:
-    p, labeling = (_segre if args.segre else _bnq)(args.n, args.q)
-    ok, violation = poset.check_el_labeling(p, labeling)
-    kind = "segre" if args.segre else "lattice"
-    detail = "every interval shellable" if ok else violation.reason
-    return _print_results([{"check": "el", "status": "PASS" if ok else "FAIL",
-                            "detail": f"{kind} n={args.n} q={args.q}: {detail}"}],
-                          args.json)
+    ok, detail = _el_instance(args.n, args.q, args.segre)
+    return _print_results([_result("el", ok, detail)], args.json)
 
 
 def _cmd_verify_mobius(args) -> int:
-    sp, labeling = _segre(args.n, args.q)
-    mu = poset.mobius_number(sp)
-    descending = poset.chain_report(sp, labeling).descending_count
-    w_q = int(permstats.w_polynomial(args.n).evaluate(args.q))
-    ok = mu == (-1) ** args.n * w_q and descending == w_q
-    detail = f"mu={mu} descending={descending} expected W={w_q}"
-    return _print_results([{"check": "mobius", "status": "PASS" if ok else "FAIL",
-                            "detail": detail}], args.json)
+    ok, detail = _mobius_instance(args.n, args.q)
+    return _print_results([_result("mobius", ok, detail)], args.json)
 
 
 def _cmd_verify_thm31(args) -> int:
     residual = symfrob.h_alternating_residual(args.n)
     ok = residual.is_zero()
     detail = "residual zero" if ok else f"residual {residual!r}"
-    return _print_results([{"check": "thm31", "status": "PASS" if ok else "FAIL",
-                            "detail": f"n={args.n}: {detail}"}], args.json)
+    return _print_results([_result("thm31", ok, f"n={args.n}: {detail}")], args.json)
 
 
 def _cmd_verify_thm48(args) -> int:
     ok = symfrob.verify_specialization_identity(args.n)
-    return _print_results([{"check": "thm48", "status": "PASS" if ok else "FAIL",
-                            "detail": f"n={args.n}"}], args.json)
+    return _print_results([_result("thm48", ok, f"n={args.n}")], args.json)
 
 
 def _cmd_verify_prop26(args) -> int:
@@ -434,8 +425,8 @@ def _cmd_verify_prop26(args) -> int:
               file=sys.stderr)
         return 2
     ok = symfrob.verify_induction_homomorphism(k, l, m, n)
-    return _print_results([{"check": "prop26", "status": "PASS" if ok else "FAIL",
-                            "detail": f"sizes ({k},{l},{m},{n})"}], args.json)
+    return _print_results([_result("prop26", ok, f"sizes ({k},{l},{m},{n})")],
+                          args.json)
 
 
 def _cmd_verify_all(args) -> int:

@@ -1,19 +1,20 @@
 """Exact arithmetic in the indeterminate q.
 
 Every object the paper needs is an integer polynomial over a denominator
-known in advance, so a polynomial keeps integral coefficients as Python int:
-an integral Fraction is normalised to int on entry, products and sums of ints
-stay ints, and long division by a +1 or -1 leading coefficient stays in the
-integers.  fractions.Fraction survives only where a caller passes a
-non-integral value or divides by a non-unit, as the reduced rational
-functions (gcd over the rationals, monic denominator) and the symmetric
-function coefficients do.  Nothing here ever touches floating point.
+known in advance, so this module has polynomials only: a caller keeps the
+known denominator (([n]_q!)^2 for the reciprocal series, the product of
+(1 - q^i)^2 for principal specialization) explicit beside the numerator, and
+no gcd is ever taken.  A polynomial keeps integral coefficients as Python
+int: an integral Fraction is normalised to int on entry, products and sums of
+ints stay ints, and long division by a +1 or -1 leading coefficient stays in
+the integers.  fractions.Fraction survives only where a caller passes a
+non-integral value or divides by a non-unit, as the symmetric function
+coefficients do before their sum clears.  Nothing here ever touches floating
+point.
 
 A polynomial is a tuple of coefficients in ascending degree with no trailing
 zeros (the zero polynomial is the empty tuple), which makes structural
-equality coincide with mathematical equality.  Truncated power series in z
-carry rational-function coefficients and display the alternating series and
-its reciprocal.
+equality coincide with mathematical equality.
 
 Every value here is immutable once constructed and safe to share between
 threads.
@@ -55,11 +56,6 @@ class QPolynomial:
 
     def is_zero(self) -> bool:
         return not self.coeffs
-
-    def leading_coefficient(self) -> Coefficient:
-        if not self.coeffs:
-            raise ValueError("the zero polynomial has no leading coefficient")
-        return self.coeffs[-1]
 
     def evaluate(self, value: Coefficient) -> Coefficient:
         """Exact value at q = value, by Horner's rule."""
@@ -188,10 +184,6 @@ ONE = QPolynomial([1])
 Q = QPolynomial([0, 1])
 
 
-def constant(value: Coefficient) -> QPolynomial:
-    return QPolynomial([value])
-
-
 def q_power(k: int) -> QPolynomial:
     if k < 0:
         raise ValueError("exponent must be nonnegative")
@@ -205,15 +197,6 @@ def one_minus_q_power(k: int) -> QPolynomial:
     if k == 0:
         return ZERO
     return QPolynomial([1] + [0] * (k - 1) + [-1])
-
-
-def poly_gcd(a: QPolynomial, b: QPolynomial) -> QPolynomial:
-    """Monic greatest common divisor by the Euclidean algorithm."""
-    while not b.is_zero():
-        a, b = b, divmod(a, b)[1]
-    if a.is_zero():
-        return ZERO
-    return a * Fraction(1, a.leading_coefficient())
 
 
 @lru_cache(maxsize=None)
@@ -241,147 +224,3 @@ def poly_coeff_strings(p: QPolynomial) -> list[str]:
 
 def poly_from_coeff_strings(strings: Iterable[str]) -> QPolynomial:
     return QPolynomial(Fraction(s) for s in strings)
-
-
-class QRationalFunction:
-    """Reduced fraction of two q-polynomials with monic denominator."""
-
-    __slots__ = ("num", "den")
-
-    def __init__(self, num, den=None):
-        num = self._as_poly(num)
-        den = ONE if den is None else self._as_poly(den)
-        if den.is_zero():
-            raise ZeroDivisionError("rational function with zero denominator")
-        if num.is_zero():
-            self.num, self.den = ZERO, ONE
-            return
-        g = poly_gcd(num, den)
-        num = num.exact_div(g)
-        den = den.exact_div(g)
-        lead = den.leading_coefficient()
-        if lead != 1:
-            inv = Fraction(1, lead)
-            num = num * inv
-            den = den * inv
-        self.num, self.den = num, den
-
-    @staticmethod
-    def _as_poly(value) -> QPolynomial:
-        if isinstance(value, QPolynomial):
-            return value
-        if isinstance(value, (int, Fraction)):
-            return constant(value)
-        raise TypeError(f"cannot interpret {type(value).__name__} as a polynomial")
-
-    def is_zero(self) -> bool:
-        return self.num.is_zero()
-
-    def __add__(self, other: "QRationalFunction") -> "QRationalFunction":
-        if not isinstance(other, QRationalFunction):
-            return NotImplemented
-        return QRationalFunction(self.num * other.den + other.num * self.den,
-                                 self.den * other.den)
-
-    def __sub__(self, other: "QRationalFunction") -> "QRationalFunction":
-        if not isinstance(other, QRationalFunction):
-            return NotImplemented
-        return QRationalFunction(self.num * other.den - other.num * self.den,
-                                 self.den * other.den)
-
-    def __neg__(self) -> "QRationalFunction":
-        return QRationalFunction(-self.num, self.den)
-
-    def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return QRationalFunction(self.num * other, self.den)
-        if not isinstance(other, QRationalFunction):
-            return NotImplemented
-        return QRationalFunction(self.num * other.num, self.den * other.den)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other: "QRationalFunction") -> "QRationalFunction":
-        if not isinstance(other, QRationalFunction):
-            return NotImplemented
-        if other.is_zero():
-            raise ZeroDivisionError("division by the zero rational function")
-        return QRationalFunction(self.num * other.den, self.den * other.num)
-
-    def evaluate(self, value: Coefficient) -> Fraction:
-        bottom = self.den.evaluate(value)
-        if bottom == 0:
-            raise ZeroDivisionError(f"denominator vanishes at q={value}")
-        return Fraction(self.num.evaluate(value), bottom)
-
-    def __eq__(self, other) -> bool:
-        return (isinstance(other, QRationalFunction)
-                and self.num == other.num and self.den == other.den)
-
-    def __hash__(self) -> int:
-        return hash((self.num.coeffs, self.den.coeffs))
-
-    def __bool__(self) -> bool:
-        return not self.is_zero()
-
-    def __repr__(self) -> str:
-        return f"QRationalFunction({self.num!r}, {self.den!r})"
-
-    def __str__(self) -> str:
-        if self.den == ONE:
-            return str(self.num)
-        return f"({self.num})/({self.den})"
-
-
-RF_ZERO = QRationalFunction(ZERO)
-RF_ONE = QRationalFunction(ONE)
-
-
-def _as_ratfun(value) -> QRationalFunction:
-    if isinstance(value, QRationalFunction):
-        return value
-    if isinstance(value, (QPolynomial, int, Fraction)):
-        return QRationalFunction(value)
-    raise TypeError(f"cannot interpret {type(value).__name__} as a rational function")
-
-
-class TruncatedSeries:
-    """Power series in z known through z^order, coefficients rational in q."""
-
-    __slots__ = ("order", "coeffs")
-
-    def __init__(self, order: int, coeffs):
-        if order < 0:
-            raise ValueError("order must be nonnegative")
-        cs = tuple(_as_ratfun(c) for c in coeffs)
-        if len(cs) != order + 1:
-            raise ValueError(f"expected {order + 1} coefficients, got {len(cs)}")
-        self.order = order
-        self.coeffs = cs
-
-    @classmethod
-    def one(cls, order: int) -> "TruncatedSeries":
-        return cls(order, [RF_ONE] + [RF_ZERO] * order)
-
-    def __mul__(self, other: "TruncatedSeries") -> "TruncatedSeries":
-        if not isinstance(other, TruncatedSeries):
-            return NotImplemented
-        if self.order != other.order:
-            raise ValueError("series orders differ")
-        out = []
-        for n in range(self.order + 1):
-            acc = RF_ZERO
-            for k in range(n + 1):
-                acc = acc + self.coeffs[k] * other.coeffs[n - k]
-            out.append(acc)
-        return TruncatedSeries(self.order, out)
-
-    def __eq__(self, other) -> bool:
-        return (isinstance(other, TruncatedSeries)
-                and self.order == other.order and self.coeffs == other.coeffs)
-
-    def __hash__(self) -> int:
-        return hash((self.order, self.coeffs))
-
-    def __repr__(self) -> str:
-        return f"TruncatedSeries(order={self.order}, coeffs={[str(c) for c in self.coeffs]})"

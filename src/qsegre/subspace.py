@@ -168,10 +168,6 @@ class FiniteField:
         return f"FiniteField(p={self.p}, k={self.k})"
 
 
-def field_make(p: int, k: int = 1, size_bound: int = FIELD_SIZE_BOUND) -> FiniteField:
-    return FiniteField(p, k, size_bound)
-
-
 def rref_rows(field: FiniteField, ambient: int, vectors) -> tuple[tuple[int, ...], ...]:
     """Canonical reduced row echelon basis of the span of the given vectors."""
     mat = [list(map(int, v)) for v in vectors]
@@ -332,20 +328,11 @@ def atom_label(s: Subspace) -> int:
     return max(i for i, x in enumerate(s.rows[0]) if x) + 1
 
 
-def edge_label(x: Subspace, y: Subspace) -> int:
-    """The unique new rightmost-coordinate index gained when y covers x."""
-    if y.dim != x.dim + 1 or not y.contains(x):
-        raise ValueError("edge_label requires y to cover x")
-    difference = label_set(y) - label_set(x)
-    if len(difference) != 1:
-        raise ArithmeticError(f"cover {x!r} < {y!r} gains labels "
-                              f"{sorted(difference)}, not exactly one")
-    return next(iter(difference))
-
-
 def build_bnq(n: int, field: FiniteField,
               count_bound: int | None = None) -> tuple[GradedPoset, EdgeLabeling]:
-    """The subspace lattice of F_q^n with the rightmost-coordinate labeling."""
+    """The subspace lattice of F_q^n with the rightmost-coordinate labeling:
+    a cover x < y is labeled by the one index in label_set(y) that is not in
+    label_set(x)."""
     subs = enumerate_subspaces(n, field, count_bound)
     subs.sort(key=lambda s: (s.dim, s.rows))
     names = [s.rows for s in subs]

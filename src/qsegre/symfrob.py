@@ -14,6 +14,12 @@ computed by a Hopf-trace count of group-fixed chains of the order complex.
 That route needs nothing but exact chain counting plus the fact (checked
 elsewhere via Betti numbers) that the lower homology vanishes, so it is
 independent of the shelling machinery and can serve as an oracle for it.
+
+Principal specialization turns a characteristic of degree n into a rational
+function whose denominator divides the product of (1 - q^i)^2 for i <= n,
+so it is returned as the numerator over that known denominator, and
+the paper's specialization theorem becomes the polynomial identity
+numerator == W_n(q).
 """
 
 from __future__ import annotations
@@ -24,7 +30,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import factorial
 
-from .exactalg import ONE, QPolynomial, QRationalFunction, one_minus_q_power
+from .exactalg import ONE, ZERO, QPolynomial, one_minus_q_power
 from .permstats import w_polynomial
 from .poset import (GradedPoset, boolean_lattice, chains_by_dimension,
                     proper_part, segre_product)
@@ -141,11 +147,6 @@ class SymFun2:
         bits = [f"{c}*p{list(mu)}(x)p{list(lam)}(y)"
                 for (mu, lam), c in sorted(self.terms.items())]
         return "SymFun2(" + " + ".join(bits) + ")"
-
-
-def symfun2_mul(a: SymFun2, b: SymFun2) -> SymFun2:
-    """Bilinear product; on basis elements the partition multisets merge."""
-    return a * b
 
 
 def tensor_single(xs: dict[Partition, Fraction],
@@ -421,18 +422,6 @@ def characteristic_by_whitney_recursion(n: int) -> SymFun2:
     return total
 
 
-def principal_specialization(f: SymFun2) -> QRationalFunction:
-    """Substitute 1, q, q^2, ... into both alphabets: each part a of either
-    partition contributes a factor 1/(1 - q^a)."""
-    total = QRationalFunction(QPolynomial())
-    for (mu, lam), c in sorted(f.terms.items()):
-        den = ONE
-        for part in mu + lam:
-            den = den * one_minus_q_power(part)
-        total = total + QRationalFunction(QPolynomial([c]), den)
-    return total
-
-
 def specialization_denominator(n: int) -> QPolynomial:
     """The product of (1 - q^i)^2 for i = 1..n."""
     out = ONE
@@ -442,12 +431,27 @@ def specialization_denominator(n: int) -> QPolynomial:
     return out
 
 
+def principal_specialization(f: SymFun2, n: int) -> QPolynomial:
+    """Substitute 1, q, q^2, ... into both alphabets, where each part a of
+    either partition contributes a factor 1/(1 - q^a).  Returned as the
+    numerator over specialization_denominator(n), which every term's
+    denominator divides when f has degree at most n in each alphabet (a
+    q-multinomial is a polynomial); a term whose denominator does not divide
+    it raises ValueError."""
+    denominator = specialization_denominator(n)
+    total = ZERO
+    for (mu, lam), c in f.terms.items():
+        term_den = ONE
+        for part in mu + lam:
+            term_den = term_den * one_minus_q_power(part)
+        total = total + denominator.exact_div(term_den) * c
+    return total
+
+
 def verify_specialization_identity(n: int) -> bool:
-    """Exact equality of the specialized top characteristic with
-    W_n(q) over the product of (1 - q^i)^2."""
-    lhs = principal_specialization(homology_characteristic(n))
-    rhs = QRationalFunction(w_polynomial(n), specialization_denominator(n))
-    return lhs == rhs
+    """The polynomial identity ps(ch_n) * prod_(i<=n) (1 - q^i)^2 == W_n(q)
+    for the specialized top characteristic."""
+    return principal_specialization(homology_characteristic(n), n) == w_polynomial(n)
 
 
 def verify_induction_homomorphism(k: int, l: int, m: int, n: int,

@@ -1,30 +1,105 @@
 """Independent, slower routes to values the package computes another way.
 
 Each oracle here is the definitional computation that a faster kernel in
-src/qsegre replaced; the tests compare the two.
+src/qsegre replaced; the tests compare the two.  The rational-function
+identities are checked by evaluation: q is set to enough integers that the
+values pin the polynomial, and everything at a point is a Fraction.
 """
 
-from qsegre.exactalg import RF_ONE, RF_ZERO, QPolynomial, TruncatedSeries
+from fractions import Fraction
+
+from qsegre.exactalg import ONE, QPolynomial
 from qsegre.permstats import _perm_stats
 
 
-def series_reciprocal(s: TruncatedSeries) -> TruncatedSeries:
-    """Multiplicative inverse modulo z^(order+1) in reduced rational functions.
+def series_reciprocal(coeffs) -> list[Fraction]:
+    """Multiplicative inverse modulo z^len(coeffs) of a power series with
+    rational coefficients.
 
     Triangular recurrence: t_0 = 1/s_0 and
     t_n = -(1/s_0) * sum_{k=1..n} s_k t_{n-k}.
     """
-    c0 = s.coeffs[0]
-    if c0.is_zero():
+    s = [Fraction(c) for c in coeffs]
+    if s[0] == 0:
         raise ValueError("series with zero constant term has no reciprocal")
-    inv0 = RF_ONE / c0
-    out = [inv0]
-    for n in range(1, s.order + 1):
-        acc = RF_ZERO
-        for k in range(1, n + 1):
-            acc = acc + s.coeffs[k] * out[n - k]
-        out.append(-(inv0 * acc))
-    return TruncatedSeries(s.order, out)
+    out = [1 / s[0]]
+    for n in range(1, len(s)):
+        out.append(-sum(s[k] * out[n - k] for k in range(1, n + 1)) / s[0])
+    return out
+
+
+def q_factorial_at(n: int, q: int) -> int:
+    """[n]_q! at an integer q, from [i]_q = 1 + q + ... + q^(i-1)."""
+    out = 1
+    for i in range(1, n + 1):
+        out *= sum(q ** j for j in range(i))
+    return out
+
+
+def bessel_series_at(order: int, q: int) -> list[Fraction]:
+    """The coefficients (-1)^n / ([n]_q!)^2 of f through z^order at q."""
+    return [Fraction((-1) ** n, q_factorial_at(n, q) ** 2)
+            for n in range(order + 1)]
+
+
+def interpolate(points) -> QPolynomial:
+    """The polynomial of degree below len(points) through the (x, y) points,
+    by Lagrange's formula over the rationals."""
+    total = QPolynomial()
+    for i, (xi, yi) in enumerate(points):
+        basis = ONE
+        for j, (xj, _) in enumerate(points):
+            if j != i:
+                basis = basis * QPolynomial([Fraction(-xj, xi - xj),
+                                             Fraction(1, xi - xj)])
+        total = total + basis * Fraction(yi)
+    return total
+
+
+def reciprocal_numerator_by_evaluation(n: int) -> QPolynomial:
+    """g_n = ([n]_q!)^2 [z^n](1/f), interpolated from the reciprocal of f's
+    values at q = 0, 1, ..., n(n-1)+1.
+
+    g_n has degree at most n(n-1), so one point more than that degree needs
+    also checks that the values lie on such a polynomial.
+    """
+    degree = n * (n - 1)
+    points = []
+    for q in range(degree + 2):
+        inverse = series_reciprocal(bessel_series_at(n, q))
+        points.append((q, inverse[n] * q_factorial_at(n, q) ** 2))
+    g = interpolate(points)
+    if g.degree > degree:
+        raise ArithmeticError(f"cleared coefficient {n} is not a polynomial "
+                              f"of degree at most {degree}")
+    return g
+
+
+def specialization_at(f, q: int) -> Fraction:
+    """ps(f) at an integer q >= 2: p_a(1, q, q^2, ...) = 1/(1 - q^a) in each
+    alphabet, summed with f's power-sum coefficients."""
+    total = Fraction(0)
+    for (mu, lam), c in f.terms.items():
+        term = Fraction(c)
+        for a in mu + lam:
+            term /= 1 - q ** a
+        total += term
+    return total
+
+
+def cleared_specialization_matches(f, n: int, target: QPolynomial) -> bool:
+    """ps(f) * prod_{i<=n} (1 - q^i)^2 == target, checked at n(n+1)+1 integer
+    points.  When f has degree at most n in each alphabet both sides are
+    polynomials of degree at most n(n+1), so agreement there is equality."""
+    if target.degree > n * (n + 1):
+        return False
+    for q in range(2, n * (n + 1) + 3):
+        denominator = 1
+        for i in range(1, n + 1):
+            denominator *= (1 - q ** i) ** 2
+        if specialization_at(f, q) * denominator != target.evaluate(q):
+            return False
+    return True
 
 
 def w_polynomial_by_pair_scan(n: int) -> QPolynomial:

@@ -3,27 +3,33 @@ from fractions import Fraction
 import pytest
 
 from qsegre import besselseries, permstats
-from qsegre.besselseries import (bessel_coefficients, build_f,
-                                 reciprocal_numerators, verify_reciprocal)
-from qsegre.exactalg import (ONE, QPolynomial, QRationalFunction,
-                             TruncatedSeries, q_factorial)
+from qsegre.besselseries import (bessel_coefficients, reciprocal_numerators,
+                                 verify_reciprocal)
+from qsegre.exactalg import ONE, QPolynomial, q_factorial
 from qsegre.permstats import w_polynomial
 
-from oracles import series_reciprocal
+from oracles import (bessel_series_at, reciprocal_numerator_by_evaluation,
+                     series_reciprocal)
+
+
+def values_at(numerators, denominators, q):
+    return [Fraction(num.evaluate(q), den.evaluate(q))
+            for num, den in zip(numerators, denominators)]
 
 
 class TestBuildF:
+    """The series f, as numerators +1/-1 over ([n]_q!)^2."""
+
     def test_first_coefficients(self):
-        f = build_f(2)
-        assert f.coeffs[0] == QRationalFunction(ONE)
-        assert f.coeffs[1] == QRationalFunction(-ONE)
-        assert f.coeffs[2] == QRationalFunction(ONE, QPolynomial([1, 1]) * QPolynomial([1, 1]))
+        data = bessel_coefficients(2)
+        assert data.f == (ONE, -ONE, ONE)
+        assert data.den == (ONE, ONE, QPolynomial([1, 1]) * QPolynomial([1, 1]))
 
     def test_signs_alternate(self):
-        f = build_f(5)
-        for n, c in enumerate(f.coeffs):
-            value = c.evaluate(2)
+        data = bessel_coefficients(5)
+        for n, value in enumerate(values_at(data.f, data.den, 2)):
             assert (value > 0) == (n % 2 == 0)
+        assert values_at(data.f, data.den, 3) == bessel_series_at(5, 3)
 
 
 class TestReciprocal:
@@ -32,10 +38,11 @@ class TestReciprocal:
 
     def test_order_two_includes_reduced_ratio(self):
         assert verify_reciprocal(2) == [True, True, True]
-        inverse = series_reciprocal(build_f(2))
-        expected = QRationalFunction(QPolynomial([0, 2, 1]),
-                                     QPolynomial([1, 1]) * QPolynomial([1, 1]))
-        assert inverse.coeffs[2] == expected
+        # the z^2 coefficient is (q^2+2q)/(1+q)^2, already in lowest terms
+        assert reciprocal_numerator_by_evaluation(2) == QPolynomial([0, 2, 1])
+        for q in range(5):
+            inverse = series_reciprocal(bessel_series_at(2, q))
+            assert inverse[2] == Fraction(q * q + 2 * q, (1 + q) ** 2)
 
     def test_order_five_all_match(self):
         assert all(verify_reciprocal(5))
@@ -46,31 +53,31 @@ class TestReciprocal:
 
     def test_product_invariant_holds(self):
         data = bessel_coefficients(4)
-        assert data.f * data.f_inv == TruncatedSeries.one(4)
+        for q in (2, 3):
+            f = values_at(data.f, data.den, q)
+            f_inv = values_at(data.f_inv, data.den, q)
+            product = [sum(f[k] * f_inv[n - k] for k in range(n + 1))
+                       for n in range(5)]
+            assert product == [1, 0, 0, 0, 0]
 
     def test_q_equals_one_reproduces_integer_counts(self):
         # coefficient n of the reciprocal, times (n!)^2, counts the pairs
         from math import factorial
-        inverse = series_reciprocal(build_f(4))
+        inverse = series_reciprocal(bessel_series_at(4, 1))
         omegas = [1, 1, 3, 19, 211]
         for n, omega in enumerate(omegas):
-            value = inverse.coeffs[n].evaluate(1) * factorial(n) ** 2
-            assert value == Fraction(omega)
-        assert inverse.coeffs[2].evaluate(1) * 4 == 3  # hard regression point
+            assert inverse[n] * factorial(n) ** 2 == omega
+        assert inverse[2] * 4 == 3  # hard regression point
 
     def test_reciprocal_coefficients_are_the_pair_polynomials(self):
-        inverse = series_reciprocal(build_f(4))
         for n in range(5):
-            fact = q_factorial(n)
-            assert inverse.coeffs[n] == QRationalFunction(w_polynomial(n), fact * fact)
+            assert reciprocal_numerator_by_evaluation(n) == w_polynomial(n)
 
 
 class TestFractionFreeNumerators:
     def test_match_the_rational_function_reciprocal_through_order_five(self):
-        inverse = series_reciprocal(build_f(5))
         for n, g in enumerate(reciprocal_numerators(5)):
-            fact = q_factorial(n)
-            assert QRationalFunction(g, fact * fact) == inverse.coeffs[n]
+            assert g == reciprocal_numerator_by_evaluation(n)
 
     def test_coefficients_are_ints(self):
         for g in reciprocal_numerators(7):
@@ -78,9 +85,15 @@ class TestFractionFreeNumerators:
 
     def test_displayed_reciprocal_is_built_from_the_numerators(self):
         data = bessel_coefficients(3)
-        for n, g in enumerate(reciprocal_numerators(3)):
-            fact = q_factorial(n)
-            assert data.f_inv.coeffs[n] == QRationalFunction(g, fact * fact)
+        assert data.f_inv == tuple(reciprocal_numerators(3))
+        assert data.den == tuple(q_factorial(n) * q_factorial(n) for n in range(4))
+
+    def test_broken_numerators_fail_the_product_identity(self, monkeypatch):
+        good = reciprocal_numerators(3)
+        monkeypatch.setattr(besselseries, "reciprocal_numerators",
+                            lambda order: good[:2] + [good[2] + ONE, good[3]])
+        with pytest.raises(ArithmeticError, match="z\\^2"):
+            bessel_coefficients(3)
 
     def test_negative_order_rejected(self):
         with pytest.raises(ValueError):

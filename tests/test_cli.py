@@ -1,4 +1,5 @@
 import json
+import pathlib
 
 import pytest
 
@@ -204,7 +205,41 @@ class TestVerifyCommands:
         assert parallel == sequential
 
 
+GOLDEN = pathlib.Path(__file__).resolve().parent / "golden"
+
+
 class TestGoldenDocuments:
+    # bessel and frobenius print numerators over the known denominators
+    # ([n]_q!)^2 and prod (1-q^i)^2; these outputs were recorded when both
+    # went through gcd-reduced rational functions
+    @pytest.mark.parametrize("argv, name", [
+        (("bessel", "--order", "4"), "bessel_order4.out"),
+        (("frobenius", "--n", "3"), "frobenius_n3.out"),
+    ])
+    def test_rational_documents_are_byte_identical(self, capsys, argv, name):
+        code, out, err = run(capsys, *argv)
+        assert code == 0 and err == ""
+        assert out == (GOLDEN / name).read_text()
+
+    def test_known_denominators_are_coprime_to_the_numerators(self):
+        # why an explicit denominator prints the reduced form: it shares no
+        # factor with W_n, the numerator over it
+        import sympy
+        from qsegre.exactalg import q_factorial
+        from qsegre.permstats import ENUMERATION_BOUND, w_polynomial
+        from qsegre.symfrob import TOP_HOMOLOGY_BOUND, specialization_denominator
+        q = sympy.symbols("q")
+
+        def to_sympy(p):
+            return sympy.Poly(list(reversed(p.coeffs)), q)
+
+        for n in range(ENUMERATION_BOUND + 1):
+            w = to_sympy(w_polynomial(n))
+            factorial_squared = to_sympy(q_factorial(n) * q_factorial(n))
+            assert sympy.gcd(w, factorial_squared).is_one, n
+            if n <= TOP_HOMOLOGY_BOUND:
+                assert sympy.gcd(w, to_sympy(specialization_denominator(n))).is_one, n
+
     def test_lattice_interchange_golden(self, capsys):
         code, out, _ = run(capsys, "lattice", "--n", "1", "--q", "2", "--json")
         assert code == 0

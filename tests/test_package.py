@@ -1,5 +1,6 @@
 import ast
 import pathlib
+import sys
 
 import qsegre
 
@@ -14,3 +15,20 @@ def test_no_assert_statements_in_the_package():
         found += [f"{path.name}:{node.lineno}" for node in ast.walk(tree)
                   if isinstance(node, ast.Assert)]
     assert not found, f"assert statements in {found}"
+
+
+def test_runtime_imports_only_the_standard_library():
+    # the tests lean on sympy and hypothesis; the package itself must not
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            found += [f"{path.name}:{node.lineno} {name}" for name in names
+                      if name.split(".")[0] not in sys.stdlib_module_names]
+    assert not found, f"non-stdlib imports in {found}"

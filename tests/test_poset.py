@@ -1,4 +1,9 @@
+import functools
+import json
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qsegre.poset import (ChainReport, EdgeLabeling, GradedPoset,
                           boolean_lattice, boolean_lattice_labeled,
@@ -6,6 +11,8 @@ from qsegre.poset import (ChainReport, EdgeLabeling, GradedPoset,
                           mobius_number, order_chain_counts, proper_part,
                           rational_betti_numbers, reduced_euler_characteristic,
                           segre_product, to_interchange)
+from qsegre.cli import prime_power
+from qsegre.subspace import FiniteField, build_bnq, build_segre_bnq
 
 
 def two_chain():
@@ -14,6 +21,19 @@ def two_chain():
 
 def antichain(k):
     return GradedPoset([f"a{i}" for i in range(k)], [0] * k, [])
+
+
+def segre_boolean_labeled(n):
+    """Segre square of the labeled boolean lattice, covers labeled by pairs."""
+    p, labeling = boolean_lattice_labeled(n)
+    s = segre_product(p, p)
+    index = {name: i for i, name in enumerate(p.names)}
+    pair_labels = {}
+    for a, b in s.covers:
+        (xa, ya), (xb, yb) = s.names[a], s.names[b]
+        pair_labels[(a, b)] = (labeling.labels[(index[xa], index[xb])],
+                               labeling.labels[(index[ya], index[yb])])
+    return s, EdgeLabeling.with_pair_labels(pair_labels)
 
 
 def _random_bounded_poset(rng):
@@ -166,24 +186,13 @@ class TestELLabeling:
         with pytest.raises(ValueError):
             check_el_labeling(two_chain(), EdgeLabeling.with_integer_labels({}))
 
-    def _segre_boolean_labeled(self, n):
-        p, labeling = boolean_lattice_labeled(n)
-        s = segre_product(p, p)
-        index = {name: i for i, name in enumerate(p.names)}
-        pair_labels = {}
-        for a, b in s.covers:
-            (xa, ya), (xb, yb) = s.names[a], s.names[b]
-            pair_labels[(a, b)] = (labeling.labels[(index[xa], index[xb])],
-                                   labeling.labels[(index[ya], index[yb])])
-        return s, EdgeLabeling.with_pair_labels(pair_labels)
-
     def test_segre_square_of_boolean_lattice_is_el(self):
         for n in (2, 3):
-            ok, violation = check_el_labeling(*self._segre_boolean_labeled(n))
+            ok, violation = check_el_labeling(*segre_boolean_labeled(n))
             assert ok, violation
 
     def test_adversarial_swap_is_reported(self):
-        s, labeling = self._segre_boolean_labeled(2)
+        s, labeling = segre_boolean_labeled(2)
         # relabel one upper edge so the full interval gains a second
         # increasing chain
         culprit = next((a, b) for a, b in s.covers
@@ -263,7 +272,6 @@ class TestInterchange:
         assert relabeling.labels == labeling.labels
 
     def test_pair_labels_round_trip(self):
-        import json
         p = GradedPoset(["x", "y"], [0, 1], [(0, 1)])
         labeling = EdgeLabeling.with_pair_labels({(0, 1): (2, 3)})
         doc = json.loads(json.dumps(to_interchange(p, labeling)))
@@ -271,3 +279,40 @@ class TestInterchange:
         assert relabeling.labels == {(0, 1): (2, 3)}
         assert relabeling.less((1, 1), (2, 3))
         assert not relabeling.less((2, 1), (1, 3))
+
+
+INTERCHANGE_INSTANCES = (
+    [("boolean", n) for n in (1, 2, 3)]
+    + [("boolean segre", n) for n in (1, 2, 3)]
+    + [("bnq", n, q) for n, q in ((1, 2), (2, 2), (2, 3), (2, 4), (3, 2))]
+    + [("bnq segre", n, q) for n, q in ((1, 3), (2, 2), (2, 3))])
+
+
+@functools.lru_cache(maxsize=None)
+def interchange_instance(key):
+    kind, n, *q = key
+    if kind == "boolean":
+        return boolean_lattice_labeled(n)
+    if kind == "boolean segre":
+        return segre_boolean_labeled(n)
+    build = build_segre_bnq if kind == "bnq segre" else build_bnq
+    return build(n, FiniteField(*prime_power(q[0])))
+
+
+class TestInterchangeProperties:
+    @given(st.sampled_from(INTERCHANGE_INSTANCES), st.booleans())
+    @settings(max_examples=60, deadline=None)
+    def test_round_trip_through_json(self, key, with_labels):
+        p, labeling = interchange_instance(key)
+        doc = to_interchange(p, labeling if with_labels else None)
+        rebuilt, relabeling = from_interchange(json.loads(json.dumps(doc)))
+        assert rebuilt.ranks == p.ranks
+        assert rebuilt.covers == p.covers
+        assert rebuilt.names == tuple(str(nm) for nm in p.names)
+        assert mobius_number(rebuilt) == mobius_number(p)
+        if not with_labels:
+            assert relabeling is None
+            return
+        assert relabeling.labels == labeling.labels
+        assert relabeling.less is labeling.less
+        assert chain_report(rebuilt, relabeling) == chain_report(p, labeling)

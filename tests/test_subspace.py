@@ -6,16 +6,15 @@ from qsegre.poset import (chain_report, check_el_labeling, mobius_number,
                           proper_part, rational_betti_numbers,
                           reduced_euler_characteristic)
 from qsegre.subspace import (FiniteField, Subspace, atom_label, atom_vector,
-                             build_bnq, build_segre_bnq, edge_label,
-                             enumerate_subspaces, field_make, label_set,
-                             rref_rows)
+                             build_bnq, build_segre_bnq, enumerate_subspaces,
+                             label_set, rref_rows)
 
 import itertools
 
-F2 = field_make(2)
-F3 = field_make(3)
-F4 = field_make(2, 2)
-F5 = field_make(5)
+F2 = FiniteField(2)
+F3 = FiniteField(3)
+F4 = FiniteField(2, 2)
+F5 = FiniteField(5)
 
 
 class TestFiniteField:
@@ -38,17 +37,17 @@ class TestFiniteField:
 
     def test_rejects_bad_parameters(self):
         with pytest.raises(ValueError):
-            field_make(4)
+            FiniteField(4)
         with pytest.raises(ValueError):
-            field_make(2, 5)  # 32 > 16
+            FiniteField(2, 5)  # 32 > 16
 
     def test_field_equality_by_construction_data(self):
-        assert field_make(3) == field_make(3)
-        assert field_make(2, 2) != field_make(2, 1)
+        assert FiniteField(3) == FiniteField(3)
+        assert FiniteField(2, 2) != FiniteField(2, 1)
 
     def test_extension_fields_at_the_size_bound(self):
-        f9 = field_make(3, 2)
-        f16 = field_make(2, 4)
+        f9 = FiniteField(3, 2)
+        f16 = FiniteField(2, 4)
         assert f9.order == 9 and f16.order == 16
         for field in (f9, f16):
             for a in range(1, field.order):
@@ -154,16 +153,18 @@ class TestLabels:
             assert len(label_set(s)) == s.dim
 
     def test_edge_label_example(self):
+        p, labeling = build_bnq(2, F2)
+        bottom = p.element_index(())
+        full = p.element_index(((1, 0), (0, 1)))
         diagonal = Subspace.from_vectors(F2, 2, [(1, 1)])
-        full = Subspace.from_vectors(F2, 2, [(1, 0), (0, 1)])
-        assert edge_label(diagonal, full) == 1
-        assert edge_label(Subspace(F2, 2, ()), diagonal) == atom_label(diagonal)
+        d = p.element_index(diagonal.rows)
+        assert labeling.labels[(d, full)] == 1
+        assert labeling.labels[(bottom, d)] == atom_label(diagonal)
 
     def test_edge_label_rejects_non_covers(self):
-        bottom = Subspace(F2, 3, ())
-        full = Subspace.from_vectors(F2, 3, [(1, 0, 0), (0, 1, 0), (0, 0, 1)])
-        with pytest.raises(ValueError):
-            edge_label(bottom, full)
+        p, labeling = build_bnq(3, F2)
+        assert set(labeling.labels) == set(p.covers)
+        assert (p.element_index(()), p.top_index()) not in labeling.labels
 
 
 class TestLatticeConstruction:

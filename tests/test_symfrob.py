@@ -3,7 +3,7 @@ from math import comb, factorial
 
 import pytest
 
-from qsegre.exactalg import ONE, QPolynomial, QRationalFunction
+from qsegre.exactalg import ONE, QPolynomial
 from qsegre.permstats import w_polynomial
 from qsegre.poset import rational_betti_numbers
 from qsegre.symfrob import (CharacterTable2, SymFun2, _pair_poset,
@@ -13,10 +13,12 @@ from qsegre.symfrob import (CharacterTable2, SymFun2, _pair_poset,
                             irreducible_table2, lefschetz_character,
                             partitions_of, principal_specialization,
                             product_frobenius, specialization_denominator,
-                            symfun2_mul, symmetric_group_character,
-                            tensor_single, trivial_character,
+                            symmetric_group_character, tensor_single,
+                            trivial_character,
                             verify_induction_homomorphism,
                             verify_specialization_identity, z_of)
+
+from oracles import cleared_specialization_matches
 
 
 class TestPartitions:
@@ -53,15 +55,15 @@ class TestHExpansion:
 class TestSymFun2:
     def test_one_is_multiplicative_identity(self):
         s = SymFun2({((2, 1), (1, 1)): Fraction(3, 4)})
-        assert symfun2_mul(SymFun2.one(), s) == s
+        assert SymFun2.one() * s == s
 
     def test_basis_product_merges_partitions(self):
         p11 = SymFun2({((1,), (1,)): 1})
-        assert symfun2_mul(p11, p11) == SymFun2({((1, 1), (1, 1)): 1})
+        assert p11 * p11 == SymFun2({((1, 1), (1, 1)): 1})
 
     def test_square_of_h1h1_tensor(self):
         h1 = h_to_p(1)
-        square = symfun2_mul(tensor_single(h1, h1), tensor_single(h1, h1))
+        square = tensor_single(h1, h1) * tensor_single(h1, h1)
         assert square == SymFun2({((1, 1), (1, 1)): 1})
 
     def test_zero_coefficients_dropped(self):
@@ -214,7 +216,7 @@ class TestIdentities:
         assert homology_characteristic(2) == expected
         # equivalently h_1^2 h_1^2 - h_2 h_2 in the two alphabets
         h1, h2 = h_to_p(1), h_to_p(2)
-        square = symfun2_mul(tensor_single(h1, h1), tensor_single(h1, h1))
+        square = tensor_single(h1, h1) * tensor_single(h1, h1)
         assert expected == square - tensor_single(h2, h2)
 
     def test_alternating_residual_vanishes(self):
@@ -228,27 +230,40 @@ class TestIdentities:
 
 class TestSpecialization:
     def test_basis_cases(self):
+        # ps(p_1(x) p_1(y)) = 1/(1-q)^2, which is the denominator itself at n = 1
         p1p1 = SymFun2({((1,), (1,)): 1})
-        denominator = QPolynomial([1, -1]) * QPolynomial([1, -1])
-        assert principal_specialization(p1p1) == QRationalFunction(ONE, denominator)
+        one_minus_q = QPolynomial([1, -1])
+        assert specialization_denominator(1) == one_minus_q * one_minus_q
+        assert principal_specialization(p1p1, 1) == ONE
+        # ps(h_2(x)) = 1/((1-q)(1-q^2)), over (1-q)^2 (1-q^2)^2
         h2_single = tensor_single(h_to_p(2), {(): Fraction(1)})
-        expected = QRationalFunction(
-            ONE, QPolynomial([1, -1]) * QPolynomial([1, 0, -1]))
-        assert principal_specialization(h2_single) == expected
+        assert principal_specialization(h2_single, 2) == \
+            one_minus_q * QPolynomial([1, 0, -1])
 
     def test_degree_two_characteristic_specializes_to_reference(self):
-        value = principal_specialization(homology_characteristic(2))
-        assert value == QRationalFunction(QPolynomial([0, 2, 1]),
-                                          specialization_denominator(2))
+        value = principal_specialization(homology_characteristic(2), 2)
+        assert value == QPolynomial([0, 2, 1])
 
     def test_degree_three_numerator_is_the_pair_polynomial(self):
-        value = principal_specialization(homology_characteristic(3))
-        assert value == QRationalFunction(QPolynomial([0, 0, 2, 6, 6, 4, 1]),
-                                          specialization_denominator(3))
+        value = principal_specialization(homology_characteristic(3), 3)
+        assert value == QPolynomial([0, 0, 2, 6, 6, 4, 1])
 
     def test_identity_holds_through_degree_four(self):
         for n in range(1, 5):
             assert verify_specialization_identity(n)
+
+    def test_identity_holds_pointwise_through_degree_four(self):
+        # independent of principal_specialization: ps(ch_n) evaluated at
+        # integer q, cleared, against the enumerated W_n(q)
+        for n in range(1, 5):
+            assert cleared_specialization_matches(homology_characteristic(n), n,
+                                                  w_polynomial(n))
+        assert not cleared_specialization_matches(homology_characteristic(3), 3,
+                                                  w_polynomial(3) + ONE)
+
+    def test_denominator_must_clear_every_term(self):
+        with pytest.raises(ValueError, match="not divisible"):
+            principal_specialization(homology_characteristic(3), 2)
 
     def test_specializing_the_alternating_identity_recovers_the_polynomial_one(self):
         # term by term: ps(h_(n-i)(x) h_(n-i)(y) ch_i) times prod (1-q^j)^2
@@ -257,13 +272,11 @@ class TestSpecialization:
         # the alternating Gaussian-square residual exactly
         from qsegre.permstats import q_binomial
         for n in (2, 3):
-            clear = QRationalFunction(specialization_denominator(n))
             for i in range(n + 1):
                 h = h_to_p(n - i)
                 term = tensor_single(h, h) * homology_characteristic(i)
-                cleared = principal_specialization(term) * clear
                 expected_poly = q_binomial(n, i) ** 2 * w_polynomial(i)
-                assert cleared == QRationalFunction(expected_poly)
+                assert principal_specialization(term, n) == expected_poly
 
 
 class TestInductionHomomorphism:
@@ -281,7 +294,7 @@ class TestInductionHomomorphism:
         triv = irreducible_table2((1,), (2,))
         induced = induce_product_character(sign, triv)
         assert product_frobenius(induced) == \
-            symfun2_mul(product_frobenius(sign), product_frobenius(triv))
+            product_frobenius(sign) * product_frobenius(triv)
 
     def test_full_sweep_at_size_three(self):
         for k in range(4):
