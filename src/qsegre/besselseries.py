@@ -65,5 +65,5 @@ def verify_reciprocal(order: int, bound=None) -> list[bool]:
     """Entry n is True when g_n, the cleared z^n coefficient of the
     reciprocal, equals W_n(q) as integer polynomials.  An order beyond the
     enumeration bound is refused before any work."""
-    check_enumeration_bound(order, bound)
+    check_enumeration_bound(order, bound, name="order")
     return bessel_coefficients(order).pair_polynomial_checks(bound)

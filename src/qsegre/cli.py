@@ -286,7 +286,7 @@ def _cmd_qbinom(args) -> int:
 
 
 def _cmd_bessel(args) -> int:
-    permstats.check_enumeration_bound(args.order)  # before any work
+    permstats.check_enumeration_bound(args.order, name="order")  # before any work
     data = besselseries.bessel_coefficients(args.order)
     checks = data.pair_polynomial_checks()
     print(_dump({

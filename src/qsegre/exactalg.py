@@ -220,7 +220,3 @@ def q_factorial(n: int) -> QPolynomial:
 def poly_coeff_strings(p: QPolynomial) -> list[str]:
     """Serialization used by the CLI: ascending coefficients, "a" or "a/b"."""
     return [str(c) for c in p.coeffs]
-
-
-def poly_from_coeff_strings(strings: Iterable[str]) -> QPolynomial:
-    return QPolynomial(Fraction(s) for s in strings)

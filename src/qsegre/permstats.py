@@ -88,14 +88,14 @@ def _effective_bound(bound) -> int:
     return int(bound)
 
 
-def check_enumeration_bound(n: int, bound=None) -> None:
+def check_enumeration_bound(n: int, bound=None, name: str = "n") -> None:
     """Reject n outside [0, bound] before any work; bound defaults to
-    ENUMERATION_BOUND."""
+    ENUMERATION_BOUND.  The error calls n by name, e.g. "order"."""
     bound = _effective_bound(bound)
     if n < 0:
-        raise ValueError("n must be nonnegative")
+        raise ValueError(f"{name} must be nonnegative")
     if n > bound:
-        raise ValueError(f"n={n} exceeds the enumeration bound {bound}")
+        raise ValueError(f"{name}={n} exceeds the enumeration bound {bound}")
 
 
 @lru_cache(maxsize=None)

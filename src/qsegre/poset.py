@@ -1,4 +1,4 @@
-"""Finite graded posets: Segre products, Mobius numbers, chain enumeration,
+"""Finite graded posets: Segre products, Mobius numbers, chain tallies,
 edge labelings with the lexicographic shelling property, and rational
 homology of order complexes.
 
@@ -6,7 +6,14 @@ Elements are dense integer ids with opaque display names.  Cover relations
 must raise rank by exactly one (everything in scope is graded), which also
 rules out cycles.  The full order relation is precomputed as one reachability
 bitset per element; instances stay below a few thousand elements, so the
-quadratic table is cheap and makes comparisons single bit tests.
+quadratic table is cheap and makes comparisons single bit tests.  Order
+queries walk only the set bits of a mask (`mask & -mask`), never every bit.
+
+No kernel enumerates maximal chains.  The EL check and the chain tally are
+dynamic programs over the covers in rank order, so their cost grows with the
+number of covers times the number of distinct labels or label words, not with
+the number of chains.  Boundary ranks for Betti numbers come from
+fraction-free integer elimination, which gives the rank over the rationals.
 
 Construction is single threaded; after that every query is read-only apart
 from idempotent lazy caches, so built posets can be shared by concurrent
@@ -17,9 +24,19 @@ from __future__ import annotations
 
 import operator
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import combinations
-from typing import Callable, Iterator, Optional
+from math import gcd
+from typing import Callable, Optional
+
+
+def _set_bits(mask: int) -> list[int]:
+    """Indices of the set bits of a nonnegative mask, ascending."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return out
 
 
 class GradedPoset:
@@ -96,26 +113,10 @@ class GradedPoset:
         return tuple(self._down[i])
 
     def strictly_below(self, j: int) -> list[int]:
-        mask = self._below_masks()[j] & ~(1 << j)
-        out = []
-        i = 0
-        while mask:
-            if mask & 1:
-                out.append(i)
-            mask >>= 1
-            i += 1
-        return out
+        return _set_bits(self._below_masks()[j] & ~(1 << j))
 
     def strictly_above(self, i: int) -> list[int]:
-        mask = self._above_masks()[i] & ~(1 << i)
-        out = []
-        j = 0
-        while mask:
-            if mask & 1:
-                out.append(j)
-            mask >>= 1
-            j += 1
-        return out
+        return _set_bits(self._above_masks()[i] & ~(1 << i))
 
     def bottom_index(self) -> Optional[int]:
         if self._bottom == -2:
@@ -153,33 +154,6 @@ class GradedPoset:
         for r in self.ranks:
             out[r] += 1
         return out
-
-    def maximal_chains(self, lo: Optional[int] = None,
-                       hi: Optional[int] = None) -> Iterator[tuple[int, ...]]:
-        """All saturated chains from lo to hi (bottom and top by default)."""
-        if lo is None:
-            lo = self.bottom_index()
-            if lo is None:
-                raise ValueError("poset has no bottom element")
-        if hi is None:
-            hi = self.top_index()
-            if hi is None:
-                raise ValueError("poset has no top element")
-        if not self.leq(lo, hi):
-            return
-
-        def walk(path):
-            last = path[-1]
-            if last == hi:
-                yield tuple(path)
-                return
-            for nxt in self._up[last]:
-                if self.leq(nxt, hi):
-                    path.append(nxt)
-                    yield from walk(path)
-                    path.pop()
-
-        yield from walk([lo])
 
 
 def boolean_lattice(n: int) -> GradedPoset:
@@ -244,7 +218,8 @@ def proper_part(p: GradedPoset) -> GradedPoset:
 
 
 def mobius_number(p: GradedPoset) -> int:
-    """mu(bottom, top), by the alternating-sum recursion over lower intervals."""
+    """mu(bottom, top), by the recursion mu(x) = -sum of mu(y) over y < x,
+    in rank order; each strictly-below set is read off x's bitmask."""
     bottom, top = p.bottom_index(), p.top_index()
     if bottom is None or top is None:
         raise ValueError("Mobius number requires both a bottom and a top")
@@ -290,10 +265,6 @@ def reduced_euler_characteristic(p: GradedPoset) -> int:
     return total
 
 
-def _identity(x):
-    return x
-
-
 def product_order_less(a, b) -> bool:
     """Strictly below in the componentwise order on pairs."""
     return a != b and a[0] <= b[0] and a[1] <= b[1]
@@ -301,17 +272,16 @@ def product_order_less(a, b) -> bool:
 
 @dataclass
 class EdgeLabeling:
-    """Cover labels plus the order data used to compare label words.
+    """Cover labels plus the strict order on labels.
 
-    less is the strict order on labels used for the increasing and descending
-    tests.  sort_key linearizes labels for the lexicographic word comparison;
-    for pair labels the componentwise order is only partial, so the word
-    comparison is fixed to plain tuple order (first component, then second).
+    less is the order used for the increasing and descending tests.  Label
+    words are compared lexicographically in plain tuple order; for pair
+    labels the componentwise order is only partial, so the word comparison
+    is fixed to plain tuple order (first component, then second).
     """
 
     labels: dict
     less: Callable = operator.lt
-    sort_key: Callable = _identity
 
     @classmethod
     def with_integer_labels(cls, labels) -> "EdgeLabeling":
@@ -329,11 +299,6 @@ class ELViolation:
     reason: str
 
 
-def _chain_word(labeling: EdgeLabeling, chain: tuple[int, ...]) -> tuple:
-    return tuple(labeling.labels[(chain[t], chain[t + 1])]
-                 for t in range(len(chain) - 1))
-
-
 def _is_increasing(labeling: EdgeLabeling, word: tuple) -> bool:
     return all(labeling.less(word[t], word[t + 1]) for t in range(len(word) - 1))
 
@@ -345,28 +310,58 @@ def _is_descending(labeling: EdgeLabeling, word: tuple) -> bool:
 def check_el_labeling(p: GradedPoset,
                       labeling: EdgeLabeling) -> tuple[bool, Optional[ELViolation]]:
     """Every closed interval must have a unique increasing maximal chain that
-    lexicographically precedes all others; returns the first offender."""
+    lexicographically precedes all others; returns the first offender, by
+    lower and then upper element in index order.
+
+    One pass over the covers above each lower element lo, rank by rank,
+    keeps two values per element y above lo: the number of increasing chains
+    from lo to y by their last label, and the lexicographically first label
+    word from lo to y.  All words from lo to y have the same length, so the
+    first one is the first word to some lower cover x of y followed by the
+    label of x -> y.  The interval [lo, hi] passes exactly when its
+    increasing chains number one and its first word is increasing: that word
+    is then the increasing chain's, and no other chain shares it, since a
+    chain with an increasing word is itself increasing.
+    """
+    labels, less = labeling.labels, labeling.less
     for edge in p.covers:
-        if edge not in labeling.labels:
+        if edge not in labels:
             a, b = edge
             raise ValueError(f"cover ({p.names[a]}, {p.names[b]}) has no label")
-    m = len(p)
-    for lo in range(m):
-        for hi in p.strictly_above(lo):
-            words = [_chain_word(labeling, c) for c in p.maximal_chains(lo, hi)]
-            increasing = [w for w in words if _is_increasing(labeling, w)]
-            if len(increasing) != 1:
+    up, down = p._up, p._down
+    for lo in range(len(p)):
+        increasing: dict[int, dict] = {}  # y -> {last label: chain count}
+        first = {lo: ()}
+        layer = [lo]
+        while layer:
+            layer = list({y for x in layer for y in up[x]})
+            for y in layer:
+                counts: dict = {}
+                best = None
+                for x in down[y]:
+                    if x not in first:
+                        continue
+                    label = labels[(x, y)]
+                    word = first[x] + (label,)
+                    if best is None or word < best:
+                        best = word
+                    if x == lo:
+                        extended = 1
+                    else:
+                        extended = sum(c for last, c in increasing[x].items()
+                                       if less(last, label))
+                    counts[label] = counts.get(label, 0) + extended
+                increasing[y] = counts
+                first[y] = best
+        for hi in sorted(increasing):
+            found = sum(increasing[hi].values())
+            if found != 1:
+                return False, ELViolation(
+                    p.names[lo], p.names[hi], f"{found} increasing maximal chains")
+            if not _is_increasing(labeling, first[hi]):
                 return False, ELViolation(
                     p.names[lo], p.names[hi],
-                    f"{len(increasing)} increasing maximal chains")
-            key0 = tuple(labeling.sort_key(x) for x in increasing[0])
-            for w in words:
-                if w == increasing[0]:
-                    continue
-                if tuple(labeling.sort_key(x) for x in w) <= key0:
-                    return False, ELViolation(
-                        p.names[lo], p.names[hi],
-                        "increasing chain is not lexicographically first")
+                    "increasing chain is not lexicographically first")
     return True, None
 
 
@@ -384,17 +379,36 @@ class ChainReport:
 
 
 def chain_report(p: GradedPoset, labeling: EdgeLabeling) -> ChainReport:
-    tallies: dict = {}
-    increasing = 0
-    descending = 0
-    for chain in p.maximal_chains():
-        word = _chain_word(labeling, chain)
-        tallies[word] = tallies.get(word, 0) + 1
-        if _is_increasing(labeling, word):
-            increasing += 1
-        if _is_descending(labeling, word):
-            descending += 1
-    return ChainReport(tallies, increasing, descending)
+    """Maximal chains from bottom to top, counted by label word.
+
+    words[y] maps each label word of the chains from the bottom to y to
+    their number: the sum over the lower covers x of y of words[x] with the
+    label of x -> y appended.  Each distinct word at the top is then
+    classified once as increasing and as descending.
+    """
+    bottom = p.bottom_index()
+    if bottom is None:
+        raise ValueError("poset has no bottom element")
+    top = p.top_index()
+    if top is None:
+        raise ValueError("poset has no top element")
+    labels = labeling.labels
+    words = {bottom: {(): 1}}
+    for y in sorted(range(len(p)), key=lambda e: p.ranks[e]):
+        if y == bottom:
+            continue
+        tally: dict = {}
+        for x in p._down[y]:
+            label = labels[(x, y)]
+            for word, count in words[x].items():
+                key = word + (label,)
+                tally[key] = tally.get(key, 0) + count
+        words[y] = tally
+    tallies = words[top]
+    return ChainReport(
+        tallies,
+        sum(c for w, c in tallies.items() if _is_increasing(labeling, w)),
+        sum(c for w, c in tallies.items() if _is_descending(labeling, w)))
 
 
 def chains_by_dimension(p: GradedPoset) -> list[list[tuple[int, ...]]]:
@@ -417,40 +431,59 @@ def chains_by_dimension(p: GradedPoset) -> list[list[tuple[int, ...]]]:
     return by_dim
 
 
-def _rank_of_sparse_rows(rows: list[dict[int, Fraction]]) -> int:
-    """Rank over the rationals by sparse Gaussian elimination."""
-    pivots: dict[int, dict[int, Fraction]] = {}
-    rank = 0
+def _primitive(row: dict[int, int]) -> dict[int, int]:
+    """A nonzero integer row divided by the gcd of its entries, signed so
+    that its entry in its first column is positive."""
+    g = gcd(*row.values())
+    if row[min(row)] < 0:
+        g = -g
+    return row if g == 1 else {c: v // g for c, v in row.items()}
+
+
+def _rank_of_sparse_rows(rows: list[dict[int, int]]) -> int:
+    """Rank over the rationals of sparse integer rows, by fraction-free
+    elimination.
+
+    Pivot rows are kept primitive with a positive leading entry a.  A row
+    whose first column already has a pivot, with entry b there, becomes
+    (a/g)*row - (b/g)*pivot for g = gcd(a, b), which clears that column;
+    when a/g is not 1 the result is divided by its content, so entries stay
+    small.  Each step is invertible over the rationals and keeps the span
+    of the rows seen so far, so the number of pivots is the rational rank.
+    """
+    pivots: dict[int, dict[int, int]] = {}
     for raw in rows:
         row = dict(raw)
         while row:
             col = min(row)
             pivot = pivots.get(col)
             if pivot is None:
-                lead = row.pop(col)
-                norm = {c: v / lead for c, v in row.items()}
-                norm[col] = Fraction(1)
-                pivots[col] = norm
-                rank += 1
+                pivots[col] = _primitive(row)
                 break
-            coef = row.pop(col)
+            a, b = pivot[col], row[col]
+            g = gcd(a, b)
+            a, b = a // g, b // g
+            if a != 1:
+                row = {c: a * v for c, v in row.items()}
             for c, v in pivot.items():
-                if c == col:
-                    continue
-                nv = row.get(c, Fraction(0)) - coef * v
+                nv = row.get(c, 0) - b * v
                 if nv:
                     row[c] = nv
                 else:
                     row.pop(c, None)
-    return rank
+            if a != 1 and row:
+                row = _primitive(row)
+    return len(pivots)
 
 
 def rational_betti_numbers(p: GradedPoset) -> list[int]:
     """Reduced Betti numbers of the order complex over the rationals,
     dimensions 0 through the top; empty for the empty poset.
 
-    Computed from exact ranks of the simplicial boundary maps, with the
-    augmentation map accounting for reduced homology.
+    Computed from the ranks of the simplicial boundary maps, taken over the
+    rationals by fraction-free integer elimination, with the augmentation
+    map accounting for reduced homology.  Torsion does not count: the face
+    poset of the six-vertex real projective plane has all Betti numbers 0.
     """
     if len(p) == 0:
         return []
@@ -465,7 +498,7 @@ def rational_betti_numbers(p: GradedPoset) -> list[int]:
             row = {}
             for t in range(j + 1):
                 face = chain[:t] + chain[t + 1:]
-                row[indices[j - 1][face]] = Fraction(-1 if t % 2 else 1)
+                row[indices[j - 1][face]] = -1 if t % 2 else 1
             rows.append(row)
         ranks[j] = _rank_of_sparse_rows(rows)
     betti = [len(chains[j]) - ranks[j] - ranks[j + 1] for j in range(top + 1)]

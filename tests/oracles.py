@@ -3,13 +3,16 @@
 Each oracle here is the definitional computation that a faster kernel in
 src/qsegre replaced; the tests compare the two.  The rational-function
 identities are checked by evaluation: q is set to enough integers that the
-values pin the polynomial, and everything at a point is a Fraction.
+values pin the polynomial, and everything at a point is a Fraction.  The
+poset oracles list every maximal chain of every interval, and the rank
+oracle eliminates over Fractions.
 """
 
 from fractions import Fraction
 
 from qsegre.exactalg import ONE, QPolynomial
 from qsegre.permstats import _perm_stats
+from qsegre.poset import ChainReport, ELViolation
 
 
 def series_reciprocal(coeffs) -> list[Fraction]:
@@ -111,3 +114,99 @@ def w_polynomial_by_pair_scan(n: int) -> QPolynomial:
             if m1 & m2 == 0:
                 coeffs[i1 + i2] += 1
     return QPolynomial(coeffs)
+
+
+def maximal_chains(p, lo=None, hi=None):
+    """All saturated chains from lo to hi (bottom and top by default), by
+    walking up the covers."""
+    if lo is None:
+        lo = p.bottom_index()
+        if lo is None:
+            raise ValueError("poset has no bottom element")
+    if hi is None:
+        hi = p.top_index()
+        if hi is None:
+            raise ValueError("poset has no top element")
+    if not p.leq(lo, hi):
+        return
+
+    def walk(path):
+        last = path[-1]
+        if last == hi:
+            yield tuple(path)
+            return
+        for nxt in p.upper_covers(last):
+            if p.leq(nxt, hi):
+                path.append(nxt)
+                yield from walk(path)
+                path.pop()
+
+    yield from walk([lo])
+
+
+def chain_word(labeling, chain) -> tuple:
+    return tuple(labeling.labels[(chain[t], chain[t + 1])]
+                 for t in range(len(chain) - 1))
+
+
+def _ascents(labeling, word) -> list[bool]:
+    return [labeling.less(word[t], word[t + 1]) for t in range(len(word) - 1)]
+
+
+def el_check_by_intervals(p, labeling):
+    """The EL check by listing every maximal chain of every interval: a
+    unique increasing chain whose word precedes every other word."""
+    for edge in p.covers:
+        if edge not in labeling.labels:
+            a, b = edge
+            raise ValueError(f"cover ({p.names[a]}, {p.names[b]}) has no label")
+    for lo in range(len(p)):
+        for hi in p.strictly_above(lo):
+            words = [chain_word(labeling, c) for c in maximal_chains(p, lo, hi)]
+            increasing = [w for w in words if all(_ascents(labeling, w))]
+            if len(increasing) != 1:
+                return False, ELViolation(
+                    p.names[lo], p.names[hi],
+                    f"{len(increasing)} increasing maximal chains")
+            for w in words:
+                if w != increasing[0] and w <= increasing[0]:
+                    return False, ELViolation(
+                        p.names[lo], p.names[hi],
+                        "increasing chain is not lexicographically first")
+    return True, None
+
+
+def chain_report_by_enumeration(p, labeling) -> ChainReport:
+    """Label-word tallies from one pass over every maximal chain."""
+    tallies: dict = {}
+    increasing = descending = 0
+    for chain in maximal_chains(p):
+        word = chain_word(labeling, chain)
+        tallies[word] = tallies.get(word, 0) + 1
+        ascents = _ascents(labeling, word)
+        increasing += all(ascents)
+        descending += not any(ascents)
+    return ChainReport(tallies, increasing, descending)
+
+
+def rank_over_rationals(rows) -> int:
+    """Rank of sparse rows {column: value} by Gaussian elimination over
+    Fractions, each pivot row scaled to a leading 1."""
+    pivots: dict = {}
+    for raw in rows:
+        row = {c: Fraction(v) for c, v in raw.items() if v}
+        while row:
+            col = min(row)
+            pivot = pivots.get(col)
+            if pivot is None:
+                lead = row[col]
+                pivots[col] = {c: v / lead for c, v in row.items()}
+                break
+            coef = row[col]
+            for c, v in pivot.items():
+                nv = row.get(c, 0) - coef * v
+                if nv:
+                    row[c] = nv
+                else:
+                    row.pop(c, None)
+    return len(pivots)

@@ -136,6 +136,18 @@ class TestBoundsBeforeWork:
             assert_clean_rejection(code, out, err)
             assert "bound 7" in err
 
+    def test_bessel_refusals_name_the_order(self, capsys):
+        for argv in (("bessel", "--order", "8"),
+                     ("verify", "bessel", "--order", "8", "--json")):
+            code, out, err = run(capsys, *argv)
+            assert_clean_rejection(code, out, err)
+            assert err == "error: order=8 exceeds the enumeration bound 7\n"
+        for argv in (("bessel", "--order", "-1"),
+                     ("verify", "bessel", "--order", "-1")):
+            code, out, err = run(capsys, *argv)
+            assert_clean_rejection(code, out, err)
+            assert err == "error: order must be nonnegative\n"
+
 
 def fail_if_called(*args, **kwargs):
     raise AssertionError("work started before the bound check")

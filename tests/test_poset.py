@@ -1,4 +1,5 @@
 import functools
+import itertools
 import json
 
 import pytest
@@ -10,9 +11,12 @@ from qsegre.poset import (ChainReport, EdgeLabeling, GradedPoset,
                           chain_report, check_el_labeling, from_interchange,
                           mobius_number, order_chain_counts, proper_part,
                           rational_betti_numbers, reduced_euler_characteristic,
-                          segre_product, to_interchange)
+                          segre_product, to_interchange, _rank_of_sparse_rows)
 from qsegre.cli import prime_power
 from qsegre.subspace import FiniteField, build_bnq, build_segre_bnq
+
+from oracles import (chain_report_by_enumeration, el_check_by_intervals,
+                     maximal_chains, rank_over_rationals)
 
 
 def two_chain():
@@ -90,7 +94,9 @@ class TestGradedPoset:
         assert boolean_lattice(3).rank_sizes() == [1, 3, 3, 1]
 
     def test_maximal_chain_count_of_boolean_lattice(self):
-        assert sum(1 for _ in boolean_lattice(4).maximal_chains()) == 24
+        p, labeling = boolean_lattice_labeled(4)
+        assert sum(1 for _ in maximal_chains(p)) == 24
+        assert chain_report(p, labeling).total == 24
 
 
 class TestSegreProduct:
@@ -168,7 +174,7 @@ class TestMobiusAndEuler:
         # chains: 4 singletons... counts come from the full 4-element lattice
         assert order_chain_counts(antichain(3)) == [3]
         counts = order_chain_counts(b2)
-        assert counts[0] == 4 and counts[-1] == sum(1 for _ in b2.maximal_chains())
+        assert counts[0] == 4 and counts[-1] == sum(1 for _ in maximal_chains(b2))
 
 
 class TestELLabeling:
@@ -233,7 +239,157 @@ class TestChainReport:
         assert sum(report.by_label_word.values()) == report.total
 
 
+class TestUnboundedPosets:
+    """chain_report needs a bottom and a top; the EL check looks at every
+    interval and needs neither."""
+
+    def test_chain_report_without_a_bottom(self):
+        p = GradedPoset(["a", "b", "c"], [0, 0, 1], [(0, 2), (1, 2)])
+        labeling = EdgeLabeling.with_integer_labels({(0, 2): 1, (1, 2): 2})
+        with pytest.raises(ValueError, match="^poset has no bottom element$"):
+            chain_report(p, labeling)
+        assert check_el_labeling(p, labeling) == (True, None)
+
+    def test_chain_report_without_a_top(self):
+        p = GradedPoset(["a", "b", "c"], [0, 1, 1], [(0, 1), (0, 2)])
+        labeling = EdgeLabeling.with_integer_labels({(0, 1): 1, (0, 2): 2})
+        with pytest.raises(ValueError, match="^poset has no top element$"):
+            chain_report(p, labeling)
+        assert check_el_labeling(p, labeling) == (True, None)
+
+    def test_chain_report_of_the_empty_poset(self):
+        with pytest.raises(ValueError, match="^poset has no bottom element$"):
+            chain_report(GradedPoset([], [], []), EdgeLabeling.with_integer_labels({}))
+
+    def test_el_violation_below_two_maximal_elements(self):
+        # two tops over one bottom; the interval up to "y" has two
+        # increasing chains
+        p = GradedPoset(["0", "a", "b", "x", "y"], [0, 1, 1, 2, 2],
+                        [(0, 1), (0, 2), (1, 3), (1, 4), (2, 4)])
+        labeling = EdgeLabeling.with_integer_labels(
+            {(0, 1): 1, (0, 2): 1, (1, 3): 2, (1, 4): 2, (2, 4): 3})
+        ok, violation = check_el_labeling(p, labeling)
+        assert not ok
+        assert (violation.lower, violation.upper) == ("0", "y")
+        assert violation.reason == "2 increasing maximal chains"
+        assert (ok, violation) == el_check_by_intervals(p, labeling)
+
+    def test_single_element(self):
+        report = chain_report(GradedPoset(["x"], [0], []),
+                              EdgeLabeling.with_integer_labels({}))
+        assert report == ChainReport({(): 1}, 1, 1)
+
+
+def _random_labeling(rng, p, pairs):
+    if pairs:
+        return EdgeLabeling.with_pair_labels(
+            {c: (rng.randint(1, 2), rng.randint(1, 2)) for c in p.covers})
+    return EdgeLabeling.with_integer_labels(
+        {c: rng.randint(1, 3) for c in p.covers})
+
+
+EL_INSTANCES = (
+    [("boolean", n) for n in (2, 3)] + [("boolean segre", n) for n in (2, 3)]
+    + [("bnq", 2, 2), ("bnq", 3, 2), ("bnq segre", 2, 2), ("bnq segre", 2, 3)])
+
+
+def _outcome(kernel, *args):
+    """The kernel's value, or the text of the ValueError it raised."""
+    try:
+        return kernel(*args)
+    except ValueError as exc:
+        return str(exc)
+
+
+class TestKernelsAgainstOracles:
+    """The cover DPs against listing every maximal chain, and integer
+    elimination against elimination over Fractions."""
+
+    @given(st.randoms(use_true_random=False), st.booleans())
+    @settings(max_examples=150, deadline=None)
+    def test_random_labelings_of_random_bounded_posets(self, rng, pairs):
+        p = _random_bounded_poset(rng)
+        labeling = _random_labeling(rng, p, pairs)
+        assert check_el_labeling(p, labeling) == el_check_by_intervals(p, labeling)
+        assert chain_report(p, labeling) == chain_report_by_enumeration(p, labeling)
+
+    @given(st.randoms(use_true_random=False), st.booleans())
+    @settings(max_examples=100, deadline=None)
+    def test_random_labelings_without_bounds(self, rng, pairs):
+        # proper parts often lack a bottom or a top, or both
+        p = proper_part(_random_bounded_poset(rng))
+        labeling = _random_labeling(rng, p, pairs)
+        assert check_el_labeling(p, labeling) == el_check_by_intervals(p, labeling)
+        assert (_outcome(chain_report, p, labeling)
+                == _outcome(chain_report_by_enumeration, p, labeling))
+
+    @given(st.sampled_from(EL_INSTANCES), st.randoms(use_true_random=False),
+           st.integers(0, 3))
+    @settings(max_examples=80, deadline=None)
+    def test_relabeled_el_instances(self, key, rng, changes):
+        # a few labels of an EL-labeled lattice or Segre square replaced by
+        # other labels of the same labeling: valid at 0 changes, often
+        # broken in only one interval otherwise
+        p, labeling = interchange_instance(key)
+        labels = dict(labeling.labels)
+        values = sorted(set(labels.values()))
+        for cover in rng.sample(p.covers, changes):
+            labels[cover] = rng.choice(values)
+        relabeled = EdgeLabeling(labels, labeling.less)
+        result = check_el_labeling(p, relabeled)
+        assert result == el_check_by_intervals(p, relabeled)
+        if changes == 0:
+            assert result == (True, None)
+        assert chain_report(p, relabeled) == chain_report_by_enumeration(p, relabeled)
+
+    @given(st.integers(1, 6), st.integers(1, 7), st.integers(0, 5),
+           st.randoms(use_true_random=False))
+    @settings(max_examples=200, deadline=None)
+    def test_integer_rank_matches_rational_rank(self, k, width, extra, rng):
+        # k random rows plus integer combinations of them, so the rank is
+        # at most k and elimination meets leading entries other than +-1
+        base = [[rng.randint(-9, 9) for _ in range(width)] for _ in range(k)]
+        combos = [[sum(c * r[i] for c, r in zip(coeffs, base)) for i in range(width)]
+                  for coeffs in ([rng.randint(-3, 3) for _ in base]
+                                 for _ in range(extra))]
+        dense = base + combos
+        rng.shuffle(dense)
+        rows = [{c: v for c, v in enumerate(r) if v} for r in dense]
+        assert _rank_of_sparse_rows(rows) == rank_over_rationals(rows)
+
+    def test_rank_with_non_unit_pivots(self):
+        # the third row is 3/2 of the first plus the second, and no leading
+        # entry is +-1, so the rank 2 needs a rational combination
+        rows = [{0: 2, 1: 4}, {0: 3, 1: 6, 2: 9}, {0: 6, 1: 12, 2: 9}]
+        assert _rank_of_sparse_rows(rows) == rank_over_rationals(rows) == 2
+
+
+def rp2_face_poset():
+    """Faces of the six-vertex triangulation of the real projective plane
+    ordered by inclusion, ranked by dimension."""
+    triangles = [(1, 2, 4), (1, 2, 6), (1, 3, 5), (1, 3, 6), (1, 4, 5),
+                 (2, 3, 4), (2, 3, 5), (2, 5, 6), (3, 4, 6), (4, 5, 6)]
+    faces = sorted({face for t in triangles for k in (1, 2, 3)
+                    for face in itertools.combinations(t, k)},
+                   key=lambda f: (len(f), f))
+    index = {f: i for i, f in enumerate(faces)}
+    covers = [(index[f[:t] + f[t + 1:]], index[f]) for f in faces if len(f) > 1
+              for t in range(len(f))]
+    return GradedPoset(faces, [len(f) - 1 for f in faces], covers)
+
+
 class TestBetti:
+    def test_real_projective_plane_has_no_rational_homology(self):
+        # H_1 is Z/2, so over GF(2) the ranks would be 1 in degrees 1 and 2;
+        # over the rationals every reduced Betti number is 0
+        p = rp2_face_poset()
+        assert p.rank_sizes() == [6, 15, 10]
+        edges = [f for f in p.names if len(f) == 2]
+        assert all(sum(1 for t in p.names if len(t) == 3 and set(e) <= set(t)) == 2
+                   for e in edges)
+        assert reduced_euler_characteristic(p) == 0
+        assert rational_betti_numbers(p) == [0, 0, 0]
+
     def test_antichain(self):
         assert rational_betti_numbers(antichain(4)) == [3]
 
