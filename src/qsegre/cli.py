@@ -22,9 +22,13 @@ BETTI_MATRIX = ((2, 2), (2, 3), (3, 2))
 
 
 def prime_power(q: int) -> tuple[int, int]:
-    """Split q as p^k with p prime, or reject."""
+    """Split q as p^k with p prime, or reject; an order above the field size
+    bound is refused before any factoring."""
     if q < 2:
         raise ValueError(f"{q} is not a prime power")
+    bound = subspace.FIELD_SIZE_BOUND
+    if q > bound:
+        raise ValueError(f"field order {q} exceeds the bound {bound}")
     p = next(d for d in range(2, q + 1) if q % d == 0)
     k = 0
     rest = q

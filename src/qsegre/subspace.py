@@ -10,10 +10,20 @@ Two conventions coexist on purpose and must not be conflated: the canonical
 RREF basis pivots on the leftmost nonzero coordinates, while the labeling
 reads the rightmost nonzero coordinate of an atom (scaled so that coordinate
 is 1).  Labels are 1-based coordinate indices.
+
+The lattice is built without any containment test.  The upper covers of a
+subspace x with pivot columns P are the joins x + <v>, one for each vector v
+supported off P with leading entry 1; these v are the projective points of
+the coordinate complement of x, so distinct v give distinct covers.  The
+join's RREF is x's rows with column lead(v) cleared and v inserted in pivot
+order.  The label set of a subspace, the rightmost nonzero indices over its
+vectors, is the pivot set of its echelon form taken from the right (reverse
+the coordinates, reduce, map the pivots back), so no vector is listed.
 """
 
 from __future__ import annotations
 
+from bisect import bisect
 from itertools import combinations, product
 
 from .poset import EdgeLabeling, GradedPoset, segre_product
@@ -223,21 +233,6 @@ class Subspace:
     def dim(self) -> int:
         return len(self.rows)
 
-    def contains(self, other: "Subspace") -> bool:
-        if self.field.key() != other.field.key() or self.ambient != other.ambient:
-            raise ValueError("subspaces live in different ambient spaces")
-        field = self.field
-        for v in other.rows:
-            vec = list(v)
-            for row in self.rows:
-                pc = next(i for i, x in enumerate(row) if x)
-                if vec[pc]:
-                    c = vec[pc]
-                    vec = [field.sub(x, field.mul(c, y)) for x, y in zip(vec, row)]
-            if any(vec):
-                return False
-        return True
-
     def __eq__(self, other) -> bool:
         return (isinstance(other, Subspace)
                 and self.field.key() == other.field.key()
@@ -283,41 +278,16 @@ def enumerate_subspaces(n: int, field: FiniteField,
     return out
 
 
-def _nonzero_vectors(s: Subspace):
-    """All nonzero vectors in the row space, from coefficient combinations of
-    the basis (never scans the ambient space)."""
-    field = s.field
-    for coeffs in product(range(field.order), repeat=s.dim):
-        if not any(coeffs):
-            continue
-        vec = [0] * s.ambient
-        for c, row in zip(coeffs, s.rows):
-            if c:
-                for i, x in enumerate(row):
-                    if x:
-                        vec[i] = field.add(vec[i], field.mul(c, x))
-        yield vec
-
-
 def label_set(s: Subspace) -> frozenset[int]:
-    """Rightmost nonzero coordinate indices (1-based) over the atoms of s."""
-    out = set()
-    for vec in _nonzero_vectors(s):
-        out.add(max(i for i, x in enumerate(vec) if x) + 1)
+    """Rightmost nonzero coordinate indices (1-based) over the atoms of s:
+    the pivots of s's echelon form taken from the right."""
+    n = s.ambient
+    mirrored = rref_rows(s.field, n, [row[::-1] for row in s.rows])
+    out = frozenset(n - next(i for i, x in enumerate(row) if x) for row in mirrored)
     if len(out) != s.dim:
         raise ArithmeticError(f"{s!r} reaches {len(out)} rightmost indices, "
                               f"not its dimension {s.dim}")
-    return frozenset(out)
-
-
-def atom_vector(s: Subspace) -> tuple[int, ...]:
-    """Basis vector of an atom, rescaled so its rightmost nonzero entry is 1."""
-    if s.dim != 1:
-        raise ValueError(f"atom operations need dimension 1, got {s.dim}")
-    vec = list(s.rows[0])
-    last = max(i for i, x in enumerate(vec) if x)
-    inv = s.field.inv(vec[last])
-    return tuple(s.field.mul(inv, x) for x in vec)
+    return out
 
 
 def atom_label(s: Subspace) -> int:
@@ -328,36 +298,88 @@ def atom_label(s: Subspace) -> int:
     return max(i for i, x in enumerate(s.rows[0]) if x) + 1
 
 
+def _points_off(n: int, pivots: tuple[int, ...],
+                q: int) -> list[tuple[int, tuple[int, ...]]]:
+    """(lead, v) for every vector v of F_q^n that is zero on the pivot columns
+    and has leading entry 1 at column lead: one per projective point of the
+    coordinate complement."""
+    free = [j for j in range(n) if j not in pivots]
+    out = []
+    for t, lead in enumerate(free):
+        tail = free[t + 1:]
+        for values in product(range(q), repeat=len(tail)):
+            v = [0] * n
+            v[lead] = 1
+            for j, x in zip(tail, values):
+                v[j] = x
+            out.append((lead, tuple(v)))
+    return out
+
+
+def _join(field: FiniteField, rows: tuple[tuple[int, ...], ...],
+          pivots: tuple[int, ...], lead: int, v: tuple[int, ...]):
+    """RREF rows of span(rows) + <v>, for v zero on the pivot columns of the
+    RREF rows with leading entry 1 at column lead: clear that column in each
+    row, then insert v in pivot order."""
+    add, mul, neg = field._add, field._mul, field._neg
+    out = []
+    for row in rows:
+        c = row[lead]
+        if c:
+            scaled = mul[neg[c]]
+            row = tuple(add[x][scaled[y]] for x, y in zip(row, v))
+        out.append(row)
+    out.insert(bisect(pivots, lead), v)
+    return tuple(out)
+
+
 def build_bnq(n: int, field: FiniteField,
               count_bound: int | None = None) -> tuple[GradedPoset, EdgeLabeling]:
     """The subspace lattice of F_q^n with the rightmost-coordinate labeling:
     a cover x < y is labeled by the one index in label_set(y) that is not in
-    label_set(x)."""
+    label_set(x).
+
+    Covers are generated, not searched for: each x of rank k gets the
+    [n-k choose 1]_q joins x + <v> (see the module docstring), each looked up
+    among the enumerated subspaces.  A join outside them, a cover that does
+    not gain exactly one label, or an element of rank k without exactly
+    [k choose 1]_q lower covers raises ArithmeticError."""
     subs = enumerate_subspaces(n, field, count_bound)
     subs.sort(key=lambda s: (s.dim, s.rows))
     names = [s.rows for s in subs]
     ranks = [s.dim for s in subs]
-    index = {s.rows: i for i, s in enumerate(subs)}
-    by_rank: dict[int, list[Subspace]] = {}
-    for s in subs:
-        by_rank.setdefault(s.dim, []).append(s)
+    index = {rows: i for i, rows in enumerate(names)}
     fsets = [label_set(s) for s in subs]
+    q = field.order
+    points: dict[tuple[int, ...], list] = {}
     covers = []
     labels = {}
-    for upper in subs:
-        if upper.dim == 0:
-            continue
-        b = index[upper.rows]
-        for lower in by_rank.get(upper.dim - 1, ()):
-            if upper.contains(lower):
-                a = index[lower.rows]
-                covers.append((a, b))
-                difference = fsets[b] - fsets[a]
-                if len(difference) != 1:
-                    raise ArithmeticError(
-                        f"cover {lower!r} < {upper!r} of B_{n}({field.order}) "
-                        f"gains labels {sorted(difference)}, not exactly one")
-                labels[(a, b)] = next(iter(difference))
+    for a, rows in enumerate(names):
+        pivots = tuple(next(i for i, x in enumerate(row) if x) for row in rows)
+        if pivots not in points:
+            points[pivots] = _points_off(n, pivots, q)
+        for lead, v in points[pivots]:
+            b = index.get(_join(field, rows, pivots, lead, v))
+            if b is None:
+                raise ArithmeticError(
+                    f"join of {subs[a]!r} with {v} in B_{n}({q}) is not an "
+                    f"enumerated subspace")
+            covers.append((a, b))
+            difference = fsets[b] - fsets[a]
+            if len(difference) != 1:
+                raise ArithmeticError(
+                    f"cover {subs[a]!r} < {subs[b]!r} of B_{n}({q}) "
+                    f"gains labels {sorted(difference)}, not exactly one")
+            labels[(a, b)] = next(iter(difference))
+    lower = [0] * len(subs)
+    for _, b in covers:
+        lower[b] += 1
+    for b, count in enumerate(lower):
+        expected = _gaussian_count(ranks[b], 1, q)
+        if count != expected:
+            raise ArithmeticError(
+                f"{subs[b]!r} of B_{n}({q}) has {count} lower covers, "
+                f"not [{ranks[b]} choose 1]_{q} = {expected}")
     poset = GradedPoset(names, ranks, covers)
     return poset, EdgeLabeling.with_integer_labels(labels)
 
@@ -365,7 +387,13 @@ def build_bnq(n: int, field: FiniteField,
 def build_segre_bnq(n: int, field: FiniteField,
                     count_bound: int | None = None) -> tuple[GradedPoset, EdgeLabeling]:
     """Segre square of the subspace lattice, covers labeled by ordered pairs
-    under the componentwise order."""
+    under the componentwise order.  Its sum_k N_k^2 pairs, N_k the subspaces
+    of rank k, are held to the subspace count bound before any work."""
+    bound = SUBSPACE_COUNT_BOUND if count_bound is None else count_bound
+    pairs = sum(_gaussian_count(n, k, field.order) ** 2 for k in range(n + 1))
+    if pairs > bound:
+        raise ValueError(f"{pairs} pairs of the Segre square exceed the "
+                         f"bound {bound}")
     p, labeling = build_bnq(n, field, count_bound)
     sp = segre_product(p, p)
     index = {name: i for i, name in enumerate(p.names)}

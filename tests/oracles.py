@@ -5,14 +5,17 @@ src/qsegre replaced; the tests compare the two.  The rational-function
 identities are checked by evaluation: q is set to enough integers that the
 values pin the polynomial, and everything at a point is a Fraction.  The
 poset oracles list every maximal chain of every interval, and the rank
-oracle eliminates over Fractions.
+oracle eliminates over Fractions.  The subspace oracles test containment by
+row reduction and read label sets off every vector of a subspace.
 """
 
 from fractions import Fraction
+from itertools import product
 
 from qsegre.exactalg import ONE, QPolynomial
 from qsegre.permstats import _perm_stats
 from qsegre.poset import ChainReport, ELViolation
+from qsegre.subspace import enumerate_subspaces
 
 
 def series_reciprocal(coeffs) -> list[Fraction]:
@@ -210,3 +213,63 @@ def rank_over_rationals(rows) -> int:
                 else:
                     row.pop(c, None)
     return len(pivots)
+
+
+def contains(upper, lower) -> bool:
+    """Whether the subspace upper contains lower: each basis row of lower
+    reduces to zero against upper's RREF rows."""
+    if upper.field.key() != lower.field.key() or upper.ambient != lower.ambient:
+        raise ValueError("subspaces live in different ambient spaces")
+    field = upper.field
+    for v in lower.rows:
+        vec = list(v)
+        for row in upper.rows:
+            pc = next(i for i, x in enumerate(row) if x)
+            if vec[pc]:
+                c = vec[pc]
+                vec = [field.sub(x, field.mul(c, y)) for x, y in zip(vec, row)]
+        if any(vec):
+            return False
+    return True
+
+
+def nonzero_vectors(s):
+    """All nonzero vectors in the row space, from coefficient combinations of
+    the basis (never scans the ambient space)."""
+    field = s.field
+    for coeffs in product(range(field.order), repeat=s.dim):
+        if not any(coeffs):
+            continue
+        vec = [0] * s.ambient
+        for c, row in zip(coeffs, s.rows):
+            if c:
+                for i, x in enumerate(row):
+                    if x:
+                        vec[i] = field.add(vec[i], field.mul(c, x))
+        yield vec
+
+
+def label_set_by_atoms(s) -> frozenset[int]:
+    """Rightmost nonzero coordinate indices (1-based) over every nonzero
+    vector of s."""
+    return frozenset(max(i for i, x in enumerate(vec) if x) + 1
+                     for vec in nonzero_vectors(s))
+
+
+def covers_by_containment(n: int, field) -> dict:
+    """The labeled covers of B_n(q) as {(lower rows, upper rows): label}, by
+    testing every pair of adjacent-rank subspaces for containment."""
+    by_rank: dict = {}
+    for s in enumerate_subspaces(n, field):
+        by_rank.setdefault(s.dim, []).append(s)
+    out = {}
+    for k in range(1, n + 1):
+        for upper in by_rank[k]:
+            for lower in by_rank[k - 1]:
+                if contains(upper, lower):
+                    gained = label_set_by_atoms(upper) - label_set_by_atoms(lower)
+                    if len(gained) != 1:
+                        raise ArithmeticError(f"cover {lower!r} < {upper!r} "
+                                              f"gains labels {sorted(gained)}")
+                    out[(lower.rows, upper.rows)] = next(iter(gained))
+    return out

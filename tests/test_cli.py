@@ -148,6 +148,29 @@ class TestBoundsBeforeWork:
             assert_clean_rejection(code, out, err)
             assert err == "error: order must be nonnegative\n"
 
+    def test_field_order_beyond_bound_is_refused_before_factoring(
+            self, capsys, monkeypatch):
+        import time
+        from qsegre import subspace
+        monkeypatch.setattr(subspace, "FiniteField", fail_if_called)
+        for q in ("17", "100000007", "1000000007"):
+            start = time.perf_counter()
+            code, out, err = run(capsys, "mobius", "--n", "2", "--q", q)
+            assert time.perf_counter() - start < 1.0
+            assert_clean_rejection(code, out, err)
+            assert err == f"error: field order {q} exceeds the bound 16\n"
+
+    def test_segre_square_beyond_bound_does_no_work(self, capsys, monkeypatch):
+        from qsegre import subspace
+        monkeypatch.setattr(subspace, "enumerate_subspaces", fail_if_called)
+        for argv, pairs in ((("segre", "--n", "4", "--q", "4"), 141901),
+                            (("verify", "el", "--n", "3", "--q", "16",
+                              "--segre"), 149060)):
+            code, out, err = run(capsys, *argv)
+            assert_clean_rejection(code, out, err)
+            assert err == (f"error: {pairs} pairs of the Segre square exceed "
+                           f"the bound 100000\n")
+
 
 def fail_if_called(*args, **kwargs):
     raise AssertionError("work started before the bound check")
@@ -232,6 +255,14 @@ class TestGoldenDocuments:
         code, out, err = run(capsys, *argv)
         assert code == 0 and err == ""
         assert out == (GOLDEN / name).read_text()
+
+    def test_extension_field_lattice_is_byte_identical(self, capsys):
+        # recorded when covers were found by testing every adjacent-rank
+        # pair for containment and label sets listed every vector
+        code, out, err = run(capsys, "lattice", "--n", "3", "--q", "4",
+                             "--chains", "--check-el", "--json")
+        assert code == 0 and err == ""
+        assert out == (GOLDEN / "lattice_n3_q4.out").read_text()
 
     def test_known_denominators_are_coprime_to_the_numerators(self):
         # why an explicit denominator prints the reduced form: it shares no

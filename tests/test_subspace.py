@@ -1,13 +1,18 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from qsegre import subspace
 from qsegre.exactalg import q_factorial
 from qsegre.permstats import Permutation, inversions, q_binomial, w_polynomial
 from qsegre.poset import (chain_report, check_el_labeling, mobius_number,
                           proper_part, rational_betti_numbers,
                           reduced_euler_characteristic)
-from qsegre.subspace import (FiniteField, Subspace, atom_label, atom_vector,
-                             build_bnq, build_segre_bnq, enumerate_subspaces,
-                             label_set, rref_rows)
+from qsegre.subspace import (FiniteField, Subspace, atom_label, build_bnq,
+                             build_segre_bnq, enumerate_subspaces, label_set,
+                             rref_rows)
+
+from oracles import contains, covers_by_containment, label_set_by_atoms
 
 import itertools
 
@@ -15,6 +20,14 @@ F2 = FiniteField(2)
 F3 = FiniteField(3)
 F4 = FiniteField(2, 2)
 F5 = FiniteField(5)
+F8 = FiniteField(2, 3)
+F9 = FiniteField(3, 2)
+F16 = FiniteField(2, 4)
+
+# every lattice whose covers are checked against the containment scan
+ORACLE_LATTICES = ([(n, F2) for n in range(5)]
+                   + [(n, field) for field in (F3, F4, F5) for n in range(4)]
+                   + [(2, field) for field in (F8, F9, F16)])
 
 
 class TestFiniteField:
@@ -75,8 +88,8 @@ class TestSubspace:
         plane = Subspace.from_vectors(F2, 3, [(1, 0, 0), (0, 1, 0)])
         line = Subspace.from_vectors(F2, 3, [(1, 1, 0)])
         other = Subspace.from_vectors(F2, 3, [(0, 0, 1)])
-        assert plane.contains(line)
-        assert not plane.contains(other)
+        assert contains(plane, line)
+        assert not contains(plane, other)
 
     def test_span_contains_its_generators(self):
         import random
@@ -90,7 +103,7 @@ class TestSubspace:
                 assert span.dim <= len(vectors)
                 for v in vectors:
                     if any(v):
-                        assert span.contains(Subspace.from_vectors(field, n, [v]))
+                        assert contains(span, Subspace.from_vectors(field, n, [v]))
 
 
 class TestEnumeration:
@@ -138,11 +151,6 @@ class TestLabels:
             s = Subspace.from_vectors(F5, 4, [vec])
             assert atom_label(s) == 3
 
-    def test_atom_vector_normalizes_rightmost_entry(self):
-        s = Subspace.from_vectors(F3, 3, [(1, 0, 2)])
-        vec = atom_vector(s)
-        assert vec[2] == 1
-
     def test_atom_operations_reject_higher_dimension(self):
         plane = Subspace.from_vectors(F2, 3, [(1, 0, 0), (0, 1, 0)])
         with pytest.raises(ValueError):
@@ -165,6 +173,58 @@ class TestLabels:
         p, labeling = build_bnq(3, F2)
         assert set(labeling.labels) == set(p.covers)
         assert (p.element_index(()), p.top_index()) not in labeling.labels
+
+
+class TestCoverGeneration:
+    @pytest.mark.parametrize("n, field", ORACLE_LATTICES,
+                             ids=lambda x: str(getattr(x, "order", x)))
+    def test_covers_and_labels_match_the_containment_scan(self, n, field):
+        p, labeling = build_bnq(n, field)
+        built = {(p.names[a], p.names[b]): labeling.labels[(a, b)]
+                 for a, b in p.covers}
+        assert set(labeling.labels) == set(p.covers)
+        assert built == covers_by_containment(n, field)
+
+    @pytest.mark.parametrize("n, field", ORACLE_LATTICES,
+                             ids=lambda x: str(getattr(x, "order", x)))
+    def test_label_sets_match_atom_enumeration(self, n, field):
+        for s in enumerate_subspaces(n, field):
+            assert label_set(s) == label_set_by_atoms(s)
+
+    @given(st.sampled_from((F2, F3, F4, F5, F9)), st.integers(1, 5), st.data())
+    @settings(max_examples=80, deadline=None)
+    def test_label_set_of_random_spans(self, field, n, data):
+        vector = st.tuples(*[st.integers(0, field.order - 1)] * n)
+        vectors = data.draw(st.lists(vector, min_size=1, max_size=4))
+        s = Subspace.from_vectors(field, n, vectors)
+        assert label_set(s) == label_set_by_atoms(s)
+
+    def test_join_left_in_echelon_form_is_refused(self, monkeypatch):
+        def uncleared(field, rows, pivots, lead, v):
+            out = list(rows)
+            out.insert(sum(1 for pc in pivots if pc < lead), v)
+            return tuple(out)
+        monkeypatch.setattr(subspace, "_join", uncleared)
+        with pytest.raises(ArithmeticError, match="not an enumerated subspace"):
+            build_bnq(3, F3)
+
+    def test_join_with_the_wrong_vector_is_refused(self, monkeypatch):
+        join = subspace._join
+
+        def unit_vector_join(field, rows, pivots, lead, v):
+            unit = tuple(int(i == lead) for i in range(len(v)))
+            return join(field, rows, pivots, lead, unit)
+        monkeypatch.setattr(subspace, "_join", unit_vector_join)
+        with pytest.raises(ArithmeticError, match="lower covers"):
+            build_bnq(3, F2)
+
+    def test_wrong_label_sets_are_refused(self, monkeypatch):
+        def rightmost_of_rows(s):
+            return frozenset(max(i for i, x in enumerate(row) if x) + 1
+                             for row in s.rows)
+        monkeypatch.setattr(subspace, "label_set", rightmost_of_rows)
+        with pytest.raises(ArithmeticError, match="not exactly one"):
+            build_bnq(3, F2)
 
 
 class TestLatticeConstruction:
