@@ -10,9 +10,9 @@ from .permstats import (Permutation, PermutationPair, ascent_set,
                         inversions, q_binomial, verify_q_csv_identity,
                         w_polynomial, w_polynomial_recurrence)
 from .poset import (ChainReport, EdgeLabeling, GradedPoset, boolean_lattice,
-                    chain_report, check_el_labeling, mobius_number,
-                    proper_part, rational_betti_numbers,
-                    reduced_euler_characteristic, segre_product)
+                    chain_report, check_el_labeling, descending_chain_count,
+                    mobius_number, proper_part, rational_betti_numbers,
+                    segre_product)
 from .subspace import (FiniteField, Subspace, atom_label, build_bnq,
                        build_segre_bnq, enumerate_subspaces)
 from .symfrob import (CharacterTable2, SymFun2, h_alternating_residual,

@@ -15,8 +15,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .exactalg import ONE, ZERO, QPolynomial, q_factorial
-from .permstats import (check_enumeration_bound, csv_recurrence, q_binomial,
-                        w_polynomial)
+from .permstats import (check_enumeration_bound, csv_recurrence,
+                        q_binomial_square, w_polynomial)
 
 
 def reciprocal_numerators(order: int) -> list[QPolynomial]:
@@ -48,8 +48,7 @@ def bessel_coefficients(order: int) -> BesselCoefficients:
     for n in range(order + 1):
         acc = ZERO
         for k in range(n + 1):
-            b = q_binomial(n, k)
-            term = b * b * g[n - k]
+            term = q_binomial_square(n, k) * g[n - k]
             acc = acc + term if k % 2 == 0 else acc - term
         if acc != (ONE if n == 0 else ZERO):
             raise ArithmeticError(

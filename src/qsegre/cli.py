@@ -130,7 +130,7 @@ def _mobius_instance(n: int, q: int) -> tuple[bool, str]:
     """mu and the descending chain count of one Segre square against W_n(q)."""
     sp, labeling = _lattice(n, q, True)
     mu = poset.mobius_number(sp)
-    descending = poset.chain_report(sp, labeling).descending_count
+    descending = poset.descending_chain_count(sp, labeling)
     w_q = permstats.w_polynomial(n).evaluate(q)
     return (mu == (-1) ** n * w_q and descending == w_q,
             f"mu={mu} descending={descending} expected W={w_q}")

@@ -184,6 +184,15 @@ def q_binomial(n: int, k: int) -> QPolynomial:
 
 
 @lru_cache(maxsize=None)
+def q_binomial_square(n: int, k: int) -> QPolynomial:
+    """[n choose k]_q squared, computed once per process: the alternating
+    identity, its recurrence and the reciprocal's product check all weigh
+    their terms by it."""
+    b = q_binomial(n, k)
+    return b * b
+
+
+@lru_cache(maxsize=None)
 def _q_pascal(n: int, k: int) -> QPolynomial:
     """[n choose k]_q = [n-1 choose k-1]_q + q^k [n-1 choose k]_q."""
     if k == 0 or k == n:
@@ -203,8 +212,7 @@ def verify_q_csv_identity(n: int, bound=None) -> QPolynomial:
     check_enumeration_bound(n, bound)
     total = QPolynomial()
     for i in range(n + 1):
-        b = q_binomial(n, i)
-        term = b * b * w_polynomial(i, bound=bound)
+        term = q_binomial_square(n, i) * w_polynomial(i, bound=bound)
         total = total + term if i % 2 == 0 else total - term
     return total
 
@@ -221,8 +229,7 @@ def csv_recurrence(seeds: list[QPolynomial], n: int) -> list[QPolynomial]:
     for m in range(len(values), n + 1):
         acc = ZERO
         for i in range(m):
-            b = q_binomial(m, i)
-            term = b * b * values[i]
+            term = q_binomial_square(m, i) * values[i]
             acc = acc + term if (m - 1 + i) % 2 == 0 else acc - term
         values.append(acc)
     return values

@@ -4,16 +4,14 @@ homology of order complexes.
 
 Elements are dense integer ids with opaque display names.  Cover relations
 must raise rank by exactly one (everything in scope is graded), which also
-rules out cycles.  The full order relation is precomputed as one reachability
-bitset per element; instances stay below a few thousand elements, so the
-quadratic table is cheap and makes comparisons single bit tests.  Order
-queries walk only the set bits of a mask (`mask & -mask`), never every bit.
-
-No kernel enumerates maximal chains.  The EL check and the chain tally are
-dynamic programs over the covers in rank order, so their cost grows with the
-number of covers times the number of distinct labels or label words, not with
-the number of chains.  Boundary ranks for Betti numbers come from
-fraction-free integer elimination, which gives the rank over the rationals.
+rules out cycles.  No kernel enumerates maximal chains: the EL check, the
+descending count and the chain tally are dynamic programs over the covers,
+so their cost grows with the covers times the distinct labels or label
+words.  Only mobius_number, leq and strictly_below/strictly_above (so also
+chains_by_dimension) build the quadratic reachability bitsets, one mask per
+element; their queries walk only the set bits (`mask & -mask`).  Boundary
+ranks for Betti numbers come from fraction-free integer elimination, which
+gives the rank over the rationals.
 
 Construction is single threaded; after that every query is read-only apart
 from idempotent lazy caches, so built posets can be shared by concurrent
@@ -24,7 +22,7 @@ from __future__ import annotations
 
 import operator
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import accumulate, chain, combinations, islice
 from math import gcd
 from typing import Callable, Optional
 
@@ -50,18 +48,21 @@ class GradedPoset:
         if len(self.names) != len(self.ranks):
             raise ValueError("names and ranks must have equal length")
         m = len(self.names)
-        cover_set = sorted({(int(a), int(b)) for a, b in covers})
-        for a, b in cover_set:
+        covers = tuple(covers)
+        if not (set(map(type, covers)) <= {tuple}
+                and set(map(type, chain.from_iterable(covers))) <= {int}
+                and all(map(operator.lt, covers, islice(covers, 1, None)))):
+            # not already a strictly increasing sequence of int pairs
+            covers = tuple(sorted({(int(a), int(b)) for a, b in covers}))
+        ranks, up, down = self.ranks, [[] for _ in range(m)], [[] for _ in range(m)]
+        for a, b in covers:
             if not (0 <= a < m and 0 <= b < m):
                 raise ValueError(f"cover ({a},{b}) out of range")
-            if self.ranks[b] != self.ranks[a] + 1:
+            if ranks[b] != ranks[a] + 1:
                 raise ValueError(f"cover ({a},{b}) must raise rank by exactly 1")
-        self.covers = tuple(cover_set)
-        self._up = [[] for _ in range(m)]
-        self._down = [[] for _ in range(m)]
-        for a, b in self.covers:
-            self._up[a].append(b)
-            self._down[b].append(a)
+            up[a].append(b)
+            down[b].append(a)
+        self.covers, self._up, self._down = covers, up, down
         self._above = None
         self._below = None
         self._bottom = -2  # -2: not computed yet; None: absent
@@ -109,9 +110,6 @@ class GradedPoset:
     def upper_covers(self, i: int) -> tuple[int, ...]:
         return tuple(self._up[i])
 
-    def lower_covers(self, i: int) -> tuple[int, ...]:
-        return tuple(self._down[i])
-
     def strictly_below(self, j: int) -> list[int]:
         return _set_bits(self._below_masks()[j] & ~(1 << j))
 
@@ -119,32 +117,19 @@ class GradedPoset:
         return _set_bits(self._above_masks()[i] & ~(1 << i))
 
     def bottom_index(self) -> Optional[int]:
+        """The unique minimal element (below all others, the poset being
+        finite), or None."""
         if self._bottom == -2:
-            m = len(self.names)
-            mins = [i for i in range(m) if not self._down[i]]
-            if len(mins) == 1 and self._above_masks()[mins[0]] == (1 << m) - 1:
-                self._bottom = mins[0]
-            else:
-                self._bottom = None
+            mins = [i for i, lower in enumerate(self._down) if not lower]
+            self._bottom = mins[0] if len(mins) == 1 else None
         return self._bottom
 
     def top_index(self) -> Optional[int]:
+        """The unique maximal element (above all others), or None."""
         if self._top == -2:
-            m = len(self.names)
-            maxes = [i for i in range(m) if not self._up[i]]
-            if len(maxes) == 1 and self._below_masks()[maxes[0]] == (1 << m) - 1:
-                self._top = maxes[0]
-            else:
-                self._top = None
+            maxes = [i for i, upper in enumerate(self._up) if not upper]
+            self._top = maxes[0] if len(maxes) == 1 else None
         return self._top
-
-    @property
-    def has_bottom(self) -> bool:
-        return self.bottom_index() is not None
-
-    @property
-    def has_top(self) -> bool:
-        return self.top_index() is not None
 
     def rank_sizes(self) -> list[int]:
         """Element counts per rank value, indexed from rank 0."""
@@ -183,24 +168,46 @@ def boolean_lattice_labeled(n: int) -> tuple[GradedPoset, "EdgeLabeling"]:
     return p, EdgeLabeling.with_integer_labels(labels)
 
 
-def segre_product(p: GradedPoset, q: GradedPoset) -> GradedPoset:
-    """Induced subposet of the product on pairs of equal rank.
-
-    Since both factors are graded, a cover of the product restricted to
-    equal-rank pairs is exactly a pair of covers.
-    """
-    pairs = [(i, j) for i in range(len(p)) for j in range(len(q))
-             if p.ranks[i] == q.ranks[j]]
-    index = {pair: t for t, pair in enumerate(pairs)}
-    names = [(p.names[i], q.names[j]) for i, j in pairs]
-    ranks = [p.ranks[i] for i, _ in pairs]
-    covers = []
-    for a, c in p.covers:
-        ra = p.ranks[a]
-        for b, d in q.covers:
-            if q.ranks[b] == ra:
-                covers.append((index[(a, b)], index[(c, d)]))
-    return GradedPoset(names, ranks, covers)
+def segre_product(p: GradedPoset, q: GradedPoset, labelings=None):
+    """Induced subposet of the product on pairs of equal rank; given the
+    factors' labelings (p's, q's), also its labeling by componentwise-ordered
+    label pairs.  As both factors are graded, its covers are the pairs of
+    covers.  Pair (i, j) is numbered start[i] + jpos[j]: start[i] sums the
+    sizes of q's rank blocks over the elements before i, jpos[j] is j's
+    place in its rank block.  So the covers come out sorted, pair by pair
+    and up(i) x up(j) within one; each cover tuple is also its label's key,
+    and the label pairs are interned."""
+    blocks: dict[int, list[int]] = {}
+    jpos = []
+    for j, r in enumerate(q.ranks):
+        jpos.append(len(blocks.setdefault(r, [])))
+        blocks[r].append(j)
+    start = list(accumulate((len(blocks.get(r, ())) for r in p.ranks), initial=0))
+    p_label, q_label = ((lab.labels.__getitem__ for lab in labelings)
+                        if labelings else (lambda cover: None,) * 2)
+    q_up = [[(jpos[d], q_label((j, d))) for d in ups]
+            for j, ups in enumerate(q._up)]
+    p_up = [[(start[c], p_label((i, c))) for c in ups]
+            for i, ups in enumerate(p._up)]
+    q_values = {b for ups in q_up for _, b in ups}
+    interned = {a: {b: (a, b) for b in q_values}
+                for a in {a for ups in p_up for _, a in ups}}
+    names, ranks, covers, labels = [], [], [], {}
+    for i, r in enumerate(p.ranks):
+        for j in blocks.get(r, ()):
+            x = len(names)
+            names.append((p.names[i], q.names[j]))
+            ranks.append(r)
+            for s, a in p_up[i]:
+                pairs = interned[a]
+                for t, b in q_up[j]:
+                    cover = (x, s + t)
+                    covers.append(cover)
+                    labels[cover] = pairs[b]
+    square = GradedPoset(names, ranks, covers)
+    if labelings is None:
+        return square
+    return square, EdgeLabeling(labels, product_order_less)
 
 
 def proper_part(p: GradedPoset) -> GradedPoset:
@@ -219,18 +226,25 @@ def proper_part(p: GradedPoset) -> GradedPoset:
 
 def mobius_number(p: GradedPoset) -> int:
     """mu(bottom, top), by the recursion mu(x) = -sum of mu(y) over y < x,
-    in rank order; each strictly-below set is read off x's bitmask."""
+    in rank order.  Each distinct nonzero mu value seen so far keeps a mask
+    of its elements, so the sum is sum_v v * |below(x) & class(v)|: one
+    popcount per value class, O(m * classes * m/64) word operations."""
     bottom, top = p.bottom_index(), p.top_index()
     if bottom is None or top is None:
         raise ValueError("Mobius number requires both a bottom and a top")
-    m = len(p)
-    mu = [0] * m
-    mu[bottom] = 1
-    for x in sorted(range(m), key=lambda e: p.ranks[e]):
+    below = p._below_masks()
+    classes: dict[int, int] = {}
+    # the top has the one largest rank, so it comes last
+    for x in sorted(range(len(p)), key=p.ranks.__getitem__):
         if x == bottom:
-            continue
-        mu[x] = -sum(mu[y] for y in p.strictly_below(x))
-    return mu[top]
+            value = 1
+        else:
+            strict = below[x] ^ (1 << x)
+            value = -sum(v * (strict & mask).bit_count()
+                         for v, mask in classes.items())
+        if value:
+            classes[value] = classes.get(value, 0) | (1 << x)
+    return value
 
 
 def order_chain_counts(p: GradedPoset) -> list[int]:
@@ -255,14 +269,6 @@ def order_chain_counts(p: GradedPoset) -> list[int]:
                 counts.append(0)
             counts[dim] += count
     return counts
-
-
-def reduced_euler_characteristic(p: GradedPoset) -> int:
-    """Alternating chain count including the empty chain at dimension -1."""
-    total = -1
-    for j, c in enumerate(order_chain_counts(p)):
-        total = total + c if j % 2 == 0 else total - c
-    return total
 
 
 def product_order_less(a, b) -> bool:
@@ -299,12 +305,61 @@ class ELViolation:
     reason: str
 
 
-def _is_increasing(labeling: EdgeLabeling, word: tuple) -> bool:
-    return all(labeling.less(word[t], word[t + 1]) for t in range(len(word) - 1))
+def _up_by_label(p: GradedPoset, labeling: EdgeLabeling):
+    """Each element's upper covers as (label id, covers) groups, the ids
+    numbering the distinct labels in ascending order, and the table
+    less[s][t] of the labeling's strict order on ids; ValueError if a cover
+    has no label."""
+    labels = labeling.labels
+    by_label: list[dict] = [{} for _ in range(len(p))]
+    for edge in p.covers:
+        if edge not in labels:
+            a, b = edge
+            raise ValueError(f"cover ({p.names[a]}, {p.names[b]}) has no label")
+        by_label[edge[0]].setdefault(labels[edge], []).append(edge[1])
+    distinct = sorted({label for groups in by_label for label in groups})
+    ids = {label: t for t, label in enumerate(distinct)}
+    less = [[labeling.less(s, t) for t in distinct] for s in distinct]
+    return [[(ids[label], ys) for label, ys in groups.items()]
+            for groups in by_label], less
 
 
-def _is_descending(labeling: EdgeLabeling, word: tuple) -> bool:
-    return not any(labeling.less(word[t], word[t + 1]) for t in range(len(word) - 1))
+def _push_from(up, lo, admits):
+    """Chains up from lo, pushed layer by layer along upper covers, so only
+    covers above lo are touched.  For y above lo, tallies[y] counts by last
+    label id the chains lo -> y whose consecutive label ids s, t all have
+    admits[s][t], and ok[y] tells whether the lexicographically first word
+    lo -> y has that property.  Words to y have one length, so the first is
+    the first word to a lower cover x of y plus the label of x -> y; it is
+    a number in base len(admits) whose digits are the label ids."""
+    width = len(admits)
+    tallies: dict[int, dict] = {}
+    word, ok = {lo: 0}, {lo: True}
+    layer = [lo]
+    while layer:
+        best: dict[int, int] = {}
+        via: dict[int, int] = {}
+        for x in layer:
+            tally = tallies.get(x)
+            base = word[x] * width
+            for t, ys in up[x]:
+                extended = 1 if x == lo else sum(
+                    c for s, c in tally.items() if admits[s][t])
+                key = base + t
+                for y in ys:
+                    known = best.get(y)
+                    if known is None:
+                        best[y], via[y], tallies[y] = key, x, {t: extended}
+                        continue
+                    if key < known:
+                        best[y], via[y] = key, x
+                    tallies[y][t] = tallies[y].get(t, 0) + extended
+        for y, key in best.items():
+            x = via[y]
+            word[y] = key
+            ok[y] = ok[x] and (x == lo or admits[word[x] % width][key % width])
+        layer = list(best)
+    return tallies, ok
 
 
 def check_el_labeling(p: GradedPoset,
@@ -313,52 +368,21 @@ def check_el_labeling(p: GradedPoset,
     lexicographically precedes all others; returns the first offender, by
     lower and then upper element in index order.
 
-    One pass over the covers above each lower element lo, rank by rank,
-    keeps two values per element y above lo: the number of increasing chains
-    from lo to y by their last label, and the lexicographically first label
-    word from lo to y.  All words from lo to y have the same length, so the
-    first one is the first word to some lower cover x of y followed by the
-    label of x -> y.  The interval [lo, hi] passes exactly when its
-    increasing chains number one and its first word is increasing: that word
-    is then the increasing chain's, and no other chain shares it, since a
-    chain with an increasing word is itself increasing.
+    One push from each lo (see _push_from) gives, for each hi above it, the
+    increasing chains of [lo, hi] and whether its first word is increasing.
+    It passes exactly when they number one and it is: that word is then the
+    increasing chain's, and no other chain shares it, since a chain with an
+    increasing word is itself increasing.
     """
-    labels, less = labeling.labels, labeling.less
-    for edge in p.covers:
-        if edge not in labels:
-            a, b = edge
-            raise ValueError(f"cover ({p.names[a]}, {p.names[b]}) has no label")
-    up, down = p._up, p._down
+    up, less = _up_by_label(p, labeling)
     for lo in range(len(p)):
-        increasing: dict[int, dict] = {}  # y -> {last label: chain count}
-        first = {lo: ()}
-        layer = [lo]
-        while layer:
-            layer = list({y for x in layer for y in up[x]})
-            for y in layer:
-                counts: dict = {}
-                best = None
-                for x in down[y]:
-                    if x not in first:
-                        continue
-                    label = labels[(x, y)]
-                    word = first[x] + (label,)
-                    if best is None or word < best:
-                        best = word
-                    if x == lo:
-                        extended = 1
-                    else:
-                        extended = sum(c for last, c in increasing[x].items()
-                                       if less(last, label))
-                    counts[label] = counts.get(label, 0) + extended
-                increasing[y] = counts
-                first[y] = best
+        increasing, rising = _push_from(up, lo, less)
         for hi in sorted(increasing):
             found = sum(increasing[hi].values())
             if found != 1:
                 return False, ELViolation(
                     p.names[lo], p.names[hi], f"{found} increasing maximal chains")
-            if not _is_increasing(labeling, first[hi]):
+            if not rising[hi]:
                 return False, ELViolation(
                     p.names[lo], p.names[hi],
                     "increasing chain is not lexicographically first")
@@ -405,10 +429,26 @@ def chain_report(p: GradedPoset, labeling: EdgeLabeling) -> ChainReport:
                 tally[key] = tally.get(key, 0) + count
         words[y] = tally
     tallies = words[top]
-    return ChainReport(
-        tallies,
-        sum(c for w, c in tallies.items() if _is_increasing(labeling, w)),
-        sum(c for w, c in tallies.items() if _is_descending(labeling, w)))
+    ascents = {w: [labeling.less(a, b) for a, b in zip(w, w[1:])] for w in tallies}
+    return ChainReport(tallies,
+                       sum(c for w, c in tallies.items() if all(ascents[w])),
+                       sum(c for w, c in tallies.items() if not any(ascents[w])))
+
+
+def descending_chain_count(p: GradedPoset, labeling: EdgeLabeling) -> int:
+    """Maximal chains from bottom to top whose label words have no ascent,
+    chain_report's descending_count without the words: one push from the
+    bottom by last label (see _push_from), each (x, label) sum taken once
+    and pushed to every upper cover of x with that label."""
+    bottom = p.bottom_index()
+    if bottom is None:
+        raise ValueError("poset has no bottom element")
+    top = p.top_index()
+    if top is None:
+        raise ValueError("poset has no top element")
+    up, less = _up_by_label(p, labeling)
+    tallies, _ = _push_from(up, bottom, [[not v for v in row] for row in less])
+    return 1 if top == bottom else sum(tallies[top].values())
 
 
 def chains_by_dimension(p: GradedPoset) -> list[list[tuple[int, ...]]]:
@@ -523,23 +563,3 @@ def to_interchange(p: GradedPoset, labeling: Optional[EdgeLabeling] = None) -> d
         doc["labels"] = {f"{a}-{b}": _label_to_json(labeling.labels[(a, b)])
                          for a, b in p.covers}
     return doc
-
-
-def from_interchange(doc: dict) -> tuple[GradedPoset, Optional[EdgeLabeling]]:
-    covers = [tuple(c) for c in doc["covers"]]
-    p = GradedPoset(doc["elements"], doc["ranks"], covers)
-    labeling = None
-    if "labels" in doc:
-        labels = {}
-        pair_valued = False
-        for key, val in doc["labels"].items():
-            a, b = key.split("-")
-            if isinstance(val, list):
-                val = tuple(val)
-                pair_valued = True
-            labels[(int(a), int(b))] = val
-        if pair_valued:
-            labeling = EdgeLabeling.with_pair_labels(labels)
-        else:
-            labeling = EdgeLabeling.with_integer_labels(labels)
-    return p, labeling

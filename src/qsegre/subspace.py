@@ -388,19 +388,13 @@ def build_segre_bnq(n: int, field: FiniteField,
                     count_bound: int | None = None) -> tuple[GradedPoset, EdgeLabeling]:
     """Segre square of the subspace lattice, covers labeled by ordered pairs
     under the componentwise order.  Its sum_k N_k^2 pairs, N_k the subspaces
-    of rank k, are held to the subspace count bound before any work."""
+    of rank k, are held to the subspace count bound before any work.  The
+    pair labels are read from the lattice's labels by factor index in the
+    same pass of segre_product that numbers the pairs and emits the covers."""
     bound = SUBSPACE_COUNT_BOUND if count_bound is None else count_bound
     pairs = sum(_gaussian_count(n, k, field.order) ** 2 for k in range(n + 1))
     if pairs > bound:
         raise ValueError(f"{pairs} pairs of the Segre square exceed the "
                          f"bound {bound}")
     p, labeling = build_bnq(n, field, count_bound)
-    sp = segre_product(p, p)
-    index = {name: i for i, name in enumerate(p.names)}
-    pair_labels = {}
-    for a, b in sp.covers:
-        (xa, ya) = sp.names[a]
-        (xb, yb) = sp.names[b]
-        pair_labels[(a, b)] = (labeling.labels[(index[xa], index[xb])],
-                               labeling.labels[(index[ya], index[yb])])
-    return sp, EdgeLabeling.with_pair_labels(pair_labels)
+    return segre_product(p, p, (labeling, labeling))

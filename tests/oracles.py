@@ -4,8 +4,10 @@ Each oracle here is the definitional computation that a faster kernel in
 src/qsegre replaced; the tests compare the two.  The rational-function
 identities are checked by evaluation: q is set to enough integers that the
 values pin the polynomial, and everything at a point is a Fraction.  The
-poset oracles list every maximal chain of every interval, and the rank
-oracle eliminates over Fractions.  The subspace oracles test containment by
+poset oracles list every maximal chain of every interval, count the chains
+of the proper part for Hall's theorem, and build Segre products by
+numbering pairs in a dict and labeling them through element names; the
+rank oracle eliminates over Fractions.  The subspace oracles test containment by
 row reduction and read label sets off every vector of a subspace.
 """
 
@@ -14,7 +16,8 @@ from itertools import product
 
 from qsegre.exactalg import ONE, QPolynomial
 from qsegre.permstats import _perm_stats
-from qsegre.poset import ChainReport, ELViolation
+from qsegre.poset import (ChainReport, EdgeLabeling, ELViolation, GradedPoset,
+                          order_chain_counts)
 from qsegre.subspace import enumerate_subspaces
 
 
@@ -117,6 +120,67 @@ def w_polynomial_by_pair_scan(n: int) -> QPolynomial:
             if m1 & m2 == 0:
                 coeffs[i1 + i2] += 1
     return QPolynomial(coeffs)
+
+
+def segre_product_by_pairs(p, q):
+    """The Segre product by listing the equal-rank pairs, numbering them in
+    a dict, and pairing every cover of p with every cover of q."""
+    pairs = [(i, j) for i in range(len(p)) for j in range(len(q))
+             if p.ranks[i] == q.ranks[j]]
+    index = {pair: t for t, pair in enumerate(pairs)}
+    names = [(p.names[i], q.names[j]) for i, j in pairs]
+    ranks = [p.ranks[i] for i, _ in pairs]
+    covers = []
+    for a, c in p.covers:
+        for b, d in q.covers:
+            if q.ranks[b] == p.ranks[a]:
+                covers.append((index[(a, b)], index[(c, d)]))
+    return GradedPoset(names, ranks, covers)
+
+
+def segre_labels_by_names(square, p, p_labeling, q, q_labeling):
+    """The pair labeling of a Segre square, each factor label found through
+    the factor index of the element's name."""
+    p_index = {name: i for i, name in enumerate(p.names)}
+    q_index = {name: j for j, name in enumerate(q.names)}
+    labels = {}
+    for a, b in square.covers:
+        (xa, ya), (xb, yb) = square.names[a], square.names[b]
+        labels[(a, b)] = (p_labeling.labels[(p_index[xa], p_index[xb])],
+                          q_labeling.labels[(q_index[ya], q_index[yb])])
+    return EdgeLabeling.with_pair_labels(labels)
+
+
+def reduced_euler_characteristic(p) -> int:
+    """Alternating chain count including the empty chain at dimension -1;
+    by Hall's theorem, mu(bottom, top) of a bounded poset is this number for
+    its proper part."""
+    total = -1
+    for j, c in enumerate(order_chain_counts(p)):
+        total = total + c if j % 2 == 0 else total - c
+    return total
+
+
+def from_interchange(doc: dict):
+    """The (poset, labeling or None) of a document from to_interchange, with
+    element names as their strings; list labels are read as pair labels."""
+    covers = [tuple(c) for c in doc["covers"]]
+    p = GradedPoset(doc["elements"], doc["ranks"], covers)
+    labeling = None
+    if "labels" in doc:
+        labels = {}
+        pair_valued = False
+        for key, val in doc["labels"].items():
+            a, b = key.split("-")
+            if isinstance(val, list):
+                val = tuple(val)
+                pair_valued = True
+            labels[(int(a), int(b))] = val
+        if pair_valued:
+            labeling = EdgeLabeling.with_pair_labels(labels)
+        else:
+            labeling = EdgeLabeling.with_integer_labels(labels)
+    return p, labeling
 
 
 def maximal_chains(p, lo=None, hi=None):

@@ -256,6 +256,19 @@ class TestGoldenDocuments:
         assert code == 0 and err == ""
         assert out == (GOLDEN / name).read_text()
 
+    @pytest.mark.parametrize("argv, name", [
+        (("segre", "--n", "3", "--q", "2", "--json"), "segre_n3_q2.out"),
+        (("verify", "mobius", "--n", "3", "--q", "7", "--json"),
+         "verify_mobius_n3_q7.out"),
+    ])
+    def test_segre_documents_are_byte_identical(self, capsys, argv, name):
+        # recorded when the Segre square numbered its pairs through a dict,
+        # found each pair label through the factor's element names and took
+        # the descending count from the whole chain tally
+        code, out, err = run(capsys, *argv)
+        assert code == 0 and err == ""
+        assert out == (GOLDEN / name).read_text()
+
     def test_extension_field_lattice_is_byte_identical(self, capsys):
         # recorded when covers were found by testing every adjacent-rank
         # pair for containment and label sets listed every vector
@@ -303,7 +316,8 @@ class TestGoldenDocuments:
         assert first == second
 
     def test_interchange_output_feeds_back_into_the_reader(self, capsys):
-        from qsegre.poset import from_interchange, mobius_number
+        from oracles import from_interchange
+        from qsegre.poset import mobius_number
         code, out, _ = run(capsys, "segre", "--n", "2", "--q", "2", "--json")
         assert code == 0
         rebuilt, labeling = from_interchange(json.loads(out)["poset"])

@@ -8,15 +8,18 @@ from hypothesis import strategies as st
 
 from qsegre.poset import (ChainReport, EdgeLabeling, GradedPoset,
                           boolean_lattice, boolean_lattice_labeled,
-                          chain_report, check_el_labeling, from_interchange,
-                          mobius_number, order_chain_counts, proper_part,
-                          rational_betti_numbers, reduced_euler_characteristic,
-                          segre_product, to_interchange, _rank_of_sparse_rows)
+                          chain_report, check_el_labeling,
+                          descending_chain_count, mobius_number,
+                          order_chain_counts, product_order_less, proper_part,
+                          rational_betti_numbers, segre_product,
+                          to_interchange, _rank_of_sparse_rows)
 from qsegre.cli import prime_power
 from qsegre.subspace import FiniteField, build_bnq, build_segre_bnq
 
 from oracles import (chain_report_by_enumeration, el_check_by_intervals,
-                     maximal_chains, rank_over_rationals)
+                     from_interchange, maximal_chains, rank_over_rationals,
+                     reduced_euler_characteristic, segre_labels_by_names,
+                     segre_product_by_pairs)
 
 
 def two_chain():
@@ -30,21 +33,15 @@ def antichain(k):
 def segre_boolean_labeled(n):
     """Segre square of the labeled boolean lattice, covers labeled by pairs."""
     p, labeling = boolean_lattice_labeled(n)
-    s = segre_product(p, p)
-    index = {name: i for i, name in enumerate(p.names)}
-    pair_labels = {}
-    for a, b in s.covers:
-        (xa, ya), (xb, yb) = s.names[a], s.names[b]
-        pair_labels[(a, b)] = (labeling.labels[(index[xa], index[xb])],
-                               labeling.labels[(index[ya], index[yb])])
-    return s, EdgeLabeling.with_pair_labels(pair_labels)
+    return segre_product(p, p, (labeling, labeling))
 
 
-def _random_bounded_poset(rng):
+def _random_bounded_poset(rng, max_width=4, max_depth=3):
     """Random layered poset with a forced bottom and top: every middle
     element gets at least one cover in each direction, so the result is
     bounded and graded by construction."""
-    layer_sizes = [rng.randrange(1, 5) for _ in range(rng.randrange(1, 4))]
+    layer_sizes = [rng.randrange(1, max_width + 1)
+                   for _ in range(rng.randrange(1, max_depth + 1))]
     names, ranks = ["bot"], [0]
     layers = [[0]]
     next_id = 1
@@ -72,6 +69,17 @@ def _random_bounded_poset(rng):
     return GradedPoset(names, ranks, covers)
 
 
+def _random_graded_poset(rng):
+    """Random graded poset with its elements in shuffled rank order and
+    random integer labels on its covers."""
+    ranks = [rng.randrange(4) for _ in range(rng.randrange(1, 9))]
+    covers = [(a, b) for a in range(len(ranks)) for b in range(len(ranks))
+              if ranks[b] == ranks[a] + 1 and rng.random() < 0.6]
+    p = GradedPoset([f"v{i}" for i in range(len(ranks))], ranks, covers)
+    return p, EdgeLabeling.with_integer_labels(
+        {c: rng.randint(1, 3) for c in p.covers})
+
+
 class TestGradedPoset:
     def test_cover_must_raise_rank_by_one(self):
         with pytest.raises(ValueError):
@@ -92,6 +100,29 @@ class TestGradedPoset:
 
     def test_rank_sizes(self):
         assert boolean_lattice(3).rank_sizes() == [1, 3, 3, 1]
+
+    def test_unsorted_and_duplicated_covers_are_normalised(self):
+        names, ranks = ["a", "b", "c", "d"], [0, 1, 1, 2]
+        expected = ((0, 1), (0, 2), (1, 3), (2, 3))
+        for covers in ([(2, 3), (0, 2), (1, 3), (0, 1), (0, 2)],
+                       [(0, 1), (0, 2), (0, 2), (1, 3), (2, 3)],
+                       [[0, 1], [0, 2], [1, 3], [2, 3]],
+                       [(0, 1), (0, 2), (True, 3), (2, 3)]):
+            p = GradedPoset(names, ranks, covers)
+            assert p.covers == expected
+            assert all(type(x) is int for cover in p.covers for x in cover)
+            assert p._up == [[1, 2], [3], [3], []]
+            assert p._down == [[], [0], [0], [1, 2]]
+
+    @pytest.mark.parametrize("covers, message", [
+        ([(0, 1), (0, 3)], r"^cover \(0,3\) must raise rank by exactly 1$"),
+        ([(0, 1), (1, 4)], r"^cover \(1,4\) out of range$"),
+        ([(-1, 1), (0, 1)], r"^cover \(-1,1\) out of range$"),
+    ])
+    def test_bad_covers_raise_sorted_or_not(self, covers, message):
+        for given in (sorted(covers), sorted(covers, reverse=True)):
+            with pytest.raises(ValueError, match=message):
+                GradedPoset(["a", "b", "c", "d"], [0, 1, 1, 2], given)
 
     def test_maximal_chain_count_of_boolean_lattice(self):
         p, labeling = boolean_lattice_labeled(4)
@@ -127,6 +158,26 @@ class TestSegreProduct:
         with pytest.raises(ValueError):
             proper_part(antichain(2))
 
+    @given(st.randoms(use_true_random=False))
+    @settings(max_examples=150, deadline=None)
+    def test_one_pass_build_matches_the_pair_dict(self, rng):
+        # factors listed in shuffled rank order, so no rank block is
+        # contiguous, with random integer labels
+        p, p_labeling = _random_graded_poset(rng)
+        q, q_labeling = _random_graded_poset(rng)
+        square, labeling = segre_product(p, q, (p_labeling, q_labeling))
+        oracle = segre_product_by_pairs(p, q)
+        assert (square.names, square.ranks, square.covers) == (
+            oracle.names, oracle.ranks, oracle.covers)
+        assert labeling.labels == segre_labels_by_names(
+            oracle, p, p_labeling, q, q_labeling).labels
+        assert labeling.less is product_order_less
+        # one tuple per cover, shared with the label keys; interned labels
+        assert all(key is cover for key, cover in zip(labeling.labels, square.covers))
+        values = list(labeling.labels.values())
+        assert len({id(v) for v in values}) == len(set(values))
+        assert segre_product(p, q).covers == square.covers
+
 
 class TestMobiusAndEuler:
     def test_two_chain(self):
@@ -159,6 +210,25 @@ class TestMobiusAndEuler:
         for _ in range(40):
             p = _random_bounded_poset(rng)
             assert mobius_number(p) == reduced_euler_characteristic(proper_part(p))
+
+    @given(st.randoms(use_true_random=False))
+    @settings(max_examples=60, deadline=None)
+    def test_hall_theorem_on_wide_deep_random_posets(self, rng):
+        p = _random_bounded_poset(rng, max_width=7, max_depth=5)
+        assert mobius_number(p) == reduced_euler_characteristic(proper_part(p))
+
+    def test_hall_theorem_with_many_mobius_values(self):
+        # mobius_number keeps one mask per distinct mu value; on this
+        # instance mu(bottom, x), by the plain recursion, takes 14 nonzero values
+        import random
+        p = _random_bounded_poset(random.Random(151), 7, 5)
+        mu = {}
+        for x in sorted(range(len(p)), key=p.ranks.__getitem__):
+            mu[x] = 1 if x == p.bottom_index() else -sum(
+                mu[y] for y in p.strictly_below(x))
+        assert len(set(mu.values()) - {0}) == 14
+        assert (mobius_number(p) == mu[p.top_index()]
+                == reduced_euler_characteristic(proper_part(p)))
 
     def test_euler_poincare_on_random_bounded_posets(self):
         import random
@@ -240,26 +310,29 @@ class TestChainReport:
 
 
 class TestUnboundedPosets:
-    """chain_report needs a bottom and a top; the EL check looks at every
-    interval and needs neither."""
+    """chain_report and descending_chain_count need a bottom and a top; the
+    EL check looks at every interval and needs neither."""
 
     def test_chain_report_without_a_bottom(self):
         p = GradedPoset(["a", "b", "c"], [0, 0, 1], [(0, 2), (1, 2)])
         labeling = EdgeLabeling.with_integer_labels({(0, 2): 1, (1, 2): 2})
-        with pytest.raises(ValueError, match="^poset has no bottom element$"):
-            chain_report(p, labeling)
+        for kernel in (chain_report, descending_chain_count):
+            with pytest.raises(ValueError, match="^poset has no bottom element$"):
+                kernel(p, labeling)
         assert check_el_labeling(p, labeling) == (True, None)
 
     def test_chain_report_without_a_top(self):
         p = GradedPoset(["a", "b", "c"], [0, 1, 1], [(0, 1), (0, 2)])
         labeling = EdgeLabeling.with_integer_labels({(0, 1): 1, (0, 2): 2})
-        with pytest.raises(ValueError, match="^poset has no top element$"):
-            chain_report(p, labeling)
+        for kernel in (chain_report, descending_chain_count):
+            with pytest.raises(ValueError, match="^poset has no top element$"):
+                kernel(p, labeling)
         assert check_el_labeling(p, labeling) == (True, None)
 
     def test_chain_report_of_the_empty_poset(self):
-        with pytest.raises(ValueError, match="^poset has no bottom element$"):
-            chain_report(GradedPoset([], [], []), EdgeLabeling.with_integer_labels({}))
+        for kernel in (chain_report, descending_chain_count):
+            with pytest.raises(ValueError, match="^poset has no bottom element$"):
+                kernel(GradedPoset([], [], []), EdgeLabeling.with_integer_labels({}))
 
     def test_el_violation_below_two_maximal_elements(self):
         # two tops over one bottom; the interval up to "y" has two
@@ -278,6 +351,8 @@ class TestUnboundedPosets:
         report = chain_report(GradedPoset(["x"], [0], []),
                               EdgeLabeling.with_integer_labels({}))
         assert report == ChainReport({(): 1}, 1, 1)
+        assert descending_chain_count(GradedPoset(["x"], [0], []),
+                                      EdgeLabeling.with_integer_labels({})) == 1
 
 
 def _random_labeling(rng, p, pairs):
@@ -311,7 +386,9 @@ class TestKernelsAgainstOracles:
         p = _random_bounded_poset(rng)
         labeling = _random_labeling(rng, p, pairs)
         assert check_el_labeling(p, labeling) == el_check_by_intervals(p, labeling)
-        assert chain_report(p, labeling) == chain_report_by_enumeration(p, labeling)
+        report = chain_report_by_enumeration(p, labeling)
+        assert chain_report(p, labeling) == report
+        assert descending_chain_count(p, labeling) == report.descending_count
 
     @given(st.randoms(use_true_random=False), st.booleans())
     @settings(max_examples=100, deadline=None)
@@ -320,8 +397,10 @@ class TestKernelsAgainstOracles:
         p = proper_part(_random_bounded_poset(rng))
         labeling = _random_labeling(rng, p, pairs)
         assert check_el_labeling(p, labeling) == el_check_by_intervals(p, labeling)
-        assert (_outcome(chain_report, p, labeling)
-                == _outcome(chain_report_by_enumeration, p, labeling))
+        report = _outcome(chain_report_by_enumeration, p, labeling)
+        assert _outcome(chain_report, p, labeling) == report
+        assert _outcome(descending_chain_count, p, labeling) == (
+            report if isinstance(report, str) else report.descending_count)
 
     @given(st.sampled_from(EL_INSTANCES), st.randoms(use_true_random=False),
            st.integers(0, 3))
@@ -340,7 +419,9 @@ class TestKernelsAgainstOracles:
         assert result == el_check_by_intervals(p, relabeled)
         if changes == 0:
             assert result == (True, None)
-        assert chain_report(p, relabeled) == chain_report_by_enumeration(p, relabeled)
+        report = chain_report_by_enumeration(p, relabeled)
+        assert chain_report(p, relabeled) == report
+        assert descending_chain_count(p, relabeled) == report.descending_count
 
     @given(st.integers(1, 6), st.integers(1, 7), st.integers(0, 5),
            st.randoms(use_true_random=False))
@@ -362,6 +443,20 @@ class TestKernelsAgainstOracles:
         # entry is +-1, so the rank 2 needs a rational combination
         rows = [{0: 2, 1: 4}, {0: 3, 1: 6, 2: 9}, {0: 6, 1: 12, 2: 9}]
         assert _rank_of_sparse_rows(rows) == rank_over_rationals(rows) == 2
+
+
+class TestQuadraticBitsets:
+    """Only mobius_number, leq and strictly_below/strictly_above build the
+    per-element reachability masks."""
+
+    def test_cover_kernels_leave_the_masks_unbuilt(self):
+        sp, labeling = build_segre_bnq(2, FiniteField(3, 1))
+        assert sp.bottom_index() == 0 and sp.top_index() == len(sp) - 1
+        assert check_el_labeling(sp, labeling) == (True, None)
+        assert descending_chain_count(sp, labeling) == 15  # W_2(3) = 2*3 + 3^2
+        assert sp._above is None and sp._below is None
+        assert mobius_number(sp) == 15
+        assert sp._above is None and sp._below is not None
 
 
 def rp2_face_poset():
