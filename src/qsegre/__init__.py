@@ -19,7 +19,7 @@ from .symfrob import (CharacterTable2, SymFun2, h_alternating_residual,
                       h_to_p, induce_product_character, irreducible_table2,
                       lefschetz_character, partitions_of,
                       principal_specialization, product_frobenius,
-                      trivial_character, verify_induction_homomorphism,
+                      verify_induction_homomorphism,
                       verify_specialization_identity, z_of)
 
 __version__ = "0.1.0"

@@ -434,6 +434,9 @@ def _cmd_verify_prop26(args) -> int:
 
 
 def _cmd_verify_all(args) -> int:
+    symfrob.check_homology_bound(args.max_n, name="max-n")  # before any task
+    if args.threads < 1:
+        raise ValueError("threads must be at least 1")
     tasks = _suite_tasks(args.max_n)
     if args.threads > 1:
         with ProcessPoolExecutor(max_workers=args.threads) as pool:

@@ -6,14 +6,15 @@ A symmetric function in alphabets x and y is a map from pairs of partitions
 (mu, lam) to rational coefficients, read as sum of c * p_mu(x) * p_lam(y).
 Products only ever merge partition multisets, so no monomial expansion is
 materialized anywhere.  Characters of S_m x S_n are integer tables indexed
-the same way.
+the same way.  The homomorphism check on induction products stays in those
+integer tables: it clears the known denominators z_mu z_lam of ch(t) ch(u).
 
 The character of S_n x S_n on the one nonvanishing reduced homology group of
 the proper part of the rank-equal pair poset of two subset lattices is
-computed by a Hopf-trace count of group-fixed chains of the order complex.
-That route needs nothing but exact chain counting plus the fact (checked
-elsewhere via Betti numbers) that the lower homology vanishes, so it is
-independent of the shelling machinery and can serve as an oracle for it.
+(-1)^n times the Mobius number of the subposet fixed by (g, h), by the Hopf
+trace formula and Hall's theorem (Stanley, JCTA 1982).  That number depends
+only on the two cycle types, so it is a recursion over sub-multisets of
+cycle lengths; it uses no labels and no shelling.
 
 Principal specialization turns a characteristic of degree n into a rational
 function whose denominator divides the product of (1 - q^i)^2 for i <= n,
@@ -28,17 +29,15 @@ import itertools
 from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
-from math import factorial
+from math import comb, factorial
 
 from .exactalg import ONE, ZERO, QPolynomial, one_minus_q_power
-from .permstats import w_polynomial
-from .poset import (GradedPoset, boolean_lattice, chains_by_dimension,
-                    proper_part, segre_product)
+from .permstats import ENUMERATION_BOUND, w_polynomial, w_polynomial_recurrence
 
 Partition = tuple[int, ...]
 
 PARTITION_BOUND = 12
-TOP_HOMOLOGY_BOUND = 4
+TOP_HOMOLOGY_BOUND = 10
 INDUCTION_BOUND = 5
 
 
@@ -61,7 +60,8 @@ def partitions_of(n: int) -> tuple[Partition, ...]:
     return tuple(generate(n, n))
 
 
-def z_of(parts) -> int:
+@lru_cache(maxsize=None)
+def z_of(parts: Partition) -> int:
     """Centralizer order of a permutation of cycle type parts:
     the product over part sizes i of i^(m_i) * m_i!."""
     out = 1
@@ -70,8 +70,14 @@ def z_of(parts) -> int:
     return out
 
 
-def class_size(parts) -> int:
-    return factorial(sum(parts)) // z_of(parts)
+def check_homology_bound(n: int, name: str = "n") -> None:
+    """Refuse a homology degree outside 1..TOP_HOMOLOGY_BOUND before any
+    work; the error calls n by name, e.g. "max-n"."""
+    if n < 1:
+        raise ValueError(f"{name} must be at least 1")
+    if n > TOP_HOMOLOGY_BOUND:
+        raise ValueError(f"{name}={n} exceeds the homology bound "
+                         f"{TOP_HOMOLOGY_BOUND}")
 
 
 def h_to_p(n: int) -> dict[Partition, Fraction]:
@@ -138,9 +144,6 @@ class SymFun2:
     def __eq__(self, other) -> bool:
         return isinstance(other, SymFun2) and self.terms == other.terms
 
-    def __hash__(self) -> int:
-        return hash(frozenset(self.terms.items()))
-
     def __repr__(self) -> str:
         if not self.terms:
             return "SymFun2(0)"
@@ -168,9 +171,6 @@ class CharacterTable2:
             raise ValueError("table must cover every class pair exactly once")
         self.m, self.n, self.values = m, n, vals
 
-    def value(self, mu, lam) -> int:
-        return self.values[(tuple(mu), tuple(lam))]
-
     def dimension(self) -> int:
         return self.values[((1,) * self.m, (1,) * self.n)]
 
@@ -180,12 +180,6 @@ class CharacterTable2:
 
     def __repr__(self) -> str:
         return f"CharacterTable2(m={self.m}, n={self.n}, values={self.values})"
-
-
-def trivial_character(m: int, n: int) -> CharacterTable2:
-    return CharacterTable2(m, n, {(mu, lam): 1
-                                  for mu in partitions_of(m)
-                                  for lam in partitions_of(n)})
 
 
 def product_frobenius(table: CharacterTable2) -> SymFun2:
@@ -227,11 +221,10 @@ def symmetric_group_character(lam, mu) -> int:
     return _mn_from_beta(beta, mu)
 
 
-def irreducible_table2(alpha, beta) -> CharacterTable2:
+@lru_cache(maxsize=None)
+def irreducible_table2(alpha: Partition, beta: Partition) -> CharacterTable2:
     """Character of the outer tensor of the irreducibles indexed by alpha and
-    beta, as a table on S_|alpha| x S_|beta|."""
-    alpha = tuple(sorted(alpha, reverse=True))
-    beta = tuple(sorted(beta, reverse=True))
+    beta, as a table on S_|alpha| x S_|beta|; built once per pair."""
     m, n = sum(alpha), sum(beta)
     values = {(mu, lam): symmetric_group_character(alpha, mu)
               * symmetric_group_character(beta, lam)
@@ -241,13 +234,6 @@ def irreducible_table2(alpha, beta) -> CharacterTable2:
 
 # ---------------------------------------------------------------------------
 # symmetric group plumbing (0-based one-line tuples)
-
-def _inverse(perm: tuple[int, ...]) -> tuple[int, ...]:
-    out = [0] * len(perm)
-    for i, v in enumerate(perm):
-        out[v] = i
-    return tuple(out)
-
 
 def _cycle_type(perm: tuple[int, ...]) -> Partition:
     seen = [False] * len(perm)
@@ -286,9 +272,10 @@ def _conjugation_profile(first: int, second: int, mu: Partition) -> dict:
     total = first + second
     g = _perm_of_cycle_type(mu, total)
     profile: dict = {}
-    for a in itertools.permutations(range(total)):
-        ainv = _inverse(a)
-        conj = tuple(ainv[g[a[i]]] for i in range(total))
+    for b in itertools.permutations(range(total)):
+        conj = [0] * total  # b g b^-1
+        for x in range(total):
+            conj[b[x]] = b[g[x]]
         if all(conj[i] < first for i in range(first)):
             ta = _cycle_type(conj[:first])
             tb = _cycle_type(tuple(v - first for v in conj[first:]))
@@ -297,8 +284,14 @@ def _conjugation_profile(first: int, second: int, mu: Partition) -> dict:
     return profile
 
 
-def induce_product_character(t: CharacterTable2, u: CharacterTable2,
-                             bound: int = INDUCTION_BOUND) -> CharacterTable2:
+def _check_induction_bound(big_m: int, big_n: int) -> None:
+    if big_m > INDUCTION_BOUND or big_n > INDUCTION_BOUND:
+        raise ValueError(f"induction sizes ({big_m},{big_n}) exceed the bound "
+                         f"{INDUCTION_BOUND}")
+
+
+def induce_product_character(t: CharacterTable2,
+                             u: CharacterTable2) -> CharacterTable2:
     """Induction product: the outer tensor of t (on S_k x S_l) and u (on
     S_m x S_n), induced to S_(k+m) x S_(l+n).
 
@@ -306,9 +299,8 @@ def induce_product_character(t: CharacterTable2, u: CharacterTable2,
     character over conjugators, componentwise, using the profiles above.
     """
     k, l, m, n = t.m, t.n, u.m, u.n
-    if k + m > bound or l + n > bound:
-        raise ValueError(f"induction sizes ({k + m},{l + n}) exceed the bound {bound}")
     big_m, big_n = k + m, l + n
+    _check_induction_bound(big_m, big_n)
     denominator = factorial(k) * factorial(m) * factorial(l) * factorial(n)
     values = {}
     for mu in partitions_of(big_m):
@@ -326,63 +318,81 @@ def induce_product_character(t: CharacterTable2, u: CharacterTable2,
     return CharacterTable2(big_m, big_n, values)
 
 
+@lru_cache(maxsize=None)
+def _cycle_splits(parts: Partition) -> dict[int, tuple]:
+    """The splits of the cycles of a permutation of cycle type parts into
+    two sets, grouped by the size of the first: each pair of cycle types
+    (a, b) with the number of splits that give it, which is
+    prod_i C(m_i(parts), m_i(a)) = z_parts / (z_a z_b)."""
+    mults = sorted(Counter(parts).items(), reverse=True)
+    out: dict = {}
+    for picks in itertools.product(*(range(mult + 1) for _, mult in mults)):
+        a = tuple(part for (part, _), j in zip(mults, picks) for _ in range(j))
+        b = tuple(part for (part, mult), j in zip(mults, picks)
+                  for _ in range(mult - j))
+        count = 1
+        for (_, mult), j in zip(mults, picks):
+            count *= comb(mult, j)
+        if count * z_of(a) * z_of(b) != z_of(parts):
+            raise ArithmeticError(f"z{list(parts)} / (z{list(a)} z{list(b)}) "
+                                  f"is not {count}")
+        out.setdefault(sum(a), []).append((a, b, count))
+    return {size: tuple(splits) for size, splits in out.items()}
+
+
+def _product_values(t: CharacterTable2, u: CharacterTable2) -> dict:
+    """z_mu z_lam times the coefficient of p_mu(x) p_lam(y) in ch(t) ch(u),
+    for every class pair of S_(k+m) x S_(l+n): the sum of
+    t(a, c) u(b, d) z_mu z_lam / (z_a z_b z_c z_d) over the splits of mu
+    into a and b and of lam into c and d, every factor an integer."""
+    cols = {lam: _cycle_splits(lam).get(t.n, ())
+            for lam in partitions_of(t.n + u.n)}
+    out = {}
+    for mu in partitions_of(t.m + u.m):
+        rows = _cycle_splits(mu).get(t.m, ())
+        for lam, col in cols.items():
+            acc = 0
+            for a, b, wx in rows:
+                for c, d, wy in col:
+                    acc += wx * wy * t.values[(a, c)] * u.values[(b, d)]
+            out[(mu, lam)] = acc
+    return out
+
+
 # ---------------------------------------------------------------------------
 # homology characters of the rank-equal pair poset of two subset lattices
 
 @lru_cache(maxsize=None)
-def _pair_poset(n: int) -> GradedPoset:
-    """Proper part of the rank-equal pair poset of two copies of the subset
-    lattice on [n]; empty for n = 1."""
-    b = boolean_lattice(n)
-    return proper_part(segre_product(b, b))
+def _fixed_mobius(alpha: Partition, beta: Partition) -> int:
+    """mu(bottom, top) of the pair poset on [n] fixed by (g, h) of cycle
+    types alpha and beta.  A fixed pair (S, T) has S a union of g-cycles and
+    T a union of h-cycles with |S| = |T|, and the interval below it is the
+    fixed poset of (g|S, h|T), so mu(bottom, (S, T)) depends only on the
+    cycle types of g|S and h|T."""
+    if not alpha:
+        return 1
+    below = 0
+    right = _cycle_splits(beta)
+    for size, splits in _cycle_splits(alpha).items():
+        for a, _, ca in splits:
+            for b, _, cb in right.get(size, ()):
+                if (a, b) != (alpha, beta):
+                    below += ca * cb * _fixed_mobius(a, b)
+    return -below
 
 
-@lru_cache(maxsize=None)
-def _pair_poset_chains(n: int):
-    return tuple(tuple(level) for level in chains_by_dimension(_pair_poset(n)))
-
-
-def lefschetz_character(n: int, bound: int = TOP_HOMOLOGY_BOUND) -> CharacterTable2:
+def lefschetz_character(n: int) -> CharacterTable2:
     """Character of S_n x S_n on the single nonvanishing reduced homology of
-    the pair poset, from the Hopf trace over the order complex.
-
-    For each class pair (mu, lam) and representative (g, h), the trace on the
-    chain complex is the signed count of fixed chains (with the empty chain
-    contributing at dimension -1); since only the top homology survives, the
-    homology character is (-1)^n times that alternating count.  Chains have
-    distinct ranks and the action preserves rank, so a chain fixed setwise is
-    fixed pointwise; both counts are computed and compared rather than
-    assuming the equivalence.
-    """
-    if n < 1:
-        raise ValueError("n must be at least 1")
-    if n > bound:
-        raise ValueError(f"n={n} exceeds the homology bound {bound}")
-    poset = _pair_poset(n)
-    chains = _pair_poset_chains(n)
-    name_index = {name: i for i, name in enumerate(poset.names)}
-    values = {}
-    for mu in partitions_of(n):
-        g = _perm_of_cycle_type(mu, n)
-        for lam in partitions_of(n):
-            h = _perm_of_cycle_type(lam, n)
-            act = [0] * len(poset)
-            for i, (s, t) in enumerate(poset.names):
-                image = (tuple(sorted(g[x - 1] + 1 for x in s)),
-                         tuple(sorted(h[x - 1] + 1 for x in t)))
-                act[i] = name_index[image]
-            euler = -1
-            for dim, level in enumerate(chains):
-                pointwise = sum(1 for c in level if all(act[v] == v for v in c))
-                setwise = sum(1 for c in level
-                              if sorted(act[v] for v in c) == sorted(c))
-                if pointwise != setwise:
-                    raise ArithmeticError(
-                        f"n={n}, classes {mu}|{lam}: {setwise} chains of "
-                        f"dimension {dim} fixed setwise but {pointwise} pointwise")
-                euler += pointwise if dim % 2 == 0 else -pointwise
-            values[(mu, lam)] = euler if n % 2 == 0 else -euler
-    return CharacterTable2(n, n, values)
+    the proper part of the pair poset on [n].  By the Hopf trace formula the
+    value at (g, h) is (-1)^n times the reduced Euler characteristic of the
+    fixed subcomplex, since only the top homology (dimension n - 2)
+    survives; its chains are those of the fixed subposet, so by Hall's
+    theorem that is the fixed subposet's Mobius number."""
+    check_homology_bound(n)
+    sign = -1 if n % 2 else 1
+    return CharacterTable2(n, n, {(mu, lam): sign * _fixed_mobius(mu, lam)
+                                  for mu in partitions_of(n)
+                                  for lam in partitions_of(n)})
 
 
 @lru_cache(maxsize=None)
@@ -399,26 +409,12 @@ def h_alternating_residual(n: int) -> SymFun2:
     """The alternating sum over i of (-1)^i h_(n-i)(x) h_(n-i)(y) times the
     degree-i homology characteristic; zero exactly when the homology
     characters satisfy the complete-homogeneous identity."""
+    check_homology_bound(n)
     total = SymFun2()
     for i in range(n + 1):
         h = h_to_p(n - i)
         term = tensor_single(h, h) * homology_characteristic(i)
         total = total + term if i % 2 == 0 else total - term
-    return total
-
-
-@lru_cache(maxsize=None)
-def characteristic_by_whitney_recursion(n: int) -> SymFun2:
-    """The top characteristic rebuilt bottom-up from the Whitney-homology
-    decomposition: degree n is the alternating sum over r < n of the degree-r
-    value times h_(n-r)(x) h_(n-r)(y), seeded with 1 at degree 0."""
-    if n == 0:
-        return SymFun2.one()
-    total = SymFun2()
-    for r in range(n):
-        h = h_to_p(n - r)
-        term = characteristic_by_whitney_recursion(r) * tensor_single(h, h)
-        total = total + term if (n - 1 + r) % 2 == 0 else total - term
     return total
 
 
@@ -449,24 +445,27 @@ def principal_specialization(f: SymFun2, n: int) -> QPolynomial:
 
 
 def verify_specialization_identity(n: int) -> bool:
-    """The polynomial identity ps(ch_n) * prod_(i<=n) (1 - q^i)^2 == W_n(q)
-    for the specialized top characteristic."""
-    return principal_specialization(homology_characteristic(n), n) == w_polynomial(n)
+    """The polynomial identity ps(ch_n) * prod_(i<=n) (1 - q^i)^2 == W_n(q),
+    with W_n taken from the recurrence past the enumeration bound."""
+    check_homology_bound(n)
+    w = w_polynomial(n) if n <= ENUMERATION_BOUND else w_polynomial_recurrence(n)
+    return principal_specialization(homology_characteristic(n), n) == w
 
 
-def verify_induction_homomorphism(k: int, l: int, m: int, n: int,
-                                  bound: int = INDUCTION_BOUND) -> bool:
+def verify_induction_homomorphism(k: int, l: int, m: int, n: int) -> bool:
     """The characteristic map must send induction products to products.
     Checked over every pair of irreducible characters of S_k x S_l and
-    S_m x S_n, which span the class functions."""
+    S_m x S_n, which span the class functions: each induced table must equal
+    the integer table of ch(t) ch(u) with its denominators z_mu z_lam
+    cleared."""
+    _check_induction_bound(k + m, l + n)
+    second = [irreducible_table2(gamma, delta)
+              for gamma in partitions_of(m) for delta in partitions_of(n)]
     for alpha in partitions_of(k):
         for beta in partitions_of(l):
             t = irreducible_table2(alpha, beta)
-            ch_t = product_frobenius(t)
-            for gamma in partitions_of(m):
-                for delta in partitions_of(n):
-                    u = irreducible_table2(gamma, delta)
-                    induced = induce_product_character(t, u, bound=bound)
-                    if product_frobenius(induced) != ch_t * product_frobenius(u):
-                        return False
+            for u in second:
+                induced = induce_product_character(t, u)
+                if induced.values != _product_values(t, u):
+                    return False
     return True

@@ -8,17 +8,27 @@ poset oracles list every maximal chain of every interval, count the chains
 of the proper part for Hall's theorem, and build Segre products by
 numbering pairs in a dict and labeling them through element names; the
 rank oracle eliminates over Fractions.  The subspace oracles test containment by
-row reduction and read label sets off every vector of a subspace.
+row reduction and read label sets off every vector of a subspace.  The
+symmetric-function oracles take the homology character from the Hopf trace
+over the chains of the pair poset, and check that induction products go to
+products by comparing characteristics over Fractions.
 """
 
 from fractions import Fraction
+from functools import lru_cache
 from itertools import product
+from math import factorial
 
 from qsegre.exactalg import ONE, QPolynomial
 from qsegre.permstats import _perm_stats
 from qsegre.poset import (ChainReport, EdgeLabeling, ELViolation, GradedPoset,
-                          order_chain_counts)
+                          boolean_lattice, chains_by_dimension,
+                          order_chain_counts, proper_part, segre_product)
 from qsegre.subspace import enumerate_subspaces
+from qsegre.symfrob import (CharacterTable2, SymFun2, _perm_of_cycle_type,
+                            h_to_p, induce_product_character,
+                            irreducible_table2, partitions_of,
+                            product_frobenius, tensor_single, z_of)
 
 
 def series_reciprocal(coeffs) -> list[Fraction]:
@@ -337,3 +347,102 @@ def covers_by_containment(n: int, field) -> dict:
                                               f"gains labels {sorted(gained)}")
                     out[(lower.rows, upper.rows)] = next(iter(gained))
     return out
+
+
+def class_size(parts) -> int:
+    """The number of permutations of cycle type parts."""
+    return factorial(sum(parts)) // z_of(parts)
+
+
+def trivial_character(m: int, n: int) -> CharacterTable2:
+    return CharacterTable2(m, n, {(mu, lam): 1
+                                  for mu in partitions_of(m)
+                                  for lam in partitions_of(n)})
+
+
+@lru_cache(maxsize=None)
+def characteristic_by_whitney_recursion(n: int) -> SymFun2:
+    """The top characteristic rebuilt bottom-up from the Whitney-homology
+    decomposition: degree n is the alternating sum over r < n of the degree-r
+    value times h_(n-r)(x) h_(n-r)(y), seeded with 1 at degree 0."""
+    if n == 0:
+        return SymFun2.one()
+    total = SymFun2()
+    for r in range(n):
+        h = h_to_p(n - r)
+        term = characteristic_by_whitney_recursion(r) * tensor_single(h, h)
+        total = total + term if (n - 1 + r) % 2 == 0 else total - term
+    return total
+
+
+@lru_cache(maxsize=None)
+def pair_poset(n: int) -> GradedPoset:
+    """Proper part of the rank-equal pair poset of two copies of the subset
+    lattice on [n]; empty for n = 1."""
+    b = boolean_lattice(n)
+    return proper_part(segre_product(b, b))
+
+
+def lefschetz_character_by_chains(n: int) -> CharacterTable2:
+    """The top homology character of the pair poset from the Hopf trace over
+    its order complex.
+
+    For each class pair (mu, lam) and representative (g, h), the trace on the
+    chain complex is the signed count of fixed chains (with the empty chain
+    contributing at dimension -1); since only the top homology survives, the
+    homology character is (-1)^n times that alternating count.  Chains have
+    distinct ranks and the action preserves rank, so a chain fixed setwise is
+    fixed pointwise; both counts are computed and compared rather than
+    assuming the equivalence.
+    """
+    poset = pair_poset(n)
+    chains = chains_by_dimension(poset)
+    name_index = {name: i for i, name in enumerate(poset.names)}
+    values = {}
+    for mu in partitions_of(n):
+        g = _perm_of_cycle_type(mu, n)
+        for lam in partitions_of(n):
+            h = _perm_of_cycle_type(lam, n)
+            act = [0] * len(poset)
+            for i, (s, t) in enumerate(poset.names):
+                image = (tuple(sorted(g[x - 1] + 1 for x in s)),
+                         tuple(sorted(h[x - 1] + 1 for x in t)))
+                act[i] = name_index[image]
+            euler = -1
+            for dim, level in enumerate(chains):
+                pointwise = sum(1 for c in level if all(act[v] == v for v in c))
+                setwise = sum(1 for c in level
+                              if sorted(act[v] for v in c) == sorted(c))
+                if pointwise != setwise:
+                    raise ArithmeticError(
+                        f"n={n}, classes {mu}|{lam}: {setwise} chains of "
+                        f"dimension {dim} fixed setwise but {pointwise} pointwise")
+                euler += pointwise if dim % 2 == 0 else -pointwise
+            values[(mu, lam)] = euler if n % 2 == 0 else -euler
+    return CharacterTable2(n, n, values)
+
+
+def induction_homomorphism_by_fractions(k: int, l: int, m: int, n: int,
+                                        induce=induce_product_character) -> bool:
+    """ch(Ind(t x u)) == ch(t) ch(u) as two-alphabet symmetric functions
+    with Fraction coefficients, over every pair of irreducible tables."""
+    for alpha in partitions_of(k):
+        for beta in partitions_of(l):
+            t = irreducible_table2(alpha, beta)
+            ch_t = product_frobenius(t)
+            for gamma in partitions_of(m):
+                for delta in partitions_of(n):
+                    u = irreducible_table2(gamma, delta)
+                    if product_frobenius(induce(t, u)) != \
+                            ch_t * product_frobenius(u):
+                        return False
+    return True
+
+
+def induce_off_by_one(t: CharacterTable2, u: CharacterTable2) -> CharacterTable2:
+    """A broken induction product: the true one with its first value raised
+    by one, for showing that the homomorphism checks catch a wrong table."""
+    induced = induce_product_character(t, u)
+    values = dict(induced.values)
+    values[next(iter(values))] += 1
+    return CharacterTable2(induced.m, induced.n, values)

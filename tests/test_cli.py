@@ -172,6 +172,38 @@ class TestBoundsBeforeWork:
                            f"the bound 100000\n")
 
 
+    def test_homology_degree_outside_the_bound_does_no_work(
+            self, capsys, monkeypatch):
+        from qsegre import symfrob
+        for name in ("h_to_p", "homology_characteristic", "lefschetz_character",
+                     "principal_specialization", "w_polynomial",
+                     "w_polynomial_recurrence"):
+            monkeypatch.setattr(symfrob, name, fail_if_called)
+        for check in ("thm31", "thm48"):
+            for n, text in (("0", "n must be at least 1"),
+                            ("-1", "n must be at least 1"),
+                            ("11", "n=11 exceeds the homology bound 10")):
+                code, out, err = run(capsys, "verify", check, "--n", n)
+                assert_clean_rejection(code, out, err)
+                assert err == f"error: {text}\n"
+
+    def test_suite_arguments_are_refused_before_any_check(
+            self, capsys, monkeypatch):
+        from qsegre import cli
+        monkeypatch.setattr(cli, "_run_suite_task", fail_if_called)
+        monkeypatch.setattr(cli, "ProcessPoolExecutor", fail_if_called)
+        for argv, text in ((("--max-n", "0"), "max-n must be at least 1"),
+                           (("--max-n", "-2"), "max-n must be at least 1"),
+                           (("--max-n", "11", "--threads", "2"),
+                            "max-n=11 exceeds the homology bound 10"),
+                           (("--threads", "0"), "threads must be at least 1"),
+                           (("--threads", "-3", "--json"),
+                            "threads must be at least 1")):
+            code, out, err = run(capsys, "verify", "all", *argv)
+            assert_clean_rejection(code, out, err)
+            assert err == f"error: {text}\n"
+
+
 def fail_if_called(*args, **kwargs):
     raise AssertionError("work started before the bound check")
 
@@ -186,6 +218,22 @@ class TestErrorHandling:
         code, out, err = run(capsys, "verify", "prop26", "--sizes", "1,1,1,1")
         assert_clean_rejection(code, out, err)
         assert "not integral" in err
+
+
+class TestBrokenInduction:
+    def test_a_wrong_induced_table_fails_prop26_and_the_suite(
+            self, capsys, monkeypatch):
+        from oracles import induce_off_by_one
+        from qsegre import symfrob
+        monkeypatch.setattr(symfrob, "induce_product_character",
+                            induce_off_by_one)
+        code, out, err = run(capsys, "verify", "prop26", "--sizes", "1,1,1,1")
+        assert (code, out, err) == (1, "FAIL prop26: sizes (1,1,1,1)\n", "")
+        code, out, err = run(capsys, "verify", "all", "--max-n", "1")
+        assert code == 1 and err == ""
+        lines = out.splitlines()
+        assert lines[-1] == "FAIL prop26: sizes (0,0,0,0)"
+        assert all(line.startswith("PASS") for line in lines[:-1])
 
 
 class TestVerifyCommands:
@@ -269,6 +317,22 @@ class TestGoldenDocuments:
         assert code == 0 and err == ""
         assert out == (GOLDEN / name).read_text()
 
+    @pytest.mark.parametrize("argv, name", [
+        (("verify", "all", "--max-n", "4"), "verify_all_max4.out"),
+        (("verify", "all", "--max-n", "4", "--json"),
+         "verify_all_max4_json.out"),
+        (("frobenius", "--n", "4"), "frobenius_n4.out"),
+        (("verify", "prop26", "--sizes", "2,2,2,2", "--json"),
+         "verify_prop26_2222.out"),
+    ])
+    def test_symmetric_function_documents_are_byte_identical(
+            self, capsys, argv, name):
+        # recorded when the homology character came from the Hopf trace over
+        # the fixed chains and prop26 compared Fraction characteristics
+        code, out, err = run(capsys, *argv)
+        assert code == 0 and err == ""
+        assert out == (GOLDEN / name).read_text()
+
     def test_extension_field_lattice_is_byte_identical(self, capsys):
         # recorded when covers were found by testing every adjacent-rank
         # pair for containment and label sets listed every vector
@@ -282,17 +346,21 @@ class TestGoldenDocuments:
         # factor with W_n, the numerator over it
         import sympy
         from qsegre.exactalg import q_factorial
-        from qsegre.permstats import ENUMERATION_BOUND, w_polynomial
+        from qsegre.permstats import (ENUMERATION_BOUND, w_polynomial,
+                                      w_polynomial_recurrence)
         from qsegre.symfrob import TOP_HOMOLOGY_BOUND, specialization_denominator
         q = sympy.symbols("q")
 
         def to_sympy(p):
             return sympy.Poly(list(reversed(p.coeffs)), q)
 
-        for n in range(ENUMERATION_BOUND + 1):
-            w = to_sympy(w_polynomial(n))
-            factorial_squared = to_sympy(q_factorial(n) * q_factorial(n))
-            assert sympy.gcd(w, factorial_squared).is_one, n
+        assert TOP_HOMOLOGY_BOUND == 10
+        for n in range(max(ENUMERATION_BOUND, TOP_HOMOLOGY_BOUND) + 1):
+            w = to_sympy(w_polynomial(n) if n <= ENUMERATION_BOUND
+                         else w_polynomial_recurrence(n))
+            if n <= ENUMERATION_BOUND:
+                factorial_squared = to_sympy(q_factorial(n) * q_factorial(n))
+                assert sympy.gcd(w, factorial_squared).is_one, n
             if n <= TOP_HOMOLOGY_BOUND:
                 assert sympy.gcd(w, to_sympy(specialization_denominator(n))).is_one, n
 

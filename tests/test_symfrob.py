@@ -3,22 +3,26 @@ from math import comb, factorial
 
 import pytest
 
+from qsegre import symfrob
 from qsegre.exactalg import ONE, QPolynomial
-from qsegre.permstats import w_polynomial
+from qsegre.permstats import (ENUMERATION_BOUND, w_polynomial,
+                              w_polynomial_recurrence)
 from qsegre.poset import rational_betti_numbers
-from qsegre.symfrob import (CharacterTable2, SymFun2, _pair_poset,
-                            characteristic_by_whitney_recursion, class_size,
+from qsegre.symfrob import (TOP_HOMOLOGY_BOUND, CharacterTable2, SymFun2,
                             h_alternating_residual, h_to_p,
                             homology_characteristic, induce_product_character,
                             irreducible_table2, lefschetz_character,
                             partitions_of, principal_specialization,
                             product_frobenius, specialization_denominator,
                             symmetric_group_character, tensor_single,
-                            trivial_character,
                             verify_induction_homomorphism,
                             verify_specialization_identity, z_of)
 
-from oracles import cleared_specialization_matches
+from oracles import (characteristic_by_whitney_recursion, class_size,
+                     cleared_specialization_matches, induce_off_by_one,
+                     induction_homomorphism_by_fractions,
+                     lefschetz_character_by_chains, pair_poset,
+                     trivial_character)
 
 
 class TestPartitions:
@@ -193,17 +197,25 @@ class TestLefschetzCharacter:
 
     def test_dimension_equals_top_betti_number(self):
         for n in (2, 3):
-            betti = rational_betti_numbers(_pair_poset(n))
+            betti = rational_betti_numbers(pair_poset(n))
             assert lefschetz_character(n).dimension() == betti[-1]
             assert all(b == 0 for b in betti[:-1])
 
     def test_dimension_equals_pair_count_at_one(self):
-        for n in (1, 2, 3, 4):
-            assert lefschetz_character(n).dimension() == w_polynomial(n).evaluate(1)
+        for n in range(1, TOP_HOMOLOGY_BOUND + 1):
+            w = (w_polynomial(n) if n <= ENUMERATION_BOUND
+                 else w_polynomial_recurrence(n))
+            assert lefschetz_character(n).dimension() == w.evaluate(1), n
 
     def test_bound_enforced(self):
-        with pytest.raises(ValueError):
-            lefschetz_character(5)
+        assert TOP_HOMOLOGY_BOUND == 10
+        for n in (0, -1, 11):
+            with pytest.raises(ValueError):
+                lefschetz_character(n)
+
+    def test_matches_the_hopf_trace_over_fixed_chains(self):
+        for n in range(1, 5):
+            assert lefschetz_character(n) == lefschetz_character_by_chains(n), n
 
 
 class TestIdentities:
@@ -220,8 +232,8 @@ class TestIdentities:
         assert expected == square - tensor_single(h2, h2)
 
     def test_alternating_residual_vanishes(self):
-        for n in range(1, 5):
-            assert h_alternating_residual(n).is_zero()
+        for n in range(1, TOP_HOMOLOGY_BOUND + 1):
+            assert h_alternating_residual(n).is_zero(), n
 
     def test_whitney_recursion_agrees_with_lefschetz_route(self):
         for n in range(5):
@@ -251,6 +263,11 @@ class TestSpecialization:
     def test_identity_holds_through_degree_four(self):
         for n in range(1, 5):
             assert verify_specialization_identity(n)
+
+    def test_identity_holds_up_to_the_homology_bound(self):
+        # past the enumeration bound W_n comes from the recurrence
+        for n in range(5, TOP_HOMOLOGY_BOUND + 1):
+            assert verify_specialization_identity(n), n
 
     def test_identity_holds_pointwise_through_degree_four(self):
         # independent of principal_specialization: ps(ch_n) evaluated at
@@ -295,6 +312,63 @@ class TestInductionHomomorphism:
         induced = induce_product_character(sign, triv)
         assert product_frobenius(induced) == \
             product_frobenius(sign) * product_frobenius(triv)
+
+    def test_integer_tables_agree_with_the_fraction_route(self):
+        # every size tuple with k + m <= 3 and l + n <= 3, where the integer
+        # route passes too (test_full_sweep_at_size_three); a wrong induced
+        # table fails the Fraction route at each of them
+        for k in range(4):
+            for m in range(4 - k):
+                for l in range(4):
+                    for n in range(4 - l):
+                        assert induction_homomorphism_by_fractions(k, l, m, n)
+                        assert not induction_homomorphism_by_fractions(
+                            k, l, m, n, induce=induce_off_by_one)
+
+    def test_cleared_product_matches_the_fraction_product(self):
+        # on random integer tables, not only characters: z_mu z_lam times
+        # each coefficient of ch(t) ch(u), zero ones included
+        import random
+        rng = random.Random(26)
+        for k, l, m, n in ((0, 1, 2, 0), (1, 1, 1, 1), (2, 1, 2, 3),
+                           (3, 2, 2, 3), (1, 4, 4, 1)):
+            t = CharacterTable2(k, l, {(a, c): rng.randrange(-9, 10)
+                                       for a in partitions_of(k)
+                                       for c in partitions_of(l)})
+            u = CharacterTable2(m, n, {(b, d): rng.randrange(-9, 10)
+                                       for b in partitions_of(m)
+                                       for d in partitions_of(n)})
+            product = product_frobenius(t) * product_frobenius(u)
+            cleared = symfrob._product_values(t, u)
+            assert set(cleared) == {(mu, lam) for mu in partitions_of(k + m)
+                                    for lam in partitions_of(l + n)}
+            for (mu, lam), v in cleared.items():
+                assert v == product.terms.get((mu, lam), 0) * z_of(mu) * z_of(lam)
+
+    def test_a_wrong_split_count_is_refused(self, monkeypatch):
+        # each split count must be z_mu / (z_a z_b); the cache is bypassed
+        monkeypatch.setattr(symfrob, "comb", lambda n, k: 1)
+        with pytest.raises(ArithmeticError, match="is not 1"):
+            symfrob._cycle_splits.__wrapped__((2, 1, 1))
+
+    def test_a_wrong_induced_table_fails_at_every_size(self, monkeypatch):
+        monkeypatch.setattr(symfrob, "induce_product_character",
+                            induce_off_by_one)
+        for k in range(4):
+            for m in range(4 - k):
+                for l in range(4):
+                    for n in range(4 - l):
+                        assert not verify_induction_homomorphism(k, l, m, n)
+
+    def test_bound_is_checked_before_any_table(self, monkeypatch):
+        def fail_if_called(*args, **kwargs):
+            raise AssertionError("work started before the bound check")
+        for name in ("irreducible_table2", "induce_product_character",
+                     "partitions_of"):
+            monkeypatch.setattr(symfrob, name, fail_if_called)
+        for sizes in ((3, 0, 3, 0), (0, 5, 1, 5), (6, 1, 0, 1)):
+            with pytest.raises(ValueError, match="exceed the bound 5"):
+                verify_induction_homomorphism(*sizes)
 
     def test_full_sweep_at_size_three(self):
         for k in range(4):
