@@ -9,8 +9,8 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 
 from . import besselseries, exactalg, permstats, poset, subspace, symfrob
 
@@ -439,6 +439,8 @@ def _cmd_verify_all(args) -> int:
         raise ValueError("threads must be at least 1")
     tasks = _suite_tasks(args.max_n)
     if args.threads > 1:
+        # imported here so that every other command skips loading it
+        from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=args.threads) as pool:
             results = list(pool.map(_run_suite_task, tasks))
     else:
@@ -571,11 +573,25 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+BROKEN_PIPE_STATUS = 141  # 128 + SIGPIPE, as a shell reports a reader gone
+
+
 def main(argv=None) -> int:
+    """Run one command.  Exit status 2 with one `error:` line on a bad input
+    or bound; BROKEN_PIPE_STATUS, silently, when stdout's reader has gone."""
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        status = args.func(args)
+        sys.stdout.flush()  # a closed pipe fails here, not at exit
+        return status
+    except BrokenPipeError:
+        # stdout still holds unwritten bytes; point it at devnull so that
+        # the interpreter's flush at exit has nowhere to fail
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return BROKEN_PIPE_STATUS
     except (ValueError, ArithmeticError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -7,11 +7,14 @@ must raise rank by exactly one (everything in scope is graded), which also
 rules out cycles.  No kernel enumerates maximal chains: the EL check, the
 descending count and the chain tally are dynamic programs over the covers,
 so their cost grows with the covers times the distinct labels or label
-words.  Only mobius_number, leq and strictly_below/strictly_above (so also
-chains_by_dimension) build the quadratic reachability bitsets, one mask per
-element; their queries walk only the set bits (`mask & -mask`).  Boundary
-ranks for Betti numbers come from fraction-free integer elimination, which
-gives the rank over the rationals.
+words.  Only mobius_number, order_chain_counts, leq and
+strictly_below/strictly_above (so also chains_by_dimension) build the
+quadratic reachability bitsets, one mask per element; their queries walk
+only the set bits (`mask & -mask`).  Betti numbers come from an acyclic
+element matching on the order complex (discrete Morse theory): its critical
+chains span the Morse complex, whose boundary follows gradient paths, so
+nothing is eliminated when the critical chains fill one dimension.  The
+face count is bounded by FACE_COUNT_BOUND before any chain is listed.
 
 Construction is single threaded; after that every query is read-only apart
 from idempotent lazy caches, so built posets can be shared by concurrent
@@ -25,6 +28,8 @@ from dataclasses import dataclass
 from itertools import accumulate, chain, combinations, islice
 from math import gcd
 from typing import Callable, Optional
+
+FACE_COUNT_BOUND = 500_000
 
 
 def _set_bits(mask: int) -> list[int]:
@@ -249,25 +254,28 @@ def mobius_number(p: GradedPoset) -> int:
 
 def order_chain_counts(p: GradedPoset) -> list[int]:
     """Entry j is the number of chains with j+1 elements (faces of the order
-    complex of dimension j)."""
-    m = len(p)
+    complex of dimension j).
+
+    starts[x][j], the chains with j+1 elements whose least element is x, is
+    1 for j = 0 and else the sum of starts[y][j-1] over y above x.  Taken in
+    descending rank, each dimension keeps one mask per distinct value seen
+    so far, so that sum is one popcount per value class, as in
+    mobius_number; only the value classes are stored."""
+    above = p._above_masks()
+    classes: list[dict[int, int]] = []
     counts: list[int] = []
-    ways: list[list[int]] = [[] for _ in range(m)]
-    for x in sorted(range(m), key=lambda e: p.ranks[e]):
-        below = p.strictly_below(x)
-        w = [1]
-        j = 1
-        while True:
-            total = sum(ways[y][j - 1] for y in below if len(ways[y]) >= j)
-            if total == 0:
-                break
-            w.append(total)
-            j += 1
-        ways[x] = w
-        for dim, count in enumerate(w):
-            if dim == len(counts):
+    for x in sorted(range(len(p)), key=lambda e: -p.ranks[e]):
+        strict = above[x] ^ (1 << x)
+        value, j = 1, 0
+        while value:
+            if j == len(counts):
+                classes.append({})
                 counts.append(0)
-            counts[dim] += count
+            counts[j] += value
+            classes[j][value] = classes[j].get(value, 0) | (1 << x)
+            value = sum(v * (strict & mask).bit_count()
+                        for v, mask in classes[j].items())
+            j += 1
     return counts
 
 
@@ -452,22 +460,15 @@ def descending_chain_count(p: GradedPoset, labeling: EdgeLabeling) -> int:
 
 
 def chains_by_dimension(p: GradedPoset) -> list[list[tuple[int, ...]]]:
-    """All chains of the poset grouped by dimension (j+1 elements -> index j)."""
+    """All chains of the poset grouped by dimension (j+1 elements -> index
+    j), each group in lexicographic order: a chain is extended by every
+    element above its last."""
+    above = [p.strictly_above(v) for v in range(len(p))]
     by_dim: list[list[tuple[int, ...]]] = []
-
-    def record(chain):
-        dim = len(chain) - 1
-        if dim == len(by_dim):
-            by_dim.append([])
-        by_dim[dim].append(chain)
-
-    def extend(chain):
-        record(chain)
-        for nxt in p.strictly_above(chain[-1]):
-            extend(chain + (nxt,))
-
-    for v in range(len(p)):
-        extend((v,))
+    level = [(v,) for v in range(len(p))]
+    while level:
+        by_dim.append(level)
+        level = [c + (y,) for c in level for y in above[c[-1]]]
     return by_dim
 
 
@@ -516,32 +517,103 @@ def _rank_of_sparse_rows(rows: list[dict[int, int]]) -> int:
     return len(pivots)
 
 
+def _element_matching(p: GradedPoset, chains) -> dict:
+    """The iterated element matching on the chains (with the empty chain)
+    of p, as a map sending each matched chain to its partner.
+
+    The elements are taken in (rank, index) order; element x pairs every
+    chain s without x, both still unmatched, with s + x when that is a
+    chain.  One pass over the chains that contain x finds those pairs, and
+    within one pass they are disjoint.  A sequence of element matchings is
+    acyclic (Jonsson, Simplicial Complexes of Graphs, LNM 1928), so the
+    unmatched chains span a Morse complex with the reduced homology of the
+    order complex (Forman 1998).
+    """
+    containing: list[list[tuple[int, ...]]] = [[] for _ in range(len(p))]
+    for level in chains:
+        for c in level:
+            for v in c:
+                containing[v].append(c)
+    mate: dict = {}
+    for x in sorted(range(len(p)), key=lambda e: (p.ranks[e], e)):
+        for upper in containing[x]:
+            if upper in mate:
+                continue
+            t = upper.index(x)
+            lower = upper[:t] + upper[t + 1:]
+            if lower not in mate:
+                mate[upper], mate[lower] = lower, upper
+    return mate
+
+
+def _faces(chain: tuple) -> list[tuple[tuple, int]]:
+    """The codimension-one faces of a chain with their incidence signs."""
+    return [(chain[:t] + chain[t + 1:], -1 if t % 2 else 1)
+            for t in range(len(chain))]
+
+
+def _morse_boundary(cell: tuple, mate: dict) -> dict:
+    """The boundary of a critical chain in the Morse complex of mate: the
+    critical faces reached by gradient paths, with their summed weights.
+
+    A face matched upward, to s, is traded for minus its incidence in s
+    times the other faces of s; a face matched downward ends its paths.
+    The matching is acyclic, so the trading ends with critical faces only.
+    """
+    row: dict = {}
+    pending = dict(_faces(cell))
+    while pending:
+        face, a = pending.popitem()
+        partner = mate.get(face)
+        if partner is None:
+            row[face] = row.get(face, 0) + a
+        elif len(partner) > len(face):
+            faces = _faces(partner)
+            step = -a * next(s for f, s in faces if f == face)
+            for f, s in faces:
+                if f != face:
+                    v = pending.get(f, 0) + step * s
+                    if v:
+                        pending[f] = v
+                    else:
+                        del pending[f]
+    return {f: v for f, v in row.items() if v}
+
+
 def rational_betti_numbers(p: GradedPoset) -> list[int]:
     """Reduced Betti numbers of the order complex over the rationals,
     dimensions 0 through the top; empty for the empty poset.
 
-    Computed from the ranks of the simplicial boundary maps, taken over the
-    rationals by fraction-free integer elimination, with the augmentation
-    map accounting for reduced homology.  Torsion does not count: the face
-    poset of the six-vertex real projective plane has all Betti numbers 0.
+    The face count is checked against FACE_COUNT_BOUND before any chain is
+    listed.  The critical chains of _element_matching are a basis of the
+    Morse complex; its boundary rows come from _morse_boundary, taken only
+    between two dimensions that both hold critical chains, and are ranked
+    over the rationals by fraction-free integer elimination.  The empty
+    chain is matched with the first element, so the homology is reduced.
+    Torsion does not count: the face poset of the six-vertex real
+    projective plane has all Betti numbers 0.
     """
     if len(p) == 0:
         return []
+    counts = order_chain_counts(p)
+    if sum(counts) > FACE_COUNT_BOUND:
+        raise ValueError(f"{sum(counts)} faces of the order complex exceed "
+                         f"the bound {FACE_COUNT_BOUND}")
     chains = chains_by_dimension(p)
-    top = len(chains) - 1
-    indices = [{chain: pos for pos, chain in enumerate(level)} for level in chains]
-    ranks = [0] * (top + 2)
-    ranks[0] = 1  # augmentation onto the empty simplex
-    for j in range(1, top + 1):
-        rows = []
-        for chain in chains[j]:
-            row = {}
-            for t in range(j + 1):
-                face = chain[:t] + chain[t + 1:]
-                row[indices[j - 1][face]] = -1 if t % 2 else 1
-            rows.append(row)
-        ranks[j] = _rank_of_sparse_rows(rows)
-    betti = [len(chains[j]) - ranks[j] - ranks[j + 1] for j in range(top + 1)]
+    if [len(level) for level in chains] != counts:
+        raise ArithmeticError(f"listed {[len(level) for level in chains]} "
+                              f"chains by dimension but counted {counts}")
+    mate = _element_matching(p, chains)
+    critical = [[c for c in level if c not in mate] for level in chains]
+    ranks = [0] * (len(chains) + 1)
+    for j in range(1, len(chains)):
+        if critical[j] and critical[j - 1]:
+            column = {c: k for k, c in enumerate(critical[j - 1])}
+            ranks[j] = _rank_of_sparse_rows(
+                [{column[f]: v for f, v in _morse_boundary(c, mate).items()}
+                 for c in critical[j]])
+    betti = [len(critical[j]) - ranks[j] - ranks[j + 1]
+             for j in range(len(chains))]
     if any(b < 0 for b in betti):
         raise ArithmeticError(f"negative Betti numbers {betti} on a poset of "
                               f"{len(p)} elements and rank sizes {p.rank_sizes()}")

@@ -432,13 +432,19 @@ def principal_specialization(f: SymFun2, n: int) -> QPolynomial:
     either partition contributes a factor 1/(1 - q^a).  Returned as the
     numerator over specialization_denominator(n), which every term's
     denominator divides when f has degree at most n in each alphabet (a
-    q-multinomial is a polynomial); a term whose denominator does not divide
-    it raises ValueError."""
+    q-multinomial is a polynomial).  A term's value depends only on the
+    multiset of its parts, so the coefficients are summed per multiset and
+    the denominator is divided once per multiset; one whose product does
+    not divide it raises ValueError, even when its coefficients cancel."""
     denominator = specialization_denominator(n)
-    total = ZERO
+    by_parts: dict[tuple[int, ...], Fraction] = {}
     for (mu, lam), c in f.terms.items():
+        parts = tuple(sorted(mu + lam))
+        by_parts[parts] = by_parts.get(parts, 0) + c
+    total = ZERO
+    for parts, c in by_parts.items():
         term_den = ONE
-        for part in mu + lam:
+        for part in parts:
             term_den = term_den * one_minus_q_power(part)
         total = total + denominator.exact_div(term_den) * c
     return total

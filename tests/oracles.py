@@ -7,7 +7,9 @@ values pin the polynomial, and everything at a point is a Fraction.  The
 poset oracles list every maximal chain of every interval, count the chains
 of the proper part for Hall's theorem, and build Segre products by
 numbering pairs in a dict and labeling them through element names; the
-rank oracle eliminates over Fractions.  The subspace oracles test containment by
+Betti oracle eliminates over the whole order complex, listed chain by
+chain from subsets of elements, and the rank oracle eliminates over
+Fractions.  The subspace oracles test containment by
 row reduction and read label sets off every vector of a subspace.  The
 symmetric-function oracles take the homology character from the Hopf trace
 over the chains of the pair poset, and check that induction products go to
@@ -19,16 +21,18 @@ from functools import lru_cache
 from itertools import product
 from math import factorial
 
-from qsegre.exactalg import ONE, QPolynomial
+from qsegre.exactalg import ONE, QPolynomial, one_minus_q_power
 from qsegre.permstats import _perm_stats
 from qsegre.poset import (ChainReport, EdgeLabeling, ELViolation, GradedPoset,
                           boolean_lattice, chains_by_dimension,
-                          order_chain_counts, proper_part, segre_product)
+                          order_chain_counts, proper_part, segre_product,
+                          _rank_of_sparse_rows)
 from qsegre.subspace import enumerate_subspaces
 from qsegre.symfrob import (CharacterTable2, SymFun2, _perm_of_cycle_type,
                             h_to_p, induce_product_character,
                             irreducible_table2, partitions_of,
-                            product_frobenius, tensor_single, z_of)
+                            product_frobenius, specialization_denominator,
+                            tensor_single, z_of)
 
 
 def series_reciprocal(coeffs) -> list[Fraction]:
@@ -119,6 +123,20 @@ def cleared_specialization_matches(f, n: int, target: QPolynomial) -> bool:
         if specialization_at(f, q) * denominator != target.evaluate(q):
             return False
     return True
+
+
+def principal_specialization_by_terms(f, n: int) -> QPolynomial:
+    """ps(f) as a numerator over specialization_denominator(n), dividing
+    that denominator by the product of 1 - q^a over the parts of each term
+    in turn."""
+    denominator = specialization_denominator(n)
+    total = QPolynomial()
+    for (mu, lam), c in f.terms.items():
+        term_den = ONE
+        for part in mu + lam:
+            term_den = term_den * one_minus_q_power(part)
+        total = total + denominator.exact_div(term_den) * c
+    return total
 
 
 def w_polynomial_by_pair_scan(n: int) -> QPolynomial:
@@ -287,6 +305,45 @@ def rank_over_rationals(rows) -> int:
                 else:
                     row.pop(c, None)
     return len(pivots)
+
+
+def chains_by_subsets(p) -> list[list[tuple[int, ...]]]:
+    """The chains of p grouped by dimension: the sets of pairwise comparable
+    elements, grown one element of larger index at a time, each listed in
+    rank order and each group sorted."""
+    comparable = [[p.leq(a, b) or p.leq(b, a) for b in range(len(p))]
+                  for a in range(len(p))]
+    by_dim = []
+    level = [(v,) for v in range(len(p))]
+    while level:
+        by_dim.append(sorted(tuple(sorted(c, key=p.ranks.__getitem__))
+                             for c in level))
+        level = [c + (y,) for c in level for y in range(c[-1] + 1, len(p))
+                 if all(comparable[v][y] for v in c)]
+    return by_dim
+
+
+def rational_betti_numbers_by_elimination(p) -> list[int]:
+    """Reduced Betti numbers over the rationals from the ranks of every
+    boundary map of the order complex, the augmentation onto the empty chain
+    included, each taken by fraction-free elimination over all its rows."""
+    if len(p) == 0:
+        return []
+    chains = chains_by_subsets(p)
+    top = len(chains) - 1
+    indices = [{chain: pos for pos, chain in enumerate(level)} for level in chains]
+    ranks = [0] * (top + 2)
+    ranks[0] = 1  # augmentation onto the empty simplex
+    for j in range(1, top + 1):
+        rows = []
+        for chain in chains[j]:
+            row = {}
+            for t in range(j + 1):
+                face = chain[:t] + chain[t + 1:]
+                row[indices[j - 1][face]] = -1 if t % 2 else 1
+            rows.append(row)
+        ranks[j] = _rank_of_sparse_rows(rows)
+    return [len(chains[j]) - ranks[j] - ranks[j + 1] for j in range(top + 1)]
 
 
 def contains(upper, lower) -> bool:

@@ -1,5 +1,8 @@
 import json
+import os
 import pathlib
+import subprocess
+import sys
 
 import pytest
 
@@ -189,9 +192,11 @@ class TestBoundsBeforeWork:
 
     def test_suite_arguments_are_refused_before_any_check(
             self, capsys, monkeypatch):
+        import concurrent.futures
         from qsegre import cli
         monkeypatch.setattr(cli, "_run_suite_task", fail_if_called)
-        monkeypatch.setattr(cli, "ProcessPoolExecutor", fail_if_called)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
+                            fail_if_called)
         for argv, text in ((("--max-n", "0"), "max-n must be at least 1"),
                            (("--max-n", "-2"), "max-n must be at least 1"),
                            (("--max-n", "11", "--threads", "2"),
@@ -202,6 +207,18 @@ class TestBoundsBeforeWork:
             code, out, err = run(capsys, "verify", "all", *argv)
             assert_clean_rejection(code, out, err)
             assert err == f"error: {text}\n"
+
+
+    def test_order_complex_beyond_the_face_bound_lists_no_chain(
+            self, capsys, monkeypatch):
+        # the proper part of the (4,3) square has 5157700 faces
+        from qsegre import poset
+        monkeypatch.setattr(poset, "chains_by_dimension", fail_if_called)
+        code, out, err = run(capsys, "betti", "--n", "4", "--q", "3",
+                             "--segre", "--json")
+        assert_clean_rejection(code, out, err)
+        assert err == ("error: 5157700 faces of the order complex exceed "
+                       "the bound 500000\n")
 
 
 def fail_if_called(*args, **kwargs):
@@ -333,6 +350,24 @@ class TestGoldenDocuments:
         assert code == 0 and err == ""
         assert out == (GOLDEN / name).read_text()
 
+    def test_specialization_document_is_byte_identical(self, capsys):
+        # recorded when the specialization divided once per term
+        code, out, err = run(capsys, "frobenius", "--n", "6")
+        assert code == 0 and err == ""
+        assert out == (GOLDEN / "frobenius_n6.out").read_text()
+
+    @pytest.mark.parametrize("argv, name", [
+        (("betti", "--n", "3", "--q", "5", "--segre", "--json"),
+         "betti_n3_q5_segre_json.out"),
+        (("betti", "--n", "3", "--q", "3", "--segre"), "betti_n3_q3_segre.out"),
+    ])
+    def test_betti_documents_are_byte_identical(self, capsys, argv, name):
+        # recorded when the ranks came from elimination over every boundary
+        # map of the order complex
+        code, out, err = run(capsys, *argv)
+        assert code == 0 and err == ""
+        assert out == (GOLDEN / name).read_text()
+
     def test_extension_field_lattice_is_byte_identical(self, capsys):
         # recorded when covers were found by testing every adjacent-rank
         # pair for containment and label sets listed every vector
@@ -393,20 +428,43 @@ class TestGoldenDocuments:
         assert labeling is not None and labeling.less((1, 1), (2, 2))
 
 
+def child_env() -> dict:
+    """The environment with this checkout's src first on PYTHONPATH."""
+    env = dict(os.environ)
+    src = str(pathlib.Path(__file__).resolve().parent.parent / "src")
+    env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+    return env
+
+
 class TestConsoleEntry:
     def test_module_execution(self):
-        import os
-        import pathlib
-        import subprocess
-        import sys
-        env = dict(os.environ)
-        src = str(pathlib.Path(__file__).resolve().parent.parent / "src")
-        env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
         proc = subprocess.run(
             [sys.executable, "-m", "qsegre", "wq", "--n", "2"],
-            capture_output=True, text=True, env=env)
+            capture_output=True, text=True, env=child_env())
         assert proc.returncode == 0
         assert json.loads(proc.stdout) == ["0", "2", "1"]
+
+    def test_import_leaves_the_process_pool_unloaded(self):
+        proc = subprocess.run(
+            [sys.executable, "-c", "import sys, qsegre.cli; "
+             "print('concurrent.futures' in sys.modules)"],
+            capture_output=True, text=True, env=child_env())
+        assert (proc.returncode, proc.stdout, proc.stderr) == (0, "False\n", "")
+
+    @pytest.mark.parametrize("argv", [
+        ("wq", "--n", "2"),  # fits the buffer: fails at the final flush
+        ("lattice", "--n", "3", "--q", "3", "--json"),  # fails mid-print
+    ])
+    def test_closed_stdout_exits_quietly(self, argv):
+        read_end, write_end = os.pipe()
+        os.close(read_end)  # no reader exists before the child writes
+        try:
+            proc = subprocess.run([sys.executable, "-m", "qsegre", *argv],
+                                  stdout=write_end, stderr=subprocess.PIPE,
+                                  text=True, env=child_env())
+        finally:
+            os.close(write_end)
+        assert (proc.returncode, proc.stderr) == (141, "")
 
     def test_negative_n_is_a_clean_error(self, capsys):
         code, _, err = run(capsys, "wq", "--n", "-1")

@@ -6,18 +6,21 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qsegre.poset import (ChainReport, EdgeLabeling, GradedPoset,
-                          boolean_lattice, boolean_lattice_labeled,
-                          chain_report, check_el_labeling,
+from qsegre.poset import (FACE_COUNT_BOUND, ChainReport, EdgeLabeling,
+                          GradedPoset, boolean_lattice, boolean_lattice_labeled,
+                          chain_report, chains_by_dimension, check_el_labeling,
                           descending_chain_count, mobius_number,
                           order_chain_counts, product_order_less, proper_part,
                           rational_betti_numbers, segre_product,
-                          to_interchange, _rank_of_sparse_rows)
-from qsegre.cli import prime_power
+                          to_interchange, _element_matching, _morse_boundary,
+                          _rank_of_sparse_rows)
+from qsegre.cli import BETTI_MATRIX, prime_power
 from qsegre.subspace import FiniteField, build_bnq, build_segre_bnq
 
-from oracles import (chain_report_by_enumeration, el_check_by_intervals,
-                     from_interchange, maximal_chains, rank_over_rationals,
+from oracles import (chain_report_by_enumeration, chains_by_subsets,
+                     el_check_by_intervals, from_interchange, maximal_chains,
+                     pair_poset, rank_over_rationals,
+                     rational_betti_numbers_by_elimination,
                      reduced_euler_characteristic, segre_labels_by_names,
                      segre_product_by_pairs)
 
@@ -446,8 +449,9 @@ class TestKernelsAgainstOracles:
 
 
 class TestQuadraticBitsets:
-    """Only mobius_number, leq and strictly_below/strictly_above build the
-    per-element reachability masks."""
+    """Only mobius_number, order_chain_counts, leq and
+    strictly_below/strictly_above build the per-element reachability
+    masks."""
 
     def test_cover_kernels_leave_the_masks_unbuilt(self):
         sp, labeling = build_segre_bnq(2, FiniteField(3, 1))
@@ -473,6 +477,57 @@ def rp2_face_poset():
     return GradedPoset(faces, [len(f) - 1 for f in faces], covers)
 
 
+def _random_layered_poset(rng):
+    """Random graded poset of up to 11 elements in up to four ranks, each
+    adjacent-rank pair a cover with probability one half, so its order
+    complex often has homology in several dimensions."""
+    ranks = sorted(rng.randrange(4) for _ in range(rng.randrange(1, 12)))
+    covers = [(a, b) for a in range(len(ranks)) for b in range(len(ranks))
+              if ranks[b] == ranks[a] + 1 and rng.random() < 0.5]
+    return GradedPoset([f"v{i}" for i in range(len(ranks))], ranks, covers)
+
+
+def _random_face_poset(rng):
+    """Face poset of a random simplicial complex on four to six vertices,
+    generated by up to seven edges and triangles, its elements numbered in
+    random order; about a third of these have critical chains in two
+    adjacent dimensions with a nonzero Morse boundary between them."""
+    vertices = range(rng.randrange(4, 7))
+    simplices = (list(itertools.combinations(vertices, 2))
+                 + list(itertools.combinations(vertices, 3)))
+    faces = sorted({face for top in rng.sample(simplices, rng.randrange(1, 8))
+                    for k in range(1, len(top) + 1)
+                    for face in itertools.combinations(top, k)})
+    rng.shuffle(faces)
+    index = {f: i for i, f in enumerate(faces)}
+    covers = [(index[f[:t] + f[t + 1:]], index[f]) for f in faces if len(f) > 1
+              for t in range(len(f))]
+    return GradedPoset(faces, [len(f) - 1 for f in faces], covers)
+
+
+def segre_face_count(n: int, q: int) -> int:
+    """Faces of the order complex of the proper part of the Segre square of
+    B_n(q): pairs of flags of one dimension set S in {1..n-1}, so the sum
+    over nonempty S of the squared q-multinomial count of such flags."""
+    total = 0
+    for size in range(1, n):
+        for dims in itertools.combinations(range(1, n), size):
+            flags, previous = 1, 0
+            for d in dims + (n,):
+                flags *= q_binomial_at(n - previous, d - previous, q)
+                previous = d
+            total += flags ** 2
+    return total
+
+
+def q_binomial_at(n: int, k: int, q: int) -> int:
+    """Subspaces of dimension k in F_q^n."""
+    out = 1
+    for i in range(k):
+        out = out * (q ** (n - i) - 1) // (q ** (i + 1) - 1)
+    return out
+
+
 class TestBetti:
     def test_real_projective_plane_has_no_rational_homology(self):
         # H_1 is Z/2, so over GF(2) the ranks would be 1 in degrees 1 and 2;
@@ -484,12 +539,44 @@ class TestBetti:
                    for e in edges)
         assert reduced_euler_characteristic(p) == 0
         assert rational_betti_numbers(p) == [0, 0, 0]
+        assert rational_betti_numbers_by_elimination(p) == [0, 0, 0]
+
+    def test_real_projective_plane_has_a_nonempty_morse_boundary(self):
+        # two critical chains in each of dimensions 1 and 2; the boundary
+        # between them has determinant +-2, the torsion Z/2, so rank 2 over
+        # the rationals and the same Betti numbers as elimination
+        p = rp2_face_poset()
+        chains = chains_by_dimension(p)
+        mate = _element_matching(p, chains)
+        critical = [[c for c in level if c not in mate] for level in chains]
+        assert [len(level) for level in critical] == [0, 2, 2]
+        assert all(_morse_boundary(c, mate) == {} for c in critical[1])
+        (a, b), (c, d) = ([_morse_boundary(cell, mate).get(f, 0)
+                           for f in critical[1]] for cell in critical[2])
+        assert abs(a * d - b * c) == 2
+
+    def test_matching_pairs_chains_that_differ_by_one_element(self):
+        p = proper_part(segre_product(boolean_lattice(3), boolean_lattice(3)))
+        chains = chains_by_dimension(p)
+        mate = _element_matching(p, chains)
+        assert mate[()] == (0,)  # the empty chain goes with the first element
+        for c, partner in mate.items():
+            assert mate[partner] == c
+            small, big = sorted((c, partner), key=len)
+            assert len(big) == len(small) + 1 and set(small) < set(big)
+        critical = [sum(1 for c in level if c not in mate) for level in chains]
+        assert critical == [0, 19]
 
     def test_antichain(self):
         assert rational_betti_numbers(antichain(4)) == [3]
+        for k in range(1, 6):
+            assert rational_betti_numbers(antichain(k)) == \
+                rational_betti_numbers_by_elimination(antichain(k)) == [k - 1]
 
     def test_empty_poset(self):
-        assert rational_betti_numbers(GradedPoset([], [], [])) == []
+        empty = GradedPoset([], [], [])
+        assert rational_betti_numbers(empty) == []
+        assert rational_betti_numbers_by_elimination(empty) == []
 
     def test_wedge_of_circles(self):
         # the proper part of the Segre square of the boolean cube is
@@ -497,6 +584,39 @@ class TestBetti:
         b3 = boolean_lattice(3)
         pp = proper_part(segre_product(b3, b3))
         assert rational_betti_numbers(pp) == [0, 19]
+
+    def test_pair_posets_match_elimination(self):
+        for n in (1, 2, 3):
+            p = pair_poset(n)
+            assert rational_betti_numbers(p) == \
+                rational_betti_numbers_by_elimination(p)
+
+    def test_betti_matrix_squares_match_elimination(self):
+        for n, q in sorted(set(BETTI_MATRIX) | {(3, 3)}):
+            p = proper_part(build_segre_bnq(n, FiniteField(*prime_power(q)))[0])
+            assert rational_betti_numbers(p) == \
+                rational_betti_numbers_by_elimination(p), (n, q)
+
+    @given(st.randoms(use_true_random=False))
+    @settings(max_examples=150, deadline=None)
+    def test_random_graded_posets_match_elimination(self, rng):
+        p = _random_layered_poset(rng)
+        assert rational_betti_numbers(p) == \
+            rational_betti_numbers_by_elimination(p)
+
+    @given(st.randoms(use_true_random=False))
+    @settings(max_examples=100, deadline=None)
+    def test_random_face_posets_match_elimination(self, rng):
+        p = _random_face_poset(rng)
+        assert rational_betti_numbers(p) == \
+            rational_betti_numbers_by_elimination(p)
+
+    @given(st.randoms(use_true_random=False))
+    @settings(max_examples=60, deadline=None)
+    def test_random_proper_parts_match_elimination(self, rng):
+        p = proper_part(_random_bounded_poset(rng, max_width=5, max_depth=4))
+        assert rational_betti_numbers(p) == \
+            rational_betti_numbers_by_elimination(p)
 
     def test_euler_poincare_on_small_corpus(self):
         builders = (
@@ -510,6 +630,53 @@ class TestBetti:
             betti = rational_betti_numbers(p)
             alternating = sum((-1) ** j * b for j, b in enumerate(betti))
             assert alternating == reduced_euler_characteristic(p)
+
+
+class TestFaceBound:
+    def test_face_formula_matches_the_chain_counts(self):
+        for n, q in ((2, 2), (2, 3), (3, 2), (3, 3), (3, 4), (4, 2)):
+            p = proper_part(build_segre_bnq(n, FiniteField(*prime_power(q)))[0])
+            assert sum(order_chain_counts(p)) == segre_face_count(n, q), (n, q)
+
+    def test_bound_admits_the_desk_squares_and_refuses_the_next(self):
+        for n, q in ((4, 2), (3, 7), (3, 8)):
+            assert segre_face_count(n, q) <= FACE_COUNT_BOUND, (n, q)
+        assert segre_face_count(3, 8) == 442307
+        assert segre_face_count(4, 3) == 5157700 > FACE_COUNT_BOUND
+        assert segre_face_count(3, 9) > FACE_COUNT_BOUND
+
+    def test_over_the_bound_no_chain_is_listed(self, monkeypatch):
+        import qsegre.poset as poset_module
+        p = proper_part(segre_product(boolean_lattice(3), boolean_lattice(3)))
+        faces = sum(order_chain_counts(p))
+        monkeypatch.setattr(poset_module, "chains_by_dimension", fail_if_called)
+        monkeypatch.setattr(poset_module, "FACE_COUNT_BOUND", faces - 1)
+        with pytest.raises(ValueError, match=f"^{faces} faces of the order "
+                                             f"complex exceed the bound {faces - 1}$"):
+            rational_betti_numbers(p)
+        monkeypatch.undo()
+        monkeypatch.setattr(poset_module, "FACE_COUNT_BOUND", faces)
+        assert rational_betti_numbers(p) == [0, 19]
+
+    def test_the_deep_square_has_homology_on_top_only(self):
+        # (4,2): 1675 proper elements, 133975 faces; 10.6 s by elimination
+        p = proper_part(build_segre_bnq(4, FiniteField(2, 1))[0])
+        assert sum(order_chain_counts(p)) == 133975
+        assert rational_betti_numbers(p) == [0, 0, 67824]
+
+
+def fail_if_called(*args, **kwargs):
+    raise AssertionError("chains listed before the face bound was checked")
+
+
+class TestChainListing:
+    @given(st.randoms(use_true_random=False))
+    @settings(max_examples=100, deadline=None)
+    def test_counts_and_listing_match_pairwise_comparable_sets(self, rng):
+        p = _random_layered_poset(rng)
+        chains = chains_by_subsets(p)
+        assert chains_by_dimension(p) == chains
+        assert order_chain_counts(p) == [len(level) for level in chains]
 
 
 class TestInterchange:

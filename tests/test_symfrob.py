@@ -22,7 +22,7 @@ from oracles import (characteristic_by_whitney_recursion, class_size,
                      cleared_specialization_matches, induce_off_by_one,
                      induction_homomorphism_by_fractions,
                      lefschetz_character_by_chains, pair_poset,
-                     trivial_character)
+                     principal_specialization_by_terms, trivial_character)
 
 
 class TestPartitions:
@@ -281,6 +281,24 @@ class TestSpecialization:
     def test_denominator_must_clear_every_term(self):
         with pytest.raises(ValueError, match="not divisible"):
             principal_specialization(homology_characteristic(3), 2)
+
+    def test_denominator_must_clear_a_class_that_cancels(self):
+        # p_3(x) - p_3(y) has one multiset of parts, {3}, with coefficient
+        # sum 0, and 1 - q^3 does not divide (1 - q)^2
+        cancelling = SymFun2({((3,), ()): 1, ((), (3,)): -1})
+        with pytest.raises(ValueError, match="not divisible"):
+            principal_specialization(cancelling, 1)
+
+    def test_grouping_by_multiset_matches_term_by_term(self):
+        for n in range(1, 7):
+            f = homology_characteristic(n)
+            assert principal_specialization(f, n) == \
+                principal_specialization_by_terms(f, n), n
+        # mixed classes: p_1(x) p_2(y) and p_2(x) p_1(y) share {1, 2}
+        f = SymFun2({((1,), (2,)): Fraction(1, 3), ((2,), (1,)): Fraction(2, 3),
+                     ((1, 1), ()): -1, ((2,), ()): Fraction(5, 2)})
+        assert principal_specialization(f, 2) == \
+            principal_specialization_by_terms(f, 2)
 
     def test_specializing_the_alternating_identity_recovers_the_polynomial_one(self):
         # term by term: ps(h_(n-i)(x) h_(n-i)(y) ch_i) times prod (1-q^j)^2
