@@ -5,16 +5,14 @@ point."""
 
 from .besselseries import BesselCoefficients, bessel_coefficients, verify_reciprocal
 from .exactalg import QPolynomial, q_factorial, q_integer
-from .permstats import (Permutation, PermutationPair, ascent_set,
-                        enumerate_no_common_ascent, has_common_ascent,
-                        inversions, q_binomial, verify_q_csv_identity,
-                        w_polynomial, w_polynomial_recurrence)
-from .poset import (ChainReport, EdgeLabeling, GradedPoset, boolean_lattice,
-                    chain_report, check_el_labeling, descending_chain_count,
-                    mobius_number, proper_part, rational_betti_numbers,
-                    segre_product)
-from .subspace import (FiniteField, Subspace, atom_label, build_bnq,
-                       build_segre_bnq, enumerate_subspaces)
+from .permstats import (Permutation, inversions, q_binomial,
+                        verify_q_csv_identity, w_polynomial,
+                        w_polynomial_recurrence)
+from .poset import (ChainReport, EdgeLabeling, GradedPoset, chain_report,
+                    check_el_labeling, descending_chain_count, mobius_number,
+                    proper_part, rational_betti_numbers, segre_product)
+from .subspace import (FiniteField, Subspace, build_bnq, build_segre_bnq,
+                       enumerate_subspaces)
 from .symfrob import (CharacterTable2, SymFun2, h_alternating_residual,
                       h_to_p, induce_product_character, irreducible_table2,
                       lefschetz_character, partitions_of,

@@ -36,9 +36,9 @@ class BesselCoefficients:
     f_inv: tuple[QPolynomial, ...]
     den: tuple[QPolynomial, ...]
 
-    def pair_polynomial_checks(self, bound=None) -> list[bool]:
+    def pair_polynomial_checks(self) -> list[bool]:
         """Entry n is True when g_n equals the enumerated W_n(q)."""
-        return [g == w_polynomial(n, bound=bound) for n, g in enumerate(self.f_inv)]
+        return [g == w_polynomial(n) for n, g in enumerate(self.f_inv)]
 
 
 def bessel_coefficients(order: int) -> BesselCoefficients:
@@ -60,9 +60,9 @@ def bessel_coefficients(order: int) -> BesselCoefficients:
         den=tuple(q_factorial(n) * q_factorial(n) for n in range(order + 1)))
 
 
-def verify_reciprocal(order: int, bound=None) -> list[bool]:
+def verify_reciprocal(order: int) -> list[bool]:
     """Entry n is True when g_n, the cleared z^n coefficient of the
     reciprocal, equals W_n(q) as integer polynomials.  An order beyond the
     enumeration bound is refused before any work."""
-    check_enumeration_bound(order, bound, name="order")
-    return bessel_coefficients(order).pair_polynomial_checks(bound)
+    check_enumeration_bound(order, name="order")
+    return bessel_coefficients(order).pair_polynomial_checks()

@@ -11,12 +11,12 @@ import functools
 import json
 import os
 import sys
+from itertools import permutations, product
 
 from . import besselseries, exactalg, permstats, poset, subspace, symfrob
 
 EL_MATRIX = ((2, 2), (2, 3), (2, 4), (2, 5), (3, 2), (3, 3), (4, 2))
 EL_SEGRE_MATRIX = ((2, 2), (2, 3), (3, 2))
-CHAIN_MATRIX = EL_MATRIX
 MOBIUS_MATRIX = ((2, 2), (2, 3), (2, 4), (3, 2), (3, 3))
 BETTI_MATRIX = ((2, 2), (2, 3), (3, 2))
 
@@ -56,11 +56,18 @@ def _warn_raised_bound(name: str, value, default) -> None:
               "expect a long runtime", file=sys.stderr)
 
 
-def _lattice_for(args):
+def _lattice_for(args, faces: bool = False):
     """The lattice or Segre square a compute verb names, after a warning on
-    stderr if its subspace count bound was raised."""
+    stderr if its subspace count bound was raised.  With faces, the order
+    complex of its proper part is first held to the face bound, after the
+    refusals that building would make and before any subspace is listed."""
     _warn_raised_bound("subspace count bound", args.count_bound,
                        subspace.SUBSPACE_COUNT_BOUND)
+    if faces:
+        prime_power(args.q)
+        subspace.check_count_bound(args.n, args.q, args.segre, args.count_bound)
+        poset.check_face_count(
+            subspace.proper_face_count(args.n, args.q, args.segre))
     return _lattice(args.n, args.q, args.segre, args.count_bound)
 
 
@@ -97,26 +104,13 @@ def _chain_report_json(report: poset.ChainReport) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# suite checks; top level so the process pool can pickle them
+# one instance of each identity, shared by its verify verb and the suite;
+# each returns whether it holds and what to report
 
-def _check_csv(max_n: int) -> dict:
-    failures = [n for n in range(1, max_n + 1)
-                if not permstats.verify_q_csv_identity(n).is_zero()]
-    if failures:
-        return {"check": "csv", "status": "FAIL",
-                "detail": f"nonzero residual at n in {failures}"}
-    return {"check": "csv", "status": "PASS",
-            "detail": f"alternating identity residual zero for n=1..{max_n}"}
-
-
-def _check_bessel(order: int) -> dict:
-    flags = besselseries.verify_reciprocal(order)
-    if not all(flags):
-        bad = [i for i, ok in enumerate(flags) if not ok]
-        return {"check": "bessel", "status": "FAIL",
-                "detail": f"reciprocal coefficient mismatch at {bad}"}
-    return {"check": "bessel", "status": "PASS",
-            "detail": f"reciprocal coefficients match through order {order}"}
+def _csv_instance(n: int) -> tuple[bool, exactalg.QPolynomial]:
+    """The alternating Gaussian-square identity at n, with its residual."""
+    residual = permstats.verify_q_csv_identity(n)
+    return residual.is_zero(), residual
 
 
 def _el_instance(n: int, q: int, segre: bool) -> tuple[bool, str]:
@@ -136,7 +130,43 @@ def _mobius_instance(n: int, q: int) -> tuple[bool, str]:
             f"mu={mu} descending={descending} expected W={w_q}")
 
 
-def _check_el(_arg=None) -> dict:
+def _thm31_instance(n: int) -> tuple[bool, str]:
+    residual = symfrob.h_alternating_residual(n)
+    ok = residual.is_zero()
+    return ok, f"n={n}: {'residual zero' if ok else f'residual {residual!r}'}"
+
+
+def _thm48_instance(n: int) -> tuple[bool, str]:
+    return symfrob.verify_specialization_identity(n), f"n={n}"
+
+
+def _prop26_instance(k: int, l: int, m: int, n: int) -> tuple[bool, str]:
+    return (symfrob.verify_induction_homomorphism(k, l, m, n),
+            f"sizes ({k},{l},{m},{n})")
+
+
+# ---------------------------------------------------------------------------
+# suite checks; top level so the process pool can pickle them
+
+def _check_each_n(check: str, instance, max_n: int, failed: str,
+                  passed: str) -> dict:
+    """One identity at n = 1..max_n, failing with every n where it fails."""
+    failures = [n for n in range(1, max_n + 1) if not instance(n)[0]]
+    if failures:
+        return _result(check, False, f"{failed} at n in {failures}")
+    return _result(check, True, f"{passed} for n=1..{max_n}")
+
+
+def _check_bessel(order: int) -> dict:
+    flags = besselseries.verify_reciprocal(order)
+    if not all(flags):
+        bad = [i for i, ok in enumerate(flags) if not ok]
+        return _result("bessel", False, f"reciprocal coefficient mismatch at {bad}")
+    return _result("bessel", True,
+                   f"reciprocal coefficients match through order {order}")
+
+
+def _check_el() -> dict:
     instances = ([(n, q, False) for n, q in EL_MATRIX]
                  + [(n, q, True) for n, q in EL_SEGRE_MATRIX])
     for n, q, segre in instances:
@@ -147,26 +177,23 @@ def _check_el(_arg=None) -> dict:
                                f"lattices and {len(EL_SEGRE_MATRIX)} segre squares")
 
 
-def _check_chains(_arg=None) -> dict:
-    import itertools
-    for n, q in CHAIN_MATRIX:
+def _check_chains() -> dict:
+    for n, q in EL_MATRIX:
         p, labeling = _lattice(n, q, False)
         report = poset.chain_report(p, labeling)
-        expected = {}
-        for img in itertools.permutations(range(1, n + 1)):
-            expected[img] = q ** permstats.inversions(permstats.Permutation(img))
+        expected = {img: q ** permstats.inversions(permstats.Permutation(img))
+                    for img in permutations(range(1, n + 1))}
         if report.by_label_word != expected:
-            return {"check": "chains", "status": "FAIL",
-                    "detail": f"word counts differ from q^inv at n={n} q={q}"}
-        total = exactalg.q_factorial(n).evaluate(q)
-        if report.total != total:
-            return {"check": "chains", "status": "FAIL",
-                    "detail": f"total chains != q-factorial at n={n} q={q}"}
-    return {"check": "chains", "status": "PASS",
-            "detail": "per-word chain counts equal q^inv on the whole matrix"}
+            return _result("chains", False,
+                           f"word counts differ from q^inv at n={n} q={q}")
+        if report.total != exactalg.q_factorial(n).evaluate(q):
+            return _result("chains", False,
+                           f"total chains != q-factorial at n={n} q={q}")
+    return _result("chains", True,
+                   "per-word chain counts equal q^inv on the whole matrix")
 
 
-def _check_mobius(_arg=None) -> dict:
+def _check_mobius() -> dict:
     for n, q in MOBIUS_MATRIX:
         ok, detail = _mobius_instance(n, q)
         if not ok:
@@ -175,80 +202,50 @@ def _check_mobius(_arg=None) -> dict:
                    "Mobius and descending counts match the pair polynomial")
 
 
-def _check_betti(_arg=None) -> dict:
+def _check_betti() -> dict:
     for n, q in BETTI_MATRIX:
         sp, _ = _lattice(n, q, True)
         betti = poset.rational_betti_numbers(poset.proper_part(sp))
         w_q = int(permstats.w_polynomial(n).evaluate(q))
         if len(betti) != n - 1 or betti[-1] != w_q or any(betti[:-1]):
-            return {"check": "betti", "status": "FAIL",
-                    "detail": f"n={n} q={q}: betti={betti}, expected top {w_q}"}
-    return {"check": "betti", "status": "PASS",
-            "detail": "homology concentrated on top with the expected rank"}
+            return _result("betti", False,
+                           f"n={n} q={q}: betti={betti}, expected top {w_q}")
+    return _result("betti", True,
+                   "homology concentrated on top with the expected rank")
 
 
-def _check_hh_identity(max_n: int) -> dict:
-    failures = [n for n in range(1, max_n + 1)
-                if not symfrob.h_alternating_residual(n).is_zero()]
-    if failures:
-        return {"check": "thm31", "status": "FAIL",
-                "detail": f"nonzero residual at n in {failures}"}
-    return {"check": "thm31", "status": "PASS",
-            "detail": f"homogeneous alternating residual zero for n=1..{max_n}"}
-
-
-def _check_specialization(max_n: int) -> dict:
-    failures = [n for n in range(1, max_n + 1)
-                if not symfrob.verify_specialization_identity(n)]
-    if failures:
-        return {"check": "thm48", "status": "FAIL",
-                "detail": f"specialization mismatch at n in {failures}"}
-    return {"check": "thm48", "status": "PASS",
-            "detail": f"specialized characteristic matches for n=1..{max_n}"}
-
-
-def _check_induction(size_cap: int) -> dict:
-    for k in range(size_cap + 1):
-        for m in range(size_cap + 1 - k):
-            for l in range(size_cap + 1):
-                for n in range(size_cap + 1 - l):
-                    if not symfrob.verify_induction_homomorphism(k, l, m, n):
-                        return {"check": "prop26", "status": "FAIL",
-                                "detail": f"sizes ({k},{l},{m},{n})"}
-    return {"check": "prop26", "status": "PASS",
-            "detail": f"homomorphism property for all sizes with sums <= {size_cap}"}
-
-
-_SUITE = {
-    "csv": _check_csv,
-    "bessel": _check_bessel,
-    "el": _check_el,
-    "chains": _check_chains,
-    "mobius": _check_mobius,
-    "betti": _check_betti,
-    "thm31": _check_hh_identity,
-    "thm48": _check_specialization,
-    "prop26": _check_induction,
-}
-
-
-def _run_suite_task(task: tuple) -> dict:
-    name, arg = task
-    return _SUITE[name](arg)
+def _check_prop26(size_cap: int) -> dict:
+    for k, m, l, n in product(range(size_cap + 1), repeat=4):
+        if k + m <= size_cap and l + n <= size_cap:
+            ok, detail = _prop26_instance(k, l, m, n)
+            if not ok:
+                return _result("prop26", ok, detail)
+    return _result("prop26", True, "homomorphism property for all sizes with "
+                                   f"sums <= {size_cap}")
 
 
 def _suite_tasks(max_n: int) -> list[tuple]:
+    """The suite in report order, each check with its arguments."""
     return [
-        ("csv", 6),
-        ("bessel", 5),
-        ("el", None),
-        ("chains", None),
-        ("mobius", None),
-        ("betti", None),
-        ("thm31", max_n),
-        ("thm48", max_n),
-        ("prop26", 4),
+        (_check_each_n, ("csv", _csv_instance, 6, "nonzero residual",
+                         "alternating identity residual zero")),
+        (_check_bessel, (5,)),
+        (_check_el, ()),
+        (_check_chains, ()),
+        (_check_mobius, ()),
+        (_check_betti, ()),
+        (_check_each_n, ("thm31", _thm31_instance, max_n, "nonzero residual",
+                         "homogeneous alternating residual zero")),
+        (_check_each_n, ("thm48", _thm48_instance, max_n,
+                         "specialization mismatch",
+                         "specialized characteristic matches")),
+        (_check_prop26, (4,)),
     ]
+
+
+def _run_suite_task(task: tuple) -> dict:
+    check, args = task
+    return check(*args)
 
 
 # ---------------------------------------------------------------------------
@@ -347,7 +344,7 @@ def _cmd_mobius(args) -> int:
 
 
 def _cmd_betti(args) -> int:
-    p, _ = _lattice_for(args)
+    p, _ = _lattice_for(args, faces=True)
     betti = poset.rational_betti_numbers(poset.proper_part(p))
     if args.json:
         print(_dump({"n": args.n, "q": args.q, "segre": args.segre,
@@ -384,8 +381,7 @@ def _print_results(results: list[dict], as_json: bool) -> int:
 
 
 def _cmd_verify_csv(args) -> int:
-    residual = permstats.verify_q_csv_identity(args.n)
-    ok = residual.is_zero()
+    ok, residual = _csv_instance(args.n)
     if args.json:
         print(_dump({"check": "csv", "n": args.n,
                      "residual": exactalg.poly_coeff_strings(residual),
@@ -410,27 +406,23 @@ def _cmd_verify_mobius(args) -> int:
 
 
 def _cmd_verify_thm31(args) -> int:
-    residual = symfrob.h_alternating_residual(args.n)
-    ok = residual.is_zero()
-    detail = "residual zero" if ok else f"residual {residual!r}"
-    return _print_results([_result("thm31", ok, f"n={args.n}: {detail}")], args.json)
+    ok, detail = _thm31_instance(args.n)
+    return _print_results([_result("thm31", ok, detail)], args.json)
 
 
 def _cmd_verify_thm48(args) -> int:
-    ok = symfrob.verify_specialization_identity(args.n)
-    return _print_results([_result("thm48", ok, f"n={args.n}")], args.json)
+    ok, detail = _thm48_instance(args.n)
+    return _print_results([_result("thm48", ok, detail)], args.json)
 
 
 def _cmd_verify_prop26(args) -> int:
     try:
         k, l, m, n = (int(x) for x in args.sizes.split(","))
     except ValueError:
-        print("--sizes expects four comma-separated integers k,l,m,n",
-              file=sys.stderr)
-        return 2
-    ok = symfrob.verify_induction_homomorphism(k, l, m, n)
-    return _print_results([_result("prop26", ok, f"sizes ({k},{l},{m},{n})")],
-                          args.json)
+        raise ValueError("--sizes expects four comma-separated integers "
+                         "k,l,m,n") from None
+    ok, detail = _prop26_instance(k, l, m, n)
+    return _print_results([_result("prop26", ok, detail)], args.json)
 
 
 def _cmd_verify_all(args) -> int:

@@ -102,14 +102,6 @@ class QPolynomial:
 
     __rmul__ = __mul__
 
-    def __pow__(self, exponent: int) -> "QPolynomial":
-        if exponent < 0:
-            raise ValueError("negative polynomial powers are not defined here")
-        out = ONE
-        for _ in range(exponent):
-            out = out * self
-        return out
-
     def __divmod__(self, other: "QPolynomial"):
         """Long division.  A +1 or -1 leading coefficient keeps integer
         operands in the integers; any other divisor makes quotient digits

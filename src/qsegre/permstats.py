@@ -1,5 +1,7 @@
 """Permutations in one-line notation, their ascent and inversion statistics,
-and the enumeration of pairs with no common ascent.
+and the pair polynomial W_n(q) of the pairs with no common ascent, by
+enumeration up to ENUMERATION_BOUND and by the alternating q-binomial-square
+recurrence up to RECURRENCE_BOUND.
 
 Positions are 1-based throughout: position i of sigma is an ascent when
 sigma(i) < sigma(i+1), for i in [n-1].  The empty permutation is admitted
@@ -10,13 +12,12 @@ n = 0 pair set.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from functools import lru_cache
-from math import comb
 
 from .exactalg import ONE, ZERO, QPolynomial, q_power
 
 ENUMERATION_BOUND = 7
+RECURRENCE_BOUND = 40
 
 
 class Permutation:
@@ -56,30 +57,6 @@ def inversions(s: Permutation) -> int:
     return sum(1 for i in range(n) for j in range(i + 1, n) if img[i] > img[j])
 
 
-def ascent_set(s: Permutation) -> set[int]:
-    """The positions i in [n-1] with s(i) < s(i+1).
-
-    >>> sorted(ascent_set(Permutation((2, 1, 3))))
-    [2]
-    """
-    img = s.image
-    return {i + 1 for i in range(len(img) - 1) if img[i] < img[i + 1]}
-
-
-@dataclass(frozen=True)
-class PermutationPair:
-    first: Permutation
-    second: Permutation
-
-    def __post_init__(self):
-        if len(self.first) != len(self.second):
-            raise ValueError("paired permutations must have the same size")
-
-
-def has_common_ascent(pair: PermutationPair) -> bool:
-    return bool(ascent_set(pair.first) & ascent_set(pair.second))
-
-
 def _effective_bound(bound) -> int:
     if bound is None:
         return ENUMERATION_BOUND
@@ -117,30 +94,6 @@ def _perm_stats(n: int) -> tuple[tuple[int, int], ...]:
                     inv += 1
         stats.append((mask, inv))
     return tuple(stats)
-
-
-def enumerate_no_common_ascent(n: int, bound=None) -> list[PermutationPair]:
-    """Every pair (sigma, omega) in S_n x S_n without a common ascent, once each.
-
-    Iterates omega for each sigma, rejecting on the first shared ascent (a
-    single bitmask intersection).
-    """
-    check_enumeration_bound(n, bound)
-    perms = [Permutation(img) for img in itertools.permutations(range(1, n + 1))]
-    stats = _perm_stats(n)
-    out = []
-    for p1, (m1, _) in zip(perms, stats):
-        for p2, (m2, _) in zip(perms, stats):
-            if m1 & m2 == 0:
-                out.append(PermutationPair(p1, p2))
-    return out
-
-
-def no_common_ascent_count(n: int, bound=None) -> int:
-    """|D_n| by the same full pair scan, without materializing the pairs."""
-    check_enumeration_bound(n, bound)
-    stats = _perm_stats(n)
-    return sum(1 for m1, _ in stats for m2, _ in stats if m1 & m2 == 0)
 
 
 @lru_cache(maxsize=None)
@@ -200,7 +153,7 @@ def _q_pascal(n: int, k: int) -> QPolynomial:
     return _q_pascal(n - 1, k - 1) + q_power(k) * _q_pascal(n - 1, k)
 
 
-def verify_q_csv_identity(n: int, bound=None) -> QPolynomial:
+def verify_q_csv_identity(n: int) -> QPolynomial:
     """Residual of the alternating Gaussian-square identity
     sum_i (-1)^i [n choose i]_q^2 W_i(q); the zero polynomial when it holds.
 
@@ -209,10 +162,10 @@ def verify_q_csv_identity(n: int, bound=None) -> QPolynomial:
     """
     if n < 1:
         raise ValueError("n must be at least 1")
-    check_enumeration_bound(n, bound)
+    check_enumeration_bound(n)
     total = QPolynomial()
     for i in range(n + 1):
-        term = q_binomial_square(n, i) * w_polynomial(i, bound=bound)
+        term = q_binomial_square(n, i) * w_polynomial(i)
         total = total + term if i % 2 == 0 else total - term
     return total
 
@@ -240,25 +193,15 @@ def w_polynomial_recurrence(n: int, bound=None) -> QPolynomial:
 
     Values at or below the enumeration bound come from enumeration; larger
     indices are solved for recursively, so enumeration stays the ground truth
-    of the recurrence's base.
+    of the recurrence's base.  An n above RECURRENCE_BOUND is refused before
+    any work: its cost grows about as n^6 (n^2 products of polynomials of
+    degree up to about n^2).
     """
     if n < 0:
         raise ValueError("n must be nonnegative")
     bound = _effective_bound(bound)
+    if n > RECURRENCE_BOUND:
+        raise ValueError(f"n={n} exceeds the recurrence bound {RECURRENCE_BOUND}")
     seeds = [_w_polynomial_enumerated(m) for m in range(min(n, bound) + 1)]
     return csv_recurrence(seeds, n)[n]
 
-
-def omega_by_recurrence(n: int) -> int:
-    """The q=1 pair counts, generated from the alternating binomial-square
-    recurrence seeded only with the value 1 at n=0."""
-    if n < 0:
-        raise ValueError("n must be nonnegative")
-    counts = [1]
-    for m in range(1, n + 1):
-        acc = 0
-        for k in range(m):
-            term = comb(m, k) ** 2 * counts[k]
-            acc = acc + term if (m - 1 + k) % 2 == 0 else acc - term
-        counts.append(acc)
-    return counts[n]

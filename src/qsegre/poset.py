@@ -7,14 +7,14 @@ must raise rank by exactly one (everything in scope is graded), which also
 rules out cycles.  No kernel enumerates maximal chains: the EL check, the
 descending count and the chain tally are dynamic programs over the covers,
 so their cost grows with the covers times the distinct labels or label
-words.  Only mobius_number, order_chain_counts, leq and
-strictly_below/strictly_above (so also chains_by_dimension) build the
-quadratic reachability bitsets, one mask per element; their queries walk
-only the set bits (`mask & -mask`).  Betti numbers come from an acyclic
-element matching on the order complex (discrete Morse theory): its critical
-chains span the Morse complex, whose boundary follows gradient paths, so
-nothing is eliminated when the critical chains fill one dimension.  The
-face count is bounded by FACE_COUNT_BOUND before any chain is listed.
+words.  Only mobius_number, order_chain_counts and strictly_above (so
+also chains_by_dimension) build the quadratic reachability bitsets, one
+mask per element; their queries walk only the set bits (`mask & -mask`).
+Betti numbers come from an acyclic element matching on the order complex
+(discrete Morse theory): its critical chains span the Morse complex, whose
+boundary follows gradient paths, so nothing is eliminated when the
+critical chains fill one dimension.  The face count is held to
+FACE_COUNT_BOUND by check_face_count before any chain is listed.
 
 Construction is single threaded; after that every query is read-only apart
 from idempotent lazy caches, so built posets can be shared by concurrent
@@ -25,11 +25,18 @@ from __future__ import annotations
 
 import operator
 from dataclasses import dataclass
-from itertools import accumulate, chain, combinations, islice
+from itertools import accumulate, chain, islice
 from math import gcd
 from typing import Callable, Optional
 
 FACE_COUNT_BOUND = 500_000
+
+
+def check_face_count(faces: int) -> None:
+    """Refuse an order complex of more than FACE_COUNT_BOUND faces."""
+    if faces > FACE_COUNT_BOUND:
+        raise ValueError(f"{faces} faces of the order complex exceed the "
+                         f"bound {FACE_COUNT_BOUND}")
 
 
 def _set_bits(mask: int) -> list[int]:
@@ -45,7 +52,7 @@ def _set_bits(mask: int) -> list[int]:
 class GradedPoset:
 
     __slots__ = ("names", "ranks", "covers", "_up", "_down",
-                 "_above", "_below", "_bottom", "_top", "_name_index")
+                 "_above", "_below", "_bottom", "_top")
 
     def __init__(self, names, ranks, covers):
         self.names = tuple(names)
@@ -72,15 +79,9 @@ class GradedPoset:
         self._below = None
         self._bottom = -2  # -2: not computed yet; None: absent
         self._top = -2
-        self._name_index = None
 
     def __len__(self) -> int:
         return len(self.names)
-
-    def element_index(self, name) -> int:
-        if self._name_index is None:
-            self._name_index = {nm: i for i, nm in enumerate(self.names)}
-        return self._name_index[name]
 
     def _above_masks(self) -> list[int]:
         if self._above is None:
@@ -105,18 +106,6 @@ class GradedPoset:
                 below[i] = acc
             self._below = below
         return self._below
-
-    def leq(self, i: int, j: int) -> bool:
-        return (self._above_masks()[i] >> j) & 1 == 1
-
-    def less(self, i: int, j: int) -> bool:
-        return i != j and self.leq(i, j)
-
-    def upper_covers(self, i: int) -> tuple[int, ...]:
-        return tuple(self._up[i])
-
-    def strictly_below(self, j: int) -> list[int]:
-        return _set_bits(self._below_masks()[j] & ~(1 << j))
 
     def strictly_above(self, i: int) -> list[int]:
         return _set_bits(self._above_masks()[i] & ~(1 << i))
@@ -144,33 +133,6 @@ class GradedPoset:
         for r in self.ranks:
             out[r] += 1
         return out
-
-
-def boolean_lattice(n: int) -> GradedPoset:
-    """Subsets of {1..n} ordered by inclusion; names are sorted tuples."""
-    if n < 0:
-        raise ValueError("n must be nonnegative")
-    names = [tuple(c) for k in range(n + 1)
-             for c in combinations(range(1, n + 1), k)]
-    index = {nm: i for i, nm in enumerate(names)}
-    ranks = [len(nm) for nm in names]
-    covers = []
-    for i, nm in enumerate(names):
-        present = set(nm)
-        for extra in range(1, n + 1):
-            if extra not in present:
-                covers.append((i, index[tuple(sorted(nm + (extra,)))]))
-    return GradedPoset(names, ranks, covers)
-
-
-def boolean_lattice_labeled(n: int) -> tuple[GradedPoset, "EdgeLabeling"]:
-    """Boolean lattice with each cover labeled by its added element."""
-    p = boolean_lattice(n)
-    labels = {}
-    for a, b in p.covers:
-        (added,) = set(p.names[b]) - set(p.names[a])
-        labels[(a, b)] = added
-    return p, EdgeLabeling.with_integer_labels(labels)
 
 
 def segre_product(p: GradedPoset, q: GradedPoset, labelings=None):
@@ -296,14 +258,6 @@ class EdgeLabeling:
 
     labels: dict
     less: Callable = operator.lt
-
-    @classmethod
-    def with_integer_labels(cls, labels) -> "EdgeLabeling":
-        return cls(dict(labels))
-
-    @classmethod
-    def with_pair_labels(cls, labels) -> "EdgeLabeling":
-        return cls(dict(labels), less=product_order_less)
 
 
 @dataclass(frozen=True)
@@ -596,9 +550,7 @@ def rational_betti_numbers(p: GradedPoset) -> list[int]:
     if len(p) == 0:
         return []
     counts = order_chain_counts(p)
-    if sum(counts) > FACE_COUNT_BOUND:
-        raise ValueError(f"{sum(counts)} faces of the order complex exceed "
-                         f"the bound {FACE_COUNT_BOUND}")
+    check_face_count(sum(counts))
     chains = chains_by_dimension(p)
     if [len(level) for level in chains] != counts:
         raise ArithmeticError(f"listed {[len(level) for level in chains]} "

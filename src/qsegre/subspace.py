@@ -95,14 +95,15 @@ class FiniteField:
 
     __slots__ = ("p", "k", "order", "modulus", "_add", "_mul", "_neg", "_inv")
 
-    def __init__(self, p: int, k: int = 1, size_bound: int = FIELD_SIZE_BOUND):
+    def __init__(self, p: int, k: int = 1):
         if not _is_prime(p):
             raise ValueError(f"{p} is not prime")
         if k < 1:
             raise ValueError("extension degree must be at least 1")
         order = p ** k
-        if order > size_bound:
-            raise ValueError(f"field order {order} exceeds the bound {size_bound}")
+        if order > FIELD_SIZE_BOUND:
+            raise ValueError(f"field order {order} exceeds the bound "
+                             f"{FIELD_SIZE_BOUND}")
         self.p, self.k, self.order = p, k, order
         self.modulus = _find_modulus(p, k)
 
@@ -148,17 +149,11 @@ class FiniteField:
                     f"field of order {order} (p={p}, k={k}) failed the "
                     f"unit-group check at element {a}")
 
-    def add(self, a: int, b: int) -> int:
-        return self._add[a][b]
-
     def sub(self, a: int, b: int) -> int:
         return self._add[a][self._neg[b]]
 
     def mul(self, a: int, b: int) -> int:
         return self._mul[a][b]
-
-    def neg(self, a: int) -> int:
-        return self._neg[a]
 
     def inv(self, a: int) -> int:
         if a == 0:
@@ -225,10 +220,6 @@ class Subspace:
             if self.rows[i][pc] != 1 or any(self.rows[j][pc] for j in range(len(pivots)) if j != i):
                 raise ValueError("basis is not reduced row echelon")
 
-    @classmethod
-    def from_vectors(cls, field: FiniteField, ambient: int, vectors) -> "Subspace":
-        return cls(field, ambient, rref_rows(field, ambient, vectors))
-
     @property
     def dim(self) -> int:
         return len(self.rows)
@@ -253,16 +244,39 @@ def _gaussian_count(n: int, k: int, q: int) -> int:
     return result
 
 
+def check_count_bound(n: int, q: int, segre: bool = False,
+                      count_bound: int | None = None) -> None:
+    """Refuse B_n(q) of more subspaces than the count bound, or its Segre
+    square of more pairs, sum_k N_k^2 for N_k the subspaces of rank k."""
+    bound = SUBSPACE_COUNT_BOUND if count_bound is None else count_bound
+    total = sum(_gaussian_count(n, k, q) ** (2 if segre else 1)
+                for k in range(n + 1))
+    if total > bound:
+        what = "pairs of the Segre square" if segre else "subspaces"
+        raise ValueError(f"{total} {what} exceed the bound {bound}")
+
+
+def proper_face_count(n: int, q: int, segre: bool = False) -> int:
+    """Faces of the order complex of the proper part of B_n(q), or of its
+    Segre square, whose chains are pairs of flags with one dimension set:
+    the sum over nonempty S in [n-1] of the flags with dimension set S, a
+    q-multinomial, squared for the square.  Summed by the largest dimension
+    s: within[s] sums the flags of a fixed s-space that end at it."""
+    e = 2 if segre else 1
+    within = [0] * n
+    for s in range(1, n):
+        within[s] = 1 + sum(_gaussian_count(s, t, q) ** e * within[t]
+                            for t in range(1, s))
+    return sum(_gaussian_count(n, s, q) ** e * within[s] for s in range(1, n))
+
+
 def enumerate_subspaces(n: int, field: FiniteField,
                         count_bound: int | None = None) -> list[Subspace]:
     """Every subspace of F_q^n exactly once, generated rank by rank as RREF
     matrices (choose pivot columns, then fill the free positions)."""
     if n < 0:
         raise ValueError("ambient dimension must be nonnegative")
-    bound = SUBSPACE_COUNT_BOUND if count_bound is None else count_bound
-    total = sum(_gaussian_count(n, k, field.order) for k in range(n + 1))
-    if total > bound:
-        raise ValueError(f"{total} subspaces exceed the bound {bound}")
+    check_count_bound(n, field.order, count_bound=count_bound)
     out = []
     for k in range(n + 1):
         for pivots in combinations(range(n), k):
@@ -288,14 +302,6 @@ def label_set(s: Subspace) -> frozenset[int]:
         raise ArithmeticError(f"{s!r} reaches {len(out)} rightmost indices, "
                               f"not its dimension {s.dim}")
     return out
-
-
-def atom_label(s: Subspace) -> int:
-    """1-based index of the rightmost nonzero coordinate of the atom's basis
-    vector; invariant under rescaling."""
-    if s.dim != 1:
-        raise ValueError(f"atom operations need dimension 1, got {s.dim}")
-    return max(i for i, x in enumerate(s.rows[0]) if x) + 1
 
 
 def _points_off(n: int, pivots: tuple[int, ...],
@@ -381,7 +387,7 @@ def build_bnq(n: int, field: FiniteField,
                 f"{subs[b]!r} of B_{n}({q}) has {count} lower covers, "
                 f"not [{ranks[b]} choose 1]_{q} = {expected}")
     poset = GradedPoset(names, ranks, covers)
-    return poset, EdgeLabeling.with_integer_labels(labels)
+    return poset, EdgeLabeling(labels)
 
 
 def build_segre_bnq(n: int, field: FiniteField,
@@ -391,10 +397,6 @@ def build_segre_bnq(n: int, field: FiniteField,
     of rank k, are held to the subspace count bound before any work.  The
     pair labels are read from the lattice's labels by factor index in the
     same pass of segre_product that numbers the pairs and emits the covers."""
-    bound = SUBSPACE_COUNT_BOUND if count_bound is None else count_bound
-    pairs = sum(_gaussian_count(n, k, field.order) ** 2 for k in range(n + 1))
-    if pairs > bound:
-        raise ValueError(f"{pairs} pairs of the Segre square exceed the "
-                         f"bound {bound}")
+    check_count_bound(n, field.order, True, count_bound)
     p, labeling = build_bnq(n, field, count_bound)
     return segre_product(p, p, (labeling, labeling))

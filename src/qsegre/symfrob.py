@@ -171,9 +171,6 @@ class CharacterTable2:
             raise ValueError("table must cover every class pair exactly once")
         self.m, self.n, self.values = m, n, vals
 
-    def dimension(self) -> int:
-        return self.values[((1,) * self.m, (1,) * self.n)]
-
     def __eq__(self, other) -> bool:
         return (isinstance(other, CharacterTable2) and self.m == other.m
                 and self.n == other.n and self.values == other.values)

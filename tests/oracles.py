@@ -1,15 +1,17 @@
-"""Independent, slower routes to values the package computes another way.
+"""Independent, slower routes to values the package computes another way,
+and the fixtures only tests use.
 
 Each oracle here is the definitional computation that a faster kernel in
 src/qsegre replaced; the tests compare the two.  The rational-function
 identities are checked by evaluation: q is set to enough integers that the
 values pin the polynomial, and everything at a point is a Fraction.  The
-poset oracles list every maximal chain of every interval, count the chains
-of the proper part for Hall's theorem, and build Segre products by
-numbering pairs in a dict and labeling them through element names; the
-Betti oracle eliminates over the whole order complex, listed chain by
-chain from subsets of elements, and the rank oracle eliminates over
-Fractions.  The subspace oracles test containment by
+pair oracles compare the ascent sets of every pair of permutations.  The
+poset oracles read the order off the covers alone, list every maximal chain
+of every interval, count the chains of the proper part for Hall's theorem,
+and build Segre products by numbering pairs in a dict and labeling them
+through element names; the Betti oracle eliminates over the whole order
+complex, listed chain by chain from subsets of elements, and the rank
+oracle eliminates over Fractions.  The subspace oracles test containment by
 row reduction and read label sets off every vector of a subspace.  The
 symmetric-function oracles take the homology character from the Hopf trace
 over the chains of the pair poset, and check that induction products go to
@@ -18,16 +20,16 @@ products by comparing characteristics over Fractions.
 
 from fractions import Fraction
 from functools import lru_cache
-from itertools import product
+from itertools import combinations, permutations, product
 from math import factorial
 
 from qsegre.exactalg import ONE, QPolynomial, one_minus_q_power
-from qsegre.permstats import _perm_stats
+from qsegre.permstats import Permutation, _perm_stats
 from qsegre.poset import (ChainReport, EdgeLabeling, ELViolation, GradedPoset,
-                          boolean_lattice, chains_by_dimension,
-                          order_chain_counts, proper_part, segre_product,
+                          chains_by_dimension, order_chain_counts,
+                          product_order_less, proper_part, segre_product,
                           _rank_of_sparse_rows)
-from qsegre.subspace import enumerate_subspaces
+from qsegre.subspace import Subspace, enumerate_subspaces, rref_rows
 from qsegre.symfrob import (CharacterTable2, SymFun2, _perm_of_cycle_type,
                             h_to_p, induce_product_character,
                             irreducible_table2, partitions_of,
@@ -139,6 +141,24 @@ def principal_specialization_by_terms(f, n: int) -> QPolynomial:
     return total
 
 
+def ascent_set(image) -> set[int]:
+    """The positions i in [n-1] with image(i) < image(i+1), 1-based."""
+    return {i + 1 for i in range(len(image) - 1) if image[i] < image[i + 1]}
+
+
+def has_common_ascent(first: Permutation, second: Permutation) -> bool:
+    if len(first) != len(second):
+        raise ValueError("paired permutations must have the same size")
+    return bool(ascent_set(first.image) & ascent_set(second.image))
+
+
+def enumerate_no_common_ascent(n: int) -> list[tuple[Permutation, Permutation]]:
+    """Every pair (sigma, omega) of S_n x S_n without a common ascent, once
+    each, by comparing the ascent sets of every pair."""
+    perms = [Permutation(img) for img in permutations(range(1, n + 1))]
+    return [(a, b) for a in perms for b in perms if not has_common_ascent(a, b)]
+
+
 def w_polynomial_by_pair_scan(n: int) -> QPolynomial:
     """W_n(q) by testing every pair of S_n x S_n for a common ascent."""
     stats = _perm_stats(n)
@@ -176,7 +196,7 @@ def segre_labels_by_names(square, p, p_labeling, q, q_labeling):
         (xa, ya), (xb, yb) = square.names[a], square.names[b]
         labels[(a, b)] = (p_labeling.labels[(p_index[xa], p_index[xb])],
                           q_labeling.labels[(q_index[ya], q_index[yb])])
-    return EdgeLabeling.with_pair_labels(labels)
+    return EdgeLabeling(labels, product_order_less)
 
 
 def reduced_euler_characteristic(p) -> int:
@@ -204,11 +224,49 @@ def from_interchange(doc: dict):
                 val = tuple(val)
                 pair_valued = True
             labels[(int(a), int(b))] = val
-        if pair_valued:
-            labeling = EdgeLabeling.with_pair_labels(labels)
-        else:
-            labeling = EdgeLabeling.with_integer_labels(labels)
+        labeling = (EdgeLabeling(labels, product_order_less) if pair_valued
+                    else EdgeLabeling(labels))
     return p, labeling
+
+
+def boolean_lattice(n: int) -> GradedPoset:
+    """Subsets of {1..n} ordered by inclusion; names are sorted tuples."""
+    if n < 0:
+        raise ValueError("n must be nonnegative")
+    names = [tuple(c) for k in range(n + 1)
+             for c in combinations(range(1, n + 1), k)]
+    index = {nm: i for i, nm in enumerate(names)}
+    ranks = [len(nm) for nm in names]
+    covers = []
+    for i, nm in enumerate(names):
+        present = set(nm)
+        for extra in range(1, n + 1):
+            if extra not in present:
+                covers.append((i, index[tuple(sorted(nm + (extra,)))]))
+    return GradedPoset(names, ranks, covers)
+
+
+def boolean_lattice_labeled(n: int) -> tuple[GradedPoset, EdgeLabeling]:
+    """Boolean lattice with each cover labeled by its added element."""
+    p = boolean_lattice(n)
+    labels = {}
+    for a, b in p.covers:
+        (added,) = set(p.names[b]) - set(p.names[a])
+        labels[(a, b)] = added
+    return p, EdgeLabeling(labels)
+
+
+@lru_cache(maxsize=16)
+def order_from_covers(p) -> tuple[list, list]:
+    """Each element's upper covers, and the set of elements at or above it,
+    read from p.covers alone."""
+    up = [[] for _ in range(len(p))]
+    for a, b in p.covers:
+        up[a].append(b)
+    above = [frozenset()] * len(p)
+    for x in sorted(range(len(p)), key=lambda e: -p.ranks[e]):
+        above[x] = frozenset({x}).union(*(above[y] for y in up[x]))
+    return up, above
 
 
 def maximal_chains(p, lo=None, hi=None):
@@ -222,7 +280,8 @@ def maximal_chains(p, lo=None, hi=None):
         hi = p.top_index()
         if hi is None:
             raise ValueError("poset has no top element")
-    if not p.leq(lo, hi):
+    up, above = order_from_covers(p)
+    if hi not in above[lo]:
         return
 
     def walk(path):
@@ -230,8 +289,8 @@ def maximal_chains(p, lo=None, hi=None):
         if last == hi:
             yield tuple(path)
             return
-        for nxt in p.upper_covers(last):
-            if p.leq(nxt, hi):
+        for nxt in up[last]:
+            if hi in above[nxt]:
                 path.append(nxt)
                 yield from walk(path)
                 path.pop()
@@ -255,8 +314,9 @@ def el_check_by_intervals(p, labeling):
         if edge not in labeling.labels:
             a, b = edge
             raise ValueError(f"cover ({p.names[a]}, {p.names[b]}) has no label")
+    _, above = order_from_covers(p)
     for lo in range(len(p)):
-        for hi in p.strictly_above(lo):
+        for hi in sorted(above[lo] - {lo}):
             words = [chain_word(labeling, c) for c in maximal_chains(p, lo, hi)]
             increasing = [w for w in words if all(_ascents(labeling, w))]
             if len(increasing) != 1:
@@ -311,7 +371,8 @@ def chains_by_subsets(p) -> list[list[tuple[int, ...]]]:
     """The chains of p grouped by dimension: the sets of pairwise comparable
     elements, grown one element of larger index at a time, each listed in
     rank order and each group sorted."""
-    comparable = [[p.leq(a, b) or p.leq(b, a) for b in range(len(p))]
+    _, above = order_from_covers(p)
+    comparable = [[b in above[a] or a in above[b] for b in range(len(p))]
                   for a in range(len(p))]
     by_dim = []
     level = [(v,) for v in range(len(p))]
@@ -346,6 +407,11 @@ def rational_betti_numbers_by_elimination(p) -> list[int]:
     return [len(chains[j]) - ranks[j] - ranks[j + 1] for j in range(top + 1)]
 
 
+def span(field, n: int, vectors) -> Subspace:
+    """The subspace of F_q^n spanned by the given vectors."""
+    return Subspace(field, n, rref_rows(field, n, vectors))
+
+
 def contains(upper, lower) -> bool:
     """Whether the subspace upper contains lower: each basis row of lower
     reduces to zero against upper's RREF rows."""
@@ -376,7 +442,7 @@ def nonzero_vectors(s):
             if c:
                 for i, x in enumerate(row):
                     if x:
-                        vec[i] = field.add(vec[i], field.mul(c, x))
+                        vec[i] = field._add[vec[i]][field.mul(c, x)]
         yield vec
 
 
@@ -409,6 +475,11 @@ def covers_by_containment(n: int, field) -> dict:
 def class_size(parts) -> int:
     """The number of permutations of cycle type parts."""
     return factorial(sum(parts)) // z_of(parts)
+
+
+def dimension(table: CharacterTable2) -> int:
+    """The character's value at the identity."""
+    return table.values[((1,) * table.m, (1,) * table.n)]
 
 
 def trivial_character(m: int, n: int) -> CharacterTable2:

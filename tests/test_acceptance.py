@@ -8,9 +8,8 @@ import time
 
 from qsegre.besselseries import verify_reciprocal
 from qsegre.exactalg import QPolynomial, q_factorial
-from qsegre.permstats import (enumerate_no_common_ascent,
-                              no_common_ascent_count, omega_by_recurrence,
-                              verify_q_csv_identity, w_polynomial)
+from qsegre.permstats import (verify_q_csv_identity, w_polynomial,
+                              w_polynomial_recurrence)
 from qsegre.poset import (chain_report, check_el_labeling, mobius_number,
                           proper_part, rational_betti_numbers)
 from qsegre.subspace import FiniteField, build_bnq, build_segre_bnq
@@ -22,6 +21,8 @@ from qsegre.symfrob import (h_alternating_residual, homology_characteristic,
 import itertools
 
 from qsegre.permstats import Permutation, inversions
+
+from oracles import enumerate_no_common_ascent
 
 W2_REFERENCE = QPolynomial([0, 2, 1])                # q^2 + 2q
 W3_REFERENCE = QPolynomial([0, 0, 2, 6, 6, 4, 1])    # q^6+4q^5+6q^4+6q^3+2q^2
@@ -78,11 +79,13 @@ def test_criterion_02_alternating_identity_through_six():
 
 def test_criterion_03_integer_counts_cross_validated():
     start = time.time()
-    assert no_common_ascent_count(2) == 3
-    assert len(enumerate_no_common_ascent(2)) == 3
+    # the recurrence seeded only with W_0 = 1, at q = 1
+    by_recurrence = [w_polynomial_recurrence(n, bound=0).evaluate(1)
+                     for n in range(5)]
+    assert len(enumerate_no_common_ascent(2)) == by_recurrence[2] == 3
     for n in (3, 4):
-        assert no_common_ascent_count(n) == omega_by_recurrence(n)
-    assert omega_by_recurrence(3) == 19 and omega_by_recurrence(4) == 211
+        assert len(enumerate_no_common_ascent(n)) == by_recurrence[n]
+    assert by_recurrence[3] == 19 and by_recurrence[4] == 211
     elapsed = time.time() - start
     assert elapsed < 60.0
     report(3, "q=1 counts agree between enumeration and the recurrence "

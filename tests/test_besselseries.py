@@ -107,5 +107,6 @@ class TestFractionFreeNumerators:
         monkeypatch.setattr(permstats, "_perm_stats", fail)
         with pytest.raises(ValueError, match="bound 7"):
             verify_reciprocal(8)
+        monkeypatch.setattr(permstats, "ENUMERATION_BOUND", 3)
         with pytest.raises(ValueError, match="bound 3"):
-            verify_reciprocal(4, bound=3)
+            verify_reciprocal(4)

@@ -3,10 +3,14 @@ import os
 import pathlib
 import subprocess
 import sys
+from fractions import Fraction
 
 import pytest
 
+from qsegre import permstats, symfrob
 from qsegre.cli import main, prime_power
+from qsegre.exactalg import QPolynomial
+from qsegre.symfrob import SymFun2
 
 
 class TestPrimePower:
@@ -121,7 +125,6 @@ class TestBoundsBeforeWork:
         assert "nonnegative" in err
 
     def test_verify_csv_beyond_bound_does_no_work(self, capsys, monkeypatch):
-        from qsegre import permstats
         for name in ("_perm_stats", "q_binomial", "w_polynomial"):
             monkeypatch.setattr(permstats, name, fail_if_called)
         code, out, err = run(capsys, "verify", "csv", "--n", "8")
@@ -129,7 +132,7 @@ class TestBoundsBeforeWork:
         assert "bound 7" in err
 
     def test_bessel_beyond_bound_does_no_work(self, capsys, monkeypatch):
-        from qsegre import besselseries, permstats
+        from qsegre import besselseries
         for name in ("bessel_coefficients", "csv_recurrence", "w_polynomial"):
             monkeypatch.setattr(besselseries, name, fail_if_called)
         monkeypatch.setattr(permstats, "_perm_stats", fail_if_called)
@@ -177,7 +180,6 @@ class TestBoundsBeforeWork:
 
     def test_homology_degree_outside_the_bound_does_no_work(
             self, capsys, monkeypatch):
-        from qsegre import symfrob
         for name in ("h_to_p", "homology_characteristic", "lefschetz_character",
                      "principal_specialization", "w_polynomial",
                      "w_polynomial_recurrence"):
@@ -220,6 +222,35 @@ class TestBoundsBeforeWork:
         assert err == ("error: 5157700 faces of the order complex exceed "
                        "the bound 500000\n")
 
+    def test_order_complex_beyond_the_face_bound_builds_no_lattice(
+            self, capsys, monkeypatch):
+        # the face count comes from Gaussian counts; the subspace count
+        # bound is still refused first, with its own line
+        from qsegre import subspace
+        monkeypatch.setattr(subspace, "enumerate_subspaces", fail_if_called)
+        for argv, text in (
+                (("--n", "4", "--q", "3", "--segre"),
+                 "5157700 faces of the order complex exceed the bound 500000"),
+                (("--n", "6", "--q", "2"),
+                 "2257887 faces of the order complex exceed the bound 500000"),
+                (("--n", "4", "--q", "4", "--segre"),
+                 "141901 pairs of the Segre square exceed the bound 100000"),
+                (("--n", "3", "--q", "12", "--segre"), "12 is not a prime power")):
+            code, out, err = run(capsys, "betti", *argv)
+            assert_clean_rejection(code, out, err)
+            assert err == f"error: {text}\n"
+
+    def test_wq_beyond_the_recurrence_bound_does_no_work(
+            self, capsys, monkeypatch):
+        for name in ("_w_polynomial_enumerated", "csv_recurrence",
+                     "q_binomial_square"):
+            monkeypatch.setattr(permstats, name, fail_if_called)
+        for argv in (("--n", "41"), ("--n", "2000", "--json")):
+            code, out, err = run(capsys, "wq", *argv)
+            assert_clean_rejection(code, out, err)
+            assert err == (f"error: n={argv[1]} exceeds the recurrence "
+                           f"bound 40\n")
+
 
 def fail_if_called(*args, **kwargs):
     raise AssertionError("work started before the bound check")
@@ -227,8 +258,6 @@ def fail_if_called(*args, **kwargs):
 
 class TestErrorHandling:
     def test_arithmetic_error_is_a_clean_error(self, capsys, monkeypatch):
-        from qsegre import symfrob
-
         def not_integral(*args, **kwargs):
             raise ArithmeticError("induced character value is not integral")
         monkeypatch.setattr(symfrob, "verify_induction_homomorphism", not_integral)
@@ -241,7 +270,6 @@ class TestBrokenInduction:
     def test_a_wrong_induced_table_fails_prop26_and_the_suite(
             self, capsys, monkeypatch):
         from oracles import induce_off_by_one
-        from qsegre import symfrob
         monkeypatch.setattr(symfrob, "induce_product_character",
                             induce_off_by_one)
         code, out, err = run(capsys, "verify", "prop26", "--sizes", "1,1,1,1")
@@ -278,8 +306,11 @@ class TestVerifyCommands:
             assert code == 0 and "PASS" in out
 
     def test_verify_prop26_rejects_malformed_sizes(self, capsys):
-        code, _, err = run(capsys, "verify", "prop26", "--sizes", "1,2")
-        assert code == 2 and "comma-separated" in err
+        for sizes in ("1,2", "1,2,3,4,5", "a,b,c,d"):
+            code, out, err = run(capsys, "verify", "prop26", "--sizes", sizes)
+            assert_clean_rejection(code, out, err)
+            assert err == ("error: --sizes expects four comma-separated "
+                           "integers k,l,m,n\n")
 
     def test_verify_all_small(self, capsys):
         code, out, _ = run(capsys, "verify", "all", "--max-n", "2")
@@ -306,6 +337,29 @@ class TestVerifyCommands:
 
 
 GOLDEN = pathlib.Path(__file__).resolve().parent / "golden"
+
+
+def _csv_residual_from_three(n):
+    return QPolynomial([-n, 0, 1]) if n >= 3 else QPolynomial()
+
+
+def _thm31_residual_from_three(n):
+    return SymFun2({((n,), (1,) * n): Fraction(1, n)}) if n >= 3 else SymFun2()
+
+
+# check -> (module, kernel, a stand-in that makes the identity fail at some
+# instances, verify verb arguments at a failing instance)
+FAILING = {
+    "csv": (permstats, "verify_q_csv_identity", _csv_residual_from_three,
+            ("csv", "--n", "5")),
+    "thm31": (symfrob, "h_alternating_residual", _thm31_residual_from_three,
+              ("thm31", "--n", "3")),
+    "thm48": (symfrob, "verify_specialization_identity", lambda n: n < 3,
+              ("thm48", "--n", "4")),
+    "prop26": (symfrob, "verify_induction_homomorphism",
+               lambda k, l, m, n: k + 2 * l + 3 * m + 4 * n < 9,
+               ("prop26", "--sizes", "1,1,1,1")),
+}
 
 
 class TestGoldenDocuments:
@@ -367,6 +421,42 @@ class TestGoldenDocuments:
         code, out, err = run(capsys, *argv)
         assert code == 0 and err == ""
         assert out == (GOLDEN / name).read_text()
+
+    @pytest.mark.parametrize("argv, name", [
+        (("verify", "csv", "--n", "5"), "verify_csv_n5.out"),
+        (("verify", "csv", "--n", "5", "--json"), "verify_csv_n5_json.out"),
+        (("verify", "thm31", "--n", "3"), "verify_thm31_n3.out"),
+        (("verify", "thm31", "--n", "3", "--json"), "verify_thm31_n3_json.out"),
+        (("verify", "thm48", "--n", "4"), "verify_thm48_n4.out"),
+        (("verify", "thm48", "--n", "4", "--json"), "verify_thm48_n4_json.out"),
+        (("verify", "bessel", "--order", "5", "--json"),
+         "verify_bessel_order5_json.out"),
+        (("verify", "prop26", "--sizes", "1,1,1,1", "--json"),
+         "verify_prop26_1111_json.out"),
+    ])
+    def test_verify_documents_are_byte_identical(self, capsys, argv, name):
+        # recorded when each verify verb built its result apart from the
+        # suite's check of the same identity
+        code, out, err = run(capsys, *argv)
+        assert code == 0 and err == ""
+        assert out == (GOLDEN / name).read_text()
+
+    @pytest.mark.parametrize("check", sorted(FAILING))
+    @pytest.mark.parametrize("form", ["text", "json", "suite"])
+    def test_failure_documents_are_byte_identical(
+            self, capsys, monkeypatch, check, form):
+        # each identity made to fail by a stand-in for its kernel; recorded
+        # with the same stand-ins when the verb and the suite check built
+        # their FAIL details apart
+        module, name, stand_in, argv = FAILING[check]
+        monkeypatch.setattr(module, name, stand_in)
+        if form == "suite":
+            argv = ("all", "--max-n", "4", "--json")
+        elif form == "json":
+            argv = argv + ("--json",)
+        code, out, err = run(capsys, "verify", *argv)
+        assert code == 1 and err == ""
+        assert out == (GOLDEN / f"fail_{check}_{form}.out").read_text()
 
     def test_extension_field_lattice_is_byte_identical(self, capsys):
         # recorded when covers were found by testing every adjacent-rank

@@ -32,3 +32,48 @@ def test_runtime_imports_only_the_standard_library():
             found += [f"{path.name}:{node.lineno} {name}" for name in names
                       if name.split(".")[0] not in sys.stdlib_module_names]
     assert not found, f"non-stdlib imports in {found}"
+
+
+
+def _unreferenced_public_definitions(package) -> list[str]:
+    """Public functions, classes and methods of the package that no name or
+    attribute in it references outside their own definition and
+    __init__.py, found again after each round so that a helper used only by
+    another such helper is caught too.  Dunder methods are exempt: the
+    language calls them."""
+    trees = {path.name: ast.parse(path.read_text(), filename=str(path))
+             for path in sorted(package.glob("*.py"))}
+    definitions = {}  # "file:line qualified name" -> (name, node)
+    for filename, tree in trees.items():
+        for node in tree.body:
+            if not isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                continue
+            definitions[f"{filename}:{node.lineno} {node.name}"] = (node.name, node)
+            if isinstance(node, ast.ClassDef):
+                for item in node.body:
+                    if isinstance(item, ast.FunctionDef):
+                        key = f"{filename}:{item.lineno} {node.name}.{item.name}"
+                        definitions[key] = (item.name, item)
+    references = [(n.id if isinstance(n, ast.Name) else n.attr, n)
+                  for filename, tree in trees.items() if filename != "__init__.py"
+                  for n in ast.walk(tree) if isinstance(n, (ast.Name, ast.Attribute))]
+    inside = {key: {id(n) for n in ast.walk(node)}
+              for key, (_, node) in definitions.items()}
+    dead: set = set()
+    while True:
+        excluded = set().union(*(inside[key] for key in dead))
+        found = {key for key, (name, _) in definitions.items()
+                 if not name.startswith("_")
+                 and not any(ref == name and id(n) not in excluded
+                             and id(n) not in inside[key]
+                             for ref, n in references)}
+        if found == dead:
+            return sorted(found)
+        dead = found
+
+
+def test_every_public_definition_is_used_by_the_package():
+    # a helper that only tests call is dead weight in the package; oracles
+    # and fixtures live in tests/oracles.py
+    found = _unreferenced_public_definitions(PACKAGE)
+    assert not found, f"public definitions only tests reach: {found}"

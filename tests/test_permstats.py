@@ -1,18 +1,17 @@
 import pytest
 
 from qsegre.exactalg import ONE, QPolynomial, q_factorial
-from qsegre.permstats import (ENUMERATION_BOUND, Permutation, PermutationPair,
-                              ascent_set, enumerate_no_common_ascent,
-                              has_common_ascent, inversions,
-                              no_common_ascent_count, omega_by_recurrence,
-                              q_binomial, verify_q_csv_identity, w_polynomial,
+from qsegre.permstats import (ENUMERATION_BOUND, RECURRENCE_BOUND,
+                              Permutation, inversions, q_binomial,
+                              verify_q_csv_identity, w_polynomial,
                               w_polynomial_recurrence, _perm_stats)
 
 import itertools
 
 from qsegre import permstats
 
-from oracles import w_polynomial_by_pair_scan
+from oracles import (ascent_set, enumerate_no_common_ascent,
+                     has_common_ascent, w_polynomial_by_pair_scan)
 
 
 def perm(*image):
@@ -35,9 +34,9 @@ class TestPermutation:
         assert inversions(perm(2, 3, 1)) == 2
 
     def test_ascent_set(self):
-        assert ascent_set(perm(1, 2, 3, 4)) == {1, 2, 3}
-        assert ascent_set(perm(3, 2, 1)) == set()
-        assert ascent_set(perm(2, 1, 3)) == {2}
+        assert ascent_set((1, 2, 3, 4)) == {1, 2, 3}
+        assert ascent_set((3, 2, 1)) == set()
+        assert ascent_set((2, 1, 3)) == {2}
 
     def test_inversions_plus_reversed_is_max(self):
         for n in range(6):
@@ -47,14 +46,17 @@ class TestPermutation:
 
 
 class TestPairs:
+    """The pair-scan oracle that the ascent-class enumeration of W_n is
+    checked against."""
+
     def test_size_mismatch_rejected(self):
         with pytest.raises(ValueError):
-            PermutationPair(perm(1), perm(1, 2))
+            has_common_ascent(perm(1), perm(1, 2))
 
     def test_common_ascent_examples(self):
-        assert not has_common_ascent(PermutationPair(perm(1, 2), perm(2, 1)))
-        assert has_common_ascent(PermutationPair(perm(1, 2), perm(1, 2)))
-        assert not has_common_ascent(PermutationPair(perm(2, 1), perm(2, 1)))
+        assert not has_common_ascent(perm(1, 2), perm(2, 1))
+        assert has_common_ascent(perm(1, 2), perm(1, 2))
+        assert not has_common_ascent(perm(2, 1), perm(2, 1))
 
     def test_enumeration_small_counts(self):
         assert len(enumerate_no_common_ascent(0)) == 1
@@ -63,17 +65,17 @@ class TestPairs:
         assert len(enumerate_no_common_ascent(3)) == 19
 
     def test_pair_set_for_n2_matches_hand_list(self):
-        pairs = {(p.first.image, p.second.image)
-                 for p in enumerate_no_common_ascent(2)}
+        pairs = {(a.image, b.image) for a, b in enumerate_no_common_ascent(2)}
         assert pairs == {((1, 2), (2, 1)), ((2, 1), (1, 2)), ((2, 1), (2, 1))}
 
     def test_every_enumerated_pair_has_no_common_ascent(self):
-        for pair in enumerate_no_common_ascent(3):
-            assert not has_common_ascent(pair)
+        for a, b in enumerate_no_common_ascent(3):
+            assert not any(a.image[i] < a.image[i + 1] and b.image[i] < b.image[i + 1]
+                           for i in range(2))
 
     def test_bound_is_enforced_with_named_limit(self):
         with pytest.raises(ValueError, match=str(ENUMERATION_BOUND)):
-            enumerate_no_common_ascent(ENUMERATION_BOUND + 1)
+            w_polynomial(ENUMERATION_BOUND + 1)
         with pytest.raises(ValueError):
             w_polynomial(3, bound=2)
 
@@ -89,8 +91,8 @@ class TestWPolynomial:
         # independent oracle: sum q^(inv+inv) over the materialized pair list
         for n in range(5):
             coeffs = [0] * (n * (n - 1) + 1)
-            for pair in enumerate_no_common_ascent(n):
-                coeffs[inversions(pair.first) + inversions(pair.second)] += 1
+            for a, b in enumerate_no_common_ascent(n):
+                coeffs[inversions(a) + inversions(b)] += 1
             assert w_polynomial(n) == QPolynomial(coeffs)
 
     def test_ascent_classes_match_the_pair_scan(self):
@@ -114,7 +116,8 @@ class TestWPolynomial:
     def test_value_at_one_counts_the_pairs(self):
         for n in range(5):
             assert w_polynomial(n).evaluate(1) == len(enumerate_no_common_ascent(n))
-            assert no_common_ascent_count(n) == len(enumerate_no_common_ascent(n))
+            assert w_polynomial_by_pair_scan(n).evaluate(1) == \
+                len(enumerate_no_common_ascent(n))
 
 
 class TestQBinomial:
@@ -192,10 +195,25 @@ class TestIdentities:
         assert beyond == w_polynomial(5)
 
     def test_omega_recurrence_cross_validates_enumeration(self):
+        # the recurrence seeded only with W_0 = 1, at q = 1
         assert omega_by_recurrence(2) == 3
         for n in range(6):
-            assert omega_by_recurrence(n) == no_common_ascent_count(n)
+            assert omega_by_recurrence(n) == len(enumerate_no_common_ascent(n))
 
     def test_omega_sequence_prefix(self):
         assert [omega_by_recurrence(n) for n in range(8)] == \
             [1, 1, 3, 19, 211, 3651, 90921, 3081513]
+
+    def test_recurrence_bound_is_refused_before_any_work(self, monkeypatch):
+        def fail(*args, **kwargs):
+            raise AssertionError("work started before the bound check")
+        for name in ("_w_polynomial_enumerated", "csv_recurrence",
+                     "q_binomial_square"):
+            monkeypatch.setattr(permstats, name, fail)
+        with pytest.raises(ValueError, match=r"^n=41 exceeds the recurrence "
+                                             r"bound 40$"):
+            w_polynomial_recurrence(RECURRENCE_BOUND + 1)
+
+
+def omega_by_recurrence(n: int) -> int:
+    return w_polynomial_recurrence(n, bound=0).evaluate(1)

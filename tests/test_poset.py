@@ -7,19 +7,21 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qsegre.poset import (FACE_COUNT_BOUND, ChainReport, EdgeLabeling,
-                          GradedPoset, boolean_lattice, boolean_lattice_labeled,
-                          chain_report, chains_by_dimension, check_el_labeling,
+                          GradedPoset, chain_report, chains_by_dimension,
+                          check_el_labeling,
                           descending_chain_count, mobius_number,
                           order_chain_counts, product_order_less, proper_part,
                           rational_betti_numbers, segre_product,
                           to_interchange, _element_matching, _morse_boundary,
                           _rank_of_sparse_rows)
 from qsegre.cli import BETTI_MATRIX, prime_power
-from qsegre.subspace import FiniteField, build_bnq, build_segre_bnq
+from qsegre.subspace import (FiniteField, build_bnq, build_segre_bnq,
+                             proper_face_count)
 
-from oracles import (chain_report_by_enumeration, chains_by_subsets,
+from oracles import (boolean_lattice, boolean_lattice_labeled,
+                     chain_report_by_enumeration, chains_by_subsets,
                      el_check_by_intervals, from_interchange, maximal_chains,
-                     pair_poset, rank_over_rationals,
+                     order_from_covers, pair_poset, rank_over_rationals,
                      rational_betti_numbers_by_elimination,
                      reduced_euler_characteristic, segre_labels_by_names,
                      segre_product_by_pairs)
@@ -79,7 +81,7 @@ def _random_graded_poset(rng):
     covers = [(a, b) for a in range(len(ranks)) for b in range(len(ranks))
               if ranks[b] == ranks[a] + 1 and rng.random() < 0.6]
     p = GradedPoset([f"v{i}" for i in range(len(ranks))], ranks, covers)
-    return p, EdgeLabeling.with_integer_labels(
+    return p, EdgeLabeling(
         {c: rng.randint(1, 3) for c in p.covers})
 
 
@@ -96,10 +98,12 @@ class TestGradedPoset:
 
     def test_order_queries(self):
         b = boolean_lattice(3)
-        empty = b.element_index(())
-        full = b.element_index((1, 2, 3))
-        single = b.element_index((2,))
-        assert b.leq(empty, full) and b.leq(single, full) and not b.leq(full, single)
+        _, above = order_from_covers(b)
+        empty, full, single = (b.names.index(x) for x in ((), (1, 2, 3), (2,)))
+        assert full in above[empty] and full in above[single]
+        assert single not in above[full]
+        for x in range(len(b)):
+            assert b.strictly_above(x) == sorted(above[x] - {x})
 
     def test_rank_sizes(self):
         assert boolean_lattice(3).rank_sizes() == [1, 3, 3, 1]
@@ -225,10 +229,11 @@ class TestMobiusAndEuler:
         # instance mu(bottom, x), by the plain recursion, takes 14 nonzero values
         import random
         p = _random_bounded_poset(random.Random(151), 7, 5)
+        _, above = order_from_covers(p)
         mu = {}
         for x in sorted(range(len(p)), key=p.ranks.__getitem__):
             mu[x] = 1 if x == p.bottom_index() else -sum(
-                mu[y] for y in p.strictly_below(x))
+                mu[y] for y in mu if y != x and x in above[y])
         assert len(set(mu.values()) - {0}) == 14
         assert (mobius_number(p) == mu[p.top_index()]
                 == reduced_euler_characteristic(proper_part(p)))
@@ -252,7 +257,7 @@ class TestMobiusAndEuler:
 
 class TestELLabeling:
     def test_two_chain_trivially_el(self):
-        labeling = EdgeLabeling.with_integer_labels({(0, 1): 1})
+        labeling = EdgeLabeling({(0, 1): 1})
         ok, violation = check_el_labeling(two_chain(), labeling)
         assert ok and violation is None
 
@@ -263,7 +268,7 @@ class TestELLabeling:
 
     def test_missing_label_rejected(self):
         with pytest.raises(ValueError):
-            check_el_labeling(two_chain(), EdgeLabeling.with_integer_labels({}))
+            check_el_labeling(two_chain(), EdgeLabeling({}))
 
     def test_segre_square_of_boolean_lattice_is_el(self):
         for n in (2, 3):
@@ -278,7 +283,8 @@ class TestELLabeling:
                        if s.names[a] == ((1,), (2,)) and s.ranks[b] == 2)
         broken = dict(labeling.labels)
         broken[culprit] = (2, 2)
-        ok, violation = check_el_labeling(s, EdgeLabeling.with_pair_labels(broken))
+        ok, violation = check_el_labeling(
+            s, EdgeLabeling(broken, product_order_less))
         assert not ok
         assert violation.lower == ((), ()) and violation.upper == ((1, 2), (1, 2))
 
@@ -300,7 +306,7 @@ class TestChainReport:
         pair_labels = {(a, b): (labeling.labels[(index[s.names[a][0]], index[s.names[b][0]])],
                                 labeling.labels[(index[s.names[a][1]], index[s.names[b][1]])])
                        for a, b in s.covers}
-        report = chain_report(s, EdgeLabeling.with_pair_labels(pair_labels))
+        report = chain_report(s, EdgeLabeling(pair_labels, product_order_less))
         assert report.total == 4
         assert report.descending_count == 3
         assert report.increasing_count == 1
@@ -318,7 +324,7 @@ class TestUnboundedPosets:
 
     def test_chain_report_without_a_bottom(self):
         p = GradedPoset(["a", "b", "c"], [0, 0, 1], [(0, 2), (1, 2)])
-        labeling = EdgeLabeling.with_integer_labels({(0, 2): 1, (1, 2): 2})
+        labeling = EdgeLabeling({(0, 2): 1, (1, 2): 2})
         for kernel in (chain_report, descending_chain_count):
             with pytest.raises(ValueError, match="^poset has no bottom element$"):
                 kernel(p, labeling)
@@ -326,7 +332,7 @@ class TestUnboundedPosets:
 
     def test_chain_report_without_a_top(self):
         p = GradedPoset(["a", "b", "c"], [0, 1, 1], [(0, 1), (0, 2)])
-        labeling = EdgeLabeling.with_integer_labels({(0, 1): 1, (0, 2): 2})
+        labeling = EdgeLabeling({(0, 1): 1, (0, 2): 2})
         for kernel in (chain_report, descending_chain_count):
             with pytest.raises(ValueError, match="^poset has no top element$"):
                 kernel(p, labeling)
@@ -335,14 +341,14 @@ class TestUnboundedPosets:
     def test_chain_report_of_the_empty_poset(self):
         for kernel in (chain_report, descending_chain_count):
             with pytest.raises(ValueError, match="^poset has no bottom element$"):
-                kernel(GradedPoset([], [], []), EdgeLabeling.with_integer_labels({}))
+                kernel(GradedPoset([], [], []), EdgeLabeling({}))
 
     def test_el_violation_below_two_maximal_elements(self):
         # two tops over one bottom; the interval up to "y" has two
         # increasing chains
         p = GradedPoset(["0", "a", "b", "x", "y"], [0, 1, 1, 2, 2],
                         [(0, 1), (0, 2), (1, 3), (1, 4), (2, 4)])
-        labeling = EdgeLabeling.with_integer_labels(
+        labeling = EdgeLabeling(
             {(0, 1): 1, (0, 2): 1, (1, 3): 2, (1, 4): 2, (2, 4): 3})
         ok, violation = check_el_labeling(p, labeling)
         assert not ok
@@ -352,17 +358,18 @@ class TestUnboundedPosets:
 
     def test_single_element(self):
         report = chain_report(GradedPoset(["x"], [0], []),
-                              EdgeLabeling.with_integer_labels({}))
+                              EdgeLabeling({}))
         assert report == ChainReport({(): 1}, 1, 1)
         assert descending_chain_count(GradedPoset(["x"], [0], []),
-                                      EdgeLabeling.with_integer_labels({})) == 1
+                                      EdgeLabeling({})) == 1
 
 
 def _random_labeling(rng, p, pairs):
     if pairs:
-        return EdgeLabeling.with_pair_labels(
-            {c: (rng.randint(1, 2), rng.randint(1, 2)) for c in p.covers})
-    return EdgeLabeling.with_integer_labels(
+        return EdgeLabeling(
+            {c: (rng.randint(1, 2), rng.randint(1, 2)) for c in p.covers},
+            product_order_less)
+    return EdgeLabeling(
         {c: rng.randint(1, 3) for c in p.covers})
 
 
@@ -449,9 +456,8 @@ class TestKernelsAgainstOracles:
 
 
 class TestQuadraticBitsets:
-    """Only mobius_number, order_chain_counts, leq and
-    strictly_below/strictly_above build the per-element reachability
-    masks."""
+    """Only mobius_number, order_chain_counts and strictly_above build the
+    per-element reachability masks."""
 
     def test_cover_kernels_leave_the_masks_unbuilt(self):
         sp, labeling = build_segre_bnq(2, FiniteField(3, 1))
@@ -503,29 +509,6 @@ def _random_face_poset(rng):
     covers = [(index[f[:t] + f[t + 1:]], index[f]) for f in faces if len(f) > 1
               for t in range(len(f))]
     return GradedPoset(faces, [len(f) - 1 for f in faces], covers)
-
-
-def segre_face_count(n: int, q: int) -> int:
-    """Faces of the order complex of the proper part of the Segre square of
-    B_n(q): pairs of flags of one dimension set S in {1..n-1}, so the sum
-    over nonempty S of the squared q-multinomial count of such flags."""
-    total = 0
-    for size in range(1, n):
-        for dims in itertools.combinations(range(1, n), size):
-            flags, previous = 1, 0
-            for d in dims + (n,):
-                flags *= q_binomial_at(n - previous, d - previous, q)
-                previous = d
-            total += flags ** 2
-    return total
-
-
-def q_binomial_at(n: int, k: int, q: int) -> int:
-    """Subspaces of dimension k in F_q^n."""
-    out = 1
-    for i in range(k):
-        out = out * (q ** (n - i) - 1) // (q ** (i + 1) - 1)
-    return out
 
 
 class TestBetti:
@@ -634,16 +617,24 @@ class TestBetti:
 
 class TestFaceBound:
     def test_face_formula_matches_the_chain_counts(self):
-        for n, q in ((2, 2), (2, 3), (3, 2), (3, 3), (3, 4), (4, 2)):
-            p = proper_part(build_segre_bnq(n, FiniteField(*prime_power(q)))[0])
-            assert sum(order_chain_counts(p)) == segre_face_count(n, q), (n, q)
+        for n, q in ((0, 2), (1, 2), (2, 2), (2, 3), (3, 2), (3, 3), (3, 4),
+                     (4, 2)):
+            field = FiniteField(*prime_power(q))
+            for segre, build in ((False, build_bnq), (True, build_segre_bnq)):
+                p = proper_part(build(n, field)[0])
+                assert sum(order_chain_counts(p)) == \
+                    proper_face_count(n, q, segre), (n, q, segre)
+        for n in (4, 5):
+            p = proper_part(build_bnq(n, FiniteField(2))[0])
+            assert sum(order_chain_counts(p)) == proper_face_count(n, 2), n
 
     def test_bound_admits_the_desk_squares_and_refuses_the_next(self):
         for n, q in ((4, 2), (3, 7), (3, 8)):
-            assert segre_face_count(n, q) <= FACE_COUNT_BOUND, (n, q)
-        assert segre_face_count(3, 8) == 442307
-        assert segre_face_count(4, 3) == 5157700 > FACE_COUNT_BOUND
-        assert segre_face_count(3, 9) > FACE_COUNT_BOUND
+            assert proper_face_count(n, q, True) <= FACE_COUNT_BOUND, (n, q)
+        assert proper_face_count(3, 8, True) == 442307
+        assert proper_face_count(4, 3, True) == 5157700 > FACE_COUNT_BOUND
+        assert proper_face_count(3, 9, True) > FACE_COUNT_BOUND
+        assert proper_face_count(6, 2) == 2257887 > FACE_COUNT_BOUND
 
     def test_over_the_bound_no_chain_is_listed(self, monkeypatch):
         import qsegre.poset as poset_module
@@ -691,7 +682,7 @@ class TestInterchange:
 
     def test_pair_labels_round_trip(self):
         p = GradedPoset(["x", "y"], [0, 1], [(0, 1)])
-        labeling = EdgeLabeling.with_pair_labels({(0, 1): (2, 3)})
+        labeling = EdgeLabeling({(0, 1): (2, 3)}, product_order_less)
         doc = json.loads(json.dumps(to_interchange(p, labeling)))
         rebuilt, relabeling = from_interchange(doc)
         assert relabeling.labels == {(0, 1): (2, 3)}
