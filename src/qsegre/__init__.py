@@ -13,11 +13,10 @@ from .poset import (ChainReport, EdgeLabeling, GradedPoset, chain_report,
                     proper_part, rational_betti_numbers, segre_product)
 from .subspace import (FiniteField, Subspace, build_bnq, build_segre_bnq,
                        enumerate_subspaces)
-from .symfrob import (CharacterTable2, SymFun2, h_alternating_residual,
-                      h_to_p, induce_product_character, irreducible_table2,
+from .symfrob import (CharacterTable2, h_alternating_residual,
+                      induce_product_character, irreducible_table2,
                       lefschetz_character, partitions_of,
-                      principal_specialization, product_frobenius,
-                      verify_induction_homomorphism,
+                      principal_specialization, verify_induction_homomorphism,
                       verify_specialization_identity, z_of)
 
 __version__ = "0.1.0"

@@ -4,13 +4,11 @@ Every object the paper needs is an integer polynomial over a denominator
 known in advance, so this module has polynomials only: a caller keeps the
 known denominator (([n]_q!)^2 for the reciprocal series, the product of
 (1 - q^i)^2 for principal specialization) explicit beside the numerator, and
-no gcd is ever taken.  A polynomial keeps integral coefficients as Python
-int: an integral Fraction is normalised to int on entry, products and sums of
-ints stay ints, and long division by a +1 or -1 leading coefficient stays in
-the integers.  fractions.Fraction survives only where a caller passes a
-non-integral value or divides by a non-unit, as the symmetric function
-coefficients do before their sum clears.  Nothing here ever touches floating
-point.
+no gcd is ever taken.  Coefficients are Python ints and nothing else: any
+other coefficient is refused with TypeError, and long division takes only a
+divisor whose leading coefficient is +1 or -1, which keeps every quotient in
+the integers (every known denominator is such a product of 1 - q^i).
+Nothing here ever touches floating point or rationals.
 
 A polynomial is a tuple of coefficients in ascending degree with no trailing
 zeros (the zero polynomial is the empty tuple), which makes structural
@@ -22,20 +20,15 @@ threads.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import lru_cache
-from typing import Iterable, Union
-
-Coefficient = Union[int, Fraction]
+from typing import Iterable
 
 
-def _coerce(value: Coefficient) -> Coefficient:
-    """An int, or a Fraction only when the value is not integral."""
+def _coerce(value) -> int:
+    """The value as a plain int; TypeError for anything but an integer."""
     if isinstance(value, int):
         return int(value)
-    if isinstance(value, Fraction):
-        return value.numerator if value.denominator == 1 else value
-    raise TypeError(f"expected an integer or Fraction, got {type(value).__name__}")
+    raise TypeError(f"expected an integer, got {type(value).__name__}")
 
 
 class QPolynomial:
@@ -43,11 +36,11 @@ class QPolynomial:
 
     __slots__ = ("coeffs",)
 
-    def __init__(self, coeffs: Iterable[Coefficient] = ()):
-        cs = [_coerce(c) for c in coeffs]
+    def __init__(self, coeffs: Iterable[int] = ()):
+        cs = [c if type(c) is int else _coerce(c) for c in coeffs]
         while cs and cs[-1] == 0:
             cs.pop()
-        self.coeffs: tuple[Coefficient, ...] = tuple(cs)
+        self.coeffs: tuple[int, ...] = tuple(cs)
 
     @property
     def degree(self) -> int:
@@ -57,13 +50,13 @@ class QPolynomial:
     def is_zero(self) -> bool:
         return not self.coeffs
 
-    def evaluate(self, value: Coefficient) -> Coefficient:
+    def evaluate(self, value: int) -> int:
         """Exact value at q = value, by Horner's rule."""
         v = _coerce(value)
         acc = 0
         for c in reversed(self.coeffs):
             acc = acc * v + c
-        return _coerce(acc)
+        return acc
 
     def __add__(self, other: "QPolynomial") -> "QPolynomial":
         if not isinstance(other, QPolynomial):
@@ -85,9 +78,9 @@ class QPolynomial:
         return QPolynomial(-c for c in self.coeffs)
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = _coerce(other)
-            return QPolynomial(c * other for c in self.coeffs)
+        if isinstance(other, int):
+            other = int(other)
+            return QPolynomial([c * other for c in self.coeffs])
         if not isinstance(other, QPolynomial):
             return NotImplemented
         a, b = self.coeffs, other.coeffs
@@ -103,27 +96,25 @@ class QPolynomial:
     __rmul__ = __mul__
 
     def __divmod__(self, other: "QPolynomial"):
-        """Long division.  A +1 or -1 leading coefficient keeps integer
-        operands in the integers; any other divisor makes quotient digits
-        Fractions, which is exact because the coefficients are rational."""
+        """Long division by a divisor whose leading coefficient is +1 or -1,
+        so that quotient and remainder stay in the integers; any other
+        nonzero divisor raises ValueError."""
         if not isinstance(other, QPolynomial):
             return NotImplemented
         if other.is_zero():
             raise ZeroDivisionError("polynomial division by zero")
+        dlead = other.coeffs[-1]
+        if dlead not in (1, -1):
+            raise ValueError(f"divisor {other} has leading coefficient "
+                             f"{dlead}, not +1 or -1")
         rem = list(self.coeffs)
         dlen = len(other.coeffs)
         if len(rem) < dlen:
             return QPolynomial(), self
         quo = [0] * (len(rem) - dlen + 1)
-        dlead = other.coeffs[-1]
         for shift in range(len(rem) - dlen, -1, -1):
             top = rem[shift + dlen - 1]
-            if dlead == 1:
-                factor = top
-            elif dlead == -1:
-                factor = -top
-            else:
-                factor = Fraction(top) / dlead
+            factor = top if dlead == 1 else -top
             if factor:
                 quo[shift] = factor
                 for i, c in enumerate(other.coeffs):
@@ -210,5 +201,5 @@ def q_factorial(n: int) -> QPolynomial:
 
 
 def poly_coeff_strings(p: QPolynomial) -> list[str]:
-    """Serialization used by the CLI: ascending coefficients, "a" or "a/b"."""
+    """Serialization used by the CLI: ascending coefficients as strings."""
     return [str(c) for c in p.coeffs]

@@ -17,6 +17,7 @@ from functools import lru_cache
 from .exactalg import ONE, ZERO, QPolynomial, q_power
 
 ENUMERATION_BOUND = 7
+ENUMERATION_CEILING = 9
 RECURRENCE_BOUND = 40
 
 
@@ -57,18 +58,26 @@ def inversions(s: Permutation) -> int:
     return sum(1 for i in range(n) for j in range(i + 1, n) if img[i] > img[j])
 
 
-def _effective_bound(bound) -> int:
+def effective_bound(bound) -> int:
+    """The enumeration bound in force: ENUMERATION_BOUND by default, and a
+    given bound refused when it is negative or above ENUMERATION_CEILING
+    (W_9 takes about 2 s to enumerate, and each step up costs about n
+    times more)."""
     if bound is None:
         return ENUMERATION_BOUND
-    if int(bound) < 0:
+    bound = int(bound)
+    if bound < 0:
         raise ValueError(f"the enumeration bound must be nonnegative, got {bound}")
-    return int(bound)
+    if bound > ENUMERATION_CEILING:
+        raise ValueError(f"the enumeration bound {bound} exceeds the ceiling "
+                         f"{ENUMERATION_CEILING}")
+    return bound
 
 
 def check_enumeration_bound(n: int, bound=None, name: str = "n") -> None:
     """Reject n outside [0, bound] before any work; bound defaults to
     ENUMERATION_BOUND.  The error calls n by name, e.g. "order"."""
-    bound = _effective_bound(bound)
+    bound = effective_bound(bound)
     if n < 0:
         raise ValueError(f"{name} must be nonnegative")
     if n > bound:
@@ -199,7 +208,7 @@ def w_polynomial_recurrence(n: int, bound=None) -> QPolynomial:
     """
     if n < 0:
         raise ValueError("n must be nonnegative")
-    bound = _effective_bound(bound)
+    bound = effective_bound(bound)
     if n > RECURRENCE_BOUND:
         raise ValueError(f"n={n} exceeds the recurrence bound {RECURRENCE_BOUND}")
     seeds = [_w_polynomial_enumerated(m) for m in range(min(n, bound) + 1)]

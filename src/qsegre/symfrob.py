@@ -1,13 +1,16 @@
-"""Class functions on products of two symmetric groups, two-alphabet
-symmetric functions in the power-sum basis, and the homology characters of
-rank-equal pair posets of subset lattices.
+"""Class functions on products of two symmetric groups, their two-alphabet
+characteristics, and the homology characters of rank-equal pair posets of
+subset lattices.
 
-A symmetric function in alphabets x and y is a map from pairs of partitions
-(mu, lam) to rational coefficients, read as sum of c * p_mu(x) * p_lam(y).
-Products only ever merge partition multisets, so no monomial expansion is
-materialized anywhere.  Characters of S_m x S_n are integer tables indexed
-the same way.  The homomorphism check on induction products stays in those
-integer tables: it clears the known denominators z_mu z_lam of ch(t) ch(u).
+A class function on S_m x S_n is an integer table indexed by pairs of
+partitions (mu, lam).  Its characteristic is the sum of
+table(mu, lam) / (z_mu z_lam) p_mu(x) p_lam(y), and every identity here is
+checked on the integer side of that quotient: the denominators are known in
+advance, so they are cleared rather than carried.  The product of two
+characteristics is the integer table of z_mu z_lam times its coefficients,
+a sum over the splits of the cycles; the homomorphism check compares it
+with the induced character, and the alternating complete-homogeneous
+identity sums such tables.
 
 The character of S_n x S_n on the one nonvanishing reduced homology group of
 the proper part of the rank-equal pair poset of two subset lattices is
@@ -18,16 +21,15 @@ cycle lengths; it uses no labels and no shelling.
 
 Principal specialization turns a characteristic of degree n into a rational
 function whose denominator divides the product of (1 - q^i)^2 for i <= n,
-so it is returned as the numerator over that known denominator, and
-the paper's specialization theorem becomes the polynomial identity
-numerator == W_n(q).
+so it is returned as the numerator over that known denominator, first with
+m! n! cleared from the coefficients; the paper's specialization theorem
+becomes the polynomial identity numerator == (n!)^2 W_n(q).
 """
 
 from __future__ import annotations
 
 import itertools
 from collections import Counter
-from fractions import Fraction
 from functools import lru_cache
 from math import comb, factorial
 
@@ -80,85 +82,6 @@ def check_homology_bound(n: int, name: str = "n") -> None:
                          f"{TOP_HOMOLOGY_BOUND}")
 
 
-def h_to_p(n: int) -> dict[Partition, Fraction]:
-    """Power-sum expansion of the complete homogeneous function h_n: the
-    coefficient of p_lam is 1/z_lam (h_n is the characteristic of the trivial
-    character, whose every value is 1)."""
-    return {lam: Fraction(1, z_of(lam)) for lam in partitions_of(n)}
-
-
-def _merge(a: Partition, b: Partition) -> Partition:
-    return tuple(sorted(a + b, reverse=True))
-
-
-class SymFun2:
-    """Two-alphabet symmetric function as a power-sum coefficient map."""
-
-    __slots__ = ("terms",)
-
-    def __init__(self, terms=None):
-        out: dict[tuple[Partition, Partition], Fraction] = {}
-        for (mu, lam), c in (terms or {}).items():
-            c = Fraction(c)
-            if c:
-                out[(tuple(mu), tuple(lam))] = c
-        self.terms = out
-
-    @classmethod
-    def one(cls) -> "SymFun2":
-        return cls({((), ()): 1})
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def __add__(self, other: "SymFun2") -> "SymFun2":
-        if not isinstance(other, SymFun2):
-            return NotImplemented
-        out = dict(self.terms)
-        for key, c in other.terms.items():
-            out[key] = out.get(key, Fraction(0)) + c
-        return SymFun2(out)
-
-    def __sub__(self, other: "SymFun2") -> "SymFun2":
-        if not isinstance(other, SymFun2):
-            return NotImplemented
-        return self + (-other)
-
-    def __neg__(self) -> "SymFun2":
-        return SymFun2({key: -c for key, c in self.terms.items()})
-
-    def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return SymFun2({key: c * other for key, c in self.terms.items()})
-        if not isinstance(other, SymFun2):
-            return NotImplemented
-        out: dict = {}
-        for (mu1, lam1), c1 in self.terms.items():
-            for (mu2, lam2), c2 in other.terms.items():
-                key = (_merge(mu1, mu2), _merge(lam1, lam2))
-                out[key] = out.get(key, Fraction(0)) + c1 * c2
-        return SymFun2(out)
-
-    __rmul__ = __mul__
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, SymFun2) and self.terms == other.terms
-
-    def __repr__(self) -> str:
-        if not self.terms:
-            return "SymFun2(0)"
-        bits = [f"{c}*p{list(mu)}(x)p{list(lam)}(y)"
-                for (mu, lam), c in sorted(self.terms.items())]
-        return "SymFun2(" + " + ".join(bits) + ")"
-
-
-def tensor_single(xs: dict[Partition, Fraction],
-                  ys: dict[Partition, Fraction]) -> SymFun2:
-    """Product of a single-alphabet expansion in x with one in y."""
-    return SymFun2({(mu, lam): cx * cy
-                    for mu, cx in xs.items() for lam, cy in ys.items()})
-
-
 class CharacterTable2:
     """Integer class function on S_m x S_n indexed by partition pairs."""
 
@@ -177,12 +100,6 @@ class CharacterTable2:
 
     def __repr__(self) -> str:
         return f"CharacterTable2(m={self.m}, n={self.n}, values={self.values})"
-
-
-def product_frobenius(table: CharacterTable2) -> SymFun2:
-    """The characteristic sum of chi(mu, lam)/(z_mu z_lam) p_mu(x) p_lam(y)."""
-    return SymFun2({(mu, lam): Fraction(v, z_of(mu) * z_of(lam))
-                    for (mu, lam), v in table.values.items()})
 
 
 @lru_cache(maxsize=None)
@@ -392,27 +309,24 @@ def lefschetz_character(n: int) -> CharacterTable2:
                                   for lam in partitions_of(n)})
 
 
-@lru_cache(maxsize=None)
-def homology_characteristic(n: int) -> SymFun2:
-    """Product Frobenius characteristic of the top homology character; the
-    constant 1 at n = 0 (the degenerate poset convention forced by the n = 1
-    instance of the alternating identity)."""
-    if n == 0:
-        return SymFun2.one()
-    return product_frobenius(lefschetz_character(n))
 
 
-def h_alternating_residual(n: int) -> SymFun2:
-    """The alternating sum over i of (-1)^i h_(n-i)(x) h_(n-i)(y) times the
-    degree-i homology characteristic; zero exactly when the homology
-    characters satisfy the complete-homogeneous identity."""
+def h_alternating_residual(n: int) -> dict:
+    """The alternating sum over i of (-1)^i h_(n-i)(x) h_(n-i)(y) ch_i, as
+    its nonzero z-cleared entries: z_mu z_lam times the coefficient of
+    p_mu(x) p_lam(y).  h_a is the characteristic of the trivial character
+    of S_a, ch_i that of the degree-i homology character, and ch_0 = 1 (the
+    degenerate poset convention forced by the n = 1 instance); empty exactly
+    when the homology characters satisfy the complete-homogeneous identity."""
     check_homology_bound(n)
-    total = SymFun2()
+    total: dict = {}
     for i in range(n + 1):
-        h = h_to_p(n - i)
-        term = tensor_single(h, h) * homology_characteristic(i)
-        total = total + term if i % 2 == 0 else total - term
-    return total
+        row = (n - i,) if i < n else ()
+        ch = lefschetz_character(i) if i else irreducible_table2((), ())
+        sign = -1 if i % 2 else 1
+        for key, v in _product_values(irreducible_table2(row, row), ch).items():
+            total[key] = total.get(key, 0) + sign * v
+    return {key: v for key, v in total.items() if v}
 
 
 def specialization_denominator(n: int) -> QPolynomial:
@@ -424,20 +338,27 @@ def specialization_denominator(n: int) -> QPolynomial:
     return out
 
 
-def principal_specialization(f: SymFun2, n: int) -> QPolynomial:
-    """Substitute 1, q, q^2, ... into both alphabets, where each part a of
-    either partition contributes a factor 1/(1 - q^a).  Returned as the
-    numerator over specialization_denominator(n), which every term's
-    denominator divides when f has degree at most n in each alphabet (a
-    q-multinomial is a polynomial).  A term's value depends only on the
-    multiset of its parts, so the coefficients are summed per multiset and
-    the denominator is divided once per multiset; one whose product does
-    not divide it raises ValueError, even when its coefficients cancel."""
-    denominator = specialization_denominator(n)
-    by_parts: dict[tuple[int, ...], Fraction] = {}
-    for (mu, lam), c in f.terms.items():
+def cleared_specialization(table: CharacterTable2, n: int) -> QPolynomial:
+    """m! l! times the principal specialization of the characteristic of a
+    class function on S_m x S_l, as an integer numerator over
+    specialization_denominator(n).
+
+    Specializing both alphabets to 1, q, q^2, ... sends p_mu(x) p_lam(y) to
+    1 over the product of (1 - q^a) for the parts a of mu and lam, which
+    divides the denominator when m and l are at most n (a q-multinomial is
+    a polynomial).  The characteristic's coefficient there is
+    table(mu, lam) / (z_mu z_lam), and z_mu divides m!, so
+    table(mu, lam) (m!/z_mu) (l!/z_lam) is an integer.  Those integers are
+    summed per multiset mu + lam, on which the specialized term depends, and
+    the denominator is divided once per multiset; one whose product does not
+    divide it raises ValueError, even when its sum cancels."""
+    fm, fl = factorial(table.m), factorial(table.n)
+    by_parts: dict[tuple[int, ...], int] = {}
+    for (mu, lam), v in table.values.items():
         parts = tuple(sorted(mu + lam))
-        by_parts[parts] = by_parts.get(parts, 0) + c
+        by_parts[parts] = (by_parts.get(parts, 0)
+                           + v * (fm // z_of(mu)) * (fl // z_of(lam)))
+    denominator = specialization_denominator(n)
     total = ZERO
     for parts, c in by_parts.items():
         term_den = ONE
@@ -447,12 +368,31 @@ def principal_specialization(f: SymFun2, n: int) -> QPolynomial:
     return total
 
 
+def principal_specialization(table: CharacterTable2, n: int) -> QPolynomial:
+    """The principal specialization of the characteristic of a class
+    function on S_m x S_l, as a numerator over specialization_denominator(n):
+    cleared_specialization divided by m! l!, coefficient by coefficient.
+    ArithmeticError if a coefficient leaves a remainder, which a character
+    never does (its specialization has integer coefficients in q)."""
+    scale = factorial(table.m) * factorial(table.n)
+    coeffs = []
+    for c in cleared_specialization(table, n).coeffs:
+        quotient, remainder = divmod(c, scale)
+        if remainder:
+            raise ArithmeticError(f"specialized coefficient {c} is not "
+                                  f"divisible by {scale}")
+        coeffs.append(quotient)
+    return QPolynomial(coeffs)
+
+
 def verify_specialization_identity(n: int) -> bool:
     """The polynomial identity ps(ch_n) * prod_(i<=n) (1 - q^i)^2 == W_n(q),
-    with W_n taken from the recurrence past the enumeration bound."""
+    compared with both sides times (n!)^2 so that any integer table gives a
+    verdict; W_n is taken from the recurrence past the enumeration bound."""
     check_homology_bound(n)
     w = w_polynomial(n) if n <= ENUMERATION_BOUND else w_polynomial_recurrence(n)
-    return principal_specialization(homology_characteristic(n), n) == w
+    return (cleared_specialization(lefschetz_character(n), n)
+            == w * factorial(n) ** 2)
 
 
 def verify_induction_homomorphism(k: int, l: int, m: int, n: int) -> bool:

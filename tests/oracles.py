@@ -15,7 +15,11 @@ oracle eliminates over Fractions.  The subspace oracles test containment by
 row reduction and read label sets off every vector of a subspace.  The
 symmetric-function oracles take the homology character from the Hopf trace
 over the chains of the pair poset, and check that induction products go to
-products by comparing characteristics over Fractions.
+products by comparing characteristics over Fractions.  Those
+characteristics are two-alphabet symmetric functions as dicts from
+partition pairs (mu, lam) to the nonzero Fraction coefficients of
+p_mu(x) p_lam(y), kept here so that the package's z-cleared integer tables
+have a route to be checked against.
 """
 
 from fractions import Fraction
@@ -30,11 +34,9 @@ from qsegre.poset import (ChainReport, EdgeLabeling, ELViolation, GradedPoset,
                           product_order_less, proper_part, segre_product,
                           _rank_of_sparse_rows)
 from qsegre.subspace import Subspace, enumerate_subspaces, rref_rows
-from qsegre.symfrob import (CharacterTable2, SymFun2, _perm_of_cycle_type,
-                            h_to_p, induce_product_character,
-                            irreducible_table2, partitions_of,
-                            product_frobenius, specialization_denominator,
-                            tensor_single, z_of)
+from qsegre.symfrob import (CharacterTable2, _perm_of_cycle_type,
+                            induce_product_character, irreducible_table2,
+                            partitions_of, specialization_denominator, z_of)
 
 
 def series_reciprocal(coeffs) -> list[Fraction]:
@@ -69,16 +71,23 @@ def bessel_series_at(order: int, q: int) -> list[Fraction]:
 
 def interpolate(points) -> QPolynomial:
     """The polynomial of degree below len(points) through the (x, y) points,
-    by Lagrange's formula over the rationals."""
-    total = QPolynomial()
+    by Lagrange's formula over the rationals; ArithmeticError unless its
+    coefficients are integers."""
+    total = [Fraction(0)] * len(points)
     for i, (xi, yi) in enumerate(points):
-        basis = ONE
+        basis = [Fraction(yi)]  # yi times prod (q - xj)/(xi - xj), ascending
         for j, (xj, _) in enumerate(points):
             if j != i:
-                basis = basis * QPolynomial([Fraction(-xj, xi - xj),
-                                             Fraction(1, xi - xj)])
-        total = total + basis * Fraction(yi)
-    return total
+                shifted = [Fraction(0)] + basis
+                for k, c in enumerate(basis):
+                    shifted[k] -= xj * c
+                basis = [c / (xi - xj) for c in shifted]
+        for k, c in enumerate(basis):
+            total[k] += c
+    if any(c.denominator != 1 for c in total):
+        raise ArithmeticError(f"interpolated coefficients {total} are not "
+                              "all integers")
+    return QPolynomial(c.numerator for c in total)
 
 
 def reciprocal_numerator_by_evaluation(n: int) -> QPolynomial:
@@ -100,11 +109,11 @@ def reciprocal_numerator_by_evaluation(n: int) -> QPolynomial:
     return g
 
 
-def specialization_at(f, q: int) -> Fraction:
+def specialization_at(f: dict, q: int) -> Fraction:
     """ps(f) at an integer q >= 2: p_a(1, q, q^2, ...) = 1/(1 - q^a) in each
     alphabet, summed with f's power-sum coefficients."""
     total = Fraction(0)
-    for (mu, lam), c in f.terms.items():
+    for (mu, lam), c in f.items():
         term = Fraction(c)
         for a in mu + lam:
             term /= 1 - q ** a
@@ -112,7 +121,8 @@ def specialization_at(f, q: int) -> Fraction:
     return total
 
 
-def cleared_specialization_matches(f, n: int, target: QPolynomial) -> bool:
+def cleared_specialization_matches(f: dict, n: int,
+                                   target: QPolynomial) -> bool:
     """ps(f) * prod_{i<=n} (1 - q^i)^2 == target, checked at n(n+1)+1 integer
     points.  When f has degree at most n in each alphabet both sides are
     polynomials of degree at most n(n+1), so agreement there is equality."""
@@ -127,18 +137,70 @@ def cleared_specialization_matches(f, n: int, target: QPolynomial) -> bool:
     return True
 
 
-def principal_specialization_by_terms(f, n: int) -> QPolynomial:
-    """ps(f) as a numerator over specialization_denominator(n), dividing
-    that denominator by the product of 1 - q^a over the parts of each term
-    in turn."""
+def principal_specialization_by_terms(table: CharacterTable2,
+                                      n: int) -> QPolynomial:
+    """m! l! times ps(ch(table)) for a table on S_m x S_l, as a numerator
+    over specialization_denominator(n): each coefficient of the Fraction
+    characteristic is scaled by m! l! and must come out an integer, and the
+    denominator is divided by the product of 1 - q^a over the parts of each
+    term in turn."""
+    scale = factorial(table.m) * factorial(table.n)
     denominator = specialization_denominator(n)
     total = QPolynomial()
-    for (mu, lam), c in f.terms.items():
+    for (mu, lam), c in characteristic(table).items():
+        scaled = c * scale
+        if scaled.denominator != 1:
+            raise ArithmeticError(f"{scale} * {c} is not an integer")
         term_den = ONE
         for part in mu + lam:
             term_den = term_den * one_minus_q_power(part)
-        total = total + denominator.exact_div(term_den) * c
+        total = total + denominator.exact_div(term_den) * scaled.numerator
     return total
+
+
+def h_to_p(n: int) -> dict:
+    """Power-sum expansion of the complete homogeneous function h_n: the
+    coefficient of p_lam is 1/z_lam (h_n is the characteristic of the trivial
+    character, whose every value is 1)."""
+    return {lam: Fraction(1, z_of(lam)) for lam in partitions_of(n)}
+
+
+def tensor(xs: dict, ys: dict) -> dict:
+    """The product of a one-alphabet expansion in x with one in y."""
+    return {(mu, lam): cx * cy for mu, cx in xs.items() for lam, cy in ys.items()
+            if cx * cy}
+
+
+def characteristic(table: CharacterTable2) -> dict:
+    """The characteristic: table(mu, lam)/(z_mu z_lam) at p_mu(x) p_lam(y)."""
+    return {(mu, lam): Fraction(v, z_of(mu) * z_of(lam))
+            for (mu, lam), v in table.values.items() if v}
+
+
+def sf_add(f: dict, g: dict, scale=1) -> dict:
+    """f + scale * g, with zero coefficients dropped."""
+    out = dict(f)
+    for key, c in g.items():
+        out[key] = out.get(key, 0) + scale * c
+    return {key: c for key, c in out.items() if c}
+
+
+def _merge(a: tuple, b: tuple) -> tuple:
+    return tuple(sorted(a + b, reverse=True))
+
+
+def sf_product(f: dict, g: dict) -> dict:
+    """The product, term by term: p_mu p_nu = p_(mu merged with nu) in each
+    alphabet."""
+    out: dict = {}
+    for (mu1, lam1), c1 in f.items():
+        for (mu2, lam2), c2 in g.items():
+            key = (_merge(mu1, mu2), _merge(lam1, lam2))
+            out[key] = out.get(key, 0) + c1 * c2
+    return {key: c for key, c in out.items() if c}
+
+
+SF_ONE = {((), ()): Fraction(1)}
 
 
 def ascent_set(image) -> set[int]:
@@ -489,17 +551,17 @@ def trivial_character(m: int, n: int) -> CharacterTable2:
 
 
 @lru_cache(maxsize=None)
-def characteristic_by_whitney_recursion(n: int) -> SymFun2:
+def characteristic_by_whitney_recursion(n: int) -> dict:
     """The top characteristic rebuilt bottom-up from the Whitney-homology
     decomposition: degree n is the alternating sum over r < n of the degree-r
     value times h_(n-r)(x) h_(n-r)(y), seeded with 1 at degree 0."""
     if n == 0:
-        return SymFun2.one()
-    total = SymFun2()
+        return SF_ONE
+    total: dict = {}
     for r in range(n):
         h = h_to_p(n - r)
-        term = characteristic_by_whitney_recursion(r) * tensor_single(h, h)
-        total = total + term if (n - 1 + r) % 2 == 0 else total - term
+        term = sf_product(characteristic_by_whitney_recursion(r), tensor(h, h))
+        total = sf_add(total, term, 1 if (n - 1 + r) % 2 == 0 else -1)
     return total
 
 
@@ -557,12 +619,12 @@ def induction_homomorphism_by_fractions(k: int, l: int, m: int, n: int,
     for alpha in partitions_of(k):
         for beta in partitions_of(l):
             t = irreducible_table2(alpha, beta)
-            ch_t = product_frobenius(t)
+            ch_t = characteristic(t)
             for gamma in partitions_of(m):
                 for delta in partitions_of(n):
                     u = irreducible_table2(gamma, delta)
-                    if product_frobenius(induce(t, u)) != \
-                            ch_t * product_frobenius(u):
+                    if characteristic(induce(t, u)) != \
+                            sf_product(ch_t, characteristic(u)):
                         return False
     return True
 

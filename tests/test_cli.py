@@ -3,14 +3,14 @@ import os
 import pathlib
 import subprocess
 import sys
-from fractions import Fraction
+from math import factorial
 
 import pytest
 
 from qsegre import permstats, symfrob
 from qsegre.cli import main, prime_power
 from qsegre.exactalg import QPolynomial
-from qsegre.symfrob import SymFun2
+from qsegre.symfrob import CharacterTable2
 
 
 class TestPrimePower:
@@ -180,8 +180,8 @@ class TestBoundsBeforeWork:
 
     def test_homology_degree_outside_the_bound_does_no_work(
             self, capsys, monkeypatch):
-        for name in ("h_to_p", "homology_characteristic", "lefschetz_character",
-                     "principal_specialization", "w_polynomial",
+        for name in ("lefschetz_character", "irreducible_table2",
+                     "cleared_specialization", "w_polynomial",
                      "w_polynomial_recurrence"):
             monkeypatch.setattr(symfrob, name, fail_if_called)
         for check in ("thm31", "thm48"):
@@ -251,6 +251,17 @@ class TestBoundsBeforeWork:
             assert err == (f"error: n={argv[1]} exceeds the recurrence "
                            f"bound 40\n")
 
+    def test_wq_bound_above_the_ceiling_does_no_work(self, capsys, monkeypatch):
+        # no warning line either: the ceiling is checked before it
+        for name in ("_perm_stats", "_w_polynomial_enumerated"):
+            monkeypatch.setattr(permstats, name, fail_if_called)
+        assert permstats.ENUMERATION_CEILING == 9
+        for n, bound in (("10", "10"), ("3", "12"), ("12", "100")):
+            code, out, err = run(capsys, "wq", "--n", n, "--bound", bound)
+            assert_clean_rejection(code, out, err)
+            assert err == (f"error: the enumeration bound {bound} exceeds "
+                           f"the ceiling 9\n")
+
 
 def fail_if_called(*args, **kwargs):
     raise AssertionError("work started before the bound check")
@@ -279,6 +290,27 @@ class TestBrokenInduction:
         lines = out.splitlines()
         assert lines[-1] == "FAIL prop26: sizes (0,0,0,0)"
         assert all(line.startswith("PASS") for line in lines[:-1])
+
+
+class TestBrokenHomology:
+    def test_a_wrong_homology_table_fails_thm31_and_thm48(
+            self, capsys, monkeypatch):
+        # the degree-3 character with its (3)|(3) entry raised by one
+        true_table = symfrob.lefschetz_character
+
+        def raised_at_three(n):
+            table = true_table(n)
+            if n == 3:
+                values = dict(table.values)
+                values[((3,), (3,))] += 1
+                table = CharacterTable2(3, 3, values)
+            return table
+        monkeypatch.setattr(symfrob, "lefschetz_character", raised_at_three)
+        code, out, err = run(capsys, "verify", "thm31", "--n", "3")
+        assert (code, out, err) == (
+            1, "FAIL thm31: n=3: z-cleared residual 3|3: -1\n", "")
+        code, out, err = run(capsys, "verify", "thm48", "--n", "3")
+        assert (code, out, err) == (1, "FAIL thm48: n=3\n", "")
 
 
 class TestVerifyCommands:
@@ -344,7 +376,8 @@ def _csv_residual_from_three(n):
 
 
 def _thm31_residual_from_three(n):
-    return SymFun2({((n,), (1,) * n): Fraction(1, n)}) if n >= 3 else SymFun2()
+    # p_n(x) p_1^n(y) / n, z-cleared: (1/n) z_(n) z_(1^n) = n!
+    return {((n,), (1,) * n): factorial(n)} if n >= 3 else {}
 
 
 # check -> (module, kernel, a stand-in that makes the identity fail at some

@@ -31,7 +31,7 @@ class TestPolynomialArithmetic:
         assert poly(1, 1) * poly(1, 0, 1) == q_integer(4)
 
     def test_trailing_zeros_are_trimmed(self):
-        assert QPolynomial([1, 2, 0, 0]).coeffs == (Fraction(1), Fraction(2))
+        assert QPolynomial([1, 2, 0, 0]).coeffs == (1, 2)
         assert (poly(0, 1) - poly(0, 1)).coeffs == ()
 
     def test_subtraction_and_negation(self):
@@ -56,13 +56,18 @@ class TestPolynomialArithmetic:
         with pytest.raises(ValueError):
             poly(1, 1, 1).exact_div(poly(-1, 1))
 
+    def test_divisor_without_a_unit_lead_is_refused(self):
+        # the quotient would leave the integers; no known denominator has one
+        for divisor in (poly(1, 2), poly(3), poly(0, 0, -2)):
+            with pytest.raises(ValueError, match="not \\+1 or -1"):
+                divmod(poly(1, 2, 3), divisor)
+
     def test_randomized_ring_axioms(self):
         rng = random.Random(20240813)
 
         def random_poly():
             degree = rng.randrange(0, 6)
-            return QPolynomial([Fraction(rng.randrange(-5, 6),
-                                         rng.randrange(1, 4))
+            return QPolynomial([rng.randrange(-5, 6)
                                 for _ in range(degree + 1)])
 
         for _ in range(60):
@@ -88,9 +93,9 @@ class TestSerialization:
     def test_coeff_strings_match_contract(self):
         assert poly_coeff_strings(poly(0, 2, 1)) == ["0", "2", "1"]
 
-    def test_round_trip_with_fractions(self):
-        p = QPolynomial([Fraction(1, 2), 3, Fraction(-7, 5)])
-        assert QPolynomial(Fraction(c) for c in poly_coeff_strings(p)) == p
+    def test_round_trip_through_strings(self):
+        p = QPolynomial([-12, 3, 0, 10 ** 30])
+        assert QPolynomial(int(c) for c in poly_coeff_strings(p)) == p
 
 
 class TestRationalFunctions:
@@ -165,9 +170,13 @@ unit_lead_divisors = st.tuples(st.lists(st.integers(-9, 9), max_size=5),
 
 
 class TestIntegerCoefficients:
-    def test_integral_fractions_normalise_to_int(self):
-        p = QPolynomial([Fraction(4, 2), Fraction(1, 3), Fraction(0)])
-        assert [type(c) for c in p.coeffs] == [int, Fraction]
+    def test_non_int_coefficients_are_refused(self):
+        for bad in (Fraction(4, 2), Fraction(1, 3), 2.0, "2"):
+            with pytest.raises(TypeError, match="expected an integer"):
+                QPolynomial([1, bad])
+            with pytest.raises(TypeError, match="expected an integer"):
+                poly(1, 1).evaluate(bad)
+        assert [type(c) for c in QPolynomial([True, 2]).coeffs] == [int, int]
         assert type(poly(3, 5).evaluate(2)) is int
 
     @given(int_coeffs, int_coeffs)
@@ -191,7 +200,13 @@ class TestIntegerCoefficients:
     @given(int_coeffs, int_coeffs.filter(any))
     @settings(max_examples=200, deadline=None)
     def test_division_round_trip(self, a, b):
+        # any other lead is refused, and the round trip then runs on the
+        # divisor with its lead replaced by 1
         a, b = QPolynomial(a), QPolynomial(b)
+        if b.coeffs[-1] not in (1, -1):
+            with pytest.raises(ValueError, match="leading coefficient"):
+                divmod(a, b)
+            b = QPolynomial(b.coeffs[:-1] + (1,))
         quotient, remainder = divmod(a, b)
         assert quotient * b + remainder == a
         assert remainder.degree < b.degree
@@ -201,8 +216,8 @@ class TestIntegerCoefficients:
 
 
 class TestAgainstSympy:
-    CASES = [((1, 0, 0, 0, -1), (1, -1)), ((5, 0, 3, 2), (1, 2)),
-             ((0, 7, -3, 0, 4, 1), (2, 0, 3)), ((1, 2, 1), (3, 1, 1, 5))]
+    CASES = [((1, 0, 0, 0, -1), (1, -1)), ((5, 0, 3, 2), (2, 1)),
+             ((0, 7, -3, 0, 4, 1), (2, 0, -1)), ((1, 2, 1), (3, 1, 1, 1))]
 
     @staticmethod
     def ascending(p: "sympy.Poly") -> list:
@@ -212,10 +227,10 @@ class TestAgainstSympy:
         q = sympy.symbols("q")
         for a, b in self.CASES:
             quotient, remainder = divmod(QPolynomial(a), QPolynomial(b))
-            sq, sr = sympy.div(sympy.Poly(a[::-1], q, domain="QQ"),
-                               sympy.Poly(b[::-1], q, domain="QQ"))
-            assert [sympy.Rational(c) for c in quotient.coeffs] == self.ascending(sq)
-            assert [sympy.Rational(c) for c in remainder.coeffs] == self.ascending(sr)
+            sq, sr = sympy.div(sympy.Poly(a[::-1], q, domain="ZZ"),
+                               sympy.Poly(b[::-1], q, domain="ZZ"))
+            assert list(quotient.coeffs) == self.ascending(sq)
+            assert list(remainder.coeffs) == self.ascending(sr)
 
     def test_gaussian_binomials_match(self):
         from qsegre.permstats import q_binomial

@@ -1,5 +1,7 @@
 import ast
+import os
 import pathlib
+import subprocess
 import sys
 
 import qsegre
@@ -32,7 +34,6 @@ def test_runtime_imports_only_the_standard_library():
             found += [f"{path.name}:{node.lineno} {name}" for name in names
                       if name.split(".")[0] not in sys.stdlib_module_names]
     assert not found, f"non-stdlib imports in {found}"
-
 
 
 def _unreferenced_public_definitions(package) -> list[str]:
@@ -77,3 +78,19 @@ def test_every_public_definition_is_used_by_the_package():
     # and fixtures live in tests/oracles.py
     found = _unreferenced_public_definitions(PACKAGE)
     assert not found, f"public definitions only tests reach: {found}"
+
+
+def test_the_suite_and_frobenius_run_without_fractions():
+    # every quantity is an integer; a lazy `fractions` import in any path of
+    # the suite or of frobenius would bring rationals back
+    code = ("import io, sys, contextlib\n"
+            "from qsegre.cli import main\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    status = (main(['verify', 'all', '--max-n', '2']),\n"
+            "              main(['frobenius', '--n', '3']))\n"
+            "print(status, 'fractions' in sys.modules)\n")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = str(PACKAGE.parent) + os.pathsep + env.get("PYTHONPATH", "")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, env=env)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "(0, 0) False\n", "")

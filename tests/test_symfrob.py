@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 from math import comb, factorial
 
@@ -8,22 +9,30 @@ from qsegre.exactalg import ONE, QPolynomial
 from qsegre.permstats import (ENUMERATION_BOUND, w_polynomial,
                               w_polynomial_recurrence)
 from qsegre.poset import rational_betti_numbers
-from qsegre.symfrob import (TOP_HOMOLOGY_BOUND, CharacterTable2, SymFun2,
-                            h_alternating_residual, h_to_p,
-                            homology_characteristic, induce_product_character,
-                            irreducible_table2, lefschetz_character,
-                            partitions_of, principal_specialization,
-                            product_frobenius, specialization_denominator,
-                            symmetric_group_character, tensor_single,
+from qsegre.symfrob import (TOP_HOMOLOGY_BOUND, CharacterTable2,
+                            cleared_specialization, h_alternating_residual,
+                            induce_product_character, irreducible_table2,
+                            lefschetz_character, partitions_of,
+                            principal_specialization,
+                            specialization_denominator,
+                            symmetric_group_character,
                             verify_induction_homomorphism,
                             verify_specialization_identity, z_of)
 
-from oracles import (boolean_lattice, characteristic_by_whitney_recursion,
-                     class_size, cleared_specialization_matches, dimension,
-                     induce_off_by_one,
-                     induction_homomorphism_by_fractions,
+from oracles import (SF_ONE, boolean_lattice, characteristic,
+                     characteristic_by_whitney_recursion, class_size,
+                     cleared_specialization_matches, dimension, h_to_p,
+                     induce_off_by_one, induction_homomorphism_by_fractions,
                      lefschetz_character_by_chains, pair_poset,
-                     principal_specialization_by_terms, trivial_character)
+                     principal_specialization_by_terms, sf_add, sf_product,
+                     tensor, trivial_character)
+
+
+def random_table(rng, m, n, low=-9, high=10):
+    """An integer class function on S_m x S_n, not in general a character."""
+    return CharacterTable2(m, n, {(mu, lam): rng.randrange(low, high)
+                                  for mu in partitions_of(m)
+                                  for lam in partitions_of(n)})
 
 
 class TestPartitions:
@@ -47,6 +56,9 @@ class TestPartitions:
 
 
 class TestHExpansion:
+    """The oracles' Fraction expansion of h_n, and its z-cleared form in the
+    package: the trivial character, every value 1."""
+
     def test_small_cases(self):
         assert h_to_p(0) == {(): Fraction(1)}
         assert h_to_p(1) == {(1,): Fraction(1)}
@@ -55,30 +67,54 @@ class TestHExpansion:
     def test_coefficients_are_inverse_centralizer_orders(self):
         for lam, c in h_to_p(5).items():
             assert c == Fraction(1, z_of(lam))
+        assert characteristic(irreducible_table2((5,), ())) == \
+            tensor(h_to_p(5), h_to_p(0))
 
 
 class TestSymFun2:
+    """Two-alphabet symmetric functions: the oracles' Fraction power-sum
+    dicts, and the package's product of z-cleared integer tables against
+    them."""
+
     def test_one_is_multiplicative_identity(self):
-        s = SymFun2({((2, 1), (1, 1)): Fraction(3, 4)})
-        assert SymFun2.one() * s == s
+        s = {((2, 1), (1, 1)): Fraction(3, 4)}
+        assert sf_product(SF_ONE, s) == s
+        # the trivial table of S_0 x S_0 is the unit of the integer product
+        t = random_table(random.Random(1), 3, 2)
+        assert symfrob._product_values(irreducible_table2((), ()), t) == t.values
 
     def test_basis_product_merges_partitions(self):
-        p11 = SymFun2({((1,), (1,)): 1})
-        assert p11 * p11 == SymFun2({((1, 1), (1, 1)): 1})
+        p11 = {((1,), (1,)): 1}
+        assert sf_product(p11, p11) == {((1, 1), (1, 1)): 1}
 
     def test_square_of_h1h1_tensor(self):
         h1 = h_to_p(1)
-        square = tensor_single(h1, h1) * tensor_single(h1, h1)
-        assert square == SymFun2({((1, 1), (1, 1)): 1})
+        square = sf_product(tensor(h1, h1), tensor(h1, h1))
+        assert square == {((1, 1), (1, 1)): 1}
+        # z-cleared: the class pair (1,1)|(1,1) carries z^2 = 4, the rest 0
+        t = irreducible_table2((1,), (1,))
+        assert symfrob._product_values(t, t) == {
+            ((2,), (2,)): 0, ((2,), (1, 1)): 0, ((1, 1), (2,)): 0,
+            ((1, 1), (1, 1)): 4}
 
     def test_zero_coefficients_dropped(self):
-        s = SymFun2({((1,), (1,)): 1}) - SymFun2({((1,), (1,)): 1})
-        assert s.is_zero() and s.terms == {}
+        s = {((1,), (1,)): 1}
+        assert sf_add(s, s, -1) == {}
 
     def test_scalar_multiplication_and_linearity(self):
-        a = SymFun2({((2,), ()): Fraction(1, 2)})
-        b = SymFun2({((1, 1), ()): 1})
-        assert 2 * a + b == SymFun2({((2,), ()): 1, ((1, 1), ()): 1})
+        a = {((2,), ()): Fraction(1, 2)}
+        b = {((1, 1), ()): 1}
+        assert sf_add(b, a, 2) == {((2,), ()): 1, ((1, 1), ()): 1}
+        # the integer product is linear in each table
+        rng = random.Random(7)
+        t, t2, u = (random_table(rng, 2, 1), random_table(rng, 2, 1),
+                    random_table(rng, 1, 2))
+        combined = CharacterTable2(2, 1, {k: 3 * t.values[k] - t2.values[k]
+                                          for k in t.values})
+        left = symfrob._product_values(t, u)
+        right = symfrob._product_values(t2, u)
+        assert symfrob._product_values(combined, u) == \
+            {k: 3 * left[k] - right[k] for k in left}
 
 
 class TestIrreducibleCharacters:
@@ -113,20 +149,26 @@ class TestIrreducibleCharacters:
 
 
 class TestProductFrobenius:
+    """The characteristic of a table, in the oracles' Fraction route and as
+    the z-cleared entries the package keeps."""
+
     def test_trivial_s1_squared(self):
-        ch = product_frobenius(trivial_character(1, 1))
-        assert ch == SymFun2({((1,), (1,)): 1})
+        ch = characteristic(trivial_character(1, 1))
+        assert ch == {((1,), (1,)): 1}
 
     def test_trivial_s2_squared_is_h2_tensor_h2(self):
-        ch = product_frobenius(trivial_character(2, 2))
-        assert ch == tensor_single(h_to_p(2), h_to_p(2))
+        ch = characteristic(trivial_character(2, 2))
+        assert ch == tensor(h_to_p(2), h_to_p(2))
+        # h_2(x) h_2(y) is the product of h_2(x) and h_2(y) as tables too
+        assert symfrob._product_values(irreducible_table2((2,), ()),
+                                       irreducible_table2((), (2,))) == \
+            trivial_character(2, 2).values
 
     def test_table_completeness_enforced(self):
         with pytest.raises(ValueError):
             CharacterTable2(2, 1, {((2,), (1,)): 1})
 
     def test_linearity_on_random_integer_combinations(self):
-        import random
         rng = random.Random(5)
         keys = [(mu, lam) for mu in partitions_of(2) for lam in partitions_of(2)]
         for _ in range(20):
@@ -135,8 +177,11 @@ class TestProductFrobenius:
             a, b = rng.randrange(-3, 4), rng.randrange(-3, 4)
             combined = CharacterTable2(
                 2, 2, {k: a * t.values[k] + b * u.values[k] for k in keys})
-            assert product_frobenius(combined) == \
-                a * product_frobenius(t) + b * product_frobenius(u)
+            assert characteristic(combined) == \
+                sf_add(sf_add({}, characteristic(t), a), characteristic(u), b)
+            assert cleared_specialization(combined, 2) == \
+                cleared_specialization(t, 2) * a + \
+                cleared_specialization(u, 2) * b
 
 
 class TestInduction:
@@ -221,45 +266,65 @@ class TestLefschetzCharacter:
 
 class TestIdentities:
     def test_characteristic_of_degree_two_matches_hand_value(self):
-        expected = SymFun2({
+        expected = {
             ((1, 1), (1, 1)): Fraction(3, 4),
             ((2,), (1, 1)): Fraction(-1, 4),
             ((1, 1), (2,)): Fraction(-1, 4),
-            ((2,), (2,)): Fraction(-1, 4)})
-        assert homology_characteristic(2) == expected
+            ((2,), (2,)): Fraction(-1, 4)}
+        assert characteristic(lefschetz_character(2)) == expected
         # equivalently h_1^2 h_1^2 - h_2 h_2 in the two alphabets
         h1, h2 = h_to_p(1), h_to_p(2)
-        square = tensor_single(h1, h1) * tensor_single(h1, h1)
-        assert expected == square - tensor_single(h2, h2)
+        square = sf_product(tensor(h1, h1), tensor(h1, h1))
+        assert expected == sf_add(square, tensor(h2, h2), -1)
 
     def test_alternating_residual_vanishes(self):
         for n in range(1, TOP_HOMOLOGY_BOUND + 1):
-            assert h_alternating_residual(n).is_zero(), n
+            assert h_alternating_residual(n) == {}, n
 
     def test_whitney_recursion_agrees_with_lefschetz_route(self):
-        for n in range(5):
-            assert characteristic_by_whitney_recursion(n) == homology_characteristic(n)
+        # the oracle's Fraction recursion, z-scaled entry by entry, against
+        # the integer table that thm31 sums
+        assert characteristic_by_whitney_recursion(0) == SF_ONE
+        for n in range(1, 7):
+            table = lefschetz_character(n)
+            whitney = characteristic_by_whitney_recursion(n)
+            for (mu, lam), v in table.values.items():
+                assert whitney.get((mu, lam), 0) * z_of(mu) * z_of(lam) == v, \
+                    (n, mu, lam)
 
 
 class TestSpecialization:
     def test_basis_cases(self):
         # ps(p_1(x) p_1(y)) = 1/(1-q)^2, which is the denominator itself at n = 1
-        p1p1 = SymFun2({((1,), (1,)): 1})
+        p1p1 = trivial_character(1, 1)
         one_minus_q = QPolynomial([1, -1])
         assert specialization_denominator(1) == one_minus_q * one_minus_q
         assert principal_specialization(p1p1, 1) == ONE
-        # ps(h_2(x)) = 1/((1-q)(1-q^2)), over (1-q)^2 (1-q^2)^2
-        h2_single = tensor_single(h_to_p(2), {(): Fraction(1)})
+        # ps(h_2(x)) = 1/((1-q)(1-q^2)), over (1-q)^2 (1-q^2)^2, and 2! 0!
+        # times that before the division
+        h2_single = trivial_character(2, 0)
         assert principal_specialization(h2_single, 2) == \
             one_minus_q * QPolynomial([1, 0, -1])
+        assert cleared_specialization(h2_single, 2) == \
+            one_minus_q * QPolynomial([1, 0, -1]) * 2
 
     def test_degree_two_characteristic_specializes_to_reference(self):
-        value = principal_specialization(homology_characteristic(2), 2)
+        value = principal_specialization(lefschetz_character(2), 2)
         assert value == QPolynomial([0, 2, 1])
+        assert cleared_specialization(lefschetz_character(2), 2) == value * 4
 
     def test_degree_three_numerator_is_the_pair_polynomial(self):
-        value = principal_specialization(homology_characteristic(3), 3)
+        value = principal_specialization(lefschetz_character(3), 3)
         assert value == QPolynomial([0, 0, 2, 6, 6, 4, 1])
+
+    def test_a_class_function_that_is_no_character_is_refused(self):
+        # p_2(x)/2 specializes to 1/(1 - q^2), which 2! 0! clears but the
+        # division by 2! 0! brings back as halves
+        half = CharacterTable2(2, 0, {((2,), ()): 1, ((1, 1), ()): 0})
+        assert cleared_specialization(half, 2) == \
+            QPolynomial([1, -1]) * QPolynomial([1, -1]) * QPolynomial([1, 0, -1])
+        with pytest.raises(ArithmeticError, match="not divisible by 2"):
+            principal_specialization(half, 2)
 
     def test_identity_holds_through_degree_four(self):
         for n in range(1, 5):
@@ -274,32 +339,38 @@ class TestSpecialization:
         # independent of principal_specialization: ps(ch_n) evaluated at
         # integer q, cleared, against the enumerated W_n(q)
         for n in range(1, 5):
-            assert cleared_specialization_matches(homology_characteristic(n), n,
-                                                  w_polynomial(n))
-        assert not cleared_specialization_matches(homology_characteristic(3), 3,
-                                                  w_polynomial(3) + ONE)
+            ch = characteristic(lefschetz_character(n))
+            assert cleared_specialization_matches(ch, n, w_polynomial(n))
+        assert not cleared_specialization_matches(
+            characteristic(lefschetz_character(3)), 3, w_polynomial(3) + ONE)
 
     def test_denominator_must_clear_every_term(self):
         with pytest.raises(ValueError, match="not divisible"):
-            principal_specialization(homology_characteristic(3), 2)
+            principal_specialization(lefschetz_character(3), 2)
 
     def test_denominator_must_clear_a_class_that_cancels(self):
-        # p_3(x) - p_3(y) has one multiset of parts, {3}, with coefficient
-        # sum 0, and 1 - q^3 does not divide (1 - q)^2
-        cancelling = SymFun2({((3,), ()): 1, ((), (3,)): -1})
+        # p_3(x) p_1^3(y) - p_1^3(x) p_3(y), scaled: one multiset of parts,
+        # {3, 1, 1, 1}, with coefficient sum 0, and 1 - q^3 does not divide
+        # (1 - q)^2 (1 - q^2)^2
+        values = {(mu, lam): 0 for mu in partitions_of(3)
+                  for lam in partitions_of(3)}
+        values[((3,), (1, 1, 1))] = 1
+        values[((1, 1, 1), (3,))] = -1
+        cancelling = CharacterTable2(3, 3, values)
         with pytest.raises(ValueError, match="not divisible"):
-            principal_specialization(cancelling, 1)
+            cleared_specialization(cancelling, 2)
 
     def test_grouping_by_multiset_matches_term_by_term(self):
         for n in range(1, 7):
-            f = homology_characteristic(n)
-            assert principal_specialization(f, n) == \
-                principal_specialization_by_terms(f, n), n
-        # mixed classes: p_1(x) p_2(y) and p_2(x) p_1(y) share {1, 2}
-        f = SymFun2({((1,), (2,)): Fraction(1, 3), ((2,), (1,)): Fraction(2, 3),
-                     ((1, 1), ()): -1, ((2,), ()): Fraction(5, 2)})
-        assert principal_specialization(f, 2) == \
-            principal_specialization_by_terms(f, 2)
+            table = lefschetz_character(n)
+            assert cleared_specialization(table, n) == \
+                principal_specialization_by_terms(table, n), n
+        # mixed classes: (2,1)|(1,1,1) and (1,1,1)|(2,1) share {2,1,1,1,1}
+        rng = random.Random(48)
+        for m, l in ((3, 3), (2, 3), (3, 0)):
+            table = random_table(rng, m, l)
+            assert cleared_specialization(table, 3) == \
+                principal_specialization_by_terms(table, 3), (m, l)
 
     def test_specializing_the_alternating_identity_recovers_the_polynomial_one(self):
         # term by term: ps(h_(n-i)(x) h_(n-i)(y) ch_i) times prod (1-q^j)^2
@@ -309,8 +380,10 @@ class TestSpecialization:
         from qsegre.permstats import q_binomial_square
         for n in (2, 3):
             for i in range(n + 1):
-                h = h_to_p(n - i)
-                term = tensor_single(h, h) * homology_characteristic(i)
+                row = (n - i,) if i < n else ()
+                ch = lefschetz_character(i) if i else irreducible_table2((), ())
+                term = CharacterTable2(n, n, symfrob._product_values(
+                    irreducible_table2(row, row), ch))
                 expected_poly = q_binomial_square(n, i) * w_polynomial(i)
                 assert principal_specialization(term, n) == expected_poly
 
@@ -320,7 +393,7 @@ class TestInductionHomomorphism:
         assert verify_induction_homomorphism(1, 1, 1, 1)
         t = trivial_character(1, 1)
         induced = induce_product_character(t, t)
-        assert product_frobenius(induced) == SymFun2({((1, 1), (1, 1)): 1})
+        assert characteristic(induced) == {((1, 1), (1, 1)): 1}
 
     def test_mixed_sign_and_trivial_sizes(self):
         assert verify_induction_homomorphism(2, 1, 1, 2)
@@ -329,8 +402,8 @@ class TestInductionHomomorphism:
         sign = irreducible_table2((1, 1), (1,))
         triv = irreducible_table2((1,), (2,))
         induced = induce_product_character(sign, triv)
-        assert product_frobenius(induced) == \
-            product_frobenius(sign) * product_frobenius(triv)
+        assert characteristic(induced) == \
+            sf_product(characteristic(sign), characteristic(triv))
 
     def test_integer_tables_agree_with_the_fraction_route(self):
         # every size tuple with k + m <= 3 and l + n <= 3, where the integer
@@ -347,7 +420,6 @@ class TestInductionHomomorphism:
     def test_cleared_product_matches_the_fraction_product(self):
         # on random integer tables, not only characters: z_mu z_lam times
         # each coefficient of ch(t) ch(u), zero ones included
-        import random
         rng = random.Random(26)
         for k, l, m, n in ((0, 1, 2, 0), (1, 1, 1, 1), (2, 1, 2, 3),
                            (3, 2, 2, 3), (1, 4, 4, 1)):
@@ -357,12 +429,12 @@ class TestInductionHomomorphism:
             u = CharacterTable2(m, n, {(b, d): rng.randrange(-9, 10)
                                        for b in partitions_of(m)
                                        for d in partitions_of(n)})
-            product = product_frobenius(t) * product_frobenius(u)
+            product = sf_product(characteristic(t), characteristic(u))
             cleared = symfrob._product_values(t, u)
             assert set(cleared) == {(mu, lam) for mu in partitions_of(k + m)
                                     for lam in partitions_of(l + n)}
             for (mu, lam), v in cleared.items():
-                assert v == product.terms.get((mu, lam), 0) * z_of(mu) * z_of(lam)
+                assert v == product.get((mu, lam), 0) * z_of(mu) * z_of(lam)
 
     def test_a_wrong_split_count_is_refused(self, monkeypatch):
         # each split count must be z_mu / (z_a z_b); the cache is bypassed
