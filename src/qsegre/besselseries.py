@@ -15,8 +15,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .exactalg import ONE, ZERO, QPolynomial, q_factorial
-from .permstats import (check_enumeration_bound, csv_recurrence,
-                        q_binomial_square, w_polynomial)
+from .permstats import (alternating_square_sum, check_enumeration_bound,
+                        csv_recurrence, w_polynomial)
 
 
 def reciprocal_numerators(order: int) -> list[QPolynomial]:
@@ -46,11 +46,9 @@ def bessel_coefficients(order: int) -> BesselCoefficients:
     product identity sum_k (-1)^k [n choose k]_q^2 g_(n-k) = [n = 0] checked."""
     g = reciprocal_numerators(order)
     for n in range(order + 1):
-        acc = ZERO
-        for k in range(n + 1):
-            term = q_binomial_square(n, k) * g[n - k]
-            acc = acc + term if k % 2 == 0 else acc - term
-        if acc != (ONE if n == 0 else ZERO):
+        # [n choose k]_q = [n choose n-k]_q, so the z^n coefficient is
+        # (-1)^n times the alternating square sum of g_0..g_n
+        if alternating_square_sum(n, g[:n + 1]) != (ONE if n == 0 else ZERO):
             raise ArithmeticError(
                 f"f times its reciprocal is not 1 at z^{n} (order {order})")
     return BesselCoefficients(

@@ -143,6 +143,15 @@ def _thm31_instance(n: int) -> tuple[bool, str]:
     return False, f"n={n}: z-cleared residual {entries}"
 
 
+def _bessel_instance(order: int) -> tuple[bool, str]:
+    """The reciprocal's cleared coefficients through order against W_n."""
+    flags = besselseries.verify_reciprocal(order)
+    bad = [i for i, ok in enumerate(flags) if not ok]
+    if bad:
+        return False, f"reciprocal coefficient mismatch at {bad}"
+    return True, f"reciprocal coefficients match through order {order}"
+
+
 def _thm48_instance(n: int) -> tuple[bool, str]:
     return symfrob.verify_specialization_identity(n), f"n={n}"
 
@@ -165,12 +174,7 @@ def _check_each_n(check: str, instance, max_n: int, failed: str,
 
 
 def _check_bessel(order: int) -> dict:
-    flags = besselseries.verify_reciprocal(order)
-    if not all(flags):
-        bad = [i for i, ok in enumerate(flags) if not ok]
-        return _result("bessel", False, f"reciprocal coefficient mismatch at {bad}")
-    return _result("bessel", True,
-                   f"reciprocal coefficients match through order {order}")
+    return _result("bessel", *_bessel_instance(order))
 
 
 def _check_el() -> dict:
@@ -188,8 +192,9 @@ def _check_chains() -> dict:
     for n, q in EL_MATRIX:
         p, labeling = _lattice(n, q, False)
         report = poset.chain_report(p, labeling)
-        expected = {img: q ** permstats.inversions(permstats.Permutation(img))
-                    for img in permutations(range(1, n + 1))}
+        images = permutations(range(1, n + 1))  # the order of perm_stats
+        expected = {img: q ** inv
+                    for img, (_, inv) in zip(images, permstats.perm_stats(n))}
         if report.by_label_word != expected:
             return _result("chains", False,
                            f"word counts differ from q^inv at n={n} q={q}")
@@ -258,39 +263,32 @@ def _run_suite_task(task: tuple) -> dict:
 # ---------------------------------------------------------------------------
 # subcommand handlers
 
-def _cmd_wq(args) -> int:
-    bound = permstats.effective_bound(args.bound)  # refused before any work
-    _warn_raised_bound("enumeration bound", args.bound, permstats.ENUMERATION_BOUND)
-    if args.n <= bound:
-        polynomial = permstats.w_polynomial(args.n, bound=bound)
-        method = "enumeration"
-    else:
-        polynomial = permstats.w_polynomial_recurrence(args.n, bound=bound)
-        method = "recurrence"
-        print(f"note: W_{args.n}(q) is recurrence-derived "
-              f"(enumeration bound {bound})", file=sys.stderr)
+def _print_polynomial(args, polynomial: exactalg.QPolynomial, doc: dict) -> int:
+    """A polynomial verb's output: its value at --at, or its coefficient
+    list, bare or under "coeffs" in doc."""
     if args.at is not None:
         print(polynomial.evaluate(args.at))
-        return 0
-    if args.json:
-        print(_dump({"n": args.n, "coeffs": exactalg.poly_coeff_strings(polynomial),
-                     "method": method}))
+    elif args.json:
+        print(_dump({**doc, "coeffs": exactalg.poly_coeff_strings(polynomial)}))
     else:
         print(json.dumps(exactalg.poly_coeff_strings(polynomial)))
     return 0
+
+
+def _cmd_wq(args) -> int:
+    bound = permstats.effective_bound(args.bound)  # refused before any work
+    _warn_raised_bound("enumeration bound", args.bound, permstats.ENUMERATION_BOUND)
+    polynomial = permstats.w_polynomial_recurrence(args.n, bound=bound)
+    method = "enumeration" if args.n <= bound else "recurrence"
+    if method == "recurrence":
+        print(f"note: W_{args.n}(q) is recurrence-derived "
+              f"(enumeration bound {bound})", file=sys.stderr)
+    return _print_polynomial(args, polynomial, {"n": args.n, "method": method})
 
 
 def _cmd_qbinom(args) -> int:
     polynomial = permstats.q_binomial(args.n, args.k)
-    if args.at is not None:
-        print(polynomial.evaluate(args.at))
-        return 0
-    if args.json:
-        print(_dump({"n": args.n, "k": args.k,
-                     "coeffs": exactalg.poly_coeff_strings(polynomial)}))
-    else:
-        print(json.dumps(exactalg.poly_coeff_strings(polynomial)))
-    return 0
+    return _print_polynomial(args, polynomial, {"n": args.n, "k": args.k})
 
 
 def _cmd_bessel(args) -> int:
@@ -339,25 +337,18 @@ def _cmd_segre(args) -> int:
     return _cmd_lattice(args)
 
 
-def _cmd_mobius(args) -> int:
-    p, _ = _lattice_for(args)
-    value = poset.mobius_number(p)
+def _cmd_invariant(args) -> int:
+    """mobius or betti, as the verb names: the Mobius number of a lattice or
+    Segre square, or the Betti numbers of its proper part."""
+    betti = args.command == "betti"
+    p, _ = _lattice_for(args, faces=betti)
+    value = (poset.rational_betti_numbers(poset.proper_part(p)) if betti
+             else poset.mobius_number(p))
     if args.json:
         print(_dump({"n": args.n, "q": args.q, "segre": args.segre,
-                     "mobius": value}))
+                     args.command: value}))
     else:
-        print(value)
-    return 0
-
-
-def _cmd_betti(args) -> int:
-    p, _ = _lattice_for(args, faces=True)
-    betti = poset.rational_betti_numbers(poset.proper_part(p))
-    if args.json:
-        print(_dump({"n": args.n, "q": args.q, "segre": args.segre,
-                     "betti": betti}))
-    else:
-        print(json.dumps(betti))
+        print(json.dumps(value))
     return 0
 
 
@@ -405,38 +396,30 @@ def _cmd_verify_csv(args) -> int:
     return 0 if ok else 1
 
 
-def _cmd_verify_bessel(args) -> int:
-    return _print_results([_check_bessel(args.order)], args.json)
-
-
-def _cmd_verify_el(args) -> int:
-    ok, detail = _el_instance(args.n, args.q, args.segre)
-    return _print_results([_result("el", ok, detail)], args.json)
-
-
-def _cmd_verify_mobius(args) -> int:
-    ok, detail = _mobius_instance(args.n, args.q)
-    return _print_results([_result("mobius", ok, detail)], args.json)
-
-
-def _cmd_verify_thm31(args) -> int:
-    ok, detail = _thm31_instance(args.n)
-    return _print_results([_result("thm31", ok, detail)], args.json)
-
-
-def _cmd_verify_thm48(args) -> int:
-    ok, detail = _thm48_instance(args.n)
-    return _print_results([_result("thm48", ok, detail)], args.json)
-
-
-def _cmd_verify_prop26(args) -> int:
+def _sizes(text: str) -> tuple[int, int, int, int]:
     try:
-        k, l, m, n = (int(x) for x in args.sizes.split(","))
+        k, l, m, n = (int(x) for x in text.split(","))
     except ValueError:
         raise ValueError("--sizes expects four comma-separated integers "
                          "k,l,m,n") from None
-    ok, detail = _prop26_instance(k, l, m, n)
-    return _print_results([_result("prop26", ok, detail)], args.json)
+    return k, l, m, n
+
+
+# verify verb -> its instance helper called on the parsed arguments
+_VERIFY_INSTANCES = {
+    "bessel": lambda args: _bessel_instance(args.order),
+    "el": lambda args: _el_instance(args.n, args.q, args.segre),
+    "mobius": lambda args: _mobius_instance(args.n, args.q),
+    "thm31": lambda args: _thm31_instance(args.n),
+    "thm48": lambda args: _thm48_instance(args.n),
+    "prop26": lambda args: _prop26_instance(*_sizes(args.sizes)),
+}
+
+
+def _cmd_verify(args) -> int:
+    """One instance of the identity that args.check names."""
+    ok, detail = _VERIFY_INSTANCES[args.check](args)
+    return _print_results([_result(args.check, ok, detail)], args.json)
 
 
 def _cmd_verify_all(args) -> int:
@@ -447,7 +430,10 @@ def _cmd_verify_all(args) -> int:
     if args.threads > 1:
         # imported here so that every other command skips loading it
         from concurrent.futures import ProcessPoolExecutor
-        with ProcessPoolExecutor(max_workers=args.threads) as pool:
+        # fork starts every worker at the first submit, so ask for no
+        # more than there are tasks
+        workers = min(args.threads, len(tasks))
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_run_suite_task, tasks))
     else:
         results = [_run_suite_task(t) for t in tasks]
@@ -466,21 +452,21 @@ def build_parser() -> argparse.ArgumentParser:
                     "products of subset and subspace lattices.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("wq", help="pair polynomial W_n(q)")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--at", type=int, help="evaluate at this integer q")
-    p.add_argument("--bound", type=int,
-                   help="override the enumeration bound (larger n fall back "
-                        "to the recurrence; expect long runtimes)")
-    _add_json_flag(p)
-    p.set_defaults(func=_cmd_wq)
-
-    p = sub.add_parser("qbinom", help="Gaussian binomial [n choose k]_q")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--at", type=int)
-    _add_json_flag(p)
-    p.set_defaults(func=_cmd_qbinom)
+    for name, handler in (("wq", _cmd_wq), ("qbinom", _cmd_qbinom)):
+        wq = name == "wq"
+        p = sub.add_parser(name, help="pair polynomial W_n(q)" if wq
+                           else "Gaussian binomial [n choose k]_q")
+        p.add_argument("--n", type=int, required=True)
+        if not wq:
+            p.add_argument("--k", type=int, required=True)
+        p.add_argument("--at", type=int,
+                       help="evaluate at this integer q" if wq else None)
+        if wq:
+            p.add_argument("--bound", type=int,
+                           help="override the enumeration bound (larger n fall "
+                                "back to the recurrence; expect long runtimes)")
+        _add_json_flag(p)
+        p.set_defaults(func=handler)
 
     p = sub.add_parser("bessel", help="alternating series and its reciprocal")
     p.add_argument("--order", type=int, required=True)
@@ -502,23 +488,16 @@ def build_parser() -> argparse.ArgumentParser:
         _add_json_flag(p)
         p.set_defaults(func=handler)
 
-    p = sub.add_parser("mobius", help="Mobius number of the bounded poset")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--q", type=int, required=True)
-    p.add_argument("--segre", action="store_true")
-    p.add_argument("--count-bound", dest="count_bound", type=int,
-                   help="override the subspace count bound")
-    _add_json_flag(p)
-    p.set_defaults(func=_cmd_mobius)
-
-    p = sub.add_parser("betti", help="rational Betti numbers of the proper part")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--q", type=int, required=True)
-    p.add_argument("--segre", action="store_true")
-    p.add_argument("--count-bound", dest="count_bound", type=int,
-                   help="override the subspace count bound")
-    _add_json_flag(p)
-    p.set_defaults(func=_cmd_betti)
+    for name, text in (("mobius", "Mobius number of the bounded poset"),
+                       ("betti", "rational Betti numbers of the proper part")):
+        p = sub.add_parser(name, help=text)
+        p.add_argument("--n", type=int, required=True)
+        p.add_argument("--q", type=int, required=True)
+        p.add_argument("--segre", action="store_true")
+        p.add_argument("--count-bound", dest="count_bound", type=int,
+                       help="override the subspace count bound")
+        _add_json_flag(p)
+        p.set_defaults(func=_cmd_invariant)
 
     p = sub.add_parser("frobenius",
                        help="homology character, characteristic, specialization")
@@ -536,37 +515,37 @@ def build_parser() -> argparse.ArgumentParser:
     p = vsub.add_parser("bessel", help="reciprocal series coefficients")
     p.add_argument("--order", type=int, default=5)
     _add_json_flag(p)
-    p.set_defaults(func=_cmd_verify_bessel)
+    p.set_defaults(func=_cmd_verify)
 
     p = vsub.add_parser("el", help="shelling property of the edge labeling")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--q", type=int, required=True)
     p.add_argument("--segre", action="store_true")
     _add_json_flag(p)
-    p.set_defaults(func=_cmd_verify_el)
+    p.set_defaults(func=_cmd_verify)
 
     p = vsub.add_parser("mobius", help="Mobius number of the Segre square")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--q", type=int, required=True)
     _add_json_flag(p)
-    p.set_defaults(func=_cmd_verify_mobius)
+    p.set_defaults(func=_cmd_verify)
 
     p = vsub.add_parser("thm31", help="alternating homogeneous identity "
                                       "for the homology characteristics")
     p.add_argument("--n", type=int, required=True)
     _add_json_flag(p)
-    p.set_defaults(func=_cmd_verify_thm31)
+    p.set_defaults(func=_cmd_verify)
 
     p = vsub.add_parser("thm48", help="principal specialization identity")
     p.add_argument("--n", type=int, required=True)
     _add_json_flag(p)
-    p.set_defaults(func=_cmd_verify_thm48)
+    p.set_defaults(func=_cmd_verify)
 
     p = vsub.add_parser("prop26", help="characteristic of induction products")
     p.add_argument("--sizes", type=str, required=True,
                    help="four comma-separated sizes k,l,m,n")
     _add_json_flag(p)
-    p.set_defaults(func=_cmd_verify_prop26)
+    p.set_defaults(func=_cmd_verify)
 
     p = vsub.add_parser("all", help="run the whole suite")
     p.add_argument("--max-n", dest="max_n", type=int, default=4,

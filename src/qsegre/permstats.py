@@ -1,4 +1,4 @@
-"""Permutations in one-line notation, their ascent and inversion statistics,
+"""The ascent and inversion statistics of permutations in one-line notation,
 and the pair polynomial W_n(q) of the pairs with no common ascent, by
 enumeration up to ENUMERATION_BOUND and by the alternating q-binomial-square
 recurrence up to RECURRENCE_BOUND.
@@ -19,43 +19,7 @@ from .exactalg import ONE, ZERO, QPolynomial, q_power
 ENUMERATION_BOUND = 7
 ENUMERATION_CEILING = 9
 RECURRENCE_BOUND = 40
-
-
-class Permutation:
-    """A permutation of [n] in one-line notation (1-based images)."""
-
-    __slots__ = ("image",)
-
-    def __init__(self, image):
-        img = tuple(int(v) for v in image)
-        if sorted(img) != list(range(1, len(img) + 1)):
-            raise ValueError(f"not a permutation of [{len(img)}]: {img}")
-        self.image = img
-
-    def __len__(self) -> int:
-        return len(self.image)
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, Permutation) and self.image == other.image
-
-    def __hash__(self) -> int:
-        return hash(self.image)
-
-    def __repr__(self) -> str:
-        return f"Permutation({self.image})"
-
-
-def inversions(s: Permutation) -> int:
-    """Number of pairs i < j with s(i) > s(j).
-
-    >>> inversions(Permutation((3, 2, 1)))
-    3
-    >>> inversions(Permutation((2, 3, 1)))
-    2
-    """
-    img = s.image
-    n = len(img)
-    return sum(1 for i in range(n) for j in range(i + 1, n) if img[i] > img[j])
+Q_BINOMIAL_BOUND = 100
 
 
 def effective_bound(bound) -> int:
@@ -74,19 +38,20 @@ def effective_bound(bound) -> int:
     return bound
 
 
-def check_enumeration_bound(n: int, bound=None, name: str = "n") -> None:
-    """Reject n outside [0, bound] before any work; bound defaults to
-    ENUMERATION_BOUND.  The error calls n by name, e.g. "order"."""
-    bound = effective_bound(bound)
+def check_enumeration_bound(n: int, name: str = "n") -> None:
+    """Reject n outside [0, ENUMERATION_BOUND] before any work.  The error
+    calls n by name, e.g. "order"."""
     if n < 0:
         raise ValueError(f"{name} must be nonnegative")
-    if n > bound:
-        raise ValueError(f"{name}={n} exceeds the enumeration bound {bound}")
+    if n > ENUMERATION_BOUND:
+        raise ValueError(f"{name}={n} exceeds the enumeration bound "
+                         f"{ENUMERATION_BOUND}")
 
 
 @lru_cache(maxsize=None)
-def _perm_stats(n: int) -> tuple[tuple[int, int], ...]:
-    """(ascent bitmask, inversion count) for each permutation of [n].
+def perm_stats(n: int) -> tuple[tuple[int, int], ...]:
+    """(ascent bitmask, inversion count) for each permutation of [n], in the
+    lexicographic order of itertools.permutations(range(1, n + 1)).
 
     Bit i-1 of the mask is set when position i is an ascent, so two
     permutations share an ascent exactly when their masks intersect.
@@ -117,7 +82,7 @@ def _w_polynomial_enumerated(n: int) -> QPolynomial:
     """
     full = (1 << max(n - 1, 0)) - 1
     counts = [[0] * (n * (n - 1) // 2 + 1) for _ in range(full + 1)]
-    for mask, inv in _perm_stats(n):
+    for mask, inv in perm_stats(n):
         counts[mask][inv] += 1
     classes = [QPolynomial(c) for c in counts]
     below = list(classes)  # below[m] = sum of A_s over the submasks s of m
@@ -131,25 +96,29 @@ def _w_polynomial_enumerated(n: int) -> QPolynomial:
     return total
 
 
-def w_polynomial(n: int, bound=None) -> QPolynomial:
+def w_polynomial(n: int) -> QPolynomial:
     """Generating polynomial of q^(inv(sigma)+inv(omega)) over the pairs of
-    S_n x S_n with no common ascent, computed by full enumeration."""
-    check_enumeration_bound(n, bound)
+    S_n x S_n with no common ascent, computed by full enumeration up to
+    ENUMERATION_BOUND (w_polynomial_recurrence takes a raised bound)."""
+    check_enumeration_bound(n)
     return _w_polynomial_enumerated(n)
 
 
 def q_binomial(n: int, k: int) -> QPolynomial:
-    """Gaussian binomial [n choose k]_q, by the q-Pascal rule."""
+    """Gaussian binomial [n choose k]_q, by the q-Pascal rule.  An n above
+    Q_BINOMIAL_BOUND is refused before any work: the rule caches about
+    n^2/4 polynomials of degree up to n^2/4, and [100 choose 50]_q takes
+    about 1 s and 90 MB."""
     if k < 0 or n < 0 or k > n:
         raise ValueError(f"q_binomial requires 0 <= k <= n, got n={n}, k={k}")
+    if n > Q_BINOMIAL_BOUND:
+        raise ValueError(f"n={n} exceeds the q-binomial bound {Q_BINOMIAL_BOUND}")
     return _q_pascal(n, k)
 
 
 @lru_cache(maxsize=None)
 def q_binomial_square(n: int, k: int) -> QPolynomial:
-    """[n choose k]_q squared, computed once per process: the alternating
-    identity, its recurrence and the reciprocal's product check all weigh
-    their terms by it."""
+    """[n choose k]_q squared, computed once per process."""
     b = q_binomial(n, k)
     return b * b
 
@@ -162,6 +131,19 @@ def _q_pascal(n: int, k: int) -> QPolynomial:
     return _q_pascal(n - 1, k - 1) + q_power(k) * _q_pascal(n - 1, k)
 
 
+def alternating_square_sum(n: int, values) -> QPolynomial:
+    """sum_i (-1)^i [n choose i]_q^2 values[i] over i < len(values) <= n + 1.
+
+    The alternating identity's residual, the recurrence's solve step and
+    the reciprocal's product check are all this sum.
+    """
+    total = ZERO
+    for i, value in enumerate(values):
+        term = q_binomial_square(n, i) * value
+        total = total + term if i % 2 == 0 else total - term
+    return total
+
+
 def verify_q_csv_identity(n: int) -> QPolynomial:
     """Residual of the alternating Gaussian-square identity
     sum_i (-1)^i [n choose i]_q^2 W_i(q); the zero polynomial when it holds.
@@ -172,11 +154,7 @@ def verify_q_csv_identity(n: int) -> QPolynomial:
     if n < 1:
         raise ValueError("n must be at least 1")
     check_enumeration_bound(n)
-    total = QPolynomial()
-    for i in range(n + 1):
-        term = q_binomial_square(n, i) * w_polynomial(i)
-        total = total + term if i % 2 == 0 else total - term
-    return total
+    return alternating_square_sum(n, [w_polynomial(i) for i in range(n + 1)])
 
 
 def csv_recurrence(seeds: list[QPolynomial], n: int) -> list[QPolynomial]:
@@ -189,28 +167,26 @@ def csv_recurrence(seeds: list[QPolynomial], n: int) -> list[QPolynomial]:
     """
     values = list(seeds)
     for m in range(len(values), n + 1):
-        acc = ZERO
-        for i in range(m):
-            term = q_binomial_square(m, i) * values[i]
-            acc = acc + term if (m - 1 + i) % 2 == 0 else acc - term
-        values.append(acc)
+        acc = alternating_square_sum(m, values)
+        values.append(acc if m % 2 else -acc)
     return values
 
 
 def w_polynomial_recurrence(n: int, bound=None) -> QPolynomial:
-    """W_n(q) computed from the alternating identity instead of enumeration.
-
-    Values at or below the enumeration bound come from enumeration; larger
-    indices are solved for recursively, so enumeration stays the ground truth
-    of the recurrence's base.  An n above RECURRENCE_BOUND is refused before
-    any work: its cost grows about as n^6 (n^2 products of polynomials of
-    degree up to about n^2).
+    """W_n(q) by enumeration up to the enumeration bound, and past it from
+    the alternating identity, solved recursively from the enumerated values,
+    so enumeration stays the ground truth of the recurrence's base.  This is
+    the one place that picks between the two routes.  An n above
+    RECURRENCE_BOUND is refused before any work: its cost grows about as
+    n^6 (n^2 products of polynomials of degree up to about n^2).
     """
     if n < 0:
         raise ValueError("n must be nonnegative")
     bound = effective_bound(bound)
     if n > RECURRENCE_BOUND:
         raise ValueError(f"n={n} exceeds the recurrence bound {RECURRENCE_BOUND}")
-    seeds = [_w_polynomial_enumerated(m) for m in range(min(n, bound) + 1)]
+    if n <= bound:
+        return _w_polynomial_enumerated(n)
+    seeds = [_w_polynomial_enumerated(m) for m in range(bound + 1)]
     return csv_recurrence(seeds, n)[n]
 

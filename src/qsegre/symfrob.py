@@ -34,7 +34,7 @@ from functools import lru_cache
 from math import comb, factorial
 
 from .exactalg import ONE, ZERO, QPolynomial, one_minus_q_power
-from .permstats import ENUMERATION_BOUND, w_polynomial, w_polynomial_recurrence
+from .permstats import w_polynomial_recurrence
 
 Partition = tuple[int, ...]
 
@@ -309,8 +309,6 @@ def lefschetz_character(n: int) -> CharacterTable2:
                                   for lam in partitions_of(n)})
 
 
-
-
 def h_alternating_residual(n: int) -> dict:
     """The alternating sum over i of (-1)^i h_(n-i)(x) h_(n-i)(y) ch_i, as
     its nonzero z-cleared entries: z_mu z_lam times the coefficient of
@@ -388,11 +386,11 @@ def principal_specialization(table: CharacterTable2, n: int) -> QPolynomial:
 def verify_specialization_identity(n: int) -> bool:
     """The polynomial identity ps(ch_n) * prod_(i<=n) (1 - q^i)^2 == W_n(q),
     compared with both sides times (n!)^2 so that any integer table gives a
-    verdict; W_n is taken from the recurrence past the enumeration bound."""
+    verdict; W_n is enumerated up to the enumeration bound and taken from
+    the recurrence past it."""
     check_homology_bound(n)
-    w = w_polynomial(n) if n <= ENUMERATION_BOUND else w_polynomial_recurrence(n)
     return (cleared_specialization(lefschetz_character(n), n)
-            == w * factorial(n) ** 2)
+            == w_polynomial_recurrence(n) * factorial(n) ** 2)
 
 
 def verify_induction_homomorphism(k: int, l: int, m: int, n: int) -> bool:

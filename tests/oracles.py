@@ -5,8 +5,9 @@ Each oracle here is the definitional computation that a faster kernel in
 src/qsegre replaced; the tests compare the two.  The rational-function
 identities are checked by evaluation: q is set to enough integers that the
 values pin the polynomial, and everything at a point is a Fraction.  The
-pair oracles compare the ascent sets of every pair of permutations.  The
-poset oracles read the order off the covers alone, list every maximal chain
+pair oracles compare the ascent sets of every pair of permutations, and
+count inversions pair by pair.  The poset oracles read the order off the
+covers alone, list every maximal chain
 of every interval, count the chains of the proper part for Hall's theorem,
 and build Segre products by numbering pairs in a dict and labeling them
 through element names; the Betti oracle eliminates over the whole order
@@ -28,7 +29,7 @@ from itertools import combinations, permutations, product
 from math import factorial
 
 from qsegre.exactalg import ONE, QPolynomial, one_minus_q_power
-from qsegre.permstats import Permutation, _perm_stats
+from qsegre.permstats import perm_stats
 from qsegre.poset import (ChainReport, EdgeLabeling, ELViolation, GradedPoset,
                           chains_by_dimension, order_chain_counts,
                           product_order_less, proper_part, segre_product,
@@ -203,6 +204,27 @@ def sf_product(f: dict, g: dict) -> dict:
 SF_ONE = {((), ()): Fraction(1)}
 
 
+class Permutation:
+    """A permutation of [n] in one-line notation (1-based images)."""
+
+    __slots__ = ("image",)
+
+    def __init__(self, image):
+        img = tuple(int(v) for v in image)
+        if sorted(img) != list(range(1, len(img) + 1)):
+            raise ValueError(f"not a permutation of [{len(img)}]: {img}")
+        self.image = img
+
+    def __len__(self) -> int:
+        return len(self.image)
+
+
+def inversions(s: Permutation) -> int:
+    """Number of pairs i < j with s(i) > s(j), by comparing every pair."""
+    img = s.image
+    return sum(1 for a, b in combinations(img, 2) if a > b)
+
+
 def ascent_set(image) -> set[int]:
     """The positions i in [n-1] with image(i) < image(i+1), 1-based."""
     return {i + 1 for i in range(len(image) - 1) if image[i] < image[i + 1]}
@@ -223,7 +245,7 @@ def enumerate_no_common_ascent(n: int) -> list[tuple[Permutation, Permutation]]:
 
 def w_polynomial_by_pair_scan(n: int) -> QPolynomial:
     """W_n(q) by testing every pair of S_n x S_n for a common ascent."""
-    stats = _perm_stats(n)
+    stats = perm_stats(n)
     coeffs = [0] * (n * (n - 1) + 1)
     for m1, i1 in stats:
         for m2, i2 in stats:

@@ -20,9 +20,8 @@ from qsegre.symfrob import (h_alternating_residual, lefschetz_character,
 
 import itertools
 
-from qsegre.permstats import Permutation, inversions
 
-from oracles import enumerate_no_common_ascent
+from oracles import Permutation, enumerate_no_common_ascent, inversions
 
 W2_REFERENCE = QPolynomial([0, 2, 1])                # q^2 + 2q
 W3_REFERENCE = QPolynomial([0, 0, 2, 6, 6, 4, 1])    # q^6+4q^5+6q^4+6q^3+2q^2

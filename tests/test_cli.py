@@ -9,7 +9,7 @@ import pytest
 
 from qsegre import permstats, symfrob
 from qsegre.cli import main, prime_power
-from qsegre.exactalg import QPolynomial
+from qsegre.exactalg import ONE, QPolynomial
 from qsegre.symfrob import CharacterTable2
 
 
@@ -125,7 +125,7 @@ class TestBoundsBeforeWork:
         assert "nonnegative" in err
 
     def test_verify_csv_beyond_bound_does_no_work(self, capsys, monkeypatch):
-        for name in ("_perm_stats", "q_binomial", "w_polynomial"):
+        for name in ("perm_stats", "q_binomial", "w_polynomial"):
             monkeypatch.setattr(permstats, name, fail_if_called)
         code, out, err = run(capsys, "verify", "csv", "--n", "8")
         assert_clean_rejection(code, out, err)
@@ -135,7 +135,7 @@ class TestBoundsBeforeWork:
         from qsegre import besselseries
         for name in ("bessel_coefficients", "csv_recurrence", "w_polynomial"):
             monkeypatch.setattr(besselseries, name, fail_if_called)
-        monkeypatch.setattr(permstats, "_perm_stats", fail_if_called)
+        monkeypatch.setattr(permstats, "perm_stats", fail_if_called)
         for argv in (("bessel", "--order", "8"),
                      ("verify", "bessel", "--order", "8", "--json")):
             code, out, err = run(capsys, *argv)
@@ -181,8 +181,7 @@ class TestBoundsBeforeWork:
     def test_homology_degree_outside_the_bound_does_no_work(
             self, capsys, monkeypatch):
         for name in ("lefschetz_character", "irreducible_table2",
-                     "cleared_specialization", "w_polynomial",
-                     "w_polynomial_recurrence"):
+                     "cleared_specialization", "w_polynomial_recurrence"):
             monkeypatch.setattr(symfrob, name, fail_if_called)
         for check in ("thm31", "thm48"):
             for n, text in (("0", "n must be at least 1"),
@@ -253,7 +252,7 @@ class TestBoundsBeforeWork:
 
     def test_wq_bound_above_the_ceiling_does_no_work(self, capsys, monkeypatch):
         # no warning line either: the ceiling is checked before it
-        for name in ("_perm_stats", "_w_polynomial_enumerated"):
+        for name in ("perm_stats", "_w_polynomial_enumerated"):
             monkeypatch.setattr(permstats, name, fail_if_called)
         assert permstats.ENUMERATION_CEILING == 9
         for n, bound in (("10", "10"), ("3", "12"), ("12", "100")):
@@ -261,6 +260,50 @@ class TestBoundsBeforeWork:
             assert_clean_rejection(code, out, err)
             assert err == (f"error: the enumeration bound {bound} exceeds "
                            f"the ceiling 9\n")
+
+    def test_qbinom_beyond_its_bound_does_no_work(self, capsys, monkeypatch):
+        # unbounded, the q-Pascal rule recursed n deep (n=3000 ended in a
+        # RecursionError) and its cache grew about as n^4
+        monkeypatch.setattr(permstats, "_q_pascal", fail_if_called)
+        assert permstats.Q_BINOMIAL_BOUND == 100
+        for n, k in (("101", "50"), ("200", "100"), ("3000", "1500")):
+            code, out, err = run(capsys, "qbinom", "--n", n, "--k", k,
+                                 "--at", "1")
+            assert_clean_rejection(code, out, err)
+            assert err == f"error: n={n} exceeds the q-binomial bound 100\n"
+        monkeypatch.setattr(permstats, "_q_pascal", lambda n, k: ONE)
+        code, out, err = run(capsys, "qbinom", "--n", "100", "--k", "50")
+        assert (code, out, err) == (0, '["1"]\n', "")
+
+    def test_the_pool_gets_no_more_workers_than_tasks(
+            self, capsys, monkeypatch):
+        # fork starts all max_workers processes at the first submit, so an
+        # uncapped --threads 100000 would ask for 100000 of them; this
+        # recorder stands in for the pool, starts no process and runs the
+        # tasks here, in order
+        import concurrent.futures
+        workers = []
+
+        class RecordingPool:
+            def __init__(self, max_workers):
+                workers.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc_info):
+                return False
+
+            def map(self, fn, tasks):
+                return map(fn, tasks)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
+                            RecordingPool)
+        for threads in ("100000", "9", "2"):
+            code, out, err = run(capsys, "verify", "all", "--max-n", "1",
+                                 "--threads", threads)
+            assert code == 0 and err == "" and out.count("PASS") == 9
+        assert workers == [9, 9, 2]
 
 
 def fail_if_called(*args, **kwargs):
@@ -395,6 +438,15 @@ FAILING = {
 }
 
 
+HELP_ARGV = ([()]
+             + [(verb,) for verb in ("wq", "qbinom", "bessel", "lattice",
+                                     "segre", "mobius", "betti", "frobenius",
+                                     "verify")]
+             + [("verify", check) for check in ("csv", "bessel", "el",
+                                                "mobius", "thm31", "thm48",
+                                                "prop26", "all")])
+
+
 class TestGoldenDocuments:
     # bessel and frobenius print numerators over the known denominators
     # ([n]_q!)^2 and prod (1-q^i)^2; these outputs were recorded when both
@@ -490,6 +542,19 @@ class TestGoldenDocuments:
         code, out, err = run(capsys, "verify", *argv)
         assert code == 1 and err == ""
         assert out == (GOLDEN / f"fail_{check}_{form}.out").read_text()
+
+    @pytest.mark.parametrize("argv", HELP_ARGV,
+                             ids=lambda argv: " ".join(("qsegre", *argv)))
+    def test_help_is_byte_identical(self, capsys, monkeypatch, argv):
+        # recorded before the parser blocks of the verbs were shared, so
+        # that sharing them adds and removes no option
+        monkeypatch.setenv("COLUMNS", "80")
+        with pytest.raises(SystemExit) as exit_info:
+            main([*argv, "--help"])
+        captured = capsys.readouterr()
+        assert exit_info.value.code == 0 and captured.err == ""
+        name = "_".join(argv) or "qsegre"
+        assert captured.out == (GOLDEN / "help" / f"{name}.out").read_text()
 
     def test_extension_field_lattice_is_byte_identical(self, capsys):
         # recorded when covers were found by testing every adjacent-rank

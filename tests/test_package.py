@@ -4,6 +4,8 @@ import pathlib
 import subprocess
 import sys
 
+import pytest
+
 import qsegre
 
 PACKAGE = pathlib.Path(qsegre.__file__).resolve().parent
@@ -36,38 +38,94 @@ def test_runtime_imports_only_the_standard_library():
     assert not found, f"non-stdlib imports in {found}"
 
 
+def _evident_receivers(trees, classes) -> dict[int, str]:
+    """The class each attribute reference evidently refers to, by the id of
+    its node: self.x in a method of C, C.x (or module.C.x), and p.x for a
+    parameter p annotated with C."""
+    def class_of(node):
+        name = (node.id if isinstance(node, ast.Name)
+                else node.attr if isinstance(node, ast.Attribute) else None)
+        return name if name in classes else None
+
+    bound: dict[int, dict[str, str]] = {}  # function node id -> name -> class
+    for tree in trees.values():
+        for cls in ast.walk(tree):
+            if isinstance(cls, ast.ClassDef):
+                for item in cls.body:
+                    if isinstance(item, ast.FunctionDef) and item.args.args:
+                        bound[id(item)] = {item.args.args[0].arg: cls.name}
+    owner: dict[int, str] = {}
+    for tree in trees.values():
+        # outer functions come first, so a nested one rebinds what it shadows
+        for func in ast.walk(tree):
+            if not isinstance(func, ast.FunctionDef):
+                continue
+            names = dict(bound.get(id(func), {}))
+            for arg in func.args.args + func.args.kwonlyargs:
+                if arg.annotation is not None and class_of(arg.annotation):
+                    names[arg.arg] = class_of(arg.annotation)
+            for node in ast.walk(func):
+                if (isinstance(node, ast.Attribute)
+                        and isinstance(node.value, ast.Name)
+                        and node.value.id in names):
+                    owner[id(node)] = names[node.value.id]
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute) and class_of(node.value):
+                owner[id(node)] = class_of(node.value)
+    return owner
+
+
 def _unreferenced_public_definitions(package) -> list[str]:
-    """Public functions, classes and methods of the package that no name or
-    attribute in it references outside their own definition and
-    __init__.py, found again after each round so that a helper used only by
-    another such helper is caught too.  Dunder methods are exempt: the
-    language calls them."""
+    """Public functions, classes and methods of the package that nothing in
+    it references outside their own definition and __init__.py, found again
+    after each round so that a helper used only by another such helper is
+    caught too.  Dunder methods are exempt: the language calls them.
+
+    A top-level definition counts every name and attribute spelled like it.
+    A method x of class C counts only attributes: x of a receiver that
+    evidently is C (see _evident_receivers), or of one whose class is not
+    evident.  So a local variable or another class's attribute named x does
+    not keep C.x alive."""
     trees = {path.name: ast.parse(path.read_text(), filename=str(path))
              for path in sorted(package.glob("*.py"))}
-    definitions = {}  # "file:line qualified name" -> (name, node)
+    definitions = {}  # "file:line qualified name" -> (name, class, node)
     for filename, tree in trees.items():
         for node in tree.body:
             if not isinstance(node, (ast.FunctionDef, ast.ClassDef)):
                 continue
-            definitions[f"{filename}:{node.lineno} {node.name}"] = (node.name, node)
+            definitions[f"{filename}:{node.lineno} {node.name}"] = (
+                node.name, None, node)
             if isinstance(node, ast.ClassDef):
                 for item in node.body:
                     if isinstance(item, ast.FunctionDef):
                         key = f"{filename}:{item.lineno} {node.name}.{item.name}"
-                        definitions[key] = (item.name, item)
-    references = [(n.id if isinstance(n, ast.Name) else n.attr, n)
+                        definitions[key] = (item.name, node.name, item)
+    classes = {name for name, cls, node in definitions.values()
+               if cls is None and isinstance(node, ast.ClassDef)}
+    owner = _evident_receivers(trees, classes)
+    # (spelling, node, class): None for a bare name, "" for an attribute
+    # whose receiver's class is not evident
+    references = [(n.id, n, None) if isinstance(n, ast.Name)
+                  else (n.attr, n, owner.get(id(n), ""))
                   for filename, tree in trees.items() if filename != "__init__.py"
                   for n in ast.walk(tree) if isinstance(n, (ast.Name, ast.Attribute))]
     inside = {key: {id(n) for n in ast.walk(node)}
-              for key, (_, node) in definitions.items()}
+              for key, (_, _, node) in definitions.items()}
+
+    def refers(ref_class, def_class) -> bool:
+        if def_class is None:
+            return ref_class in (None, "")
+        return ref_class in ("", def_class)
+
     dead: set = set()
     while True:
         excluded = set().union(*(inside[key] for key in dead))
-        found = {key for key, (name, _) in definitions.items()
+        found = {key for key, (name, cls, _) in definitions.items()
                  if not name.startswith("_")
-                 and not any(ref == name and id(n) not in excluded
+                 and not any(ref == name and refers(ref_cls, cls)
+                             and id(n) not in excluded
                              and id(n) not in inside[key]
-                             for ref, n in references)}
+                             for ref, n, ref_cls in references)}
         if found == dead:
             return sorted(found)
         dead = found
@@ -78,6 +136,39 @@ def test_every_public_definition_is_used_by_the_package():
     # and fixtures live in tests/oracles.py
     found = _unreferenced_public_definitions(PACKAGE)
     assert not found, f"public definitions only tests reach: {found}"
+
+
+_FIELD_SLOTS = ('    __slots__ = ("p", "k", "order", "modulus", "_add", "_mul", '
+                '"_neg", "_inv")\n')
+
+
+# (file, a line of the class, dead method, its body): `less` is a local in
+# poset and the EdgeLabeling field read as labeling.less, with labeling
+# annotated EdgeLabeling; `add` and `neg` are locals in subspace._join
+@pytest.mark.parametrize("filename, anchor, method, body", [
+    ("poset.py",
+     "    def __len__(self) -> int:\n        return len(self.names)\n",
+     "GradedPoset.less",
+     "    def less(self, a: int, b: int) -> bool:\n"
+     "        return bool(self._below_masks()[b] >> a & 1)\n"),
+    ("subspace.py", _FIELD_SLOTS, "FiniteField.add",
+     "    def add(self, a: int, b: int) -> int:\n"
+     "        return self._add[a][b]\n"),
+    ("subspace.py", _FIELD_SLOTS, "FiniteField.neg",
+     "    def neg(self, a: int) -> int:\n        return self._neg[a]\n"),
+])
+def test_a_dead_method_named_like_a_live_name_is_found(
+        tmp_path, filename, anchor, method, body):
+    for path in PACKAGE.glob("*.py"):
+        (tmp_path / path.name).write_text(path.read_text())
+    source = (tmp_path / filename).read_text()
+    assert source.count(anchor) == 1
+    at = source.index(anchor) + len(anchor)
+    source = source[:at] + "\n" + body + source[at:]
+    (tmp_path / filename).write_text(source)
+    line = source[:at].count("\n") + 2
+    assert _unreferenced_public_definitions(tmp_path) == [
+        f"{filename}:{line} {method}"]
 
 
 def test_the_suite_and_frobenius_run_without_fractions():

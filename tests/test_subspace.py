@@ -4,14 +4,15 @@ from hypothesis import strategies as st
 
 from qsegre import subspace
 from qsegre.exactalg import q_factorial
-from qsegre.permstats import Permutation, inversions, q_binomial, w_polynomial
+from qsegre.permstats import q_binomial, w_polynomial
 from qsegre.poset import (chain_report, check_el_labeling, mobius_number,
                           proper_part, rational_betti_numbers)
 from qsegre.subspace import (FiniteField, Subspace, build_bnq,
                              build_segre_bnq, enumerate_subspaces, label_set,
                              rref_rows)
 
-from oracles import (contains, covers_by_containment, label_set_by_atoms,
+from oracles import (Permutation, contains, covers_by_containment,
+                     inversions, label_set_by_atoms,
                      reduced_euler_characteristic, span)
 
 import itertools
