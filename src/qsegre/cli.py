@@ -59,14 +59,15 @@ def _warn_raised_bound(name: str, value, default) -> None:
 
 def _lattice_for(args, faces: bool = False):
     """The lattice or Segre square a compute verb names, after a warning on
-    stderr if its subspace count bound was raised.  With faces, the order
-    complex of its proper part is first held to the face bound, after the
-    refusals that building would make and before any subspace is listed."""
+    stderr if its subspace count bound was raised, and after the refusals
+    that building would make, before any field or subspace is built.  With
+    faces, the order complex of its proper part is then held to the face
+    bound."""
     _warn_raised_bound("subspace count bound", args.count_bound,
                        subspace.SUBSPACE_COUNT_BOUND)
+    prime_power(args.q)
+    subspace.check_count_bound(args.n, args.q, args.segre, args.count_bound)
     if faces:
-        prime_power(args.q)
-        subspace.check_count_bound(args.n, args.q, args.segre, args.count_bound)
         poset.check_face_count(
             subspace.proper_face_count(args.n, args.q, args.segre))
     return _lattice(args.n, args.q, args.segre, args.count_bound)

@@ -1,30 +1,33 @@
 """Finite fields of small prime-power order, the lattice of subspaces of
 F_q^n, and its rightmost-coordinate edge labeling.
 
-Field elements are plain integers 0..q-1 encoding polynomial residues in base
-p (index 0 is the zero element, index 1 the one); arithmetic is table driven,
-which is comfortable for the configured size bound of 16.  A subspace is its
-canonical reduced row echelon basis, so subspace equality is tuple equality.
+A field is its tables: elements are the integers 0..q-1 coding polynomial
+residues in base p (0 is the zero element, 1 the one), and arithmetic is
+table lookup, which is comfortable for the configured size bound of 16.  A
+subspace is its row tuple, the canonical reduced row echelon basis, so
+subspace equality is tuple equality.
 
 Two conventions coexist on purpose and must not be conflated: the canonical
 RREF basis pivots on the leftmost nonzero coordinates, while the labeling
 reads the rightmost nonzero coordinate of an atom (scaled so that coordinate
 is 1).  Labels are 1-based coordinate indices.
 
-The lattice is built without any containment test.  The upper covers of a
-subspace x with pivot columns P are the joins x + <v>, one for each vector v
-supported off P with leading entry 1; these v are the projective points of
-the coordinate complement of x, so distinct v give distinct covers.  The
-join's RREF is x's rows with column lead(v) cleared and v inserted in pivot
-order.  The label set of a subspace, the rightmost nonzero indices over its
-vectors, is the pivot set of its echelon form taken from the right (reverse
-the coordinates, reduce, map the pivots back), so no vector is listed.
+The lattice is built from joins alone, without any containment test or
+list of echelon forms.  The upper covers of a subspace x with pivot columns
+P are the joins x + <v>, one for each vector v supported off P with leading
+entry 1; these v are the projective points of the coordinate complement of
+x, so distinct v give distinct covers.  The join's RREF is x's rows with
+column lead(v) cleared and v inserted in pivot order, and the joins over
+one rank are the next rank.  The label set of a subspace, the rightmost
+nonzero indices over its vectors, is the pivot set of its echelon form
+taken from the right (reverse the coordinates, reduce, map the pivots
+back), so no vector is listed.
 """
 
 from __future__ import annotations
 
 from bisect import bisect
-from itertools import combinations, product
+from itertools import product
 
 from .poset import EdgeLabeling, GradedPoset, segre_product
 
@@ -43,55 +46,14 @@ def _is_prime(p: int) -> bool:
     return True
 
 
-def _poly_divmod_modp(num: list[int], den: list[int], p: int):
-    """Long division of coefficient lists (ascending) over F_p."""
-    num = list(num)
-    dlen = len(den)
-    dlead_inv = pow(den[-1], -1, p)
-    quo = [0] * max(0, len(num) - dlen + 1)
-    for shift in range(len(num) - dlen, -1, -1):
-        factor = (num[shift + dlen - 1] * dlead_inv) % p
-        if factor:
-            quo[shift] = factor
-            for i, c in enumerate(den):
-                num[shift + i] = (num[shift + i] - factor * c) % p
-    while num and num[-1] == 0:
-        num.pop()
-    return quo, num
-
-
-def _monic_polys_modp(degree: int, p: int):
-    for tail in product(range(p), repeat=degree):
-        yield list(tail) + [1]
-
-
-def _is_irreducible_modp(poly: list[int], p: int) -> bool:
-    degree = len(poly) - 1
-    for d in range(1, degree // 2 + 1):
-        for divisor in _monic_polys_modp(d, p):
-            _, rem = _poly_divmod_modp(poly, divisor, p)
-            if not rem:
-                return False
-    return True
-
-
-def _find_modulus(p: int, k: int) -> tuple[int, ...]:
-    """First irreducible monic degree-k polynomial, scanning the non-leading
-    coefficients as ascending base-p integers; deterministic by construction."""
-    for code in range(p ** k):
-        tail = []
-        value = code
-        for _ in range(k):
-            tail.append(value % p)
-            value //= p
-        candidate = tail + [1]
-        if _is_irreducible_modp(candidate, p):
-            return tuple(candidate)
-    raise AssertionError(f"no irreducible polynomial of degree {k} over F_{p}")
-
-
 class FiniteField:
-    """F_{p^k} with table-driven arithmetic on integer element indices."""
+    """F_{p^k} as its tables _add, _mul, _neg and _inv on element codes.
+
+    The code of the residue sum_i c_i x^i is sum_i c_i p^i.  The modulus is
+    the first monic x^k + tail(x), tails scanned as ascending base-p codes,
+    whose residues pass the unit-group check a^(q-1) = 1 for every nonzero
+    a; a zero divisor is never a unit, so that is the first irreducible
+    modulus.  The check also yields each inverse, a^(q-2)."""
 
     __slots__ = ("p", "k", "order", "modulus", "_add", "_mul", "_neg", "_inv")
 
@@ -105,69 +67,36 @@ class FiniteField:
             raise ValueError(f"field order {order} exceeds the bound "
                              f"{FIELD_SIZE_BOUND}")
         self.p, self.k, self.order = p, k, order
-        self.modulus = _find_modulus(p, k)
+        digits = [[e // p ** i % p for i in range(k)] for e in range(order)]
 
-        def decode(e: int) -> list[int]:
-            out = []
-            for _ in range(k):
-                out.append(e % p)
-                e //= p
-            return out
+        def code(coeffs) -> int:
+            return sum(c % p * p ** i for i, c in enumerate(coeffs))
 
-        def encode(coeffs: list[int]) -> int:
-            e = 0
-            for c in reversed(coeffs[:k] + [0] * (k - len(coeffs))):
-                e = e * p + (c % p)
-            return e
-
-        self._add = [[0] * order for _ in range(order)]
-        self._mul = [[0] * order for _ in range(order)]
-        self._neg = [0] * order
-        for a in range(order):
-            ca = decode(a)
-            self._neg[a] = encode([(-x) % p for x in ca])
-            for b in range(order):
-                cb = decode(b)
-                self._add[a][b] = encode([(x + y) % p for x, y in zip(ca, cb)])
-                prod = [0] * (2 * k - 1)
-                for i, x in enumerate(ca):
-                    if x:
-                        for j, y in enumerate(cb):
-                            prod[i + j] = (prod[i + j] + x * y) % p
-                _, rem = _poly_divmod_modp(prod, list(self.modulus), p)
-                self._mul[a][b] = encode(rem)
-        self._inv = [0] * order
-        for a in range(1, order):
-            self._inv[a] = next(b for b in range(1, order) if self._mul[a][b] == 1)
-        # multiplicative order check: every nonzero element to the q-1 is one
-        for a in range(1, order):
-            acc = 1
-            for _ in range(order - 1):
-                acc = self._mul[acc][a]
-            if acc != 1:
-                raise ArithmeticError(
-                    f"field of order {order} (p={p}, k={k}) failed the "
-                    f"unit-group check at element {a}")
-
-    def sub(self, a: int, b: int) -> int:
-        return self._add[a][self._neg[b]]
-
-    def mul(self, a: int, b: int) -> int:
-        return self._mul[a][b]
-
-    def inv(self, a: int) -> int:
-        if a == 0:
-            raise ZeroDivisionError("inverse of zero in a finite field")
-        return self._inv[a]
-
-    def key(self) -> tuple:
-        return (self.p, self.k, self.modulus)
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, FiniteField) and self.key() == other.key()
-
-    def __hash__(self) -> int:
-        return hash(self.key())
+        add = [[code(x + y for x, y in zip(da, db)) for db in digits]
+               for da in digits]
+        for tail in digits:
+            # x e shifts e's digits up and folds the top one back through
+            # -tail; then a b = (a mod p) b + x ((a div p) b), row by row
+            times_x = [code(x - d[-1] * t for x, t in zip([0] + d, tail))
+                       for d in digits]
+            mul = [[code(c * x for x in d) for d in digits] for c in range(p)]
+            for a in range(p, order):
+                mul.append([add[low][times_x[high]]
+                            for low, high in zip(mul[a % p], mul[a // p])])
+            inv = [0] * order
+            for a in range(1, order):
+                acc = 1
+                for _ in range(order - 2):
+                    acc = mul[acc][a]
+                inv[a] = acc
+            if all(mul[a][inv[a]] == 1 for a in range(1, order)):
+                break
+        else:
+            raise ArithmeticError(f"no monic degree-{k} modulus over F_{p} "
+                                  "passes the unit-group check")
+        self.modulus = tuple(tail) + (1,)
+        self._add, self._mul, self._inv = add, mul, inv
+        self._neg = [code(-x for x in d) for d in digits]
 
     def __repr__(self) -> str:
         return f"FiniteField(p={self.p}, k={self.k})"
@@ -179,61 +108,25 @@ def rref_rows(field: FiniteField, ambient: int, vectors) -> tuple[tuple[int, ...
     for v in mat:
         if len(v) != ambient:
             raise ValueError(f"vector of length {len(v)} in ambient dimension {ambient}")
-        if any(not 0 <= x < field.order for x in v):
+        if v and (min(v) < 0 or max(v) >= field.order):
             raise ValueError("vector entry outside the field")
+    add, mul, neg, inv = field._add, field._mul, field._neg, field._inv
     r = 0
     for col in range(ambient):
         piv = next((i for i in range(r, len(mat)) if mat[i][col]), None)
         if piv is None:
             continue
         mat[r], mat[piv] = mat[piv], mat[r]
-        inv = field.inv(mat[r][col])
-        mat[r] = [field.mul(inv, x) for x in mat[r]]
+        scale = mul[inv[mat[r][col]]]
+        mat[r] = [scale[x] for x in mat[r]]
         for i in range(len(mat)):
             if i != r and mat[i][col]:
-                c = mat[i][col]
-                mat[i] = [field.sub(x, field.mul(c, y)) for x, y in zip(mat[i], mat[r])]
+                scaled = mul[neg[mat[i][col]]]
+                mat[i] = [add[x][scaled[y]] for x, y in zip(mat[i], mat[r])]
         r += 1
         if r == len(mat):
             break
     return tuple(tuple(row) for row in mat[:r] if any(row))
-
-
-class Subspace:
-    """Row space of a canonical RREF basis over a small finite field."""
-
-    __slots__ = ("field", "ambient", "rows")
-
-    def __init__(self, field: FiniteField, ambient: int,
-                 rows: tuple[tuple[int, ...], ...]):
-        self.field = field
-        self.ambient = ambient
-        self.rows = tuple(tuple(r) for r in rows)
-        pivots = []
-        for row in self.rows:
-            if len(row) != ambient or not any(row):
-                raise ValueError("basis rows must be nonzero vectors of ambient length")
-            pivots.append(next(i for i, x in enumerate(row) if x))
-        if pivots != sorted(set(pivots)):
-            raise ValueError("pivot columns must be strictly increasing")
-        for i, pc in enumerate(pivots):
-            if self.rows[i][pc] != 1 or any(self.rows[j][pc] for j in range(len(pivots)) if j != i):
-                raise ValueError("basis is not reduced row echelon")
-
-    @property
-    def dim(self) -> int:
-        return len(self.rows)
-
-    def __eq__(self, other) -> bool:
-        return (isinstance(other, Subspace)
-                and self.field.key() == other.field.key()
-                and self.ambient == other.ambient and self.rows == other.rows)
-
-    def __hash__(self) -> int:
-        return hash((self.field.key(), self.ambient, self.rows))
-
-    def __repr__(self) -> str:
-        return f"Subspace(dim={self.dim}, rows={self.rows})"
 
 
 def _gaussian_count(n: int, k: int, q: int) -> int:
@@ -246,9 +139,15 @@ def _gaussian_count(n: int, k: int, q: int) -> int:
 
 def check_count_bound(n: int, q: int, segre: bool = False,
                       count_bound: int | None = None) -> None:
-    """Refuse B_n(q) of more subspaces than the count bound, or its Segre
-    square of more pairs, sum_k N_k^2 for N_k the subspaces of rank k."""
+    """Refuse a negative ambient dimension or count bound, and B_n(q) of more
+    subspaces than the count bound, or its Segre square of more pairs,
+    sum_k N_k^2 for N_k the subspaces of rank k."""
+    if n < 0:
+        raise ValueError("ambient dimension must be nonnegative")
     bound = SUBSPACE_COUNT_BOUND if count_bound is None else count_bound
+    if bound < 0:
+        raise ValueError(f"the subspace count bound must be nonnegative, "
+                         f"got {bound}")
     total = sum(_gaussian_count(n, k, q) ** (2 if segre else 1)
                 for k in range(n + 1))
     if total > bound:
@@ -270,37 +169,16 @@ def proper_face_count(n: int, q: int, segre: bool = False) -> int:
     return sum(_gaussian_count(n, s, q) ** e * within[s] for s in range(1, n))
 
 
-def enumerate_subspaces(n: int, field: FiniteField,
-                        count_bound: int | None = None) -> list[Subspace]:
-    """Every subspace of F_q^n exactly once, generated rank by rank as RREF
-    matrices (choose pivot columns, then fill the free positions)."""
-    if n < 0:
-        raise ValueError("ambient dimension must be nonnegative")
-    check_count_bound(n, field.order, count_bound=count_bound)
-    out = []
-    for k in range(n + 1):
-        for pivots in combinations(range(n), k):
-            free = [(i, j) for i in range(k)
-                    for j in range(pivots[i] + 1, n) if j not in pivots]
-            for assignment in product(range(field.order), repeat=len(free)):
-                rows = [[0] * n for _ in range(k)]
-                for i, pc in enumerate(pivots):
-                    rows[i][pc] = 1
-                for (i, j), value in zip(free, assignment):
-                    rows[i][j] = value
-                out.append(Subspace(field, n, tuple(tuple(r) for r in rows)))
-    return out
-
-
-def label_set(s: Subspace) -> frozenset[int]:
-    """Rightmost nonzero coordinate indices (1-based) over the atoms of s:
-    the pivots of s's echelon form taken from the right."""
-    n = s.ambient
-    mirrored = rref_rows(s.field, n, [row[::-1] for row in s.rows])
-    out = frozenset(n - next(i for i, x in enumerate(row) if x) for row in mirrored)
-    if len(out) != s.dim:
-        raise ArithmeticError(f"{s!r} reaches {len(out)} rightmost indices, "
-                              f"not its dimension {s.dim}")
+def label_set(field: FiniteField, rows) -> frozenset[int]:
+    """Rightmost nonzero coordinate indices (1-based) over the atoms of the
+    row space of the RREF rows: the pivots of its echelon form taken from
+    the right."""
+    mirrored = rref_rows(field, len(rows[0]) if rows else 0,
+                         [row[::-1] for row in rows])
+    out = frozenset(len(row) - row.index(1) for row in mirrored)
+    if len(out) != len(rows):
+        raise ArithmeticError(f"{rows} reaches {len(out)} rightmost indices, "
+                              f"not its dimension {len(rows)}")
     return out
 
 
@@ -345,46 +223,65 @@ def build_bnq(n: int, field: FiniteField,
     a cover x < y is labeled by the one index in label_set(y) that is not in
     label_set(x).
 
-    Covers are generated, not searched for: each x of rank k gets the
-    [n-k choose 1]_q joins x + <v> (see the module docstring), each looked up
-    among the enumerated subspaces.  A join outside them, a cover that does
-    not gain exactly one label, or an element of rank k without exactly
-    [k choose 1]_q lower covers raises ArithmeticError."""
-    subs = enumerate_subspaces(n, field, count_bound)
-    subs.sort(key=lambda s: (s.dim, s.rows))
-    names = [s.rows for s in subs]
-    ranks = [s.dim for s in subs]
-    index = {rows: i for i, rows in enumerate(names)}
-    fsets = [label_set(s) for s in subs]
+    The lattice is generated from its covers: rank 0 is the zero subspace,
+    and rank k+1 is the set of joins x + <v> (see the module docstring) over
+    the x of rank k, numbered in (rank, rows) order.  A rank of other than
+    [n choose k+1]_q joins, a join that is not a canonical RREF basis of
+    dimension k+1, a cover that does not gain exactly one label, or an element
+    of rank k without exactly [k choose 1]_q lower covers raises
+    ArithmeticError."""
+    check_count_bound(n, field.order, count_bound=count_bound)
     q = field.order
+    names = [()]
+    fsets = [frozenset()]
     points: dict[tuple[int, ...], list] = {}
     covers = []
     labels = {}
-    for a, rows in enumerate(names):
-        pivots = tuple(next(i for i, x in enumerate(row) if x) for row in rows)
-        if pivots not in points:
-            points[pivots] = _points_off(n, pivots, q)
-        for lead, v in points[pivots]:
-            b = index.get(_join(field, rows, pivots, lead, v))
-            if b is None:
+    start = 0
+    for k in range(n):
+        first = len(covers)
+        joins: dict = {}  # each distinct join to itself, then to its index
+        for a in range(start, len(names)):
+            rows = names[a]
+            pivots = tuple(row.index(1) for row in rows)  # rows are RREF
+            if pivots not in points:
+                points[pivots] = _points_off(n, pivots, q)
+            for lead, v in points[pivots]:
+                join = _join(field, rows, pivots, lead, v)
+                covers.append((a, joins.setdefault(join, join)))
+        expected = _gaussian_count(n, k + 1, q)
+        if len(joins) != expected:
+            raise ArithmeticError(
+                f"rank {k + 1} of B_{n}({q}) holds {len(joins)} joins, not "
+                f"[{n} choose {k + 1}]_{q} = {expected}")
+        start = len(names)
+        for b, rows in enumerate(sorted(joins), start):
+            if len(rows) != k + 1 or rref_rows(field, n, rows) != rows:
                 raise ArithmeticError(
-                    f"join of {subs[a]!r} with {v} in B_{n}({q}) is not an "
-                    f"enumerated subspace")
-            covers.append((a, b))
+                    f"join {rows} in rank {k + 1} of B_{n}({q}) is not a "
+                    f"canonical RREF basis of dimension {k + 1}")
+            joins[rows] = b
+            names.append(rows)
+            fsets.append(label_set(field, rows))
+        for m in range(first, len(covers)):
+            a, rows = covers[m]
+            b = joins[rows]
+            covers[m] = (a, b)
             difference = fsets[b] - fsets[a]
             if len(difference) != 1:
                 raise ArithmeticError(
-                    f"cover {subs[a]!r} < {subs[b]!r} of B_{n}({q}) "
+                    f"cover {names[a]} < {names[b]} of B_{n}({q}) "
                     f"gains labels {sorted(difference)}, not exactly one")
             labels[(a, b)] = next(iter(difference))
-    lower = [0] * len(subs)
+    ranks = [len(rows) for rows in names]
+    lower = [0] * len(names)
     for _, b in covers:
         lower[b] += 1
     for b, count in enumerate(lower):
         expected = _gaussian_count(ranks[b], 1, q)
         if count != expected:
             raise ArithmeticError(
-                f"{subs[b]!r} of B_{n}({q}) has {count} lower covers, "
+                f"{names[b]} of B_{n}({q}) has {count} lower covers, "
                 f"not [{ranks[b]} choose 1]_{q} = {expected}")
     poset = GradedPoset(names, ranks, covers)
     return poset, EdgeLabeling(labels)

@@ -12,8 +12,10 @@ of every interval, count the chains of the proper part for Hall's theorem,
 and build Segre products by numbering pairs in a dict and labeling them
 through element names; the Betti oracle eliminates over the whole order
 complex, listed chain by chain from subsets of elements, and the rank
-oracle eliminates over Fractions.  The subspace oracles test containment by
-row reduction and read label sets off every vector of a subspace.  The
+oracle eliminates over Fractions.  The subspace oracles list every RREF
+basis by its pivot columns and free positions, test containment by row
+reduction, read label sets off every vector of a subspace, and find field
+moduli by polynomial trial division.  The
 symmetric-function oracles take the homology character from the Hopf trace
 over the chains of the pair poset, and check that induction products go to
 products by comparing characteristics over Fractions.  Those
@@ -27,6 +29,7 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, permutations, product
 from math import factorial
+from typing import NamedTuple
 
 from qsegre.exactalg import ONE, QPolynomial, one_minus_q_power
 from qsegre.permstats import perm_stats
@@ -34,7 +37,7 @@ from qsegre.poset import (ChainReport, EdgeLabeling, ELViolation, GradedPoset,
                           chains_by_dimension, order_chain_counts,
                           product_order_less, proper_part, segre_product,
                           _rank_of_sparse_rows)
-from qsegre.subspace import Subspace, enumerate_subspaces, rref_rows
+from qsegre.subspace import rref_rows
 from qsegre.symfrob import (CharacterTable2, _perm_of_cycle_type,
                             induce_product_character, irreducible_table2,
                             partitions_of, specialization_denominator, z_of)
@@ -491,6 +494,35 @@ def rational_betti_numbers_by_elimination(p) -> list[int]:
     return [len(chains[j]) - ranks[j] - ranks[j + 1] for j in range(top + 1)]
 
 
+class Subspace(NamedTuple):
+    """The row space of a canonical RREF basis over a field."""
+    field: object
+    ambient: int
+    rows: tuple
+
+    @property
+    def dim(self) -> int:
+        return len(self.rows)
+
+
+def enumerate_subspaces(n: int, field) -> list[Subspace]:
+    """Every subspace of F_q^n exactly once, as RREF matrices: choose the
+    pivot columns, then fill the free positions."""
+    out = []
+    for k in range(n + 1):
+        for pivots in combinations(range(n), k):
+            free = [(i, j) for i in range(k)
+                    for j in range(pivots[i] + 1, n) if j not in pivots]
+            for assignment in product(range(field.order), repeat=len(free)):
+                rows = [[0] * n for _ in range(k)]
+                for i, pc in enumerate(pivots):
+                    rows[i][pc] = 1
+                for (i, j), value in zip(free, assignment):
+                    rows[i][j] = value
+                out.append(Subspace(field, n, tuple(map(tuple, rows))))
+    return out
+
+
 def span(field, n: int, vectors) -> Subspace:
     """The subspace of F_q^n spanned by the given vectors."""
     return Subspace(field, n, rref_rows(field, n, vectors))
@@ -499,16 +531,16 @@ def span(field, n: int, vectors) -> Subspace:
 def contains(upper, lower) -> bool:
     """Whether the subspace upper contains lower: each basis row of lower
     reduces to zero against upper's RREF rows."""
-    if upper.field.key() != lower.field.key() or upper.ambient != lower.ambient:
+    if upper.field is not lower.field or upper.ambient != lower.ambient:
         raise ValueError("subspaces live in different ambient spaces")
-    field = upper.field
+    add, mul, neg = upper.field._add, upper.field._mul, upper.field._neg
     for v in lower.rows:
         vec = list(v)
         for row in upper.rows:
             pc = next(i for i, x in enumerate(row) if x)
             if vec[pc]:
-                c = vec[pc]
-                vec = [field.sub(x, field.mul(c, y)) for x, y in zip(vec, row)]
+                scaled = mul[neg[vec[pc]]]
+                vec = [add[x][scaled[y]] for x, y in zip(vec, row)]
         if any(vec):
             return False
     return True
@@ -526,7 +558,7 @@ def nonzero_vectors(s):
             if c:
                 for i, x in enumerate(row):
                     if x:
-                        vec[i] = field._add[vec[i]][field.mul(c, x)]
+                        vec[i] = field._add[vec[i]][field._mul[c][x]]
         yield vec
 
 
@@ -554,6 +586,29 @@ def covers_by_containment(n: int, field) -> dict:
                                               f"gains labels {sorted(gained)}")
                     out[(lower.rows, upper.rows)] = next(iter(gained))
     return out
+
+
+def _poly_remainder_modp(num: list[int], den: list[int], p: int) -> list[int]:
+    """Remainder of coefficient lists (ascending) over F_p, den monic."""
+    num = list(num)
+    for shift in range(len(num) - len(den), -1, -1):
+        factor = num[shift + len(den) - 1]
+        for i, c in enumerate(den):
+            num[shift + i] = (num[shift + i] - factor * c) % p
+    return [c % p for c in num]
+
+
+def first_irreducible_modulus(p: int, k: int) -> tuple[int, ...]:
+    """The first monic degree-k polynomial over F_p, its non-leading
+    coefficients scanned as ascending base-p integers, that no monic
+    polynomial of degree 1..k/2 divides."""
+    for tail in product(range(p), repeat=k):
+        candidate = list(tail[::-1]) + [1]
+        divisors = (list(d) + [1] for degree in range(1, k // 2 + 1)
+                    for d in product(range(p), repeat=degree))
+        if all(any(_poly_remainder_modp(candidate, d, p)) for d in divisors):
+            return tuple(candidate)
+    raise ArithmeticError(f"no irreducible polynomial of degree {k} over F_{p}")
 
 
 def class_size(parts) -> int:

@@ -168,7 +168,7 @@ class TestBoundsBeforeWork:
 
     def test_segre_square_beyond_bound_does_no_work(self, capsys, monkeypatch):
         from qsegre import subspace
-        monkeypatch.setattr(subspace, "enumerate_subspaces", fail_if_called)
+        monkeypatch.setattr(subspace, "_join", fail_if_called)
         for argv, pairs in ((("segre", "--n", "4", "--q", "4"), 141901),
                             (("verify", "el", "--n", "3", "--q", "16",
                               "--segre"), 149060)):
@@ -177,6 +177,17 @@ class TestBoundsBeforeWork:
             assert err == (f"error: {pairs} pairs of the Segre square exceed "
                            f"the bound 100000\n")
 
+    def test_negative_count_bound_does_no_work(self, capsys, monkeypatch):
+        from qsegre import subspace
+        monkeypatch.setattr(subspace, "FiniteField", fail_if_called)
+        monkeypatch.setattr(subspace, "_join", fail_if_called)
+        for verb, extra in (("lattice", ()), ("segre", ()), ("mobius", ()),
+                            ("betti", ("--segre",))):
+            code, out, err = run(capsys, verb, "--n", "3", "--q", "4",
+                                 "--count-bound", "-5", *extra)
+            assert_clean_rejection(code, out, err)
+            assert err == ("error: the subspace count bound must be "
+                           "nonnegative, got -5\n")
 
     def test_homology_degree_outside_the_bound_does_no_work(
             self, capsys, monkeypatch):
@@ -226,7 +237,7 @@ class TestBoundsBeforeWork:
         # the face count comes from Gaussian counts; the subspace count
         # bound is still refused first, with its own line
         from qsegre import subspace
-        monkeypatch.setattr(subspace, "enumerate_subspaces", fail_if_called)
+        monkeypatch.setattr(subspace, "_join", fail_if_called)
         for argv, text in (
                 (("--n", "4", "--q", "3", "--segre"),
                  "5157700 faces of the order complex exceed the bound 500000"),
@@ -563,6 +574,24 @@ class TestGoldenDocuments:
                              "--chains", "--check-el", "--json")
         assert code == 0 and err == ""
         assert out == (GOLDEN / "lattice_n3_q4.out").read_text()
+
+    @pytest.mark.parametrize("argv, name", [
+        (("lattice", "--n", "2", "--q", "9", "--json"),
+         "lattice_n2_q9_json.out"),
+        (("lattice", "--n", "3", "--q", "8", "--json"),
+         "lattice_n3_q8_json.out"),
+        (("lattice", "--n", "2", "--q", "16", "--json"),
+         "lattice_n2_q16_json.out"),
+        (("segre", "--n", "2", "--q", "9", "--json"), "segre_n2_q9_json.out"),
+    ])
+    def test_larger_extension_field_documents_are_byte_identical(
+            self, capsys, argv, name):
+        # recorded when the lattice was enumerated pivots first and each
+        # join looked up among the enumerated subspaces, over fields whose
+        # modulus came from a polynomial irreducibility test
+        code, out, err = run(capsys, *argv)
+        assert code == 0 and err == ""
+        assert out == (GOLDEN / name).read_text()
 
     def test_known_denominators_are_coprime_to_the_numerators(self):
         # why an explicit denominator prints the reduced form: it shares no

@@ -1,3 +1,6 @@
+import math
+import re
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -7,11 +10,11 @@ from qsegre.exactalg import q_factorial
 from qsegre.permstats import q_binomial, w_polynomial
 from qsegre.poset import (chain_report, check_el_labeling, mobius_number,
                           proper_part, rational_betti_numbers)
-from qsegre.subspace import (FiniteField, Subspace, build_bnq,
-                             build_segre_bnq, enumerate_subspaces, label_set,
-                             rref_rows)
+from qsegre.subspace import (FiniteField, build_bnq, build_segre_bnq,
+                             label_set, rref_rows)
 
 from oracles import (Permutation, contains, covers_by_containment,
+                     enumerate_subspaces, first_irreducible_modulus,
                      inversions, label_set_by_atoms,
                      reduced_euler_characteristic, span)
 
@@ -33,31 +36,33 @@ ORACLE_LATTICES = ([(n, F2) for n in range(5)]
 
 class TestFiniteField:
     def test_prime_field_arithmetic(self):
-        assert F3.mul(2, 2) == 1
+        assert F3._mul[2][2] == 1
         assert F3._add[2][2] == 1
         assert F2._add[1][1] == 0
 
     def test_f4_uses_the_unique_quadratic_modulus(self):
         assert F4.modulus == (1, 1, 1)  # x^2 + x + 1
         x = 2  # the residue class of x
-        assert F4.mul(x, x) == 3  # x^2 = x + 1
+        assert F4._mul[x][x] == 3  # x^2 = x + 1
+
+    def test_moduli_are_the_first_irreducible_polynomials(self):
+        # the unit-group check against trial division, at every order
+        for q in range(2, 17):
+            p = next(d for d in range(2, q + 1) if q % d == 0)
+            k = round(math.log(q, p))
+            if p ** k == q:
+                assert FiniteField(p, k).modulus == first_irreducible_modulus(p, k)
 
     def test_inverses(self):
-        for field in (F2, F3, F4, F5):
+        for field in (F2, F3, F4, F5, F8, F9, F16):
             for a in range(1, field.order):
-                assert field.mul(a, field.inv(a)) == 1
-        with pytest.raises(ZeroDivisionError):
-            F3.inv(0)
+                assert field._mul[a][field._inv[a]] == 1
 
     def test_rejects_bad_parameters(self):
         with pytest.raises(ValueError):
             FiniteField(4)
         with pytest.raises(ValueError):
             FiniteField(2, 5)  # 32 > 16
-
-    def test_field_equality_by_construction_data(self):
-        assert FiniteField(3) == FiniteField(3)
-        assert FiniteField(2, 2) != FiniteField(2, 1)
 
     def test_extension_fields_at_the_size_bound(self):
         f9 = FiniteField(3, 2)
@@ -67,7 +72,7 @@ class TestFiniteField:
             for a in range(1, field.order):
                 acc = 1
                 for _ in range(field.order - 1):
-                    acc = field.mul(acc, a)
+                    acc = field._mul[acc][a]
                 assert acc == 1
 
 
@@ -82,8 +87,11 @@ class TestSubspace:
         assert a == b
 
     def test_validation_rejects_non_rref(self):
-        with pytest.raises(ValueError):
-            Subspace(F2, 2, ((1, 1), (0, 1)))  # pivot column not elementary
+        # the canonical-form check build_bnq makes of every join
+        rows = ((1, 1), (0, 1))  # pivot column not elementary
+        assert rref_rows(F2, 2, rows) != rows
+        for s in enumerate_subspaces(3, F3):
+            assert rref_rows(F3, 3, s.rows) == s.rows
 
     def test_containment(self):
         plane = span(F2, 3, [(1, 0, 0), (0, 1, 0)])
@@ -109,52 +117,63 @@ class TestSubspace:
 
 class TestEnumeration:
     def test_rank_sizes_small(self):
-        subs = enumerate_subspaces(2, F2)
-        by_rank = [sum(1 for s in subs if s.dim == k) for k in range(3)]
-        assert by_rank == [1, 3, 1]
+        assert build_bnq(2, F2)[0].rank_sizes() == [1, 3, 1]
 
     def test_total_count_b4_f2(self):
-        assert len(enumerate_subspaces(4, F2)) == 67
+        assert len(build_bnq(4, F2)[0]) == 67
 
     def test_line_case(self):
         for field in (F2, F3, F4, F5):
-            assert [s.dim for s in enumerate_subspaces(1, field)] == [0, 1]
+            p, _ = build_bnq(1, field)
+            assert p.names == ((), ((1,),)) and p.ranks == (0, 1)
 
     def test_no_duplicates(self):
-        subs = enumerate_subspaces(3, F3)
-        assert len(subs) == len(set(subs))
+        p, _ = build_bnq(3, F3)
+        assert len(p.names) == len(set(p.names))
 
     def test_rank_counts_match_gaussian_binomials(self):
-        # dual route: the RREF enumeration against the polynomial quotient
+        # dual route: the lattice built from joins against the polynomial
+        # quotient
         for n in range(1, 5):
             for field in (F2, F3, F4, F5):
-                subs = enumerate_subspaces(n, field)
-                for k in range(n + 1):
-                    expected = q_binomial(n, k).evaluate(field.order)
-                    assert sum(1 for s in subs if s.dim == k) == expected
+                expected = [q_binomial(n, k).evaluate(field.order)
+                            for k in range(n + 1)]
+                assert build_bnq(n, field)[0].rank_sizes() == expected
+
+    @pytest.mark.parametrize("n, field", [(3, F2), (2, F4), (2, F8),
+                                          (2, F9), (4, F2)],
+                             ids=lambda x: str(getattr(x, "order", x)))
+    def test_elements_match_the_pivot_enumeration(self, n, field):
+        p, _ = build_bnq(n, field)
+        listed = sorted((s.dim, s.rows) for s in enumerate_subspaces(n, field))
+        assert list(zip(p.ranks, p.names)) == listed
 
     def test_count_bound_enforced(self):
-        with pytest.raises(ValueError):
-            enumerate_subspaces(4, F2, count_bound=10)
+        with pytest.raises(ValueError, match="67 subspaces exceed the bound 10"):
+            build_bnq(4, F2, count_bound=10)
+        with pytest.raises(ValueError, match="nonnegative, got -1"):
+            build_bnq(1, F2, count_bound=-1)
+        with pytest.raises(ValueError, match="ambient dimension"):
+            build_bnq(-1, F2)
 
 
 class TestLabels:
     def test_rightmost_coordinate_examples(self):
         x = span(F3, 3, [(1, 0, 1)])
         y = span(F3, 3, [(2, 1, 0)])
-        assert label_set(x) == label_set_by_atoms(x) == {3}
-        assert label_set(y) == label_set_by_atoms(y) == {2}
-        assert label_set(span(F3, 3, [(1, 0, 0)])) == {1}
+        assert label_set(F3, x.rows) == label_set_by_atoms(x) == {3}
+        assert label_set(F3, y.rows) == label_set_by_atoms(y) == {2}
+        assert label_set(F3, span(F3, 3, [(1, 0, 0)]).rows) == {1}
 
     def test_label_invariant_under_rescaling(self):
         for scale in range(1, 5):
-            vec = tuple(F5.mul(scale, v) for v in (0, 3, 2, 0))
+            vec = tuple(F5._mul[scale][v] for v in (0, 3, 2, 0))
             s = span(F5, 4, [vec])
-            assert label_set(s) == {3}
+            assert label_set(F5, s.rows) == {3}
 
     def test_label_set_size_equals_dimension(self):
         for s in enumerate_subspaces(3, F2):
-            assert len(label_set(s)) == s.dim
+            assert len(label_set(F2, s.rows)) == s.dim
 
     def test_edge_label_example(self):
         p, labeling = build_bnq(2, F2)
@@ -185,7 +204,7 @@ class TestCoverGeneration:
                              ids=lambda x: str(getattr(x, "order", x)))
     def test_label_sets_match_atom_enumeration(self, n, field):
         for s in enumerate_subspaces(n, field):
-            assert label_set(s) == label_set_by_atoms(s)
+            assert label_set(field, s.rows) == label_set_by_atoms(s)
 
     @given(st.sampled_from((F2, F3, F4, F5, F9)), st.integers(1, 5), st.data())
     @settings(max_examples=80, deadline=None)
@@ -193,31 +212,54 @@ class TestCoverGeneration:
         vector = st.tuples(*[st.integers(0, field.order - 1)] * n)
         vectors = data.draw(st.lists(vector, min_size=1, max_size=4))
         s = span(field, n, vectors)
-        assert label_set(s) == label_set_by_atoms(s)
+        assert label_set(field, s.rows) == label_set_by_atoms(s)
 
     def test_join_left_in_echelon_form_is_refused(self, monkeypatch):
+        # the 13 lines, each with the 4 points off its pivot, leave 39
+        # distinct uncleared row pairs
         def uncleared(field, rows, pivots, lead, v):
             out = list(rows)
             out.insert(sum(1 for pc in pivots if pc < lead), v)
             return tuple(out)
         monkeypatch.setattr(subspace, "_join", uncleared)
-        with pytest.raises(ArithmeticError, match="not an enumerated subspace"):
+        with pytest.raises(ArithmeticError, match=re.escape(
+                "rank 2 of B_3(3) holds 39 joins, not [3 choose 2]_3 = 13")):
             build_bnq(3, F3)
 
-    def test_join_with_the_wrong_vector_is_refused(self, monkeypatch):
+    def test_join_in_a_non_canonical_basis_is_refused(self, monkeypatch):
+        # doubling every row keeps one join per subspace, so the rank count
+        # holds and only the canonical-form check sees it
         join = subspace._join
 
-        def unit_vector_join(field, rows, pivots, lead, v):
-            unit = tuple(int(i == lead) for i in range(len(v)))
-            return join(field, rows, pivots, lead, unit)
-        monkeypatch.setattr(subspace, "_join", unit_vector_join)
-        with pytest.raises(ArithmeticError, match="lower covers"):
+        def doubled(field, rows, pivots, lead, v):
+            return tuple(tuple(field._mul[2][x] for x in row)
+                         for row in join(field, rows, pivots, lead, v))
+        monkeypatch.setattr(subspace, "_join", doubled)
+        with pytest.raises(ArithmeticError, match=re.escape(
+                "join ((0, 2),) in rank 1 of B_2(3) is not a canonical RREF "
+                "basis of dimension 1")):
+            build_bnq(2, F3)
+
+    def test_join_with_the_wrong_vector_is_refused(self, monkeypatch):
+        # <e1> + <e3> taken with e2 instead: every plane is still reached
+        # from its other lines and each join is canonical, but <e1, e3> has
+        # two lower covers and <e1, e2> four
+        join = subspace._join
+
+        def wrong_vector_join(field, rows, pivots, lead, v):
+            if rows == ((1, 0, 0),) and v == (0, 0, 1):
+                return join(field, rows, pivots, 1, (0, 1, 0))
+            return join(field, rows, pivots, lead, v)
+        monkeypatch.setattr(subspace, "_join", wrong_vector_join)
+        with pytest.raises(ArithmeticError, match=re.escape(
+                "((1, 0, 0), (0, 0, 1)) of B_3(2) has 2 lower covers, "
+                "not [2 choose 1]_2 = 3")):
             build_bnq(3, F2)
 
     def test_wrong_label_sets_are_refused(self, monkeypatch):
-        def rightmost_of_rows(s):
+        def rightmost_of_rows(field, rows):
             return frozenset(max(i for i, x in enumerate(row) if x) + 1
-                             for row in s.rows)
+                             for row in rows)
         monkeypatch.setattr(subspace, "label_set", rightmost_of_rows)
         with pytest.raises(ArithmeticError, match="not exactly one"):
             build_bnq(3, F2)
