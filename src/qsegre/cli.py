@@ -22,33 +22,13 @@ MOBIUS_MATRIX = ((2, 2), (2, 3), (2, 4), (3, 2), (3, 3))
 BETTI_MATRIX = ((2, 2), (2, 3), (3, 2))
 
 
-def prime_power(q: int) -> tuple[int, int]:
-    """Split q as p^k with p prime, or reject; an order above the field size
-    bound is refused before any factoring."""
-    if q < 2:
-        raise ValueError(f"{q} is not a prime power")
-    bound = subspace.FIELD_SIZE_BOUND
-    if q > bound:
-        raise ValueError(f"field order {q} exceeds the bound {bound}")
-    p = next(d for d in range(2, q + 1) if q % d == 0)
-    k = 0
-    rest = q
-    while rest % p == 0:
-        rest //= p
-        k += 1
-    if rest != 1:
-        raise ValueError(f"{q} is not a prime power")
-    return p, k
-
-
 @functools.lru_cache(maxsize=None)
 def _lattice(n: int, q: int, segre: bool, count_bound=None):
-    """B_n(q), or its Segre square, with its labeling.  The cache lives for
+    """B_n(q), or its Segre square, with its labels.  The cache lives for
     one process and its keys come from one command line or the suite's fixed
     matrices, so it needs no eviction."""
-    field = subspace.FiniteField(*prime_power(q))
     build = subspace.build_segre_bnq if segre else subspace.build_bnq
-    return build(n, field, count_bound)
+    return build(n, subspace.FiniteField(q), count_bound)
 
 
 def _warn_raised_bound(name: str, value, default) -> None:
@@ -65,7 +45,7 @@ def _lattice_for(args, faces: bool = False):
     bound."""
     _warn_raised_bound("subspace count bound", args.count_bound,
                        subspace.SUBSPACE_COUNT_BOUND)
-    prime_power(args.q)
+    subspace.prime_power(args.q)
     subspace.check_count_bound(args.n, args.q, args.segre, args.count_bound)
     if faces:
         poset.check_face_count(
@@ -117,17 +97,19 @@ def _csv_instance(n: int) -> tuple[bool, exactalg.QPolynomial]:
 
 
 def _el_instance(n: int, q: int, segre: bool) -> tuple[bool, str]:
-    """The shelling check on one lattice or Segre square."""
+    """The shelling check on one lattice or Segre square; a failure names
+    its interval by the element names that `lattice --json` prints."""
     ok, violation = poset.check_el_labeling(*_lattice(n, q, segre))
-    reason = "every interval shellable" if ok else violation.reason
+    reason = ("every interval shellable" if ok else f"{violation.reason} in "
+              f"[{violation.lower}, {violation.upper}]")
     return ok, f"{'segre' if segre else 'lattice'} n={n} q={q}: {reason}"
 
 
 def _mobius_instance(n: int, q: int) -> tuple[bool, str]:
     """mu and the descending chain count of one Segre square against W_n(q)."""
-    sp, labeling = _lattice(n, q, True)
+    sp, labels = _lattice(n, q, True)
     mu = poset.mobius_number(sp)
-    descending = poset.descending_chain_count(sp, labeling)
+    descending = poset.descending_chain_count(sp, labels)
     w_q = permstats.w_polynomial(n).evaluate(q)
     return (mu == (-1) ** n * w_q and descending == w_q,
             f"mu={mu} descending={descending} expected W={w_q}")
@@ -191,8 +173,7 @@ def _check_el() -> dict:
 
 def _check_chains() -> dict:
     for n, q in EL_MATRIX:
-        p, labeling = _lattice(n, q, False)
-        report = poset.chain_report(p, labeling)
+        report = poset.chain_report(*_lattice(n, q, False))
         images = permutations(range(1, n + 1))  # the order of perm_stats
         expected = {img: q ** inv
                     for img, (_, inv) in zip(images, permstats.perm_stats(n))}
@@ -306,12 +287,12 @@ def _cmd_bessel(args) -> int:
 
 
 def _cmd_lattice(args) -> int:
-    p, labeling = _lattice_for(args)
-    doc = {"poset": poset.to_interchange(p, labeling)}
+    p, labels = _lattice_for(args)
+    doc = {"poset": poset.to_interchange(p, labels)}
     if args.chains:
-        doc["chains"] = _chain_report_json(poset.chain_report(p, labeling))
+        doc["chains"] = _chain_report_json(poset.chain_report(p, labels))
     if args.check_el:
-        ok, violation = poset.check_el_labeling(p, labeling)
+        ok, violation = poset.check_el_labeling(p, labels)
         doc["el"] = {"pass": ok,
                      "violation": None if ok else violation.reason}
     if args.json:
@@ -403,6 +384,8 @@ def _sizes(text: str) -> tuple[int, int, int, int]:
     except ValueError:
         raise ValueError("--sizes expects four comma-separated integers "
                          "k,l,m,n") from None
+    if min(k, l, m, n) < 0:
+        raise ValueError(f"--sizes must be nonnegative, got {text}")
     return k, l, m, n
 
 

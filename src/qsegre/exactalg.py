@@ -164,7 +164,6 @@ class QPolynomial:
 
 ZERO = QPolynomial()
 ONE = QPolynomial([1])
-Q = QPolynomial([0, 1])
 
 
 def q_power(k: int) -> QPolynomial:

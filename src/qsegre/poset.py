@@ -4,13 +4,19 @@ homology of order complexes.
 
 Elements are dense integer ids with opaque display names.  Cover relations
 must raise rank by exactly one (everything in scope is graded), which also
-rules out cycles.  No kernel enumerates maximal chains: the EL check, the
-descending count and the chain tally are dynamic programs over the covers,
-so their cost grows with the covers times the distinct labels or label
-words.  Only mobius_number, order_chain_counts and strictly_above (so
-also chains_by_dimension) build the quadratic reachability bitsets, one
-mask per element; their queries walk only the set bits (`mask & -mask`).
-Betti numbers come from an acyclic element matching on the order complex
+rules out cycles.  An edge labeling is a dict from each cover (a, b) to its
+label: an integer, or a pair on a Segre square.  The label order follows
+the label type (product_order_less): integers in their order, pairs
+componentwise.  Label words are compared lexicographically in plain tuple
+order, so pairs by first component, then second.
+
+No kernel enumerates maximal chains: the EL check, the descending count and
+the chain tally are dynamic programs over the covers, so their cost grows
+with the covers times the distinct labels or label words.  Only
+mobius_number, order_chain_counts and strictly_above (so also
+chains_by_dimension) build the quadratic reachability bitsets, one mask per
+element; their queries walk only the set bits (`mask & -mask`).  Betti
+numbers come from an acyclic element matching on the order complex
 (discrete Morse theory): its critical chains span the Morse complex, whose
 boundary follows gradient paths, so nothing is eliminated when the
 critical chains fill one dimension.  The face count is held to
@@ -27,7 +33,7 @@ import operator
 from dataclasses import dataclass
 from itertools import accumulate, chain, islice
 from math import gcd
-from typing import Callable, Optional
+from typing import Optional
 
 FACE_COUNT_BOUND = 500_000
 
@@ -135,26 +141,24 @@ class GradedPoset:
         return out
 
 
-def segre_product(p: GradedPoset, q: GradedPoset, labelings=None):
-    """Induced subposet of the product on pairs of equal rank; given the
-    factors' labelings (p's, q's), also its labeling by componentwise-ordered
-    label pairs.  As both factors are graded, its covers are the pairs of
-    covers.  Pair (i, j) is numbered start[i] + jpos[j]: start[i] sums the
-    sizes of q's rank blocks over the elements before i, jpos[j] is j's
-    place in its rank block.  So the covers come out sorted, pair by pair
-    and up(i) x up(j) within one; each cover tuple is also its label's key,
-    and the label pairs are interned."""
+def segre_product(p: GradedPoset, p_labels: dict, q: GradedPoset,
+                  q_labels: dict) -> tuple[GradedPoset, dict]:
+    """Induced subposet of the product on pairs of equal rank, with its
+    covers labeled by the pairs of the factors' labels.  As both factors are
+    graded, its covers are the pairs of covers.  Pair (i, j) is numbered
+    start[i] + jpos[j]: start[i] sums the sizes of q's rank blocks over the
+    elements before i, jpos[j] is j's place in its rank block.  So the
+    covers come out sorted, pair by pair and up(i) x up(j) within one; each
+    cover tuple is also its label's key, and the label pairs are interned."""
     blocks: dict[int, list[int]] = {}
     jpos = []
     for j, r in enumerate(q.ranks):
         jpos.append(len(blocks.setdefault(r, [])))
         blocks[r].append(j)
     start = list(accumulate((len(blocks.get(r, ())) for r in p.ranks), initial=0))
-    p_label, q_label = ((lab.labels.__getitem__ for lab in labelings)
-                        if labelings else (lambda cover: None,) * 2)
-    q_up = [[(jpos[d], q_label((j, d))) for d in ups]
+    q_up = [[(jpos[d], q_labels[(j, d)]) for d in ups]
             for j, ups in enumerate(q._up)]
-    p_up = [[(start[c], p_label((i, c))) for c in ups]
+    p_up = [[(start[c], p_labels[(i, c)]) for c in ups]
             for i, ups in enumerate(p._up)]
     q_values = {b for ups in q_up for _, b in ups}
     interned = {a: {b: (a, b) for b in q_values}
@@ -171,10 +175,7 @@ def segre_product(p: GradedPoset, q: GradedPoset, labelings=None):
                     cover = (x, s + t)
                     covers.append(cover)
                     labels[cover] = pairs[b]
-    square = GradedPoset(names, ranks, covers)
-    if labelings is None:
-        return square
-    return square, EdgeLabeling(labels, product_order_less)
+    return GradedPoset(names, ranks, covers), labels
 
 
 def proper_part(p: GradedPoset) -> GradedPoset:
@@ -242,22 +243,11 @@ def order_chain_counts(p: GradedPoset) -> list[int]:
 
 
 def product_order_less(a, b) -> bool:
-    """Strictly below in the componentwise order on pairs."""
-    return a != b and a[0] <= b[0] and a[1] <= b[1]
-
-
-@dataclass
-class EdgeLabeling:
-    """Cover labels plus the strict order on labels.
-
-    less is the order used for the increasing and descending tests.  Label
-    words are compared lexicographically in plain tuple order; for pair
-    labels the componentwise order is only partial, so the word comparison
-    is fixed to plain tuple order (first component, then second).
-    """
-
-    labels: dict
-    less: Callable = operator.lt
+    """The strict order on labels that the increasing and descending tests
+    use: integers in their order, tuples componentwise (only partial)."""
+    if isinstance(a, tuple):
+        return a != b and all(map(operator.le, a, b))
+    return a < b
 
 
 @dataclass(frozen=True)
@@ -267,12 +257,11 @@ class ELViolation:
     reason: str
 
 
-def _up_by_label(p: GradedPoset, labeling: EdgeLabeling):
+def _up_by_label(p: GradedPoset, labels: dict):
     """Each element's upper covers as (label id, covers) groups, the ids
     numbering the distinct labels in ascending order, and the table
-    less[s][t] of the labeling's strict order on ids; ValueError if a cover
-    has no label."""
-    labels = labeling.labels
+    less[s][t] of product_order_less on ids; ValueError if a cover has no
+    label."""
     by_label: list[dict] = [{} for _ in range(len(p))]
     for edge in p.covers:
         if edge not in labels:
@@ -281,7 +270,7 @@ def _up_by_label(p: GradedPoset, labeling: EdgeLabeling):
         by_label[edge[0]].setdefault(labels[edge], []).append(edge[1])
     distinct = sorted({label for groups in by_label for label in groups})
     ids = {label: t for t, label in enumerate(distinct)}
-    less = [[labeling.less(s, t) for t in distinct] for s in distinct]
+    less = [[product_order_less(s, t) for t in distinct] for s in distinct]
     return [[(ids[label], ys) for label, ys in groups.items()]
             for groups in by_label], less
 
@@ -325,7 +314,7 @@ def _push_from(up, lo, admits):
 
 
 def check_el_labeling(p: GradedPoset,
-                      labeling: EdgeLabeling) -> tuple[bool, Optional[ELViolation]]:
+                      labels: dict) -> tuple[bool, Optional[ELViolation]]:
     """Every closed interval must have a unique increasing maximal chain that
     lexicographically precedes all others; returns the first offender, by
     lower and then upper element in index order.
@@ -336,7 +325,7 @@ def check_el_labeling(p: GradedPoset,
     increasing chain's, and no other chain shares it, since a chain with an
     increasing word is itself increasing.
     """
-    up, less = _up_by_label(p, labeling)
+    up, less = _up_by_label(p, labels)
     for lo in range(len(p)):
         increasing, rising = _push_from(up, lo, less)
         for hi in sorted(increasing):
@@ -364,7 +353,7 @@ class ChainReport:
         return sum(self.by_label_word.values())
 
 
-def chain_report(p: GradedPoset, labeling: EdgeLabeling) -> ChainReport:
+def chain_report(p: GradedPoset, labels: dict) -> ChainReport:
     """Maximal chains from bottom to top, counted by label word.
 
     words[y] maps each label word of the chains from the bottom to y to
@@ -378,7 +367,6 @@ def chain_report(p: GradedPoset, labeling: EdgeLabeling) -> ChainReport:
     top = p.top_index()
     if top is None:
         raise ValueError("poset has no top element")
-    labels = labeling.labels
     words = {bottom: {(): 1}}
     for y in sorted(range(len(p)), key=lambda e: p.ranks[e]):
         if y == bottom:
@@ -391,13 +379,14 @@ def chain_report(p: GradedPoset, labeling: EdgeLabeling) -> ChainReport:
                 tally[key] = tally.get(key, 0) + count
         words[y] = tally
     tallies = words[top]
-    ascents = {w: [labeling.less(a, b) for a, b in zip(w, w[1:])] for w in tallies}
+    ascents = {w: [product_order_less(a, b) for a, b in zip(w, w[1:])]
+               for w in tallies}
     return ChainReport(tallies,
                        sum(c for w, c in tallies.items() if all(ascents[w])),
                        sum(c for w, c in tallies.items() if not any(ascents[w])))
 
 
-def descending_chain_count(p: GradedPoset, labeling: EdgeLabeling) -> int:
+def descending_chain_count(p: GradedPoset, labels: dict) -> int:
     """Maximal chains from bottom to top whose label words have no ascent,
     chain_report's descending_count without the words: one push from the
     bottom by last label (see _push_from), each (x, label) sum taken once
@@ -408,7 +397,7 @@ def descending_chain_count(p: GradedPoset, labeling: EdgeLabeling) -> int:
     top = p.top_index()
     if top is None:
         raise ValueError("poset has no top element")
-    up, less = _up_by_label(p, labeling)
+    up, less = _up_by_label(p, labels)
     tallies, _ = _push_from(up, bottom, [[not v for v in row] for row in less])
     return 1 if top == bottom else sum(tallies[top].values())
 
@@ -576,14 +565,12 @@ def _label_to_json(label):
     return list(label) if isinstance(label, tuple) else label
 
 
-def to_interchange(p: GradedPoset, labeling: Optional[EdgeLabeling] = None) -> dict:
-    """JSON-ready poset document: elements, ranks, covers, optional labels."""
-    doc = {
+def to_interchange(p: GradedPoset, labels: dict) -> dict:
+    """JSON-ready poset document: elements, ranks, covers and labels."""
+    return {
         "elements": [str(nm) for nm in p.names],
         "ranks": list(p.ranks),
         "covers": [[a, b] for a, b in p.covers],
+        "labels": {f"{a}-{b}": _label_to_json(labels[(a, b)])
+                   for a, b in p.covers},
     }
-    if labeling is not None:
-        doc["labels"] = {f"{a}-{b}": _label_to_json(labeling.labels[(a, b)])
-                         for a, b in p.covers}
-    return doc

@@ -1,16 +1,18 @@
 """Finite fields of small prime-power order, the lattice of subspaces of
 F_q^n, and its rightmost-coordinate edge labeling.
 
-A field is its tables: elements are the integers 0..q-1 coding polynomial
-residues in base p (0 is the zero element, 1 the one), and arithmetic is
-table lookup, which is comfortable for the configured size bound of 16.  A
-subspace is its row tuple, the canonical reduced row echelon basis, so
-subspace equality is tuple equality.
+A field is named by its order q, a prime power p^k, and is its tables:
+elements are the integers 0..q-1 coding polynomial residues in base p (0 is
+the zero element, 1 the one), and arithmetic is table lookup, which is
+comfortable for the configured size bound of 16.  A subspace is its row
+tuple, the canonical reduced row echelon basis, so subspace equality is
+tuple equality.
 
 Two conventions coexist on purpose and must not be conflated: the canonical
 RREF basis pivots on the leftmost nonzero coordinates, while the labeling
 reads the rightmost nonzero coordinate of an atom (scaled so that coordinate
-is 1).  Labels are 1-based coordinate indices.
+is 1).  Labels are 1-based coordinate indices, held as a dict from each
+cover to its label; on the Segre square they are pairs.
 
 The lattice is built from joins alone, without any containment test or
 list of echelon forms.  The upper covers of a subspace x with pivot columns
@@ -29,25 +31,32 @@ from __future__ import annotations
 from bisect import bisect
 from itertools import product
 
-from .poset import EdgeLabeling, GradedPoset, segre_product
+from .poset import GradedPoset, segre_product
 
 FIELD_SIZE_BOUND = 16
 SUBSPACE_COUNT_BOUND = 100_000
 
 
-def _is_prime(p: int) -> bool:
-    if p < 2:
-        return False
-    d = 2
-    while d * d <= p:
-        if p % d == 0:
-            return False
-        d += 1
-    return True
+def prime_power(q: int) -> tuple[int, int]:
+    """Split q as p^k with p prime, or reject; an order above the field size
+    bound is refused before any factoring."""
+    if q < 2:
+        raise ValueError(f"{q} is not a prime power")
+    if q > FIELD_SIZE_BOUND:
+        raise ValueError(f"field order {q} exceeds the bound "
+                         f"{FIELD_SIZE_BOUND}")
+    p = next(d for d in range(2, q + 1) if q % d == 0)
+    k = 1
+    while p ** k < q:
+        k += 1
+    if p ** k != q:
+        raise ValueError(f"{q} is not a prime power")
+    return p, k
 
 
 class FiniteField:
-    """F_{p^k} as its tables _add, _mul, _neg and _inv on element codes.
+    """F_q, for q = p^k up to FIELD_SIZE_BOUND (see prime_power), as its
+    tables _add, _mul, _neg and _inv on element codes.
 
     The code of the residue sum_i c_i x^i is sum_i c_i p^i.  The modulus is
     the first monic x^k + tail(x), tails scanned as ascending base-p codes,
@@ -57,15 +66,8 @@ class FiniteField:
 
     __slots__ = ("p", "k", "order", "modulus", "_add", "_mul", "_neg", "_inv")
 
-    def __init__(self, p: int, k: int = 1):
-        if not _is_prime(p):
-            raise ValueError(f"{p} is not prime")
-        if k < 1:
-            raise ValueError("extension degree must be at least 1")
-        order = p ** k
-        if order > FIELD_SIZE_BOUND:
-            raise ValueError(f"field order {order} exceeds the bound "
-                             f"{FIELD_SIZE_BOUND}")
+    def __init__(self, order: int):
+        p, k = prime_power(order)
         self.p, self.k, self.order = p, k, order
         digits = [[e // p ** i % p for i in range(k)] for e in range(order)]
 
@@ -99,7 +101,7 @@ class FiniteField:
         self._neg = [code(-x for x in d) for d in digits]
 
     def __repr__(self) -> str:
-        return f"FiniteField(p={self.p}, k={self.k})"
+        return f"FiniteField({self.order})"
 
 
 def rref_rows(field: FiniteField, ambient: int, vectors) -> tuple[tuple[int, ...], ...]:
@@ -141,17 +143,25 @@ def check_count_bound(n: int, q: int, segre: bool = False,
                       count_bound: int | None = None) -> None:
     """Refuse a negative ambient dimension or count bound, and B_n(q) of more
     subspaces than the count bound, or its Segre square of more pairs,
-    sum_k N_k^2 for N_k the subspaces of rank k."""
+    sum_k N_k^2 for N_k the subspaces of rank k.
+
+    Rank k = floor(n/2) holds at least q^e subspaces, e = k(n-k) (its
+    Gaussian binomial has that degree and nonnegative coefficients), and the
+    square at least q^(2e) pairs.  q^e >= 2^(e (bit length of q - 1)), so
+    when that exponent exceeds the bound's bit length, no sum is formed."""
     if n < 0:
         raise ValueError("ambient dimension must be nonnegative")
     bound = SUBSPACE_COUNT_BOUND if count_bound is None else count_bound
     if bound < 0:
         raise ValueError(f"the subspace count bound must be nonnegative, "
                          f"got {bound}")
-    total = sum(_gaussian_count(n, k, q) ** (2 if segre else 1)
-                for k in range(n + 1))
+    what = "pairs of the Segre square" if segre else "subspaces"
+    power = 2 if segre else 1
+    e = power * (n // 2) * ((n + 1) // 2)
+    if e * (q.bit_length() - 1) > bound.bit_length():
+        raise ValueError(f"at least {q}^{e} {what} exceed the bound {bound}")
+    total = sum(_gaussian_count(n, k, q) ** power for k in range(n + 1))
     if total > bound:
-        what = "pairs of the Segre square" if segre else "subspaces"
         raise ValueError(f"{total} {what} exceed the bound {bound}")
 
 
@@ -218,9 +228,9 @@ def _join(field: FiniteField, rows: tuple[tuple[int, ...], ...],
 
 
 def build_bnq(n: int, field: FiniteField,
-              count_bound: int | None = None) -> tuple[GradedPoset, EdgeLabeling]:
-    """The subspace lattice of F_q^n with the rightmost-coordinate labeling:
-    a cover x < y is labeled by the one index in label_set(y) that is not in
+              count_bound: int | None = None) -> tuple[GradedPoset, dict]:
+    """The subspace lattice of F_q^n and its rightmost-coordinate labels:
+    each cover x < y maps to the one index in label_set(y) that is not in
     label_set(x).
 
     The lattice is generated from its covers: rank 0 is the zero subspace,
@@ -283,17 +293,16 @@ def build_bnq(n: int, field: FiniteField,
             raise ArithmeticError(
                 f"{names[b]} of B_{n}({q}) has {count} lower covers, "
                 f"not [{ranks[b]} choose 1]_{q} = {expected}")
-    poset = GradedPoset(names, ranks, covers)
-    return poset, EdgeLabeling(labels)
+    return GradedPoset(names, ranks, covers), labels
 
 
 def build_segre_bnq(n: int, field: FiniteField,
-                    count_bound: int | None = None) -> tuple[GradedPoset, EdgeLabeling]:
+                    count_bound: int | None = None) -> tuple[GradedPoset, dict]:
     """Segre square of the subspace lattice, covers labeled by ordered pairs
     under the componentwise order.  Its sum_k N_k^2 pairs, N_k the subspaces
     of rank k, are held to the subspace count bound before any work.  The
     pair labels are read from the lattice's labels by factor index in the
     same pass of segre_product that numbers the pairs and emits the covers."""
     check_count_bound(n, field.order, True, count_bound)
-    p, labeling = build_bnq(n, field, count_bound)
-    return segre_product(p, p, (labeling, labeling))
+    factor = build_bnq(n, field, count_bound)
+    return segre_product(*factor, *factor)

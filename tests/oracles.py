@@ -33,7 +33,7 @@ from typing import NamedTuple
 
 from qsegre.exactalg import ONE, QPolynomial, one_minus_q_power
 from qsegre.permstats import perm_stats
-from qsegre.poset import (ChainReport, EdgeLabeling, ELViolation, GradedPoset,
+from qsegre.poset import (ChainReport, ELViolation, GradedPoset,
                           chains_by_dimension, order_chain_counts,
                           product_order_less, proper_part, segre_product,
                           _rank_of_sparse_rows)
@@ -273,17 +273,17 @@ def segre_product_by_pairs(p, q):
     return GradedPoset(names, ranks, covers)
 
 
-def segre_labels_by_names(square, p, p_labeling, q, q_labeling):
-    """The pair labeling of a Segre square, each factor label found through
+def segre_labels_by_names(square, p, p_labels, q, q_labels):
+    """The pair labels of a Segre square, each factor label found through
     the factor index of the element's name."""
     p_index = {name: i for i, name in enumerate(p.names)}
     q_index = {name: j for j, name in enumerate(q.names)}
     labels = {}
     for a, b in square.covers:
         (xa, ya), (xb, yb) = square.names[a], square.names[b]
-        labels[(a, b)] = (p_labeling.labels[(p_index[xa], p_index[xb])],
-                          q_labeling.labels[(q_index[ya], q_index[yb])])
-    return EdgeLabeling(labels, product_order_less)
+        labels[(a, b)] = (p_labels[(p_index[xa], p_index[xb])],
+                          q_labels[(q_index[ya], q_index[yb])])
+    return labels
 
 
 def reduced_euler_characteristic(p) -> int:
@@ -297,23 +297,15 @@ def reduced_euler_characteristic(p) -> int:
 
 
 def from_interchange(doc: dict):
-    """The (poset, labeling or None) of a document from to_interchange, with
-    element names as their strings; list labels are read as pair labels."""
+    """The (poset, labels) of a document from to_interchange, with element
+    names as their strings; list labels are read as pair labels."""
     covers = [tuple(c) for c in doc["covers"]]
     p = GradedPoset(doc["elements"], doc["ranks"], covers)
-    labeling = None
-    if "labels" in doc:
-        labels = {}
-        pair_valued = False
-        for key, val in doc["labels"].items():
-            a, b = key.split("-")
-            if isinstance(val, list):
-                val = tuple(val)
-                pair_valued = True
-            labels[(int(a), int(b))] = val
-        labeling = (EdgeLabeling(labels, product_order_less) if pair_valued
-                    else EdgeLabeling(labels))
-    return p, labeling
+    labels = {}
+    for key, val in doc["labels"].items():
+        a, b = key.split("-")
+        labels[(int(a), int(b))] = tuple(val) if isinstance(val, list) else val
+    return p, labels
 
 
 def boolean_lattice(n: int) -> GradedPoset:
@@ -333,14 +325,20 @@ def boolean_lattice(n: int) -> GradedPoset:
     return GradedPoset(names, ranks, covers)
 
 
-def boolean_lattice_labeled(n: int) -> tuple[GradedPoset, EdgeLabeling]:
+def boolean_lattice_labeled(n: int) -> tuple[GradedPoset, dict]:
     """Boolean lattice with each cover labeled by its added element."""
     p = boolean_lattice(n)
     labels = {}
     for a, b in p.covers:
         (added,) = set(p.names[b]) - set(p.names[a])
         labels[(a, b)] = added
-    return p, EdgeLabeling(labels)
+    return p, labels
+
+
+def segre_boolean_labeled(n: int) -> tuple[GradedPoset, dict]:
+    """Segre square of the labeled boolean lattice, covers labeled by pairs."""
+    factor = boolean_lattice_labeled(n)
+    return segre_product(*factor, *factor)
 
 
 @lru_cache(maxsize=16)
@@ -385,27 +383,26 @@ def maximal_chains(p, lo=None, hi=None):
     yield from walk([lo])
 
 
-def chain_word(labeling, chain) -> tuple:
-    return tuple(labeling.labels[(chain[t], chain[t + 1])]
-                 for t in range(len(chain) - 1))
+def chain_word(labels, chain) -> tuple:
+    return tuple(labels[(chain[t], chain[t + 1])] for t in range(len(chain) - 1))
 
 
-def _ascents(labeling, word) -> list[bool]:
-    return [labeling.less(word[t], word[t + 1]) for t in range(len(word) - 1)]
+def _ascents(word) -> list[bool]:
+    return [product_order_less(word[t], word[t + 1]) for t in range(len(word) - 1)]
 
 
-def el_check_by_intervals(p, labeling):
+def el_check_by_intervals(p, labels):
     """The EL check by listing every maximal chain of every interval: a
     unique increasing chain whose word precedes every other word."""
     for edge in p.covers:
-        if edge not in labeling.labels:
+        if edge not in labels:
             a, b = edge
             raise ValueError(f"cover ({p.names[a]}, {p.names[b]}) has no label")
     _, above = order_from_covers(p)
     for lo in range(len(p)):
         for hi in sorted(above[lo] - {lo}):
-            words = [chain_word(labeling, c) for c in maximal_chains(p, lo, hi)]
-            increasing = [w for w in words if all(_ascents(labeling, w))]
+            words = [chain_word(labels, c) for c in maximal_chains(p, lo, hi)]
+            increasing = [w for w in words if all(_ascents(w))]
             if len(increasing) != 1:
                 return False, ELViolation(
                     p.names[lo], p.names[hi],
@@ -418,14 +415,14 @@ def el_check_by_intervals(p, labeling):
     return True, None
 
 
-def chain_report_by_enumeration(p, labeling) -> ChainReport:
+def chain_report_by_enumeration(p, labels) -> ChainReport:
     """Label-word tallies from one pass over every maximal chain."""
     tallies: dict = {}
     increasing = descending = 0
     for chain in maximal_chains(p):
-        word = chain_word(labeling, chain)
+        word = chain_word(labels, chain)
         tallies[word] = tallies.get(word, 0) + 1
-        ascents = _ascents(labeling, word)
+        ascents = _ascents(word)
         increasing += all(ascents)
         descending += not any(ascents)
     return ChainReport(tallies, increasing, descending)
@@ -646,8 +643,7 @@ def characteristic_by_whitney_recursion(n: int) -> dict:
 def pair_poset(n: int) -> GradedPoset:
     """Proper part of the rank-equal pair poset of two copies of the subset
     lattice on [n]; empty for n = 1."""
-    b = boolean_lattice(n)
-    return proper_part(segre_product(b, b))
+    return proper_part(segre_boolean_labeled(n)[0])
 
 
 def lefschetz_character_by_chains(n: int) -> CharacterTable2:

@@ -8,8 +8,9 @@ from math import factorial
 import pytest
 
 from qsegre import permstats, symfrob
-from qsegre.cli import main, prime_power
+from qsegre.cli import main
 from qsegre.exactalg import ONE, QPolynomial
+from qsegre.subspace import prime_power
 from qsegre.symfrob import CharacterTable2
 
 
@@ -176,6 +177,26 @@ class TestBoundsBeforeWork:
             assert_clean_rejection(code, out, err)
             assert err == (f"error: {pairs} pairs of the Segre square exceed "
                            f"the bound 100000\n")
+
+    @pytest.mark.parametrize("q", ["2", "16"])
+    def test_large_n_is_refused_from_bit_lengths(self, capsys, monkeypatch, q):
+        # the exact total has about n^2 log q bits: at n = 250 its decimal
+        # string passed Python's conversion limit, and at n = 2000 summing
+        # it took minutes
+        import time
+        from qsegre import subspace
+        monkeypatch.setattr(subspace, "_gaussian_count", fail_if_called)
+        for n in (250, 2000, 10 ** 12):
+            e = (n // 2) * ((n + 1) // 2)
+            for verb, what, power in (("lattice", "subspaces", 1),
+                                      ("segre", "pairs of the Segre square", 2)):
+                start = time.perf_counter()
+                code, out, err = run(capsys, verb, "--n", str(n), "--q", q)
+                assert time.perf_counter() - start < 1.0
+                assert_clean_rejection(code, out, err)
+                assert len(err) < 200
+                assert err == (f"error: at least {q}^{power * e} {what} exceed "
+                               "the bound 100000\n")
 
     def test_negative_count_bound_does_no_work(self, capsys, monkeypatch):
         from qsegre import subspace
@@ -346,6 +367,27 @@ class TestBrokenInduction:
         assert all(line.startswith("PASS") for line in lines[:-1])
 
 
+class TestBrokenLabeling:
+    def test_an_el_failure_names_its_interval(self, capsys, monkeypatch):
+        # the labels 1 and 2 on the chain through the atom <(1,0)> of B_2(2)
+        # swapped, so that no chain of the whole lattice is increasing
+        from qsegre import cli
+        p, labels = cli._lattice(2, 2, False)
+        bottom, top = p.bottom_index(), p.top_index()
+        atom = p.names.index(((1, 0),))
+        swapped = dict(labels)
+        swapped[(bottom, atom)], swapped[(atom, top)] = (
+            labels[(atom, top)], labels[(bottom, atom)])
+        monkeypatch.setattr(cli, "_lattice", lambda *args: (p, swapped))
+        code, out, err = run(capsys, "verify", "el", "--n", "2", "--q", "2")
+        assert (code, out, err) == (
+            1, "FAIL el: lattice n=2 q=2: 0 increasing maximal chains "
+               "in [(), ((1, 0), (0, 1))]\n", "")
+        code, out, _ = run(capsys, "lattice", "--n", "2", "--q", "2", "--json")
+        elements = json.loads(out)["poset"]["elements"]
+        assert elements[bottom] == "()" and elements[top] == "((1, 0), (0, 1))"
+
+
 class TestBrokenHomology:
     def test_a_wrong_homology_table_fails_thm31_and_thm48(
             self, capsys, monkeypatch):
@@ -397,6 +439,10 @@ class TestVerifyCommands:
             assert_clean_rejection(code, out, err)
             assert err == ("error: --sizes expects four comma-separated "
                            "integers k,l,m,n\n")
+        for sizes in ("-1,0,0,0", "1,1,1,-2"):
+            code, out, err = run(capsys, "verify", "prop26", f"--sizes={sizes}")
+            assert_clean_rejection(code, out, err)
+            assert err == f"error: --sizes must be nonnegative, got {sizes}\n"
 
     def test_verify_all_small(self, capsys):
         code, out, _ = run(capsys, "verify", "all", "--max-n", "2")
@@ -567,6 +613,19 @@ class TestGoldenDocuments:
         name = "_".join(argv) or "qsegre"
         assert captured.out == (GOLDEN / "help" / f"{name}.out").read_text()
 
+    @pytest.mark.parametrize("argv, name", [
+        (("segre", "--n", "2", "--q", "3", "--chains", "--check-el", "--json"),
+         "segre_n2_q3_chains_el_json.out"),
+        (("lattice", "--n", "3", "--q", "2", "--segre", "--chains",
+          "--check-el"), "lattice_n3_q2_segre_chains_el.out"),
+    ])
+    def test_pair_label_documents_are_byte_identical(self, capsys, argv, name):
+        # pair-label words with their increasing and descending counts;
+        # recorded when each caller passed the label order to an EdgeLabeling
+        code, out, err = run(capsys, *argv)
+        assert code == 0 and err == ""
+        assert out == (GOLDEN / name).read_text()
+
     def test_extension_field_lattice_is_byte_identical(self, capsys):
         # recorded when covers were found by testing every adjacent-rank
         # pair for containment and label sets listed every vector
@@ -640,9 +699,10 @@ class TestGoldenDocuments:
         from qsegre.poset import mobius_number
         code, out, _ = run(capsys, "segre", "--n", "2", "--q", "2", "--json")
         assert code == 0
-        rebuilt, labeling = from_interchange(json.loads(out)["poset"])
+        rebuilt, labels = from_interchange(json.loads(out)["poset"])
         assert mobius_number(rebuilt) == 8
-        assert labeling is not None and labeling.less((1, 1), (2, 2))
+        # read back as pairs, so ordered componentwise
+        assert {type(label) for label in labels.values()} == {tuple}
 
 
 def child_env() -> dict:

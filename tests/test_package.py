@@ -76,8 +76,9 @@ def _evident_receivers(trees, classes) -> dict[int, str]:
 
 
 def _unreferenced_public_definitions(package) -> list[str]:
-    """Public functions, classes and methods of the package that nothing in
-    it references outside their own definition and __init__.py, found again
+    """Public functions, classes, methods and module-level constants of the
+    package that nothing in it references outside their own definition and
+    __init__.py, found again
     after each round so that a helper used only by another such helper is
     caught too.  Dunder methods are exempt: the language calls them.
 
@@ -91,6 +92,12 @@ def _unreferenced_public_definitions(package) -> list[str]:
     definitions = {}  # "file:line qualified name" -> (name, class, node)
     for filename, tree in trees.items():
         for node in tree.body:
+            if isinstance(node, ast.Assign):
+                for target in node.targets:
+                    if isinstance(target, ast.Name):
+                        definitions[f"{filename}:{node.lineno} {target.id}"] = (
+                            target.id, None, node)
+                continue
             if not isinstance(node, (ast.FunctionDef, ast.ClassDef)):
                 continue
             definitions[f"{filename}:{node.lineno} {node.name}"] = (
@@ -142,9 +149,22 @@ _FIELD_SLOTS = ('    __slots__ = ("p", "k", "order", "modulus", "_add", "_mul", 
                 '"_neg", "_inv")\n')
 
 
+def _plant(package, filename, anchor, body) -> tuple[pathlib.Path, int]:
+    """A copy of the package with body inserted after a blank line that
+    follows anchor, a text found once in filename, and the line body starts
+    on."""
+    for path in PACKAGE.glob("*.py"):
+        (package / path.name).write_text(path.read_text())
+    source = (package / filename).read_text()
+    assert source.count(anchor) == 1
+    at = source.index(anchor) + len(anchor)
+    (package / filename).write_text(source[:at] + "\n" + body + source[at:])
+    return package, source[:at].count("\n") + 2
+
+
 # (file, a line of the class, dead method, its body): `less` is a local in
-# poset and the EdgeLabeling field read as labeling.less, with labeling
-# annotated EdgeLabeling; `add` and `neg` are locals in subspace._join
+# poset, read there from the table that _up_by_label returns; `add` and
+# `neg` are locals in subspace._join
 @pytest.mark.parametrize("filename, anchor, method, body", [
     ("poset.py",
      "    def __len__(self) -> int:\n        return len(self.names)\n",
@@ -159,16 +179,23 @@ _FIELD_SLOTS = ('    __slots__ = ("p", "k", "order", "modulus", "_add", "_mul", 
 ])
 def test_a_dead_method_named_like_a_live_name_is_found(
         tmp_path, filename, anchor, method, body):
-    for path in PACKAGE.glob("*.py"):
-        (tmp_path / path.name).write_text(path.read_text())
-    source = (tmp_path / filename).read_text()
-    assert source.count(anchor) == 1
-    at = source.index(anchor) + len(anchor)
-    source = source[:at] + "\n" + body + source[at:]
-    (tmp_path / filename).write_text(source)
-    line = source[:at].count("\n") + 2
-    assert _unreferenced_public_definitions(tmp_path) == [
+    package, line = _plant(tmp_path, filename, anchor, body)
+    assert _unreferenced_public_definitions(package) == [
         f"{filename}:{line} {method}"]
+
+
+# (file, a line before it, dead constant, its definition): Q is the
+# polynomial q that only the tests use; SEGRE_FACE_COUNT_BOUND is named
+# like nothing else
+@pytest.mark.parametrize("filename, anchor, constant, body", [
+    ("exactalg.py", "ONE = QPolynomial([1])\n", "Q", "Q = QPolynomial([0, 1])\n"),
+    ("poset.py", "FACE_COUNT_BOUND = 500_000\n", "SEGRE_FACE_COUNT_BOUND",
+     "SEGRE_FACE_COUNT_BOUND = 2 * FACE_COUNT_BOUND\n"),
+])
+def test_a_dead_constant_is_found(tmp_path, filename, anchor, constant, body):
+    package, line = _plant(tmp_path, filename, anchor, body)
+    assert _unreferenced_public_definitions(package) == [
+        f"{filename}:{line} {constant}"]
 
 
 def test_the_suite_and_frobenius_run_without_fractions():

@@ -22,11 +22,11 @@ import itertools
 
 F2 = FiniteField(2)
 F3 = FiniteField(3)
-F4 = FiniteField(2, 2)
+F4 = FiniteField(4)
 F5 = FiniteField(5)
-F8 = FiniteField(2, 3)
-F9 = FiniteField(3, 2)
-F16 = FiniteField(2, 4)
+F8 = FiniteField(8)
+F9 = FiniteField(9)
+F16 = FiniteField(16)
 
 # every lattice whose covers are checked against the containment scan
 ORACLE_LATTICES = ([(n, F2) for n in range(5)]
@@ -51,7 +51,7 @@ class TestFiniteField:
             p = next(d for d in range(2, q + 1) if q % d == 0)
             k = round(math.log(q, p))
             if p ** k == q:
-                assert FiniteField(p, k).modulus == first_irreducible_modulus(p, k)
+                assert FiniteField(q).modulus == first_irreducible_modulus(p, k)
 
     def test_inverses(self):
         for field in (F2, F3, F4, F5, F8, F9, F16):
@@ -59,15 +59,17 @@ class TestFiniteField:
                 assert field._mul[a][field._inv[a]] == 1
 
     def test_rejects_bad_parameters(self):
-        with pytest.raises(ValueError):
-            FiniteField(4)
-        with pytest.raises(ValueError):
-            FiniteField(2, 5)  # 32 > 16
+        for q, message in ((1, "1 is not a prime power"),
+                           (6, "6 is not a prime power"),
+                           (32, "field order 32 exceeds the bound 16")):
+            with pytest.raises(ValueError, match=f"^{message}$"):
+                FiniteField(q)
 
     def test_extension_fields_at_the_size_bound(self):
-        f9 = FiniteField(3, 2)
-        f16 = FiniteField(2, 4)
-        assert f9.order == 9 and f16.order == 16
+        f9 = FiniteField(9)
+        f16 = FiniteField(16)
+        assert (f9.p, f9.k, f9.order) == (3, 2, 9)
+        assert (f16.p, f16.k, f16.order) == (2, 4, 16)
         for field in (f9, f16):
             for a in range(1, field.order):
                 acc = 1
@@ -176,28 +178,28 @@ class TestLabels:
             assert len(label_set(F2, s.rows)) == s.dim
 
     def test_edge_label_example(self):
-        p, labeling = build_bnq(2, F2)
+        p, labels = build_bnq(2, F2)
         bottom = p.names.index(())
         full = p.names.index(((1, 0), (0, 1)))
         diagonal = span(F2, 2, [(1, 1)])
         d = p.names.index(diagonal.rows)
-        assert labeling.labels[(d, full)] == 1
-        assert {labeling.labels[(bottom, d)]} == label_set_by_atoms(diagonal)
+        assert labels[(d, full)] == 1
+        assert {labels[(bottom, d)]} == label_set_by_atoms(diagonal)
 
     def test_edge_label_rejects_non_covers(self):
-        p, labeling = build_bnq(3, F2)
-        assert set(labeling.labels) == set(p.covers)
-        assert (p.names.index(()), p.top_index()) not in labeling.labels
+        p, labels = build_bnq(3, F2)
+        assert set(labels) == set(p.covers)
+        assert (p.names.index(()), p.top_index()) not in labels
 
 
 class TestCoverGeneration:
     @pytest.mark.parametrize("n, field", ORACLE_LATTICES,
                              ids=lambda x: str(getattr(x, "order", x)))
     def test_covers_and_labels_match_the_containment_scan(self, n, field):
-        p, labeling = build_bnq(n, field)
-        built = {(p.names[a], p.names[b]): labeling.labels[(a, b)]
+        p, labels = build_bnq(n, field)
+        built = {(p.names[a], p.names[b]): labels[(a, b)]
                  for a, b in p.covers}
-        assert set(labeling.labels) == set(p.covers)
+        assert set(labels) == set(p.covers)
         assert built == covers_by_containment(n, field)
 
     @pytest.mark.parametrize("n, field", ORACLE_LATTICES,
@@ -267,23 +269,23 @@ class TestCoverGeneration:
 
 class TestLatticeConstruction:
     def test_b2_f2_chain_words(self):
-        p, labeling = build_bnq(2, F2)
-        report = chain_report(p, labeling)
+        p, labels = build_bnq(2, F2)
+        report = chain_report(p, labels)
         assert report.by_label_word == {(1, 2): 1, (2, 1): 2}
 
     def test_b3_f2_reversed_word_count(self):
-        p, labeling = build_bnq(3, F2)
-        report = chain_report(p, labeling)
+        p, labels = build_bnq(3, F2)
+        report = chain_report(p, labels)
         assert report.by_label_word[(3, 2, 1)] == 8
 
     def test_b3_f3_total_chains(self):
-        p, labeling = build_bnq(3, F3)
-        assert chain_report(p, labeling).total == 52
+        p, labels = build_bnq(3, F3)
+        assert chain_report(p, labels).total == 52
 
     def test_chain_counts_are_q_to_the_inversions(self):
         for n, field in ((2, F2), (2, F3), (3, F2), (3, F3), (2, F4)):
-            p, labeling = build_bnq(n, field)
-            report = chain_report(p, labeling)
+            p, labels = build_bnq(n, field)
+            report = chain_report(p, labels)
             expected = {img: field.order ** inversions(Permutation(img))
                         for img in itertools.permutations(range(1, n + 1))}
             assert report.by_label_word == expected
@@ -296,8 +298,8 @@ class TestLatticeConstruction:
 
     def test_segre_descending_counts(self):
         for n, field, expected in ((2, F2, 8), (2, F3, 15), (3, F2, 344)):
-            sp, labeling = build_segre_bnq(n, field)
-            assert chain_report(sp, labeling).descending_count == expected
+            sp, labels = build_segre_bnq(n, field)
+            assert chain_report(sp, labels).descending_count == expected
             assert expected == w_polynomial(n).evaluate(field.order)
 
     def test_segre_rank_sizes_are_squares(self):
@@ -313,8 +315,8 @@ class TestLatticeConstruction:
 
     def test_mobius_equals_signed_descending_count(self):
         for n, field in ((2, F2), (2, F3), (3, F2)):
-            sp, labeling = build_segre_bnq(n, field)
-            descending = chain_report(sp, labeling).descending_count
+            sp, labels = build_segre_bnq(n, field)
+            descending = chain_report(sp, labels).descending_count
             assert mobius_number(sp) == (-1) ** n * descending
 
     def test_mobius_of_the_lattice_itself_has_the_closed_form(self):
@@ -325,10 +327,10 @@ class TestLatticeConstruction:
             assert mobius_number(p) == (-1) ** n * q ** (n * (n - 1) // 2)
 
     def test_betti_of_lattice_proper_part_matches_descending_count(self):
-        p, labeling = build_bnq(3, F2)
+        p, labels = build_bnq(3, F2)
         betti = rational_betti_numbers(proper_part(p))
         assert betti == [0, 8]
-        assert chain_report(p, labeling).descending_count == 8
+        assert chain_report(p, labels).descending_count == 8
 
     def test_euler_characteristic_of_proper_part(self):
         sp, _ = build_segre_bnq(3, F2)

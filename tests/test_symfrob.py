@@ -19,13 +19,13 @@ from qsegre.symfrob import (TOP_HOMOLOGY_BOUND, CharacterTable2,
                             verify_induction_homomorphism,
                             verify_specialization_identity, z_of)
 
-from oracles import (SF_ONE, boolean_lattice, characteristic,
+from oracles import (SF_ONE, characteristic,
                      characteristic_by_whitney_recursion, class_size,
                      cleared_specialization_matches, dimension, h_to_p,
                      induce_off_by_one, induction_homomorphism_by_fractions,
                      lefschetz_character_by_chains, pair_poset,
-                     principal_specialization_by_terms, sf_add, sf_product,
-                     tensor, trivial_character)
+                     principal_specialization_by_terms, segre_boolean_labeled,
+                     sf_add, sf_product, tensor, trivial_character)
 
 
 def random_table(rng, m, n, low=-9, high=10):
@@ -208,10 +208,9 @@ class TestInduction:
         # permutation character on the rank-k level of the Segre square of
         # the subset lattice; the oracle counts fixed elements of the actual
         # poset under the diagonal-by-diagonal action
-        from qsegre.poset import segre_product
         from qsegre.symfrob import _perm_of_cycle_type
         for n in (2, 3):
-            square = segre_product(boolean_lattice(n), boolean_lattice(n))
+            square, _ = segre_boolean_labeled(n)
             levels = {}
             for name, rank in zip(square.names, square.ranks):
                 levels.setdefault(rank, []).append(name)
