@@ -6,56 +6,33 @@ Writing the reciprocal's z^n coefficient as g_n/([n]_q!)^2 and clearing
 denominators in f * (1/f) = 1 gives
 sum_k (-1)^k [n choose k]_q^2 g_(n-k) = [n = 0], the q-analogue of the
 Carlitz-Scoville-Vaughan recurrence, so every g_n is an integer polynomial.
-verify_reciprocal checks g_n == W_n(q) against the enumerated pair
-polynomial.  q stays symbolic; specializing it is a caller convenience only.
+bessel_coefficients returns g_0..g_order alone: f's numerators, +1 and -1,
+and the denominators are formed where they are printed.  verify_reciprocal
+checks g_n == W_n(q) against the enumerated pair polynomial.  q stays
+symbolic; specializing it is a caller convenience only.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-from .exactalg import ONE, ZERO, QPolynomial, q_factorial
+from .exactalg import ONE, ZERO, QPolynomial
 from .permstats import (alternating_square_sum, check_enumeration_bound,
                         csv_recurrence, w_polynomial)
 
 
-def reciprocal_numerators(order: int) -> list[QPolynomial]:
-    """g_0..g_order, where g_n = ([n]_q!)^2 times the z^n coefficient of 1/f."""
+def bessel_coefficients(order: int) -> list[QPolynomial]:
+    """g_0..g_order, where g_n = ([n]_q!)^2 times the z^n coefficient of 1/f,
+    with the cleared product identity
+    sum_k (-1)^k [n choose k]_q^2 g_(n-k) = [n = 0] checked."""
     if order < 0:
         raise ValueError("order must be nonnegative")
-    return csv_recurrence([ONE], order)
-
-
-@dataclass(frozen=True)
-class BesselCoefficients:
-    """The z^n coefficients of f and of 1/f through z^order are f[n]/den[n]
-    and f_inv[n]/den[n], with den[n] = ([n]_q!)^2; f[n] is +1 or -1 and
-    f_inv[n] is g_n."""
-    order: int
-    f: tuple[QPolynomial, ...]
-    f_inv: tuple[QPolynomial, ...]
-    den: tuple[QPolynomial, ...]
-
-    def pair_polynomial_checks(self) -> list[bool]:
-        """Entry n is True when g_n equals the enumerated W_n(q)."""
-        return [g == w_polynomial(n) for n, g in enumerate(self.f_inv)]
-
-
-def bessel_coefficients(order: int) -> BesselCoefficients:
-    """Series and reciprocal as numerators over ([n]_q!)^2, with the cleared
-    product identity sum_k (-1)^k [n choose k]_q^2 g_(n-k) = [n = 0] checked."""
-    g = reciprocal_numerators(order)
+    g = csv_recurrence([ONE], order)
     for n in range(order + 1):
         # [n choose k]_q = [n choose n-k]_q, so the z^n coefficient is
         # (-1)^n times the alternating square sum of g_0..g_n
         if alternating_square_sum(n, g[:n + 1]) != (ONE if n == 0 else ZERO):
             raise ArithmeticError(
                 f"f times its reciprocal is not 1 at z^{n} (order {order})")
-    return BesselCoefficients(
-        order,
-        f=tuple(ONE if n % 2 == 0 else -ONE for n in range(order + 1)),
-        f_inv=tuple(g),
-        den=tuple(q_factorial(n) * q_factorial(n) for n in range(order + 1)))
+    return g
 
 
 def verify_reciprocal(order: int) -> list[bool]:
@@ -63,4 +40,4 @@ def verify_reciprocal(order: int) -> list[bool]:
     reciprocal, equals W_n(q) as integer polynomials.  An order beyond the
     enumeration bound is refused before any work."""
     check_enumeration_bound(order, name="order")
-    return bessel_coefficients(order).pair_polynomial_checks()
+    return [g == w_polynomial(n) for n, g in enumerate(bessel_coefficients(order))]

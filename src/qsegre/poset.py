@@ -30,7 +30,6 @@ readers.
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass
 from itertools import accumulate, chain, islice
 from math import gcd
 from typing import Optional
@@ -250,13 +249,6 @@ def product_order_less(a, b) -> bool:
     return a < b
 
 
-@dataclass(frozen=True)
-class ELViolation:
-    lower: object
-    upper: object
-    reason: str
-
-
 def _up_by_label(p: GradedPoset, labels: dict):
     """Each element's upper covers as (label id, covers) groups, the ids
     numbering the distinct labels in ascending order, and the table
@@ -314,10 +306,11 @@ def _push_from(up, lo, admits):
 
 
 def check_el_labeling(p: GradedPoset,
-                      labels: dict) -> tuple[bool, Optional[ELViolation]]:
+                      labels: dict) -> tuple[bool, Optional[str]]:
     """Every closed interval must have a unique increasing maximal chain that
-    lexicographically precedes all others; returns the first offender, by
-    lower and then upper element in index order.
+    lexicographically precedes all others: (True, None), or (False, "<reason>
+    in [<lower>, <upper>]") for the first offender by element names, taken
+    by lower and then upper element in index order.
 
     One push from each lo (see _push_from) gives, for each hi above it, the
     increasing chains of [lo, hi] and whether its first word is increasing.
@@ -331,30 +324,18 @@ def check_el_labeling(p: GradedPoset,
         for hi in sorted(increasing):
             found = sum(increasing[hi].values())
             if found != 1:
-                return False, ELViolation(
-                    p.names[lo], p.names[hi], f"{found} increasing maximal chains")
-            if not rising[hi]:
-                return False, ELViolation(
-                    p.names[lo], p.names[hi],
-                    "increasing chain is not lexicographically first")
+                reason = f"{found} increasing maximal chains"
+            elif not rising[hi]:
+                reason = "increasing chain is not lexicographically first"
+            else:
+                continue
+            return False, f"{reason} in [{p.names[lo]}, {p.names[hi]}]"
     return True, None
 
 
-@dataclass
-class ChainReport:
-    """Tallies of the maximal chains of a bounded poset by label word."""
-
-    by_label_word: dict
-    increasing_count: int
-    descending_count: int
-
-    @property
-    def total(self) -> int:
-        return sum(self.by_label_word.values())
-
-
-def chain_report(p: GradedPoset, labels: dict) -> ChainReport:
-    """Maximal chains from bottom to top, counted by label word.
+def chain_report(p: GradedPoset, labels: dict) -> tuple[dict, int, int]:
+    """Maximal chains from bottom to top as (words, increasing, descending):
+    the count of each label word, and of the increasing and descending ones.
 
     words[y] maps each label word of the chains from the bottom to y to
     their number: the sum over the lower covers x of y of words[x] with the
@@ -381,14 +362,14 @@ def chain_report(p: GradedPoset, labels: dict) -> ChainReport:
     tallies = words[top]
     ascents = {w: [product_order_less(a, b) for a, b in zip(w, w[1:])]
                for w in tallies}
-    return ChainReport(tallies,
-                       sum(c for w, c in tallies.items() if all(ascents[w])),
-                       sum(c for w, c in tallies.items() if not any(ascents[w])))
+    return (tallies,
+            sum(c for w, c in tallies.items() if all(ascents[w])),
+            sum(c for w, c in tallies.items() if not any(ascents[w])))
 
 
 def descending_chain_count(p: GradedPoset, labels: dict) -> int:
     """Maximal chains from bottom to top whose label words have no ascent,
-    chain_report's descending_count without the words: one push from the
+    chain_report's descending count without the words: one push from the
     bottom by last label (see _push_from), each (x, label) sum taken once
     and pushed to every upper cover of x with that label."""
     bottom = p.bottom_index()

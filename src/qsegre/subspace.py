@@ -148,7 +148,9 @@ def check_count_bound(n: int, q: int, segre: bool = False,
     Rank k = floor(n/2) holds at least q^e subspaces, e = k(n-k) (its
     Gaussian binomial has that degree and nonnegative coefficients), and the
     square at least q^(2e) pairs.  q^e >= 2^(e (bit length of q - 1)), so
-    when that exponent exceeds the bound's bit length, no sum is formed."""
+    when that exponent exceeds the bound's bit length, no power is formed;
+    else q^e refuses when past both the bound and the default bound, and
+    else the exact total decides, printed unless too long to convert."""
     if n < 0:
         raise ValueError("ambient dimension must be nonnegative")
     bound = SUBSPACE_COUNT_BOUND if count_bound is None else count_bound
@@ -158,11 +160,16 @@ def check_count_bound(n: int, q: int, segre: bool = False,
     what = "pairs of the Segre square" if segre else "subspaces"
     power = 2 if segre else 1
     e = power * (n // 2) * ((n + 1) // 2)
-    if e * (q.bit_length() - 1) > bound.bit_length():
+    if (e * (q.bit_length() - 1) > bound.bit_length()
+            or q ** e > max(bound, SUBSPACE_COUNT_BOUND)):
         raise ValueError(f"at least {q}^{e} {what} exceed the bound {bound}")
     total = sum(_gaussian_count(n, k, q) ** power for k in range(n + 1))
     if total > bound:
-        raise ValueError(f"{total} {what} exceed the bound {bound}")
+        try:
+            count = str(total)
+        except ValueError:
+            count = f"more than {bound}"
+        raise ValueError(f"{count} {what} exceed the bound {bound}")
 
 
 def proper_face_count(n: int, q: int, segre: bool = False) -> int:

@@ -2,11 +2,11 @@
 characteristics, and the homology characters of rank-equal pair posets of
 subset lattices.
 
-A class function on S_m x S_n is an integer table indexed by pairs of
-partitions (mu, lam).  Its characteristic is the sum of
-table(mu, lam) / (z_mu z_lam) p_mu(x) p_lam(y), and every identity here is
-checked on the integer side of that quotient: the denominators are known in
-advance, so they are cleared rather than carried.  The product of two
+A class function on S_m x S_n is a dict {(mu, lam): int} over every pair of
+partitions of m and n, so m and n are read off any key.  Its characteristic
+is the sum of table(mu, lam) / (z_mu z_lam) p_mu(x) p_lam(y), and every
+identity here is checked on the integer side of that quotient: the
+denominators are known in advance, so they are cleared rather than carried.  The product of two
 characteristics is the integer table of z_mu z_lam times its coefficients,
 a sum over the splits of the cycles; the homomorphism check compares it
 with the induced character, and the alternating complete-homogeneous
@@ -31,7 +31,7 @@ from __future__ import annotations
 import itertools
 from collections import Counter
 from functools import lru_cache
-from math import comb, factorial
+from math import comb, factorial, prod
 
 from .exactalg import ONE, ZERO, QPolynomial, one_minus_q_power
 from .permstats import w_polynomial_recurrence
@@ -82,24 +82,10 @@ def check_homology_bound(n: int, name: str = "n") -> None:
                          f"{TOP_HOMOLOGY_BOUND}")
 
 
-class CharacterTable2:
-    """Integer class function on S_m x S_n indexed by partition pairs."""
-
-    __slots__ = ("m", "n", "values")
-
-    def __init__(self, m: int, n: int, values):
-        vals = {(tuple(mu), tuple(lam)): int(v) for (mu, lam), v in values.items()}
-        expected = {(mu, lam) for mu in partitions_of(m) for lam in partitions_of(n)}
-        if set(vals) != expected:
-            raise ValueError("table must cover every class pair exactly once")
-        self.m, self.n, self.values = m, n, vals
-
-    def __eq__(self, other) -> bool:
-        return (isinstance(other, CharacterTable2) and self.m == other.m
-                and self.n == other.n and self.values == other.values)
-
-    def __repr__(self) -> str:
-        return f"CharacterTable2(m={self.m}, n={self.n}, values={self.values})"
+def _degrees(table: dict) -> tuple[int, int]:
+    """(m, n) of a class function on S_m x S_n, read off any of its keys."""
+    mu, lam = next(iter(table))
+    return sum(mu), sum(lam)
 
 
 @lru_cache(maxsize=None)
@@ -136,14 +122,13 @@ def symmetric_group_character(lam, mu) -> int:
 
 
 @lru_cache(maxsize=None)
-def irreducible_table2(alpha: Partition, beta: Partition) -> CharacterTable2:
+def irreducible_table2(alpha: Partition, beta: Partition) -> dict:
     """Character of the outer tensor of the irreducibles indexed by alpha and
-    beta, as a table on S_|alpha| x S_|beta|; built once per pair."""
-    m, n = sum(alpha), sum(beta)
-    values = {(mu, lam): symmetric_group_character(alpha, mu)
-              * symmetric_group_character(beta, lam)
-              for mu in partitions_of(m) for lam in partitions_of(n)}
-    return CharacterTable2(m, n, values)
+    beta, as a table on S_|alpha| x S_|beta|; built once per pair and shared,
+    so callers must not mutate it."""
+    return {(mu, lam): symmetric_group_character(alpha, mu)
+            * symmetric_group_character(beta, lam)
+            for mu in partitions_of(sum(alpha)) for lam in partitions_of(sum(beta))}
 
 
 # ---------------------------------------------------------------------------
@@ -204,15 +189,14 @@ def _check_induction_bound(big_m: int, big_n: int) -> None:
                          f"{INDUCTION_BOUND}")
 
 
-def induce_product_character(t: CharacterTable2,
-                             u: CharacterTable2) -> CharacterTable2:
+def induce_product_character(t: dict, u: dict) -> dict:
     """Induction product: the outer tensor of t (on S_k x S_l) and u (on
     S_m x S_n), induced to S_(k+m) x S_(l+n).
 
     Computed from the definition of induction: average the extended-by-zero
     character over conjugators, componentwise, using the profiles above.
     """
-    k, l, m, n = t.m, t.n, u.m, u.n
+    (k, l), (m, n) = _degrees(t), _degrees(u)
     big_m, big_n = k + m, l + n
     _check_induction_bound(big_m, big_n)
     denominator = factorial(k) * factorial(m) * factorial(l) * factorial(n)
@@ -224,12 +208,12 @@ def induce_product_character(t: CharacterTable2,
             acc = 0
             for (ta, tb), c1 in prof1.items():
                 for (tc, td), c2 in prof2.items():
-                    acc += c1 * c2 * t.values[(ta, tc)] * u.values[(tb, td)]
+                    acc += c1 * c2 * t[(ta, tc)] * u[(tb, td)]
             quotient, remainder = divmod(acc, denominator)
             if remainder:
                 raise ArithmeticError("induced character value is not integral")
             values[(mu, lam)] = quotient
-    return CharacterTable2(big_m, big_n, values)
+    return values
 
 
 @lru_cache(maxsize=None)
@@ -254,21 +238,21 @@ def _cycle_splits(parts: Partition) -> dict[int, tuple]:
     return {size: tuple(splits) for size, splits in out.items()}
 
 
-def _product_values(t: CharacterTable2, u: CharacterTable2) -> dict:
+def _product_values(t: dict, u: dict) -> dict:
     """z_mu z_lam times the coefficient of p_mu(x) p_lam(y) in ch(t) ch(u),
     for every class pair of S_(k+m) x S_(l+n): the sum of
     t(a, c) u(b, d) z_mu z_lam / (z_a z_b z_c z_d) over the splits of mu
     into a and b and of lam into c and d, every factor an integer."""
-    cols = {lam: _cycle_splits(lam).get(t.n, ())
-            for lam in partitions_of(t.n + u.n)}
+    (k, l), (m, n) = _degrees(t), _degrees(u)
+    cols = {lam: _cycle_splits(lam).get(l, ()) for lam in partitions_of(l + n)}
     out = {}
-    for mu in partitions_of(t.m + u.m):
-        rows = _cycle_splits(mu).get(t.m, ())
+    for mu in partitions_of(k + m):
+        rows = _cycle_splits(mu).get(k, ())
         for lam, col in cols.items():
             acc = 0
             for a, b, wx in rows:
                 for c, d, wy in col:
-                    acc += wx * wy * t.values[(a, c)] * u.values[(b, d)]
+                    acc += wx * wy * t[(a, c)] * u[(b, d)]
             out[(mu, lam)] = acc
     return out
 
@@ -295,7 +279,7 @@ def _fixed_mobius(alpha: Partition, beta: Partition) -> int:
     return -below
 
 
-def lefschetz_character(n: int) -> CharacterTable2:
+def lefschetz_character(n: int) -> dict:
     """Character of S_n x S_n on the single nonvanishing reduced homology of
     the proper part of the pair poset on [n].  By the Hopf trace formula the
     value at (g, h) is (-1)^n times the reduced Euler characteristic of the
@@ -304,9 +288,8 @@ def lefschetz_character(n: int) -> CharacterTable2:
     theorem that is the fixed subposet's Mobius number."""
     check_homology_bound(n)
     sign = -1 if n % 2 else 1
-    return CharacterTable2(n, n, {(mu, lam): sign * _fixed_mobius(mu, lam)
-                                  for mu in partitions_of(n)
-                                  for lam in partitions_of(n)})
+    return {(mu, lam): sign * _fixed_mobius(mu, lam)
+            for mu in partitions_of(n) for lam in partitions_of(n)}
 
 
 def h_alternating_residual(n: int) -> dict:
@@ -336,7 +319,7 @@ def specialization_denominator(n: int) -> QPolynomial:
     return out
 
 
-def cleared_specialization(table: CharacterTable2, n: int) -> QPolynomial:
+def cleared_specialization(table: dict, n: int) -> QPolynomial:
     """m! l! times the principal specialization of the characteristic of a
     class function on S_m x S_l, as an integer numerator over
     specialization_denominator(n).
@@ -350,9 +333,9 @@ def cleared_specialization(table: CharacterTable2, n: int) -> QPolynomial:
     summed per multiset mu + lam, on which the specialized term depends, and
     the denominator is divided once per multiset; one whose product does not
     divide it raises ValueError, even when its sum cancels."""
-    fm, fl = factorial(table.m), factorial(table.n)
+    fm, fl = map(factorial, _degrees(table))
     by_parts: dict[tuple[int, ...], int] = {}
-    for (mu, lam), v in table.values.items():
+    for (mu, lam), v in table.items():
         parts = tuple(sorted(mu + lam))
         by_parts[parts] = (by_parts.get(parts, 0)
                            + v * (fm // z_of(mu)) * (fl // z_of(lam)))
@@ -366,13 +349,13 @@ def cleared_specialization(table: CharacterTable2, n: int) -> QPolynomial:
     return total
 
 
-def principal_specialization(table: CharacterTable2, n: int) -> QPolynomial:
+def principal_specialization(table: dict, n: int) -> QPolynomial:
     """The principal specialization of the characteristic of a class
     function on S_m x S_l, as a numerator over specialization_denominator(n):
     cleared_specialization divided by m! l!, coefficient by coefficient.
     ArithmeticError if a coefficient leaves a remainder, which a character
     never does (its specialization has integer coefficients in q)."""
-    scale = factorial(table.m) * factorial(table.n)
+    scale = prod(map(factorial, _degrees(table)))
     coeffs = []
     for c in cleared_specialization(table, n).coeffs:
         quotient, remainder = divmod(c, scale)
@@ -407,6 +390,6 @@ def verify_induction_homomorphism(k: int, l: int, m: int, n: int) -> bool:
             t = irreducible_table2(alpha, beta)
             for u in second:
                 induced = induce_product_character(t, u)
-                if induced.values != _product_values(t, u):
+                if induced != _product_values(t, u):
                     return False
     return True

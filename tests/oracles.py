@@ -33,12 +33,11 @@ from typing import NamedTuple
 
 from qsegre.exactalg import ONE, QPolynomial, one_minus_q_power
 from qsegre.permstats import perm_stats
-from qsegre.poset import (ChainReport, ELViolation, GradedPoset,
-                          chains_by_dimension, order_chain_counts,
+from qsegre.poset import (GradedPoset, chains_by_dimension, order_chain_counts,
                           product_order_less, proper_part, segre_product,
                           _rank_of_sparse_rows)
 from qsegre.subspace import rref_rows
-from qsegre.symfrob import (CharacterTable2, _perm_of_cycle_type,
+from qsegre.symfrob import (_degrees, _perm_of_cycle_type,
                             induce_product_character, irreducible_table2,
                             partitions_of, specialization_denominator, z_of)
 
@@ -141,14 +140,14 @@ def cleared_specialization_matches(f: dict, n: int,
     return True
 
 
-def principal_specialization_by_terms(table: CharacterTable2,
-                                      n: int) -> QPolynomial:
+def principal_specialization_by_terms(table: dict, n: int) -> QPolynomial:
     """m! l! times ps(ch(table)) for a table on S_m x S_l, as a numerator
     over specialization_denominator(n): each coefficient of the Fraction
     characteristic is scaled by m! l! and must come out an integer, and the
     denominator is divided by the product of 1 - q^a over the parts of each
     term in turn."""
-    scale = factorial(table.m) * factorial(table.n)
+    m, l = _degrees(table)
+    scale = factorial(m) * factorial(l)
     denominator = specialization_denominator(n)
     total = QPolynomial()
     for (mu, lam), c in characteristic(table).items():
@@ -175,10 +174,10 @@ def tensor(xs: dict, ys: dict) -> dict:
             if cx * cy}
 
 
-def characteristic(table: CharacterTable2) -> dict:
+def characteristic(table: dict) -> dict:
     """The characteristic: table(mu, lam)/(z_mu z_lam) at p_mu(x) p_lam(y)."""
     return {(mu, lam): Fraction(v, z_of(mu) * z_of(lam))
-            for (mu, lam), v in table.values.items() if v}
+            for (mu, lam), v in table.items() if v}
 
 
 def sf_add(f: dict, g: dict, scale=1) -> dict:
@@ -404,18 +403,16 @@ def el_check_by_intervals(p, labels):
             words = [chain_word(labels, c) for c in maximal_chains(p, lo, hi)]
             increasing = [w for w in words if all(_ascents(w))]
             if len(increasing) != 1:
-                return False, ELViolation(
-                    p.names[lo], p.names[hi],
-                    f"{len(increasing)} increasing maximal chains")
-            for w in words:
-                if w != increasing[0] and w <= increasing[0]:
-                    return False, ELViolation(
-                        p.names[lo], p.names[hi],
-                        "increasing chain is not lexicographically first")
+                reason = f"{len(increasing)} increasing maximal chains"
+            elif any(w != increasing[0] and w <= increasing[0] for w in words):
+                reason = "increasing chain is not lexicographically first"
+            else:
+                continue
+            return False, f"{reason} in [{p.names[lo]}, {p.names[hi]}]"
     return True, None
 
 
-def chain_report_by_enumeration(p, labels) -> ChainReport:
+def chain_report_by_enumeration(p, labels) -> tuple[dict, int, int]:
     """Label-word tallies from one pass over every maximal chain."""
     tallies: dict = {}
     increasing = descending = 0
@@ -425,7 +422,7 @@ def chain_report_by_enumeration(p, labels) -> ChainReport:
         ascents = _ascents(word)
         increasing += all(ascents)
         descending += not any(ascents)
-    return ChainReport(tallies, increasing, descending)
+    return tallies, increasing, descending
 
 
 def rank_over_rationals(rows) -> int:
@@ -613,15 +610,14 @@ def class_size(parts) -> int:
     return factorial(sum(parts)) // z_of(parts)
 
 
-def dimension(table: CharacterTable2) -> int:
+def dimension(table: dict) -> int:
     """The character's value at the identity."""
-    return table.values[((1,) * table.m, (1,) * table.n)]
+    m, n = _degrees(table)
+    return table[((1,) * m, (1,) * n)]
 
 
-def trivial_character(m: int, n: int) -> CharacterTable2:
-    return CharacterTable2(m, n, {(mu, lam): 1
-                                  for mu in partitions_of(m)
-                                  for lam in partitions_of(n)})
+def trivial_character(m: int, n: int) -> dict:
+    return {(mu, lam): 1 for mu in partitions_of(m) for lam in partitions_of(n)}
 
 
 @lru_cache(maxsize=None)
@@ -646,7 +642,7 @@ def pair_poset(n: int) -> GradedPoset:
     return proper_part(segre_boolean_labeled(n)[0])
 
 
-def lefschetz_character_by_chains(n: int) -> CharacterTable2:
+def lefschetz_character_by_chains(n: int) -> dict:
     """The top homology character of the pair poset from the Hopf trace over
     its order complex.
 
@@ -682,7 +678,7 @@ def lefschetz_character_by_chains(n: int) -> CharacterTable2:
                         f"dimension {dim} fixed setwise but {pointwise} pointwise")
                 euler += pointwise if dim % 2 == 0 else -pointwise
             values[(mu, lam)] = euler if n % 2 == 0 else -euler
-    return CharacterTable2(n, n, values)
+    return values
 
 
 def induction_homomorphism_by_fractions(k: int, l: int, m: int, n: int,
@@ -702,10 +698,9 @@ def induction_homomorphism_by_fractions(k: int, l: int, m: int, n: int,
     return True
 
 
-def induce_off_by_one(t: CharacterTable2, u: CharacterTable2) -> CharacterTable2:
+def induce_off_by_one(t: dict, u: dict) -> dict:
     """A broken induction product: the true one with its first value raised
     by one, for showing that the homomorphism checks catch a wrong table."""
     induced = induce_product_character(t, u)
-    values = dict(induced.values)
-    values[next(iter(values))] += 1
-    return CharacterTable2(induced.m, induced.n, values)
+    induced[next(iter(induced))] += 1
+    return induced

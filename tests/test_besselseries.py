@@ -1,35 +1,45 @@
+import json
 from fractions import Fraction
 
 import pytest
 
 from qsegre import besselseries, permstats
-from qsegre.besselseries import (bessel_coefficients, reciprocal_numerators,
-                                 verify_reciprocal)
-from qsegre.exactalg import ONE, QPolynomial, q_factorial
+from qsegre.besselseries import bessel_coefficients, verify_reciprocal
+from qsegre.cli import main
+from qsegre.exactalg import ONE, QPolynomial, poly_coeff_strings, q_factorial
 from qsegre.permstats import w_polynomial
 
 from oracles import (bessel_series_at, reciprocal_numerator_by_evaluation,
                      series_reciprocal)
 
 
-def values_at(numerators, denominators, q):
-    return [Fraction(num.evaluate(q), den.evaluate(q))
-            for num, den in zip(numerators, denominators)]
+def bessel_document(capsys, order: int) -> dict:
+    """The `bessel` verb's document: f and 1/f as numerators over the
+    denominators ([n]_q!)^2, each a list of coefficient strings."""
+    assert main(["bessel", "--order", str(order)]) == 0
+    return json.loads(capsys.readouterr().out)
+
+
+def values_at(fractions, q):
+    """Each {"num", "den"} of a document's series evaluated at q."""
+    def at(coeffs):
+        return QPolynomial([int(c) for c in coeffs]).evaluate(q)
+    return [Fraction(at(r["num"]), at(r["den"])) for r in fractions]
 
 
 class TestBuildF:
     """The series f, as numerators +1/-1 over ([n]_q!)^2."""
 
-    def test_first_coefficients(self):
-        data = bessel_coefficients(2)
-        assert data.f == (ONE, -ONE, ONE)
-        assert data.den == (ONE, ONE, QPolynomial([1, 1]) * QPolynomial([1, 1]))
+    def test_first_coefficients(self, capsys):
+        doc = bessel_document(capsys, 2)
+        assert [r["num"] for r in doc["f"]] == [["1"], ["-1"], ["1"]]
+        assert [r["den"] for r in doc["f"]] == [["1"], ["1"], ["1", "2", "1"]]
 
-    def test_signs_alternate(self):
-        data = bessel_coefficients(5)
-        for n, value in enumerate(values_at(data.f, data.den, 2)):
+    def test_signs_alternate(self, capsys):
+        doc = bessel_document(capsys, 5)
+        for n, value in enumerate(values_at(doc["f"], 2)):
             assert (value > 0) == (n % 2 == 0)
-        assert values_at(data.f, data.den, 3) == bessel_series_at(5, 3)
+        assert values_at(doc["f"], 3) == bessel_series_at(5, 3)
 
 
 class TestReciprocal:
@@ -51,11 +61,11 @@ class TestReciprocal:
         with pytest.raises(ValueError):
             verify_reciprocal(8)
 
-    def test_product_invariant_holds(self):
-        data = bessel_coefficients(4)
+    def test_product_invariant_holds(self, capsys):
+        doc = bessel_document(capsys, 4)
         for q in (2, 3):
-            f = values_at(data.f, data.den, q)
-            f_inv = values_at(data.f_inv, data.den, q)
+            f = values_at(doc["f"], q)
+            f_inv = values_at(doc["f_inv"], q)
             product = [sum(f[k] * f_inv[n - k] for k in range(n + 1))
                        for n in range(5)]
             assert product == [1, 0, 0, 0, 0]
@@ -76,28 +86,30 @@ class TestReciprocal:
 
 class TestFractionFreeNumerators:
     def test_match_the_rational_function_reciprocal_through_order_five(self):
-        for n, g in enumerate(reciprocal_numerators(5)):
+        for n, g in enumerate(bessel_coefficients(5)):
             assert g == reciprocal_numerator_by_evaluation(n)
 
     def test_coefficients_are_ints(self):
-        for g in reciprocal_numerators(7):
+        for g in bessel_coefficients(7):
             assert all(type(c) is int for c in g.coeffs)
 
-    def test_displayed_reciprocal_is_built_from_the_numerators(self):
-        data = bessel_coefficients(3)
-        assert data.f_inv == tuple(reciprocal_numerators(3))
-        assert data.den == tuple(q_factorial(n) * q_factorial(n) for n in range(4))
+    def test_displayed_reciprocal_is_built_from_the_numerators(self, capsys):
+        doc = bessel_document(capsys, 3)
+        assert [r["num"] for r in doc["f_inv"]] == \
+            [poly_coeff_strings(g) for g in bessel_coefficients(3)]
+        assert [r["den"] for r in doc["f_inv"]] == \
+            [poly_coeff_strings(q_factorial(n) * q_factorial(n)) for n in range(4)]
 
     def test_broken_numerators_fail_the_product_identity(self, monkeypatch):
-        good = reciprocal_numerators(3)
-        monkeypatch.setattr(besselseries, "reciprocal_numerators",
-                            lambda order: good[:2] + [good[2] + ONE, good[3]])
+        good = bessel_coefficients(3)
+        monkeypatch.setattr(besselseries, "csv_recurrence",
+                            lambda seeds, order: good[:2] + [good[2] + ONE, good[3]])
         with pytest.raises(ArithmeticError, match="z\\^2"):
             bessel_coefficients(3)
 
     def test_negative_order_rejected(self):
         with pytest.raises(ValueError):
-            reciprocal_numerators(-1)
+            bessel_coefficients(-1)
 
     def test_order_beyond_the_bound_does_no_work(self, monkeypatch):
         def fail(*args, **kwargs):

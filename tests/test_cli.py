@@ -11,7 +11,6 @@ from qsegre import permstats, symfrob
 from qsegre.cli import main
 from qsegre.exactalg import ONE, QPolynomial
 from qsegre.subspace import prime_power
-from qsegre.symfrob import CharacterTable2
 
 
 class TestPrimePower:
@@ -198,6 +197,34 @@ class TestBoundsBeforeWork:
                 assert err == (f"error: at least {q}^{power * e} {what} exceed "
                                "the bound 100000\n")
 
+    def test_a_raised_count_bound_prints_no_count_past_the_digit_limit(
+            self, capsys, monkeypatch):
+        # Python converts ints of at most 4300 digits to str.  At (169, 2)
+        # the square's q^e = 2^14280 is within a 4300-digit bound, and the
+        # exact total, about 25 q^e, has 4301 digits
+        bound = "9" * 4300
+        code, out, err = run(capsys, "segre", "--n", "169", "--q", "2",
+                             "--count-bound", bound)
+        assert (code, out) == (2, "")
+        assert err.splitlines()[-1] == (
+            f"error: more than {bound} pairs of the Segre square exceed "
+            f"the bound {bound}")
+        # at (238, 3), q^e = 3^14161 is over a 4299-digit bound but e bits
+        # are not: the exact total has about 6800 digits, and summing it
+        # took most of a second
+        import time
+        from qsegre import subspace
+        monkeypatch.setattr(subspace, "_gaussian_count", fail_if_called)
+        bound = "9" * 4299
+        start = time.perf_counter()
+        code, out, err = run(capsys, "lattice", "--n", "238", "--q", "3",
+                             "--count-bound", bound)
+        assert time.perf_counter() - start < 1.0
+        assert (code, out) == (2, "")
+        warning, error = err.splitlines()
+        assert warning.startswith("warning: subspace count bound raised")
+        assert error == f"error: at least 3^14161 subspaces exceed the bound {bound}"
+
     def test_negative_count_bound_does_no_work(self, capsys, monkeypatch):
         from qsegre import subspace
         monkeypatch.setattr(subspace, "FiniteField", fail_if_called)
@@ -379,10 +406,18 @@ class TestBrokenLabeling:
         swapped[(bottom, atom)], swapped[(atom, top)] = (
             labels[(atom, top)], labels[(bottom, atom)])
         monkeypatch.setattr(cli, "_lattice", lambda *args: (p, swapped))
+        violation = "0 increasing maximal chains in [(), ((1, 0), (0, 1))]"
         code, out, err = run(capsys, "verify", "el", "--n", "2", "--q", "2")
         assert (code, out, err) == (
-            1, "FAIL el: lattice n=2 q=2: 0 increasing maximal chains "
-               "in [(), ((1, 0), (0, 1))]\n", "")
+            1, f"FAIL el: lattice n=2 q=2: {violation}\n", "")
+        code, out, err = run(capsys, "lattice", "--n", "2", "--q", "2",
+                             "--check-el")
+        assert (code, out.splitlines()[-1], err) == (
+            1, f"  EL check: FAIL {violation}", "")
+        code, out, err = run(capsys, "lattice", "--n", "2", "--q", "2",
+                             "--check-el", "--json")
+        assert (code, json.loads(out)["el"], err) == (
+            1, {"pass": False, "violation": violation}, "")
         code, out, _ = run(capsys, "lattice", "--n", "2", "--q", "2", "--json")
         elements = json.loads(out)["poset"]["elements"]
         assert elements[bottom] == "()" and elements[top] == "((1, 0), (0, 1))"
@@ -397,9 +432,8 @@ class TestBrokenHomology:
         def raised_at_three(n):
             table = true_table(n)
             if n == 3:
-                values = dict(table.values)
-                values[((3,), (3,))] += 1
-                table = CharacterTable2(3, 3, values)
+                table = dict(table)
+                table[((3,), (3,))] += 1
             return table
         monkeypatch.setattr(symfrob, "lefschetz_character", raised_at_three)
         code, out, err = run(capsys, "verify", "thm31", "--n", "3")
@@ -511,6 +545,8 @@ class TestGoldenDocuments:
     @pytest.mark.parametrize("argv, name", [
         (("bessel", "--order", "4"), "bessel_order4.out"),
         (("frobenius", "--n", "3"), "frobenius_n3.out"),
+        (("bessel", "--order", "7"), "bessel_order7.out"),
+        (("frobenius", "--n", "7"), "frobenius_n7.out"),
     ])
     def test_rational_documents_are_byte_identical(self, capsys, argv, name):
         code, out, err = run(capsys, *argv)
@@ -727,6 +763,15 @@ class TestConsoleEntry:
              "print('concurrent.futures' in sys.modules)"],
             capture_output=True, text=True, env=child_env())
         assert (proc.returncode, proc.stdout, proc.stderr) == (0, "False\n", "")
+
+    def test_import_leaves_dataclasses_and_inspect_unloaded(self):
+        # dataclasses loads inspect, which loads ast, dis and tokenize:
+        # several milliseconds of every fresh process
+        proc = subprocess.run(
+            [sys.executable, "-c", "import sys, qsegre.cli; "
+             "print([m for m in ('dataclasses', 'inspect') if m in sys.modules])"],
+            capture_output=True, text=True, env=child_env())
+        assert (proc.returncode, proc.stdout, proc.stderr) == (0, "[]\n", "")
 
     @pytest.mark.parametrize("argv", [
         ("wq", "--n", "2"),  # fits the buffer: fails at the final flush

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qsegre.poset import (FACE_COUNT_BOUND, ChainReport, GradedPoset, chain_report, chains_by_dimension,
+from qsegre.poset import (FACE_COUNT_BOUND, GradedPoset, chain_report, chains_by_dimension,
                           check_el_labeling,
                           descending_chain_count, mobius_number,
                           order_chain_counts, product_order_less, proper_part,
@@ -126,7 +126,8 @@ class TestGradedPoset:
     def test_maximal_chain_count_of_boolean_lattice(self):
         p, labels = boolean_lattice_labeled(4)
         assert sum(1 for _ in maximal_chains(p)) == 24
-        assert chain_report(p, labels).total == 24
+        words, _, _ = chain_report(p, labels)
+        assert sum(words.values()) == 24
 
 
 class TestSegreProduct:
@@ -269,17 +270,17 @@ class TestELLabeling:
         broken[culprit] = (2, 2)
         ok, violation = check_el_labeling(s, broken)
         assert not ok
-        assert violation.lower == ((), ()) and violation.upper == ((1, 2), (1, 2))
+        assert violation.endswith(" in [((), ()), ((1, 2), (1, 2))]")
 
 
 class TestChainReport:
     def test_boolean_lattice_words_are_permutations(self):
         p, labels = boolean_lattice_labeled(3)
-        report = chain_report(p, labels)
-        assert report.total == 6
-        assert all(count == 1 for count in report.by_label_word.values())
-        assert report.increasing_count == 1
-        assert report.descending_count == 1  # only the reversed word
+        words, increasing, descending = chain_report(p, labels)
+        assert sum(words.values()) == 6
+        assert all(count == 1 for count in words.values())
+        assert increasing == 1
+        assert descending == 1  # only the reversed word
 
     def test_segre_square_descending_chains_are_the_pair_count(self):
         # at q = 1 the descending count is the no-common-ascent pair count
@@ -289,16 +290,15 @@ class TestChainReport:
         pair_labels = {(a, b): (labels[(index[s.names[a][0]], index[s.names[b][0]])],
                                 labels[(index[s.names[a][1]], index[s.names[b][1]])])
                        for a, b in s.covers}
-        report = chain_report(s, pair_labels)
-        assert report.total == 4
-        assert report.descending_count == 3
-        assert report.increasing_count == 1
+        words, increasing, descending = chain_report(s, pair_labels)
+        assert sum(words.values()) == 4
+        assert descending == 3
+        assert increasing == 1
 
     def test_counts_sum_to_total(self):
         p, labels = boolean_lattice_labeled(3)
-        report = chain_report(p, labels)
-        assert isinstance(report, ChainReport)
-        assert sum(report.by_label_word.values()) == report.total
+        words, _, _ = chain_report(p, labels)
+        assert sum(words.values()) == sum(1 for _ in maximal_chains(p))
 
 
 class TestUnboundedPosets:
@@ -334,13 +334,12 @@ class TestUnboundedPosets:
         labels = {(0, 1): 1, (0, 2): 1, (1, 3): 2, (1, 4): 2, (2, 4): 3}
         ok, violation = check_el_labeling(p, labels)
         assert not ok
-        assert (violation.lower, violation.upper) == ("0", "y")
-        assert violation.reason == "2 increasing maximal chains"
+        assert violation == "2 increasing maximal chains in [0, y]"
         assert (ok, violation) == el_check_by_intervals(p, labels)
 
     def test_single_element(self):
         report = chain_report(GradedPoset(["x"], [0], []), {})
-        assert report == ChainReport({(): 1}, 1, 1)
+        assert report == ({(): 1}, 1, 1)
         assert descending_chain_count(GradedPoset(["x"], [0], []), {}) == 1
 
 
@@ -375,7 +374,7 @@ class TestKernelsAgainstOracles:
         assert check_el_labeling(p, labels) == el_check_by_intervals(p, labels)
         report = chain_report_by_enumeration(p, labels)
         assert chain_report(p, labels) == report
-        assert descending_chain_count(p, labels) == report.descending_count
+        assert descending_chain_count(p, labels) == report[2]
 
     @given(st.randoms(use_true_random=False), st.booleans())
     @settings(max_examples=100, deadline=None)
@@ -387,7 +386,7 @@ class TestKernelsAgainstOracles:
         report = _outcome(chain_report_by_enumeration, p, labels)
         assert _outcome(chain_report, p, labels) == report
         assert _outcome(descending_chain_count, p, labels) == (
-            report if isinstance(report, str) else report.descending_count)
+            report if isinstance(report, str) else report[2])
 
     @given(st.sampled_from(EL_INSTANCES), st.randoms(use_true_random=False),
            st.integers(0, 3))
@@ -407,7 +406,7 @@ class TestKernelsAgainstOracles:
             assert result == (True, None)
         report = chain_report_by_enumeration(p, relabeled)
         assert chain_report(p, relabeled) == report
-        assert descending_chain_count(p, relabeled) == report.descending_count
+        assert descending_chain_count(p, relabeled) == report[2]
 
     @given(st.integers(1, 6), st.integers(1, 7), st.integers(0, 5),
            st.randoms(use_true_random=False))
