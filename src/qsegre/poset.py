@@ -2,17 +2,22 @@
 edge labelings with the lexicographic shelling property, and rational
 homology of order complexes.
 
-Elements are dense integer ids with opaque display names.  Cover relations
-must raise rank by exactly one (everything in scope is graded), which also
-rules out cycles.  An edge labeling is a dict from each cover (a, b) to its
-label: an integer, or a pair on a Segre square.  The label order follows
-the label type (product_order_less): integers in their order, pairs
-componentwise.  Label words are compared lexicographically in plain tuple
-order, so pairs by first component, then second.
+Elements are dense integer ids with opaque display names.  A poset holds
+its covers once, as each element's sorted upper and lower covers; the
+sorted tuple of cover pairs is derived on demand.  Cover relations must
+raise rank by exactly one (everything in scope is graded), which also
+rules out cycles.  An edge labeling is a list with one entry per element
+x: x's upper covers grouped by label, as (label, ys) groups that partition
+them.  A label is an integer, or a pair on a Segre square, and each
+kernel that takes a labeling refuses one whose groups do not partition
+every element's upper covers.  The label order follows the label type
+(product_order_less): integers in their order, pairs componentwise.  Label
+words are compared lexicographically in plain tuple order, so pairs by
+first component, then second.
 
 No kernel enumerates maximal chains: the EL check, the descending count and
-the chain tally are dynamic programs over the covers, so their cost grows
-with the covers times the distinct labels or label words.  Only
+the chain tally are dynamic programs over the label groups, so their cost
+grows with the covers times the distinct labels or label words.  Only
 mobius_number, order_chain_counts and strictly_above (so also
 chains_by_dimension) build the quadratic reachability bitsets, one mask per
 element; their queries walk only the set bits (`mask & -mask`).  Betti
@@ -54,36 +59,68 @@ def _set_bits(mask: int) -> list[int]:
     return out
 
 
+def _names_and_ranks(names, ranks) -> tuple[tuple, tuple[int, ...]]:
+    names, ranks = tuple(names), tuple(int(r) for r in ranks)
+    if len(names) != len(ranks):
+        raise ValueError("names and ranks must have equal length")
+    return names, ranks
+
+
 class GradedPoset:
 
-    __slots__ = ("names", "ranks", "covers", "_up", "_down",
+    __slots__ = ("names", "ranks", "_up", "_down",
                  "_above", "_below", "_bottom", "_top")
 
     def __init__(self, names, ranks, covers):
-        self.names = tuple(names)
-        self.ranks = tuple(int(r) for r in ranks)
-        if len(self.names) != len(self.ranks):
-            raise ValueError("names and ranks must have equal length")
-        m = len(self.names)
-        covers = tuple(covers)
-        if not (set(map(type, covers)) <= {tuple}
-                and set(map(type, chain.from_iterable(covers))) <= {int}
-                and all(map(operator.lt, covers, islice(covers, 1, None)))):
-            # not already a strictly increasing sequence of int pairs
-            covers = tuple(sorted({(int(a), int(b)) for a, b in covers}))
-        ranks, up, down = self.ranks, [[] for _ in range(m)], [[] for _ in range(m)]
-        for a, b in covers:
-            if not (0 <= a < m and 0 <= b < m):
+        """covers: any iterable of (a, b) index pairs, in any order and with
+        repeats; each must be in range and raise rank by exactly one."""
+        names, ranks = _names_and_ranks(names, ranks)
+        up = [[] for _ in names]
+        for a, b in sorted({(int(a), int(b)) for a, b in covers}):
+            if not 0 <= a < len(up):
                 raise ValueError(f"cover ({a},{b}) out of range")
-            if ranks[b] != ranks[a] + 1:
-                raise ValueError(f"cover ({a},{b}) must raise rank by exactly 1")
             up[a].append(b)
-            down[b].append(a)
-        self.covers, self._up, self._down = covers, up, down
+        self._link(names, ranks, up)
+
+    @classmethod
+    def from_upper_covers(cls, names, ranks, up) -> "GradedPoset":
+        """The poset whose element a has the upper covers up[a], a list of
+        ints in any order and with repeats; checked as the constructor
+        checks its pairs.  A strictly increasing list is kept as it is."""
+        names, ranks = _names_and_ranks(names, ranks)
+        if len(up) != len(names):
+            raise ValueError("one list of upper covers per element")
+        self = cls.__new__(cls)
+        self._link(names, ranks,
+                   [ups if all(map(operator.lt, ups, islice(ups, 1, None)))
+                    else sorted(set(ups)) for ups in up])
+        return self
+
+    def _link(self, names, ranks, up) -> None:
+        """Check and keep the sorted, repeat-free upper cover lists up."""
+        self.names, self.ranks, m = names, ranks, len(names)
+        down = [[] for _ in range(m)]
+        for a, ups in enumerate(up):
+            if not ups:
+                continue
+            if ups[0] < 0 or ups[-1] >= m:
+                b = next(b for b in ups if not 0 <= b < m)
+                raise ValueError(f"cover ({a},{b}) out of range")
+            r = ranks[a] + 1
+            for b in ups:
+                if ranks[b] != r:
+                    raise ValueError(f"cover ({a},{b}) must raise rank by exactly 1")
+                down[b].append(a)
+        self._up, self._down = up, down
         self._above = None
         self._below = None
         self._bottom = -2  # -2: not computed yet; None: absent
         self._top = -2
+
+    @property
+    def covers(self) -> tuple[tuple[int, int], ...]:
+        """Every cover (a, b), in sorted order."""
+        return tuple((a, b) for a, ups in enumerate(self._up) for b in ups)
 
     def __len__(self) -> int:
         return len(self.names)
@@ -140,41 +177,41 @@ class GradedPoset:
         return out
 
 
-def segre_product(p: GradedPoset, p_labels: dict, q: GradedPoset,
-                  q_labels: dict) -> tuple[GradedPoset, dict]:
+def segre_product(p: GradedPoset, p_labels: list, q: GradedPoset,
+                  q_labels: list) -> tuple[GradedPoset, list]:
     """Induced subposet of the product on pairs of equal rank, with its
     covers labeled by the pairs of the factors' labels.  As both factors are
     graded, its covers are the pairs of covers.  Pair (i, j) is numbered
     start[i] + jpos[j]: start[i] sums the sizes of q's rank blocks over the
     elements before i, jpos[j] is j's place in its rank block.  So the
-    covers come out sorted, pair by pair and up(i) x up(j) within one; each
-    cover tuple is also its label's key, and the label pairs are interned."""
+    upper covers of (i, j), up(i) x up(j), come out sorted, and its label
+    groups are the products of the factors' groups: label (a, b) goes with
+    the covers cs x ds of a's group cs at i and b's group ds at j.  Each
+    pair label is one shared tuple."""
     blocks: dict[int, list[int]] = {}
     jpos = []
     for j, r in enumerate(q.ranks):
         jpos.append(len(blocks.setdefault(r, [])))
         blocks[r].append(j)
     start = list(accumulate((len(blocks.get(r, ())) for r in p.ranks), initial=0))
-    q_up = [[(jpos[d], q_labels[(j, d)]) for d in ups]
-            for j, ups in enumerate(q._up)]
-    p_up = [[(start[c], p_labels[(i, c)]) for c in ups]
-            for i, ups in enumerate(p._up)]
-    q_values = {b for ups in q_up for _, b in ups}
-    interned = {a: {b: (a, b) for b in q_values}
-                for a in {a for ups in p_up for _, a in ups}}
-    names, ranks, covers, labels = [], [], [], {}
+    p_up = [[start[c] for c in ups] for ups in p._up]
+    q_up = [[jpos[d] for d in ups] for ups in q._up]
+    p_groups = [[(a, [start[c] for c in cs]) for a, cs in groups]
+                for groups in p_labels]
+    q_groups = [[(b, [jpos[d] for d in ds]) for b, ds in groups]
+                for groups in q_labels]
+    q_values = {b for groups in q_groups for b, _ in groups}
+    pairs = {a: {b: (a, b) for b in q_values}
+             for a in {a for groups in p_groups for a, _ in groups}}
+    names, ranks, up, labels = [], [], [], []
     for i, r in enumerate(p.ranks):
         for j in blocks.get(r, ()):
-            x = len(names)
             names.append((p.names[i], q.names[j]))
             ranks.append(r)
-            for s, a in p_up[i]:
-                pairs = interned[a]
-                for t, b in q_up[j]:
-                    cover = (x, s + t)
-                    covers.append(cover)
-                    labels[cover] = pairs[b]
-    return GradedPoset(names, ranks, covers), labels
+            up.append([s + t for s in p_up[i] for t in q_up[j]])
+            labels.append([(pairs[a][b], [s + t for s in ss for t in ts])
+                           for a, ss in p_groups[i] for b, ts in q_groups[j]])
+    return GradedPoset.from_upper_covers(names, ranks, up), labels
 
 
 def proper_part(p: GradedPoset) -> GradedPoset:
@@ -183,12 +220,12 @@ def proper_part(p: GradedPoset) -> GradedPoset:
     if bottom is None or top is None:
         raise ValueError("proper part requires both a bottom and a top")
     keep = [i for i in range(len(p)) if i not in (bottom, top)]
-    remap = {old: new for new, old in enumerate(keep)}
-    names = [p.names[i] for i in keep]
-    ranks = [p.ranks[i] for i in keep]
-    covers = [(remap[a], remap[b]) for a, b in p.covers
-              if a in remap and b in remap]
-    return GradedPoset(names, ranks, covers)
+    remap = [-1] * len(p)
+    for new, old in enumerate(keep):
+        remap[old] = new
+    return GradedPoset.from_upper_covers(
+        [p.names[i] for i in keep], [p.ranks[i] for i in keep],
+        [[remap[b] for b in p._up[i] if b != top] for i in keep])
 
 
 def mobius_number(p: GradedPoset) -> int:
@@ -249,22 +286,45 @@ def product_order_less(a, b) -> bool:
     return a < b
 
 
-def _up_by_label(p: GradedPoset, labels: dict):
-    """Each element's upper covers as (label id, covers) groups, the ids
+def _check_labels(p: GradedPoset, labels: list) -> None:
+    """ValueError unless labels[x]'s groups partition the upper covers of
+    each element x: it names the first cover without a label, else the
+    first labeled pair that is not a cover, else a cover labeled twice."""
+    if len(labels) != len(p):
+        raise ValueError(f"labeling of {len(labels)} elements on a poset of "
+                         f"{len(p)}")
+
+    def name(y):
+        return p.names[y] if 0 <= y < len(p) else y
+
+    for x, (ups, groups) in enumerate(zip(p._up, labels)):
+        labeled = sorted(chain.from_iterable(ys for _, ys in groups))
+        if labeled == ups:
+            continue
+        seen, covers = set(labeled), set(ups)
+        for y in ups:
+            if y not in seen:
+                raise ValueError(f"cover ({p.names[x]}, {name(y)}) has no label")
+        for y in labeled:
+            if y not in covers:
+                raise ValueError(f"labeled pair ({p.names[x]}, {name(y)}) "
+                                 "is not a cover")
+        y = next(y for y, z in zip(labeled, labeled[1:]) if y == z)
+        raise ValueError(f"cover ({p.names[x]}, {name(y)}) has more than "
+                         "one label")
+
+
+def _label_ids(p: GradedPoset, labels: list):
+    """The label groups with each label replaced by its id, the ids
     numbering the distinct labels in ascending order, and the table
-    less[s][t] of product_order_less on ids; ValueError if a cover has no
-    label."""
-    by_label: list[dict] = [{} for _ in range(len(p))]
-    for edge in p.covers:
-        if edge not in labels:
-            a, b = edge
-            raise ValueError(f"cover ({p.names[a]}, {p.names[b]}) has no label")
-        by_label[edge[0]].setdefault(labels[edge], []).append(edge[1])
-    distinct = sorted({label for groups in by_label for label in groups})
+    less[s][t] of product_order_less on ids; ValueError unless the groups
+    partition the covers (see _check_labels)."""
+    _check_labels(p, labels)
+    distinct = sorted({label for groups in labels for label, _ in groups})
     ids = {label: t for t, label in enumerate(distinct)}
     less = [[product_order_less(s, t) for t in distinct] for s in distinct]
-    return [[(ids[label], ys) for label, ys in groups.items()]
-            for groups in by_label], less
+    return [[(ids[label], ys) for label, ys in groups]
+            for groups in labels], less
 
 
 def _push_from(up, lo, admits):
@@ -306,7 +366,7 @@ def _push_from(up, lo, admits):
 
 
 def check_el_labeling(p: GradedPoset,
-                      labels: dict) -> tuple[bool, Optional[str]]:
+                      labels: list) -> tuple[bool, Optional[str]]:
     """Every closed interval must have a unique increasing maximal chain that
     lexicographically precedes all others: (True, None), or (False, "<reason>
     in [<lower>, <upper>]") for the first offender by element names, taken
@@ -318,7 +378,7 @@ def check_el_labeling(p: GradedPoset,
     increasing chain's, and no other chain shares it, since a chain with an
     increasing word is itself increasing.
     """
-    up, less = _up_by_label(p, labels)
+    up, less = _label_ids(p, labels)
     for lo in range(len(p)):
         increasing, rising = _push_from(up, lo, less)
         for hi in sorted(increasing):
@@ -333,14 +393,15 @@ def check_el_labeling(p: GradedPoset,
     return True, None
 
 
-def chain_report(p: GradedPoset, labels: dict) -> tuple[dict, int, int]:
+def chain_report(p: GradedPoset, labels: list) -> tuple[dict, int, int]:
     """Maximal chains from bottom to top as (words, increasing, descending):
     the count of each label word, and of the increasing and descending ones.
 
-    words[y] maps each label word of the chains from the bottom to y to
-    their number: the sum over the lower covers x of y of words[x] with the
-    label of x -> y appended.  Each distinct word at the top is then
-    classified once as increasing and as descending.
+    words[x] maps each label word of the chains from the bottom to x to
+    their number.  Taken in rank order, each label group (label, ys) of x
+    adds words[x] with label appended to words[y] for every y in ys, so
+    each word is extended once per group.  Each distinct word at the top is
+    then classified once as increasing and as descending.
     """
     bottom = p.bottom_index()
     if bottom is None:
@@ -348,17 +409,21 @@ def chain_report(p: GradedPoset, labels: dict) -> tuple[dict, int, int]:
     top = p.top_index()
     if top is None:
         raise ValueError("poset has no top element")
-    words = {bottom: {(): 1}}
-    for y in sorted(range(len(p)), key=lambda e: p.ranks[e]):
-        if y == bottom:
-            continue
-        tally: dict = {}
-        for x in p._down[y]:
-            label = labels[(x, y)]
-            for word, count in words[x].items():
-                key = word + (label,)
-                tally[key] = tally.get(key, 0) + count
-        words[y] = tally
+    _check_labels(p, labels)
+    words: list[Optional[dict]] = [None] * len(p)
+    words[bottom] = {(): 1}
+    for x in sorted(range(len(p)), key=p.ranks.__getitem__):
+        for label, ys in labels[x]:
+            extended = [(word + (label,), count)
+                        for word, count in words[x].items()]
+            for y in ys:
+                tally = words[y]
+                if tally is None:
+                    tally = words[y] = {}
+                for key, count in extended:
+                    tally[key] = tally.get(key, 0) + count
+        if x != top:
+            words[x] = None
     tallies = words[top]
     ascents = {w: [product_order_less(a, b) for a, b in zip(w, w[1:])]
                for w in tallies}
@@ -367,7 +432,7 @@ def chain_report(p: GradedPoset, labels: dict) -> tuple[dict, int, int]:
             sum(c for w, c in tallies.items() if not any(ascents[w])))
 
 
-def descending_chain_count(p: GradedPoset, labels: dict) -> int:
+def descending_chain_count(p: GradedPoset, labels: list) -> int:
     """Maximal chains from bottom to top whose label words have no ascent,
     chain_report's descending count without the words: one push from the
     bottom by last label (see _push_from), each (x, label) sum taken once
@@ -378,7 +443,7 @@ def descending_chain_count(p: GradedPoset, labels: dict) -> int:
     top = p.top_index()
     if top is None:
         raise ValueError("poset has no top element")
-    up, less = _up_by_label(p, labels)
+    up, less = _label_ids(p, labels)
     tallies, _ = _push_from(up, bottom, [[not v for v in row] for row in less])
     return 1 if top == bottom else sum(tallies[top].values())
 
@@ -546,12 +611,18 @@ def _label_to_json(label):
     return list(label) if isinstance(label, tuple) else label
 
 
-def to_interchange(p: GradedPoset, labels: dict) -> dict:
+def to_interchange(p: GradedPoset, labels: list) -> dict:
     """JSON-ready poset document: elements, ranks, covers and labels."""
+    _check_labels(p, labels)
+    doc_labels = {}
+    for x, groups in enumerate(labels):
+        for label, ys in groups:
+            value = _label_to_json(label)
+            for y in ys:
+                doc_labels[f"{x}-{y}"] = value
     return {
         "elements": [str(nm) for nm in p.names],
         "ranks": list(p.ranks),
         "covers": [[a, b] for a, b in p.covers],
-        "labels": {f"{a}-{b}": _label_to_json(labels[(a, b)])
-                   for a, b in p.covers},
+        "labels": doc_labels,
     }

@@ -11,8 +11,9 @@ tuple equality.
 Two conventions coexist on purpose and must not be conflated: the canonical
 RREF basis pivots on the leftmost nonzero coordinates, while the labeling
 reads the rightmost nonzero coordinate of an atom (scaled so that coordinate
-is 1).  Labels are 1-based coordinate indices, held as a dict from each
-cover to its label; on the Segre square they are pairs.
+is 1).  Labels are 1-based coordinate indices; each subspace holds its
+upper covers grouped by the label they gain, as (label, covers) groups; on
+the Segre square the labels are pairs.
 
 The lattice is built from joins alone, without any containment test or
 list of echelon forms.  The upper covers of a subspace x with pivot columns
@@ -235,10 +236,10 @@ def _join(field: FiniteField, rows: tuple[tuple[int, ...], ...],
 
 
 def build_bnq(n: int, field: FiniteField,
-              count_bound: int | None = None) -> tuple[GradedPoset, dict]:
+              count_bound: int | None = None) -> tuple[GradedPoset, list]:
     """The subspace lattice of F_q^n and its rightmost-coordinate labels:
-    each cover x < y maps to the one index in label_set(y) that is not in
-    label_set(x).
+    each cover x < y is labeled by the one index in label_set(y) that is not
+    in label_set(x), and each x holds its upper covers grouped by label.
 
     The lattice is generated from its covers: rank 0 is the zero subspace,
     and rank k+1 is the set of joins x + <v> (see the module docstring) over
@@ -252,27 +253,26 @@ def build_bnq(n: int, field: FiniteField,
     names = [()]
     fsets = [frozenset()]
     points: dict[tuple[int, ...], list] = {}
-    covers = []
-    labels = {}
+    labels = []
+    lower = [0]
     start = 0
     for k in range(n):
-        first = len(covers)
         joins: dict = {}  # each distinct join to itself, then to its index
-        for a in range(start, len(names)):
-            rows = names[a]
+        found = []  # the joins of each x of rank k, in the order of points
+        for rows in names[start:]:
             pivots = tuple(row.index(1) for row in rows)  # rows are RREF
             if pivots not in points:
                 points[pivots] = _points_off(n, pivots, q)
+            found.append([])
             for lead, v in points[pivots]:
                 join = _join(field, rows, pivots, lead, v)
-                covers.append((a, joins.setdefault(join, join)))
+                found[-1].append(joins.setdefault(join, join))
         expected = _gaussian_count(n, k + 1, q)
         if len(joins) != expected:
             raise ArithmeticError(
                 f"rank {k + 1} of B_{n}({q}) holds {len(joins)} joins, not "
                 f"[{n} choose {k + 1}]_{q} = {expected}")
-        start = len(names)
-        for b, rows in enumerate(sorted(joins), start):
+        for b, rows in enumerate(sorted(joins), len(names)):
             if len(rows) != k + 1 or rref_rows(field, n, rows) != rows:
                 raise ArithmeticError(
                     f"join {rows} in rank {k + 1} of B_{n}({q}) is not a "
@@ -280,36 +280,39 @@ def build_bnq(n: int, field: FiniteField,
             joins[rows] = b
             names.append(rows)
             fsets.append(label_set(field, rows))
-        for m in range(first, len(covers)):
-            a, rows = covers[m]
-            b = joins[rows]
-            covers[m] = (a, b)
-            difference = fsets[b] - fsets[a]
-            if len(difference) != 1:
-                raise ArithmeticError(
-                    f"cover {names[a]} < {names[b]} of B_{n}({q}) "
-                    f"gains labels {sorted(difference)}, not exactly one")
-            labels[(a, b)] = next(iter(difference))
+            lower.append(0)
+        for a, joined in enumerate(found, start):
+            groups: dict[int, list[int]] = {}
+            for rows in joined:
+                b = joins[rows]
+                difference = fsets[b] - fsets[a]
+                if len(difference) != 1:
+                    raise ArithmeticError(
+                        f"cover {names[a]} < {names[b]} of B_{n}({q}) "
+                        f"gains labels {sorted(difference)}, not exactly one")
+                groups.setdefault(next(iter(difference)), []).append(b)
+                lower[b] += 1
+            labels.append(list(groups.items()))
+        start += len(found)
+    labels += [[] for _ in range(start, len(names))]
     ranks = [len(rows) for rows in names]
-    lower = [0] * len(names)
-    for _, b in covers:
-        lower[b] += 1
     for b, count in enumerate(lower):
         expected = _gaussian_count(ranks[b], 1, q)
         if count != expected:
             raise ArithmeticError(
                 f"{names[b]} of B_{n}({q}) has {count} lower covers, "
                 f"not [{ranks[b]} choose 1]_{q} = {expected}")
-    return GradedPoset(names, ranks, covers), labels
+    up = [[b for _, ys in groups for b in ys] for groups in labels]
+    return GradedPoset.from_upper_covers(names, ranks, up), labels
 
 
 def build_segre_bnq(n: int, field: FiniteField,
-                    count_bound: int | None = None) -> tuple[GradedPoset, dict]:
+                    count_bound: int | None = None) -> tuple[GradedPoset, list]:
     """Segre square of the subspace lattice, covers labeled by ordered pairs
     under the componentwise order.  Its sum_k N_k^2 pairs, N_k the subspaces
-    of rank k, are held to the subspace count bound before any work.  The
-    pair labels are read from the lattice's labels by factor index in the
-    same pass of segre_product that numbers the pairs and emits the covers."""
+    of rank k, are held to the subspace count bound before any work.  Each
+    pair's label groups are the products of the lattice's label groups, made
+    in the same pass of segre_product that numbers the pairs."""
     check_count_bound(n, field.order, True, count_bound)
     factor = build_bnq(n, field, count_bound)
     return segre_product(*factor, *factor)

@@ -6,7 +6,8 @@ src/qsegre replaced; the tests compare the two.  The rational-function
 identities are checked by evaluation: q is set to enough integers that the
 values pin the polynomial, and everything at a point is a Fraction.  The
 pair oracles compare the ascent sets of every pair of permutations, and
-count inversions pair by pair.  The poset oracles read the order off the
+count inversions pair by pair.  The poset oracles read a labeling as a
+dict from each cover to its label (cover_labels), read the order off the
 covers alone, list every maximal chain
 of every interval, count the chains of the proper part for Hall's theorem,
 and build Segre products by numbering pairs in a dict and labeling them
@@ -272,11 +273,29 @@ def segre_product_by_pairs(p, q):
     return GradedPoset(names, ranks, covers)
 
 
+def cover_labels(labels) -> dict:
+    """A labeling held as label groups, as the dict from each labeled pair
+    to its label; the dict-based oracles read only this form."""
+    return {(x, y): label for x, groups in enumerate(labels)
+            for label, ys in groups for y in ys}
+
+
+def grouped(p, labels: dict) -> list:
+    """A dict from pairs to labels as label groups: each element's pairs
+    grouped by label, in ascending order within a group.  A cover missing
+    from the dict, or a pair that is not a cover, is kept as it is."""
+    groups = [{} for _ in range(len(p))]
+    for (x, y), label in sorted(labels.items()):
+        groups[x].setdefault(label, []).append(y)
+    return [list(by_label.items()) for by_label in groups]
+
+
 def segre_labels_by_names(square, p, p_labels, q, q_labels):
     """The pair labels of a Segre square, each factor label found through
     the factor index of the element's name."""
     p_index = {name: i for i, name in enumerate(p.names)}
     q_index = {name: j for j, name in enumerate(q.names)}
+    p_labels, q_labels = cover_labels(p_labels), cover_labels(q_labels)
     labels = {}
     for a, b in square.covers:
         (xa, ya), (xb, yb) = square.names[a], square.names[b]
@@ -296,15 +315,15 @@ def reduced_euler_characteristic(p) -> int:
 
 
 def from_interchange(doc: dict):
-    """The (poset, labels) of a document from to_interchange, with element
-    names as their strings; list labels are read as pair labels."""
+    """The (poset, label groups) of a document from to_interchange, with
+    element names as their strings; list labels are read as pair labels."""
     covers = [tuple(c) for c in doc["covers"]]
     p = GradedPoset(doc["elements"], doc["ranks"], covers)
     labels = {}
     for key, val in doc["labels"].items():
         a, b = key.split("-")
         labels[(int(a), int(b))] = tuple(val) if isinstance(val, list) else val
-    return p, labels
+    return p, grouped(p, labels)
 
 
 def boolean_lattice(n: int) -> GradedPoset:
@@ -324,17 +343,17 @@ def boolean_lattice(n: int) -> GradedPoset:
     return GradedPoset(names, ranks, covers)
 
 
-def boolean_lattice_labeled(n: int) -> tuple[GradedPoset, dict]:
+def boolean_lattice_labeled(n: int) -> tuple[GradedPoset, list]:
     """Boolean lattice with each cover labeled by its added element."""
     p = boolean_lattice(n)
     labels = {}
     for a, b in p.covers:
         (added,) = set(p.names[b]) - set(p.names[a])
         labels[(a, b)] = added
-    return p, labels
+    return p, grouped(p, labels)
 
 
-def segre_boolean_labeled(n: int) -> tuple[GradedPoset, dict]:
+def segre_boolean_labeled(n: int) -> tuple[GradedPoset, list]:
     """Segre square of the labeled boolean lattice, covers labeled by pairs."""
     factor = boolean_lattice_labeled(n)
     return segre_product(*factor, *factor)
@@ -393,6 +412,7 @@ def _ascents(word) -> list[bool]:
 def el_check_by_intervals(p, labels):
     """The EL check by listing every maximal chain of every interval: a
     unique increasing chain whose word precedes every other word."""
+    labels = cover_labels(labels)
     for edge in p.covers:
         if edge not in labels:
             a, b = edge
@@ -414,6 +434,7 @@ def el_check_by_intervals(p, labels):
 
 def chain_report_by_enumeration(p, labels) -> tuple[dict, int, int]:
     """Label-word tallies from one pass over every maximal chain."""
+    labels = cover_labels(labels)
     tallies: dict = {}
     increasing = descending = 0
     for chain in maximal_chains(p):

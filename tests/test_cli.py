@@ -12,6 +12,8 @@ from qsegre.cli import main
 from qsegre.exactalg import ONE, QPolynomial
 from qsegre.subspace import prime_power
 
+from oracles import cover_labels, grouped
+
 
 class TestPrimePower:
     def test_accepts_prime_powers(self):
@@ -402,10 +404,11 @@ class TestBrokenLabeling:
         p, labels = cli._lattice(2, 2, False)
         bottom, top = p.bottom_index(), p.top_index()
         atom = p.names.index(((1, 0),))
-        swapped = dict(labels)
+        swapped = cover_labels(labels)
         swapped[(bottom, atom)], swapped[(atom, top)] = (
-            labels[(atom, top)], labels[(bottom, atom)])
-        monkeypatch.setattr(cli, "_lattice", lambda *args: (p, swapped))
+            swapped[(atom, top)], swapped[(bottom, atom)])
+        monkeypatch.setattr(cli, "_lattice",
+                            lambda *args: (p, grouped(p, swapped)))
         violation = "0 increasing maximal chains in [(), ((1, 0), (0, 1))]"
         code, out, err = run(capsys, "verify", "el", "--n", "2", "--q", "2")
         assert (code, out, err) == (
@@ -654,10 +657,14 @@ class TestGoldenDocuments:
          "segre_n2_q3_chains_el_json.out"),
         (("lattice", "--n", "3", "--q", "2", "--segre", "--chains",
           "--check-el"), "lattice_n3_q2_segre_chains_el.out"),
+        (("segre", "--n", "3", "--q", "2", "--chains", "--check-el", "--json"),
+         "segre_n3_q2_chains_el_json.out"),
     ])
     def test_pair_label_documents_are_byte_identical(self, capsys, argv, name):
         # pair-label words with their increasing and descending counts;
-        # recorded when each caller passed the label order to an EdgeLabeling
+        # recorded when each caller passed the label order to an
+        # EdgeLabeling, and (the rank-3 square's covers, pair labels and
+        # words) when a labeling was a dict from each cover to its label
         code, out, err = run(capsys, *argv)
         assert code == 0 and err == ""
         assert out == (GOLDEN / name).read_text()
@@ -738,7 +745,7 @@ class TestGoldenDocuments:
         rebuilt, labels = from_interchange(json.loads(out)["poset"])
         assert mobius_number(rebuilt) == 8
         # read back as pairs, so ordered componentwise
-        assert {type(label) for label in labels.values()} == {tuple}
+        assert {type(label) for label in cover_labels(labels).values()} == {tuple}
 
 
 def child_env() -> dict:

@@ -19,7 +19,8 @@ from qsegre.subspace import (FiniteField, build_bnq, build_segre_bnq,
 
 from oracles import (boolean_lattice, boolean_lattice_labeled,
                      chain_report_by_enumeration, chains_by_subsets,
-                     el_check_by_intervals, from_interchange, maximal_chains,
+                     cover_labels, el_check_by_intervals, from_interchange,
+                     grouped, maximal_chains,
                      order_from_covers, pair_poset, rank_over_rationals,
                      rational_betti_numbers_by_elimination,
                      reduced_euler_characteristic, segre_boolean_labeled,
@@ -74,7 +75,7 @@ def _random_graded_poset(rng):
     covers = [(a, b) for a in range(len(ranks)) for b in range(len(ranks))
               if ranks[b] == ranks[a] + 1 and rng.random() < 0.6]
     p = GradedPoset([f"v{i}" for i in range(len(ranks))], ranks, covers)
-    return p, {c: rng.randint(1, 3) for c in p.covers}
+    return p, grouped(p, {c: rng.randint(1, 3) for c in p.covers})
 
 
 class TestGradedPoset:
@@ -123,6 +124,23 @@ class TestGradedPoset:
             with pytest.raises(ValueError, match=message):
                 GradedPoset(["a", "b", "c", "d"], [0, 1, 1, 2], given)
 
+    @pytest.mark.parametrize("up, message", [
+        ([[1, 3], [], [], []], r"^cover \(0,3\) must raise rank by exactly 1$"),
+        ([[1], [4], [], []], r"^cover \(1,4\) out of range$"),
+        ([[1, -1], [], [], []], r"^cover \(0,-1\) out of range$"),
+        ([[1], [3], [3]], "^one list of upper covers per element$"),
+    ])
+    def test_bad_upper_cover_lists_raise(self, up, message):
+        with pytest.raises(ValueError, match=message):
+            GradedPoset.from_upper_covers(["a", "b", "c", "d"], [0, 1, 1, 2], up)
+
+    def test_upper_cover_lists_are_normalised(self):
+        p = GradedPoset.from_upper_covers(["a", "b", "c", "d"], [0, 1, 1, 2],
+                                          [[2, 1, 2], [3], [3], []])
+        assert p.covers == ((0, 1), (0, 2), (1, 3), (2, 3))
+        assert p._up == [[1, 2], [3], [3], []]
+        assert p._down == [[], [0], [0], [1, 2]]
+
     def test_maximal_chain_count_of_boolean_lattice(self):
         p, labels = boolean_lattice_labeled(4)
         assert sum(1 for _ in maximal_chains(p)) == 24
@@ -166,10 +184,13 @@ class TestSegreProduct:
         oracle = segre_product_by_pairs(p, q)
         assert (square.names, square.ranks, square.covers) == (
             oracle.names, oracle.ranks, oracle.covers)
-        assert labels == segre_labels_by_names(oracle, p, p_labels, q, q_labels)
-        # one tuple per cover, shared with the label keys; interned labels
-        assert all(key is cover for key, cover in zip(labels, square.covers))
-        values = list(labels.values())
+        assert cover_labels(labels) == segre_labels_by_names(
+            oracle, p, p_labels, q, q_labels)
+        # the groups of each pair have distinct labels and sorted covers,
+        # and each distinct pair label is one object
+        assert all(len({label for label, _ in g}) == len(g) for g in labels)
+        assert all(ys == sorted(ys) for g in labels for _, ys in g)
+        values = [label for g in labels for label, _ in g]
         assert len({id(v) for v in values}) == len(set(values))
 
 
@@ -243,7 +264,7 @@ class TestMobiusAndEuler:
 
 class TestELLabeling:
     def test_two_chain_trivially_el(self):
-        ok, violation = check_el_labeling(two_chain(), {(0, 1): 1})
+        ok, violation = check_el_labeling(two_chain(), [[(1, [1])], []])
         assert ok and violation is None
 
     def test_boolean_lattice_added_element_labeling_is_el(self):
@@ -253,7 +274,7 @@ class TestELLabeling:
 
     def test_missing_label_rejected(self):
         with pytest.raises(ValueError):
-            check_el_labeling(two_chain(), {})
+            check_el_labeling(two_chain(), [[], []])
 
     def test_segre_square_of_boolean_lattice_is_el(self):
         for n in (2, 3):
@@ -266,11 +287,50 @@ class TestELLabeling:
         # increasing chain
         culprit = next((a, b) for a, b in s.covers
                        if s.names[a] == ((1,), (2,)) and s.ranks[b] == 2)
-        broken = dict(labels)
+        broken = cover_labels(labels)
         broken[culprit] = (2, 2)
-        ok, violation = check_el_labeling(s, broken)
+        ok, violation = check_el_labeling(s, grouped(s, broken))
         assert not ok
         assert violation.endswith(" in [((), ()), ((1, 2), (1, 2))]")
+
+
+LABEL_KERNELS = (check_el_labeling, descending_chain_count, chain_report,
+                 to_interchange)
+
+
+class TestLabelingPartition:
+    """Every kernel that takes a labeling refuses one whose groups do not
+    partition each element's upper covers, with one message."""
+
+    @pytest.mark.parametrize("change, message", [
+        (lambda labels: labels.pop((0, 1)),
+         r"^cover \(\(\), \(1,\)\) has no label$"),
+        (lambda labels: labels.update({(0, 3): 1}),
+         r"^labeled pair \(\(\), \(1, 2\)\) is not a cover$"),
+    ])
+    def test_every_kernel_refuses_a_bad_labeling(self, change, message):
+        p, labels = boolean_lattice_labeled(2)
+        assert p.names[:2] == ((), (1,)) and p.names[3] == (1, 2)
+        broken = cover_labels(labels)
+        change(broken)
+        for kernel in LABEL_KERNELS:
+            with pytest.raises(ValueError, match=message):
+                kernel(p, grouped(p, broken))
+
+    def test_a_cover_in_two_groups_is_refused(self):
+        p, labels = boolean_lattice_labeled(2)
+        twice = [list(groups) for groups in labels]
+        twice[0].append((9, [1]))
+        for kernel in LABEL_KERNELS:
+            with pytest.raises(ValueError, match=r"^cover \(\(\), \(1,\)\) "
+                               "has more than one label$"):
+                kernel(p, twice)
+
+    def test_a_labeling_of_another_size_is_refused(self):
+        for kernel in LABEL_KERNELS:
+            with pytest.raises(ValueError, match="^labeling of 1 elements on "
+                               "a poset of 2$"):
+                kernel(two_chain(), [[(1, [1])]])
 
 
 class TestChainReport:
@@ -284,13 +344,14 @@ class TestChainReport:
 
     def test_segre_square_descending_chains_are_the_pair_count(self):
         # at q = 1 the descending count is the no-common-ascent pair count
-        p, labels = boolean_lattice_labeled(2)
-        s, _ = segre_product(p, labels, p, labels)
+        p, groups = boolean_lattice_labeled(2)
+        s, _ = segre_product(p, groups, p, groups)
+        labels = cover_labels(groups)
         index = {name: i for i, name in enumerate(p.names)}
         pair_labels = {(a, b): (labels[(index[s.names[a][0]], index[s.names[b][0]])],
                                 labels[(index[s.names[a][1]], index[s.names[b][1]])])
                        for a, b in s.covers}
-        words, increasing, descending = chain_report(s, pair_labels)
+        words, increasing, descending = chain_report(s, grouped(s, pair_labels))
         assert sum(words.values()) == 4
         assert descending == 3
         assert increasing == 1
@@ -307,7 +368,7 @@ class TestUnboundedPosets:
 
     def test_chain_report_without_a_bottom(self):
         p = GradedPoset(["a", "b", "c"], [0, 0, 1], [(0, 2), (1, 2)])
-        labels = {(0, 2): 1, (1, 2): 2}
+        labels = [[(1, [2])], [(2, [2])], []]
         for kernel in (chain_report, descending_chain_count):
             with pytest.raises(ValueError, match="^poset has no bottom element$"):
                 kernel(p, labels)
@@ -315,7 +376,7 @@ class TestUnboundedPosets:
 
     def test_chain_report_without_a_top(self):
         p = GradedPoset(["a", "b", "c"], [0, 1, 1], [(0, 1), (0, 2)])
-        labels = {(0, 1): 1, (0, 2): 2}
+        labels = [[(1, [1]), (2, [2])], [], []]
         for kernel in (chain_report, descending_chain_count):
             with pytest.raises(ValueError, match="^poset has no top element$"):
                 kernel(p, labels)
@@ -324,29 +385,30 @@ class TestUnboundedPosets:
     def test_chain_report_of_the_empty_poset(self):
         for kernel in (chain_report, descending_chain_count):
             with pytest.raises(ValueError, match="^poset has no bottom element$"):
-                kernel(GradedPoset([], [], []), {})
+                kernel(GradedPoset([], [], []), [])
 
     def test_el_violation_below_two_maximal_elements(self):
         # two tops over one bottom; the interval up to "y" has two
         # increasing chains
         p = GradedPoset(["0", "a", "b", "x", "y"], [0, 1, 1, 2, 2],
                         [(0, 1), (0, 2), (1, 3), (1, 4), (2, 4)])
-        labels = {(0, 1): 1, (0, 2): 1, (1, 3): 2, (1, 4): 2, (2, 4): 3}
+        labels = [[(1, [1, 2])], [(2, [3, 4])], [(3, [4])], [], []]
         ok, violation = check_el_labeling(p, labels)
         assert not ok
         assert violation == "2 increasing maximal chains in [0, y]"
         assert (ok, violation) == el_check_by_intervals(p, labels)
 
     def test_single_element(self):
-        report = chain_report(GradedPoset(["x"], [0], []), {})
+        report = chain_report(GradedPoset(["x"], [0], []), [[]])
         assert report == ({(): 1}, 1, 1)
-        assert descending_chain_count(GradedPoset(["x"], [0], []), {}) == 1
+        assert descending_chain_count(GradedPoset(["x"], [0], []), [[]]) == 1
 
 
 def _random_labels(rng, p, pairs):
     if pairs:
-        return {c: (rng.randint(1, 2), rng.randint(1, 2)) for c in p.covers}
-    return {c: rng.randint(1, 3) for c in p.covers}
+        return grouped(p, {c: (rng.randint(1, 2), rng.randint(1, 2))
+                           for c in p.covers})
+    return grouped(p, {c: rng.randint(1, 3) for c in p.covers})
 
 
 EL_INSTANCES = (
@@ -396,10 +458,11 @@ class TestKernelsAgainstOracles:
         # other labels of the same labeling: valid at 0 changes, often
         # broken in only one interval otherwise
         p, labels = interchange_instance(key)
-        relabeled = dict(labels)
-        values = sorted(set(labels.values()))
+        relabeled = cover_labels(labels)
+        values = sorted(set(relabeled.values()))
         for cover in rng.sample(p.covers, changes):
             relabeled[cover] = rng.choice(values)
+        relabeled = grouped(p, relabeled)
         result = check_el_labeling(p, relabeled)
         assert result == el_check_by_intervals(p, relabeled)
         if changes == 0:
@@ -675,16 +738,16 @@ class TestInterchange:
         assert rebuilt.ranks == p.ranks
         assert rebuilt.covers == p.covers
         assert rebuilt.names == tuple(str(nm) for nm in p.names)
-        assert relabels == labels
+        assert cover_labels(relabels) == cover_labels(labels)
 
     def test_pair_labels_round_trip(self):
         p = GradedPoset(["x", "y"], [0, 1], [(0, 1)])
-        doc = json.loads(json.dumps(to_interchange(p, {(0, 1): (2, 3)})))
+        doc = json.loads(json.dumps(to_interchange(p, [[((2, 3), [1])], []])))
         rebuilt, relabels = from_interchange(doc)
-        assert relabels == {(0, 1): (2, 3)}
+        assert relabels == [[((2, 3), [1])], []]
         # read back as a pair, the label is ordered componentwise
-        assert product_order_less((1, 1), relabels[(0, 1)])
-        assert not product_order_less((3, 1), relabels[(0, 1)])
+        assert product_order_less((1, 1), relabels[0][0][0])
+        assert not product_order_less((3, 1), relabels[0][0][0])
 
 
 INTERCHANGE_INSTANCES = (
@@ -716,5 +779,5 @@ class TestInterchangeProperties:
         assert rebuilt.covers == p.covers
         assert rebuilt.names == tuple(str(nm) for nm in p.names)
         assert mobius_number(rebuilt) == mobius_number(p)
-        assert relabels == labels
+        assert cover_labels(relabels) == cover_labels(labels)
         assert chain_report(rebuilt, relabels) == chain_report(p, labels)

@@ -13,8 +13,9 @@ from qsegre.poset import (chain_report, check_el_labeling, mobius_number,
 from qsegre.subspace import (FiniteField, build_bnq, build_segre_bnq,
                              label_set, rref_rows)
 
-from oracles import (Permutation, contains, covers_by_containment,
-                     enumerate_subspaces, first_irreducible_modulus,
+from oracles import (Permutation, contains, cover_labels,
+                     covers_by_containment, enumerate_subspaces,
+                     first_irreducible_modulus,
                      inversions, label_set_by_atoms,
                      reduced_euler_characteristic, span)
 
@@ -178,7 +179,8 @@ class TestLabels:
             assert len(label_set(F2, s.rows)) == s.dim
 
     def test_edge_label_example(self):
-        p, labels = build_bnq(2, F2)
+        p, groups = build_bnq(2, F2)
+        labels = cover_labels(groups)
         bottom = p.names.index(())
         full = p.names.index(((1, 0), (0, 1)))
         diagonal = span(F2, 2, [(1, 1)])
@@ -187,7 +189,8 @@ class TestLabels:
         assert {labels[(bottom, d)]} == label_set_by_atoms(diagonal)
 
     def test_edge_label_rejects_non_covers(self):
-        p, labels = build_bnq(3, F2)
+        p, groups = build_bnq(3, F2)
+        labels = cover_labels(groups)
         assert set(labels) == set(p.covers)
         assert (p.names.index(()), p.top_index()) not in labels
 
@@ -196,10 +199,12 @@ class TestCoverGeneration:
     @pytest.mark.parametrize("n, field", ORACLE_LATTICES,
                              ids=lambda x: str(getattr(x, "order", x)))
     def test_covers_and_labels_match_the_containment_scan(self, n, field):
-        p, labels = build_bnq(n, field)
+        p, groups = build_bnq(n, field)
+        labels = cover_labels(groups)
         built = {(p.names[a], p.names[b]): labels[(a, b)]
                  for a, b in p.covers}
         assert set(labels) == set(p.covers)
+        assert all(len({label for label, _ in g}) == len(g) for g in groups)
         assert built == covers_by_containment(n, field)
 
     @pytest.mark.parametrize("n, field", ORACLE_LATTICES,
