@@ -31,20 +31,16 @@ def _lattice(n: int, q: int, segre: bool, count_bound=None):
     return build(n, subspace.FiniteField(q), count_bound)
 
 
-def _warn_raised_bound(name: str, value, default) -> None:
-    if value is not None and value > default:
-        print(f"warning: {name} raised to {value} (default {default}); "
-              "expect a long runtime", file=sys.stderr)
-
-
 def _lattice_for(args, faces: bool = False):
     """The lattice or Segre square a compute verb names, after a warning on
     stderr if its subspace count bound was raised, and after the refusals
     that building would make, before any field or subspace is built.  With
     faces, the order complex of its proper part is then held to the face
     bound."""
-    _warn_raised_bound("subspace count bound", args.count_bound,
-                       subspace.SUBSPACE_COUNT_BOUND)
+    default = subspace.SUBSPACE_COUNT_BOUND
+    if args.count_bound is not None and args.count_bound > default:
+        print(f"warning: subspace count bound raised to {args.count_bound} "
+              f"(default {default}); expect a long runtime", file=sys.stderr)
     subspace.prime_power(args.q)
     subspace.check_count_bound(args.n, args.q, args.segre, args.count_bound)
     if faces:
@@ -248,9 +244,8 @@ def _print_polynomial(args, polynomial: exactalg.QPolynomial, doc: dict) -> int:
 
 
 def _cmd_wq(args) -> int:
-    bound = permstats.effective_bound(args.bound)  # refused before any work
-    _warn_raised_bound("enumeration bound", args.bound, permstats.ENUMERATION_BOUND)
-    polynomial = permstats.w_polynomial_recurrence(args.n, bound=bound)
+    polynomial = permstats.w_polynomial_recurrence(args.n)
+    bound = permstats.ENUMERATION_BOUND
     method = "enumeration" if args.n <= bound else "recurrence"
     if method == "recurrence":
         print(f"note: W_{args.n}(q) is recurrence-derived "
@@ -438,10 +433,6 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--k", type=int, required=True)
         p.add_argument("--at", type=int,
                        help="evaluate at this integer q" if wq else None)
-        if wq:
-            p.add_argument("--bound", type=int,
-                           help="override the enumeration bound (larger n fall "
-                                "back to the recurrence; expect long runtimes)")
         _add_json_flag(p)
         p.set_defaults(func=handler)
 

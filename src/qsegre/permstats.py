@@ -17,25 +17,8 @@ from functools import lru_cache
 from .exactalg import ONE, ZERO, QPolynomial, q_power
 
 ENUMERATION_BOUND = 7
-ENUMERATION_CEILING = 9
 RECURRENCE_BOUND = 40
 Q_BINOMIAL_BOUND = 100
-
-
-def effective_bound(bound) -> int:
-    """The enumeration bound in force: ENUMERATION_BOUND by default, and a
-    given bound refused when it is negative or above ENUMERATION_CEILING
-    (W_9 takes about 2 s to enumerate, and each step up costs about n
-    times more)."""
-    if bound is None:
-        return ENUMERATION_BOUND
-    bound = int(bound)
-    if bound < 0:
-        raise ValueError(f"the enumeration bound must be nonnegative, got {bound}")
-    if bound > ENUMERATION_CEILING:
-        raise ValueError(f"the enumeration bound {bound} exceeds the ceiling "
-                         f"{ENUMERATION_CEILING}")
-    return bound
 
 
 def check_enumeration_bound(n: int, name: str = "n") -> None:
@@ -99,7 +82,7 @@ def _w_polynomial_enumerated(n: int) -> QPolynomial:
 def w_polynomial(n: int) -> QPolynomial:
     """Generating polynomial of q^(inv(sigma)+inv(omega)) over the pairs of
     S_n x S_n with no common ascent, computed by full enumeration up to
-    ENUMERATION_BOUND (w_polynomial_recurrence takes a raised bound)."""
+    ENUMERATION_BOUND (w_polynomial_recurrence continues past it)."""
     check_enumeration_bound(n)
     return _w_polynomial_enumerated(n)
 
@@ -172,8 +155,8 @@ def csv_recurrence(seeds: list[QPolynomial], n: int) -> list[QPolynomial]:
     return values
 
 
-def w_polynomial_recurrence(n: int, bound=None) -> QPolynomial:
-    """W_n(q) by enumeration up to the enumeration bound, and past it from
+def w_polynomial_recurrence(n: int) -> QPolynomial:
+    """W_n(q) by enumeration up to ENUMERATION_BOUND, and past it from
     the alternating identity, solved recursively from the enumerated values,
     so enumeration stays the ground truth of the recurrence's base.  This is
     the one place that picks between the two routes.  An n above
@@ -182,11 +165,10 @@ def w_polynomial_recurrence(n: int, bound=None) -> QPolynomial:
     """
     if n < 0:
         raise ValueError("n must be nonnegative")
-    bound = effective_bound(bound)
     if n > RECURRENCE_BOUND:
         raise ValueError(f"n={n} exceeds the recurrence bound {RECURRENCE_BOUND}")
-    if n <= bound:
+    if n <= ENUMERATION_BOUND:
         return _w_polynomial_enumerated(n)
-    seeds = [_w_polynomial_enumerated(m) for m in range(bound + 1)]
+    seeds = [_w_polynomial_enumerated(m) for m in range(ENUMERATION_BOUND + 1)]
     return csv_recurrence(seeds, n)[n]
 

@@ -3,8 +3,9 @@ edge labelings with the lexicographic shelling property, and rational
 homology of order complexes.
 
 Elements are dense integer ids with opaque display names.  A poset holds
-its covers once, as each element's sorted upper and lower covers; the
-sorted tuple of cover pairs is derived on demand.  Cover relations must
+its covers once, as each element's sorted upper covers; the sorted tuple of
+cover pairs is derived on demand, and the unique bottom and top, if any, are
+found once by the constructor.  Cover relations must
 raise rank by exactly one (everything in scope is graded), which also
 rules out cycles.  An edge labeling is a list with one entry per element
 x: x's upper covers grouped by label, as (label, ys) groups that partition
@@ -59,47 +60,25 @@ def _set_bits(mask: int) -> list[int]:
     return out
 
 
-def _names_and_ranks(names, ranks) -> tuple[tuple, tuple[int, ...]]:
-    names, ranks = tuple(names), tuple(int(r) for r in ranks)
-    if len(names) != len(ranks):
-        raise ValueError("names and ranks must have equal length")
-    return names, ranks
-
-
 class GradedPoset:
 
-    __slots__ = ("names", "ranks", "_up", "_down",
-                 "_above", "_below", "_bottom", "_top")
+    __slots__ = ("names", "ranks", "_up", "bottom", "top", "_above", "_below")
 
-    def __init__(self, names, ranks, covers):
-        """covers: any iterable of (a, b) index pairs, in any order and with
-        repeats; each must be in range and raise rank by exactly one."""
-        names, ranks = _names_and_ranks(names, ranks)
-        up = [[] for _ in names]
-        for a, b in sorted({(int(a), int(b)) for a, b in covers}):
-            if not 0 <= a < len(up):
-                raise ValueError(f"cover ({a},{b}) out of range")
-            up[a].append(b)
-        self._link(names, ranks, up)
-
-    @classmethod
-    def from_upper_covers(cls, names, ranks, up) -> "GradedPoset":
-        """The poset whose element a has the upper covers up[a], a list of
-        ints in any order and with repeats; checked as the constructor
-        checks its pairs.  A strictly increasing list is kept as it is."""
-        names, ranks = _names_and_ranks(names, ranks)
-        if len(up) != len(names):
+    def __init__(self, names, ranks, up):
+        """The poset whose element a has the upper covers up[a]: one list of
+        ints per element, in any order and with repeats, each in range and
+        one rank above a.  A strictly increasing list is kept as it is.
+        bottom and top are the unique minimal and maximal elements, or
+        None."""
+        names, ranks = tuple(names), tuple(int(r) for r in ranks)
+        m = len(names)
+        if len(ranks) != m:
+            raise ValueError("names and ranks must have equal length")
+        if len(up) != m:
             raise ValueError("one list of upper covers per element")
-        self = cls.__new__(cls)
-        self._link(names, ranks,
-                   [ups if all(map(operator.lt, ups, islice(ups, 1, None)))
-                    else sorted(set(ups)) for ups in up])
-        return self
-
-    def _link(self, names, ranks, up) -> None:
-        """Check and keep the sorted, repeat-free upper cover lists up."""
-        self.names, self.ranks, m = names, ranks, len(names)
-        down = [[] for _ in range(m)]
+        up = [ups if all(map(operator.lt, ups, islice(ups, 1, None)))
+              else sorted(set(ups)) for ups in up]
+        covered = bytearray(m)
         for a, ups in enumerate(up):
             if not ups:
                 continue
@@ -110,12 +89,13 @@ class GradedPoset:
             for b in ups:
                 if ranks[b] != r:
                     raise ValueError(f"cover ({a},{b}) must raise rank by exactly 1")
-                down[b].append(a)
-        self._up, self._down = up, down
+                covered[b] = 1
+        maxes = [a for a, ups in enumerate(up) if not ups]
+        self.names, self.ranks, self._up = names, ranks, up
+        self.bottom = covered.index(0) if covered.count(0) == 1 else None
+        self.top = maxes[0] if len(maxes) == 1 else None
         self._above = None
         self._below = None
-        self._bottom = -2  # -2: not computed yet; None: absent
-        self._top = -2
 
     @property
     def covers(self) -> tuple[tuple[int, int], ...]:
@@ -139,33 +119,16 @@ class GradedPoset:
 
     def _below_masks(self) -> list[int]:
         if self._below is None:
-            m = len(self.names)
-            below = [0] * m
-            for i in sorted(range(m), key=lambda e: self.ranks[e]):
-                acc = 1 << i
-                for j in self._down[i]:
-                    acc |= below[j]
-                below[i] = acc
+            below = [1 << i for i in range(len(self.names))]
+            for i in sorted(range(len(below)), key=self.ranks.__getitem__):
+                acc = below[i]
+                for j in self._up[i]:
+                    below[j] |= acc
             self._below = below
         return self._below
 
     def strictly_above(self, i: int) -> list[int]:
         return _set_bits(self._above_masks()[i] & ~(1 << i))
-
-    def bottom_index(self) -> Optional[int]:
-        """The unique minimal element (below all others, the poset being
-        finite), or None."""
-        if self._bottom == -2:
-            mins = [i for i, lower in enumerate(self._down) if not lower]
-            self._bottom = mins[0] if len(mins) == 1 else None
-        return self._bottom
-
-    def top_index(self) -> Optional[int]:
-        """The unique maximal element (above all others), or None."""
-        if self._top == -2:
-            maxes = [i for i, upper in enumerate(self._up) if not upper]
-            self._top = maxes[0] if len(maxes) == 1 else None
-        return self._top
 
     def rank_sizes(self) -> list[int]:
         """Element counts per rank value, indexed from rank 0."""
@@ -211,19 +174,19 @@ def segre_product(p: GradedPoset, p_labels: list, q: GradedPoset,
             up.append([s + t for s in p_up[i] for t in q_up[j]])
             labels.append([(pairs[a][b], [s + t for s in ss for t in ts])
                            for a, ss in p_groups[i] for b, ts in q_groups[j]])
-    return GradedPoset.from_upper_covers(names, ranks, up), labels
+    return GradedPoset(names, ranks, up), labels
 
 
 def proper_part(p: GradedPoset) -> GradedPoset:
     """The poset with its bottom and top removed."""
-    bottom, top = p.bottom_index(), p.top_index()
+    bottom, top = p.bottom, p.top
     if bottom is None or top is None:
         raise ValueError("proper part requires both a bottom and a top")
     keep = [i for i in range(len(p)) if i not in (bottom, top)]
     remap = [-1] * len(p)
     for new, old in enumerate(keep):
         remap[old] = new
-    return GradedPoset.from_upper_covers(
+    return GradedPoset(
         [p.names[i] for i in keep], [p.ranks[i] for i in keep],
         [[remap[b] for b in p._up[i] if b != top] for i in keep])
 
@@ -233,7 +196,7 @@ def mobius_number(p: GradedPoset) -> int:
     in rank order.  Each distinct nonzero mu value seen so far keeps a mask
     of its elements, so the sum is sum_v v * |below(x) & class(v)|: one
     popcount per value class, O(m * classes * m/64) word operations."""
-    bottom, top = p.bottom_index(), p.top_index()
+    bottom, top = p.bottom, p.top
     if bottom is None or top is None:
         raise ValueError("Mobius number requires both a bottom and a top")
     below = p._below_masks()
@@ -403,10 +366,9 @@ def chain_report(p: GradedPoset, labels: list) -> tuple[dict, int, int]:
     each word is extended once per group.  Each distinct word at the top is
     then classified once as increasing and as descending.
     """
-    bottom = p.bottom_index()
+    bottom, top = p.bottom, p.top
     if bottom is None:
         raise ValueError("poset has no bottom element")
-    top = p.top_index()
     if top is None:
         raise ValueError("poset has no top element")
     _check_labels(p, labels)
@@ -437,10 +399,9 @@ def descending_chain_count(p: GradedPoset, labels: list) -> int:
     chain_report's descending count without the words: one push from the
     bottom by last label (see _push_from), each (x, label) sum taken once
     and pushed to every upper cover of x with that label."""
-    bottom = p.bottom_index()
+    bottom, top = p.bottom, p.top
     if bottom is None:
         raise ValueError("poset has no bottom element")
-    top = p.top_index()
     if top is None:
         raise ValueError("poset has no top element")
     up, less = _label_ids(p, labels)

@@ -303,7 +303,7 @@ def build_bnq(n: int, field: FiniteField,
                 f"{names[b]} of B_{n}({q}) has {count} lower covers, "
                 f"not [{ranks[b]} choose 1]_{q} = {expected}")
     up = [[b for _, ys in groups for b in ys] for groups in labels]
-    return GradedPoset.from_upper_covers(names, ranks, up), labels
+    return GradedPoset(names, ranks, up), labels
 
 
 def build_segre_bnq(n: int, field: FiniteField,

@@ -270,7 +270,19 @@ def segre_product_by_pairs(p, q):
         for b, d in q.covers:
             if q.ranks[b] == p.ranks[a]:
                 covers.append((index[(a, b)], index[(c, d)]))
-    return GradedPoset(names, ranks, covers)
+    return poset_from_covers(names, ranks, covers)
+
+
+def poset_from_covers(names, ranks, covers):
+    """The GradedPoset with the given (a, b) cover pairs, in any order and
+    with repeats.  A lower element out of range is refused here; the
+    constructor checks the rest."""
+    up = [[] for _ in names]
+    for a, b in covers:
+        if not 0 <= a < len(up):
+            raise ValueError(f"cover ({a},{b}) out of range")
+        up[a].append(b)
+    return GradedPoset(names, ranks, up)
 
 
 def cover_labels(labels) -> dict:
@@ -318,7 +330,7 @@ def from_interchange(doc: dict):
     """The (poset, label groups) of a document from to_interchange, with
     element names as their strings; list labels are read as pair labels."""
     covers = [tuple(c) for c in doc["covers"]]
-    p = GradedPoset(doc["elements"], doc["ranks"], covers)
+    p = poset_from_covers(doc["elements"], doc["ranks"], covers)
     labels = {}
     for key, val in doc["labels"].items():
         a, b = key.split("-")
@@ -340,7 +352,7 @@ def boolean_lattice(n: int) -> GradedPoset:
         for extra in range(1, n + 1):
             if extra not in present:
                 covers.append((i, index[tuple(sorted(nm + (extra,)))]))
-    return GradedPoset(names, ranks, covers)
+    return poset_from_covers(names, ranks, covers)
 
 
 def boolean_lattice_labeled(n: int) -> tuple[GradedPoset, list]:
@@ -376,11 +388,11 @@ def maximal_chains(p, lo=None, hi=None):
     """All saturated chains from lo to hi (bottom and top by default), by
     walking up the covers."""
     if lo is None:
-        lo = p.bottom_index()
+        lo = p.bottom
         if lo is None:
             raise ValueError("poset has no bottom element")
     if hi is None:
-        hi = p.top_index()
+        hi = p.top
         if hi is None:
             raise ValueError("poset has no top element")
     up, above = order_from_covers(p)

@@ -7,9 +7,9 @@ criteria with a stated wall-clock budget assert the elapsed time too.
 import time
 
 from qsegre.besselseries import verify_reciprocal
-from qsegre.exactalg import QPolynomial, q_factorial
-from qsegre.permstats import (verify_q_csv_identity, w_polynomial,
-                              w_polynomial_recurrence)
+from qsegre.exactalg import ONE, QPolynomial, q_factorial
+from qsegre.permstats import (csv_recurrence, verify_q_csv_identity,
+                              w_polynomial)
 from qsegre.poset import (chain_report, check_el_labeling, mobius_number,
                           proper_part, rational_betti_numbers)
 from qsegre.subspace import FiniteField, build_bnq, build_segre_bnq
@@ -78,8 +78,7 @@ def test_criterion_02_alternating_identity_through_six():
 def test_criterion_03_integer_counts_cross_validated():
     start = time.time()
     # the recurrence seeded only with W_0 = 1, at q = 1
-    by_recurrence = [w_polynomial_recurrence(n, bound=0).evaluate(1)
-                     for n in range(5)]
+    by_recurrence = [w.evaluate(1) for w in csv_recurrence([ONE], 4)]
     assert len(enumerate_no_common_ascent(2)) == by_recurrence[2] == 3
     for n in (3, 4):
         assert len(enumerate_no_common_ascent(n)) == by_recurrence[n]

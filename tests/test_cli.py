@@ -48,11 +48,13 @@ class TestComputationCommands:
         assert code == 0 and out.strip() == "8"
 
     def test_wq_beyond_bound_is_labeled(self, capsys):
-        code, out, err = run(capsys, "wq", "--n", "4", "--bound", "3", "--json")
+        code, out, err = run(capsys, "wq", "--n", "8", "--json")
         assert code == 0
         doc = json.loads(out)
         assert doc["method"] == "recurrence"
-        assert "recurrence-derived" in err
+        assert err == "note: W_8(q) is recurrence-derived (enumeration bound 7)\n"
+        code, out, err = run(capsys, "wq", "--n", "7", "--json")
+        assert (code, json.loads(out)["method"], err) == (0, "enumeration", "")
 
     def test_qbinom(self, capsys):
         code, out, _ = run(capsys, "qbinom", "--n", "4", "--k", "2")
@@ -110,8 +112,6 @@ class TestComputationCommands:
         code, _, err = run(capsys, "lattice", "--n", "2", "--q", "2",
                            "--count-bound", "200000")
         assert code == 0 and "long runtime" in err
-        code, _, err = run(capsys, "wq", "--n", "2", "--bound", "8")
-        assert code == 0 and "long runtime" in err
 
 
 def assert_clean_rejection(code, out, err):
@@ -121,10 +121,14 @@ def assert_clean_rejection(code, out, err):
 
 
 class TestBoundsBeforeWork:
-    def test_negative_bound_is_rejected(self, capsys):
-        code, out, err = run(capsys, "wq", "--n", "3", "--bound", "-1")
-        assert_clean_rejection(code, out, err)
-        assert "nonnegative" in err
+    def test_wq_takes_no_enumeration_bound(self, capsys):
+        # the enumeration bound is fixed: W_8 and W_9 by enumeration are the
+        # polynomials the recurrence returns
+        with pytest.raises(SystemExit) as exit_info:
+            main(["wq", "--n", "3", "--bound", "3"])
+        _, err = capsys.readouterr()
+        assert exit_info.value.code == 2
+        assert "unrecognized arguments: --bound 3" in err
 
     def test_verify_csv_beyond_bound_does_no_work(self, capsys, monkeypatch):
         for name in ("perm_stats", "q_binomial", "w_polynomial"):
@@ -311,17 +315,6 @@ class TestBoundsBeforeWork:
             assert err == (f"error: n={argv[1]} exceeds the recurrence "
                            f"bound 40\n")
 
-    def test_wq_bound_above_the_ceiling_does_no_work(self, capsys, monkeypatch):
-        # no warning line either: the ceiling is checked before it
-        for name in ("perm_stats", "_w_polynomial_enumerated"):
-            monkeypatch.setattr(permstats, name, fail_if_called)
-        assert permstats.ENUMERATION_CEILING == 9
-        for n, bound in (("10", "10"), ("3", "12"), ("12", "100")):
-            code, out, err = run(capsys, "wq", "--n", n, "--bound", bound)
-            assert_clean_rejection(code, out, err)
-            assert err == (f"error: the enumeration bound {bound} exceeds "
-                           f"the ceiling 9\n")
-
     def test_qbinom_beyond_its_bound_does_no_work(self, capsys, monkeypatch):
         # unbounded, the q-Pascal rule recursed n deep (n=3000 ended in a
         # RecursionError) and its cache grew about as n^4
@@ -402,7 +395,7 @@ class TestBrokenLabeling:
         # swapped, so that no chain of the whole lattice is increasing
         from qsegre import cli
         p, labels = cli._lattice(2, 2, False)
-        bottom, top = p.bottom_index(), p.top_index()
+        bottom, top = p.bottom, p.top
         atom = p.names.index(((1, 0),))
         swapped = cover_labels(labels)
         swapped[(bottom, atom)], swapped[(atom, top)] = (

@@ -2,8 +2,9 @@ import pytest
 
 from qsegre.exactalg import ONE, QPolynomial, q_factorial
 from qsegre.permstats import (ENUMERATION_BOUND, RECURRENCE_BOUND,
-                              perm_stats, q_binomial, verify_q_csv_identity,
-                              w_polynomial, w_polynomial_recurrence)
+                              csv_recurrence, perm_stats, q_binomial,
+                              verify_q_csv_identity, w_polynomial,
+                              w_polynomial_recurrence)
 
 import itertools
 
@@ -104,9 +105,9 @@ class TestWPolynomial:
             assert all(type(c) is int for c in w_polynomial(n).coeffs)
         assert all(type(c) is int for c in w_polynomial_recurrence(10).coeffs)
 
-    def test_negative_bound_rejected(self):
-        with pytest.raises(ValueError, match="nonnegative"):
-            w_polynomial_recurrence(3, bound=-1)
+    def test_negative_n_rejected(self):
+        with pytest.raises(ValueError, match="^n must be nonnegative$"):
+            w_polynomial_recurrence(-1)
 
     def test_value_at_one_counts_the_pairs(self):
         for n in range(5):
@@ -186,7 +187,7 @@ class TestIdentities:
             assert w_polynomial_recurrence(n) == w_polynomial(n)
 
     def test_recurrence_extends_past_the_bound(self):
-        beyond = w_polynomial_recurrence(5, bound=3)
+        beyond = csv_recurrence([w_polynomial(n) for n in range(4)], 5)[5]
         assert beyond == w_polynomial(5)
 
     def test_omega_recurrence_cross_validates_enumeration(self):
@@ -211,4 +212,4 @@ class TestIdentities:
 
 
 def omega_by_recurrence(n: int) -> int:
-    return w_polynomial_recurrence(n, bound=0).evaluate(1)
+    return csv_recurrence([ONE], n)[n].evaluate(1)

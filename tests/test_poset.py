@@ -12,7 +12,7 @@ from qsegre.poset import (FACE_COUNT_BOUND, GradedPoset, chain_report, chains_by
                           order_chain_counts, product_order_less, proper_part,
                           rational_betti_numbers, segre_product,
                           to_interchange, _element_matching, _morse_boundary,
-                          _rank_of_sparse_rows)
+                          _rank_of_sparse_rows, _set_bits)
 from qsegre.cli import BETTI_MATRIX
 from qsegre.subspace import (FiniteField, build_bnq, build_segre_bnq,
                              proper_face_count)
@@ -21,18 +21,19 @@ from oracles import (boolean_lattice, boolean_lattice_labeled,
                      chain_report_by_enumeration, chains_by_subsets,
                      cover_labels, el_check_by_intervals, from_interchange,
                      grouped, maximal_chains,
-                     order_from_covers, pair_poset, rank_over_rationals,
+                     order_from_covers, pair_poset, poset_from_covers,
+                     rank_over_rationals,
                      rational_betti_numbers_by_elimination,
                      reduced_euler_characteristic, segre_boolean_labeled,
                      segre_labels_by_names, segre_product_by_pairs)
 
 
 def two_chain():
-    return GradedPoset(["bot", "top"], [0, 1], [(0, 1)])
+    return poset_from_covers(["bot", "top"], [0, 1], [(0, 1)])
 
 
 def antichain(k):
-    return GradedPoset([f"a{i}" for i in range(k)], [0] * k, [])
+    return poset_from_covers([f"a{i}" for i in range(k)], [0] * k, [])
 
 
 def _random_bounded_poset(rng, max_width=4, max_depth=3):
@@ -65,7 +66,7 @@ def _random_bounded_poset(rng, max_width=4, max_depth=3):
         for y in below:
             if y not in covered:
                 covers.append((y, rng.choice(here)))
-    return GradedPoset(names, ranks, covers)
+    return poset_from_covers(names, ranks, covers)
 
 
 def _random_graded_poset(rng):
@@ -74,20 +75,27 @@ def _random_graded_poset(rng):
     ranks = [rng.randrange(4) for _ in range(rng.randrange(1, 9))]
     covers = [(a, b) for a in range(len(ranks)) for b in range(len(ranks))
               if ranks[b] == ranks[a] + 1 and rng.random() < 0.6]
-    p = GradedPoset([f"v{i}" for i in range(len(ranks))], ranks, covers)
+    p = poset_from_covers([f"v{i}" for i in range(len(ranks))], ranks, covers)
     return p, grouped(p, {c: rng.randint(1, 3) for c in p.covers})
 
 
 class TestGradedPoset:
     def test_cover_must_raise_rank_by_one(self):
         with pytest.raises(ValueError):
-            GradedPoset(["a", "b"], [0, 2], [(0, 1)])
+            poset_from_covers(["a", "b"], [0, 2], [(0, 1)])
 
     def test_bounds_detection(self):
         p = two_chain()
-        assert p.bottom_index() == 0 and p.top_index() == 1
+        assert p.bottom == 0 and p.top == 1
         a = antichain(3)
-        assert a.bottom_index() is None and a.top_index() is None
+        assert a.bottom is None and a.top is None
+        # a second minimal element at rank 1 leaves no bottom
+        v = GradedPoset(["a", "b", "c"], [0, 1, 1], [[1], [], []])
+        assert v.bottom is None and v.top is None
+        empty = GradedPoset([], [], [])
+        assert empty.bottom is None and empty.top is None
+        single = GradedPoset(["x"], [0], [[]])
+        assert single.bottom == 0 and single.top == 0
 
     def test_order_queries(self):
         b = boolean_lattice(3)
@@ -108,11 +116,10 @@ class TestGradedPoset:
                        [(0, 1), (0, 2), (0, 2), (1, 3), (2, 3)],
                        [[0, 1], [0, 2], [1, 3], [2, 3]],
                        [(0, 1), (0, 2), (True, 3), (2, 3)]):
-            p = GradedPoset(names, ranks, covers)
+            p = poset_from_covers(names, ranks, covers)
             assert p.covers == expected
             assert all(type(x) is int for cover in p.covers for x in cover)
             assert p._up == [[1, 2], [3], [3], []]
-            assert p._down == [[], [0], [0], [1, 2]]
 
     @pytest.mark.parametrize("covers, message", [
         ([(0, 1), (0, 3)], r"^cover \(0,3\) must raise rank by exactly 1$"),
@@ -122,7 +129,7 @@ class TestGradedPoset:
     def test_bad_covers_raise_sorted_or_not(self, covers, message):
         for given in (sorted(covers), sorted(covers, reverse=True)):
             with pytest.raises(ValueError, match=message):
-                GradedPoset(["a", "b", "c", "d"], [0, 1, 1, 2], given)
+                poset_from_covers(["a", "b", "c", "d"], [0, 1, 1, 2], given)
 
     @pytest.mark.parametrize("up, message", [
         ([[1, 3], [], [], []], r"^cover \(0,3\) must raise rank by exactly 1$"),
@@ -132,14 +139,28 @@ class TestGradedPoset:
     ])
     def test_bad_upper_cover_lists_raise(self, up, message):
         with pytest.raises(ValueError, match=message):
-            GradedPoset.from_upper_covers(["a", "b", "c", "d"], [0, 1, 1, 2], up)
+            GradedPoset(["a", "b", "c", "d"], [0, 1, 1, 2], up)
 
     def test_upper_cover_lists_are_normalised(self):
-        p = GradedPoset.from_upper_covers(["a", "b", "c", "d"], [0, 1, 1, 2],
-                                          [[2, 1, 2], [3], [3], []])
+        p = GradedPoset(["a", "b", "c", "d"], [0, 1, 1, 2],
+                        [[2, 1, 2], [3], [3], []])
         assert p.covers == ((0, 1), (0, 2), (1, 3), (2, 3))
         assert p._up == [[1, 2], [3], [3], []]
-        assert p._down == [[], [0], [0], [1, 2]]
+        assert (p.bottom, p.top) == (0, 3)
+
+    def test_names_and_ranks_must_have_equal_length(self):
+        with pytest.raises(ValueError, match="^names and ranks must have "
+                                             "equal length$"):
+            GradedPoset(["a", "b"], [0], [[1], []])
+
+    @given(st.randoms(use_true_random=False))
+    @settings(max_examples=50, deadline=None)
+    def test_below_masks_match_the_order_read_from_the_covers(self, rng):
+        for p in (boolean_lattice(3), _random_graded_poset(rng)[0]):
+            _, above = order_from_covers(p)
+            below = [{x for x in range(len(p)) if y in above[x]}
+                     for y in range(len(p))]
+            assert [set(_set_bits(mask)) for mask in p._below_masks()] == below
 
     def test_maximal_chain_count_of_boolean_lattice(self):
         p, labels = boolean_lattice_labeled(4)
@@ -207,7 +228,7 @@ class TestMobiusAndEuler:
             mobius_number(antichain(3))
 
     def test_euler_characteristic_examples(self):
-        assert reduced_euler_characteristic(GradedPoset([], [], [])) == -1
+        assert reduced_euler_characteristic(poset_from_covers([], [], [])) == -1
         assert reduced_euler_characteristic(antichain(4)) == 3
 
     def test_hall_theorem_on_small_corpus(self):
@@ -239,10 +260,10 @@ class TestMobiusAndEuler:
         _, above = order_from_covers(p)
         mu = {}
         for x in sorted(range(len(p)), key=p.ranks.__getitem__):
-            mu[x] = 1 if x == p.bottom_index() else -sum(
+            mu[x] = 1 if x == p.bottom else -sum(
                 mu[y] for y in mu if y != x and x in above[y])
         assert len(set(mu.values()) - {0}) == 14
-        assert (mobius_number(p) == mu[p.top_index()]
+        assert (mobius_number(p) == mu[p.top]
                 == reduced_euler_characteristic(proper_part(p)))
 
     def test_euler_poincare_on_random_bounded_posets(self):
@@ -367,7 +388,7 @@ class TestUnboundedPosets:
     EL check looks at every interval and needs neither."""
 
     def test_chain_report_without_a_bottom(self):
-        p = GradedPoset(["a", "b", "c"], [0, 0, 1], [(0, 2), (1, 2)])
+        p = poset_from_covers(["a", "b", "c"], [0, 0, 1], [(0, 2), (1, 2)])
         labels = [[(1, [2])], [(2, [2])], []]
         for kernel in (chain_report, descending_chain_count):
             with pytest.raises(ValueError, match="^poset has no bottom element$"):
@@ -375,7 +396,7 @@ class TestUnboundedPosets:
         assert check_el_labeling(p, labels) == (True, None)
 
     def test_chain_report_without_a_top(self):
-        p = GradedPoset(["a", "b", "c"], [0, 1, 1], [(0, 1), (0, 2)])
+        p = poset_from_covers(["a", "b", "c"], [0, 1, 1], [(0, 1), (0, 2)])
         labels = [[(1, [1]), (2, [2])], [], []]
         for kernel in (chain_report, descending_chain_count):
             with pytest.raises(ValueError, match="^poset has no top element$"):
@@ -385,12 +406,12 @@ class TestUnboundedPosets:
     def test_chain_report_of_the_empty_poset(self):
         for kernel in (chain_report, descending_chain_count):
             with pytest.raises(ValueError, match="^poset has no bottom element$"):
-                kernel(GradedPoset([], [], []), [])
+                kernel(poset_from_covers([], [], []), [])
 
     def test_el_violation_below_two_maximal_elements(self):
         # two tops over one bottom; the interval up to "y" has two
         # increasing chains
-        p = GradedPoset(["0", "a", "b", "x", "y"], [0, 1, 1, 2, 2],
+        p = poset_from_covers(["0", "a", "b", "x", "y"], [0, 1, 1, 2, 2],
                         [(0, 1), (0, 2), (1, 3), (1, 4), (2, 4)])
         labels = [[(1, [1, 2])], [(2, [3, 4])], [(3, [4])], [], []]
         ok, violation = check_el_labeling(p, labels)
@@ -399,9 +420,9 @@ class TestUnboundedPosets:
         assert (ok, violation) == el_check_by_intervals(p, labels)
 
     def test_single_element(self):
-        report = chain_report(GradedPoset(["x"], [0], []), [[]])
+        report = chain_report(poset_from_covers(["x"], [0], []), [[]])
         assert report == ({(): 1}, 1, 1)
-        assert descending_chain_count(GradedPoset(["x"], [0], []), [[]]) == 1
+        assert descending_chain_count(poset_from_covers(["x"], [0], []), [[]]) == 1
 
 
 def _random_labels(rng, p, pairs):
@@ -499,7 +520,7 @@ class TestQuadraticBitsets:
 
     def test_cover_kernels_leave_the_masks_unbuilt(self):
         sp, labels = build_segre_bnq(2, FiniteField(3))
-        assert sp.bottom_index() == 0 and sp.top_index() == len(sp) - 1
+        assert sp.bottom == 0 and sp.top == len(sp) - 1
         assert check_el_labeling(sp, labels) == (True, None)
         assert descending_chain_count(sp, labels) == 15  # W_2(3) = 2*3 + 3^2
         assert sp._above is None and sp._below is None
@@ -518,7 +539,7 @@ def rp2_face_poset():
     index = {f: i for i, f in enumerate(faces)}
     covers = [(index[f[:t] + f[t + 1:]], index[f]) for f in faces if len(f) > 1
               for t in range(len(f))]
-    return GradedPoset(faces, [len(f) - 1 for f in faces], covers)
+    return poset_from_covers(faces, [len(f) - 1 for f in faces], covers)
 
 
 def _random_layered_poset(rng):
@@ -528,7 +549,7 @@ def _random_layered_poset(rng):
     ranks = sorted(rng.randrange(4) for _ in range(rng.randrange(1, 12)))
     covers = [(a, b) for a in range(len(ranks)) for b in range(len(ranks))
               if ranks[b] == ranks[a] + 1 and rng.random() < 0.5]
-    return GradedPoset([f"v{i}" for i in range(len(ranks))], ranks, covers)
+    return poset_from_covers([f"v{i}" for i in range(len(ranks))], ranks, covers)
 
 
 def _random_face_poset(rng):
@@ -546,7 +567,7 @@ def _random_face_poset(rng):
     index = {f: i for i, f in enumerate(faces)}
     covers = [(index[f[:t] + f[t + 1:]], index[f]) for f in faces if len(f) > 1
               for t in range(len(f))]
-    return GradedPoset(faces, [len(f) - 1 for f in faces], covers)
+    return poset_from_covers(faces, [len(f) - 1 for f in faces], covers)
 
 
 class TestBetti:
@@ -586,7 +607,7 @@ class TestBetti:
         covers = [(0, 3), (1, 4), (1, 5), (1, 6), (2, 3), (2, 5), (2, 6),
                   (3, 7), (3, 9), (4, 7), (5, 8), (5, 10), (6, 8), (6, 9),
                   (9, 11), (10, 11)]
-        p = GradedPoset([f"v{i}" for i in range(12)], ranks, covers)
+        p = poset_from_covers([f"v{i}" for i in range(12)], ranks, covers)
         chains = chains_by_dimension(p)
         mate = _element_matching(p, chains)
         critical = [[c for c in level if c not in mate] for level in chains]
@@ -618,7 +639,7 @@ class TestBetti:
                 rational_betti_numbers_by_elimination(antichain(k)) == [k - 1]
 
     def test_empty_poset(self):
-        empty = GradedPoset([], [], [])
+        empty = poset_from_covers([], [], [])
         assert rational_betti_numbers(empty) == []
         assert rational_betti_numbers_by_elimination(empty) == []
 
@@ -741,7 +762,7 @@ class TestInterchange:
         assert cover_labels(relabels) == cover_labels(labels)
 
     def test_pair_labels_round_trip(self):
-        p = GradedPoset(["x", "y"], [0, 1], [(0, 1)])
+        p = poset_from_covers(["x", "y"], [0, 1], [(0, 1)])
         doc = json.loads(json.dumps(to_interchange(p, [[((2, 3), [1])], []])))
         rebuilt, relabels = from_interchange(doc)
         assert relabels == [[((2, 3), [1])], []]

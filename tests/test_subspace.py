@@ -192,7 +192,7 @@ class TestLabels:
         p, groups = build_bnq(3, F2)
         labels = cover_labels(groups)
         assert set(labels) == set(p.covers)
-        assert (p.names.index(()), p.top_index()) not in labels
+        assert (p.names.index(()), p.top) not in labels
 
 
 class TestCoverGeneration:
