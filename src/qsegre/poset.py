@@ -18,7 +18,13 @@ first component, then second.
 
 No kernel enumerates maximal chains: the EL check, the descending count and
 the chain tally are dynamic programs over the label groups, so their cost
-grows with the covers times the distinct labels or label words.  Only
+grows with the covers times the distinct labels or label words.  The EL
+check pushes from each lower element, keeping per element its increasing
+chains by last label and its first label word; a caller that knows every
+interval to be label-isomorphic to one above a few lower elements (the
+orbit representatives of a symmetry it has checked) passes those, and a
+failure among them reruns the full check.  The descending count is one
+push from the bottom that keeps tallies only.  Only
 mobius_number, order_chain_counts and strictly_above (so also
 chains_by_dimension) build the quadratic reachability bitsets, one mask per
 element; their queries walk only the set bits (`mask & -mask`).  Betti
@@ -290,16 +296,17 @@ def _label_ids(p: GradedPoset, labels: list):
             for groups in labels], less
 
 
-def _push_from(up, lo, admits):
+def _push_from(up, lo, less, follows):
     """Chains up from lo, pushed layer by layer along upper covers, so only
-    covers above lo are touched.  For y above lo, tallies[y] counts by last
-    label id the chains lo -> y whose consecutive label ids s, t all have
-    admits[s][t], and ok[y] tells whether the lexicographically first word
-    lo -> y has that property.  Words to y have one length, so the first is
-    the first word to a lower cover x of y plus the label of x -> y; it is
-    a number in base len(admits) whose digits are the label ids."""
-    width = len(admits)
-    tallies: dict[int, dict] = {}
+    covers above lo are touched.  For y above lo, tallies[y][t] counts the
+    increasing chains lo -> y whose last label id is t (follows[t] lists
+    the ids s with less[s][t]), and ok[y] tells whether the
+    lexicographically first word lo -> y is increasing.  Words to y have
+    one length, so the first is the first word to a lower cover x of y plus
+    the label of x -> y; it is a number in base len(less) whose digits are
+    the label ids."""
+    width = len(less)
+    tallies: dict[int, list[int]] = {}
     word, ok = {lo: 0}, {lo: True}
     layer = [lo]
     while layer:
@@ -309,27 +316,29 @@ def _push_from(up, lo, admits):
             tally = tallies.get(x)
             base = word[x] * width
             for t, ys in up[x]:
-                extended = 1 if x == lo else sum(
-                    c for s, c in tally.items() if admits[s][t])
+                extended = 1 if x == lo else sum([tally[s] for s in follows[t]])
                 key = base + t
                 for y in ys:
                     known = best.get(y)
                     if known is None:
-                        best[y], via[y], tallies[y] = key, x, {t: extended}
+                        best[y], via[y] = key, x
+                        tallies[y] = row = [0] * width
+                        row[t] = extended
                         continue
                     if key < known:
                         best[y], via[y] = key, x
-                    tallies[y][t] = tallies[y].get(t, 0) + extended
+                    tallies[y][t] += extended
         for y, key in best.items():
             x = via[y]
             word[y] = key
-            ok[y] = ok[x] and (x == lo or admits[word[x] % width][key % width])
+            ok[y] = ok[x] and (x == lo or less[word[x] % width][key % width])
         layer = list(best)
     return tallies, ok
 
 
-def check_el_labeling(p: GradedPoset,
-                      labels: list) -> tuple[bool, Optional[str]]:
+def check_el_labeling(p: GradedPoset, labels: list,
+                      lows: Optional[list[int]] = None
+                      ) -> tuple[bool, Optional[str]]:
     """Every closed interval must have a unique increasing maximal chain that
     lexicographically precedes all others: (True, None), or (False, "<reason>
     in [<lower>, <upper>]") for the first offender by element names, taken
@@ -340,18 +349,27 @@ def check_el_labeling(p: GradedPoset,
     It passes exactly when they number one and it is: that word is then the
     increasing chain's, and no other chain shares it, since a chain with an
     increasing word is itself increasing.
+
+    With lows, only the pushes from lows run: the caller knows every
+    interval to be label-isomorphic to one whose lower element is in lows.
+    If one of them fails, the check reruns from every element, so the first
+    offender and its text are those of the full check.
     """
     up, less = _label_ids(p, labels)
-    for lo in range(len(p)):
-        increasing, rising = _push_from(up, lo, less)
+    follows = [[s for s, row in enumerate(less) if row[t]]
+               for t in range(len(less))]
+    for lo in range(len(p)) if lows is None else lows:
+        increasing, rising = _push_from(up, lo, less, follows)
         for hi in sorted(increasing):
-            found = sum(increasing[hi].values())
+            found = sum(increasing[hi])
             if found != 1:
                 reason = f"{found} increasing maximal chains"
             elif not rising[hi]:
                 reason = "increasing chain is not lexicographically first"
             else:
                 continue
+            if lows is not None:
+                return check_el_labeling(p, labels)
             return False, f"{reason} in [{p.names[lo]}, {p.names[hi]}]"
     return True, None
 
@@ -396,17 +414,37 @@ def chain_report(p: GradedPoset, labels: list) -> tuple[dict, int, int]:
 
 def descending_chain_count(p: GradedPoset, labels: list) -> int:
     """Maximal chains from bottom to top whose label words have no ascent,
-    chain_report's descending count without the words: one push from the
-    bottom by last label (see _push_from), each (x, label) sum taken once
-    and pushed to every upper cover of x with that label."""
+    chain_report's descending count without the words.
+
+    Taken in rank order, tallies[x][s] counts the descending chains from the
+    bottom to x whose last label has id s, and each label group (t, ys) of x
+    adds the sum of tallies[x] over the ids t may follow (those s with no
+    s < t) to tallies[y][t] for every y in ys.  An element's tallies are
+    freed once pushed.  A sum of zero is still pushed, so the top always
+    has its tallies and no descending chain reads 0."""
     bottom, top = p.bottom, p.top
     if bottom is None:
         raise ValueError("poset has no bottom element")
     if top is None:
         raise ValueError("poset has no top element")
     up, less = _label_ids(p, labels)
-    tallies, _ = _push_from(up, bottom, [[not v for v in row] for row in less])
-    return 1 if top == bottom else sum(tallies[top].values())
+    if top == bottom:
+        return 1
+    width = len(less)
+    follows = [[s for s, row in enumerate(less) if not row[t]]
+               for t in range(width)]
+    tallies: list[Optional[list[int]]] = [None] * len(p)
+    # the top has the one largest rank, so it comes last
+    for x in sorted(range(len(p)), key=p.ranks.__getitem__)[:-1]:
+        tally, tallies[x] = tallies[x], None
+        for t, ys in up[x]:
+            extended = 1 if x == bottom else sum(
+                [tally[s] for s in follows[t]])
+            for y in ys:
+                if tallies[y] is None:
+                    tallies[y] = [0] * width
+                tallies[y][t] += extended
+    return sum(tallies[top])
 
 
 def chains_by_dimension(p: GradedPoset) -> list[list[tuple[int, ...]]]:

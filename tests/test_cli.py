@@ -3,7 +3,7 @@ import os
 import pathlib
 import subprocess
 import sys
-from math import factorial
+from math import comb, factorial
 
 import pytest
 
@@ -12,7 +12,7 @@ from qsegre.cli import main
 from qsegre.exactalg import ONE, QPolynomial
 from qsegre.subspace import prime_power
 
-from oracles import cover_labels, grouped
+from oracles import cover_labels, el_check_by_intervals, grouped
 
 
 class TestPrimePower:
@@ -173,9 +173,14 @@ class TestBoundsBeforeWork:
             assert err == f"error: field order {q} exceeds the bound 16\n"
 
     def test_segre_square_beyond_bound_does_no_work(self, capsys, monkeypatch):
+        # refused on its pair count before the field is built, from every
+        # verb that builds a square
         from qsegre import subspace
+        monkeypatch.setattr(subspace, "FiniteField", fail_if_called)
         monkeypatch.setattr(subspace, "_join", fail_if_called)
         for argv, pairs in ((("segre", "--n", "4", "--q", "4"), 141901),
+                            (("verify", "mobius", "--n", "4", "--q", "4"),
+                             141901),
                             (("verify", "el", "--n", "3", "--q", "16",
                               "--segre"), 149060)):
             code, out, err = run(capsys, *argv)
@@ -417,6 +422,115 @@ class TestBrokenLabeling:
         code, out, _ = run(capsys, "lattice", "--n", "2", "--q", "2", "--json")
         elements = json.loads(out)["poset"]["elements"]
         assert elements[bottom] == "()" and elements[top] == "((1, 0), (0, 1))"
+
+
+@pytest.fixture
+def fresh_lattices():
+    """cli's lattice and field caches, empty before and after the test."""
+    from qsegre import cli
+    for cache in (cli._lattice, cli._field):
+        cache.cache_clear()
+    yield cli
+    for cache in (cli._lattice, cli._field):
+        cache.cache_clear()
+
+
+def _with_swapped_factor(monkeypatch, atom_rows, above_rows):
+    """Make build_bnq return B_n(q) with the labels of bottom < atom and
+    atom < above swapped; the square is then built from that factor."""
+    from qsegre import subspace
+    build = subspace.build_bnq
+
+    def swapped(n, field, count_bound=None):
+        p, labels = build(n, field, count_bound)
+        swapped = cover_labels(labels)
+        low = (p.bottom, p.names.index(atom_rows))
+        high = (low[1], p.names.index(above_rows))
+        swapped[low], swapped[high] = swapped[high], swapped[low]
+        return p, grouped(p, swapped)
+    monkeypatch.setattr(subspace, "build_bnq", swapped)
+
+
+class TestBorelOrbitRoute:
+    """EL on a Segre square from the pairs of coordinate subspaces, one in
+    each orbit of the upper triangular group, against the full check."""
+
+    @pytest.mark.parametrize("n, q", [(2, 2), (2, 3), (2, 4), (3, 2), (3, 3)])
+    def test_the_orbit_route_matches_every_interval(
+            self, fresh_lattices, monkeypatch, n, q):
+        from qsegre import poset
+        cli, pushed = fresh_lattices, []
+        check = poset.check_el_labeling
+
+        def spy(p, labels, lows=None):
+            pushed.append(lows)
+            return check(p, labels, lows)
+        monkeypatch.setattr(poset, "check_el_labeling", spy)
+        sp, labels = cli._lattice(n, q, True)
+        assert cli._el_check(n, q, True) == el_check_by_intervals(sp, labels)
+        assert [len(lows) for lows in pushed] == [comb(2 * n, n)]
+
+    def test_a_swap_off_the_symmetry_falls_back_to_every_element(
+            self, fresh_lattices, monkeypatch, capsys):
+        # <(1,1,1)> is in the orbit of <e_3>, so the swapped labels are not
+        # B-invariant: the symmetry check gives None and every element is
+        # pushed from
+        from qsegre import subspace
+        _with_swapped_factor(monkeypatch, ((1, 1, 1),), ((1, 0, 0), (0, 1, 1)))
+        found = []
+        representatives = subspace.borel_representatives
+        monkeypatch.setattr(
+            subspace, "borel_representatives",
+            lambda *args: found.append(representatives(*args)) or found[-1])
+        violation = ("2 increasing maximal chains in [((), ()), "
+                     "(((0, 1, 0), (0, 0, 1)), ((1, 0, 0), (0, 1, 1)))]")
+        assert el_check_by_intervals(*fresh_lattices._lattice(3, 2, True)) == (
+            False, violation)
+        code, out, err = run(capsys, "verify", "el", "--n", "3", "--q", "2",
+                             "--segre")
+        assert (code, out, err) == (
+            1, f"FAIL el: segre n=3 q=2: {violation}\n", "")
+        assert found == [None]
+
+    def test_a_symmetric_break_is_rerun_from_every_element(
+            self, fresh_lattices, monkeypatch, capsys):
+        # <e_1> < <e_1, e_2> is fixed by the group, so the swap keeps the
+        # symmetry: the pushes from the pairs of coordinate subspaces find
+        # the break, and the rerun from every element names the full
+        # check's first offender
+        from qsegre import poset
+        _with_swapped_factor(monkeypatch, ((1, 0, 0),), ((1, 0, 0), (0, 1, 0)))
+        sp, labels = fresh_lattices._lattice(3, 2, True)
+        starts = []
+        push = poset._push_from
+        monkeypatch.setattr(poset, "_push_from",
+                            lambda up, lo, *rest: starts.append(lo)
+                            or push(up, lo, *rest))
+        violation = ("0 increasing maximal chains in [((), ()), "
+                     "(((0, 1, 0), (0, 0, 1)), ((1, 0, 0), (0, 1, 0)))]")
+        assert el_check_by_intervals(sp, labels) == (False, violation)
+        code, out, err = run(capsys, "segre", "--n", "3", "--q", "2",
+                             "--check-el")
+        assert (code, out.splitlines()[-1], err) == (
+            1, f"  EL check: FAIL {violation}", "")
+        # the first representative, the bottom pair, fails; then the rerun
+        # over every element starts again at element 0 and stops there
+        assert starts == [sp.bottom, 0]
+
+    @pytest.mark.parametrize("argv", [
+        ("verify", "el", "--n", "3", "--q", "2", "--segre"),
+        ("lattice", "--n", "3", "--q", "2", "--segre", "--check-el"),
+    ])
+    def test_a_broken_generator_is_a_clean_error(
+            self, fresh_lattices, monkeypatch, capsys, argv):
+        from qsegre import subspace
+        monkeypatch.setattr(subspace, "_borel_generators",
+                            lambda n, field: iter([("drop e_1",
+                                                    lambda v: (0,) + v[1:])]))
+        code, out, err = run(capsys, *argv)
+        assert (code, err) == (
+            2, "error: drop e_1 maps two elements of B_3(2) to one\n")
+        assert out == ""
 
 
 class TestBrokenHomology:
@@ -787,6 +901,30 @@ class TestConsoleEntry:
         finally:
             os.close(write_end)
         assert (proc.returncode, proc.stderr) == (141, "")
+
+    @pytest.mark.parametrize("argv, check, span", [
+        (("verify", "el", "--n", "2", "--q", "2", "--segre", "--json"), "el",
+         "poset.check_el_labeling"),
+        (("verify", "mobius", "--n", "2", "--q", "2", "--json"), "mobius",
+         "poset.descending_chain_count"),
+    ])
+    def test_the_benchmark_tracer_runs_the_push_kernels(
+            self, tmp_path, argv, check, span):
+        # perfbench/traced.py wraps every public function of the package and
+        # reads len, covers and ranks off the posets they are handed
+        root = pathlib.Path(__file__).resolve().parent.parent
+        spans_path = tmp_path / "spans.json"
+        proc = subprocess.run(
+            [sys.executable, str(root / "perfbench" / "traced.py"),
+             str(spans_path), *argv],
+            capture_output=True, text=True, env=child_env(), cwd=tmp_path)
+        assert (proc.returncode, proc.stderr) == (0, "")
+        doc = json.loads(proc.stdout)
+        assert doc["status"] == "PASS"
+        assert [r["check"] for r in doc["checks"]] == [check]
+        report = json.loads(spans_path.read_text())
+        assert span in {name for _, name, *_ in report["spans"]}
+        assert report["counters"]["poset.elements"] > 0
 
     def test_negative_n_is_a_clean_error(self, capsys):
         code, _, err = run(capsys, "wq", "--n", "-1")

@@ -14,6 +14,7 @@ from qsegre.poset import (FACE_COUNT_BOUND, GradedPoset, chain_report, chains_by
                           to_interchange, _element_matching, _morse_boundary,
                           _rank_of_sparse_rows, _set_bits)
 from qsegre.cli import BETTI_MATRIX
+from qsegre.permstats import w_polynomial
 from qsegre.subspace import (FiniteField, build_bnq, build_segre_bnq,
                              proper_face_count)
 
@@ -314,6 +315,27 @@ class TestELLabeling:
         assert not ok
         assert violation.endswith(" in [((), ()), ((1, 2), (1, 2))]")
 
+    def test_a_failure_from_the_lows_reports_the_full_first_offender(self):
+        # [(1,), (1, 2, 3)] gains a second increasing chain, 3 then 4, and
+        # so does [(), (1, 2, 3)], which the full check meets first
+        p, labels = boolean_lattice_labeled(3)
+        broken = cover_labels(labels)
+        broken[(p.names.index((1, 3)), p.names.index((1, 2, 3)))] = 4
+        broken = grouped(p, broken)
+        full = (False, "2 increasing maximal chains in [(), (1, 2, 3)]")
+        assert check_el_labeling(p, broken) == full
+        assert el_check_by_intervals(p, broken) == full
+        assert check_el_labeling(p, broken, [p.names.index((1,))]) == full
+
+    def test_only_the_lows_are_pushed_from(self):
+        # the caller vouches for the lows: [(1,), (1, 2, 3)] is broken, but
+        # no push starts below it
+        p, labels = boolean_lattice_labeled(3)
+        broken = cover_labels(labels)
+        broken[(p.names.index((1, 3)), p.names.index((1, 2, 3)))] = 4
+        lows = [p.names.index((2,)), p.names.index((1, 2))]
+        assert check_el_labeling(p, grouped(p, broken), lows) == (True, None)
+
 
 LABEL_KERNELS = (check_el_labeling, descending_chain_count, chain_report,
                  to_interchange)
@@ -381,6 +403,26 @@ class TestChainReport:
         p, labels = boolean_lattice_labeled(3)
         words, _, _ = chain_report(p, labels)
         assert sum(words.values()) == sum(1 for _ in maximal_chains(p))
+
+
+class TestDescendingCount:
+    """The tally-only push from the bottom against chain_report and W_n(q)."""
+
+    def test_no_descending_chain_counts_zero(self):
+        # every maximal chain has an ascent, so no tally ever reaches the top
+        chain = poset_from_covers(["0", "1", "2"], [0, 1, 2], [(0, 1), (1, 2)])
+        assert descending_chain_count(chain, [[(1, [1])], [(2, [2])], []]) == 0
+        square = boolean_lattice(2)
+        labels = [[(1, [1, 2])], [(2, [3])], [(2, [3])], []]
+        assert descending_chain_count(square, labels) == 0
+        assert chain_report(square, labels)[2] == 0
+
+    @pytest.mark.parametrize("n, q", [(2, 3), (3, 2), (3, 3)])
+    def test_segre_squares_count_the_pair_polynomial(self, n, q):
+        sp, labels = build_segre_bnq(n, FiniteField(q))
+        descending = descending_chain_count(sp, labels)
+        assert descending == chain_report(sp, labels)[2]
+        assert descending == w_polynomial(n).evaluate(q)
 
 
 class TestUnboundedPosets:

@@ -13,7 +13,7 @@ from qsegre.poset import (chain_report, check_el_labeling, mobius_number,
 from qsegre.subspace import (FiniteField, build_bnq, build_segre_bnq,
                              label_set, rref_rows)
 
-from oracles import (Permutation, contains, cover_labels,
+from oracles import (Permutation, contains, cover_labels, grouped,
                      covers_by_containment, enumerate_subspaces,
                      first_irreducible_modulus,
                      inversions, label_set_by_atoms,
@@ -349,3 +349,69 @@ class TestLatticeConstruction:
         assert rational_betti_numbers(proper_part(sp2)) == [8]
         sp3, _ = build_segre_bnq(3, F2)
         assert rational_betti_numbers(proper_part(sp3)) == [0, 344]
+
+
+def _swapped_through(p, labels, atom, above):
+    """labels with the labels of bottom < atom and atom < above swapped."""
+    swapped = cover_labels(labels)
+    low, high = (p.bottom, atom), (atom, above)
+    swapped[low], swapped[high] = swapped[high], swapped[low]
+    return grouped(p, swapped)
+
+
+class TestBorelRepresentatives:
+    """The upper triangular group's symmetry, checked on the built lattice."""
+
+    @pytest.mark.parametrize("n, field", [(0, F2), (1, F3), (2, F2), (2, F4),
+                                          (2, F9), (3, F2), (3, F3), (3, F4),
+                                          (4, F2)])
+    def test_one_coordinate_subspace_per_schubert_cell(self, n, field):
+        p, labels = build_bnq(n, field)
+        found = subspace.borel_representatives(n, field, p, labels)
+        units = [tuple(int(c == s) for c in range(n)) for s in range(n)]
+        coordinate = sorted(p.names.index(tuple(rows))
+                            for k in range(n + 1)
+                            for rows in itertools.combinations(units, k))
+        assert found == coordinate
+        assert {label_set(field, p.names[i]) for i in found} == {
+            label_set(field, rows) for rows in p.names}
+
+    def test_a_label_moved_off_its_orbit_gives_none(self):
+        # <(1,1,1)> lies in the orbit of <e_3>; its cover from the bottom
+        # then carries a label no other atom of that orbit carries
+        p, labels = build_bnq(3, F2)
+        atom = p.names.index(((1, 1, 1),))
+        above = p.names.index(((1, 0, 0), (0, 1, 1)))
+        swapped = _swapped_through(p, labels, atom, above)
+        assert subspace.borel_representatives(3, F2, p, swapped) is None
+
+    def test_a_label_swap_the_group_fixes_passes(self):
+        # <e_1> and <e_1, e_2> are fixed by every upper triangular matrix
+        p, labels = build_bnq(3, F2)
+        atom = p.names.index(((1, 0, 0),))
+        above = p.names.index(((1, 0, 0), (0, 1, 0)))
+        swapped = _swapped_through(p, labels, atom, above)
+        assert subspace.borel_representatives(3, F2, p, swapped) == (
+            subspace.borel_representatives(3, F2, p, labels))
+
+    @pytest.mark.parametrize("generators, message", [
+        # a projection: not invertible
+        ([("drop e_1", lambda v: (0,) + v[1:])],
+         r"^drop e_1 maps two elements of B_3\(2\) to one$"),
+        # the transpose of a transvection keeps covers but not labels
+        ([("e_1 -> e_1 + e_3", lambda v: v[:2] + (v[2] ^ v[0],))], None),
+        # too few generators: every element is its own orbit
+        ([("identity", lambda v: v)],
+         r"^the Borel orbits on B_3\(2\) are 16 classes, not the 8 of the "
+         r"coordinate subspaces$"),
+    ])
+    def test_broken_generators_are_caught(self, monkeypatch, generators,
+                                          message):
+        p, labels = build_bnq(3, F2)
+        monkeypatch.setattr(subspace, "_borel_generators",
+                            lambda n, field: iter(generators))
+        if message is None:
+            assert subspace.borel_representatives(3, F2, p, labels) is None
+        else:
+            with pytest.raises(ArithmeticError, match=message):
+                subspace.borel_representatives(3, F2, p, labels)
