@@ -6,11 +6,13 @@ A class function on S_m x S_n is a dict {(mu, lam): int} over every pair of
 partitions of m and n, so m and n are read off any key.  Its characteristic
 is the sum of table(mu, lam) / (z_mu z_lam) p_mu(x) p_lam(y), and every
 identity here is checked on the integer side of that quotient: the
-denominators are known in advance, so they are cleared rather than carried.  The product of two
-characteristics is the integer table of z_mu z_lam times its coefficients,
-a sum over the splits of the cycles; the homomorphism check compares it
-with the induced character, and the alternating complete-homogeneous
-identity sums such tables.
+denominators are known in advance, so they are cleared rather than carried.
+The product of two characteristics is the integer table of z_mu z_lam times
+its coefficients, a sum over the splits of the cycles.  The homomorphism
+check compares it with the induced character on class indicators, whose
+characteristic is p_mu(x) p_lam(y) / (z_mu z_lam), and the alternating
+complete-homogeneous identity sums such tables, h_a(x) h_a(y) being the
+characteristic of the trivial character of S_a x S_a.
 
 The character of S_n x S_n on the one nonvanishing reduced homology group of
 the proper part of the rank-equal pair poset of two subset lattices is
@@ -88,47 +90,11 @@ def _degrees(table: dict) -> tuple[int, int]:
     return sum(mu), sum(lam)
 
 
-@lru_cache(maxsize=None)
-def _mn_from_beta(beta: tuple[int, ...], mu: Partition) -> int:
-    """Murnaghan-Nakayama on beta numbers: removing a border strip of length
-    t moves one beta value down by t into a free slot; the sign is the parity
-    of the number of occupied slots jumped over."""
-    if not mu:
-        return 1
-    t, rest = mu[0], mu[1:]
-    occupied = set(beta)
-    total = 0
-    for b in beta:
-        c = b - t
-        if c >= 0 and c not in occupied:
-            height = sum(1 for x in beta if c < x < b)
-            new_beta = tuple(sorted((occupied - {b}) | {c}, reverse=True))
-            term = _mn_from_beta(new_beta, rest)
-            total += -term if height % 2 else term
-    return total
-
-
-def symmetric_group_character(lam, mu) -> int:
-    """Irreducible character value chi^lam on the class of cycle type mu."""
-    lam = tuple(sorted(lam, reverse=True))
-    mu = tuple(sorted(mu, reverse=True))
-    if sum(lam) != sum(mu):
-        raise ValueError("lam and mu must partition the same integer")
-    if not lam:
-        return 1
-    rows = len(lam)
-    beta = tuple(lam[i] + (rows - 1 - i) for i in range(rows))
-    return _mn_from_beta(beta, mu)
-
-
-@lru_cache(maxsize=None)
-def irreducible_table2(alpha: Partition, beta: Partition) -> dict:
-    """Character of the outer tensor of the irreducibles indexed by alpha and
-    beta, as a table on S_|alpha| x S_|beta|; built once per pair and shared,
-    so callers must not mutate it."""
-    return {(mu, lam): symmetric_group_character(alpha, mu)
-            * symmetric_group_character(beta, lam)
-            for mu in partitions_of(sum(alpha)) for lam in partitions_of(sum(beta))}
+def _table(m: int, n: int, pair=None) -> dict:
+    """A class function on S_m x S_n: 1 on the class pair given as pair
+    and 0 on every other, or the trivial character when pair is None."""
+    return {(mu, lam): int(pair is None or (mu, lam) == pair)
+            for mu in partitions_of(m) for lam in partitions_of(n)}
 
 
 # ---------------------------------------------------------------------------
@@ -302,10 +268,9 @@ def h_alternating_residual(n: int) -> dict:
     check_homology_bound(n)
     total: dict = {}
     for i in range(n + 1):
-        row = (n - i,) if i < n else ()
-        ch = lefschetz_character(i) if i else irreducible_table2((), ())
+        ch = lefschetz_character(i) if i else _table(0, 0)
         sign = -1 if i % 2 else 1
-        for key, v in _product_values(irreducible_table2(row, row), ch).items():
+        for key, v in _product_values(_table(n - i, n - i), ch).items():
             total[key] = total.get(key, 0) + sign * v
     return {key: v for key, v in total.items() if v}
 
@@ -378,18 +343,15 @@ def verify_specialization_identity(n: int) -> bool:
 
 def verify_induction_homomorphism(k: int, l: int, m: int, n: int) -> bool:
     """The characteristic map must send induction products to products.
-    Checked over every pair of irreducible characters of S_k x S_l and
-    S_m x S_n, which span the class functions: each induced table must equal
-    the integer table of ch(t) ch(u) with its denominators z_mu z_lam
-    cleared."""
+    Both sides are bilinear in (t, u), so it is checked over every pair of
+    class indicators of S_k x S_l and S_m x S_n, which span the class
+    functions: each induced table must equal the integer table of
+    ch(t) ch(u) with its denominators z_mu z_lam cleared."""
     _check_induction_bound(k + m, l + n)
-    second = [irreducible_table2(gamma, delta)
-              for gamma in partitions_of(m) for delta in partitions_of(n)]
-    for alpha in partitions_of(k):
-        for beta in partitions_of(l):
-            t = irreducible_table2(alpha, beta)
-            for u in second:
-                induced = induce_product_character(t, u)
-                if induced != _product_values(t, u):
-                    return False
+    second = [_table(m, n, pair) for pair in _table(m, n)]
+    for pair in _table(k, l):
+        t = _table(k, l, pair)
+        for u in second:
+            if induce_product_character(t, u) != _product_values(t, u):
+                return False
     return True

@@ -39,8 +39,8 @@ from qsegre.poset import (GradedPoset, chains_by_dimension, order_chain_counts,
                           _rank_of_sparse_rows)
 from qsegre.subspace import rref_rows
 from qsegre.symfrob import (_degrees, _perm_of_cycle_type,
-                            induce_product_character, irreducible_table2,
-                            partitions_of, specialization_denominator, z_of)
+                            induce_product_character, partitions_of,
+                            specialization_denominator, z_of)
 
 
 def series_reciprocal(coeffs) -> list[Fraction]:
@@ -653,6 +653,13 @@ def trivial_character(m: int, n: int) -> dict:
     return {(mu, lam): 1 for mu in partitions_of(m) for lam in partitions_of(n)}
 
 
+def indicator_tables(m: int, n: int) -> list[dict]:
+    """The class indicators of S_m x S_n, each 1 on one class pair and 0 on
+    every other."""
+    pairs = list(trivial_character(m, n))
+    return [{key: int(key == pair) for key in pairs} for pair in pairs]
+
+
 @lru_cache(maxsize=None)
 def characteristic_by_whitney_recursion(n: int) -> dict:
     """The top characteristic rebuilt bottom-up from the Whitney-homology
@@ -717,17 +724,16 @@ def lefschetz_character_by_chains(n: int) -> dict:
 def induction_homomorphism_by_fractions(k: int, l: int, m: int, n: int,
                                         induce=induce_product_character) -> bool:
     """ch(Ind(t x u)) == ch(t) ch(u) as two-alphabet symmetric functions
-    with Fraction coefficients, over every pair of irreducible tables."""
-    for alpha in partitions_of(k):
-        for beta in partitions_of(l):
-            t = irreducible_table2(alpha, beta)
-            ch_t = characteristic(t)
-            for gamma in partitions_of(m):
-                for delta in partitions_of(n):
-                    u = irreducible_table2(gamma, delta)
-                    if characteristic(induce(t, u)) != \
-                            sf_product(ch_t, characteristic(u)):
-                        return False
+    with Fraction coefficients, over every pair of class indicators: t is 1
+    on one class pair of S_k x S_l and 0 elsewhere, u likewise on
+    S_m x S_n."""
+    second = indicator_tables(m, n)
+    for t in indicator_tables(k, l):
+        ch_t = characteristic(t)
+        for u in second:
+            if characteristic(induce(t, u)) != \
+                    sf_product(ch_t, characteristic(u)):
+                return False
     return True
 
 

@@ -183,5 +183,5 @@ def test_criterion_11_induction_homomorphism():
                         f"failure at sizes ({k},{l},{m},{n})"
     elapsed = time.time() - start
     assert elapsed < 60.0
-    report(11, "characteristic is a homomorphism for every irreducible pair "
+    report(11, "characteristic is a homomorphism for every class-indicator pair "
                f"with sizes k+m<=4, l+n<=4 ({elapsed:.1f}s)")

@@ -250,7 +250,7 @@ class TestBoundsBeforeWork:
 
     def test_homology_degree_outside_the_bound_does_no_work(
             self, capsys, monkeypatch):
-        for name in ("lefschetz_character", "irreducible_table2",
+        for name in ("lefschetz_character", "_table",
                      "cleared_specialization", "w_polynomial_recurrence"):
             monkeypatch.setattr(symfrob, name, fail_if_called)
         for check in ("thm31", "thm48"):

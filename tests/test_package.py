@@ -75,12 +75,13 @@ def _evident_receivers(trees, classes) -> dict[int, str]:
     return owner
 
 
-def _unreferenced_public_definitions(package) -> list[str]:
+def _unreferenced_public_definitions(package, private=False) -> list[str]:
     """Public functions, classes, methods and module-level constants of the
     package that nothing in it references outside their own definition and
     __init__.py, found again
     after each round so that a helper used only by another such helper is
-    caught too.  Dunder methods are exempt: the language calls them.
+    caught too.  With private, _-prefixed ones are searched as well.
+    Dunder methods are exempt: the language calls them.
 
     A top-level definition counts every name and attribute spelled like it.
     A method x of class C counts only attributes: x of a receiver that
@@ -128,7 +129,8 @@ def _unreferenced_public_definitions(package) -> list[str]:
     while True:
         excluded = set().union(*(inside[key] for key in dead))
         found = {key for key, (name, cls, _) in definitions.items()
-                 if not name.startswith("_")
+                 if (not name.startswith("_") or private
+                     and not (name.startswith("__") and name.endswith("__")))
                  and not any(ref == name and refers(ref_cls, cls)
                              and id(n) not in excluded
                              and id(n) not in inside[key]
@@ -143,6 +145,13 @@ def test_every_public_definition_is_used_by_the_package():
     # and fixtures live in tests/oracles.py
     found = _unreferenced_public_definitions(PACKAGE)
     assert not found, f"public definitions only tests reach: {found}"
+
+
+def test_every_private_definition_is_used_by_the_package():
+    # a private helper whose last caller went away, or that only tests
+    # reach through the module, is dead weight too
+    found = _unreferenced_public_definitions(PACKAGE, private=True)
+    assert not found, f"definitions only tests reach: {found}"
 
 
 _FIELD_SLOTS = ('    __slots__ = ("p", "k", "order", "modulus", "_add", "_mul", '
@@ -196,6 +205,35 @@ def test_a_dead_constant_is_found(tmp_path, filename, anchor, constant, body):
     package, line = _plant(tmp_path, filename, anchor, body)
     assert _unreferenced_public_definitions(package) == [
         f"{filename}:{line} {constant}"]
+
+
+# (file, a line before them, the dead private definitions by their offset
+# from the line body starts on, body): a recursive helper whose only caller
+# is itself dead, and a method named like a live one but for its prefix
+_DEGREES = ('    mu, lam = next(iter(table))\n'
+            '    return sum(mu), sum(lam)\n')
+
+
+@pytest.mark.parametrize("filename, anchor, dead, body", [
+    ("symfrob.py", _DEGREES, {1: "_beta_walk", 7: "_beta_start"},
+     "\ndef _beta_walk(beta: tuple, t: int) -> int:\n"
+     "    if not beta:\n"
+     "        return 1\n"
+     "    return _beta_walk(beta[1:], t) + beta[0] // t\n"
+     "\n\n"
+     "def _beta_start(lam: tuple) -> int:\n"
+     "    return _beta_walk(lam, 1)\n\n"),
+    ("poset.py",
+     "    def __len__(self) -> int:\n        return len(self.names)\n",
+     {0: "GradedPoset._less"},
+     "    def _less(self, a: int, b: int) -> bool:\n"
+     "        return bool(self._below_masks()[b] >> a & 1)\n"),
+])
+def test_a_dead_private_helper_is_found(tmp_path, filename, anchor, dead, body):
+    package, line = _plant(tmp_path, filename, anchor, body)
+    assert _unreferenced_public_definitions(package) == []
+    assert _unreferenced_public_definitions(package, private=True) == sorted(
+        f"{filename}:{line + offset} {name}" for offset, name in dead.items())
 
 
 def test_the_suite_and_frobenius_run_without_fractions():

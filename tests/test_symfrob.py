@@ -11,11 +11,9 @@ from qsegre.permstats import (ENUMERATION_BOUND, w_polynomial,
 from qsegre.poset import rational_betti_numbers
 from qsegre.symfrob import (TOP_HOMOLOGY_BOUND, cleared_specialization,
                             h_alternating_residual,
-                            induce_product_character, irreducible_table2,
-                            lefschetz_character, partitions_of,
-                            principal_specialization,
+                            induce_product_character, lefschetz_character,
+                            partitions_of, principal_specialization,
                             specialization_denominator,
-                            symmetric_group_character,
                             verify_induction_homomorphism,
                             verify_specialization_identity, z_of)
 
@@ -66,7 +64,7 @@ class TestHExpansion:
     def test_coefficients_are_inverse_centralizer_orders(self):
         for lam, c in h_to_p(5).items():
             assert c == Fraction(1, z_of(lam))
-        assert characteristic(irreducible_table2((5,), ())) == \
+        assert characteristic(trivial_character(5, 0)) == \
             tensor(h_to_p(5), h_to_p(0))
 
 
@@ -80,7 +78,7 @@ class TestSymFun2:
         assert sf_product(SF_ONE, s) == s
         # the trivial table of S_0 x S_0 is the unit of the integer product
         t = random_table(random.Random(1), 3, 2)
-        assert symfrob._product_values(irreducible_table2((), ()), t) == t
+        assert symfrob._product_values(trivial_character(0, 0), t) == t
 
     def test_basis_product_merges_partitions(self):
         p11 = {((1,), (1,)): 1}
@@ -91,7 +89,7 @@ class TestSymFun2:
         square = sf_product(tensor(h1, h1), tensor(h1, h1))
         assert square == {((1, 1), (1, 1)): 1}
         # z-cleared: the class pair (1,1)|(1,1) carries z^2 = 4, the rest 0
-        t = irreducible_table2((1,), (1,))
+        t = trivial_character(1, 1)
         assert symfrob._product_values(t, t) == {
             ((2,), (2,)): 0, ((2,), (1, 1)): 0, ((1, 1), (2,)): 0,
             ((1, 1), (1, 1)): 4}
@@ -115,37 +113,6 @@ class TestSymFun2:
             {k: 3 * left[k] - right[k] for k in left}
 
 
-class TestIrreducibleCharacters:
-    def test_known_s3_values(self):
-        assert symmetric_group_character((3,), (1, 1, 1)) == 1
-        assert symmetric_group_character((1, 1, 1), (2, 1)) == -1
-        assert {mu: symmetric_group_character((2, 1), mu)
-                for mu in partitions_of(3)} == {(3,): -1, (2, 1): 0, (1, 1, 1): 2}
-
-    def test_dimensions_via_hook_free_check(self):
-        # dimensions at the identity class: 1, 3, 2, 3, 1 for S_4
-        dims = [symmetric_group_character(lam, (1, 1, 1, 1))
-                for lam in partitions_of(4)]
-        assert dims == [1, 3, 2, 3, 1]
-        assert sum(d * d for d in dims) == factorial(4)
-
-    def test_orthogonality(self):
-        for n in range(1, 6):
-            for lam in partitions_of(n):
-                for kappa in partitions_of(n):
-                    inner = sum(class_size(mu)
-                                * symmetric_group_character(lam, mu)
-                                * symmetric_group_character(kappa, mu)
-                                for mu in partitions_of(n))
-                    assert inner == (factorial(n) if lam == kappa else 0)
-
-    def test_sign_character_values(self):
-        for n in range(1, 6):
-            for mu in partitions_of(n):
-                expected = (-1) ** (n - len(mu))
-                assert symmetric_group_character((1,) * n, mu) == expected
-
-
 class TestProductFrobenius:
     """The characteristic of a table, in the oracles' Fraction route and as
     the z-cleared entries the package keeps."""
@@ -158,8 +125,8 @@ class TestProductFrobenius:
         ch = characteristic(trivial_character(2, 2))
         assert ch == tensor(h_to_p(2), h_to_p(2))
         # h_2(x) h_2(y) is the product of h_2(x) and h_2(y) as tables too
-        assert symfrob._product_values(irreducible_table2((2,), ()),
-                                       irreducible_table2((), (2,))) == \
+        assert symfrob._product_values(trivial_character(2, 0),
+                                       trivial_character(0, 2)) == \
             trivial_character(2, 2)
 
     def test_linearity_on_random_integer_combinations(self):
@@ -371,9 +338,9 @@ class TestSpecialization:
         from qsegre.permstats import q_binomial_square
         for n in (2, 3):
             for i in range(n + 1):
-                row = (n - i,) if i < n else ()
-                ch = lefschetz_character(i) if i else irreducible_table2((), ())
-                term = symfrob._product_values(irreducible_table2(row, row), ch)
+                ch = lefschetz_character(i) if i else trivial_character(0, 0)
+                term = symfrob._product_values(
+                    trivial_character(n - i, n - i), ch)
                 expected_poly = q_binomial_square(n, i) * w_polynomial(i)
                 assert principal_specialization(term, n) == expected_poly
 
@@ -389,8 +356,9 @@ class TestInductionHomomorphism:
         assert verify_induction_homomorphism(2, 1, 1, 2)
 
     def test_specific_sign_tensor_case(self):
-        sign = irreducible_table2((1, 1), (1,))
-        triv = irreducible_table2((1,), (2,))
+        # the sign character of S_2 beside the trivial one of S_1
+        sign = {(mu, (1,)): (-1) ** (2 - len(mu)) for mu in partitions_of(2)}
+        triv = trivial_character(1, 2)
         induced = induce_product_character(sign, triv)
         assert characteristic(induced) == \
             sf_product(characteristic(sign), characteristic(triv))
@@ -436,10 +404,24 @@ class TestInductionHomomorphism:
                     for n in range(4 - l):
                         assert not verify_induction_homomorphism(k, l, m, n)
 
+    def test_a_wrong_conjugation_count_fails_the_check(self, monkeypatch):
+        # drop the two conjugators that keep the identity of S_2 in S_1 x S_1;
+        # the true profile is built through the cache-free __wrapped__
+        profile = symfrob._conjugation_profile.__wrapped__
+
+        def short_profile(first, second, mu):
+            counts = profile(first, second, mu)
+            if (first, second, mu) == (1, 1, (1, 1)):
+                del counts[((1,), (1,))]
+            return counts
+        monkeypatch.setattr(symfrob, "_conjugation_profile", short_profile)
+        for sizes in ((1, 1, 1, 1), (1, 0, 1, 0), (1, 2, 1, 1), (2, 1, 1, 1)):
+            assert not verify_induction_homomorphism(*sizes), sizes
+
     def test_bound_is_checked_before_any_table(self, monkeypatch):
         def fail_if_called(*args, **kwargs):
             raise AssertionError("work started before the bound check")
-        for name in ("irreducible_table2", "induce_product_character",
+        for name in ("_table", "induce_product_character",
                      "partitions_of"):
             monkeypatch.setattr(symfrob, name, fail_if_called)
         for sizes in ((3, 0, 3, 0), (0, 5, 1, 5), (6, 1, 0, 1)):
