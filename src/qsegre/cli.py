@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import gc
 import json
 import math
 import os
@@ -34,12 +35,19 @@ def _lattice(n: int, q: int, segre: bool, count_bound=None):
     cached B_n(q), so that _el_check reads its symmetry off the very lattice
     squared.  The caches live for one process and their keys come from one
     command line or the suite's fixed matrices, so they need no eviction."""
-    if not segre:
-        return subspace.build_bnq(n, _field(q), count_bound)
-    subspace.prime_power(q)
-    subspace.check_count_bound(n, q, True, count_bound)
-    return subspace.build_segre_bnq(n, _field(q), count_bound,
-                                    _lattice(n, q, False, count_bound))
+    if segre:
+        subspace.prime_power(q)
+        subspace.check_count_bound(n, q, True, count_bound)
+        built = subspace.build_segre_bnq(n, _field(q), count_bound,
+                                         _lattice(n, q, False, count_bound))
+    else:
+        built = subspace.build_bnq(n, _field(q), count_bound)
+    # The cache holds every lattice until exit, and a square holds a list
+    # per element and per label group: hundreds of thousands of objects
+    # that every later full collection would walk again, to find nothing.
+    # Freezing moves them, and all else alive now, out of its reach.
+    gc.freeze()
+    return built
 
 
 def _el_check(n: int, q: int, segre: bool, count_bound=None):

@@ -3,18 +3,20 @@ edge labelings with the lexicographic shelling property, and rational
 homology of order complexes.
 
 Elements are dense integer ids with opaque display names.  A poset holds
-its covers once, as each element's sorted upper covers; the sorted tuple of
-cover pairs is derived on demand, and the unique bottom and top, if any, are
-found once by the constructor.  Cover relations must
-raise rank by exactly one (everything in scope is graded), which also
-rules out cycles.  An edge labeling is a list with one entry per element
-x: x's upper covers grouped by label, as (label, ys) groups that partition
-them.  A label is an integer, or a pair on a Segre square, and each
-kernel that takes a labeling refuses one whose groups do not partition
-every element's upper covers.  The label order follows the label type
-(product_order_less): integers in their order, pairs componentwise.  Label
-words are compared lexicographically in plain tuple order, so pairs by
-first component, then second.
+its covers once, as each element's upper covers grouped by label: a list
+with one entry per element x, x's upper covers as (label, ys) groups that
+partition them.  That list is the poset's edge labeling, and an unlabeled
+poset has at most one group per element, with label None.  The sorted
+tuple of cover pairs is derived on demand, and the unique bottom and top,
+if any, are found once by the constructor.  Cover relations must raise
+rank by exactly one (everything in scope is graded), which also rules out
+cycles, and no cover may sit in two groups.  A label is an integer, or a
+pair on a Segre square.  The kernels that take a labeling trust the
+poset's own, the very list it was built from; any other they first check
+to partition every element's upper covers.  The label order follows the
+label type (product_order_less): integers in their order, pairs
+componentwise.  Label words are compared lexicographically in plain tuple
+order, so pairs by first component, then second.
 
 No kernel enumerates maximal chains: the EL check, the descending count and
 the chain tally are dynamic programs over the label groups, so their cost
@@ -42,11 +44,12 @@ readers.
 from __future__ import annotations
 
 import operator
-from itertools import accumulate, chain, islice
+from itertools import accumulate, chain
 from math import gcd
 from typing import Optional
 
 FACE_COUNT_BOUND = 500_000
+_GROUP_COVERS = operator.itemgetter(1)  # the covers of a (label, ys) group
 
 
 def check_face_count(faces: int) -> None:
@@ -66,47 +69,70 @@ def _set_bits(mask: int) -> list[int]:
     return out
 
 
+def _refuse_covers(names, ranks, a: int, groups) -> None:
+    """ValueError for the upper covers of a, given as label groups: it names
+    the first cover out of range, else the first not one rank above a, else
+    the first that comes again, in two groups or twice in one."""
+    flat = [b for _, ys in groups for b in ys]
+    for b in flat:
+        if not 0 <= b < len(names):
+            raise ValueError(f"cover ({a},{b}) out of range")
+    for b in flat:
+        if ranks[b] != ranks[a] + 1:
+            raise ValueError(f"cover ({a},{b}) must raise rank by exactly 1")
+    b = next(b for t, b in enumerate(flat) if b in flat[:t])
+    raise ValueError(f"cover ({names[a]}, {names[b]}) has more than one label")
+
+
 class GradedPoset:
 
     __slots__ = ("names", "ranks", "_up", "bottom", "top", "_above", "_below")
 
     def __init__(self, names, ranks, up):
-        """The poset whose element a has the upper covers up[a]: one list of
-        ints per element, in any order and with repeats, each in range and
-        one rank above a.  A strictly increasing list is kept as it is.
-        bottom and top are the unique minimal and maximal elements, or
-        None."""
+        """The poset whose element a has the upper covers in up[a], held as
+        (label, ys) groups: its edge labeling, or at most one group with
+        label None on an unlabeled poset.  up itself is kept, not copied,
+        so the caller's groups are the poset's own labeling (see
+        _check_unless_own) and must not be changed.  Each element's covers, the ys
+        of its groups taken together, must be in range, one rank above it
+        and without repeats (see _refuse_covers).  bottom and top are the
+        unique minimal and maximal elements, or None.
+
+        One pass visits each cover once: last[b] is the last element found
+        below b, so a cover repeated at a finds last[b] == a, and the
+        elements above no other keep last[b] == -1."""
         names, ranks = tuple(names), tuple(int(r) for r in ranks)
         m = len(names)
         if len(ranks) != m:
             raise ValueError("names and ranks must have equal length")
         if len(up) != m:
             raise ValueError("one list of upper covers per element")
-        up = [ups if all(map(operator.lt, ups, islice(ups, 1, None)))
-              else sorted(set(ups)) for ups in up]
-        covered = bytearray(m)
-        for a, ups in enumerate(up):
-            if not ups:
-                continue
-            if ups[0] < 0 or ups[-1] >= m:
-                b = next(b for b in ups if not 0 <= b < m)
-                raise ValueError(f"cover ({a},{b}) out of range")
+        last = [-1] * m
+        maxes = []
+        for a, groups in enumerate(up):
             r = ranks[a] + 1
-            for b in ups:
-                if ranks[b] != r:
-                    raise ValueError(f"cover ({a},{b}) must raise rank by exactly 1")
-                covered[b] = 1
-        maxes = [a for a, ups in enumerate(up) if not ups]
+            for _, ys in groups:
+                for b in ys:
+                    if not 0 <= b < m or ranks[b] != r or last[b] == a:
+                        _refuse_covers(names, ranks, a, groups)
+                    last[b] = a
+            if not any(map(_GROUP_COVERS, groups)):
+                maxes.append(a)
         self.names, self.ranks, self._up = names, ranks, up
-        self.bottom = covered.index(0) if covered.count(0) == 1 else None
+        self.bottom = last.index(-1) if last.count(-1) == 1 else None
         self.top = maxes[0] if len(maxes) == 1 else None
         self._above = None
         self._below = None
 
+    def _covers_of(self, a: int) -> list[int]:
+        """The upper covers of a, ascending."""
+        return sorted(chain.from_iterable(map(_GROUP_COVERS, self._up[a])))
+
     @property
     def covers(self) -> tuple[tuple[int, int], ...]:
         """Every cover (a, b), in sorted order."""
-        return tuple((a, b) for a, ups in enumerate(self._up) for b in ups)
+        return tuple((a, b) for a in range(len(self.names))
+                     for b in self._covers_of(a))
 
     def __len__(self) -> int:
         return len(self.names)
@@ -117,8 +143,9 @@ class GradedPoset:
             above = [0] * m
             for i in sorted(range(m), key=lambda e: -self.ranks[e]):
                 acc = 1 << i
-                for j in self._up[i]:
-                    acc |= above[j]
+                for _, ys in self._up[i]:
+                    for j in ys:
+                        acc |= above[j]
                 above[i] = acc
             self._above = above
         return self._above
@@ -128,8 +155,9 @@ class GradedPoset:
             below = [1 << i for i in range(len(self.names))]
             for i in sorted(range(len(below)), key=self.ranks.__getitem__):
                 acc = below[i]
-                for j in self._up[i]:
-                    below[j] |= acc
+                for _, ys in self._up[i]:
+                    for j in ys:
+                        below[j] |= acc
             self._below = below
         return self._below
 
@@ -149,22 +177,23 @@ class GradedPoset:
 def segre_product(p: GradedPoset, p_labels: list, q: GradedPoset,
                   q_labels: list) -> tuple[GradedPoset, list]:
     """Induced subposet of the product on pairs of equal rank, with its
-    covers labeled by the pairs of the factors' labels.  As both factors are
-    graded, its covers are the pairs of covers.  Pair (i, j) is numbered
-    start[i] + jpos[j]: start[i] sums the sizes of q's rank blocks over the
-    elements before i, jpos[j] is j's place in its rank block.  So the
-    upper covers of (i, j), up(i) x up(j), come out sorted, and its label
-    groups are the products of the factors' groups: label (a, b) goes with
-    the covers cs x ds of a's group cs at i and b's group ds at j.  Each
-    pair label is one shared tuple."""
+    covers labeled by the pairs of the factors' labels, as (square, groups)
+    with groups the square's own labeling.  As both factors are graded, its
+    covers are the pairs of covers.  Pair (i, j) is numbered start[i] +
+    jpos[j]: start[i] sums the sizes of q's rank blocks over the elements
+    before i, jpos[j] is j's place in its rank block.  Its label groups, its
+    only list of upper covers, are the products of the factors' groups:
+    label (a, b) goes with the covers cs x ds of a's group cs at i and b's
+    group ds at j.  Each pair label is one shared tuple.  A factor labeling
+    other than the factor's own is first checked (see _check_unless_own)."""
+    _check_unless_own(p, p_labels)
+    _check_unless_own(q, q_labels)
     blocks: dict[int, list[int]] = {}
     jpos = []
     for j, r in enumerate(q.ranks):
         jpos.append(len(blocks.setdefault(r, [])))
         blocks[r].append(j)
     start = list(accumulate((len(blocks.get(r, ())) for r in p.ranks), initial=0))
-    p_up = [[start[c] for c in ups] for ups in p._up]
-    q_up = [[jpos[d] for d in ups] for ups in q._up]
     p_groups = [[(a, [start[c] for c in cs]) for a, cs in groups]
                 for groups in p_labels]
     q_groups = [[(b, [jpos[d] for d in ds]) for b, ds in groups]
@@ -172,19 +201,18 @@ def segre_product(p: GradedPoset, p_labels: list, q: GradedPoset,
     q_values = {b for groups in q_groups for b, _ in groups}
     pairs = {a: {b: (a, b) for b in q_values}
              for a in {a for groups in p_groups for a, _ in groups}}
-    names, ranks, up, labels = [], [], [], []
+    names, ranks, labels = [], [], []
     for i, r in enumerate(p.ranks):
         for j in blocks.get(r, ()):
             names.append((p.names[i], q.names[j]))
             ranks.append(r)
-            up.append([s + t for s in p_up[i] for t in q_up[j]])
             labels.append([(pairs[a][b], [s + t for s in ss for t in ts])
                            for a, ss in p_groups[i] for b, ts in q_groups[j]])
-    return GradedPoset(names, ranks, up), labels
+    return GradedPoset(names, ranks, labels), labels
 
 
 def proper_part(p: GradedPoset) -> GradedPoset:
-    """The poset with its bottom and top removed."""
+    """The unlabeled poset with p's bottom and top removed."""
     bottom, top = p.bottom, p.top
     if bottom is None or top is None:
         raise ValueError("proper part requires both a bottom and a top")
@@ -192,9 +220,12 @@ def proper_part(p: GradedPoset) -> GradedPoset:
     remap = [-1] * len(p)
     for new, old in enumerate(keep):
         remap[old] = new
-    return GradedPoset(
-        [p.names[i] for i in keep], [p.ranks[i] for i in keep],
-        [[remap[b] for b in p._up[i] if b != top] for i in keep])
+    up = []
+    for i in keep:
+        ys = [remap[b] for _, group in p._up[i] for b in group if b != top]
+        up.append([(None, ys)] if ys else [])
+    return GradedPoset([p.names[i] for i in keep],
+                       [p.ranks[i] for i in keep], up)
 
 
 def mobius_number(p: GradedPoset) -> int:
@@ -266,8 +297,9 @@ def _check_labels(p: GradedPoset, labels: list) -> None:
     def name(y):
         return p.names[y] if 0 <= y < len(p) else y
 
-    for x, (ups, groups) in enumerate(zip(p._up, labels)):
-        labeled = sorted(chain.from_iterable(ys for _, ys in groups))
+    for x, groups in enumerate(labels):
+        labeled = sorted(chain.from_iterable(map(_GROUP_COVERS, groups)))
+        ups = p._covers_of(x)
         if labeled == ups:
             continue
         seen, covers = set(labeled), set(ups)
@@ -283,12 +315,19 @@ def _check_labels(p: GradedPoset, labels: list) -> None:
                          "one label")
 
 
+def _check_unless_own(p: GradedPoset, labels: list) -> None:
+    """_check_labels, unless labels is p's own labeling, the very list p was
+    built from: the constructor has seen each of its covers once, in range
+    and one rank up, so its groups partition p's covers."""
+    if labels is not p._up:
+        _check_labels(p, labels)
+
+
 def _label_ids(p: GradedPoset, labels: list):
     """The label groups with each label replaced by its id, the ids
     numbering the distinct labels in ascending order, and the table
-    less[s][t] of product_order_less on ids; ValueError unless the groups
-    partition the covers (see _check_labels)."""
-    _check_labels(p, labels)
+    less[s][t] of product_order_less on ids; see _check_unless_own."""
+    _check_unless_own(p, labels)
     distinct = sorted({label for groups in labels for label, _ in groups})
     ids = {label: t for t, label in enumerate(distinct)}
     less = [[product_order_less(s, t) for t in distinct] for s in distinct]
@@ -389,7 +428,7 @@ def chain_report(p: GradedPoset, labels: list) -> tuple[dict, int, int]:
         raise ValueError("poset has no bottom element")
     if top is None:
         raise ValueError("poset has no top element")
-    _check_labels(p, labels)
+    _check_unless_own(p, labels)
     words: list[Optional[dict]] = [None] * len(p)
     words[bottom] = {(): 1}
     for x in sorted(range(len(p)), key=p.ranks.__getitem__):
@@ -611,8 +650,9 @@ def _label_to_json(label):
 
 
 def to_interchange(p: GradedPoset, labels: list) -> dict:
-    """JSON-ready poset document: elements, ranks, covers and labels."""
-    _check_labels(p, labels)
+    """JSON-ready poset document: elements, ranks, covers and labels; see
+    _check_unless_own."""
+    _check_unless_own(p, labels)
     doc_labels = {}
     for x, groups in enumerate(labels):
         for label, ys in groups:

@@ -242,9 +242,11 @@ def _join(field: FiniteField, rows: tuple[tuple[int, ...], ...],
 
 def build_bnq(n: int, field: FiniteField,
               count_bound: int | None = None) -> tuple[GradedPoset, list]:
-    """The subspace lattice of F_q^n and its rightmost-coordinate labels:
-    each cover x < y is labeled by the one index in label_set(y) that is not
-    in label_set(x), and each x holds its upper covers grouped by label.
+    """The subspace lattice of F_q^n and its rightmost-coordinate labels, as
+    (p, groups): each cover x < y is labeled by the one index in
+    label_set(y) that is not in label_set(x), groups[x] holds x's upper
+    covers grouped by label, and groups is the list p holds its covers in,
+    so the poset kernels take it as p's own labeling without checking it.
 
     The lattice is generated from its covers: rank 0 is the zero subspace,
     and rank k+1 is the set of joins x + <v> (see the module docstring) over
@@ -307,18 +309,19 @@ def build_bnq(n: int, field: FiniteField,
             raise ArithmeticError(
                 f"{names[b]} of B_{n}({q}) has {count} lower covers, "
                 f"not [{ranks[b]} choose 1]_{q} = {expected}")
-    up = [[b for _, ys in groups for b in ys] for groups in labels]
-    return GradedPoset(names, ranks, up), labels
+    return GradedPoset(names, ranks, labels), labels
 
 
 def build_segre_bnq(n: int, field: FiniteField, count_bound: int | None = None,
                     factor: tuple[GradedPoset, list] | None = None
                     ) -> tuple[GradedPoset, list]:
     """Segre square of the subspace lattice, covers labeled by ordered pairs
-    under the componentwise order.  Its sum_k N_k^2 pairs, N_k the subspaces
-    of rank k, are held to the subspace count bound before any work.  Each
-    pair's label groups are the products of the lattice's label groups, made
-    in the same pass of segre_product that numbers the pairs.  factor, if
+    under the componentwise order, as (square, groups) with groups the
+    square's own labeling (see segre_product).  Its sum_k N_k^2 pairs, N_k
+    the subspaces of rank k, are held to the subspace count bound before any
+    work.  Each pair's label groups are the products of the lattice's label
+    groups, made in the same pass of segre_product that numbers the pairs,
+    and are the only list of its upper covers.  factor, if
     given, is build_bnq(n, field, count_bound), already built, and is the
     lattice squared."""
     check_count_bound(n, field.order, True, count_bound)

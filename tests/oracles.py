@@ -274,15 +274,17 @@ def segre_product_by_pairs(p, q):
 
 
 def poset_from_covers(names, ranks, covers):
-    """The GradedPoset with the given (a, b) cover pairs, in any order and
-    with repeats.  A lower element out of range is refused here; the
-    constructor checks the rest."""
-    up = [[] for _ in names]
+    """The unlabeled GradedPoset with the given (a, b) cover pairs, in any
+    order and with repeats: each element's distinct upper covers, sorted,
+    in one group labeled None.  A lower element out of range is refused
+    here; the constructor checks the rest."""
+    up = [set() for _ in names]
     for a, b in covers:
         if not 0 <= a < len(up):
             raise ValueError(f"cover ({a},{b}) out of range")
-        up[a].append(b)
-    return GradedPoset(names, ranks, up)
+        up[a].add(b)
+    return GradedPoset(names, ranks, [[(None, sorted(ys))] if ys else []
+                                      for ys in up])
 
 
 def cover_labels(labels) -> dict:

@@ -863,6 +863,24 @@ def child_env() -> dict:
     return env
 
 
+TRACED_COUNTER_NAMES = ("subspace.elements", "poset.elements", "poset.covers",
+                        "poset.maximal_chains", "poset.complex_faces")
+
+# The tracer's counters per invocation.  The square of B_2(2) has 11
+# elements and 18 covers and is handed to the poset layer with its factor (5
+# and 6); betti adds the square's proper part, 9 points and 9 faces.
+TRACED_COUNTERS = {
+    ("verify", "el", "--n", "2", "--q", "2", "--segre", "--json"):
+        [5, 16, 24, 12, 0],
+    ("verify", "mobius", "--n", "2", "--q", "2", "--json"): [5, 16, 24, 12, 0],
+    ("betti", "--n", "2", "--q", "2", "--segre"): [5, 25, 24, 21, 9],
+    ("mobius", "--n", "2", "--q", "3"): [6, 6, 8, 4, 0],
+    ("lattice", "--n", "2", "--q", "2", "--chains", "--check-el"):
+        [5, 5, 6, 3, 0],
+    ("verify", "el", "--n", "2", "--q", "3"): [6, 6, 8, 4, 0],
+}
+
+
 class TestConsoleEntry:
     def test_module_execution(self):
         proc = subprocess.run(
@@ -907,11 +925,20 @@ class TestConsoleEntry:
          "poset.check_el_labeling"),
         (("verify", "mobius", "--n", "2", "--q", "2", "--json"), "mobius",
          "poset.descending_chain_count"),
+        (("betti", "--n", "2", "--q", "2", "--segre"), None,
+         "poset.rational_betti_numbers"),
+        (("mobius", "--n", "2", "--q", "3"), None, "poset.mobius_number"),
+        (("lattice", "--n", "2", "--q", "2", "--chains", "--check-el"), None,
+         "poset.chain_report"),
+        (("verify", "el", "--n", "2", "--q", "3"), None,
+         "poset.check_el_labeling"),
     ])
     def test_the_benchmark_tracer_runs_the_push_kernels(
             self, tmp_path, argv, check, span):
         # perfbench/traced.py wraps every public function of the package and
-        # reads len, covers and ranks off the posets they are handed
+        # reads len, covers and ranks off the posets they are handed; its
+        # output is the untraced run's, check names the one check of a JSON
+        # verify run, and the counters are those of TRACED_COUNTERS
         root = pathlib.Path(__file__).resolve().parent.parent
         spans_path = tmp_path / "spans.json"
         proc = subprocess.run(
@@ -919,12 +946,17 @@ class TestConsoleEntry:
              str(spans_path), *argv],
             capture_output=True, text=True, env=child_env(), cwd=tmp_path)
         assert (proc.returncode, proc.stderr) == (0, "")
-        doc = json.loads(proc.stdout)
-        assert doc["status"] == "PASS"
-        assert [r["check"] for r in doc["checks"]] == [check]
+        plain = subprocess.run([sys.executable, "-m", "qsegre", *argv],
+                               capture_output=True, text=True, env=child_env())
+        assert proc.stdout == plain.stdout
+        if check is not None:
+            doc = json.loads(proc.stdout)
+            assert doc["status"] == "PASS"
+            assert [r["check"] for r in doc["checks"]] == [check]
         report = json.loads(spans_path.read_text())
         assert span in {name for _, name, *_ in report["spans"]}
-        assert report["counters"]["poset.elements"] > 0
+        assert [report["counters"][name]
+                for name in TRACED_COUNTER_NAMES] == TRACED_COUNTERS[argv]
 
     def test_negative_n_is_a_clean_error(self, capsys):
         code, _, err = run(capsys, "wq", "--n", "-1")

@@ -172,8 +172,8 @@ def _plant(package, filename, anchor, body) -> tuple[pathlib.Path, int]:
 
 
 # (file, a line of the class, dead method, its body): `less` is a local in
-# poset, read there from the table that _up_by_label returns; `add` and
-# `neg` are locals in subspace._join
+# poset, the table of label order that _label_ids returns; `add` and `neg`
+# are locals in subspace._join
 @pytest.mark.parametrize("filename, anchor, method, body", [
     ("poset.py",
      "    def __len__(self) -> int:\n        return len(self.names)\n",

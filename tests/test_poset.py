@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qsegre import poset as poset_module
 from qsegre.poset import (FACE_COUNT_BOUND, GradedPoset, chain_report, chains_by_dimension,
                           check_el_labeling,
                           descending_chain_count, mobius_number,
@@ -91,7 +92,7 @@ class TestGradedPoset:
         a = antichain(3)
         assert a.bottom is None and a.top is None
         # a second minimal element at rank 1 leaves no bottom
-        v = GradedPoset(["a", "b", "c"], [0, 1, 1], [[1], [], []])
+        v = GradedPoset(["a", "b", "c"], [0, 1, 1], [[(None, [1])], [], []])
         assert v.bottom is None and v.top is None
         empty = GradedPoset([], [], [])
         assert empty.bottom is None and empty.top is None
@@ -120,7 +121,8 @@ class TestGradedPoset:
             p = poset_from_covers(names, ranks, covers)
             assert p.covers == expected
             assert all(type(x) is int for cover in p.covers for x in cover)
-            assert p._up == [[1, 2], [3], [3], []]
+            assert p._up == [[(None, [1, 2])], [(None, [3])], [(None, [3])],
+                             []]
 
     @pytest.mark.parametrize("covers, message", [
         ([(0, 1), (0, 3)], r"^cover \(0,3\) must raise rank by exactly 1$"),
@@ -133,26 +135,81 @@ class TestGradedPoset:
                 poset_from_covers(["a", "b", "c", "d"], [0, 1, 1, 2], given)
 
     @pytest.mark.parametrize("up, message", [
-        ([[1, 3], [], [], []], r"^cover \(0,3\) must raise rank by exactly 1$"),
-        ([[1], [4], [], []], r"^cover \(1,4\) out of range$"),
-        ([[1, -1], [], [], []], r"^cover \(0,-1\) out of range$"),
-        ([[1], [3], [3]], "^one list of upper covers per element$"),
+        ([[(None, [1, 3])], [], [], []],
+         r"^cover \(0,3\) must raise rank by exactly 1$"),
+        ([[(None, [1])], [(None, [4])], [], []], r"^cover \(1,4\) out of range$"),
+        ([[(None, [1, -1])], [], [], []], r"^cover \(0,-1\) out of range$"),
+        ([[(None, [1])], [(None, [3])], [(None, [3])]],
+         "^one list of upper covers per element$"),
     ])
     def test_bad_upper_cover_lists_raise(self, up, message):
         with pytest.raises(ValueError, match=message):
             GradedPoset(["a", "b", "c", "d"], [0, 1, 1, 2], up)
 
+    # the diamond a < b, c < d, numbered in rank order and shuffled (b, d,
+    # a, c); each refusal is made at element a or b, the texts name ids for
+    # the range and the rank and names for a repeat
+    @pytest.mark.parametrize("shuffled, at, groups, message", [
+        (False, "b", [(1, [4])], "cover (1,4) out of range"),
+        (True, "b", [(1, [4])], "cover (0,4) out of range"),
+        (False, "a", [(1, [1]), (2, [3])],
+         "cover (0,3) must raise rank by exactly 1"),
+        (True, "a", [(1, [0]), (2, [1])],
+         "cover (2,1) must raise rank by exactly 1"),
+        (False, "a", [(1, [1, 2]), (2, [2])], "cover (a, c) has more than one label"),
+        (True, "a", [(1, [0, 3]), (2, [3])], "cover (a, c) has more than one label"),
+        (False, "a", [(1, [2, 1, 2])], "cover (a, c) has more than one label"),
+        (True, "a", [(1, [3, 0, 3])], "cover (a, c) has more than one label"),
+    ])
+    def test_each_refusal_names_its_cover(self, shuffled, at, groups, message):
+        names = ["b", "d", "a", "c"] if shuffled else ["a", "b", "c", "d"]
+        rank = {"a": 0, "b": 1, "c": 1, "d": 2}
+        index = {name: i for i, name in enumerate(names)}
+        up = [[] for _ in names]
+        for x, y in (("a", "b"), ("a", "c"), ("b", "d"), ("c", "d")):
+            up[index[x]].append((0, [index[y]]))
+        assert GradedPoset(names, [rank[x] for x in names], up).bottom == index["a"]
+        up[index[at]] = groups
+        with pytest.raises(ValueError) as refused:
+            GradedPoset(names, [rank[x] for x in names], up)
+        assert str(refused.value) == message
+
     def test_upper_cover_lists_are_normalised(self):
-        p = GradedPoset(["a", "b", "c", "d"], [0, 1, 1, 2],
-                        [[2, 1, 2], [3], [3], []])
+        # the groups are kept as given, unsorted; the cover pairs come sorted
+        up = [[(None, [2, 1])], [(None, [3])], [(None, [3])], []]
+        p = GradedPoset(["a", "b", "c", "d"], [0, 1, 1, 2], up)
         assert p.covers == ((0, 1), (0, 2), (1, 3), (2, 3))
-        assert p._up == [[1, 2], [3], [3], []]
+        assert p._up is up and up[0] == [(None, [2, 1])]
         assert (p.bottom, p.top) == (0, 3)
+
+    @given(st.randoms(use_true_random=False))
+    @settings(max_examples=80, deadline=None)
+    def test_a_renumbering_keeps_the_order(self, rng):
+        # a random bounded poset with random labels, built again under a
+        # random permutation of its ids with each group's covers reversed
+        p = _random_bounded_poset(rng, 5, 4)
+        labels = grouped(p, {c: rng.randint(1, 3) for c in p.covers})
+        perm = rng.sample(range(len(p)), len(p))
+        names, ranks = [None] * len(p), [None] * len(p)
+        up = [None] * len(p)
+        for x in range(len(p)):
+            names[perm[x]], ranks[perm[x]] = p.names[x], p.ranks[x]
+            up[perm[x]] = [(label, [perm[y] for y in reversed(ys)])
+                           for label, ys in labels[x]]
+        r = GradedPoset(names, ranks, up)
+
+        def by_name(q):
+            return (sorted((q.names[a], q.names[b]) for a, b in q.covers),
+                    q.names[q.bottom], q.names[q.top], mobius_number(q))
+
+        assert by_name(r) == by_name(GradedPoset(p.names, p.ranks, labels))
+        assert by_name(r) == by_name(p)
+        assert list(r.covers) == sorted(r.covers)
 
     def test_names_and_ranks_must_have_equal_length(self):
         with pytest.raises(ValueError, match="^names and ranks must have "
                                              "equal length$"):
-            GradedPoset(["a", "b"], [0], [[1], []])
+            GradedPoset(["a", "b"], [0], [[(None, [1])], []])
 
     @given(st.randoms(use_true_random=False))
     @settings(max_examples=50, deadline=None)
@@ -374,6 +431,33 @@ class TestLabelingPartition:
             with pytest.raises(ValueError, match="^labeling of 1 elements on "
                                "a poset of 2$"):
                 kernel(two_chain(), [[(1, [1])]])
+
+
+class Checked(Exception):
+    pass
+
+
+class TestOwnLabeling:
+    """The kernels trust a poset's own labeling, the very list it was built
+    from, and check any other, even an equal copy."""
+
+    def test_only_another_labeling_is_checked(self, monkeypatch):
+        def refuse(p, labels):
+            raise Checked
+
+        monkeypatch.setattr(poset_module, "_check_labels", refuse)
+        factor = build_bnq(2, FiniteField(3))
+        for p, labels in (factor, build_segre_bnq(2, FiniteField(2)),
+                          segre_product(*factor, *factor)):
+            assert labels is p._up
+            copy = grouped(p, cover_labels(labels))
+            for kernel in LABEL_KERNELS:
+                kernel(p, labels)
+                with pytest.raises(Checked):
+                    kernel(p, copy)
+        p, labels = factor
+        with pytest.raises(Checked):
+            segre_product(p, labels, p, grouped(p, cover_labels(labels)))
 
 
 class TestChainReport:
