@@ -28,18 +28,28 @@ def _field(q: int) -> subspace.FiniteField:
     return subspace.FiniteField(q)
 
 
+def _square_factor(n: int, q: int, count_bound=None):
+    """B_n(q) with its labels, as the factor of its Segre square: after the
+    refusals that the square would make, so that a square past the pair
+    bound is refused with its own text before any field is built.  The
+    square's mu and descending count are read off this factor."""
+    subspace.prime_power(q)
+    subspace.check_count_bound(n, q, True, count_bound)
+    return _lattice(n, q, False, count_bound)
+
+
 @functools.lru_cache(maxsize=None)
 def _lattice(n: int, q: int, segre: bool, count_bound=None):
     """B_n(q), or its Segre square, with its labels.  A square is refused
-    on its pair count before any field is built, and is the square of the
-    cached B_n(q), so that _el_check reads its symmetry off the very lattice
-    squared.  The caches live for one process and their keys come from one
-    command line or the suite's fixed matrices, so they need no eviction."""
+    on its pair count before any field is built (see _square_factor), and
+    is the square of the cached B_n(q), so that _el_check reads its
+    symmetry off the very lattice squared.  Only the verbs that need the
+    square's elements build it: `lattice`/`segre`, EL and Betti numbers.
+    The caches live for one process and their keys come from one command
+    line or the suite's fixed matrices, so they need no eviction."""
     if segre:
-        subspace.prime_power(q)
-        subspace.check_count_bound(n, q, True, count_bound)
-        built = subspace.build_segre_bnq(n, _field(q), count_bound,
-                                         _lattice(n, q, False, count_bound))
+        factor = _square_factor(n, q, count_bound)
+        built = subspace.build_segre_bnq(n, _field(q), count_bound, factor)
     else:
         built = subspace.build_bnq(n, _field(q), count_bound)
     # The cache holds every lattice until exit, and a square holds a list
@@ -74,12 +84,13 @@ def _el_check(n: int, q: int, segre: bool, count_bound=None):
     return poset.check_el_labeling(p, labels, lows)
 
 
-def _lattice_for(args, faces: bool = False):
+def _lattice_for(args, faces: bool = False, factor: bool = False):
     """The lattice or Segre square a compute verb names, after a warning on
     stderr if its subspace count bound was raised, and after the refusals
     that building would make, before any field or subspace is built.  With
     faces, the order complex of its proper part is then held to the face
-    bound."""
+    bound.  With factor, a Segre square is refused as ever, but its factor
+    B_n(q) is returned in its place."""
     default = subspace.SUBSPACE_COUNT_BOUND
     if args.count_bound is not None and args.count_bound > default:
         print(f"warning: subspace count bound raised to {args.count_bound} "
@@ -89,7 +100,8 @@ def _lattice_for(args, faces: bool = False):
     if faces:
         poset.check_face_count(
             subspace.proper_face_count(args.n, args.q, args.segre))
-    return _lattice(args.n, args.q, args.segre, args.count_bound)
+    return _lattice(args.n, args.q, args.segre and not factor,
+                    args.count_bound)
 
 
 def _ratfun_json(num: exactalg.QPolynomial, den: exactalg.QPolynomial) -> dict:
@@ -135,10 +147,12 @@ def _el_instance(n: int, q: int, segre: bool) -> tuple[bool, str]:
 
 
 def _mobius_instance(n: int, q: int) -> tuple[bool, str]:
-    """mu and the descending chain count of one Segre square against W_n(q)."""
-    sp, labels = _lattice(n, q, True)
-    mu = poset.mobius_number(sp)
-    descending = poset.descending_chain_count(sp, labels)
+    """mu and the descending chain count of one Segre square against W_n(q),
+    both read off its factor B_n(q): the square is refused as ever, but
+    never built."""
+    factor, labels = _square_factor(n, q)
+    mu = poset.segre_mobius_number(factor)
+    descending = poset.segre_descending_count(factor, labels)
     w_q = permstats.w_polynomial(n).evaluate(q)
     return (mu == (-1) ** n * w_q and descending == w_q,
             f"mu={mu} descending={descending} expected W={w_q}")
@@ -319,7 +333,7 @@ def _cmd_bessel(args) -> int:
 
 def _cmd_lattice(args) -> int:
     p, labels = _lattice_for(args)
-    doc = {"poset": poset.to_interchange(p, labels)}
+    doc = {"poset": poset.to_interchange(p, labels)} if args.json else {}
     if args.chains:
         words, increasing, descending = poset.chain_report(p, labels)
         doc["chains"] = {"words": {_word_str(w): c for w, c in words.items()},
@@ -353,11 +367,16 @@ def _cmd_segre(args) -> int:
 
 def _cmd_invariant(args) -> int:
     """mobius or betti, as the verb names: the Mobius number of a lattice or
-    Segre square, or the Betti numbers of its proper part."""
+    Segre square, or the Betti numbers of its proper part.  A square's
+    Mobius number is read off its factor, which alone is built."""
     betti = args.command == "betti"
-    p, _ = _lattice_for(args, faces=betti)
-    value = (poset.rational_betti_numbers(poset.proper_part(p)) if betti
-             else poset.mobius_number(p))
+    p, _ = _lattice_for(args, faces=betti, factor=not betti)
+    if betti:
+        value = poset.rational_betti_numbers(poset.proper_part(p))
+    elif args.segre:
+        value = poset.segre_mobius_number(p)
+    else:
+        value = poset.mobius_number(p)
     if args.json:
         print(_dump({"n": args.n, "q": args.q, "segre": args.segre,
                      args.command: value}))

@@ -25,11 +25,17 @@ check pushes from each lower element, keeping per element its increasing
 chains by last label and its first label word; a caller that knows every
 interval to be label-isomorphic to one above a few lower elements (the
 orbit representatives of a symmetry it has checked) passes those, and a
-failure among them reruns the full check.  The descending count is one
-push from the bottom that keeps tallies only.  Only
-mobius_number, order_chain_counts and strictly_above (so also
-chains_by_dimension) build the quadratic reachability bitsets, one mask per
-element; their queries walk only the set bits (`mask & -mask`).  Betti
+failure among them reruns the full check.  Only segre_product builds a
+Segre square.  Its Mobius number and descending count are taken from the
+factor alone: segre_mobius_number runs the Mobius recursion over the
+pairs, one flat list per rank, with the order read off the factor's
+masks, and segre_descending_count is one push from the bottom pair that
+keeps tallies only, for one rank of pairs at a time, over pair covers
+formed on the fly from the factor's label groups.  Only mobius_number,
+segre_mobius_number (on the factor), order_chain_counts and
+strictly_above (so also chains_by_dimension) build the quadratic
+reachability bitsets, one mask per element; their queries walk only the
+set bits (`mask & -mask`).  Betti
 numbers come from an acyclic element matching on the order complex
 (discrete Morse theory): its critical chains span the Morse complex, whose
 boundary follows gradient paths, so nothing is eliminated when the
@@ -174,6 +180,26 @@ class GradedPoset:
         return out
 
 
+def _rank_blocks(p: GradedPoset) -> tuple[dict[int, list[int]], list[int]]:
+    """p's elements by rank, each rank block ascending, and each element's
+    place in its block."""
+    blocks: dict[int, list[int]] = {}
+    place = []
+    for x, r in enumerate(p.ranks):
+        place.append(len(blocks.setdefault(r, [])))
+        blocks[r].append(x)
+    return blocks, place
+
+
+def _levels(p: GradedPoset) -> tuple[list[list[int]], list[int]]:
+    """The rank blocks of a poset with a bottom, from the bottom's rank up
+    (every element is above the bottom, so no rank between is empty), and
+    each element's place in its block."""
+    blocks, place = _rank_blocks(p)
+    low = p.ranks[p.bottom]
+    return [blocks[r] for r in range(low, low + len(blocks))], place
+
+
 def segre_product(p: GradedPoset, p_labels: list, q: GradedPoset,
                   q_labels: list) -> tuple[GradedPoset, list]:
     """Induced subposet of the product on pairs of equal rank, with its
@@ -188,11 +214,7 @@ def segre_product(p: GradedPoset, p_labels: list, q: GradedPoset,
     other than the factor's own is first checked (see _check_unless_own)."""
     _check_unless_own(p, p_labels)
     _check_unless_own(q, q_labels)
-    blocks: dict[int, list[int]] = {}
-    jpos = []
-    for j, r in enumerate(q.ranks):
-        jpos.append(len(blocks.setdefault(r, [])))
-        blocks[r].append(j)
+    blocks, jpos = _rank_blocks(q)
     start = list(accumulate((len(blocks.get(r, ())) for r in p.ranks), initial=0))
     p_groups = [[(a, [start[c] for c in cs]) for a, cs in groups]
                 for groups in p_labels]
@@ -249,6 +271,51 @@ def mobius_number(p: GradedPoset) -> int:
         if value:
             classes[value] = classes.get(value, 0) | (1 << x)
     return value
+
+
+def segre_mobius_number(p: GradedPoset) -> int:
+    """mobius_number of the Segre square of p with itself, read off p's own
+    order: the square is never built.
+
+    In the square, (x', y') < (x, y) exactly when x' <= x and y' <= y at one
+    rank j below that of x.  So mu(x, y) is minus the sum, over those j and
+    the x' <= x of rank j, of T_j(x', y) = sum of mu(x', y') over the y' <= y
+    of rank j.  The levels are p's rank blocks from the bottom's up (see
+    _levels).  mu on level h is one flat list over its pairs, (x', y') at
+    a * N_h + b for a and b their places in the block of N_h elements, so
+    T_j(., y) sums the columns mus[j][b::N_j] over the places b below y;
+    every element is above the bottom, so there is one such b at least.
+    For one y, sums holds T_j(., y) for every level j below y's, end to end
+    in level order.  An element's position is its index in that same order,
+    and down[x] is x's strict below mask over positions, so mu(x, y) is
+    minus the sum of sums at the set bits of down[x]."""
+    bottom, top = p.bottom, p.top
+    if bottom is None or top is None:
+        raise ValueError("Mobius number requires both a bottom and a top")
+    levels, _ = _levels(p)
+    start = list(accumulate(map(len, levels), initial=0))
+    position = [0] * len(p)
+    for t, x in enumerate(chain.from_iterable(levels)):
+        position[x] = t
+    down = [sum(1 << position[z] for z in _set_bits(mask ^ (1 << x)))
+            for x, mask in enumerate(p._below_masks())]
+    mus = [[1]]  # the bottom's level holds the bottom alone
+    for h in range(1, len(levels)):
+        level = levels[h]
+        size = len(level)
+        lower = [_set_bits(down[x]) for x in level]
+        flat = [0] * (size * size)
+        for b, y in enumerate(level):
+            sums = []
+            for j in range(h):
+                width = len(levels[j])
+                columns = [mus[j][c::width] for c in
+                           _set_bits(down[y] >> start[j] & ((1 << width) - 1))]
+                sums += map(sum, zip(*columns))
+            flat[b::size] = [-sum(map(sums.__getitem__, xs)) for xs in lower]
+        mus.append(flat)
+    # the top is the one element of the last level
+    return mus[-1][0]
 
 
 def order_chain_counts(p: GradedPoset) -> list[int]:
@@ -451,39 +518,68 @@ def chain_report(p: GradedPoset, labels: list) -> tuple[dict, int, int]:
             sum(c for w, c in tallies.items() if not any(ascents[w])))
 
 
-def descending_chain_count(p: GradedPoset, labels: list) -> int:
-    """Maximal chains from bottom to top whose label words have no ascent,
-    chain_report's descending count without the words.
+def segre_descending_count(p: GradedPoset, labels: list) -> int:
+    """The maximal chains of the Segre square of p with itself, labeled by
+    pairs as segre_product labels it, whose label words have no ascent:
+    chain_report's descending count on that square, which is never built.
+    A labeling other than p's own is first checked (see _check_unless_own).
 
-    Taken in rank order, tallies[x][s] counts the descending chains from the
-    bottom to x whose last label has id s, and each label group (t, ys) of x
-    adds the sum of tallies[x] over the ids t may follow (those s with no
-    s < t) to tallies[y][t] for every y in ys.  An element's tallies are
-    freed once pushed.  A sum of zero is still pushed, so the top always
-    has its tallies and no descending chain reads 0."""
+    The square's covers are formed on the fly: pair (x, y) has, for each
+    group (a, cs) of x and (b, ds) of y, the group ((a, b), cs x ds).  The
+    pair labels are numbered in sorted order over every pair of p's labels,
+    and the ids that t may follow are those s with no s < t under
+    product_order_less.  The count is one push from the bottom pair, level
+    by level (see _levels).  On the level of N elements, pair (x, y) at
+    places i and j keeps width tallies from (i * N + j) * width: entry t
+    counts its descending chains whose last label has id t.  Each of its
+    groups adds the sum of its tallies over the ids that the group's id may
+    follow to that id's tally at every pair of covers in the group; only
+    one level's tallies are held at a time."""
+    _check_unless_own(p, labels)
     bottom, top = p.bottom, p.top
     if bottom is None:
         raise ValueError("poset has no bottom element")
     if top is None:
         raise ValueError("poset has no top element")
-    up, less = _label_ids(p, labels)
     if top == bottom:
         return 1
-    width = len(less)
-    follows = [[s for s, row in enumerate(less) if not row[t]]
-               for t in range(width)]
-    tallies: list[Optional[list[int]]] = [None] * len(p)
-    # the top has the one largest rank, so it comes last
-    for x in sorted(range(len(p)), key=p.ranks.__getitem__)[:-1]:
-        tally, tallies[x] = tallies[x], None
-        for t, ys in up[x]:
-            extended = 1 if x == bottom else sum(
-                [tally[s] for s in follows[t]])
-            for y in ys:
-                if tallies[y] is None:
-                    tallies[y] = [0] * width
-                tallies[y][t] += extended
-    return sum(tallies[top])
+    distinct = sorted({label for groups in labels for label, _ in groups})
+    ids = {label: t for t, label in enumerate(distinct)}
+    pair_labels = [(a, b) for a in distinct for b in distinct]
+    width = len(pair_labels)
+    follows = [[s for s, u in enumerate(pair_labels)
+                if not product_order_less(u, v)] for v in pair_labels]
+    levels, place = _levels(p)
+    tallies = None
+    for h, level in enumerate(levels[:-1]):
+        size, above = len(level), len(levels[h + 1])
+        stride = above * width
+        # each group's pair label id split in two parts, ta + tb, and its
+        # covers as offsets into the next level's tallies: c's part of
+        # (c, d), and d's part
+        firsts = [[(ids[a] * len(distinct), [place[c] * stride for c in cs])
+                   for a, cs in labels[x]] for x in level]
+        seconds = [[(ids[b], [place[d] * width for d in ds])
+                    for b, ds in labels[y]] for y in level]
+        pushed = [0] * (above * stride)
+        for i, x_groups in enumerate(firsts):
+            for j, y_groups in enumerate(seconds):
+                if h:
+                    k = (i * size + j) * width
+                    tally = tallies[k:k + width]
+                for ta, cs in x_groups:
+                    for tb, ds in y_groups:
+                        t = ta + tb
+                        extended = sum([tally[s] for s in follows[t]]) if h else 1
+                        if not extended:
+                            continue
+                        for c in cs:
+                            c += t
+                            for d in ds:
+                                pushed[c + d] += extended
+        tallies = pushed
+    # the top pair is the one pair of the last level
+    return sum(tallies)
 
 
 def chains_by_dimension(p: GradedPoset) -> list[list[tuple[int, ...]]]:

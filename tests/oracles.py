@@ -9,7 +9,8 @@ pair oracles compare the ascent sets of every pair of permutations, and
 count inversions pair by pair.  The poset oracles read a labeling as a
 dict from each cover to its label (cover_labels), read the order off the
 covers alone, list every maximal chain
-of every interval, count the chains of the proper part for Hall's theorem,
+of every interval, push descending-chain tallies over the covers of a
+built Segre square, count the chains of the proper part for Hall's theorem,
 and build Segre products by numbering pairs in a dict and labeling them
 through element names; the Betti oracle eliminates over the whole order
 complex, listed chain by chain from subsets of elements, and the rank
@@ -36,7 +37,7 @@ from qsegre.exactalg import ONE, QPolynomial, one_minus_q_power
 from qsegre.permstats import perm_stats
 from qsegre.poset import (GradedPoset, chains_by_dimension, order_chain_counts,
                           product_order_less, proper_part, segre_product,
-                          _rank_of_sparse_rows)
+                          _label_ids, _rank_of_sparse_rows)
 from qsegre.subspace import rref_rows
 from qsegre.symfrob import (_degrees, _perm_of_cycle_type,
                             induce_product_character, partitions_of,
@@ -302,6 +303,42 @@ def grouped(p, labels: dict) -> list:
     for (x, y), label in sorted(labels.items()):
         groups[x].setdefault(label, []).append(y)
     return [list(by_label.items()) for by_label in groups]
+
+
+def descending_chain_count(p, labels: list) -> int:
+    """Maximal chains from bottom to top whose label words have no ascent,
+    chain_report's descending count without the words, by one push over
+    the poset's own covers; on segre_product's square it is the route
+    that segre_descending_count replaced.
+
+    Taken in rank order, tallies[x][s] counts the descending chains from the
+    bottom to x whose last label has id s, and each label group (t, ys) of x
+    adds the sum of tallies[x] over the ids t may follow (those s with no
+    s < t) to tallies[y][t] for every y in ys.  A sum of zero is still
+    pushed, so the top always has its tallies and no descending chain
+    reads 0."""
+    bottom, top = p.bottom, p.top
+    if bottom is None:
+        raise ValueError("poset has no bottom element")
+    if top is None:
+        raise ValueError("poset has no top element")
+    up, less = _label_ids(p, labels)
+    if top == bottom:
+        return 1
+    width = len(less)
+    follows = [[s for s, row in enumerate(less) if not row[t]]
+               for t in range(width)]
+    tallies = [None] * len(p)
+    # the top has the one largest rank, so it comes last
+    for x in sorted(range(len(p)), key=p.ranks.__getitem__)[:-1]:
+        for t, ys in up[x]:
+            extended = 1 if x == bottom else sum(
+                [tallies[x][s] for s in follows[t]])
+            for y in ys:
+                if tallies[y] is None:
+                    tallies[y] = [0] * width
+                tallies[y][t] += extended
+    return sum(tallies[top])
 
 
 def segre_labels_by_names(square, p, p_labels, q, q_labels):

@@ -533,6 +533,58 @@ class TestBorelOrbitRoute:
         assert out == ""
 
 
+class Forbidden(Exception):
+    pass
+
+
+def forbid(*args, **kwargs):
+    raise Forbidden
+
+
+class TestSegreFromTheFactor:
+    """verify mobius, mobius --segre and the suite's mobius check read the
+    square's mu and descending count off its factor: no square is built,
+    and a square past the bound is refused with the square's own text."""
+
+    def test_no_square_is_built(self, fresh_lattices, monkeypatch, capsys):
+        from qsegre import poset, subspace
+        for module, name in ((poset, "segre_product"),
+                             (subspace, "segre_product"),
+                             (subspace, "build_segre_bnq")):
+            monkeypatch.setattr(module, name, forbid)
+        code, out, err = run(capsys, "verify", "mobius", "--n", "3", "--q", "2")
+        assert (code, out, err) == (
+            0, "PASS mobius: mu=-344 descending=344 expected W=344\n", "")
+        code, out, err = run(capsys, "mobius", "--n", "3", "--q", "2",
+                             "--segre")
+        assert (code, out, err) == (0, "-344\n", "")
+        assert fresh_lattices._check_mobius()["status"] == "PASS"
+        monkeypatch.setattr(subspace, "FiniteField", forbid)
+        code, out, err = run(capsys, "verify", "mobius", "--n", "3", "--q", "16")
+        assert (code, out, err) == (
+            2, "", "error: 149060 pairs of the Segre square exceed the bound "
+                   "100000\n")
+
+
+class TestOnlyWhatWasAsked:
+    """The interchange document is built under --json alone."""
+
+    @pytest.mark.parametrize("argv", [
+        ("lattice", "--n", "2", "--q", "3", "--chains", "--check-el"),
+        ("segre", "--n", "2", "--q", "2", "--chains", "--check-el"),
+        ("lattice", "--n", "2", "--q", "2", "--segre", "--chains",
+         "--check-el"),
+    ])
+    def test_text_mode_builds_no_document(self, monkeypatch, capsys, argv):
+        from qsegre import poset
+        monkeypatch.setattr(poset, "to_interchange", forbid)
+        code, out, err = run(capsys, *argv)
+        assert (code, err) == (0, "")
+        assert out.splitlines()[-1] == "  EL check: PASS"
+        with pytest.raises(Forbidden):
+            main([*argv, "--json"])
+
+
 class TestBrokenHomology:
     def test_a_wrong_homology_table_fails_thm31_and_thm48(
             self, capsys, monkeypatch):
@@ -868,16 +920,19 @@ TRACED_COUNTER_NAMES = ("subspace.elements", "poset.elements", "poset.covers",
 
 # The tracer's counters per invocation.  The square of B_2(2) has 11
 # elements and 18 covers and is handed to the poset layer with its factor (5
-# and 6); betti adds the square's proper part, 9 points and 9 faces.
+# and 6); betti adds the square's proper part, 9 points and 9 faces.  The
+# square's mu and descending count are read off the factor, so verify
+# mobius and mobius --segre hand the poset layer the factor alone.
 TRACED_COUNTERS = {
     ("verify", "el", "--n", "2", "--q", "2", "--segre", "--json"):
         [5, 16, 24, 12, 0],
-    ("verify", "mobius", "--n", "2", "--q", "2", "--json"): [5, 16, 24, 12, 0],
+    ("verify", "mobius", "--n", "2", "--q", "2", "--json"): [5, 5, 6, 3, 0],
     ("betti", "--n", "2", "--q", "2", "--segre"): [5, 25, 24, 21, 9],
     ("mobius", "--n", "2", "--q", "3"): [6, 6, 8, 4, 0],
     ("lattice", "--n", "2", "--q", "2", "--chains", "--check-el"):
         [5, 5, 6, 3, 0],
     ("verify", "el", "--n", "2", "--q", "3"): [6, 6, 8, 4, 0],
+    ("mobius", "--n", "2", "--q", "2", "--segre"): [5, 5, 6, 3, 0],
 }
 
 
@@ -924,7 +979,7 @@ class TestConsoleEntry:
         (("verify", "el", "--n", "2", "--q", "2", "--segre", "--json"), "el",
          "poset.check_el_labeling"),
         (("verify", "mobius", "--n", "2", "--q", "2", "--json"), "mobius",
-         "poset.descending_chain_count"),
+         "poset.segre_descending_count"),
         (("betti", "--n", "2", "--q", "2", "--segre"), None,
          "poset.rational_betti_numbers"),
         (("mobius", "--n", "2", "--q", "3"), None, "poset.mobius_number"),
@@ -932,6 +987,8 @@ class TestConsoleEntry:
          "poset.chain_report"),
         (("verify", "el", "--n", "2", "--q", "3"), None,
          "poset.check_el_labeling"),
+        (("mobius", "--n", "2", "--q", "2", "--segre"), None,
+         "poset.segre_mobius_number"),
     ])
     def test_the_benchmark_tracer_runs_the_push_kernels(
             self, tmp_path, argv, check, span):

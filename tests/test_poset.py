@@ -8,20 +8,21 @@ from hypothesis import strategies as st
 
 from qsegre import poset as poset_module
 from qsegre.poset import (FACE_COUNT_BOUND, GradedPoset, chain_report, chains_by_dimension,
-                          check_el_labeling,
-                          descending_chain_count, mobius_number,
+                          check_el_labeling, mobius_number,
                           order_chain_counts, product_order_less, proper_part,
-                          rational_betti_numbers, segre_product,
+                          rational_betti_numbers, segre_descending_count,
+                          segre_mobius_number, segre_product,
                           to_interchange, _element_matching, _morse_boundary,
                           _rank_of_sparse_rows, _set_bits)
-from qsegre.cli import BETTI_MATRIX
+from qsegre.cli import BETTI_MATRIX, MOBIUS_MATRIX
 from qsegre.permstats import w_polynomial
 from qsegre.subspace import (FiniteField, build_bnq, build_segre_bnq,
                              proper_face_count)
 
 from oracles import (boolean_lattice, boolean_lattice_labeled,
                      chain_report_by_enumeration, chains_by_subsets,
-                     cover_labels, el_check_by_intervals, from_interchange,
+                     cover_labels, descending_chain_count,
+                     el_check_by_intervals, from_interchange,
                      grouped, maximal_chains,
                      order_from_covers, pair_poset, poset_from_covers,
                      rank_over_rationals,
@@ -394,7 +395,7 @@ class TestELLabeling:
         assert check_el_labeling(p, grouped(p, broken), lows) == (True, None)
 
 
-LABEL_KERNELS = (check_el_labeling, descending_chain_count, chain_report,
+LABEL_KERNELS = (check_el_labeling, segre_descending_count, chain_report,
                  to_interchange)
 
 
@@ -503,10 +504,12 @@ class TestDescendingCount:
 
     @pytest.mark.parametrize("n, q", [(2, 3), (3, 2), (3, 3)])
     def test_segre_squares_count_the_pair_polynomial(self, n, q):
-        sp, labels = build_segre_bnq(n, FiniteField(q))
+        factor = build_bnq(n, FiniteField(q))
+        sp, labels = segre_product(*factor, *factor)
         descending = descending_chain_count(sp, labels)
         assert descending == chain_report(sp, labels)[2]
         assert descending == w_polynomial(n).evaluate(q)
+        assert segre_descending_count(*factor) == descending
 
 
 class TestUnboundedPosets:
@@ -640,16 +643,95 @@ class TestKernelsAgainstOracles:
         assert _rank_of_sparse_rows(rows) == rank_over_rationals(rows) == 2
 
 
+def _square_of(p, labels):
+    """The oracle route of the Segre kernels: build the square of p, then
+    take its Mobius number and its descending count."""
+    square, square_labels = segre_product(p, labels, p, labels)
+    return (_outcome(mobius_number, square),
+            _outcome(descending_chain_count, square, square_labels))
+
+
+def _from_factor(p, labels):
+    """The Segre kernels on the factor, as _square_of returns them."""
+    return (_outcome(segre_mobius_number, p),
+            _outcome(segre_descending_count, p, labels))
+
+
+class TestSegreKernelsAgainstTheSquare:
+    """segre_mobius_number and segre_descending_count on a factor against
+    mobius_number and the cover push on the square that segre_product
+    builds of it."""
+
+    @given(st.randoms(use_true_random=False), st.booleans())
+    @settings(max_examples=100, deadline=None)
+    def test_random_labelings_of_random_bounded_posets(self, rng, pairs):
+        p = _random_bounded_poset(rng)
+        labels = _random_labels(rng, p, pairs)
+        assert _from_factor(p, labels) == _square_of(p, labels)
+
+    @given(st.randoms(use_true_random=False), st.booleans())
+    @settings(max_examples=60, deadline=None)
+    def test_posets_without_a_bottom_or_a_top(self, rng, pairs):
+        # proper parts often lack a bottom or a top, or both; the texts are
+        # the square's
+        p = proper_part(_random_bounded_poset(rng))
+        labels = _random_labels(rng, p, pairs)
+        assert _from_factor(p, labels) == _square_of(p, labels)
+
+    @pytest.mark.parametrize("ranks, covers, missing", [
+        ([0, 1, 1], [(0, 1), (0, 2)], "top"),
+        ([0, 0, 1], [(0, 2), (1, 2)], "bottom"),
+        ([], [], "bottom"),
+    ])
+    def test_a_missing_bottom_or_top_is_refused(self, ranks, covers, missing):
+        p = poset_from_covers(["a", "b", "c"][:len(ranks)], ranks, covers)
+        assert _from_factor(p, p._up) == _square_of(p, p._up) == (
+            "Mobius number requires both a bottom and a top",
+            f"poset has no {missing} element")
+
+    def test_a_single_element(self):
+        point = GradedPoset(["x"], [0], [[]])
+        assert _from_factor(point, point._up) == _square_of(point, point._up) == (
+            1, 1)
+
+    @pytest.mark.parametrize("n, q", MOBIUS_MATRIX)
+    def test_the_mobius_matrix(self, n, q):
+        p, labels = build_bnq(n, FiniteField(q))
+        w_q = w_polynomial(n).evaluate(q)
+        assert _from_factor(p, labels) == _square_of(p, labels) == (
+            (-1) ** n * w_q, w_q)
+
+    def test_a_foreign_copy_of_the_labels(self):
+        p, labels = build_bnq(2, FiniteField(3))
+        copy = grouped(p, cover_labels(labels))
+        assert _from_factor(p, copy) == _square_of(p, copy) == (15, 15)
+        broken = cover_labels(labels)
+        broken.pop((p.bottom, p.top - 1))
+        broken = grouped(p, broken)
+        text = f"cover ({p.names[p.bottom]}, {p.names[p.top - 1]}) has no label"
+        assert _outcome(segre_descending_count, p, broken) == text
+        with pytest.raises(ValueError) as refused:
+            segre_product(p, broken, p, broken)
+        assert str(refused.value) == text
+
+
 class TestQuadraticBitsets:
-    """Only mobius_number, order_chain_counts and strictly_above build the
-    per-element reachability masks."""
+    """Only mobius_number, segre_mobius_number, order_chain_counts and
+    strictly_above build the per-element reachability masks;
+    segre_mobius_number builds the downward ones of the factor alone, each
+    as wide as the factor, and the square's stay unbuilt."""
 
     def test_cover_kernels_leave_the_masks_unbuilt(self):
-        sp, labels = build_segre_bnq(2, FiniteField(3))
+        factor, factor_labels = build_bnq(2, FiniteField(3))
+        sp, labels = segre_product(factor, factor_labels, factor, factor_labels)
         assert sp.bottom == 0 and sp.top == len(sp) - 1
         assert check_el_labeling(sp, labels) == (True, None)
-        assert descending_chain_count(sp, labels) == 15  # W_2(3) = 2*3 + 3^2
+        # W_2(3) = 2*3 + 3^2
+        assert segre_descending_count(factor, factor_labels) == 15
+        assert factor._above is None and factor._below is None
         assert sp._above is None and sp._below is None
+        assert segre_mobius_number(factor) == 15
+        assert factor._above is None and factor._below is not None
         assert mobius_number(sp) == 15
         assert sp._above is None and sp._below is not None
 
