@@ -42,9 +42,10 @@ def _square_factor(n: int, q: int, count_bound=None):
 def _lattice(n: int, q: int, segre: bool, count_bound=None):
     """B_n(q), or its Segre square, with its labels.  A square is refused
     on its pair count before any field is built (see _square_factor), and
-    is the square of the cached B_n(q), so that _el_check reads its
-    symmetry off the very lattice squared.  Only the verbs that need the
-    square's elements build it: `lattice`/`segre`, EL and Betti numbers.
+    is the square of the cached B_n(q), so that _el_check picks its
+    coordinate subspaces off the very lattice squared, by the same test of
+    its labeling.  Only the verbs that need the square's elements build it:
+    `lattice`/`segre`, EL and Betti numbers.
     The caches live for one process and their keys come from one command
     line or the suite's fixed matrices, so they need no eviction."""
     if segre:
@@ -64,23 +65,19 @@ def _el_check(n: int, q: int, segre: bool, count_bound=None):
     """check_el_labeling on _lattice(n, q, segre, count_bound), the one EL
     route of `verify el`, the suite and `lattice --check-el`.
 
-    The group B of invertible upper triangular matrices acts on B_n(q) by
-    label-preserving automorphisms, and its orbits each hold one coordinate
-    subspace (see subspace.borel_representatives).  So when the factor's
-    labels pass that check, every interval of the square is label-isomorphic
-    to one whose lower element is a pair of coordinate subspaces, and only
-    those pairs are pushed from.  A plain lattice takes the full push: there
-    the symmetry check costs more than it saves."""
+    When the factor B_n(q) carries build_bnq's own labeling, every interval
+    is label-isomorphic to one above a coordinate subspace e_S, or on the
+    square above a pair (e_S, e_T) (see subspace.coordinate_subspaces), so
+    only those are pushed from: the elements all of whose factor parts are
+    coordinate subspaces.  Any other labeling takes the full push."""
     p, labels = _lattice(n, q, segre, count_bound)
+    factor, factor_labels = _lattice(n, q, False, count_bound)
+    found = subspace.coordinate_subspaces(factor, factor_labels)
     lows = None
-    if segre:
-        factor, factor_labels = _lattice(n, q, False, count_bound)
-        found = subspace.borel_representatives(n, _field(q), factor,
-                                               factor_labels)
-        if found is not None:
-            coordinate = {factor.names[i] for i in found}
-            lows = [k for k, (x, y) in enumerate(p.names)
-                    if x in coordinate and y in coordinate]
+    if found is not None:
+        coordinate = {factor.names[i] for i in found}
+        lows = [k for k, name in enumerate(p.names)
+                if coordinate.issuperset(name if segre else (name,))]
     return poset.check_el_labeling(p, labels, lows)
 
 

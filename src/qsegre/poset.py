@@ -24,8 +24,9 @@ grows with the covers times the distinct labels or label words.  The EL
 check pushes from each lower element, keeping per element its increasing
 chains by last label and its first label word; a caller that knows every
 interval to be label-isomorphic to one above a few lower elements (the
-orbit representatives of a symmetry it has checked) passes those, and a
-failure among them reruns the full check.  Only segre_product builds a
+coordinate subspaces of B_n(q), or their pairs on its square, each
+interval moved there by an upper unitriangular witness) passes those, and
+a failure among them reruns the full check.  Only segre_product builds a
 Segre square.  Its Mobius number and descending count are taken from the
 factor alone: segre_mobius_number runs the Mobius recursion over the
 pairs, one flat list per rank, with the order read off the factor's

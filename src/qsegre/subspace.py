@@ -26,10 +26,18 @@ nonzero indices over its vectors, is the pivot set of its echelon form
 taken from the right (reverse the coordinates, reduce, map the pivots
 back), so no vector is listed.
 
-The invertible upper triangular matrices keep the rightmost nonzero
-coordinate of every vector, so they act on the lattice keeping every
-cover's label, with the coordinate subspaces as orbit representatives;
-borel_representatives checks this on a built lattice and its labels.
+Every interval is label-isomorphic to one above a coordinate subspace
+e_S, by a witness read off the label set.  Let x have label set S.  Its
+mirrored echelon basis, the one label_set reduces, has one vector b_s per
+s in S, whose last nonzero entry is a 1 at s: label_set's dimension check,
+|label_set(x)| = dim x, is what certifies that.  The matrix u_x with column
+b_s at each s in S and e_i at every other i is then upper unitriangular,
+and u_x e_S = x.  An upper triangular matrix keeps the rightmost nonzero
+coordinate of every vector, so u_x keeps every label set, and so every
+label that is a label-set difference: [x, y] and [e_S, u_x^-1 y] are
+label-isomorphic.  build_bnq checks what this needs of its own labeling
+(each label the one index a cover gains, each rank its Gaussian count), so
+coordinate_subspaces returns the e_S for that labeling alone.
 """
 
 from __future__ import annotations
@@ -195,7 +203,9 @@ def proper_face_count(n: int, q: int, segre: bool = False) -> int:
 def label_set(field: FiniteField, rows) -> frozenset[int]:
     """Rightmost nonzero coordinate indices (1-based) over the atoms of the
     row space of the RREF rows: the pivots of its echelon form taken from
-    the right."""
+    the right.  Its dimension check, one index per row, certifies the
+    witness u_x of the module docstring: the mirrored basis has one vector
+    for each index, ending in a 1 there."""
     mirrored = rref_rows(field, len(rows[0]) if rows else 0,
                          [row[::-1] for row in rows])
     out = frozenset(len(row) - row.index(1) for row in mirrored)
@@ -329,94 +339,19 @@ def build_segre_bnq(n: int, field: FiniteField, count_bound: int | None = None,
     return segre_product(p, labels, p, labels)
 
 
-def _borel_generators(n: int, field: FiniteField):
-    """(name, act) for each generator of the group B of invertible upper
-    triangular matrices over the field, act mapping a coordinate vector v
-    to g v: the scalings e_i -> a e_i by a generator a of F_q^* (none for
-    q = 2), then the transvections e_j -> e_j + t e_i, i < j, for t in the
-    F_p-basis 1, x, ..., x^(k-1) of F_q (codes p^0, ..., p^(k-1)); these t
-    generate F_q additively, so the transvections generate the unitriangular
-    matrices."""
-    add, mul = field._add, field._mul
-    q = field.order
+def coordinate_subspaces(p: GradedPoset, labels: list) -> list[int] | None:
+    """The coordinate subspaces e_S of a B_n(q) from build_bnq, the elements
+    whose RREF rows are all unit vectors, as ascending indices into p, when
+    labels is p's own labeling, the very list build_bnq built p from; None
+    for any other labeling.
 
-    def order(a: int) -> int:
-        power, k = a, 1
-        while power != 1:
-            power, k = mul[power][a], k + 1
-        return k
-
-    if q > 2:
-        a = next(a for a in range(2, q) if order(a) == q - 1)
-        for i in range(n):
-            def act(v, i=i, scale=mul[a]):
-                return v[:i] + (scale[v[i]],) + v[i + 1:]
-            yield f"e_{i + 1} -> {a} e_{i + 1}", act
-    for i in range(n):
-        for j in range(i + 1, n):
-            for t in (field.p ** e for e in range(field.k)):
-                def act(v, i=i, j=j, scaled=mul[t]):
-                    return v[:i] + (add[v[i]][scaled[v[j]]],) + v[i + 1:]
-                yield f"e_{j + 1} -> e_{j + 1} + {t} e_{i + 1}", act
-
-
-def borel_representatives(n: int, field: FiniteField, p: GradedPoset,
-                          labels: list) -> list[int] | None:
-    """The coordinate subspaces e_S of B_n(q), as ascending indices into p,
-    one in each orbit of the group B of invertible upper triangular
-    matrices, once p and labels are checked to have B's symmetry.
-
-    g in B keeps the rightmost nonzero coordinate of every vector, so it
-    keeps label sets and cover labels, and its orbits are the 2^n Schubert
-    cells {x : label_set(x) = S}, each holding e_S.  None of this is taken
-    on trust: each generator of _borel_generators maps every element by
-    RREF, and the generators' orbits are joined by union-find.  None when
-    some cover's image carries another label in labels, so the caller
-    pushes from every element; ArithmeticError when an image is not an
-    element, two elements share an image, a cover maps to a non-cover, or
-    the orbits are not 2^n classes with one e_S in each."""
-    names = p.names
-    index = {rows: a for a, rows in enumerate(names)}
-    label_of = [{y: label for label, ys in groups for y in ys}
-                for groups in labels]
-    covers = p.covers
-    cover_set = set(covers)
-    parent = list(range(len(names)))
-
-    def root(a: int) -> int:
-        while parent[a] != a:
-            parent[a] = parent[parent[a]]
-            a = parent[a]
-        return a
-
-    q = field.order
-    for name, act in _borel_generators(n, field):
-        image = []
-        for rows in names:
-            b = index.get(rref_rows(field, n, map(act, rows)))
-            if b is None:
-                raise ArithmeticError(f"{name} maps {rows} of B_{n}({q}) to "
-                                      "no element")
-            image.append(b)
-        if len(set(image)) != len(image):
-            raise ArithmeticError(f"{name} maps two elements of B_{n}({q}) "
-                                  "to one")
-        for a, b in covers:
-            if (image[a], image[b]) not in cover_set:
-                raise ArithmeticError(
-                    f"{name} maps the cover {names[a]} < {names[b]} of "
-                    f"B_{n}({q}) to a non-cover")
-            if label_of[a].get(b) != label_of[image[a]].get(image[b]):
-                return None
-        for a, b in enumerate(image):
-            parent[root(a)] = root(b)
-    units = [tuple(int(c == s) for c in range(n)) for s in range(n)]
-    coordinate = [index.get(tuple(units[s] for s in range(n) if mask >> s & 1))
-                  for mask in range(2 ** n)]
-    classes = {root(a) for a in range(len(names))}
-    if (None in coordinate or len(classes) != 2 ** n
-            or len({root(c) for c in coordinate}) != 2 ** n):
-        raise ArithmeticError(
-            f"the Borel orbits on B_{n}({q}) are {len(classes)} classes, not "
-            f"the {2 ** n} of the coordinate subspaces")
-    return sorted(coordinate)
+    Every interval [x, y] of build_bnq's lattice is label-isomorphic to
+    [e_S, u_x^-1 y] (see the module docstring), and on its Segre square
+    (x, x') < (y, y') to the interval above (e_S, e_S') by the pair
+    (u_x, u_x').  So the EL pushes from these, or from their pairs, reach
+    every interval.  Another labeling carries none of build_bnq's checks,
+    so it gets None and its caller pushes from every element."""
+    if labels is not p._up:
+        return None
+    return [a for a, rows in enumerate(p.names)
+            if all(row.count(0) == len(row) - 1 for row in rows)]

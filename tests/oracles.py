@@ -16,8 +16,10 @@ through element names; the Betti oracle eliminates over the whole order
 complex, listed chain by chain from subsets of elements, and the rank
 oracle eliminates over Fractions.  The subspace oracles list every RREF
 basis by its pivot columns and free positions, test containment by row
-reduction, read label sets off every vector of a subspace, and find field
-moduli by polynomial trial division.  The
+reduction, read label sets off every vector of a subspace, find field
+moduli by polynomial trial division, and find the orbits of the
+upper triangular group by mapping every subspace under each of its
+generators.  The
 symmetric-function oracles take the homology character from the Hopf trace
 over the chains of the pair poset, and check that induction products go to
 products by comparing characteristics over Fractions.  Those
@@ -652,6 +654,95 @@ def covers_by_containment(n: int, field) -> dict:
                                               f"gains labels {sorted(gained)}")
                     out[(lower.rows, upper.rows)] = next(iter(gained))
     return out
+
+
+def _borel_generators(n: int, field):
+    """(name, act) for each generator of the group B of invertible upper
+    triangular matrices over the field, act mapping a coordinate vector v
+    to g v: the scalings e_i -> a e_i by a generator a of F_q^* (none for
+    q = 2), then the transvections e_j -> e_j + t e_i, i < j, for t in the
+    F_p-basis 1, x, ..., x^(k-1) of F_q (codes p^0, ..., p^(k-1)); these t
+    generate F_q additively, so the transvections generate the unitriangular
+    matrices."""
+    add, mul = field._add, field._mul
+    q = field.order
+
+    def order(a: int) -> int:
+        power, k = a, 1
+        while power != 1:
+            power, k = mul[power][a], k + 1
+        return k
+
+    if q > 2:
+        a = next(a for a in range(2, q) if order(a) == q - 1)
+        for i in range(n):
+            def act(v, i=i, scale=mul[a]):
+                return v[:i] + (scale[v[i]],) + v[i + 1:]
+            yield f"e_{i + 1} -> {a} e_{i + 1}", act
+    for i in range(n):
+        for j in range(i + 1, n):
+            for t in (field.p ** e for e in range(field.k)):
+                def act(v, i=i, j=j, scaled=mul[t]):
+                    return v[:i] + (add[v[i]][scaled[v[j]]],) + v[i + 1:]
+                yield f"e_{j + 1} -> e_{j + 1} + {t} e_{i + 1}", act
+
+
+def borel_representatives(n: int, field, p, labels) -> list[int] | None:
+    """The coordinate subspaces e_S of B_n(q), as ascending indices into p,
+    one in each orbit of the group B of invertible upper triangular
+    matrices, once p and labels are checked to have B's symmetry: the
+    generator sweep that subspace.coordinate_subspaces replaced.
+
+    Each generator of _borel_generators maps every element by RREF, and the
+    generators' orbits are joined by union-find.  None when some cover's
+    image carries another label in labels; ArithmeticError when an image is
+    not an element, two elements share an image, a cover maps to a
+    non-cover, or the orbits are not 2^n classes with one e_S in each."""
+    names = p.names
+    index = {rows: a for a, rows in enumerate(names)}
+    label_of = [{y: label for label, ys in groups for y in ys}
+                for groups in labels]
+    covers = p.covers
+    cover_set = set(covers)
+    parent = list(range(len(names)))
+
+    def root(a: int) -> int:
+        while parent[a] != a:
+            parent[a] = parent[parent[a]]
+            a = parent[a]
+        return a
+
+    q = field.order
+    for name, act in _borel_generators(n, field):
+        image = []
+        for rows in names:
+            b = index.get(rref_rows(field, n, map(act, rows)))
+            if b is None:
+                raise ArithmeticError(f"{name} maps {rows} of B_{n}({q}) to "
+                                      "no element")
+            image.append(b)
+        if len(set(image)) != len(image):
+            raise ArithmeticError(f"{name} maps two elements of B_{n}({q}) "
+                                  "to one")
+        for a, b in covers:
+            if (image[a], image[b]) not in cover_set:
+                raise ArithmeticError(
+                    f"{name} maps the cover {names[a]} < {names[b]} of "
+                    f"B_{n}({q}) to a non-cover")
+            if label_of[a].get(b) != label_of[image[a]].get(image[b]):
+                return None
+        for a, b in enumerate(image):
+            parent[root(a)] = root(b)
+    units = [tuple(int(c == s) for c in range(n)) for s in range(n)]
+    coordinate = [index.get(tuple(units[s] for s in range(n) if mask >> s & 1))
+                  for mask in range(2 ** n)]
+    classes = {root(a) for a in range(len(names))}
+    if (None in coordinate or len(classes) != 2 ** n
+            or len({root(c) for c in coordinate}) != 2 ** n):
+        raise ArithmeticError(
+            f"the Borel orbits on B_{n}({q}) are {len(classes)} classes, not "
+            f"the {2 ** n} of the coordinate subspaces")
+    return sorted(coordinate)
 
 
 def _poly_remainder_modp(num: list[int], den: list[int], p: int) -> list[int]:

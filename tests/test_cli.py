@@ -452,8 +452,9 @@ def _with_swapped_factor(monkeypatch, atom_rows, above_rows):
 
 
 class TestBorelOrbitRoute:
-    """EL on a Segre square from the pairs of coordinate subspaces, one in
-    each orbit of the upper triangular group, against the full check."""
+    """EL from the coordinate subspaces e_S on B_n(q), and from their pairs
+    on its square, one above each Borel orbit of intervals, against the
+    full check."""
 
     @pytest.mark.parametrize("n, q", [(2, 2), (2, 3), (2, 4), (3, 2), (3, 3)])
     def test_the_orbit_route_matches_every_interval(
@@ -466,22 +467,25 @@ class TestBorelOrbitRoute:
             pushed.append(lows)
             return check(p, labels, lows)
         monkeypatch.setattr(poset, "check_el_labeling", spy)
-        sp, labels = cli._lattice(n, q, True)
-        assert cli._el_check(n, q, True) == el_check_by_intervals(sp, labels)
-        assert [len(lows) for lows in pushed] == [comb(2 * n, n)]
+        for segre, lows in ((False, 2 ** n), (True, comb(2 * n, n))):
+            p, labels = cli._lattice(n, q, segre)
+            assert cli._el_check(n, q, segre) == el_check_by_intervals(
+                p, labels)
+            assert len(pushed.pop()) == lows and pushed == []
 
     def test_a_swap_off_the_symmetry_falls_back_to_every_element(
             self, fresh_lattices, monkeypatch, capsys):
         # <(1,1,1)> is in the orbit of <e_3>, so the swapped labels are not
-        # B-invariant: the symmetry check gives None and every element is
-        # pushed from
-        from qsegre import subspace
+        # B-invariant; being a labeling other than build_bnq's own, they
+        # are pushed from every element
+        from qsegre import poset
         _with_swapped_factor(monkeypatch, ((1, 1, 1),), ((1, 0, 0), (0, 1, 1)))
-        found = []
-        representatives = subspace.borel_representatives
+        pushed = []
+        check = poset.check_el_labeling
         monkeypatch.setattr(
-            subspace, "borel_representatives",
-            lambda *args: found.append(representatives(*args)) or found[-1])
+            poset, "check_el_labeling",
+            lambda p, labels, lows=None: pushed.append(lows)
+            or check(p, labels, lows))
         violation = ("2 increasing maximal chains in [((), ()), "
                      "(((0, 1, 0), (0, 0, 1)), ((1, 0, 0), (0, 1, 1)))]")
         assert el_check_by_intervals(*fresh_lattices._lattice(3, 2, True)) == (
@@ -490,14 +494,14 @@ class TestBorelOrbitRoute:
                              "--segre")
         assert (code, out, err) == (
             1, f"FAIL el: segre n=3 q=2: {violation}\n", "")
-        assert found == [None]
+        assert pushed == [None]
 
     def test_a_symmetric_break_is_rerun_from_every_element(
             self, fresh_lattices, monkeypatch, capsys):
         # <e_1> < <e_1, e_2> is fixed by the group, so the swap keeps the
-        # symmetry: the pushes from the pairs of coordinate subspaces find
-        # the break, and the rerun from every element names the full
-        # check's first offender
+        # symmetry, but the factor's labeling is not build_bnq's own: every
+        # element is pushed from at once, and the full check's first
+        # offender is named
         from qsegre import poset
         _with_swapped_factor(monkeypatch, ((1, 0, 0),), ((1, 0, 0), (0, 1, 0)))
         sp, labels = fresh_lattices._lattice(3, 2, True)
@@ -513,24 +517,8 @@ class TestBorelOrbitRoute:
                              "--check-el")
         assert (code, out.splitlines()[-1], err) == (
             1, f"  EL check: FAIL {violation}", "")
-        # the first representative, the bottom pair, fails; then the rerun
-        # over every element starts again at element 0 and stops there
-        assert starts == [sp.bottom, 0]
-
-    @pytest.mark.parametrize("argv", [
-        ("verify", "el", "--n", "3", "--q", "2", "--segre"),
-        ("lattice", "--n", "3", "--q", "2", "--segre", "--check-el"),
-    ])
-    def test_a_broken_generator_is_a_clean_error(
-            self, fresh_lattices, monkeypatch, capsys, argv):
-        from qsegre import subspace
-        monkeypatch.setattr(subspace, "_borel_generators",
-                            lambda n, field: iter([("drop e_1",
-                                                    lambda v: (0,) + v[1:])]))
-        code, out, err = run(capsys, *argv)
-        assert (code, err) == (
-            2, "error: drop e_1 maps two elements of B_3(2) to one\n")
-        assert out == ""
+        # the full push starts at element 0, the bottom pair, and stops there
+        assert starts == [0]
 
 
 class Forbidden(Exception):

@@ -13,9 +13,10 @@ from qsegre.poset import (chain_report, check_el_labeling, mobius_number,
 from qsegre.subspace import (FiniteField, build_bnq, build_segre_bnq,
                              label_set, rref_rows)
 
-from oracles import (Permutation, contains, cover_labels, grouped,
-                     covers_by_containment, enumerate_subspaces,
-                     first_irreducible_modulus,
+import oracles
+from oracles import (Permutation, borel_representatives, contains,
+                     cover_labels, grouped, covers_by_containment,
+                     enumerate_subspaces, first_irreducible_modulus,
                      inversions, label_set_by_atoms,
                      reduced_euler_characteristic, span)
 
@@ -360,19 +361,22 @@ def _swapped_through(p, labels, atom, above):
 
 
 class TestBorelRepresentatives:
-    """The upper triangular group's symmetry, checked on the built lattice."""
+    """The upper triangular group's symmetry, checked on the built lattice
+    by the generator sweep of the oracle, whose orbit representatives are
+    the coordinate subspaces that the EL route pushes from."""
 
     @pytest.mark.parametrize("n, field", [(0, F2), (1, F3), (2, F2), (2, F4),
                                           (2, F9), (3, F2), (3, F3), (3, F4),
                                           (4, F2)])
     def test_one_coordinate_subspace_per_schubert_cell(self, n, field):
         p, labels = build_bnq(n, field)
-        found = subspace.borel_representatives(n, field, p, labels)
+        found = borel_representatives(n, field, p, labels)
         units = [tuple(int(c == s) for c in range(n)) for s in range(n)]
         coordinate = sorted(p.names.index(tuple(rows))
                             for k in range(n + 1)
                             for rows in itertools.combinations(units, k))
         assert found == coordinate
+        assert found == subspace.coordinate_subspaces(p, labels)
         assert {label_set(field, p.names[i]) for i in found} == {
             label_set(field, rows) for rows in p.names}
 
@@ -383,7 +387,7 @@ class TestBorelRepresentatives:
         atom = p.names.index(((1, 1, 1),))
         above = p.names.index(((1, 0, 0), (0, 1, 1)))
         swapped = _swapped_through(p, labels, atom, above)
-        assert subspace.borel_representatives(3, F2, p, swapped) is None
+        assert borel_representatives(3, F2, p, swapped) is None
 
     def test_a_label_swap_the_group_fixes_passes(self):
         # <e_1> and <e_1, e_2> are fixed by every upper triangular matrix
@@ -391,8 +395,8 @@ class TestBorelRepresentatives:
         atom = p.names.index(((1, 0, 0),))
         above = p.names.index(((1, 0, 0), (0, 1, 0)))
         swapped = _swapped_through(p, labels, atom, above)
-        assert subspace.borel_representatives(3, F2, p, swapped) == (
-            subspace.borel_representatives(3, F2, p, labels))
+        assert borel_representatives(3, F2, p, swapped) == (
+            borel_representatives(3, F2, p, labels))
 
     @pytest.mark.parametrize("generators, message", [
         # a projection: not invertible
@@ -408,10 +412,62 @@ class TestBorelRepresentatives:
     def test_broken_generators_are_caught(self, monkeypatch, generators,
                                           message):
         p, labels = build_bnq(3, F2)
-        monkeypatch.setattr(subspace, "_borel_generators",
+        monkeypatch.setattr(oracles, "_borel_generators",
                             lambda n, field: iter(generators))
         if message is None:
-            assert subspace.borel_representatives(3, F2, p, labels) is None
+            assert borel_representatives(3, F2, p, labels) is None
         else:
             with pytest.raises(ArithmeticError, match=message):
-                subspace.borel_representatives(3, F2, p, labels)
+                borel_representatives(3, F2, p, labels)
+
+
+def _unitriangular_witness(field, n, rows):
+    """u_x, as a list of rows, for the subspace x of F_q^n with the RREF
+    rows: column b_s at each s in label_set(x) and e_s at every other s, b_s
+    the vector of x's mirrored echelon basis whose last nonzero entry is at
+    s."""
+    columns = [tuple(int(c == s) for c in range(n)) for s in range(n)]
+    for mirrored in rref_rows(field, n, [row[::-1] for row in rows]):
+        columns[n - 1 - mirrored.index(1)] = mirrored[::-1]
+    return [[column[i] for column in columns] for i in range(n)]
+
+
+def _apply(field, matrix, v):
+    add, mul = field._add, field._mul
+    out = []
+    for row in matrix:
+        acc = 0
+        for a, b in zip(row, v):
+            acc = add[acc][mul[a][b]]
+        out.append(acc)
+    return tuple(out)
+
+
+class TestCoordinateSubspaces:
+    """Every interval [x, y] of B_n(q) is label-isomorphic to the one above
+    the coordinate subspace e_S, S = label_set(x), by the unitriangular u_x
+    read off x's mirrored echelon basis."""
+
+    @pytest.mark.parametrize("n, field", [(2, F4), (2, F9), (3, F2), (3, F3),
+                                          (3, F4), (4, F2)],
+                             ids=lambda x: str(getattr(x, "order", x)))
+    def test_the_witness_moves_x_to_its_coordinate_subspace(self, n, field):
+        p, _ = build_bnq(n, field)
+        sets = [label_set(field, rows) for rows in p.names]
+        for rows, indices in zip(p.names, sets):
+            u = _unitriangular_witness(field, n, rows)
+            assert all(u[i][j] == (i == j) for i in range(n)
+                       for j in range(i + 1))
+            units = [tuple(int(c == s - 1) for c in range(n))
+                     for s in sorted(indices)]
+            assert rref_rows(field, n, [_apply(field, u, e)
+                                        for e in units]) == rows
+            assert [label_set(field, rref_rows(
+                field, n, [_apply(field, u, row) for row in other]))
+                for other in p.names] == sets
+
+    def test_only_the_builds_own_labeling_is_trusted(self):
+        p, labels = build_bnq(3, F2)
+        assert len(subspace.coordinate_subspaces(p, labels)) == 8
+        assert subspace.coordinate_subspaces(
+            p, grouped(p, cover_labels(labels))) is None
