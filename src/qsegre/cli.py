@@ -45,7 +45,7 @@ def _lattice(n: int, q: int, segre: bool, count_bound=None):
     is the square of the cached B_n(q), so that _el_check picks its
     coordinate subspaces off the very lattice squared, by the same test of
     its labeling.  Only the verbs that need the square's elements build it:
-    `lattice`/`segre`, EL and Betti numbers.
+    `lattice`/`segre` with chains, EL or JSON, EL and Betti numbers.
     The caches live for one process and their keys come from one command
     line or the suite's fixed matrices, so they need no eviction."""
     if segre:
@@ -329,7 +329,11 @@ def _cmd_bessel(args) -> int:
 
 
 def _cmd_lattice(args) -> int:
-    p, labels = _lattice_for(args)
+    # a square's text line needs only its rank sizes N_k^2, read off the
+    # factor's N_k, so the square is built only for chains, EL or JSON
+    counts_only = args.segre and not (args.chains or args.check_el
+                                      or args.json)
+    p, labels = _lattice_for(args, factor=counts_only)
     doc = {"poset": poset.to_interchange(p, labels)} if args.json else {}
     if args.chains:
         words, increasing, descending = poset.chain_report(p, labels)
@@ -344,8 +348,11 @@ def _cmd_lattice(args) -> int:
         print(_dump(doc))
     else:
         kind = "segre square" if args.segre else "lattice"
-        print(f"{kind} n={args.n} q={args.q}: {len(p)} elements, "
-              f"rank sizes {p.rank_sizes()}")
+        sizes = p.rank_sizes()
+        if counts_only:
+            sizes = [size * size for size in sizes]
+        print(f"{kind} n={args.n} q={args.q}: {sum(sizes)} elements, "
+              f"rank sizes {sizes}")
         if args.chains:
             report = doc["chains"]
             for word in sorted(report["words"]):

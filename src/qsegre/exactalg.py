@@ -14,6 +14,20 @@ A polynomial is a tuple of coefficients in ascending degree with no trailing
 zeros (the zero polynomial is the empty tuple), which makes structural
 equality coincide with mathematical equality.
 
+Products whose shorter factor has PACKED_MUL_MIN_LENGTH coefficients or more
+are taken by Kronecker substitution: each factor is packed into one integer
+as its value at q = 2^(8k) (pack), the two integers are multiplied once, and
+the product's coefficients are read back as signed base-2^(8k) digits
+(unpack).  The digit width is chosen so that no coefficient can reach a
+neighbouring digit: digit_bytes(bound) is the least k with
+2^(8k-1) > bound, and the bound is min(len a, len b) * max|a| * max|b|,
+which no coefficient of the product exceeds in magnitude.  unpack is given
+that bound and raises ArithmeticError when its digits cannot hold it, or
+when the digits it reads do not add back up to the integer (a carry or
+residue left past the last digit), so a width too narrow for the product
+fails loudly instead of returning wrapped coefficients.  Shorter products
+are taken term by term.
+
 Every value here is immutable once constructed and safe to share between
 threads.
 """
@@ -22,6 +36,52 @@ from __future__ import annotations
 
 from functools import lru_cache
 from typing import Iterable
+
+
+# Below this length of the shorter factor, the term-by-term product is the
+# faster one: packing costs a few conversions per coefficient, against
+# len(a) * len(b) small multiplications.
+PACKED_MUL_MIN_LENGTH = 16
+
+
+def digit_bytes(bound: int) -> int:
+    """The fewest bytes k with 2^(8k-1) > bound: the width of a signed digit
+    that holds every value of magnitude at most bound."""
+    return bound.bit_length() // 8 + 1
+
+
+def _half_offset(k: int, length: int) -> int:
+    """sum_i 2^(8k-1) * 2^(8k i) over i < length: moves length signed
+    k-byte digits into unsigned ones."""
+    return int.from_bytes((bytes(k - 1) + b"\x80") * length, "little")
+
+
+def pack(coeffs, k: int) -> int:
+    """sum_i coeffs[i] * 2^(8k i): the coefficients, each of magnitude below
+    2^(8k-1), as the value at q = 2^(8k).  A coefficient out of that range
+    raises OverflowError."""
+    half = 1 << (8 * k - 1)
+    raw = b"".join([(c + half).to_bytes(k, "little") for c in coeffs])
+    return int.from_bytes(raw, "little") - _half_offset(k, len(coeffs))
+
+
+def unpack(value: int, k: int, length: int, bound: int) -> list[int]:
+    """The coefficients c_0..c_(length-1) with
+    value == sum_i c_i * 2^(8k i), given that none exceeds bound in
+    magnitude.  ArithmeticError when a signed k-byte digit cannot hold bound
+    (the digits would not be the coefficients), or when value is out of the
+    reach of length such digits (a carry or residue left past the last)."""
+    if bound >> (8 * k - 1):
+        raise ArithmeticError(f"digits of {k} bytes cannot hold "
+                              f"coefficients up to {bound}")
+    shifted = value + _half_offset(k, length)
+    if shifted < 0 or shifted >> (8 * k * length):
+        raise ArithmeticError(f"packed value does not fit {length} signed "
+                              f"digits of {k} bytes")
+    raw = shifted.to_bytes(k * length, "little")
+    half = 1 << (8 * k - 1)
+    return [int.from_bytes(raw[i:i + k], "little") - half
+            for i in range(0, k * length, k)]
 
 
 def _coerce(value) -> int:
@@ -41,6 +101,14 @@ class QPolynomial:
         while cs and cs[-1] == 0:
             cs.pop()
         self.coeffs: tuple[int, ...] = tuple(cs)
+
+    @classmethod
+    def _of_ints(cls, coeffs: list[int]) -> "QPolynomial":
+        """The polynomial with these coefficients, known to be ints with a
+        nonzero last one, without the constructor's pass over them."""
+        p = object.__new__(cls)
+        p.coeffs = tuple(coeffs)
+        return p
 
     @property
     def degree(self) -> int:
@@ -86,12 +154,19 @@ class QPolynomial:
         a, b = self.coeffs, other.coeffs
         if not a or not b:
             return QPolynomial()
+        shorter = min(len(a), len(b))
+        if shorter >= PACKED_MUL_MIN_LENGTH:
+            bound = shorter * max(map(abs, a)) * max(map(abs, b))
+            k = digit_bytes(bound)
+            return QPolynomial._of_ints(unpack(pack(a, k) * pack(b, k), k,
+                                               len(a) + len(b) - 1, bound))
         out = [0] * (len(a) + len(b) - 1)
         for i, ca in enumerate(a):
             if ca:
                 for j, cb in enumerate(b):
                     out[i + j] += ca * cb
-        return QPolynomial(out)
+        # a and b end in nonzero ints, and so does their product
+        return QPolynomial._of_ints(out)
 
     __rmul__ = __mul__
 

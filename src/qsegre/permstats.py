@@ -1,7 +1,16 @@
 """The ascent and inversion statistics of permutations in one-line notation,
 and the pair polynomial W_n(q) of the pairs with no common ascent, by
-enumeration up to ENUMERATION_BOUND and by the alternating q-binomial-square
-recurrence up to RECURRENCE_BOUND.
+insertion count up to ENUMERATION_BOUND and by the alternating
+q-binomial-square recurrence up to RECURRENCE_BOUND.
+
+The insertion count lists no permutation: it tallies permutations by their
+ascent set, the rank of their last entry and their inversions as they are
+built one entry at a time, each tally an integer polynomial held as one
+integer, its value at q = 2^(8k) (exactalg's Kronecker packing, with k from
+exactalg.digit_bytes((n!)^2)), so that adding tallies and multiplying
+classes is integer arithmetic and the coefficients are read back once.  It
+takes no q-binomial, so it stays independent of the recurrence that it
+seeds and that the identity checks compare it with.
 
 Positions are 1-based throughout: position i of sigma is an ascent when
 sigma(i) < sigma(i+1), for i in [n-1].  The empty permutation is admitted
@@ -12,12 +21,13 @@ n = 0 pair set.
 from __future__ import annotations
 
 import itertools
+import math
 from functools import lru_cache
 
-from .exactalg import ONE, ZERO, QPolynomial, q_power
+from .exactalg import ONE, ZERO, QPolynomial, digit_bytes, q_power, unpack
 
 ENUMERATION_BOUND = 7
-RECURRENCE_BOUND = 40
+RECURRENCE_BOUND = 50
 Q_BINOMIAL_BOUND = 100
 
 
@@ -54,37 +64,59 @@ def perm_stats(n: int) -> tuple[tuple[int, int], ...]:
 
 
 @lru_cache(maxsize=None)
-def _w_polynomial_enumerated(n: int) -> QPolynomial:
-    """W_n(q) from the ascent classes of S_n.
+def _w_polynomial_by_insertion(n: int) -> QPolynomial:
+    """W_n(q) from the ascent classes of S_n, counted by insertion.
 
-    Every permutation is visited once and filed under its ascent bitmask m,
-    giving the inversion polynomial A_m(q) of each class; then W_n is the sum
-    of A_m1 * A_m2 over disjoint masks.  Summing A over the submasks of each
-    mask first (one bit at a time) leaves one product per class: 2^(n-1)
-    products instead of (n!)^2 pair tests.
+    A permutation is built one entry at a time: the entry at 0-based
+    index i has relative rank r' in 0..i among the first i + 1, which adds
+    the i - r' inversions with the larger entries before it, and makes
+    position i (1-based, so bit i-1 of the mask) an ascent exactly when r'
+    exceeds r, the rank of the entry before it among the first i.  So the
+    prefixes are tallied by (ascent mask, r), each state holding the
+    inversion polynomial of its prefixes packed at q = 2^w (exactalg.pack's
+    form, so q^j is a shift by w * j); the prefix sums over r give every
+    next state at once.  Summing the states of a mask gives
+    the inversion polynomial A_m(q) of that ascent class, and W_n is the
+    sum of A_m1 * A_m2 over disjoint masks.  Summing A over the submasks of
+    each mask first (one bit at a time) leaves one product per class:
+    2^(n-1) products of packed integers, read back once.  Every packed
+    coefficient is a count of pairs, so none exceeds (n!)^2 and no digit
+    of width digit_bytes((n!)^2) ever carries.
     """
-    full = (1 << max(n - 1, 0)) - 1
-    counts = [[0] * (n * (n - 1) // 2 + 1) for _ in range(full + 1)]
-    for mask, inv in perm_stats(n):
-        counts[mask][inv] += 1
-    classes = [QPolynomial(c) for c in counts]
+    bound = math.factorial(n) ** 2
+    k = digit_bytes(bound)
+    w = 8 * k
+    states = [[1]]  # one entry: no ascent, rank 0, no inversion
+    for i in range(1, n):
+        top = len(states)  # mask m, with ascent i added, is at m + top
+        grown = [None] * (2 * top)
+        for mask, row in enumerate(states):
+            prefix = [0]  # prefix[r] = sum of the states of rank below r
+            for value in row:
+                prefix.append(prefix[-1] + value)
+            total = prefix[-1]
+            grown[mask] = [(total - prefix[r]) << (w * (i - r))
+                           for r in range(i + 1)]
+            grown[mask + top] = [prefix[r] << (w * (i - r))
+                                 for r in range(i + 1)]
+        states = grown
+    classes = [sum(row) for row in states]
     below = list(classes)  # below[m] = sum of A_s over the submasks s of m
     for bit in range(n - 1):
-        for m in range(full + 1):
+        for m in range(len(below)):
             if m >> bit & 1:
-                below[m] = below[m] + below[m ^ (1 << bit)]
-    total = ZERO
-    for m, a in enumerate(classes):
-        total = total + a * below[full ^ m]
-    return total
+                below[m] += below[m ^ (1 << bit)]
+    full = len(classes) - 1
+    total = sum(a * below[full ^ m] for m, a in enumerate(classes))
+    return QPolynomial(unpack(total, k, n * (n - 1) + 1, bound))
 
 
 def w_polynomial(n: int) -> QPolynomial:
     """Generating polynomial of q^(inv(sigma)+inv(omega)) over the pairs of
-    S_n x S_n with no common ascent, computed by full enumeration up to
+    S_n x S_n with no common ascent, computed by insertion count up to
     ENUMERATION_BOUND (w_polynomial_recurrence continues past it)."""
     check_enumeration_bound(n)
-    return _w_polynomial_enumerated(n)
+    return _w_polynomial_by_insertion(n)
 
 
 def q_binomial(n: int, k: int) -> QPolynomial:
@@ -156,19 +188,20 @@ def csv_recurrence(seeds: list[QPolynomial], n: int) -> list[QPolynomial]:
 
 
 def w_polynomial_recurrence(n: int) -> QPolynomial:
-    """W_n(q) by enumeration up to ENUMERATION_BOUND, and past it from
-    the alternating identity, solved recursively from the enumerated values,
-    so enumeration stays the ground truth of the recurrence's base.  This is
+    """W_n(q) by insertion count up to ENUMERATION_BOUND, and past it from
+    the alternating identity, solved recursively from the counted values,
+    so the count stays the ground truth of the recurrence's base.  This is
     the one place that picks between the two routes.  An n above
-    RECURRENCE_BOUND is refused before any work: its cost grows about as
-    n^6 (n^2 products of polynomials of degree up to about n^2).
+    RECURRENCE_BOUND is refused before any work: it takes about n^2/2
+    products of polynomials of degree up to about n^2 with coefficients of
+    up to about 2n log2(n) bits, and W_50 takes several seconds.
     """
     if n < 0:
         raise ValueError("n must be nonnegative")
     if n > RECURRENCE_BOUND:
         raise ValueError(f"n={n} exceeds the recurrence bound {RECURRENCE_BOUND}")
     if n <= ENUMERATION_BOUND:
-        return _w_polynomial_enumerated(n)
-    seeds = [_w_polynomial_enumerated(m) for m in range(ENUMERATION_BOUND + 1)]
+        return _w_polynomial_by_insertion(n)
+    seeds = [_w_polynomial_by_insertion(m) for m in range(ENUMERATION_BOUND + 1)]
     return csv_recurrence(seeds, n)[n]
 

@@ -6,7 +6,9 @@ src/qsegre replaced; the tests compare the two.  The rational-function
 identities are checked by evaluation: q is set to enough integers that the
 values pin the polynomial, and everything at a point is a Fraction.  The
 pair oracles compare the ascent sets of every pair of permutations, and
-count inversions pair by pair.  The poset oracles read a labeling as a
+count inversions pair by pair; the listing oracle files every permutation
+of S_n by its ascent set, and the schoolbook product multiplies
+coefficient lists term by term.  The poset oracles read a labeling as a
 dict from each cover to its label (cover_labels), read the order off the
 covers alone, list every maximal chain
 of every interval, push descending-chain tallies over the covers of a
@@ -258,6 +260,42 @@ def w_polynomial_by_pair_scan(n: int) -> QPolynomial:
             if m1 & m2 == 0:
                 coeffs[i1 + i2] += 1
     return QPolynomial(coeffs)
+
+
+def schoolbook_product(a, b) -> QPolynomial:
+    """The product of two coefficient lists, term by term."""
+    if not a or not b:
+        return QPolynomial()
+    out = [0] * (len(a) + len(b) - 1)
+    for i, ca in enumerate(a):
+        for j, cb in enumerate(b):
+            out[i + j] += ca * cb
+    return QPolynomial(out)
+
+
+def w_polynomial_by_listing(n: int) -> QPolynomial:
+    """W_n(q) from the ascent classes of S_n, every permutation listed once.
+
+    Each permutation is filed under its ascent bitmask m, giving the
+    inversion polynomial A_m(q) of each class; then W_n is the sum of
+    A_m1 * A_m2 over disjoint masks, with A summed over the submasks of
+    each mask first (one bit at a time): 2^(n-1) products instead of
+    (n!)^2 pair tests, each taken term by term.
+    """
+    full = (1 << max(n - 1, 0)) - 1
+    counts = [[0] * (n * (n - 1) // 2 + 1) for _ in range(full + 1)]
+    for mask, inv in perm_stats(n):
+        counts[mask][inv] += 1
+    classes = [QPolynomial(c) for c in counts]
+    below = list(classes)  # below[m] = sum of A_s over the submasks s of m
+    for bit in range(n - 1):
+        for m in range(full + 1):
+            if m >> bit & 1:
+                below[m] = below[m] + below[m ^ (1 << bit)]
+    total = QPolynomial()
+    for m, a in enumerate(classes):
+        total = total + schoolbook_product(a.coeffs, below[full ^ m].coeffs)
+    return total
 
 
 def segre_product_by_pairs(p, q):

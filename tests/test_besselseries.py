@@ -116,7 +116,7 @@ class TestFractionFreeNumerators:
             raise AssertionError("work started before the bound check")
         monkeypatch.setattr(besselseries, "csv_recurrence", fail)
         monkeypatch.setattr(besselseries, "w_polynomial", fail)
-        monkeypatch.setattr(permstats, "perm_stats", fail)
+        monkeypatch.setattr(permstats, "_w_polynomial_by_insertion", fail)
         with pytest.raises(ValueError, match="bound 7"):
             verify_reciprocal(8)
         monkeypatch.setattr(permstats, "ENUMERATION_BOUND", 3)

@@ -131,7 +131,8 @@ class TestBoundsBeforeWork:
         assert "unrecognized arguments: --bound 3" in err
 
     def test_verify_csv_beyond_bound_does_no_work(self, capsys, monkeypatch):
-        for name in ("perm_stats", "q_binomial", "w_polynomial"):
+        for name in ("_w_polynomial_by_insertion", "q_binomial",
+                     "w_polynomial"):
             monkeypatch.setattr(permstats, name, fail_if_called)
         code, out, err = run(capsys, "verify", "csv", "--n", "8")
         assert_clean_rejection(code, out, err)
@@ -141,7 +142,8 @@ class TestBoundsBeforeWork:
         from qsegre import besselseries
         for name in ("bessel_coefficients", "csv_recurrence", "w_polynomial"):
             monkeypatch.setattr(besselseries, name, fail_if_called)
-        monkeypatch.setattr(permstats, "perm_stats", fail_if_called)
+        monkeypatch.setattr(permstats, "_w_polynomial_by_insertion",
+                            fail_if_called)
         for argv in (("bessel", "--order", "8"),
                      ("verify", "bessel", "--order", "8", "--json")):
             code, out, err = run(capsys, *argv)
@@ -311,14 +313,14 @@ class TestBoundsBeforeWork:
 
     def test_wq_beyond_the_recurrence_bound_does_no_work(
             self, capsys, monkeypatch):
-        for name in ("_w_polynomial_enumerated", "csv_recurrence",
+        for name in ("_w_polynomial_by_insertion", "csv_recurrence",
                      "q_binomial_square"):
             monkeypatch.setattr(permstats, name, fail_if_called)
-        for argv in (("--n", "41"), ("--n", "2000", "--json")):
+        for argv in (("--n", "51"), ("--n", "2000", "--json")):
             code, out, err = run(capsys, "wq", *argv)
             assert_clean_rejection(code, out, err)
             assert err == (f"error: n={argv[1]} exceeds the recurrence "
-                           f"bound 40\n")
+                           f"bound 50\n")
 
     def test_qbinom_beyond_its_bound_does_no_work(self, capsys, monkeypatch):
         # unbounded, the q-Pascal rule recursed n deep (n=3000 ended in a
@@ -552,6 +554,39 @@ class TestSegreFromTheFactor:
         assert (code, out, err) == (
             2, "", "error: 149060 pairs of the Segre square exceed the bound "
                    "100000\n")
+
+
+class TestSegreTextFromTheFactor:
+    """`segre` and `lattice --segre` in text mode, without --chains,
+    --check-el or --json, print the square's counts off its factor."""
+
+    @pytest.mark.parametrize("n, q", [(0, 2), (1, 3), (2, 2), (2, 3), (3, 2)])
+    def test_the_line_is_the_built_squares(self, fresh_lattices, capsys,
+                                           n, q):
+        sp, _ = fresh_lattices._lattice(n, q, True)
+        line = (f"segre square n={n} q={q}: {len(sp)} elements, "
+                f"rank sizes {sp.rank_sizes()}\n")
+        for verb in (("segre",), ("lattice", "--segre")):
+            assert run(capsys, *verb, "--n", str(n), "--q", str(q)) == (
+                0, line, "")
+
+    def test_no_square_is_built(self, fresh_lattices, monkeypatch, capsys):
+        from qsegre import poset, subspace
+        for module, name in ((poset, "segre_product"),
+                             (subspace, "segre_product"),
+                             (subspace, "build_segre_bnq")):
+            monkeypatch.setattr(module, name, forbid)
+        assert run(capsys, "segre", "--n", "3", "--q", "7") == (
+            0, "segre square n=3 q=7: 6500 elements, rank sizes "
+               "[1, 3249, 3249, 1]\n", "")
+        assert run(capsys, "lattice", "--n", "2", "--q", "2", "--segre",
+                   "--count-bound", "200000") == (
+            0, "segre square n=2 q=2: 11 elements, rank sizes [1, 9, 1]\n",
+            "warning: subspace count bound raised to 200000 (default "
+            "100000); expect a long runtime\n")
+        for flag in ("--chains", "--check-el", "--json"):
+            with pytest.raises(Forbidden):
+                main(["segre", "--n", "2", "--q", "2", flag])
 
 
 class TestOnlyWhatWasAsked:

@@ -6,12 +6,15 @@ import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qsegre.exactalg import (ONE, ZERO, QPolynomial, one_minus_q_power,
-                             poly_coeff_strings, q_factorial, q_integer)
+from qsegre import exactalg
+from qsegre.exactalg import (ONE, PACKED_MUL_MIN_LENGTH, ZERO, QPolynomial,
+                             digit_bytes, one_minus_q_power, pack,
+                             poly_coeff_strings, q_factorial, q_integer,
+                             unpack)
 from qsegre.symfrob import specialization_denominator
 
 from oracles import (bessel_series_at, reciprocal_numerator_by_evaluation,
-                     series_reciprocal)
+                     schoolbook_product, series_reciprocal)
 
 
 Q = QPolynomial([0, 1])
@@ -243,3 +246,87 @@ class TestAgainstSympy:
                                 for i in range(k)])
             expected = self.ascending(sympy.Poly(sympy.cancel(ratio), q))
             assert list(q_binomial(n, k).coeffs) == expected
+
+
+@st.composite
+def signed_coeffs(draw, max_bits=300):
+    """A coefficient list of length 1 to three times the packing crossover,
+    with interior zeros, and magnitudes up to 2^bits for a drawn bits."""
+    bound = 1 << draw(st.integers(0, max_bits))
+    length = draw(st.integers(1, 3 * PACKED_MUL_MIN_LENGTH))
+    entry = st.one_of(st.just(0), st.integers(-bound, bound))
+    return draw(st.lists(entry, min_size=length, max_size=length))
+
+
+class TestPackedProduct:
+    """Products at or past PACKED_MUL_MIN_LENGTH are taken by Kronecker
+    packing; each must equal the term-by-term product."""
+
+    @given(signed_coeffs(), signed_coeffs(max_bits=40))
+    @settings(max_examples=300, deadline=None)
+    def test_matches_the_schoolbook_product(self, a, b):
+        expected = schoolbook_product(a, b)
+        assert QPolynomial(a) * QPolynomial(b) == expected
+        assert QPolynomial(b) * QPolynomial(a) == expected
+        assert all(type(c) is int for c in (QPolynomial(a) * QPolynomial(b)).coeffs)
+
+    @given(signed_coeffs(), st.integers(-(1 << 300), 1 << 300))
+    @settings(max_examples=100, deadline=None)
+    def test_int_scalars_multiply_each_coefficient(self, a, scalar):
+        expected = QPolynomial([c * scalar for c in a])
+        assert QPolynomial(a) * scalar == expected
+        assert scalar * QPolynomial(a) == expected
+
+    @pytest.mark.parametrize("length", [1, PACKED_MUL_MIN_LENGTH - 1,
+                                        PACKED_MUL_MIN_LENGTH,
+                                        PACKED_MUL_MIN_LENGTH + 1])
+    def test_both_sides_of_the_crossover(self, length):
+        rng = random.Random(length)
+        for magnitude in (1, 10 ** 6, 1 << 300):
+            a = [rng.randint(-magnitude, magnitude) for _ in range(length)]
+            b = [rng.randint(-7, 7) for _ in range(length + 3)]
+            a[-1] = b[-1] = -magnitude
+            a[length // 2] = 0
+            assert QPolynomial(a) * QPolynomial(b) == schoolbook_product(a, b)
+
+    @given(st.lists(st.integers(-(1 << 70), 1 << 70), min_size=1,
+                    max_size=20))
+    @settings(max_examples=200, deadline=None)
+    def test_pack_and_unpack_invert_each_other(self, coeffs):
+        bound = max(map(abs, coeffs))
+        k = digit_bytes(bound)
+        assert 1 << (8 * k - 1) > bound
+        assert k == 1 or 1 << (8 * k - 9) <= bound  # the fewest bytes
+        assert unpack(pack(coeffs, k), k, len(coeffs), bound) == coeffs
+
+    def test_a_value_past_the_last_digit_is_refused(self):
+        for edge in ([127, -128, 127], [-128] * 3, [127] * 3):
+            assert unpack(pack(edge, 1), 1, 3, 127) == edge
+        for value in (pack([127] * 3, 1) + 1, pack([-128] * 3, 1) - 1,
+                      pack([0, 0, 0, 1], 1), -pack([0, 0, 0, 1], 1)):
+            with pytest.raises(ArithmeticError, match="does not fit"):
+                unpack(value, 1, 3, 127)
+        with pytest.raises(OverflowError):
+            pack([128], 1)
+
+    def test_a_bound_past_the_digit_is_refused(self):
+        with pytest.raises(ArithmeticError, match="cannot hold"):
+            unpack(pack([1, 2, 3], 1), 1, 3, 128)
+
+    @pytest.mark.parametrize("narrower", [1, 2])
+    def test_a_width_too_narrow_fails_loudly(self, monkeypatch, narrower):
+        # one byte fewer wraps the middle coefficients of the squares of
+        # 1000s into their neighbours while the top one still fits, so the
+        # digits add back up to the packed product and only the bound shows
+        # the wrap; the other cases leave a residue past the last digit
+        width = exactalg.digit_bytes
+        monkeypatch.setattr(exactalg, "digit_bytes",
+                            lambda bound: width(bound) - narrower)
+        for length in (PACKED_MUL_MIN_LENGTH, 3 * PACKED_MUL_MIN_LENGTH):
+            for magnitude in (1000, 1 << 100):
+                a = QPolynomial([magnitude] * length)
+                with pytest.raises(ArithmeticError):
+                    a * a
+        monkeypatch.undo()
+        a = QPolynomial([1000] * PACKED_MUL_MIN_LENGTH)
+        assert a * a == schoolbook_product(a.coeffs, a.coeffs)

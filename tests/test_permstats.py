@@ -11,7 +11,8 @@ import itertools
 from qsegre import permstats
 
 from oracles import (Permutation, ascent_set, enumerate_no_common_ascent,
-                     has_common_ascent, inversions, w_polynomial_by_pair_scan)
+                     has_common_ascent, inversions, w_polynomial_by_listing,
+                     w_polynomial_by_pair_scan)
 
 
 def perm(*image):
@@ -99,6 +100,19 @@ class TestWPolynomial:
 
     def test_ascent_classes_match_the_pair_scan_at_seven(self):
         assert w_polynomial(7) == w_polynomial_by_pair_scan(7)
+
+    def test_insertion_count_matches_the_listing(self):
+        # one past the enumeration bound, where w_polynomial refuses
+        for n in range(9):
+            assert permstats._w_polynomial_by_insertion(n) == \
+                w_polynomial_by_listing(n)
+
+    def test_insertion_count_matches_the_recurrence_seeded_by_one(self):
+        # no q-binomial enters the count, so the recurrence from W_0 alone
+        # is an independent route
+        by_recurrence = csv_recurrence([ONE], 12)
+        for n in range(13):
+            assert permstats._w_polynomial_by_insertion(n) == by_recurrence[n]
 
     def test_coefficients_are_ints(self):
         for n in range(8):
@@ -203,11 +217,11 @@ class TestIdentities:
     def test_recurrence_bound_is_refused_before_any_work(self, monkeypatch):
         def fail(*args, **kwargs):
             raise AssertionError("work started before the bound check")
-        for name in ("_w_polynomial_enumerated", "csv_recurrence",
+        for name in ("_w_polynomial_by_insertion", "csv_recurrence",
                      "q_binomial_square"):
             monkeypatch.setattr(permstats, name, fail)
-        with pytest.raises(ValueError, match=r"^n=41 exceeds the recurrence "
-                                             r"bound 40$"):
+        with pytest.raises(ValueError, match=r"^n=51 exceeds the recurrence "
+                                             r"bound 50$"):
             w_polynomial_recurrence(RECURRENCE_BOUND + 1)
 
 
