@@ -2,6 +2,10 @@
 per identity, and a suite runner whose exit status is 0 exactly when every
 check passes.  All JSON output has sorted keys and canonical rational
 rendering, so identical invocations produce identical bytes.
+
+Each function imports the layers it calls, and nothing at module level does:
+a process without a bytecode cache compiles every module it imports, so a
+verb loads only the layers it runs and `--help` loads none.
 """
 
 from __future__ import annotations
@@ -15,8 +19,6 @@ import os
 import sys
 from itertools import permutations, product
 
-from . import besselseries, exactalg, permstats, poset, subspace, symfrob
-
 EL_MATRIX = ((2, 2), (2, 3), (2, 4), (2, 5), (3, 2), (3, 3), (4, 2))
 EL_SEGRE_MATRIX = ((2, 2), (2, 3), (3, 2))
 MOBIUS_MATRIX = ((2, 2), (2, 3), (2, 4), (3, 2), (3, 3))
@@ -25,6 +27,7 @@ BETTI_MATRIX = ((2, 2), (2, 3), (3, 2))
 
 @functools.lru_cache(maxsize=None)
 def _field(q: int) -> subspace.FiniteField:
+    from . import subspace
     return subspace.FiniteField(q)
 
 
@@ -33,6 +36,7 @@ def _square_factor(n: int, q: int, count_bound=None):
     refusals that the square would make, so that a square past the pair
     bound is refused with its own text before any field is built.  The
     square's mu and descending count are read off this factor."""
+    from . import subspace
     subspace.prime_power(q)
     subspace.check_count_bound(n, q, True, count_bound)
     return _lattice(n, q, False, count_bound)
@@ -48,6 +52,7 @@ def _lattice(n: int, q: int, segre: bool, count_bound=None):
     `lattice`/`segre` with chains, EL or JSON, EL and Betti numbers.
     The caches live for one process and their keys come from one command
     line or the suite's fixed matrices, so they need no eviction."""
+    from . import subspace
     if segre:
         factor = _square_factor(n, q, count_bound)
         built = subspace.build_segre_bnq(n, _field(q), count_bound, factor)
@@ -70,6 +75,7 @@ def _el_check(n: int, q: int, segre: bool, count_bound=None):
     square above a pair (e_S, e_T) (see subspace.coordinate_subspaces), so
     only those are pushed from: the elements all of whose factor parts are
     coordinate subspaces.  Any other labeling takes the full push."""
+    from . import poset, subspace
     p, labels = _lattice(n, q, segre, count_bound)
     factor, factor_labels = _lattice(n, q, False, count_bound)
     found = subspace.coordinate_subspaces(factor, factor_labels)
@@ -88,6 +94,7 @@ def _lattice_for(args, faces: bool = False, factor: bool = False):
     faces, the order complex of its proper part is then held to the face
     bound.  With factor, a Segre square is refused as ever, but its factor
     B_n(q) is returned in its place."""
+    from . import poset, subspace
     default = subspace.SUBSPACE_COUNT_BOUND
     if args.count_bound is not None and args.count_bound > default:
         print(f"warning: subspace count bound raised to {args.count_bound} "
@@ -101,9 +108,13 @@ def _lattice_for(args, faces: bool = False, factor: bool = False):
                     args.count_bound)
 
 
-def _ratfun_json(num: exactalg.QPolynomial, den: exactalg.QPolynomial) -> dict:
-    return {"num": exactalg.poly_coeff_strings(num),
-            "den": exactalg.poly_coeff_strings(den)}
+def _ratfun_json(nums: list[exactalg.QPolynomial],
+                 dens: list[exactalg.QPolynomial]) -> list[dict]:
+    """The rational functions num/den, each as its two coefficient lists."""
+    from . import exactalg
+    return [{"num": exactalg.poly_coeff_strings(num),
+             "den": exactalg.poly_coeff_strings(den)}
+            for num, den in zip(nums, dens)]
 
 
 def _result(check: str, ok: bool, detail: str) -> dict:
@@ -131,6 +142,7 @@ def _dump(obj) -> str:
 
 def _csv_instance(n: int) -> tuple[bool, exactalg.QPolynomial]:
     """The alternating Gaussian-square identity at n, with its residual."""
+    from . import permstats
     residual = permstats.verify_q_csv_identity(n)
     return residual.is_zero(), residual
 
@@ -147,6 +159,7 @@ def _mobius_instance(n: int, q: int) -> tuple[bool, str]:
     """mu and the descending chain count of one Segre square against W_n(q),
     both read off its factor B_n(q): the square is refused as ever, but
     never built."""
+    from . import permstats, poset
     factor, labels = _square_factor(n, q)
     mu = poset.segre_mobius_number(factor)
     descending = poset.segre_descending_count(factor, labels)
@@ -158,6 +171,7 @@ def _mobius_instance(n: int, q: int) -> tuple[bool, str]:
 def _thm31_instance(n: int) -> tuple[bool, str]:
     """The alternating homogeneous identity at n; a failure names each
     nonzero z-cleared entry of the residual by its class pair."""
+    from . import symfrob
     residual = symfrob.h_alternating_residual(n)
     if not residual:
         return True, f"n={n}: residual zero"
@@ -168,6 +182,7 @@ def _thm31_instance(n: int) -> tuple[bool, str]:
 
 def _bessel_instance(order: int) -> tuple[bool, str]:
     """The reciprocal's cleared coefficients through order against W_n."""
+    from . import besselseries
     flags = besselseries.verify_reciprocal(order)
     bad = [i for i, ok in enumerate(flags) if not ok]
     if bad:
@@ -176,10 +191,12 @@ def _bessel_instance(order: int) -> tuple[bool, str]:
 
 
 def _thm48_instance(n: int) -> tuple[bool, str]:
+    from . import symfrob
     return symfrob.verify_specialization_identity(n), f"n={n}"
 
 
 def _prop26_instance(k: int, l: int, m: int, n: int) -> tuple[bool, str]:
+    from . import symfrob
     return (symfrob.verify_induction_homomorphism(k, l, m, n),
             f"sizes ({k},{l},{m},{n})")
 
@@ -212,6 +229,7 @@ def _check_el() -> dict:
 
 
 def _check_chains() -> dict:
+    from . import exactalg, permstats, poset
     for n, q in EL_MATRIX:
         words, _, _ = poset.chain_report(*_lattice(n, q, False))
         images = permutations(range(1, n + 1))  # the order of perm_stats
@@ -237,6 +255,7 @@ def _check_mobius() -> dict:
 
 
 def _check_betti() -> dict:
+    from . import permstats, poset
     for n, q in BETTI_MATRIX:
         sp, _ = _lattice(n, q, True)
         betti = poset.rational_betti_numbers(poset.proper_part(sp))
@@ -288,6 +307,7 @@ def _run_suite_task(task: tuple) -> dict:
 def _print_polynomial(args, polynomial: exactalg.QPolynomial, doc: dict) -> int:
     """A polynomial verb's output: its value at --at, or its coefficient
     list, bare or under "coeffs" in doc."""
+    from . import exactalg
     if args.at is not None:
         print(polynomial.evaluate(args.at))
     elif args.json:
@@ -298,6 +318,7 @@ def _print_polynomial(args, polynomial: exactalg.QPolynomial, doc: dict) -> int:
 
 
 def _cmd_wq(args) -> int:
+    from . import permstats
     polynomial = permstats.w_polynomial_recurrence(args.n)
     bound = permstats.ENUMERATION_BOUND
     method = "enumeration" if args.n <= bound else "recurrence"
@@ -308,11 +329,13 @@ def _cmd_wq(args) -> int:
 
 
 def _cmd_qbinom(args) -> int:
+    from . import permstats
     polynomial = permstats.q_binomial(args.n, args.k)
     return _print_polynomial(args, polynomial, {"n": args.n, "k": args.k})
 
 
 def _cmd_bessel(args) -> int:
+    from . import besselseries, exactalg
     # refuses a bad order first; the numerators cost little beside W_n
     checks = besselseries.verify_reciprocal(args.order)
     numerators = besselseries.bessel_coefficients(args.order)
@@ -320,15 +343,16 @@ def _cmd_bessel(args) -> int:
             for n in range(args.order + 1)]
     print(_dump({
         "order": args.order,
-        "f": [_ratfun_json(-exactalg.ONE if n % 2 else exactalg.ONE, den)
-              for n, den in enumerate(dens)],
-        "f_inv": [_ratfun_json(num, den) for num, den in zip(numerators, dens)],
+        "f": _ratfun_json([-exactalg.ONE if n % 2 else exactalg.ONE
+                           for n in range(args.order + 1)], dens),
+        "f_inv": _ratfun_json(numerators, dens),
         "checks": checks,
     }))
     return 0 if all(checks) else 1
 
 
 def _cmd_lattice(args) -> int:
+    from . import poset
     # a square's text line needs only its rank sizes N_k^2, read off the
     # factor's N_k, so the square is built only for chains, EL or JSON
     counts_only = args.segre and not (args.chains or args.check_el
@@ -373,6 +397,7 @@ def _cmd_invariant(args) -> int:
     """mobius or betti, as the verb names: the Mobius number of a lattice or
     Segre square, or the Betti numbers of its proper part.  A square's
     Mobius number is read off its factor, which alone is built."""
+    from . import poset
     betti = args.command == "betti"
     p, _ = _lattice_for(args, faces=betti, factor=not betti)
     if betti:
@@ -397,6 +422,7 @@ def _ratio_str(num: int, den: int) -> str:
 
 
 def _cmd_frobenius(args) -> int:
+    from . import symfrob
     table = symfrob.lefschetz_character(args.n)
     numerator = symfrob.principal_specialization(table, args.n)
     denominator = symfrob.specialization_denominator(args.n)
@@ -422,6 +448,7 @@ def _print_results(results: list[dict], as_json: bool) -> int:
 
 
 def _cmd_verify_csv(args) -> int:
+    from . import exactalg
     ok, residual = _csv_instance(args.n)
     if args.json:
         print(_dump({"check": "csv", "n": args.n,
@@ -461,6 +488,7 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_verify_all(args) -> int:
+    from . import symfrob
     symfrob.check_homology_bound(args.max_n, name="max-n")  # before any task
     if args.threads < 1:
         raise ValueError("threads must be at least 1")
@@ -468,6 +496,9 @@ def _cmd_verify_all(args) -> int:
     if args.threads > 1:
         # imported here so that every other command skips loading it
         from concurrent.futures import ProcessPoolExecutor
+        # every layer the tasks run, loaded before the fork so that the
+        # workers inherit them and none compiles them again
+        from . import besselseries, exactalg, permstats, poset, subspace
         # fork starts every worker at the first submit, so ask for no
         # more than there are tasks
         workers = min(args.threads, len(tasks))

@@ -3,6 +3,7 @@ import os
 import pathlib
 import subprocess
 import sys
+import textwrap
 from math import comb, factorial
 
 import pytest
@@ -930,6 +931,10 @@ class TestGoldenDocuments:
         assert {type(label) for label in cover_labels(labels).values()} == {tuple}
 
 
+LAYERS = ("besselseries", "exactalg", "permstats", "poset", "subspace",
+          "symfrob")
+
+
 def child_env() -> dict:
     """The environment with this checkout's src first on PYTHONPATH."""
     env = dict(os.environ)
@@ -967,21 +972,78 @@ class TestConsoleEntry:
         assert proc.returncode == 0
         assert json.loads(proc.stdout) == ["0", "2", "1"]
 
-    def test_import_leaves_the_process_pool_unloaded(self):
-        proc = subprocess.run(
-            [sys.executable, "-c", "import sys, qsegre.cli; "
-             "print('concurrent.futures' in sys.modules)"],
-            capture_output=True, text=True, env=child_env())
-        assert (proc.returncode, proc.stdout, proc.stderr) == (0, "False\n", "")
-
-    def test_import_leaves_dataclasses_and_inspect_unloaded(self):
+    @pytest.mark.parametrize("modules", [
+        ("concurrent.futures",),
         # dataclasses loads inspect, which loads ast, dis and tokenize:
         # several milliseconds of every fresh process
+        ("dataclasses", "inspect"),
+        # a process without a bytecode cache compiles each layer it imports
+        tuple(f"qsegre.{layer}" for layer in LAYERS),
+    ], ids=["process-pool", "dataclasses-and-inspect", "layers"])
+    def test_import_leaves_unloaded(self, modules):
         proc = subprocess.run(
             [sys.executable, "-c", "import sys, qsegre.cli; "
-             "print([m for m in ('dataclasses', 'inspect') if m in sys.modules])"],
+             f"print([m for m in {modules!r} if m in sys.modules])"],
             capture_output=True, text=True, env=child_env())
         assert (proc.returncode, proc.stdout, proc.stderr) == (0, "[]\n", "")
+
+    @pytest.mark.parametrize("argv, loaded", [
+        (("wq", "--n", "2"), {"exactalg", "permstats"}),
+        (("qbinom", "--n", "2", "--k", "1"), {"exactalg", "permstats"}),
+        (("verify", "csv", "--n", "2"), {"exactalg", "permstats"}),
+        (("verify", "bessel", "--order", "2"),
+         {"besselseries", "exactalg", "permstats"}),
+        (("mobius", "--n", "2", "--q", "2"), {"poset", "subspace"}),
+        (("verify", "el", "--n", "2", "--q", "2"), {"poset", "subspace"}),
+    ], ids=["wq", "qbinom", "verify-csv", "verify-bessel", "mobius",
+            "verify-el"])
+    def test_a_verb_loads_only_the_layers_it_runs(self, argv, loaded):
+        code = textwrap.dedent(f"""\
+            import contextlib, io, sys
+            from qsegre.cli import main
+            with contextlib.redirect_stdout(io.StringIO()):
+                status = main({list(argv)!r})
+            print(status, sorted(m for m in {LAYERS!r}
+                                 if "qsegre." + m in sys.modules))
+            """)
+        proc = subprocess.run([sys.executable, "-c", code],
+                              capture_output=True, text=True, env=child_env())
+        assert (proc.returncode, proc.stdout, proc.stderr) == (
+            0, f"0 {sorted(loaded)}\n", "")
+
+    def test_pool_workers_inherit_every_layer(self):
+        # fork hands the workers what the parent has loaded; a layer first
+        # imported by a task would be compiled again in each worker.  The
+        # recorder stands in for the pool, starts no process and runs the
+        # tasks here, in order
+        code = textwrap.dedent(f"""\
+            import concurrent.futures, contextlib, io, sys
+            from qsegre.cli import main
+            missing = []
+
+            class RecordingPool:
+                def __init__(self, max_workers):
+                    missing.extend(m for m in {LAYERS!r}
+                                   if "qsegre." + m not in sys.modules)
+
+                def __enter__(self):
+                    return self
+
+                def __exit__(self, *exc_info):
+                    return False
+
+                def map(self, fn, tasks):
+                    return map(fn, tasks)
+
+            concurrent.futures.ProcessPoolExecutor = RecordingPool
+            with contextlib.redirect_stdout(io.StringIO()):
+                status = main(["verify", "all", "--max-n", "2",
+                               "--threads", "2"])
+            print(status, missing)
+            """)
+        proc = subprocess.run([sys.executable, "-c", code],
+                              capture_output=True, text=True, env=child_env())
+        assert (proc.returncode, proc.stdout, proc.stderr) == (0, "0 []\n", "")
 
     @pytest.mark.parametrize("argv", [
         ("wq", "--n", "2"),  # fits the buffer: fails at the final flush
