@@ -8,7 +8,8 @@ sum_k (-1)^k [n choose k]_q^2 g_(n-k) = [n = 0], the q-analogue of the
 Carlitz-Scoville-Vaughan recurrence, so every g_n is an integer polynomial.
 bessel_coefficients returns g_0..g_order alone: f's numerators, +1 and -1,
 and the denominators are formed where they are printed.  verify_reciprocal
-checks g_n == W_n(q) against the enumerated pair polynomial.  q stays
+returns them with the check g_n == W_n(q) against the enumerated pair
+polynomial, so a caller that prints them computes them once.  q stays
 symbolic; specializing it is a caller convenience only.
 """
 
@@ -35,9 +36,11 @@ def bessel_coefficients(order: int) -> list[QPolynomial]:
     return g
 
 
-def verify_reciprocal(order: int) -> list[bool]:
-    """Entry n is True when g_n, the cleared z^n coefficient of the
-    reciprocal, equals W_n(q) as integer polynomials.  An order beyond the
-    enumeration bound is refused before any work."""
+def verify_reciprocal(order: int) -> tuple[list[QPolynomial], list[bool]]:
+    """(g, flags): g is bessel_coefficients(order), and flags[n] is True
+    when g_n, the cleared z^n coefficient of the reciprocal, equals W_n(q)
+    as integer polynomials.  An order beyond the enumeration bound is
+    refused before any work."""
     check_enumeration_bound(order, name="order")
-    return [g == w_polynomial(n) for n, g in enumerate(bessel_coefficients(order))]
+    g = bessel_coefficients(order)
+    return g, [g_n == w_polynomial(n) for n, g_n in enumerate(g)]

@@ -17,7 +17,7 @@ import json
 import math
 import os
 import sys
-from itertools import permutations, product
+from itertools import combinations, permutations, product
 
 EL_MATRIX = ((2, 2), (2, 3), (2, 4), (2, 5), (3, 2), (3, 3), (4, 2))
 EL_SEGRE_MATRIX = ((2, 2), (2, 3), (3, 2))
@@ -32,10 +32,11 @@ def _field(q: int) -> subspace.FiniteField:
 
 
 def _square_factor(n: int, q: int, count_bound=None):
-    """B_n(q) with its labels, as the factor of its Segre square: after the
-    refusals that the square would make, so that a square past the pair
-    bound is refused with its own text before any field is built.  The
-    square's mu and descending count are read off this factor."""
+    """B_n(q) and its coordinate subspaces, as the factor of its Segre
+    square: after the refusals that the square would make, so that a square
+    past the pair bound is refused with its own text before any field is
+    built.  The square's mu and descending count are read off this
+    factor."""
     from . import subspace
     subspace.prime_power(q)
     subspace.check_count_bound(n, q, True, count_bound)
@@ -44,18 +45,26 @@ def _square_factor(n: int, q: int, count_bound=None):
 
 @functools.lru_cache(maxsize=None)
 def _lattice(n: int, q: int, segre: bool, count_bound=None):
-    """B_n(q), or its Segre square, with its labels.  A square is refused
-    on its pair count before any field is built (see _square_factor), and
-    is the square of the cached B_n(q), so that _el_check picks its
-    coordinate subspaces off the very lattice squared, by the same test of
-    its labeling.  Only the verbs that need the square's elements build it:
+    """B_n(q), or its Segre square, and the elements the EL check pushes
+    from, as (poset, lows): build_bnq's coordinate subspaces, or on the
+    square their pairs.  A square is refused on its pair count before any
+    field is built (see _square_factor), and is the square of the cached
+    B_n(q); its lows are the pairs whose factor parts are both among the
+    factor's lows, picked by name, and a factor without lows gives a square
+    without.  Only the verbs that need the square's elements build it:
     `lattice`/`segre` with chains, EL or JSON, EL and Betti numbers.
     The caches live for one process and their keys come from one command
     line or the suite's fixed matrices, so they need no eviction."""
-    from . import subspace
+    from . import poset, subspace
     if segre:
-        factor = _square_factor(n, q, count_bound)
-        built = subspace.build_segre_bnq(n, _field(q), count_bound, factor)
+        factor, found = _square_factor(n, q, count_bound)
+        square = poset.segre_product(factor, factor)
+        lows = None
+        if found is not None:
+            coordinate = {factor.names[i] for i in found}
+            lows = [k for k, (x, y) in enumerate(square.names)
+                    if x in coordinate and y in coordinate]
+        built = square, lows
     else:
         built = subspace.build_bnq(n, _field(q), count_bound)
     # The cache holds every lattice until exit, and a square holds a list
@@ -68,23 +77,12 @@ def _lattice(n: int, q: int, segre: bool, count_bound=None):
 
 def _el_check(n: int, q: int, segre: bool, count_bound=None):
     """check_el_labeling on _lattice(n, q, segre, count_bound), the one EL
-    route of `verify el`, the suite and `lattice --check-el`.
-
-    When the factor B_n(q) carries build_bnq's own labeling, every interval
+    route of `verify el`, the suite and `lattice --check-el`: every interval
     is label-isomorphic to one above a coordinate subspace e_S, or on the
-    square above a pair (e_S, e_T) (see subspace.coordinate_subspaces), so
-    only those are pushed from: the elements all of whose factor parts are
-    coordinate subspaces.  Any other labeling takes the full push."""
-    from . import poset, subspace
-    p, labels = _lattice(n, q, segre, count_bound)
-    factor, factor_labels = _lattice(n, q, False, count_bound)
-    found = subspace.coordinate_subspaces(factor, factor_labels)
-    lows = None
-    if found is not None:
-        coordinate = {factor.names[i] for i in found}
-        lows = [k for k, name in enumerate(p.names)
-                if coordinate.issuperset(name if segre else (name,))]
-    return poset.check_el_labeling(p, labels, lows)
+    square above a pair (e_S, e_T) (see subspace.build_bnq), so only those
+    are pushed from."""
+    from . import poset
+    return poset.check_el_labeling(*_lattice(n, q, segre, count_bound))
 
 
 def _lattice_for(args, faces: bool = False, factor: bool = False):
@@ -160,9 +158,9 @@ def _mobius_instance(n: int, q: int) -> tuple[bool, str]:
     both read off its factor B_n(q): the square is refused as ever, but
     never built."""
     from . import permstats, poset
-    factor, labels = _square_factor(n, q)
+    factor, _ = _square_factor(n, q)
     mu = poset.segre_mobius_number(factor)
-    descending = poset.segre_descending_count(factor, labels)
+    descending = poset.segre_descending_count(factor)
     w_q = permstats.w_polynomial(n).evaluate(q)
     return (mu == (-1) ** n * w_q and descending == w_q,
             f"mu={mu} descending={descending} expected W={w_q}")
@@ -183,7 +181,7 @@ def _thm31_instance(n: int) -> tuple[bool, str]:
 def _bessel_instance(order: int) -> tuple[bool, str]:
     """The reciprocal's cleared coefficients through order against W_n."""
     from . import besselseries
-    flags = besselseries.verify_reciprocal(order)
+    _, flags = besselseries.verify_reciprocal(order)
     bad = [i for i, ok in enumerate(flags) if not ok]
     if bad:
         return False, f"reciprocal coefficient mismatch at {bad}"
@@ -229,12 +227,12 @@ def _check_el() -> dict:
 
 
 def _check_chains() -> dict:
-    from . import exactalg, permstats, poset
+    from . import exactalg, poset
     for n, q in EL_MATRIX:
-        words, _, _ = poset.chain_report(*_lattice(n, q, False))
-        images = permutations(range(1, n + 1))  # the order of perm_stats
-        expected = {img: q ** inv
-                    for img, (_, inv) in zip(images, permstats.perm_stats(n))}
+        p, _ = _lattice(n, q, False)
+        words, _, _ = poset.chain_report(p)
+        expected = {w: q ** sum(a > b for a, b in combinations(w, 2))
+                    for w in permutations(range(1, n + 1))}
         if words != expected:
             return _result("chains", False,
                            f"word counts differ from q^inv at n={n} q={q}")
@@ -336,9 +334,8 @@ def _cmd_qbinom(args) -> int:
 
 def _cmd_bessel(args) -> int:
     from . import besselseries, exactalg
-    # refuses a bad order first; the numerators cost little beside W_n
-    checks = besselseries.verify_reciprocal(args.order)
-    numerators = besselseries.bessel_coefficients(args.order)
+    # refuses a bad order first
+    numerators, checks = besselseries.verify_reciprocal(args.order)
     dens = [exactalg.q_factorial(n) * exactalg.q_factorial(n)
             for n in range(args.order + 1)]
     print(_dump({
@@ -357,10 +354,10 @@ def _cmd_lattice(args) -> int:
     # factor's N_k, so the square is built only for chains, EL or JSON
     counts_only = args.segre and not (args.chains or args.check_el
                                       or args.json)
-    p, labels = _lattice_for(args, factor=counts_only)
-    doc = {"poset": poset.to_interchange(p, labels)} if args.json else {}
+    p, _ = _lattice_for(args, factor=counts_only)
+    doc = {"poset": poset.to_interchange(p)} if args.json else {}
     if args.chains:
-        words, increasing, descending = poset.chain_report(p, labels)
+        words, increasing, descending = poset.chain_report(p)
         doc["chains"] = {"words": {_word_str(w): c for w, c in words.items()},
                          "increasing": increasing, "descending": descending,
                          "total": sum(words.values())}

@@ -1,7 +1,7 @@
-"""The ascent and inversion statistics of permutations in one-line notation,
-and the pair polynomial W_n(q) of the pairs with no common ascent, by
-insertion count up to ENUMERATION_BOUND and by the alternating
-q-binomial-square recurrence up to RECURRENCE_BOUND.
+"""The pair polynomial W_n(q), over the pairs of permutations in one-line
+notation with no common ascent, of their inversions: by insertion count up
+to ENUMERATION_BOUND and by the alternating q-binomial-square recurrence up
+to RECURRENCE_BOUND.
 
 The insertion count lists no permutation: it tallies permutations by their
 ascent set, the rank of their last entry and their inversions as they are
@@ -20,7 +20,6 @@ n = 0 pair set.
 
 from __future__ import annotations
 
-import itertools
 import math
 from functools import lru_cache
 
@@ -39,28 +38,6 @@ def check_enumeration_bound(n: int, name: str = "n") -> None:
     if n > ENUMERATION_BOUND:
         raise ValueError(f"{name}={n} exceeds the enumeration bound "
                          f"{ENUMERATION_BOUND}")
-
-
-@lru_cache(maxsize=None)
-def perm_stats(n: int) -> tuple[tuple[int, int], ...]:
-    """(ascent bitmask, inversion count) for each permutation of [n], in the
-    lexicographic order of itertools.permutations(range(1, n + 1)).
-
-    Bit i-1 of the mask is set when position i is an ascent, so two
-    permutations share an ascent exactly when their masks intersect.
-    """
-    stats = []
-    for img in itertools.permutations(range(1, n + 1)):
-        mask = 0
-        inv = 0
-        for i in range(n):
-            if i < n - 1 and img[i] < img[i + 1]:
-                mask |= 1 << i
-            for j in range(i + 1, n):
-                if img[i] > img[j]:
-                    inv += 1
-        stats.append((mask, inv))
-    return tuple(stats)
 
 
 @lru_cache(maxsize=None)

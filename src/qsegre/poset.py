@@ -11,12 +11,13 @@ tuple of cover pairs is derived on demand, and the unique bottom and top,
 if any, are found once by the constructor.  Cover relations must raise
 rank by exactly one (everything in scope is graded), which also rules out
 cycles, and no cover may sit in two groups.  A label is an integer, or a
-pair on a Segre square.  The kernels that take a labeling trust the
-poset's own, the very list it was built from; any other they first check
-to partition every element's upper covers.  The label order follows the
-label type (product_order_less): integers in their order, pairs
-componentwise.  Label words are compared lexicographically in plain tuple
-order, so pairs by first component, then second.
+pair on a Segre square.  Every kernel reads the labeling off the poset,
+so no labeling is held apart from the covers it labels, and the
+constructor's checks prove that its groups partition each element's upper
+covers.  The label order follows the label type (product_order_less):
+integers in their order, pairs componentwise.  Label words are compared
+lexicographically in plain tuple order, so pairs by first component, then
+second.
 
 No kernel enumerates maximal chains: the EL check, the descending count and
 the chain tally are dynamic programs over the label groups, so their cost
@@ -99,10 +100,10 @@ class GradedPoset:
         """The poset whose element a has the upper covers in up[a], held as
         (label, ys) groups: its edge labeling, or at most one group with
         label None on an unlabeled poset.  up itself is kept, not copied,
-        so the caller's groups are the poset's own labeling (see
-        _check_unless_own) and must not be changed.  Each element's covers, the ys
-        of its groups taken together, must be in range, one rank above it
-        and without repeats (see _refuse_covers).  bottom and top are the
+        so the caller's groups are the poset's labeling and must not be
+        changed.  Each element's covers, the ys of its groups taken
+        together, must be in range, one rank above it and without repeats
+        (see _refuse_covers).  bottom and top are the
         unique minimal and maximal elements, or None.
 
         One pass visits each cover once: last[b] is the last element found
@@ -201,26 +202,22 @@ def _levels(p: GradedPoset) -> tuple[list[list[int]], list[int]]:
     return [blocks[r] for r in range(low, low + len(blocks))], place
 
 
-def segre_product(p: GradedPoset, p_labels: list, q: GradedPoset,
-                  q_labels: list) -> tuple[GradedPoset, list]:
+def segre_product(p: GradedPoset, q: GradedPoset) -> GradedPoset:
     """Induced subposet of the product on pairs of equal rank, with its
-    covers labeled by the pairs of the factors' labels, as (square, groups)
-    with groups the square's own labeling.  As both factors are graded, its
-    covers are the pairs of covers.  Pair (i, j) is numbered start[i] +
-    jpos[j]: start[i] sums the sizes of q's rank blocks over the elements
-    before i, jpos[j] is j's place in its rank block.  Its label groups, its
-    only list of upper covers, are the products of the factors' groups:
-    label (a, b) goes with the covers cs x ds of a's group cs at i and b's
-    group ds at j.  Each pair label is one shared tuple.  A factor labeling
-    other than the factor's own is first checked (see _check_unless_own)."""
-    _check_unless_own(p, p_labels)
-    _check_unless_own(q, q_labels)
+    covers labeled by the pairs of the factors' labels.  As both factors
+    are graded, its covers are the pairs of covers.  Pair (i, j) is
+    numbered start[i] + jpos[j]: start[i] sums the sizes of q's rank blocks
+    over the elements before i, jpos[j] is j's place in its rank block.
+    Its label groups, its only list of upper covers, are the products of
+    the factors' groups: label (a, b) goes with the covers cs x ds of a's
+    group cs at i and b's group ds at j.  Each pair label is one shared
+    tuple."""
     blocks, jpos = _rank_blocks(q)
     start = list(accumulate((len(blocks.get(r, ())) for r in p.ranks), initial=0))
     p_groups = [[(a, [start[c] for c in cs]) for a, cs in groups]
-                for groups in p_labels]
+                for groups in p._up]
     q_groups = [[(b, [jpos[d] for d in ds]) for b, ds in groups]
-                for groups in q_labels]
+                for groups in q._up]
     q_values = {b for groups in q_groups for b, _ in groups}
     pairs = {a: {b: (a, b) for b in q_values}
              for a in {a for groups in p_groups for a, _ in groups}}
@@ -231,7 +228,7 @@ def segre_product(p: GradedPoset, p_labels: list, q: GradedPoset,
             ranks.append(r)
             labels.append([(pairs[a][b], [s + t for s in ss for t in ts])
                            for a, ss in p_groups[i] for b, ts in q_groups[j]])
-    return GradedPoset(names, ranks, labels), labels
+    return GradedPoset(names, ranks, labels)
 
 
 def proper_part(p: GradedPoset) -> GradedPoset:
@@ -354,53 +351,15 @@ def product_order_less(a, b) -> bool:
     return a < b
 
 
-def _check_labels(p: GradedPoset, labels: list) -> None:
-    """ValueError unless labels[x]'s groups partition the upper covers of
-    each element x: it names the first cover without a label, else the
-    first labeled pair that is not a cover, else a cover labeled twice."""
-    if len(labels) != len(p):
-        raise ValueError(f"labeling of {len(labels)} elements on a poset of "
-                         f"{len(p)}")
-
-    def name(y):
-        return p.names[y] if 0 <= y < len(p) else y
-
-    for x, groups in enumerate(labels):
-        labeled = sorted(chain.from_iterable(map(_GROUP_COVERS, groups)))
-        ups = p._covers_of(x)
-        if labeled == ups:
-            continue
-        seen, covers = set(labeled), set(ups)
-        for y in ups:
-            if y not in seen:
-                raise ValueError(f"cover ({p.names[x]}, {name(y)}) has no label")
-        for y in labeled:
-            if y not in covers:
-                raise ValueError(f"labeled pair ({p.names[x]}, {name(y)}) "
-                                 "is not a cover")
-        y = next(y for y, z in zip(labeled, labeled[1:]) if y == z)
-        raise ValueError(f"cover ({p.names[x]}, {name(y)}) has more than "
-                         "one label")
-
-
-def _check_unless_own(p: GradedPoset, labels: list) -> None:
-    """_check_labels, unless labels is p's own labeling, the very list p was
-    built from: the constructor has seen each of its covers once, in range
-    and one rank up, so its groups partition p's covers."""
-    if labels is not p._up:
-        _check_labels(p, labels)
-
-
-def _label_ids(p: GradedPoset, labels: list):
-    """The label groups with each label replaced by its id, the ids
+def _label_ids(p: GradedPoset):
+    """p's label groups with each label replaced by its id, the ids
     numbering the distinct labels in ascending order, and the table
-    less[s][t] of product_order_less on ids; see _check_unless_own."""
-    _check_unless_own(p, labels)
-    distinct = sorted({label for groups in labels for label, _ in groups})
+    less[s][t] of product_order_less on ids."""
+    distinct = sorted({label for groups in p._up for label, _ in groups})
     ids = {label: t for t, label in enumerate(distinct)}
     less = [[product_order_less(s, t) for t in distinct] for s in distinct]
     return [[(ids[label], ys) for label, ys in groups]
-            for groups in labels], less
+            for groups in p._up], less
 
 
 def _push_from(up, lo, less, follows):
@@ -443,8 +402,7 @@ def _push_from(up, lo, less, follows):
     return tallies, ok
 
 
-def check_el_labeling(p: GradedPoset, labels: list,
-                      lows: Optional[list[int]] = None
+def check_el_labeling(p: GradedPoset, lows: Optional[list[int]] = None
                       ) -> tuple[bool, Optional[str]]:
     """Every closed interval must have a unique increasing maximal chain that
     lexicographically precedes all others: (True, None), or (False, "<reason>
@@ -462,7 +420,7 @@ def check_el_labeling(p: GradedPoset, labels: list,
     If one of them fails, the check reruns from every element, so the first
     offender and its text are those of the full check.
     """
-    up, less = _label_ids(p, labels)
+    up, less = _label_ids(p)
     follows = [[s for s, row in enumerate(less) if row[t]]
                for t in range(len(less))]
     for lo in range(len(p)) if lows is None else lows:
@@ -476,12 +434,12 @@ def check_el_labeling(p: GradedPoset, labels: list,
             else:
                 continue
             if lows is not None:
-                return check_el_labeling(p, labels)
+                return check_el_labeling(p)
             return False, f"{reason} in [{p.names[lo]}, {p.names[hi]}]"
     return True, None
 
 
-def chain_report(p: GradedPoset, labels: list) -> tuple[dict, int, int]:
+def chain_report(p: GradedPoset) -> tuple[dict, int, int]:
     """Maximal chains from bottom to top as (words, increasing, descending):
     the count of each label word, and of the increasing and descending ones.
 
@@ -496,11 +454,10 @@ def chain_report(p: GradedPoset, labels: list) -> tuple[dict, int, int]:
         raise ValueError("poset has no bottom element")
     if top is None:
         raise ValueError("poset has no top element")
-    _check_unless_own(p, labels)
     words: list[Optional[dict]] = [None] * len(p)
     words[bottom] = {(): 1}
     for x in sorted(range(len(p)), key=p.ranks.__getitem__):
-        for label, ys in labels[x]:
+        for label, ys in p._up[x]:
             extended = [(word + (label,), count)
                         for word, count in words[x].items()]
             for y in ys:
@@ -519,11 +476,10 @@ def chain_report(p: GradedPoset, labels: list) -> tuple[dict, int, int]:
             sum(c for w, c in tallies.items() if not any(ascents[w])))
 
 
-def segre_descending_count(p: GradedPoset, labels: list) -> int:
+def segre_descending_count(p: GradedPoset) -> int:
     """The maximal chains of the Segre square of p with itself, labeled by
     pairs as segre_product labels it, whose label words have no ascent:
     chain_report's descending count on that square, which is never built.
-    A labeling other than p's own is first checked (see _check_unless_own).
 
     The square's covers are formed on the fly: pair (x, y) has, for each
     group (a, cs) of x and (b, ds) of y, the group ((a, b), cs x ds).  The
@@ -536,7 +492,6 @@ def segre_descending_count(p: GradedPoset, labels: list) -> int:
     groups adds the sum of its tallies over the ids that the group's id may
     follow to that id's tally at every pair of covers in the group; only
     one level's tallies are held at a time."""
-    _check_unless_own(p, labels)
     bottom, top = p.bottom, p.top
     if bottom is None:
         raise ValueError("poset has no bottom element")
@@ -544,7 +499,7 @@ def segre_descending_count(p: GradedPoset, labels: list) -> int:
         raise ValueError("poset has no top element")
     if top == bottom:
         return 1
-    distinct = sorted({label for groups in labels for label, _ in groups})
+    distinct = sorted({label for groups in p._up for label, _ in groups})
     ids = {label: t for t, label in enumerate(distinct)}
     pair_labels = [(a, b) for a in distinct for b in distinct]
     width = len(pair_labels)
@@ -559,9 +514,9 @@ def segre_descending_count(p: GradedPoset, labels: list) -> int:
         # covers as offsets into the next level's tallies: c's part of
         # (c, d), and d's part
         firsts = [[(ids[a] * len(distinct), [place[c] * stride for c in cs])
-                   for a, cs in labels[x]] for x in level]
+                   for a, cs in p._up[x]] for x in level]
         seconds = [[(ids[b], [place[d] * width for d in ds])
-                    for b, ds in labels[y]] for y in level]
+                    for b, ds in p._up[y]] for y in level]
         pushed = [0] * (above * stride)
         for i, x_groups in enumerate(firsts):
             for j, y_groups in enumerate(seconds):
@@ -746,12 +701,10 @@ def _label_to_json(label):
     return list(label) if isinstance(label, tuple) else label
 
 
-def to_interchange(p: GradedPoset, labels: list) -> dict:
-    """JSON-ready poset document: elements, ranks, covers and labels; see
-    _check_unless_own."""
-    _check_unless_own(p, labels)
+def to_interchange(p: GradedPoset) -> dict:
+    """JSON-ready poset document: elements, ranks, covers and labels."""
     doc_labels = {}
-    for x, groups in enumerate(labels):
+    for x, groups in enumerate(p._up):
         for label, ys in groups:
             value = _label_to_json(label)
             for y in ys:

@@ -35,9 +35,11 @@ b_s at each s in S and e_i at every other i is then upper unitriangular,
 and u_x e_S = x.  An upper triangular matrix keeps the rightmost nonzero
 coordinate of every vector, so u_x keeps every label set, and so every
 label that is a label-set difference: [x, y] and [e_S, u_x^-1 y] are
-label-isomorphic.  build_bnq checks what this needs of its own labeling
-(each label the one index a cover gains, each rank its Gaussian count), so
-coordinate_subspaces returns the e_S for that labeling alone.
+label-isomorphic.  On the Segre square, [(x, x'), (y, y')] is likewise
+label-isomorphic to an interval above (e_S, e_S'), by the pair (u_x, u_x').
+build_bnq checks what this needs of the labeling it builds (each label the
+one index a cover gains, each rank its Gaussian count), so it returns the
+e_S beside the lattice: the witness comes from the code that certifies it.
 """
 
 from __future__ import annotations
@@ -45,7 +47,7 @@ from __future__ import annotations
 from bisect import bisect
 from itertools import product
 
-from .poset import GradedPoset, segre_product
+from .poset import GradedPoset
 
 FIELD_SIZE_BOUND = 16
 SUBSPACE_COUNT_BOUND = 100_000
@@ -251,12 +253,15 @@ def _join(field: FiniteField, rows: tuple[tuple[int, ...], ...],
 
 
 def build_bnq(n: int, field: FiniteField,
-              count_bound: int | None = None) -> tuple[GradedPoset, list]:
-    """The subspace lattice of F_q^n and its rightmost-coordinate labels, as
-    (p, groups): each cover x < y is labeled by the one index in
-    label_set(y) that is not in label_set(x), groups[x] holds x's upper
-    covers grouped by label, and groups is the list p holds its covers in,
-    so the poset kernels take it as p's own labeling without checking it.
+              count_bound: int | None = None) -> tuple[GradedPoset, list[int]]:
+    """The subspace lattice of F_q^n with its rightmost-coordinate labels,
+    and its coordinate subspaces, as (p, lows): each cover x < y of p is
+    labeled by the one index in label_set(y) that is not in label_set(x),
+    and lows are the ascending indices of the e_S, the elements whose RREF
+    rows are all unit vectors.  Once the checks that follow have passed,
+    every interval of p is label-isomorphic to one above an e_S (see the
+    module docstring), so the EL pushes from lows, or from their pairs on
+    the Segre square, reach every interval.
 
     The lattice is generated from its covers: rank 0 is the zero subspace,
     and rank k+1 is the set of joins x + <v> (see the module docstring) over
@@ -319,39 +324,6 @@ def build_bnq(n: int, field: FiniteField,
             raise ArithmeticError(
                 f"{names[b]} of B_{n}({q}) has {count} lower covers, "
                 f"not [{ranks[b]} choose 1]_{q} = {expected}")
-    return GradedPoset(names, ranks, labels), labels
-
-
-def build_segre_bnq(n: int, field: FiniteField, count_bound: int | None = None,
-                    factor: tuple[GradedPoset, list] | None = None
-                    ) -> tuple[GradedPoset, list]:
-    """Segre square of the subspace lattice, covers labeled by ordered pairs
-    under the componentwise order, as (square, groups) with groups the
-    square's own labeling (see segre_product).  Its sum_k N_k^2 pairs, N_k
-    the subspaces of rank k, are held to the subspace count bound before any
-    work.  Each pair's label groups are the products of the lattice's label
-    groups, made in the same pass of segre_product that numbers the pairs,
-    and are the only list of its upper covers.  factor, if
-    given, is build_bnq(n, field, count_bound), already built, and is the
-    lattice squared."""
-    check_count_bound(n, field.order, True, count_bound)
-    p, labels = factor or build_bnq(n, field, count_bound)
-    return segre_product(p, labels, p, labels)
-
-
-def coordinate_subspaces(p: GradedPoset, labels: list) -> list[int] | None:
-    """The coordinate subspaces e_S of a B_n(q) from build_bnq, the elements
-    whose RREF rows are all unit vectors, as ascending indices into p, when
-    labels is p's own labeling, the very list build_bnq built p from; None
-    for any other labeling.
-
-    Every interval [x, y] of build_bnq's lattice is label-isomorphic to
-    [e_S, u_x^-1 y] (see the module docstring), and on its Segre square
-    (x, x') < (y, y') to the interval above (e_S, e_S') by the pair
-    (u_x, u_x').  So the EL pushes from these, or from their pairs, reach
-    every interval.  Another labeling carries none of build_bnq's checks,
-    so it gets None and its caller pushes from every element."""
-    if labels is not p._up:
-        return None
-    return [a for a, rows in enumerate(p.names)
+    lows = [a for a, rows in enumerate(names)
             if all(row.count(0) == len(row) - 1 for row in rows)]
+    return GradedPoset(names, ranks, labels), lows

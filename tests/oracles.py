@@ -8,8 +8,9 @@ values pin the polynomial, and everything at a point is a Fraction.  The
 pair oracles compare the ascent sets of every pair of permutations, and
 count inversions pair by pair; the listing oracle files every permutation
 of S_n by its ascent set, and the schoolbook product multiplies
-coefficient lists term by term.  The poset oracles read a labeling as a
-dict from each cover to its label (cover_labels), read the order off the
+coefficient lists term by term.  The poset oracles read a poset's labeling
+as a dict from each cover to its label (cover_labels), make a poset with
+another labeling from such a dict (relabel), read the order off the
 covers alone, list every maximal chain
 of every interval, push descending-chain tallies over the covers of a
 built Segre square, count the chains of the proper part for Hall's theorem,
@@ -38,11 +39,10 @@ from math import factorial
 from typing import NamedTuple
 
 from qsegre.exactalg import ONE, QPolynomial, one_minus_q_power
-from qsegre.permstats import perm_stats
 from qsegre.poset import (GradedPoset, chains_by_dimension, order_chain_counts,
                           product_order_less, proper_part, segre_product,
                           _label_ids, _rank_of_sparse_rows)
-from qsegre.subspace import rref_rows
+from qsegre.subspace import build_bnq, rref_rows
 from qsegre.symfrob import (_degrees, _perm_of_cycle_type,
                             induce_product_character, partitions_of,
                             specialization_denominator, z_of)
@@ -251,6 +251,28 @@ def enumerate_no_common_ascent(n: int) -> list[tuple[Permutation, Permutation]]:
     return [(a, b) for a in perms for b in perms if not has_common_ascent(a, b)]
 
 
+@lru_cache(maxsize=None)
+def perm_stats(n: int) -> tuple[tuple[int, int], ...]:
+    """(ascent bitmask, inversion count) for each permutation of [n], in the
+    lexicographic order of itertools.permutations(range(1, n + 1)).
+
+    Bit i-1 of the mask is set when position i is an ascent, so two
+    permutations share an ascent exactly when their masks intersect.
+    """
+    stats = []
+    for img in permutations(range(1, n + 1)):
+        mask = 0
+        inv = 0
+        for i in range(n):
+            if i < n - 1 and img[i] < img[i + 1]:
+                mask |= 1 << i
+            for j in range(i + 1, n):
+                if img[i] > img[j]:
+                    inv += 1
+        stats.append((mask, inv))
+    return tuple(stats)
+
+
 def w_polynomial_by_pair_scan(n: int) -> QPolynomial:
     """W_n(q) by testing every pair of S_n x S_n for a common ascent."""
     stats = perm_stats(n)
@@ -328,24 +350,32 @@ def poset_from_covers(names, ranks, covers):
                                       for ys in up])
 
 
-def cover_labels(labels) -> dict:
-    """A labeling held as label groups, as the dict from each labeled pair
+def cover_labels(p) -> dict:
+    """p's labeling, held as its label groups, as the dict from each cover
     to its label; the dict-based oracles read only this form."""
-    return {(x, y): label for x, groups in enumerate(labels)
+    return {(x, y): label for x, groups in enumerate(p._up)
             for label, ys in groups for y in ys}
 
 
-def grouped(p, labels: dict) -> list:
-    """A dict from pairs to labels as label groups: each element's pairs
-    grouped by label, in ascending order within a group.  A cover missing
-    from the dict, or a pair that is not a cover, is kept as it is."""
+def relabel(p, labels: dict) -> GradedPoset:
+    """p's elements with the covers and labels of a dict from pairs to
+    labels: each element's pairs grouped by label, in ascending order
+    within a group.  A cover missing from the dict is not a cover of the
+    result, and the constructor refuses a pair that cannot be one."""
     groups = [{} for _ in range(len(p))]
     for (x, y), label in sorted(labels.items()):
         groups[x].setdefault(label, []).append(y)
-    return [list(by_label.items()) for by_label in groups]
+    return GradedPoset(p.names, p.ranks,
+                       [list(by_label.items()) for by_label in groups])
 
 
-def descending_chain_count(p, labels: list) -> int:
+def segre_bnq(n: int, field) -> GradedPoset:
+    """The Segre square of build_bnq's lattice with itself."""
+    p, _ = build_bnq(n, field)
+    return segre_product(p, p)
+
+
+def descending_chain_count(p) -> int:
     """Maximal chains from bottom to top whose label words have no ascent,
     chain_report's descending count without the words, by one push over
     the poset's own covers; on segre_product's square it is the route
@@ -362,7 +392,7 @@ def descending_chain_count(p, labels: list) -> int:
         raise ValueError("poset has no bottom element")
     if top is None:
         raise ValueError("poset has no top element")
-    up, less = _label_ids(p, labels)
+    up, less = _label_ids(p)
     if top == bottom:
         return 1
     width = len(less)
@@ -381,12 +411,12 @@ def descending_chain_count(p, labels: list) -> int:
     return sum(tallies[top])
 
 
-def segre_labels_by_names(square, p, p_labels, q, q_labels):
+def segre_labels_by_names(square, p, q):
     """The pair labels of a Segre square, each factor label found through
     the factor index of the element's name."""
     p_index = {name: i for i, name in enumerate(p.names)}
     q_index = {name: j for j, name in enumerate(q.names)}
-    p_labels, q_labels = cover_labels(p_labels), cover_labels(q_labels)
+    p_labels, q_labels = cover_labels(p), cover_labels(q)
     labels = {}
     for a, b in square.covers:
         (xa, ya), (xb, yb) = square.names[a], square.names[b]
@@ -405,16 +435,19 @@ def reduced_euler_characteristic(p) -> int:
     return total
 
 
-def from_interchange(doc: dict):
-    """The (poset, label groups) of a document from to_interchange, with
-    element names as their strings; list labels are read as pair labels."""
+def from_interchange(doc: dict) -> GradedPoset:
+    """The labeled poset of a document from to_interchange, with element
+    names as their strings; list labels are read as pair labels.  The
+    labeled pairs must be the covers."""
     covers = [tuple(c) for c in doc["covers"]]
     p = poset_from_covers(doc["elements"], doc["ranks"], covers)
     labels = {}
     for key, val in doc["labels"].items():
         a, b = key.split("-")
         labels[(int(a), int(b))] = tuple(val) if isinstance(val, list) else val
-    return p, grouped(p, labels)
+    if set(labels) != set(p.covers):
+        raise ValueError("the labeled pairs are not the covers")
+    return relabel(p, labels)
 
 
 def boolean_lattice(n: int) -> GradedPoset:
@@ -434,20 +467,20 @@ def boolean_lattice(n: int) -> GradedPoset:
     return poset_from_covers(names, ranks, covers)
 
 
-def boolean_lattice_labeled(n: int) -> tuple[GradedPoset, list]:
+def boolean_lattice_labeled(n: int) -> GradedPoset:
     """Boolean lattice with each cover labeled by its added element."""
     p = boolean_lattice(n)
     labels = {}
     for a, b in p.covers:
         (added,) = set(p.names[b]) - set(p.names[a])
         labels[(a, b)] = added
-    return p, grouped(p, labels)
+    return relabel(p, labels)
 
 
-def segre_boolean_labeled(n: int) -> tuple[GradedPoset, list]:
+def segre_boolean_labeled(n: int) -> GradedPoset:
     """Segre square of the labeled boolean lattice, covers labeled by pairs."""
     factor = boolean_lattice_labeled(n)
-    return segre_product(*factor, *factor)
+    return segre_product(factor, factor)
 
 
 @lru_cache(maxsize=16)
@@ -500,14 +533,10 @@ def _ascents(word) -> list[bool]:
     return [product_order_less(word[t], word[t + 1]) for t in range(len(word) - 1)]
 
 
-def el_check_by_intervals(p, labels):
+def el_check_by_intervals(p):
     """The EL check by listing every maximal chain of every interval: a
     unique increasing chain whose word precedes every other word."""
-    labels = cover_labels(labels)
-    for edge in p.covers:
-        if edge not in labels:
-            a, b = edge
-            raise ValueError(f"cover ({p.names[a]}, {p.names[b]}) has no label")
+    labels = cover_labels(p)
     _, above = order_from_covers(p)
     for lo in range(len(p)):
         for hi in sorted(above[lo] - {lo}):
@@ -523,9 +552,9 @@ def el_check_by_intervals(p, labels):
     return True, None
 
 
-def chain_report_by_enumeration(p, labels) -> tuple[dict, int, int]:
+def chain_report_by_enumeration(p) -> tuple[dict, int, int]:
     """Label-word tallies from one pass over every maximal chain."""
-    labels = cover_labels(labels)
+    labels = cover_labels(p)
     tallies: dict = {}
     increasing = descending = 0
     for chain in maximal_chains(p):
@@ -725,21 +754,21 @@ def _borel_generators(n: int, field):
                 yield f"e_{j + 1} -> e_{j + 1} + {t} e_{i + 1}", act
 
 
-def borel_representatives(n: int, field, p, labels) -> list[int] | None:
+def borel_representatives(n: int, field, p) -> list[int] | None:
     """The coordinate subspaces e_S of B_n(q), as ascending indices into p,
     one in each orbit of the group B of invertible upper triangular
-    matrices, once p and labels are checked to have B's symmetry: the
-    generator sweep that subspace.coordinate_subspaces replaced.
+    matrices, once p and its labels are checked to have B's symmetry: the
+    generator sweep that the lows of subspace.build_bnq replaced.
 
     Each generator of _borel_generators maps every element by RREF, and the
     generators' orbits are joined by union-find.  None when some cover's
-    image carries another label in labels; ArithmeticError when an image is
+    image carries another label in p; ArithmeticError when an image is
     not an element, two elements share an image, a cover maps to a
     non-cover, or the orbits are not 2^n classes with one e_S in each."""
     names = p.names
     index = {rows: a for a, rows in enumerate(names)}
     label_of = [{y: label for label, ys in groups for y in ys}
-                for groups in labels]
+                for groups in p._up]
     covers = p.covers
     cover_set = set(covers)
     parent = list(range(len(names)))
@@ -847,7 +876,7 @@ def characteristic_by_whitney_recursion(n: int) -> dict:
 def pair_poset(n: int) -> GradedPoset:
     """Proper part of the rank-equal pair poset of two copies of the subset
     lattice on [n]; empty for n = 1."""
-    return proper_part(segre_boolean_labeled(n)[0])
+    return proper_part(segre_boolean_labeled(n))
 
 
 def lefschetz_character_by_chains(n: int) -> dict:

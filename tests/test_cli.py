@@ -13,7 +13,7 @@ from qsegre.cli import main
 from qsegre.exactalg import ONE, QPolynomial
 from qsegre.subspace import prime_power
 
-from oracles import cover_labels, el_check_by_intervals, grouped
+from oracles import cover_labels, el_check_by_intervals, relabel
 
 
 class TestPrimePower:
@@ -397,19 +397,53 @@ class TestBrokenInduction:
         assert all(line.startswith("PASS") for line in lines[:-1])
 
 
+class TestBrokenChains:
+    """The suite's chains check fails on a word count off q^inv, and on a
+    total off the q-factorial, at the first instance of its matrix."""
+
+    def _suite_lines(self, capsys) -> list[str]:
+        code, out, err = run(capsys, "verify", "all", "--max-n", "1")
+        assert (code, err) == (1, "")
+        return out.splitlines()
+
+    def test_a_word_count_off_by_one_fails_the_check(self, capsys, monkeypatch):
+        from qsegre import poset
+        report = poset.chain_report
+
+        def off_by_one(*args):
+            words, increasing, descending = report(*args)
+            words = dict(words)
+            words[min(words)] += 1
+            return words, increasing, descending
+        monkeypatch.setattr(poset, "chain_report", off_by_one)
+        lines = self._suite_lines(capsys)
+        assert [line for line in lines if not line.startswith("PASS")] == [
+            "FAIL chains: word counts differ from q^inv at n=2 q=2"]
+
+    def test_a_total_off_the_q_factorial_fails_the_check(
+            self, capsys, monkeypatch):
+        from qsegre import exactalg
+        q_factorial = exactalg.q_factorial
+        monkeypatch.setattr(exactalg, "q_factorial",
+                            lambda n: q_factorial(n) + exactalg.ONE)
+        lines = self._suite_lines(capsys)
+        assert [line for line in lines if not line.startswith("PASS")] == [
+            "FAIL chains: total chains != q-factorial at n=2 q=2"]
+
+
 class TestBrokenLabeling:
     def test_an_el_failure_names_its_interval(self, capsys, monkeypatch):
         # the labels 1 and 2 on the chain through the atom <(1,0)> of B_2(2)
         # swapped, so that no chain of the whole lattice is increasing
         from qsegre import cli
-        p, labels = cli._lattice(2, 2, False)
+        p, _ = cli._lattice(2, 2, False)
         bottom, top = p.bottom, p.top
         atom = p.names.index(((1, 0),))
-        swapped = cover_labels(labels)
+        swapped = cover_labels(p)
         swapped[(bottom, atom)], swapped[(atom, top)] = (
             swapped[(atom, top)], swapped[(bottom, atom)])
         monkeypatch.setattr(cli, "_lattice",
-                            lambda *args: (p, grouped(p, swapped)))
+                            lambda *args: (relabel(p, swapped), None))
         violation = "0 increasing maximal chains in [(), ((1, 0), (0, 1))]"
         code, out, err = run(capsys, "verify", "el", "--n", "2", "--q", "2")
         assert (code, out, err) == (
@@ -440,17 +474,19 @@ def fresh_lattices():
 
 def _with_swapped_factor(monkeypatch, atom_rows, above_rows):
     """Make build_bnq return B_n(q) with the labels of bottom < atom and
-    atom < above swapped; the square is then built from that factor."""
+    atom < above swapped, and no coordinate subspaces, as a build that
+    certifies no witness would; the square is then built from that
+    factor."""
     from qsegre import subspace
     build = subspace.build_bnq
 
     def swapped(n, field, count_bound=None):
-        p, labels = build(n, field, count_bound)
-        swapped = cover_labels(labels)
+        p, _ = build(n, field, count_bound)
+        swapped = cover_labels(p)
         low = (p.bottom, p.names.index(atom_rows))
         high = (low[1], p.names.index(above_rows))
         swapped[low], swapped[high] = swapped[high], swapped[low]
-        return p, grouped(p, swapped)
+        return relabel(p, swapped), None
     monkeypatch.setattr(subspace, "build_bnq", swapped)
 
 
@@ -466,32 +502,30 @@ class TestBorelOrbitRoute:
         cli, pushed = fresh_lattices, []
         check = poset.check_el_labeling
 
-        def spy(p, labels, lows=None):
+        def spy(p, lows=None):
             pushed.append(lows)
-            return check(p, labels, lows)
+            return check(p, lows)
         monkeypatch.setattr(poset, "check_el_labeling", spy)
         for segre, lows in ((False, 2 ** n), (True, comb(2 * n, n))):
-            p, labels = cli._lattice(n, q, segre)
-            assert cli._el_check(n, q, segre) == el_check_by_intervals(
-                p, labels)
+            p, _ = cli._lattice(n, q, segre)
+            assert cli._el_check(n, q, segre) == el_check_by_intervals(p)
             assert len(pushed.pop()) == lows and pushed == []
 
     def test_a_swap_off_the_symmetry_falls_back_to_every_element(
             self, fresh_lattices, monkeypatch, capsys):
         # <(1,1,1)> is in the orbit of <e_3>, so the swapped labels are not
-        # B-invariant; being a labeling other than build_bnq's own, they
-        # are pushed from every element
+        # B-invariant; a build that certifies no coordinate subspaces has
+        # its lattice pushed from every element
         from qsegre import poset
         _with_swapped_factor(monkeypatch, ((1, 1, 1),), ((1, 0, 0), (0, 1, 1)))
         pushed = []
         check = poset.check_el_labeling
         monkeypatch.setattr(
             poset, "check_el_labeling",
-            lambda p, labels, lows=None: pushed.append(lows)
-            or check(p, labels, lows))
+            lambda p, lows=None: pushed.append(lows) or check(p, lows))
         violation = ("2 increasing maximal chains in [((), ()), "
                      "(((0, 1, 0), (0, 0, 1)), ((1, 0, 0), (0, 1, 1)))]")
-        assert el_check_by_intervals(*fresh_lattices._lattice(3, 2, True)) == (
+        assert el_check_by_intervals(fresh_lattices._lattice(3, 2, True)[0]) == (
             False, violation)
         code, out, err = run(capsys, "verify", "el", "--n", "3", "--q", "2",
                              "--segre")
@@ -502,12 +536,12 @@ class TestBorelOrbitRoute:
     def test_a_symmetric_break_is_rerun_from_every_element(
             self, fresh_lattices, monkeypatch, capsys):
         # <e_1> < <e_1, e_2> is fixed by the group, so the swap keeps the
-        # symmetry, but the factor's labeling is not build_bnq's own: every
+        # symmetry, but the build certifies no coordinate subspaces: every
         # element is pushed from at once, and the full check's first
         # offender is named
         from qsegre import poset
         _with_swapped_factor(monkeypatch, ((1, 0, 0),), ((1, 0, 0), (0, 1, 0)))
-        sp, labels = fresh_lattices._lattice(3, 2, True)
+        sp, _ = fresh_lattices._lattice(3, 2, True)
         starts = []
         push = poset._push_from
         monkeypatch.setattr(poset, "_push_from",
@@ -515,7 +549,7 @@ class TestBorelOrbitRoute:
                             or push(up, lo, *rest))
         violation = ("0 increasing maximal chains in [((), ()), "
                      "(((0, 1, 0), (0, 0, 1)), ((1, 0, 0), (0, 1, 0)))]")
-        assert el_check_by_intervals(sp, labels) == (False, violation)
+        assert el_check_by_intervals(sp) == (False, violation)
         code, out, err = run(capsys, "segre", "--n", "3", "--q", "2",
                              "--check-el")
         assert (code, out.splitlines()[-1], err) == (
@@ -539,10 +573,7 @@ class TestSegreFromTheFactor:
 
     def test_no_square_is_built(self, fresh_lattices, monkeypatch, capsys):
         from qsegre import poset, subspace
-        for module, name in ((poset, "segre_product"),
-                             (subspace, "segre_product"),
-                             (subspace, "build_segre_bnq")):
-            monkeypatch.setattr(module, name, forbid)
+        monkeypatch.setattr(poset, "segre_product", forbid)
         code, out, err = run(capsys, "verify", "mobius", "--n", "3", "--q", "2")
         assert (code, out, err) == (
             0, "PASS mobius: mu=-344 descending=344 expected W=344\n", "")
@@ -572,11 +603,8 @@ class TestSegreTextFromTheFactor:
                 0, line, "")
 
     def test_no_square_is_built(self, fresh_lattices, monkeypatch, capsys):
-        from qsegre import poset, subspace
-        for module, name in ((poset, "segre_product"),
-                             (subspace, "segre_product"),
-                             (subspace, "build_segre_bnq")):
-            monkeypatch.setattr(module, name, forbid)
+        from qsegre import poset
+        monkeypatch.setattr(poset, "segre_product", forbid)
         assert run(capsys, "segre", "--n", "3", "--q", "7") == (
             0, "segre square n=3 q=7: 6500 elements, rank sizes "
                "[1, 3249, 3249, 1]\n", "")
@@ -925,10 +953,10 @@ class TestGoldenDocuments:
         from qsegre.poset import mobius_number
         code, out, _ = run(capsys, "segre", "--n", "2", "--q", "2", "--json")
         assert code == 0
-        rebuilt, labels = from_interchange(json.loads(out)["poset"])
+        rebuilt = from_interchange(json.loads(out)["poset"])
         assert mobius_number(rebuilt) == 8
         # read back as pairs, so ordered componentwise
-        assert {type(label) for label in cover_labels(labels).values()} == {tuple}
+        assert {type(label) for label in cover_labels(rebuilt).values()} == {tuple}
 
 
 LAYERS = ("besselseries", "exactalg", "permstats", "poset", "subspace",

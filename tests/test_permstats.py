@@ -2,7 +2,7 @@ import pytest
 
 from qsegre.exactalg import ONE, QPolynomial, q_factorial
 from qsegre.permstats import (ENUMERATION_BOUND, RECURRENCE_BOUND,
-                              csv_recurrence, perm_stats, q_binomial,
+                              csv_recurrence, q_binomial,
                               verify_q_csv_identity, w_polynomial,
                               w_polynomial_recurrence)
 
@@ -11,8 +11,8 @@ import itertools
 from qsegre import permstats
 
 from oracles import (Permutation, ascent_set, enumerate_no_common_ascent,
-                     has_common_ascent, inversions, w_polynomial_by_listing,
-                     w_polynomial_by_pair_scan)
+                     has_common_ascent, inversions, perm_stats,
+                     w_polynomial_by_listing, w_polynomial_by_pair_scan)
 
 
 def perm(*image):

@@ -6,7 +6,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qsegre import poset as poset_module
 from qsegre.poset import (FACE_COUNT_BOUND, GradedPoset, chain_report, chains_by_dimension,
                           check_el_labeling, mobius_number,
                           order_chain_counts, product_order_less, proper_part,
@@ -16,18 +15,17 @@ from qsegre.poset import (FACE_COUNT_BOUND, GradedPoset, chain_report, chains_by
                           _rank_of_sparse_rows, _set_bits)
 from qsegre.cli import BETTI_MATRIX, MOBIUS_MATRIX
 from qsegre.permstats import w_polynomial
-from qsegre.subspace import (FiniteField, build_bnq, build_segre_bnq,
-                             proper_face_count)
+from qsegre.subspace import FiniteField, build_bnq, proper_face_count
 
 from oracles import (boolean_lattice, boolean_lattice_labeled,
                      chain_report_by_enumeration, chains_by_subsets,
                      cover_labels, descending_chain_count,
                      el_check_by_intervals, from_interchange,
-                     grouped, maximal_chains,
-                     order_from_covers, pair_poset, poset_from_covers,
-                     rank_over_rationals,
+                     maximal_chains, order_from_covers, pair_poset,
+                     poset_from_covers, rank_over_rationals,
                      rational_betti_numbers_by_elimination,
-                     reduced_euler_characteristic, segre_boolean_labeled,
+                     reduced_euler_characteristic, relabel,
+                     segre_boolean_labeled, segre_bnq,
                      segre_labels_by_names, segre_product_by_pairs)
 
 
@@ -79,7 +77,7 @@ def _random_graded_poset(rng):
     covers = [(a, b) for a in range(len(ranks)) for b in range(len(ranks))
               if ranks[b] == ranks[a] + 1 and rng.random() < 0.6]
     p = poset_from_covers([f"v{i}" for i in range(len(ranks))], ranks, covers)
-    return p, grouped(p, {c: rng.randint(1, 3) for c in p.covers})
+    return relabel(p, {c: rng.randint(1, 3) for c in p.covers})
 
 
 class TestGradedPoset:
@@ -189,21 +187,21 @@ class TestGradedPoset:
         # a random bounded poset with random labels, built again under a
         # random permutation of its ids with each group's covers reversed
         p = _random_bounded_poset(rng, 5, 4)
-        labels = grouped(p, {c: rng.randint(1, 3) for c in p.covers})
+        labeled = relabel(p, {c: rng.randint(1, 3) for c in p.covers})
         perm = rng.sample(range(len(p)), len(p))
         names, ranks = [None] * len(p), [None] * len(p)
         up = [None] * len(p)
         for x in range(len(p)):
             names[perm[x]], ranks[perm[x]] = p.names[x], p.ranks[x]
             up[perm[x]] = [(label, [perm[y] for y in reversed(ys)])
-                           for label, ys in labels[x]]
+                           for label, ys in labeled._up[x]]
         r = GradedPoset(names, ranks, up)
 
         def by_name(q):
             return (sorted((q.names[a], q.names[b]) for a, b in q.covers),
                     q.names[q.bottom], q.names[q.top], mobius_number(q))
 
-        assert by_name(r) == by_name(GradedPoset(p.names, p.ranks, labels))
+        assert by_name(r) == by_name(labeled)
         assert by_name(r) == by_name(p)
         assert list(r.covers) == sorted(r.covers)
 
@@ -215,37 +213,37 @@ class TestGradedPoset:
     @given(st.randoms(use_true_random=False))
     @settings(max_examples=50, deadline=None)
     def test_below_masks_match_the_order_read_from_the_covers(self, rng):
-        for p in (boolean_lattice(3), _random_graded_poset(rng)[0]):
+        for p in (boolean_lattice(3), _random_graded_poset(rng)):
             _, above = order_from_covers(p)
             below = [{x for x in range(len(p)) if y in above[x]}
                      for y in range(len(p))]
             assert [set(_set_bits(mask)) for mask in p._below_masks()] == below
 
     def test_maximal_chain_count_of_boolean_lattice(self):
-        p, labels = boolean_lattice_labeled(4)
+        p = boolean_lattice_labeled(4)
         assert sum(1 for _ in maximal_chains(p)) == 24
-        words, _, _ = chain_report(p, labels)
+        words, _, _ = chain_report(p)
         assert sum(words.values()) == 24
 
 
 class TestSegreProduct:
     def test_two_chains(self):
-        s, _ = segre_boolean_labeled(1)
+        s = segre_boolean_labeled(1)
         assert len(s) == 2 and s.rank_sizes() == [1, 1]
 
     def test_boolean_square_rank_sizes(self):
-        s, _ = segre_boolean_labeled(2)
+        s = segre_boolean_labeled(2)
         assert s.rank_sizes() == [1, 4, 1]
         assert proper_part(s).covers == ()
 
     def test_rank_sizes_square_of_factor(self):
         for n in (2, 3):
-            s, _ = segre_boolean_labeled(n)
+            s = segre_boolean_labeled(n)
             assert s.rank_sizes() == [c * c for c in
                                       boolean_lattice(n).rank_sizes()]
 
     def test_proper_part_counts_for_boolean_cube(self):
-        pp = proper_part(segre_boolean_labeled(3)[0])
+        pp = proper_part(segre_boolean_labeled(3))
         assert len(pp) == 18
         assert sorted(set(pp.ranks)) == [1, 2]
 
@@ -258,14 +256,14 @@ class TestSegreProduct:
     def test_one_pass_build_matches_the_pair_dict(self, rng):
         # factors listed in shuffled rank order, so no rank block is
         # contiguous, with random integer labels
-        p, p_labels = _random_graded_poset(rng)
-        q, q_labels = _random_graded_poset(rng)
-        square, labels = segre_product(p, p_labels, q, q_labels)
+        p = _random_graded_poset(rng)
+        q = _random_graded_poset(rng)
+        square = segre_product(p, q)
+        labels = square._up
         oracle = segre_product_by_pairs(p, q)
         assert (square.names, square.ranks, square.covers) == (
             oracle.names, oracle.ranks, oracle.covers)
-        assert cover_labels(labels) == segre_labels_by_names(
-            oracle, p, p_labels, q, q_labels)
+        assert cover_labels(square) == segre_labels_by_names(oracle, p, q)
         # the groups of each pair have distinct labels and sorted covers,
         # and each distinct pair label is one object
         assert all(len({label for label, _ in g}) == len(g) for g in labels)
@@ -292,7 +290,7 @@ class TestMobiusAndEuler:
 
     def test_hall_theorem_on_small_corpus(self):
         posets = [boolean_lattice(n) for n in range(1, 5)]
-        posets += [segre_boolean_labeled(n)[0] for n in (2, 3, 4)]
+        posets += [segre_boolean_labeled(n) for n in (2, 3, 4)]
         for p in posets:
             assert mobius_number(p) == reduced_euler_characteristic(proper_part(p))
 
@@ -344,127 +342,76 @@ class TestMobiusAndEuler:
 
 class TestELLabeling:
     def test_two_chain_trivially_el(self):
-        ok, violation = check_el_labeling(two_chain(), [[(1, [1])], []])
+        ok, violation = check_el_labeling(relabel(two_chain(), {(0, 1): 1}))
         assert ok and violation is None
 
     def test_boolean_lattice_added_element_labeling_is_el(self):
         for n in (2, 3):
-            ok, violation = check_el_labeling(*boolean_lattice_labeled(n))
+            ok, violation = check_el_labeling(boolean_lattice_labeled(n))
             assert ok, violation
-
-    def test_missing_label_rejected(self):
-        with pytest.raises(ValueError):
-            check_el_labeling(two_chain(), [[], []])
 
     def test_segre_square_of_boolean_lattice_is_el(self):
         for n in (2, 3):
-            ok, violation = check_el_labeling(*segre_boolean_labeled(n))
+            ok, violation = check_el_labeling(segre_boolean_labeled(n))
             assert ok, violation
 
     def test_adversarial_swap_is_reported(self):
-        s, labels = segre_boolean_labeled(2)
+        s = segre_boolean_labeled(2)
         # relabel one upper edge so the full interval gains a second
         # increasing chain
         culprit = next((a, b) for a, b in s.covers
                        if s.names[a] == ((1,), (2,)) and s.ranks[b] == 2)
-        broken = cover_labels(labels)
+        broken = cover_labels(s)
         broken[culprit] = (2, 2)
-        ok, violation = check_el_labeling(s, grouped(s, broken))
+        ok, violation = check_el_labeling(relabel(s, broken))
         assert not ok
         assert violation.endswith(" in [((), ()), ((1, 2), (1, 2))]")
 
     def test_a_failure_from_the_lows_reports_the_full_first_offender(self):
         # [(1,), (1, 2, 3)] gains a second increasing chain, 3 then 4, and
         # so does [(), (1, 2, 3)], which the full check meets first
-        p, labels = boolean_lattice_labeled(3)
-        broken = cover_labels(labels)
+        p = boolean_lattice_labeled(3)
+        broken = cover_labels(p)
         broken[(p.names.index((1, 3)), p.names.index((1, 2, 3)))] = 4
-        broken = grouped(p, broken)
+        broken = relabel(p, broken)
         full = (False, "2 increasing maximal chains in [(), (1, 2, 3)]")
-        assert check_el_labeling(p, broken) == full
-        assert el_check_by_intervals(p, broken) == full
-        assert check_el_labeling(p, broken, [p.names.index((1,))]) == full
+        assert check_el_labeling(broken) == full
+        assert el_check_by_intervals(broken) == full
+        assert check_el_labeling(broken, [p.names.index((1,))]) == full
 
     def test_only_the_lows_are_pushed_from(self):
         # the caller vouches for the lows: [(1,), (1, 2, 3)] is broken, but
         # no push starts below it
-        p, labels = boolean_lattice_labeled(3)
-        broken = cover_labels(labels)
+        p = boolean_lattice_labeled(3)
+        broken = cover_labels(p)
         broken[(p.names.index((1, 3)), p.names.index((1, 2, 3)))] = 4
         lows = [p.names.index((2,)), p.names.index((1, 2))]
-        assert check_el_labeling(p, grouped(p, broken), lows) == (True, None)
-
-
-LABEL_KERNELS = (check_el_labeling, segre_descending_count, chain_report,
-                 to_interchange)
+        assert check_el_labeling(relabel(p, broken), lows) == (True, None)
 
 
 class TestLabelingPartition:
-    """Every kernel that takes a labeling refuses one whose groups do not
-    partition each element's upper covers, with one message."""
-
-    @pytest.mark.parametrize("change, message", [
-        (lambda labels: labels.pop((0, 1)),
-         r"^cover \(\(\), \(1,\)\) has no label$"),
-        (lambda labels: labels.update({(0, 3): 1}),
-         r"^labeled pair \(\(\), \(1, 2\)\) is not a cover$"),
-    ])
-    def test_every_kernel_refuses_a_bad_labeling(self, change, message):
-        p, labels = boolean_lattice_labeled(2)
-        assert p.names[:2] == ((), (1,)) and p.names[3] == (1, 2)
-        broken = cover_labels(labels)
-        change(broken)
-        for kernel in LABEL_KERNELS:
-            with pytest.raises(ValueError, match=message):
-                kernel(p, grouped(p, broken))
+    """A labeling is the poset's label groups, so one that does not
+    partition each element's upper covers is refused as the poset is made,
+    and no kernel is ever handed one."""
 
     def test_a_cover_in_two_groups_is_refused(self):
-        p, labels = boolean_lattice_labeled(2)
-        twice = [list(groups) for groups in labels]
+        p = boolean_lattice_labeled(2)
+        twice = [list(groups) for groups in p._up]
         twice[0].append((9, [1]))
-        for kernel in LABEL_KERNELS:
-            with pytest.raises(ValueError, match=r"^cover \(\(\), \(1,\)\) "
-                               "has more than one label$"):
-                kernel(p, twice)
+        with pytest.raises(ValueError, match=r"^cover \(\(\), \(1,\)\) "
+                           "has more than one label$"):
+            GradedPoset(p.names, p.ranks, twice)
 
     def test_a_labeling_of_another_size_is_refused(self):
-        for kernel in LABEL_KERNELS:
-            with pytest.raises(ValueError, match="^labeling of 1 elements on "
-                               "a poset of 2$"):
-                kernel(two_chain(), [[(1, [1])]])
-
-
-class Checked(Exception):
-    pass
-
-
-class TestOwnLabeling:
-    """The kernels trust a poset's own labeling, the very list it was built
-    from, and check any other, even an equal copy."""
-
-    def test_only_another_labeling_is_checked(self, monkeypatch):
-        def refuse(p, labels):
-            raise Checked
-
-        monkeypatch.setattr(poset_module, "_check_labels", refuse)
-        factor = build_bnq(2, FiniteField(3))
-        for p, labels in (factor, build_segre_bnq(2, FiniteField(2)),
-                          segre_product(*factor, *factor)):
-            assert labels is p._up
-            copy = grouped(p, cover_labels(labels))
-            for kernel in LABEL_KERNELS:
-                kernel(p, labels)
-                with pytest.raises(Checked):
-                    kernel(p, copy)
-        p, labels = factor
-        with pytest.raises(Checked):
-            segre_product(p, labels, p, grouped(p, cover_labels(labels)))
+        with pytest.raises(ValueError, match="^one list of upper covers per "
+                           "element$"):
+            GradedPoset(["bot", "top"], [0, 1], [[(1, [1])]])
 
 
 class TestChainReport:
     def test_boolean_lattice_words_are_permutations(self):
-        p, labels = boolean_lattice_labeled(3)
-        words, increasing, descending = chain_report(p, labels)
+        p = boolean_lattice_labeled(3)
+        words, increasing, descending = chain_report(p)
         assert sum(words.values()) == 6
         assert all(count == 1 for count in words.values())
         assert increasing == 1
@@ -472,21 +419,21 @@ class TestChainReport:
 
     def test_segre_square_descending_chains_are_the_pair_count(self):
         # at q = 1 the descending count is the no-common-ascent pair count
-        p, groups = boolean_lattice_labeled(2)
-        s, _ = segre_product(p, groups, p, groups)
-        labels = cover_labels(groups)
+        p = boolean_lattice_labeled(2)
+        s = segre_product(p, p)
+        labels = cover_labels(p)
         index = {name: i for i, name in enumerate(p.names)}
         pair_labels = {(a, b): (labels[(index[s.names[a][0]], index[s.names[b][0]])],
                                 labels[(index[s.names[a][1]], index[s.names[b][1]])])
                        for a, b in s.covers}
-        words, increasing, descending = chain_report(s, grouped(s, pair_labels))
+        words, increasing, descending = chain_report(relabel(s, pair_labels))
         assert sum(words.values()) == 4
         assert descending == 3
         assert increasing == 1
 
     def test_counts_sum_to_total(self):
-        p, labels = boolean_lattice_labeled(3)
-        words, _, _ = chain_report(p, labels)
+        p = boolean_lattice_labeled(3)
+        words, _, _ = chain_report(p)
         assert sum(words.values()) == sum(1 for _ in maximal_chains(p))
 
 
@@ -495,21 +442,22 @@ class TestDescendingCount:
 
     def test_no_descending_chain_counts_zero(self):
         # every maximal chain has an ascent, so no tally ever reaches the top
-        chain = poset_from_covers(["0", "1", "2"], [0, 1, 2], [(0, 1), (1, 2)])
-        assert descending_chain_count(chain, [[(1, [1])], [(2, [2])], []]) == 0
-        square = boolean_lattice(2)
-        labels = [[(1, [1, 2])], [(2, [3])], [(2, [3])], []]
-        assert descending_chain_count(square, labels) == 0
-        assert chain_report(square, labels)[2] == 0
+        chain = GradedPoset(["0", "1", "2"], [0, 1, 2],
+                            [[(1, [1])], [(2, [2])], []])
+        assert descending_chain_count(chain) == 0
+        square = GradedPoset(boolean_lattice(2).names, [0, 1, 1, 2],
+                             [[(1, [1, 2])], [(2, [3])], [(2, [3])], []])
+        assert descending_chain_count(square) == 0
+        assert chain_report(square)[2] == 0
 
     @pytest.mark.parametrize("n, q", [(2, 3), (3, 2), (3, 3)])
     def test_segre_squares_count_the_pair_polynomial(self, n, q):
-        factor = build_bnq(n, FiniteField(q))
-        sp, labels = segre_product(*factor, *factor)
-        descending = descending_chain_count(sp, labels)
-        assert descending == chain_report(sp, labels)[2]
+        factor, _ = build_bnq(n, FiniteField(q))
+        sp = segre_product(factor, factor)
+        descending = descending_chain_count(sp)
+        assert descending == chain_report(sp)[2]
         assert descending == w_polynomial(n).evaluate(q)
-        assert segre_descending_count(*factor) == descending
+        assert segre_descending_count(factor) == descending
 
 
 class TestUnboundedPosets:
@@ -517,48 +465,46 @@ class TestUnboundedPosets:
     EL check looks at every interval and needs neither."""
 
     def test_chain_report_without_a_bottom(self):
-        p = poset_from_covers(["a", "b", "c"], [0, 0, 1], [(0, 2), (1, 2)])
-        labels = [[(1, [2])], [(2, [2])], []]
+        p = GradedPoset(["a", "b", "c"], [0, 0, 1], [[(1, [2])], [(2, [2])], []])
         for kernel in (chain_report, descending_chain_count):
             with pytest.raises(ValueError, match="^poset has no bottom element$"):
-                kernel(p, labels)
-        assert check_el_labeling(p, labels) == (True, None)
+                kernel(p)
+        assert check_el_labeling(p) == (True, None)
 
     def test_chain_report_without_a_top(self):
-        p = poset_from_covers(["a", "b", "c"], [0, 1, 1], [(0, 1), (0, 2)])
-        labels = [[(1, [1]), (2, [2])], [], []]
+        p = GradedPoset(["a", "b", "c"], [0, 1, 1], [[(1, [1]), (2, [2])], [], []])
         for kernel in (chain_report, descending_chain_count):
             with pytest.raises(ValueError, match="^poset has no top element$"):
-                kernel(p, labels)
-        assert check_el_labeling(p, labels) == (True, None)
+                kernel(p)
+        assert check_el_labeling(p) == (True, None)
 
     def test_chain_report_of_the_empty_poset(self):
         for kernel in (chain_report, descending_chain_count):
             with pytest.raises(ValueError, match="^poset has no bottom element$"):
-                kernel(poset_from_covers([], [], []), [])
+                kernel(poset_from_covers([], [], []))
 
     def test_el_violation_below_two_maximal_elements(self):
         # two tops over one bottom; the interval up to "y" has two
         # increasing chains
-        p = poset_from_covers(["0", "a", "b", "x", "y"], [0, 1, 1, 2, 2],
-                        [(0, 1), (0, 2), (1, 3), (1, 4), (2, 4)])
-        labels = [[(1, [1, 2])], [(2, [3, 4])], [(3, [4])], [], []]
-        ok, violation = check_el_labeling(p, labels)
+        p = GradedPoset(["0", "a", "b", "x", "y"], [0, 1, 1, 2, 2],
+                        [[(1, [1, 2])], [(2, [3, 4])], [(3, [4])], [], []])
+        ok, violation = check_el_labeling(p)
         assert not ok
         assert violation == "2 increasing maximal chains in [0, y]"
-        assert (ok, violation) == el_check_by_intervals(p, labels)
+        assert (ok, violation) == el_check_by_intervals(p)
 
     def test_single_element(self):
-        report = chain_report(poset_from_covers(["x"], [0], []), [[]])
+        report = chain_report(poset_from_covers(["x"], [0], []))
         assert report == ({(): 1}, 1, 1)
-        assert descending_chain_count(poset_from_covers(["x"], [0], []), [[]]) == 1
+        assert descending_chain_count(poset_from_covers(["x"], [0], [])) == 1
 
 
 def _random_labels(rng, p, pairs):
+    """p with random integer labels, or random pair labels."""
     if pairs:
-        return grouped(p, {c: (rng.randint(1, 2), rng.randint(1, 2))
+        return relabel(p, {c: (rng.randint(1, 2), rng.randint(1, 2))
                            for c in p.covers})
-    return grouped(p, {c: rng.randint(1, 3) for c in p.covers})
+    return relabel(p, {c: rng.randint(1, 3) for c in p.covers})
 
 
 EL_INSTANCES = (
@@ -581,23 +527,21 @@ class TestKernelsAgainstOracles:
     @given(st.randoms(use_true_random=False), st.booleans())
     @settings(max_examples=150, deadline=None)
     def test_random_labelings_of_random_bounded_posets(self, rng, pairs):
-        p = _random_bounded_poset(rng)
-        labels = _random_labels(rng, p, pairs)
-        assert check_el_labeling(p, labels) == el_check_by_intervals(p, labels)
-        report = chain_report_by_enumeration(p, labels)
-        assert chain_report(p, labels) == report
-        assert descending_chain_count(p, labels) == report[2]
+        p = _random_labels(rng, _random_bounded_poset(rng), pairs)
+        assert check_el_labeling(p) == el_check_by_intervals(p)
+        report = chain_report_by_enumeration(p)
+        assert chain_report(p) == report
+        assert descending_chain_count(p) == report[2]
 
     @given(st.randoms(use_true_random=False), st.booleans())
     @settings(max_examples=100, deadline=None)
     def test_random_labelings_without_bounds(self, rng, pairs):
         # proper parts often lack a bottom or a top, or both
-        p = proper_part(_random_bounded_poset(rng))
-        labels = _random_labels(rng, p, pairs)
-        assert check_el_labeling(p, labels) == el_check_by_intervals(p, labels)
-        report = _outcome(chain_report_by_enumeration, p, labels)
-        assert _outcome(chain_report, p, labels) == report
-        assert _outcome(descending_chain_count, p, labels) == (
+        p = _random_labels(rng, proper_part(_random_bounded_poset(rng)), pairs)
+        assert check_el_labeling(p) == el_check_by_intervals(p)
+        report = _outcome(chain_report_by_enumeration, p)
+        assert _outcome(chain_report, p) == report
+        assert _outcome(descending_chain_count, p) == (
             report if isinstance(report, str) else report[2])
 
     @given(st.sampled_from(EL_INSTANCES), st.randoms(use_true_random=False),
@@ -607,19 +551,19 @@ class TestKernelsAgainstOracles:
         # a few labels of an EL-labeled lattice or Segre square replaced by
         # other labels of the same labeling: valid at 0 changes, often
         # broken in only one interval otherwise
-        p, labels = interchange_instance(key)
-        relabeled = cover_labels(labels)
+        p = interchange_instance(key)
+        relabeled = cover_labels(p)
         values = sorted(set(relabeled.values()))
         for cover in rng.sample(p.covers, changes):
             relabeled[cover] = rng.choice(values)
-        relabeled = grouped(p, relabeled)
-        result = check_el_labeling(p, relabeled)
-        assert result == el_check_by_intervals(p, relabeled)
+        relabeled = relabel(p, relabeled)
+        result = check_el_labeling(relabeled)
+        assert result == el_check_by_intervals(relabeled)
         if changes == 0:
             assert result == (True, None)
-        report = chain_report_by_enumeration(p, relabeled)
-        assert chain_report(p, relabeled) == report
-        assert descending_chain_count(p, relabeled) == report[2]
+        report = chain_report_by_enumeration(relabeled)
+        assert chain_report(relabeled) == report
+        assert descending_chain_count(relabeled) == report[2]
 
     @given(st.integers(1, 6), st.integers(1, 7), st.integers(0, 5),
            st.randoms(use_true_random=False))
@@ -643,18 +587,18 @@ class TestKernelsAgainstOracles:
         assert _rank_of_sparse_rows(rows) == rank_over_rationals(rows) == 2
 
 
-def _square_of(p, labels):
+def _square_of(p):
     """The oracle route of the Segre kernels: build the square of p, then
     take its Mobius number and its descending count."""
-    square, square_labels = segre_product(p, labels, p, labels)
+    square = segre_product(p, p)
     return (_outcome(mobius_number, square),
-            _outcome(descending_chain_count, square, square_labels))
+            _outcome(descending_chain_count, square))
 
 
-def _from_factor(p, labels):
+def _from_factor(p):
     """The Segre kernels on the factor, as _square_of returns them."""
     return (_outcome(segre_mobius_number, p),
-            _outcome(segre_descending_count, p, labels))
+            _outcome(segre_descending_count, p))
 
 
 class TestSegreKernelsAgainstTheSquare:
@@ -665,18 +609,16 @@ class TestSegreKernelsAgainstTheSquare:
     @given(st.randoms(use_true_random=False), st.booleans())
     @settings(max_examples=100, deadline=None)
     def test_random_labelings_of_random_bounded_posets(self, rng, pairs):
-        p = _random_bounded_poset(rng)
-        labels = _random_labels(rng, p, pairs)
-        assert _from_factor(p, labels) == _square_of(p, labels)
+        p = _random_labels(rng, _random_bounded_poset(rng), pairs)
+        assert _from_factor(p) == _square_of(p)
 
     @given(st.randoms(use_true_random=False), st.booleans())
     @settings(max_examples=60, deadline=None)
     def test_posets_without_a_bottom_or_a_top(self, rng, pairs):
         # proper parts often lack a bottom or a top, or both; the texts are
         # the square's
-        p = proper_part(_random_bounded_poset(rng))
-        labels = _random_labels(rng, p, pairs)
-        assert _from_factor(p, labels) == _square_of(p, labels)
+        p = _random_labels(rng, proper_part(_random_bounded_poset(rng)), pairs)
+        assert _from_factor(p) == _square_of(p)
 
     @pytest.mark.parametrize("ranks, covers, missing", [
         ([0, 1, 1], [(0, 1), (0, 2)], "top"),
@@ -685,34 +627,28 @@ class TestSegreKernelsAgainstTheSquare:
     ])
     def test_a_missing_bottom_or_top_is_refused(self, ranks, covers, missing):
         p = poset_from_covers(["a", "b", "c"][:len(ranks)], ranks, covers)
-        assert _from_factor(p, p._up) == _square_of(p, p._up) == (
+        assert _from_factor(p) == _square_of(p) == (
             "Mobius number requires both a bottom and a top",
             f"poset has no {missing} element")
 
     def test_a_single_element(self):
         point = GradedPoset(["x"], [0], [[]])
-        assert _from_factor(point, point._up) == _square_of(point, point._up) == (
-            1, 1)
+        assert _from_factor(point) == _square_of(point) == (1, 1)
 
     @pytest.mark.parametrize("n, q", MOBIUS_MATRIX)
     def test_the_mobius_matrix(self, n, q):
-        p, labels = build_bnq(n, FiniteField(q))
+        p, _ = build_bnq(n, FiniteField(q))
         w_q = w_polynomial(n).evaluate(q)
-        assert _from_factor(p, labels) == _square_of(p, labels) == (
+        assert _from_factor(p) == _square_of(p) == (
             (-1) ** n * w_q, w_q)
 
     def test_a_foreign_copy_of_the_labels(self):
-        p, labels = build_bnq(2, FiniteField(3))
-        copy = grouped(p, cover_labels(labels))
-        assert _from_factor(p, copy) == _square_of(p, copy) == (15, 15)
-        broken = cover_labels(labels)
-        broken.pop((p.bottom, p.top - 1))
-        broken = grouped(p, broken)
-        text = f"cover ({p.names[p.bottom]}, {p.names[p.top - 1]}) has no label"
-        assert _outcome(segre_descending_count, p, broken) == text
-        with pytest.raises(ValueError) as refused:
-            segre_product(p, broken, p, broken)
-        assert str(refused.value) == text
+        # a copy made from the labels alone is another poset, with the
+        # same square
+        p, _ = build_bnq(2, FiniteField(3))
+        copy = relabel(p, cover_labels(p))
+        assert copy._up is not p._up
+        assert _from_factor(copy) == _square_of(copy) == (15, 15)
 
 
 class TestQuadraticBitsets:
@@ -722,12 +658,12 @@ class TestQuadraticBitsets:
     as wide as the factor, and the square's stay unbuilt."""
 
     def test_cover_kernels_leave_the_masks_unbuilt(self):
-        factor, factor_labels = build_bnq(2, FiniteField(3))
-        sp, labels = segre_product(factor, factor_labels, factor, factor_labels)
+        factor, _ = build_bnq(2, FiniteField(3))
+        sp = segre_product(factor, factor)
         assert sp.bottom == 0 and sp.top == len(sp) - 1
-        assert check_el_labeling(sp, labels) == (True, None)
+        assert check_el_labeling(sp) == (True, None)
         # W_2(3) = 2*3 + 3^2
-        assert segre_descending_count(factor, factor_labels) == 15
+        assert segre_descending_count(factor) == 15
         assert factor._above is None and factor._below is None
         assert sp._above is None and sp._below is None
         assert segre_mobius_number(factor) == 15
@@ -829,7 +765,7 @@ class TestBetti:
         assert rational_betti_numbers(p) == [0, 0, 0, 0]
 
     def test_matching_pairs_chains_that_differ_by_one_element(self):
-        p = proper_part(segre_boolean_labeled(3)[0])
+        p = proper_part(segre_boolean_labeled(3))
         chains = chains_by_dimension(p)
         mate = _element_matching(p, chains)
         assert mate[()] == (0,)  # the empty chain goes with the first element
@@ -854,7 +790,7 @@ class TestBetti:
     def test_wedge_of_circles(self):
         # the proper part of the Segre square of the boolean cube is
         # connected with 19 independent loops
-        pp = proper_part(segre_boolean_labeled(3)[0])
+        pp = proper_part(segre_boolean_labeled(3))
         assert rational_betti_numbers(pp) == [0, 19]
 
     def test_pair_posets_match_elimination(self):
@@ -865,7 +801,7 @@ class TestBetti:
 
     def test_betti_matrix_squares_match_elimination(self):
         for n, q in sorted(set(BETTI_MATRIX) | {(3, 3)}):
-            p = proper_part(build_segre_bnq(n, FiniteField(q))[0])
+            p = proper_part(segre_bnq(n, FiniteField(q)))
             assert rational_betti_numbers(p) == \
                 rational_betti_numbers_by_elimination(p), (n, q)
 
@@ -893,8 +829,8 @@ class TestBetti:
     def test_euler_poincare_on_small_corpus(self):
         builders = (
             lambda: antichain(5),
-            lambda: proper_part(segre_boolean_labeled(2)[0]),
-            lambda: proper_part(segre_boolean_labeled(3)[0]),
+            lambda: proper_part(segre_boolean_labeled(2)),
+            lambda: proper_part(segre_boolean_labeled(3)),
             lambda: proper_part(boolean_lattice(3)),
         )
         for build in builders:
@@ -909,8 +845,9 @@ class TestFaceBound:
         for n, q in ((0, 2), (1, 2), (2, 2), (2, 3), (3, 2), (3, 3), (3, 4),
                      (4, 2)):
             field = FiniteField(q)
-            for segre, build in ((False, build_bnq), (True, build_segre_bnq)):
-                p = proper_part(build(n, field)[0])
+            for segre, build in ((False, lambda n, field: build_bnq(n, field)[0]),
+                                 (True, segre_bnq)):
+                p = proper_part(build(n, field))
                 assert sum(order_chain_counts(p)) == \
                     proper_face_count(n, q, segre), (n, q, segre)
         for n in (4, 5):
@@ -927,7 +864,7 @@ class TestFaceBound:
 
     def test_over_the_bound_no_chain_is_listed(self, monkeypatch):
         import qsegre.poset as poset_module
-        p = proper_part(segre_boolean_labeled(3)[0])
+        p = proper_part(segre_boolean_labeled(3))
         faces = sum(order_chain_counts(p))
         monkeypatch.setattr(poset_module, "chains_by_dimension", fail_if_called)
         monkeypatch.setattr(poset_module, "FACE_COUNT_BOUND", faces - 1)
@@ -940,7 +877,7 @@ class TestFaceBound:
 
     def test_the_deep_square_has_homology_on_top_only(self):
         # (4,2): 1675 proper elements, 133975 faces; 10.6 s by elimination
-        p = proper_part(build_segre_bnq(4, FiniteField(2))[0])
+        p = proper_part(segre_bnq(4, FiniteField(2)))
         assert sum(order_chain_counts(p)) == 133975
         assert rational_betti_numbers(p) == [0, 0, 67824]
 
@@ -961,22 +898,20 @@ class TestChainListing:
 
 class TestInterchange:
     def test_round_trip(self):
-        p, labels = boolean_lattice_labeled(2)
-        doc = to_interchange(p, labels)
-        rebuilt, relabels = from_interchange(doc)
+        p = boolean_lattice_labeled(2)
+        rebuilt = from_interchange(to_interchange(p))
         assert rebuilt.ranks == p.ranks
         assert rebuilt.covers == p.covers
         assert rebuilt.names == tuple(str(nm) for nm in p.names)
-        assert cover_labels(relabels) == cover_labels(labels)
+        assert cover_labels(rebuilt) == cover_labels(p)
 
     def test_pair_labels_round_trip(self):
-        p = poset_from_covers(["x", "y"], [0, 1], [(0, 1)])
-        doc = json.loads(json.dumps(to_interchange(p, [[((2, 3), [1])], []])))
-        rebuilt, relabels = from_interchange(doc)
-        assert relabels == [[((2, 3), [1])], []]
+        p = GradedPoset(["x", "y"], [0, 1], [[((2, 3), [1])], []])
+        rebuilt = from_interchange(json.loads(json.dumps(to_interchange(p))))
+        assert rebuilt._up == [[((2, 3), [1])], []]
         # read back as a pair, the label is ordered componentwise
-        assert product_order_less((1, 1), relabels[0][0][0])
-        assert not product_order_less((3, 1), relabels[0][0][0])
+        assert product_order_less((1, 1), rebuilt._up[0][0][0])
+        assert not product_order_less((3, 1), rebuilt._up[0][0][0])
 
 
 INTERCHANGE_INSTANCES = (
@@ -993,20 +928,21 @@ def interchange_instance(key):
         return boolean_lattice_labeled(n)
     if kind == "boolean segre":
         return segre_boolean_labeled(n)
-    build = build_segre_bnq if kind == "bnq segre" else build_bnq
-    return build(n, FiniteField(q[0]))
+    if kind == "bnq segre":
+        return segre_bnq(n, FiniteField(q[0]))
+    return build_bnq(n, FiniteField(q[0]))[0]
 
 
 class TestInterchangeProperties:
     @given(st.sampled_from(INTERCHANGE_INSTANCES))
     @settings(max_examples=60, deadline=None)
     def test_round_trip_through_json(self, key):
-        p, labels = interchange_instance(key)
-        doc = to_interchange(p, labels)
-        rebuilt, relabels = from_interchange(json.loads(json.dumps(doc)))
+        p = interchange_instance(key)
+        doc = to_interchange(p)
+        rebuilt = from_interchange(json.loads(json.dumps(doc)))
         assert rebuilt.ranks == p.ranks
         assert rebuilt.covers == p.covers
         assert rebuilt.names == tuple(str(nm) for nm in p.names)
         assert mobius_number(rebuilt) == mobius_number(p)
-        assert cover_labels(relabels) == cover_labels(labels)
-        assert chain_report(rebuilt, relabels) == chain_report(p, labels)
+        assert cover_labels(rebuilt) == cover_labels(p)
+        assert chain_report(rebuilt) == chain_report(p)

@@ -10,15 +10,14 @@ from qsegre.exactalg import q_factorial
 from qsegre.permstats import q_binomial, w_polynomial
 from qsegre.poset import (chain_report, check_el_labeling, mobius_number,
                           proper_part, rational_betti_numbers)
-from qsegre.subspace import (FiniteField, build_bnq, build_segre_bnq,
-                             label_set, rref_rows)
+from qsegre.subspace import FiniteField, build_bnq, label_set, rref_rows
 
 import oracles
 from oracles import (Permutation, borel_representatives, contains,
-                     cover_labels, grouped, covers_by_containment,
+                     cover_labels, covers_by_containment,
                      enumerate_subspaces, first_irreducible_modulus,
                      inversions, label_set_by_atoms,
-                     reduced_euler_characteristic, span)
+                     reduced_euler_characteristic, relabel, segre_bnq, span)
 
 import itertools
 
@@ -180,8 +179,8 @@ class TestLabels:
             assert len(label_set(F2, s.rows)) == s.dim
 
     def test_edge_label_example(self):
-        p, groups = build_bnq(2, F2)
-        labels = cover_labels(groups)
+        p, _ = build_bnq(2, F2)
+        labels = cover_labels(p)
         bottom = p.names.index(())
         full = p.names.index(((1, 0), (0, 1)))
         diagonal = span(F2, 2, [(1, 1)])
@@ -190,8 +189,8 @@ class TestLabels:
         assert {labels[(bottom, d)]} == label_set_by_atoms(diagonal)
 
     def test_edge_label_rejects_non_covers(self):
-        p, groups = build_bnq(3, F2)
-        labels = cover_labels(groups)
+        p, _ = build_bnq(3, F2)
+        labels = cover_labels(p)
         assert set(labels) == set(p.covers)
         assert (p.names.index(()), p.top) not in labels
 
@@ -200,12 +199,12 @@ class TestCoverGeneration:
     @pytest.mark.parametrize("n, field", ORACLE_LATTICES,
                              ids=lambda x: str(getattr(x, "order", x)))
     def test_covers_and_labels_match_the_containment_scan(self, n, field):
-        p, groups = build_bnq(n, field)
-        labels = cover_labels(groups)
+        p, _ = build_bnq(n, field)
+        labels = cover_labels(p)
         built = {(p.names[a], p.names[b]): labels[(a, b)]
                  for a, b in p.covers}
         assert set(labels) == set(p.covers)
-        assert all(len({label for label, _ in g}) == len(g) for g in groups)
+        assert all(len({label for label, _ in g}) == len(g) for g in p._up)
         assert built == covers_by_containment(n, field)
 
     @pytest.mark.parametrize("n, field", ORACLE_LATTICES,
@@ -275,24 +274,24 @@ class TestCoverGeneration:
 
 class TestLatticeConstruction:
     def test_b2_f2_chain_words(self):
-        p, labels = build_bnq(2, F2)
-        words, _, _ = chain_report(p, labels)
+        p, _ = build_bnq(2, F2)
+        words, _, _ = chain_report(p)
         assert words == {(1, 2): 1, (2, 1): 2}
 
     def test_b3_f2_reversed_word_count(self):
-        p, labels = build_bnq(3, F2)
-        words, _, _ = chain_report(p, labels)
+        p, _ = build_bnq(3, F2)
+        words, _, _ = chain_report(p)
         assert words[(3, 2, 1)] == 8
 
     def test_b3_f3_total_chains(self):
-        p, labels = build_bnq(3, F3)
-        words, _, _ = chain_report(p, labels)
+        p, _ = build_bnq(3, F3)
+        words, _, _ = chain_report(p)
         assert sum(words.values()) == 52
 
     def test_chain_counts_are_q_to_the_inversions(self):
         for n, field in ((2, F2), (2, F3), (3, F2), (3, F3), (2, F4)):
-            p, labels = build_bnq(n, field)
-            words, _, _ = chain_report(p, labels)
+            p, _ = build_bnq(n, field)
+            words, _, _ = chain_report(p)
             expected = {img: field.order ** inversions(Permutation(img))
                         for img in itertools.permutations(range(1, n + 1))}
             assert words == expected
@@ -300,31 +299,30 @@ class TestLatticeConstruction:
 
     def test_el_property_small(self):
         for n, field in ((2, F2), (2, F5), (3, F2), (3, F3)):
-            ok, violation = check_el_labeling(*build_bnq(n, field))
+            ok, violation = check_el_labeling(build_bnq(n, field)[0])
             assert ok, violation
 
     def test_segre_descending_counts(self):
         for n, field, expected in ((2, F2, 8), (2, F3, 15), (3, F2, 344)):
-            sp, labels = build_segre_bnq(n, field)
-            _, _, descending = chain_report(sp, labels)
+            _, _, descending = chain_report(segre_bnq(n, field))
             assert descending == expected
             assert expected == w_polynomial(n).evaluate(field.order)
 
     def test_segre_rank_sizes_are_squares(self):
-        sp22, _ = build_segre_bnq(2, F2)
+        sp22 = segre_bnq(2, F2)
         assert sp22.rank_sizes() == [1, 9, 1]
         p, _ = build_bnq(2, F3)
-        sp, _ = build_segre_bnq(2, F3)
+        sp = segre_bnq(2, F3)
         assert sp.rank_sizes() == [c * c for c in p.rank_sizes()]
 
     def test_segre_el_property(self):
-        ok, violation = check_el_labeling(*build_segre_bnq(2, F2))
+        ok, violation = check_el_labeling(segre_bnq(2, F2))
         assert ok, violation
 
     def test_mobius_equals_signed_descending_count(self):
         for n, field in ((2, F2), (2, F3), (3, F2)):
-            sp, labels = build_segre_bnq(n, field)
-            _, _, descending = chain_report(sp, labels)
+            sp = segre_bnq(n, field)
+            _, _, descending = chain_report(sp)
             assert mobius_number(sp) == (-1) ** n * descending
 
     def test_mobius_of_the_lattice_itself_has_the_closed_form(self):
@@ -335,29 +333,29 @@ class TestLatticeConstruction:
             assert mobius_number(p) == (-1) ** n * q ** (n * (n - 1) // 2)
 
     def test_betti_of_lattice_proper_part_matches_descending_count(self):
-        p, labels = build_bnq(3, F2)
+        p, _ = build_bnq(3, F2)
         betti = rational_betti_numbers(proper_part(p))
         assert betti == [0, 8]
-        _, _, descending = chain_report(p, labels)
+        _, _, descending = chain_report(p)
         assert descending == 8
 
     def test_euler_characteristic_of_proper_part(self):
-        sp, _ = build_segre_bnq(3, F2)
+        sp = segre_bnq(3, F2)
         assert reduced_euler_characteristic(proper_part(sp)) == -344
 
     def test_betti_of_proper_parts(self):
-        sp2, _ = build_segre_bnq(2, F2)
+        sp2 = segre_bnq(2, F2)
         assert rational_betti_numbers(proper_part(sp2)) == [8]
-        sp3, _ = build_segre_bnq(3, F2)
+        sp3 = segre_bnq(3, F2)
         assert rational_betti_numbers(proper_part(sp3)) == [0, 344]
 
 
-def _swapped_through(p, labels, atom, above):
-    """labels with the labels of bottom < atom and atom < above swapped."""
-    swapped = cover_labels(labels)
+def _swapped_through(p, atom, above):
+    """p with the labels of bottom < atom and atom < above swapped."""
+    swapped = cover_labels(p)
     low, high = (p.bottom, atom), (atom, above)
     swapped[low], swapped[high] = swapped[high], swapped[low]
-    return grouped(p, swapped)
+    return relabel(p, swapped)
 
 
 class TestBorelRepresentatives:
@@ -369,34 +367,34 @@ class TestBorelRepresentatives:
                                           (2, F9), (3, F2), (3, F3), (3, F4),
                                           (4, F2)])
     def test_one_coordinate_subspace_per_schubert_cell(self, n, field):
-        p, labels = build_bnq(n, field)
-        found = borel_representatives(n, field, p, labels)
+        p, lows = build_bnq(n, field)
+        found = borel_representatives(n, field, p)
         units = [tuple(int(c == s) for c in range(n)) for s in range(n)]
         coordinate = sorted(p.names.index(tuple(rows))
                             for k in range(n + 1)
                             for rows in itertools.combinations(units, k))
         assert found == coordinate
-        assert found == subspace.coordinate_subspaces(p, labels)
+        assert found == lows
         assert {label_set(field, p.names[i]) for i in found} == {
             label_set(field, rows) for rows in p.names}
 
     def test_a_label_moved_off_its_orbit_gives_none(self):
         # <(1,1,1)> lies in the orbit of <e_3>; its cover from the bottom
         # then carries a label no other atom of that orbit carries
-        p, labels = build_bnq(3, F2)
+        p, _ = build_bnq(3, F2)
         atom = p.names.index(((1, 1, 1),))
         above = p.names.index(((1, 0, 0), (0, 1, 1)))
-        swapped = _swapped_through(p, labels, atom, above)
-        assert borel_representatives(3, F2, p, swapped) is None
+        swapped = _swapped_through(p, atom, above)
+        assert borel_representatives(3, F2, swapped) is None
 
     def test_a_label_swap_the_group_fixes_passes(self):
         # <e_1> and <e_1, e_2> are fixed by every upper triangular matrix
-        p, labels = build_bnq(3, F2)
+        p, _ = build_bnq(3, F2)
         atom = p.names.index(((1, 0, 0),))
         above = p.names.index(((1, 0, 0), (0, 1, 0)))
-        swapped = _swapped_through(p, labels, atom, above)
-        assert borel_representatives(3, F2, p, swapped) == (
-            borel_representatives(3, F2, p, labels))
+        swapped = _swapped_through(p, atom, above)
+        assert borel_representatives(3, F2, swapped) == (
+            borel_representatives(3, F2, p))
 
     @pytest.mark.parametrize("generators, message", [
         # a projection: not invertible
@@ -411,14 +409,14 @@ class TestBorelRepresentatives:
     ])
     def test_broken_generators_are_caught(self, monkeypatch, generators,
                                           message):
-        p, labels = build_bnq(3, F2)
+        p, _ = build_bnq(3, F2)
         monkeypatch.setattr(oracles, "_borel_generators",
                             lambda n, field: iter(generators))
         if message is None:
-            assert borel_representatives(3, F2, p, labels) is None
+            assert borel_representatives(3, F2, p) is None
         else:
             with pytest.raises(ArithmeticError, match=message):
-                borel_representatives(3, F2, p, labels)
+                borel_representatives(3, F2, p)
 
 
 def _unitriangular_witness(field, n, rows):
@@ -465,9 +463,3 @@ class TestCoordinateSubspaces:
             assert [label_set(field, rref_rows(
                 field, n, [_apply(field, u, row) for row in other]))
                 for other in p.names] == sets
-
-    def test_only_the_builds_own_labeling_is_trusted(self):
-        p, labels = build_bnq(3, F2)
-        assert len(subspace.coordinate_subspaces(p, labels)) == 8
-        assert subspace.coordinate_subspaces(
-            p, grouped(p, cover_labels(labels))) is None

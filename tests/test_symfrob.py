@@ -170,7 +170,7 @@ class TestInduction:
         # poset under the diagonal-by-diagonal action
         from qsegre.symfrob import _perm_of_cycle_type
         for n in (2, 3):
-            square, _ = segre_boolean_labeled(n)
+            square = segre_boolean_labeled(n)
             levels = {}
             for name, rank in zip(square.names, square.ranks):
                 levels.setdefault(rank, []).append(name)
