@@ -35,8 +35,7 @@ def _square_factor(n: int, q: int, count_bound=None):
     """B_n(q) and its coordinate subspaces, as the factor of its Segre
     square: after the refusals that the square would make, so that a square
     past the pair bound is refused with its own text before any field is
-    built.  The square's mu and descending count are read off this
-    factor."""
+    built.  The square's mu and chains are read off this factor."""
     from . import subspace
     subspace.prime_power(q)
     subspace.check_count_bound(n, q, True, count_bound)
@@ -52,7 +51,8 @@ def _lattice(n: int, q: int, segre: bool, count_bound=None):
     B_n(q); its lows are the pairs whose factor parts are both among the
     factor's lows, picked by name, and a factor without lows gives a square
     without.  Only the verbs that need the square's elements build it:
-    `lattice`/`segre` with chains, EL or JSON, EL and Betti numbers.
+    `lattice`/`segre` with EL or JSON, `verify el --segre` and
+    `betti --segre`.
     The caches live for one process and their keys come from one command
     line or the suite's fixed matrices, so they need no eviction."""
     from . import poset, subspace
@@ -85,13 +85,14 @@ def _el_check(n: int, q: int, segre: bool, count_bound=None):
     return poset.check_el_labeling(*_lattice(n, q, segre, count_bound))
 
 
-def _lattice_for(args, faces: bool = False, factor: bool = False):
-    """The lattice or Segre square a compute verb names, after a warning on
-    stderr if its subspace count bound was raised, and after the refusals
-    that building would make, before any field or subspace is built.  With
-    faces, the order complex of its proper part is then held to the face
-    bound.  With factor, a Segre square is refused as ever, but its factor
-    B_n(q) is returned in its place."""
+def _lattice_for(args, faces: bool = False):
+    """B_n(q), the lattice a compute verb names or the factor of its Segre
+    square, after a warning on stderr if its subspace count bound was
+    raised, and after the refusals that building the lattice or square
+    would make, before any field or subspace is built.  With faces, the
+    order complex of its proper part is then held to the face bound.  A
+    verb that needs the square's own elements then builds it with
+    _lattice."""
     from . import poset, subspace
     default = subspace.SUBSPACE_COUNT_BOUND
     if args.count_bound is not None and args.count_bound > default:
@@ -102,8 +103,7 @@ def _lattice_for(args, faces: bool = False, factor: bool = False):
     if faces:
         poset.check_face_count(
             subspace.proper_face_count(args.n, args.q, args.segre))
-    return _lattice(args.n, args.q, args.segre and not factor,
-                    args.count_bound)
+    return _lattice(args.n, args.q, False, args.count_bound)[0]
 
 
 def _ratfun_json(nums: list[exactalg.QPolynomial],
@@ -160,7 +160,7 @@ def _mobius_instance(n: int, q: int) -> tuple[bool, str]:
     from . import permstats, poset
     factor, _ = _square_factor(n, q)
     mu = poset.segre_mobius_number(factor)
-    descending = poset.segre_descending_count(factor)
+    descending = poset.segre_chain_report(factor)[2]
     w_q = permstats.w_polynomial(n).evaluate(q)
     return (mu == (-1) ** n * w_q and descending == w_q,
             f"mu={mu} descending={descending} expected W={w_q}")
@@ -350,14 +350,16 @@ def _cmd_bessel(args) -> int:
 
 def _cmd_lattice(args) -> int:
     from . import poset
-    # a square's text line needs only its rank sizes N_k^2, read off the
-    # factor's N_k, so the square is built only for chains, EL or JSON
-    counts_only = args.segre and not (args.chains or args.check_el
-                                      or args.json)
-    p, _ = _lattice_for(args, factor=counts_only)
-    doc = {"poset": poset.to_interchange(p)} if args.json else {}
+    # a square's rank sizes N_k^2 and chains are read off its factor's, so
+    # the square is built only for EL or JSON
+    p = _lattice_for(args)
+    doc = {}
+    if args.json:
+        built, _ = _lattice(args.n, args.q, args.segre, args.count_bound)
+        doc["poset"] = poset.to_interchange(built)
     if args.chains:
-        words, increasing, descending = poset.chain_report(p)
+        report = poset.segre_chain_report if args.segre else poset.chain_report
+        words, increasing, descending = report(p)
         doc["chains"] = {"words": {_word_str(w): c for w, c in words.items()},
                          "increasing": increasing, "descending": descending,
                          "total": sum(words.values())}
@@ -370,7 +372,7 @@ def _cmd_lattice(args) -> int:
     else:
         kind = "segre square" if args.segre else "lattice"
         sizes = p.rank_sizes()
-        if counts_only:
+        if args.segre:
             sizes = [size * size for size in sizes]
         print(f"{kind} n={args.n} q={args.q}: {sum(sizes)} elements, "
               f"rank sizes {sizes}")
@@ -396,9 +398,10 @@ def _cmd_invariant(args) -> int:
     Mobius number is read off its factor, which alone is built."""
     from . import poset
     betti = args.command == "betti"
-    p, _ = _lattice_for(args, faces=betti, factor=not betti)
+    p = _lattice_for(args, faces=betti)
     if betti:
-        value = poset.rational_betti_numbers(poset.proper_part(p))
+        built, _ = _lattice(args.n, args.q, args.segre, args.count_bound)
+        value = poset.rational_betti_numbers(poset.proper_part(built))
     elif args.segre:
         value = poset.segre_mobius_number(p)
     else:

@@ -241,12 +241,6 @@ ZERO = QPolynomial()
 ONE = QPolynomial([1])
 
 
-def q_power(k: int) -> QPolynomial:
-    if k < 0:
-        raise ValueError("exponent must be nonnegative")
-    return QPolynomial([0] * k + [1])
-
-
 def one_minus_q_power(k: int) -> QPolynomial:
     """The polynomial 1 - q^k (zero when k == 0)."""
     if k < 0:

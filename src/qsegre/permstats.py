@@ -23,7 +23,7 @@ from __future__ import annotations
 import math
 from functools import lru_cache
 
-from .exactalg import ONE, ZERO, QPolynomial, digit_bytes, q_power, unpack
+from .exactalg import ONE, ZERO, QPolynomial, digit_bytes, unpack
 
 ENUMERATION_BOUND = 7
 RECURRENCE_BOUND = 50
@@ -117,10 +117,12 @@ def q_binomial_square(n: int, k: int) -> QPolynomial:
 
 @lru_cache(maxsize=None)
 def _q_pascal(n: int, k: int) -> QPolynomial:
-    """[n choose k]_q = [n-1 choose k-1]_q + q^k [n-1 choose k]_q."""
+    """[n choose k]_q = [n-1 choose k-1]_q + q^k [n-1 choose k]_q, the
+    product by q^k taken as a shift of the coefficients by k places."""
     if k == 0 or k == n:
         return ONE
-    return _q_pascal(n - 1, k - 1) + q_power(k) * _q_pascal(n - 1, k)
+    shifted = QPolynomial((0,) * k + _q_pascal(n - 1, k).coeffs)
+    return _q_pascal(n - 1, k - 1) + shifted
 
 
 def alternating_square_sum(n: int, values) -> QPolynomial:

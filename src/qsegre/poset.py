@@ -19,21 +19,20 @@ integers in their order, pairs componentwise.  Label words are compared
 lexicographically in plain tuple order, so pairs by first component, then
 second.
 
-No kernel enumerates maximal chains: the EL check, the descending count and
-the chain tally are dynamic programs over the label groups, so their cost
-grows with the covers times the distinct labels or label words.  The EL
-check pushes from each lower element, keeping per element its increasing
-chains by last label and its first label word; a caller that knows every
-interval to be label-isomorphic to one above a few lower elements (the
-coordinate subspaces of B_n(q), or their pairs on its square, each
-interval moved there by an upper unitriangular witness) passes those, and
-a failure among them reruns the full check.  Only segre_product builds a
-Segre square.  Its Mobius number and descending count are taken from the
-factor alone: segre_mobius_number runs the Mobius recursion over the
-pairs, one flat list per rank, with the order read off the factor's
-masks, and segre_descending_count is one push from the bottom pair that
-keeps tallies only, for one rank of pairs at a time, over pair covers
-formed on the fly from the factor's label groups.  Only mobius_number,
+No kernel enumerates maximal chains: the EL check and the chain tally are
+dynamic programs over the label groups, so their cost grows with the
+covers times the distinct labels or label words.  The EL check pushes
+from each lower element, keeping per element its increasing chains by
+last label and its first label word; a caller that knows every interval
+to be label-isomorphic to one above a few lower elements (the coordinate
+subspaces of B_n(q), or their pairs on its square, each interval moved
+there by an upper unitriangular witness) passes those, and a failure
+among them reruns the full check.  Only segre_product builds a Segre
+square, and its Mobius number and chains are taken from the factor
+alone: segre_mobius_number runs the Mobius recursion over the pairs, one
+flat list per rank, with the order read off the factor's masks, and
+segre_chain_report pairs the factor's chain words, as a maximal chain of
+the square is a pair of maximal chains of the factor.  Only mobius_number,
 segre_mobius_number (on the factor), order_chain_counts and
 strictly_above (so also chains_by_dimension) build the quadratic
 reachability bitsets, one mask per element; their queries walk only the
@@ -351,10 +350,20 @@ def product_order_less(a, b) -> bool:
     return a < b
 
 
+def _refuse_unlabeled(p: GradedPoset) -> None:
+    """ValueError for a poset with a None label: the increasing and
+    descending tests need its covers labeled."""
+    if any(label is None for groups in p._up for label, _ in groups):
+        raise ValueError("poset is unlabeled: its covers carry no labels "
+                         "to compare")
+
+
 def _label_ids(p: GradedPoset):
     """p's label groups with each label replaced by its id, the ids
     numbering the distinct labels in ascending order, and the table
-    less[s][t] of product_order_less on ids."""
+    less[s][t] of product_order_less on ids.  An unlabeled poset is
+    refused (see _refuse_unlabeled)."""
+    _refuse_unlabeled(p)
     distinct = sorted({label for groups in p._up for label, _ in groups})
     ids = {label: t for t, label in enumerate(distinct)}
     less = [[product_order_less(s, t) for t in distinct] for s in distinct]
@@ -439,21 +448,30 @@ def check_el_labeling(p: GradedPoset, lows: Optional[list[int]] = None
     return True, None
 
 
-def chain_report(p: GradedPoset) -> tuple[dict, int, int]:
-    """Maximal chains from bottom to top as (words, increasing, descending):
-    the count of each label word, and of the increasing and descending ones.
+def _classified(words: dict) -> tuple[dict, int, int]:
+    """A tally of maximal chains by label word, with the numbers of its
+    increasing and its descending chains: each distinct word is classified
+    once."""
+    ascents = {w: [product_order_less(a, b) for a, b in zip(w, w[1:])]
+               for w in words}
+    return (words,
+            sum(c for w, c in words.items() if all(ascents[w])),
+            sum(c for w, c in words.items() if not any(ascents[w])))
+
+
+def _chain_words(p: GradedPoset) -> dict:
+    """The maximal chains from bottom to top, counted by label word.
 
     words[x] maps each label word of the chains from the bottom to x to
     their number.  Taken in rank order, each label group (label, ys) of x
     adds words[x] with label appended to words[y] for every y in ys, so
-    each word is extended once per group.  Each distinct word at the top is
-    then classified once as increasing and as descending.
-    """
+    each word is extended once per group."""
     bottom, top = p.bottom, p.top
     if bottom is None:
         raise ValueError("poset has no bottom element")
     if top is None:
         raise ValueError("poset has no top element")
+    _refuse_unlabeled(p)
     words: list[Optional[dict]] = [None] * len(p)
     words[bottom] = {(): 1}
     for x in sorted(range(len(p)), key=p.ranks.__getitem__):
@@ -468,74 +486,29 @@ def chain_report(p: GradedPoset) -> tuple[dict, int, int]:
                     tally[key] = tally.get(key, 0) + count
         if x != top:
             words[x] = None
-    tallies = words[top]
-    ascents = {w: [product_order_less(a, b) for a, b in zip(w, w[1:])]
-               for w in tallies}
-    return (tallies,
-            sum(c for w, c in tallies.items() if all(ascents[w])),
-            sum(c for w, c in tallies.items() if not any(ascents[w])))
+    return words[top]
 
 
-def segre_descending_count(p: GradedPoset) -> int:
-    """The maximal chains of the Segre square of p with itself, labeled by
-    pairs as segre_product labels it, whose label words have no ascent:
-    chain_report's descending count on that square, which is never built.
+def chain_report(p: GradedPoset) -> tuple[dict, int, int]:
+    """Maximal chains from bottom to top as (words, increasing, descending):
+    the count of each label word, and of the increasing and descending ones
+    (see _chain_words and _classified)."""
+    return _classified(_chain_words(p))
 
-    The square's covers are formed on the fly: pair (x, y) has, for each
-    group (a, cs) of x and (b, ds) of y, the group ((a, b), cs x ds).  The
-    pair labels are numbered in sorted order over every pair of p's labels,
-    and the ids that t may follow are those s with no s < t under
-    product_order_less.  The count is one push from the bottom pair, level
-    by level (see _levels).  On the level of N elements, pair (x, y) at
-    places i and j keeps width tallies from (i * N + j) * width: entry t
-    counts its descending chains whose last label has id t.  Each of its
-    groups adds the sum of its tallies over the ids that the group's id may
-    follow to that id's tally at every pair of covers in the group; only
-    one level's tallies are held at a time."""
-    bottom, top = p.bottom, p.top
-    if bottom is None:
-        raise ValueError("poset has no bottom element")
-    if top is None:
-        raise ValueError("poset has no top element")
-    if top == bottom:
-        return 1
-    distinct = sorted({label for groups in p._up for label, _ in groups})
-    ids = {label: t for t, label in enumerate(distinct)}
-    pair_labels = [(a, b) for a in distinct for b in distinct]
-    width = len(pair_labels)
-    follows = [[s for s, u in enumerate(pair_labels)
-                if not product_order_less(u, v)] for v in pair_labels]
-    levels, place = _levels(p)
-    tallies = None
-    for h, level in enumerate(levels[:-1]):
-        size, above = len(level), len(levels[h + 1])
-        stride = above * width
-        # each group's pair label id split in two parts, ta + tb, and its
-        # covers as offsets into the next level's tallies: c's part of
-        # (c, d), and d's part
-        firsts = [[(ids[a] * len(distinct), [place[c] * stride for c in cs])
-                   for a, cs in p._up[x]] for x in level]
-        seconds = [[(ids[b], [place[d] * width for d in ds])
-                    for b, ds in p._up[y]] for y in level]
-        pushed = [0] * (above * stride)
-        for i, x_groups in enumerate(firsts):
-            for j, y_groups in enumerate(seconds):
-                if h:
-                    k = (i * size + j) * width
-                    tally = tallies[k:k + width]
-                for ta, cs in x_groups:
-                    for tb, ds in y_groups:
-                        t = ta + tb
-                        extended = sum([tally[s] for s in follows[t]]) if h else 1
-                        if not extended:
-                            continue
-                        for c in cs:
-                            c += t
-                            for d in ds:
-                                pushed[c + d] += extended
-        tallies = pushed
-    # the top pair is the one pair of the last level
-    return sum(tallies)
+
+def segre_chain_report(p: GradedPoset) -> tuple[dict, int, int]:
+    """chain_report of the Segre square of p with itself, labeled by pairs
+    as segre_product labels it, read off p's chain words: the square is
+    never built.
+
+    A maximal chain of the square is a pair of maximal chains of p, which
+    have one length, and its label word is their two words zipped
+    (Bjorner and Welker, Segre and Rees products of posets, JPAA 2005).  So
+    the square's tally is the product of p's with itself.  The square has
+    a bottom, or a top, exactly when p has, so its refusals are p's."""
+    words = _chain_words(p).items()
+    return _classified({tuple(zip(u, v)): c * d for u, c in words
+                        for v, d in words})
 
 
 def chains_by_dimension(p: GradedPoset) -> list[list[tuple[int, ...]]]:

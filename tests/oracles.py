@@ -378,8 +378,9 @@ def segre_bnq(n: int, field) -> GradedPoset:
 def descending_chain_count(p) -> int:
     """Maximal chains from bottom to top whose label words have no ascent,
     chain_report's descending count without the words, by one push over
-    the poset's own covers; on segre_product's square it is the route
-    that segre_descending_count replaced.
+    the poset's own covers; on segre_product's square it is the second
+    route to the count that segre_chain_report reads off the factor's
+    words.
 
     Taken in rank order, tallies[x][s] counts the descending chains from the
     bottom to x whose last label has id s, and each label group (t, ys) of x

@@ -589,8 +589,8 @@ class TestSegreFromTheFactor:
 
 
 class TestSegreTextFromTheFactor:
-    """`segre` and `lattice --segre` in text mode, without --chains,
-    --check-el or --json, print the square's counts off its factor."""
+    """`segre` and `lattice --segre` in text mode, without --check-el or
+    --json, print the square's counts and chains off its factor."""
 
     @pytest.mark.parametrize("n, q", [(0, 2), (1, 3), (2, 2), (2, 3), (3, 2)])
     def test_the_line_is_the_built_squares(self, fresh_lattices, capsys,
@@ -613,7 +613,12 @@ class TestSegreTextFromTheFactor:
             0, "segre square n=2 q=2: 11 elements, rank sizes [1, 9, 1]\n",
             "warning: subspace count bound raised to 200000 (default "
             "100000); expect a long runtime\n")
-        for flag in ("--chains", "--check-el", "--json"):
+        # the square's chain words are pairs of the factor's, zipped; the
+        # text is the golden's without its EL line
+        chains = (GOLDEN / "lattice_n3_q2_segre_chains_el.out").read_text()
+        assert run(capsys, "segre", "--n", "3", "--q", "2", "--chains") == (
+            0, chains.removesuffix("  EL check: PASS\n"), "")
+        for flag in ("--check-el", "--json"):
             with pytest.raises(Forbidden):
                 main(["segre", "--n", "2", "--q", "2", flag])
 
@@ -1092,7 +1097,7 @@ class TestConsoleEntry:
         (("verify", "el", "--n", "2", "--q", "2", "--segre", "--json"), "el",
          "poset.check_el_labeling"),
         (("verify", "mobius", "--n", "2", "--q", "2", "--json"), "mobius",
-         "poset.segre_descending_count"),
+         "poset.segre_chain_report"),
         (("betti", "--n", "2", "--q", "2", "--segre"), None,
          "poset.rational_betti_numbers"),
         (("mobius", "--n", "2", "--q", "3"), None, "poset.mobius_number"),

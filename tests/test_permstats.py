@@ -7,6 +7,7 @@ from qsegre.permstats import (ENUMERATION_BOUND, RECURRENCE_BOUND,
                               w_polynomial_recurrence)
 
 import itertools
+import math
 
 from qsegre import permstats
 
@@ -165,11 +166,27 @@ class TestQBinomial:
     def test_pascal_recurrence(self):
         # the rule q_binomial is built by; the q-factorial quotient above is
         # the independent route
-        from qsegre.exactalg import q_power
         for n in range(1, 9):
             for k in range(1, n):
-                recurrence = q_binomial(n - 1, k - 1) + q_power(k) * q_binomial(n - 1, k)
+                q_to_the_k = QPolynomial([0] * k + [1])
+                recurrence = q_binomial(n - 1, k - 1) + q_to_the_k * q_binomial(n - 1, k)
                 assert q_binomial(n, k) == recurrence
+
+    def test_pascal_rule_multiplies_by_no_packing(self, monkeypatch):
+        # the product by q^k is a shift, so no factor is ever packed, not
+        # even at the bound where the factors are long
+        from qsegre import exactalg
+
+        def refuse(*args):
+            raise AssertionError("q_binomial packed a factor")
+        monkeypatch.setattr(exactalg, "pack", refuse)
+        permstats._q_pascal.cache_clear()
+        try:
+            value = q_binomial(100, 50)
+        finally:
+            permstats._q_pascal.cache_clear()
+        assert value.degree == 50 * 50
+        assert value.evaluate(1) == math.comb(100, 50)
 
 
 class TestIdentities:

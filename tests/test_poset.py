@@ -9,11 +9,12 @@ from hypothesis import strategies as st
 from qsegre.poset import (FACE_COUNT_BOUND, GradedPoset, chain_report, chains_by_dimension,
                           check_el_labeling, mobius_number,
                           order_chain_counts, product_order_less, proper_part,
-                          rational_betti_numbers, segre_descending_count,
+                          rational_betti_numbers, segre_chain_report,
                           segre_mobius_number, segre_product,
                           to_interchange, _element_matching, _morse_boundary,
                           _rank_of_sparse_rows, _set_bits)
 from qsegre.cli import BETTI_MATRIX, MOBIUS_MATRIX
+from qsegre.exactalg import q_factorial
 from qsegre.permstats import w_polynomial
 from qsegre.subspace import FiniteField, build_bnq, proper_face_count
 
@@ -437,6 +438,18 @@ class TestChainReport:
         assert sum(words.values()) == sum(1 for _ in maximal_chains(p))
 
 
+class TestUnlabeledPosets:
+    """The increasing and descending tests compare labels, so a poset whose
+    covers carry none is refused before any work, with the cause named."""
+
+    @pytest.mark.parametrize("kernel", [chain_report, segre_chain_report,
+                                        check_el_labeling])
+    def test_an_unlabeled_poset_is_refused(self, kernel):
+        with pytest.raises(ValueError, match="^poset is unlabeled: its covers "
+                           "carry no labels to compare$"):
+            kernel(boolean_lattice(2))
+
+
 class TestDescendingCount:
     """The tally-only push from the bottom against chain_report and W_n(q)."""
 
@@ -457,7 +470,7 @@ class TestDescendingCount:
         descending = descending_chain_count(sp)
         assert descending == chain_report(sp)[2]
         assert descending == w_polynomial(n).evaluate(q)
-        assert segre_descending_count(factor) == descending
+        assert segre_chain_report(factor)[2] == descending
 
 
 class TestUnboundedPosets:
@@ -589,22 +602,24 @@ class TestKernelsAgainstOracles:
 
 def _square_of(p):
     """The oracle route of the Segre kernels: build the square of p, then
-    take its Mobius number and its descending count."""
+    take its Mobius number, its chain report, and its descending count by
+    the cover push."""
     square = segre_product(p, p)
-    return (_outcome(mobius_number, square),
+    return (_outcome(mobius_number, square), _outcome(chain_report, square),
             _outcome(descending_chain_count, square))
 
 
 def _from_factor(p):
     """The Segre kernels on the factor, as _square_of returns them."""
-    return (_outcome(segre_mobius_number, p),
-            _outcome(segre_descending_count, p))
+    report = _outcome(segre_chain_report, p)
+    return (_outcome(segre_mobius_number, p), report,
+            report if isinstance(report, str) else report[2])
 
 
 class TestSegreKernelsAgainstTheSquare:
-    """segre_mobius_number and segre_descending_count on a factor against
-    mobius_number and the cover push on the square that segre_product
-    builds of it."""
+    """segre_mobius_number and segre_chain_report on a factor against
+    mobius_number, chain_report and the cover push on the square that
+    segre_product builds of it."""
 
     @given(st.randoms(use_true_random=False), st.booleans())
     @settings(max_examples=100, deadline=None)
@@ -629,18 +644,22 @@ class TestSegreKernelsAgainstTheSquare:
         p = poset_from_covers(["a", "b", "c"][:len(ranks)], ranks, covers)
         assert _from_factor(p) == _square_of(p) == (
             "Mobius number requires both a bottom and a top",
-            f"poset has no {missing} element")
+            f"poset has no {missing} element", f"poset has no {missing} element")
 
     def test_a_single_element(self):
         point = GradedPoset(["x"], [0], [[]])
-        assert _from_factor(point) == _square_of(point) == (1, 1)
+        assert _from_factor(point) == _square_of(point) == (
+            1, ({(): 1}, 1, 1), 1)
 
     @pytest.mark.parametrize("n, q", MOBIUS_MATRIX)
     def test_the_mobius_matrix(self, n, q):
         p, _ = build_bnq(n, FiniteField(q))
         w_q = w_polynomial(n).evaluate(q)
-        assert _from_factor(p) == _square_of(p) == (
-            (-1) ** n * w_q, w_q)
+        mu, (words, increasing, descending), pushed = _from_factor(p)
+        assert (mu, (words, increasing, descending), pushed) == _square_of(p)
+        assert (mu, increasing, descending, pushed) == (
+            (-1) ** n * w_q, 1, w_q, w_q)
+        assert sum(words.values()) == q_factorial(n).evaluate(q) ** 2
 
     def test_a_foreign_copy_of_the_labels(self):
         # a copy made from the labels alone is another poset, with the
@@ -648,7 +667,10 @@ class TestSegreKernelsAgainstTheSquare:
         p, _ = build_bnq(2, FiniteField(3))
         copy = relabel(p, cover_labels(p))
         assert copy._up is not p._up
-        assert _from_factor(copy) == _square_of(copy) == (15, 15)
+        from_factor = _from_factor(copy)
+        assert from_factor == _square_of(copy)
+        mu, (_, _, descending), pushed = from_factor
+        assert (mu, descending, pushed) == (15, 15, 15)
 
 
 class TestQuadraticBitsets:
@@ -663,7 +685,7 @@ class TestQuadraticBitsets:
         assert sp.bottom == 0 and sp.top == len(sp) - 1
         assert check_el_labeling(sp) == (True, None)
         # W_2(3) = 2*3 + 3^2
-        assert segre_descending_count(factor) == 15
+        assert segre_chain_report(factor)[2] == 15
         assert factor._above is None and factor._below is None
         assert sp._above is None and sp._below is None
         assert segre_mobius_number(factor) == 15
