@@ -29,14 +29,13 @@ subspaces of B_n(q), or their pairs on its square, each interval moved
 there by an upper unitriangular witness) passes those, and a failure
 among them reruns the full check.  Only segre_product builds a Segre
 square, and its Mobius number and chains are taken from the factor
-alone: segre_mobius_number runs the Mobius recursion over the pairs, one
-flat list per rank, with the order read off the factor's masks, and
-segre_chain_report pairs the factor's chain words, as a maximal chain of
-the square is a pair of maximal chains of the factor.  Only mobius_number,
-segre_mobius_number (on the factor), order_chain_counts and
-strictly_above (so also chains_by_dimension) build the quadratic
-reachability bitsets, one mask per element; their queries walk only the
-set bits (`mask & -mask`).  Betti
+alone, as a chain of the square is a pair of chains of the factor with
+one rank set: segre_mobius_number is Hall's alternating sum of the
+squares of the factor's flag f-vector, and segre_chain_report pairs the
+factor's chain words.  Only mobius_number, segre_mobius_number (on the
+factor), order_chain_counts and strictly_above (so also
+chains_by_dimension) build the quadratic reachability bitsets, one mask
+per element; their queries walk only the set bits (`mask & -mask`).  Betti
 numbers come from an acyclic element matching on the order complex
 (discrete Morse theory): its critical chains span the Morse complex, whose
 boundary follows gradient paths, so nothing is eliminated when the
@@ -192,15 +191,6 @@ def _rank_blocks(p: GradedPoset) -> tuple[dict[int, list[int]], list[int]]:
     return blocks, place
 
 
-def _levels(p: GradedPoset) -> tuple[list[list[int]], list[int]]:
-    """The rank blocks of a poset with a bottom, from the bottom's rank up
-    (every element is above the bottom, so no rank between is empty), and
-    each element's place in its block."""
-    blocks, place = _rank_blocks(p)
-    low = p.ranks[p.bottom]
-    return [blocks[r] for r in range(low, low + len(blocks))], place
-
-
 def segre_product(p: GradedPoset, q: GradedPoset) -> GradedPoset:
     """Induced subposet of the product on pairs of equal rank, with its
     covers labeled by the pairs of the factors' labels.  As both factors
@@ -274,45 +264,42 @@ def segre_mobius_number(p: GradedPoset) -> int:
     """mobius_number of the Segre square of p with itself, read off p's own
     order: the square is never built.
 
-    In the square, (x', y') < (x, y) exactly when x' <= x and y' <= y at one
-    rank j below that of x.  So mu(x, y) is minus the sum, over those j and
-    the x' <= x of rank j, of T_j(x', y) = sum of mu(x', y') over the y' <= y
-    of rank j.  The levels are p's rank blocks from the bottom's up (see
-    _levels).  mu on level h is one flat list over its pairs, (x', y') at
-    a * N_h + b for a and b their places in the block of N_h elements, so
-    T_j(., y) sums the columns mus[j][b::N_j] over the places b below y;
-    every element is above the bottom, so there is one such b at least.
-    For one y, sums holds T_j(., y) for every level j below y's, end to end
-    in level order.  An element's position is its index in that same order,
-    and down[x] is x's strict below mask over positions, so mu(x, y) is
-    minus the sum of sums at the set bits of down[x]."""
+    By Hall's theorem mu is the sum of (-1)^k over the chains of k steps
+    from the square's bottom to its top.  Such a chain is a pair of chains
+    of p whose interior elements sit at one set s of levels (Bjorner and
+    Welker, Segre and Rees products of posets, JPAA 2005), so mu is the sum
+    over s of (-1)^(|s|+1) alpha(s)^2, alpha being p's flag f-vector
+    (Stanley, EC1 3.13).  A level is a rank less the bottom's, and s is a
+    mask over levels.  Taken in rank order, x at level h has one chain from
+    the bottom with s empty, and counts the chains with s's highest level j
+    by summing, over the y below x at level j, their chains with s minus j:
+    classes[j][s] keeps the elements of level j by that count, one mask per
+    distinct count, so the sum is one popcount per value class, as in
+    mobius_number.  The top comes last, and its counts are alpha."""
     bottom, top = p.bottom, p.top
     if bottom is None or top is None:
         raise ValueError("Mobius number requires both a bottom and a top")
-    levels, _ = _levels(p)
-    start = list(accumulate(map(len, levels), initial=0))
-    position = [0] * len(p)
-    for t, x in enumerate(chain.from_iterable(levels)):
-        position[x] = t
-    down = [sum(1 << position[z] for z in _set_bits(mask ^ (1 << x)))
-            for x, mask in enumerate(p._below_masks())]
-    mus = [[1]]  # the bottom's level holds the bottom alone
-    for h in range(1, len(levels)):
-        level = levels[h]
-        size = len(level)
-        lower = [_set_bits(down[x]) for x in level]
-        flat = [0] * (size * size)
-        for b, y in enumerate(level):
-            sums = []
-            for j in range(h):
-                width = len(levels[j])
-                columns = [mus[j][c::width] for c in
-                           _set_bits(down[y] >> start[j] & ((1 << width) - 1))]
-                sums += map(sum, zip(*columns))
-            flat[b::size] = [-sum(map(sums.__getitem__, xs)) for xs in lower]
-        mus.append(flat)
-    # the top is the one element of the last level
-    return mus[-1][0]
+    if bottom == top:
+        return 1
+    below = p._below_masks()
+    low = p.ranks[bottom]
+    classes: list[dict[int, dict[int, int]]] = [{}]
+    for x in sorted(range(len(p)), key=p.ranks.__getitem__):
+        h = p.ranks[x] - low
+        if h == len(classes):
+            classes.append({})
+        counts = {0: 1}
+        for j in range(1, h):
+            for s, values in classes[j].items():
+                count = sum(v * (below[x] & mask).bit_count()
+                            for v, mask in values.items())
+                if count:
+                    counts[s | 1 << j] = count
+        for s, count in counts.items():
+            values = classes[h].setdefault(s, {})
+            values[count] = values.get(count, 0) | (1 << x)
+    return sum((-1) ** (s.bit_count() + 1) * count * count
+               for s, count in counts.items())
 
 
 def order_chain_counts(p: GradedPoset) -> list[int]:

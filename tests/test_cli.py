@@ -587,6 +587,20 @@ class TestSegreFromTheFactor:
             2, "", "error: 149060 pairs of the Segre square exceed the bound "
                    "100000\n")
 
+    @pytest.mark.parametrize("n, q", [(3, 13), (5, 2)])
+    def test_the_largest_admitted_squares(self, fresh_lattices, capsys, n, q):
+        # squares of 66980 and 49974 pairs, the largest the pair bound of
+        # 100000 admits at n = 3 and at q = 2: mu is (-1)^n W_n(q), and
+        # verify mobius passes
+        w_q = permstats.w_polynomial(n).evaluate(q)
+        mu = (-1) ** n * w_q
+        assert run(capsys, "mobius", "--n", str(n), "--q", str(q),
+                   "--segre") == (0, f"{mu}\n", "")
+        assert run(capsys, "verify", "mobius", "--n", str(n),
+                   "--q", str(q)) == (
+            0, f"PASS mobius: mu={mu} descending={w_q} expected W={w_q}\n",
+            "")
+
 
 class TestSegreTextFromTheFactor:
     """`segre` and `lattice --segre` in text mode, without --check-el or

@@ -71,6 +71,19 @@ def _random_bounded_poset(rng, max_width=4, max_depth=3):
     return poset_from_covers(names, ranks, covers)
 
 
+def _renumbered(rng, p, shift=0):
+    """p built again under a random permutation of its ids, with each
+    group's covers reversed and every rank raised by shift."""
+    perm = rng.sample(range(len(p)), len(p))
+    names, ranks = [None] * len(p), [None] * len(p)
+    up = [None] * len(p)
+    for x in range(len(p)):
+        names[perm[x]], ranks[perm[x]] = p.names[x], p.ranks[x] + shift
+        up[perm[x]] = [(label, [perm[y] for y in reversed(ys)])
+                       for label, ys in p._up[x]]
+    return GradedPoset(names, ranks, up)
+
+
 def _random_graded_poset(rng):
     """Random graded poset with its elements in shuffled rank order and
     random integer labels on its covers."""
@@ -189,14 +202,7 @@ class TestGradedPoset:
         # random permutation of its ids with each group's covers reversed
         p = _random_bounded_poset(rng, 5, 4)
         labeled = relabel(p, {c: rng.randint(1, 3) for c in p.covers})
-        perm = rng.sample(range(len(p)), len(p))
-        names, ranks = [None] * len(p), [None] * len(p)
-        up = [None] * len(p)
-        for x in range(len(p)):
-            names[perm[x]], ranks[perm[x]] = p.names[x], p.ranks[x]
-            up[perm[x]] = [(label, [perm[y] for y in reversed(ys)])
-                           for label, ys in labeled._up[x]]
-        r = GradedPoset(names, ranks, up)
+        r = _renumbered(rng, labeled)
 
         def by_name(q):
             return (sorted((q.names[a], q.names[b]) for a, b in q.covers),
@@ -633,6 +639,16 @@ class TestSegreKernelsAgainstTheSquare:
         # proper parts often lack a bottom or a top, or both; the texts are
         # the square's
         p = _random_labels(rng, proper_part(_random_bounded_poset(rng)), pairs)
+        assert _from_factor(p) == _square_of(p)
+
+    @given(st.randoms(use_true_random=False), st.booleans())
+    @settings(max_examples=60, deadline=None)
+    def test_permuted_ids_and_shifted_ranks(self, rng, pairs):
+        # the bottom at rank 3 and the ids out of rank order: a kernel that
+        # read levels off raw ranks or ids would fail here
+        p = _renumbered(rng, _random_labels(
+            rng, _random_bounded_poset(rng, 5, 4), pairs), shift=3)
+        assert p.ranks[p.bottom] == 3
         assert _from_factor(p) == _square_of(p)
 
     @pytest.mark.parametrize("ranks, covers, missing", [
