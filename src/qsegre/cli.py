@@ -35,7 +35,8 @@ def _square_factor(n: int, q: int, count_bound=None):
     """B_n(q) and its coordinate subspaces, as the factor of its Segre
     square: after the refusals that the square would make, so that a square
     past the pair bound is refused with its own text before any field is
-    built.  The square's mu and chains are read off this factor."""
+    built.  The square's mu, chains and Betti numbers are read off this
+    factor."""
     from . import subspace
     subspace.prime_power(q)
     subspace.check_count_bound(n, q, True, count_bound)
@@ -51,8 +52,7 @@ def _lattice(n: int, q: int, segre: bool, count_bound=None):
     B_n(q); its lows are the pairs whose factor parts are both among the
     factor's lows, picked by name, and a factor without lows gives a square
     without.  Only the verbs that need the square's elements build it:
-    `lattice`/`segre` with EL or JSON, `verify el --segre` and
-    `betti --segre`.
+    `lattice`/`segre` with EL or JSON, and `verify el --segre`.
     The caches live for one process and their keys come from one command
     line or the suite's fixed matrices, so they need no eviction."""
     from . import poset, subspace
@@ -255,8 +255,8 @@ def _check_mobius() -> dict:
 def _check_betti() -> dict:
     from . import permstats, poset
     for n, q in BETTI_MATRIX:
-        sp, _ = _lattice(n, q, True)
-        betti = poset.rational_betti_numbers(poset.proper_part(sp))
+        factor, _ = _square_factor(n, q)
+        betti = poset.segre_betti_numbers(factor)
         w_q = int(permstats.w_polynomial(n).evaluate(q))
         if len(betti) != n - 1 or betti[-1] != w_q or any(betti[:-1]):
             return _result("betti", False,
@@ -395,13 +395,15 @@ def _cmd_segre(args) -> int:
 def _cmd_invariant(args) -> int:
     """mobius or betti, as the verb names: the Mobius number of a lattice or
     Segre square, or the Betti numbers of its proper part.  A square's
-    Mobius number is read off its factor, which alone is built."""
+    Mobius number and Betti numbers are read off its factor, which alone is
+    built."""
     from . import poset
     betti = args.command == "betti"
     p = _lattice_for(args, faces=betti)
-    if betti:
-        built, _ = _lattice(args.n, args.q, args.segre, args.count_bound)
-        value = poset.rational_betti_numbers(poset.proper_part(built))
+    if betti and args.segre:
+        value = poset.segre_betti_numbers(p)
+    elif betti:
+        value = poset.rational_betti_numbers(poset.proper_part(p))
     elif args.segre:
         value = poset.segre_mobius_number(p)
     else:

@@ -28,19 +28,21 @@ to be label-isomorphic to one above a few lower elements (the coordinate
 subspaces of B_n(q), or their pairs on its square, each interval moved
 there by an upper unitriangular witness) passes those, and a failure
 among them reruns the full check.  Only segre_product builds a Segre
-square, and its Mobius number and chains are taken from the factor
-alone, as a chain of the square is a pair of chains of the factor with
-one rank set: segre_mobius_number is Hall's alternating sum of the
-squares of the factor's flag f-vector, and segre_chain_report pairs the
-factor's chain words.  Only mobius_number, segre_mobius_number (on the
-factor), order_chain_counts and strictly_above (so also
-chains_by_dimension) build the quadratic reachability bitsets, one mask
-per element; their queries walk only the set bits (`mask & -mask`).  Betti
-numbers come from an acyclic element matching on the order complex
-(discrete Morse theory): its critical chains span the Morse complex, whose
-boundary follows gradient paths, so nothing is eliminated when the
-critical chains fill one dimension.  The face count is held to
-FACE_COUNT_BOUND by check_face_count before any chain is listed.
+square, and its Mobius number, chains and Betti numbers are taken from
+the factor alone, as a chain of the square is a pair of chains of the
+factor with one rank set: segre_mobius_number is Hall's alternating sum
+of the squares of the factor's flag f-vector, segre_chain_report pairs
+the factor's chain words, and segre_betti_numbers runs the element
+matching on pairs of the factor's chains.  Only mobius_number,
+segre_mobius_number and segre_betti_numbers (on the factor),
+order_chain_counts and strictly_above (so also chains_by_dimension) build
+the quadratic reachability bitsets, one mask per element; their queries
+walk only the set bits (`mask & -mask`).  Betti numbers come from an
+acyclic element matching on the order complex (discrete Morse theory):
+its critical chains span the Morse complex, whose boundary follows
+gradient paths, so nothing is eliminated when the critical chains fill
+one dimension.  The face count is held to FACE_COUNT_BOUND by
+check_face_count before any chain is listed.
 
 Construction is single threaded; after that every query is read-only apart
 from idempotent lazy caches, so built posets can be shared by concurrent
@@ -50,6 +52,7 @@ readers.
 from __future__ import annotations
 
 import operator
+from bisect import bisect
 from itertools import accumulate, chain
 from math import gcd
 from typing import Optional
@@ -269,20 +272,30 @@ def segre_mobius_number(p: GradedPoset) -> int:
     of p whose interior elements sit at one set s of levels (Bjorner and
     Welker, Segre and Rees products of posets, JPAA 2005), so mu is the sum
     over s of (-1)^(|s|+1) alpha(s)^2, alpha being p's flag f-vector
-    (Stanley, EC1 3.13).  A level is a rank less the bottom's, and s is a
-    mask over levels.  Taken in rank order, x at level h has one chain from
-    the bottom with s empty, and counts the chains with s's highest level j
-    by summing, over the y below x at level j, their chains with s minus j:
-    classes[j][s] keeps the elements of level j by that count, one mask per
-    distinct count, so the sum is one popcount per value class, as in
-    mobius_number.  The top comes last, and its counts are alpha."""
+    (Stanley, EC1 3.13; see _flag_f_vector)."""
     bottom, top = p.bottom, p.top
     if bottom is None or top is None:
         raise ValueError("Mobius number requires both a bottom and a top")
     if bottom == top:
         return 1
+    return sum((-1) ** (s.bit_count() + 1) * count * count
+               for s, count in _flag_f_vector(p).items())
+
+
+def _flag_f_vector(p: GradedPoset) -> dict[int, int]:
+    """The flag f-vector of p, which has a bottom and a distinct top: alpha
+    maps each set s of levels to the number of chains from the bottom to
+    the top whose interior elements sit at s, where it is nonzero.  A level
+    is a rank less the bottom's, and s is a mask over levels.
+
+    Taken in rank order, x at level h has one chain from the bottom with s
+    empty, and counts the chains with s's highest level j by summing, over
+    the y below x at level j, their chains with s minus j: classes[j][s]
+    keeps the elements of level j by that count, one mask per distinct
+    count, so the sum is one popcount per value class, as in mobius_number.
+    The top comes last, and its counts are alpha."""
     below = p._below_masks()
-    low = p.ranks[bottom]
+    low = p.ranks[p.bottom]
     classes: list[dict[int, dict[int, int]]] = [{}]
     for x in sorted(range(len(p)), key=p.ranks.__getitem__):
         h = p.ranks[x] - low
@@ -298,8 +311,7 @@ def segre_mobius_number(p: GradedPoset) -> int:
         for s, count in counts.items():
             values = classes[h].setdefault(s, {})
             values[count] = values.get(count, 0) | (1 << x)
-    return sum((-1) ** (s.bit_count() + 1) * count * count
-               for s, count in counts.items())
+    return counts
 
 
 def order_chain_counts(p: GradedPoset) -> list[int]:
@@ -591,25 +603,29 @@ def _faces(chain: tuple) -> list[tuple[tuple, int]]:
             for t in range(len(chain))]
 
 
-def _morse_boundary(cell: tuple, mate: dict) -> dict:
+def _morse_boundary(cell, mate: dict, faces=None, dimension=len) -> dict:
     """The boundary of a critical chain in the Morse complex of mate: the
     critical faces reached by gradient paths, with their summed weights.
+    faces lists a chain's codimension-one faces with their incidence signs
+    (_faces, on tuples, if None), and dimension ranks a chain above its
+    faces (len on tuples).
 
     A face matched upward, to s, is traded for minus its incidence in s
     times the other faces of s; a face matched downward ends its paths.
     The matching is acyclic, so the trading ends with critical faces only.
     """
+    faces = faces or _faces
     row: dict = {}
-    pending = dict(_faces(cell))
+    pending = dict(faces(cell))
     while pending:
         face, a = pending.popitem()
         partner = mate.get(face)
         if partner is None:
             row[face] = row.get(face, 0) + a
-        elif len(partner) > len(face):
-            faces = _faces(partner)
-            step = -a * next(s for f, s in faces if f == face)
-            for f, s in faces:
+        elif dimension(partner) > dimension(face):
+            cofaces = faces(partner)
+            step = -a * next(s for f, s in cofaces if f == face)
+            for f, s in cofaces:
                 if f != face:
                     v = pending.get(f, 0) + step * s
                     if v:
@@ -619,18 +635,38 @@ def _morse_boundary(cell: tuple, mate: dict) -> dict:
     return {f: v for f, v in row.items() if v}
 
 
+def _morse_betti_numbers(what: str, counts: list[int], listed, mate: dict,
+                         faces=None, dimension=len) -> list[int]:
+    """Reduced Betti numbers of the Morse complex of mate on the order
+    complex of what, with counts[j] critical chains in dimension j, listed
+    by listed(j): its boundary rows come from _morse_boundary, taken only
+    between two dimensions that both hold critical chains, and are ranked
+    over the rationals by fraction-free integer elimination.  A negative
+    number raises ArithmeticError."""
+    ranks = [0] * (len(counts) + 1)
+    for j in range(1, len(counts)):
+        if counts[j] and counts[j - 1]:
+            column = {c: k for k, c in enumerate(listed(j - 1))}
+            ranks[j] = _rank_of_sparse_rows(
+                [{column[f]: v for f, v in
+                  _morse_boundary(c, mate, faces, dimension).items()}
+                 for c in listed(j)])
+    betti = [counts[j] - ranks[j] - ranks[j + 1] for j in range(len(counts))]
+    if any(b < 0 for b in betti):
+        raise ArithmeticError(f"negative Betti numbers {betti} on {what}")
+    return betti
+
+
 def rational_betti_numbers(p: GradedPoset) -> list[int]:
     """Reduced Betti numbers of the order complex over the rationals,
     dimensions 0 through the top; empty for the empty poset.
 
     The face count is checked against FACE_COUNT_BOUND before any chain is
     listed.  The critical chains of _element_matching are a basis of the
-    Morse complex; its boundary rows come from _morse_boundary, taken only
-    between two dimensions that both hold critical chains, and are ranked
-    over the rationals by fraction-free integer elimination.  The empty
-    chain is matched with the first element, so the homology is reduced.
-    Torsion does not count: the face poset of the six-vertex real
-    projective plane has all Betti numbers 0.
+    Morse complex (see _morse_betti_numbers).  The empty chain is matched
+    with the first element, so the homology is reduced.  Torsion does not
+    count: the face poset of the six-vertex real projective plane has all
+    Betti numbers 0.
     """
     if len(p) == 0:
         return []
@@ -642,19 +678,135 @@ def rational_betti_numbers(p: GradedPoset) -> list[int]:
                               f"chains by dimension but counted {counts}")
     mate = _element_matching(p, chains)
     critical = [[c for c in level if c not in mate] for level in chains]
-    ranks = [0] * (len(chains) + 1)
-    for j in range(1, len(chains)):
-        if critical[j] and critical[j - 1]:
-            column = {c: k for k, c in enumerate(critical[j - 1])}
-            ranks[j] = _rank_of_sparse_rows(
-                [{column[f]: v for f, v in _morse_boundary(c, mate).items()}
-                 for c in critical[j]])
-    betti = [len(critical[j]) - ranks[j] - ranks[j + 1]
-             for j in range(len(chains))]
-    if any(b < 0 for b in betti):
-        raise ArithmeticError(f"negative Betti numbers {betti} on a poset of "
-                              f"{len(p)} elements and rank sizes {p.rank_sizes()}")
-    return betti
+    return _morse_betti_numbers(
+        f"a poset of {len(p)} elements and rank sizes {p.rank_sizes()}",
+        [len(level) for level in critical], critical.__getitem__, mate)
+
+
+def segre_betti_numbers(p: GradedPoset) -> list[int]:
+    """rational_betti_numbers of the proper part of the Segre square of p
+    with itself, read off p: the square is never built (see
+    _segre_matching).  The refusals are proper_part's."""
+    bottom, top = p.bottom, p.top
+    if bottom is None or top is None:
+        raise ValueError("proper part requires both a bottom and a top")
+    if bottom == top:
+        return []
+    return _morse_betti_numbers(
+        f"the proper part of the Segre square of a poset of {len(p)} "
+        f"elements",
+        *_segre_matching(p))
+
+
+def _segre_matching(p: GradedPoset):
+    """_element_matching on the proper part of the Segre square of p, which
+    has a bottom and a distinct top, run on pairs of p's chains, as the
+    arguments _morse_betti_numbers takes after its first: the critical
+    counts, their lister, the matching, and the faces and dimension of a
+    key.
+
+    A chain of the square's proper part is a pair of chains of p's proper
+    part with one set s of levels (Bjorner and Welker, Segre and Rees
+    products of posets, JPAA 2005), so its faces number the sum over
+    nonempty s of alpha(s)^2 (see _flag_f_vector), which is held to
+    FACE_COUNT_BOUND before any chain is listed.  p's proper part has few
+    chains: they are listed once, with the empty one, in groups by s, the
+    groups in ascending size.  The pair of the k-th and l-th chains of
+    group s is the key base[s] + k * alpha(s) + l, base[s] summing the
+    squares of the groups before s, so the keys number the faces by
+    dimension.
+
+    The square's elements (x, y) are taken in its own (rank, x, y) order.
+    The chains through (x, y) are the pairs of a chain through x and one
+    through y in one group, each matched with the pair without (x, y) when
+    both are unmatched; they are disjoint, as in _element_matching.  Each
+    element keeps, by group, its chains' places and those of the chains
+    without it.  The critical count in each dimension is its face count
+    less the keys matched there, and critical keys are listed only on
+    demand.  Faces are first visited at their least element, so the visits
+    there must number the faces, or ArithmeticError is raised."""
+    alpha = _flag_f_vector(p)
+    face_count = sum(a * a for a in alpha.values()) - 1  # less the empty chain
+    check_face_count(face_count)
+    bottom, top = p.bottom, p.top
+    level = [r - p.ranks[bottom] for r in p.ranks]
+    inner = sorted((x for x in range(len(p)) if x not in (bottom, top)),
+                   key=lambda x: (level[x], x))
+    above = {x: [y for y in p.strictly_above(x) if y != top] for x in inner}
+    groups: dict[int, list[tuple]] = {0: [()]}
+    listing = [(x,) for x in inner]
+    while listing:
+        for c in listing:
+            groups.setdefault(sum(1 << level[x] for x in c), []).append(c)
+        listing = [c + (y,) for c in listing for y in above[c[-1]]]
+    order = sorted(groups, key=lambda s: (s.bit_count(), s))
+    starts = list(accumulate((len(groups[s]) ** 2 for s in order), initial=0))
+    base = dict(zip(order, starts))
+    place = {c: (base[s], k, len(groups[s]))
+             for s in order for k, c in enumerate(groups[s])}
+    # outer[x][s]: for each chain c through x in group s, the parts of the
+    # keys of (c, d) and of (c, d) without (x, y) that c fixes; pieces[y][s]:
+    # for each such d through y, the parts that d adds
+    outer: dict[int, dict[int, list]] = {x: {} for x in inner}
+    pieces: dict[int, dict[int, list]] = {x: {} for x in inner}
+    for s in order:
+        for c in groups[s]:
+            start, k, width = place[c]
+            for t, x in enumerate(c):
+                lower_start, at, lower_width = place[c[:t] + c[t + 1:]]
+                outer[x].setdefault(s, []).append(
+                    (start + k * width, lower_start + at * lower_width))
+                pieces[x].setdefault(s, []).append((k, at))
+    depth = level[top] - 1
+    made = [0] * (depth + 2)  # made[m]: matches whose upper key has m elements
+    visited = 0
+    mate: dict[int, int] = {}
+    for h in range(1, depth + 1):
+        rank = [x for x in inner if level[x] == h]
+        for x in rank:
+            for y in rank:
+                found = pieces[y]
+                for s, uppers in outer[x].items():
+                    ds = found[s]
+                    if s & -s == 1 << h:
+                        visited += len(uppers) * len(ds)
+                    before = len(mate)
+                    for u0, l0 in uppers:
+                        for d, ld in ds:
+                            u = u0 + d
+                            if u in mate:
+                                continue
+                            lo = l0 + ld
+                            if lo not in mate:
+                                mate[u], mate[lo] = lo, u
+                    made[s.bit_count()] += (len(mate) - before) // 2
+    if visited != face_count:
+        raise ArithmeticError(f"the matching visited {visited} faces of the "
+                              f"Segre square, but its factor's flag f-vector "
+                              f"counts {face_count}")
+    counts = [sum(len(groups[s]) ** 2 for s in order if s.bit_count() == j + 1)
+              - made[j + 1] - made[j + 2] for j in range(depth)]
+
+    def group(key: int) -> int:
+        return order[bisect(starts, key) - 1]
+
+    def pair(c: tuple, d: tuple) -> int:
+        start, k, width = place[c]
+        return start + k * width + place[d][1]
+
+    def pair_faces(key: int) -> list[tuple[int, int]]:
+        s = group(key)
+        k, l = divmod(key - base[s], len(groups[s]))
+        return [(pair(c, d), sign) for (c, sign), (d, _) in
+                zip(_faces(groups[s][k]), _faces(groups[s][l]))]
+
+    def critical(j: int) -> list[int]:
+        return [key for s in order if s.bit_count() == j + 1
+                for key in range(base[s], base[s] + len(groups[s]) ** 2)
+                if key not in mate]
+
+    return (counts, critical, mate, pair_faces,
+            lambda key: group(key).bit_count())
 
 
 def _label_to_json(label):

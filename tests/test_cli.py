@@ -287,7 +287,8 @@ class TestBoundsBeforeWork:
             self, capsys, monkeypatch):
         # the proper part of the (4,3) square has 5157700 faces
         from qsegre import poset
-        monkeypatch.setattr(poset, "chains_by_dimension", fail_if_called)
+        for name in ("chains_by_dimension", "segre_betti_numbers"):
+            monkeypatch.setattr(poset, name, fail_if_called)
         code, out, err = run(capsys, "betti", "--n", "4", "--q", "3",
                              "--segre", "--json")
         assert_clean_rejection(code, out, err)
@@ -600,6 +601,45 @@ class TestSegreFromTheFactor:
                    "--q", str(q)) == (
             0, f"PASS mobius: mu={mu} descending={w_q} expected W={w_q}\n",
             "")
+
+
+class TestSegreBettiFromTheFactor:
+    """betti --segre and the suite's betti check read the square's Betti
+    numbers off its factor: no square is built."""
+
+    def test_no_square_is_built(self, fresh_lattices, monkeypatch, capsys):
+        from qsegre import poset
+        monkeypatch.setattr(poset, "segre_product", forbid)
+        for argv, name in (
+                (("betti", "--n", "3", "--q", "3", "--segre"),
+                 "betti_n3_q3_segre.out"),
+                (("betti", "--n", "3", "--q", "5", "--segre", "--json"),
+                 "betti_n3_q5_segre_json.out")):
+            assert run(capsys, *argv) == (0, (GOLDEN / name).read_text(), "")
+
+    def test_the_suite_builds_no_square_for_betti(
+            self, fresh_lattices, monkeypatch, capsys):
+        # the suite's EL check still builds its squares, so segre_product
+        # is forbidden only while the betti check runs, on empty caches
+        from qsegre import poset
+        check_betti = fresh_lattices._check_betti
+
+        def without_squares():
+            fresh_lattices._lattice.cache_clear()
+            with monkeypatch.context() as forbidden:
+                forbidden.setattr(poset, "segre_product", forbid)
+                return check_betti()
+        monkeypatch.setattr(fresh_lattices, "_check_betti", without_squares)
+        assert run(capsys, "verify", "all", "--max-n", "4") == (
+            0, (GOLDEN / "verify_all_max4.out").read_text(), "")
+
+    @pytest.mark.parametrize("n", [0, 1])
+    def test_a_square_without_a_proper_part(self, fresh_lattices, capsys, n):
+        argv = ("betti", "--n", str(n), "--q", "2", "--segre")
+        assert run(capsys, *argv) == (0, "[]\n", "")
+        code, out, err = run(capsys, *argv, "--json")
+        assert (code, json.loads(out), err) == (
+            0, {"betti": [], "n": n, "q": 2, "segre": True}, "")
 
 
 class TestSegreTextFromTheFactor:
@@ -995,14 +1035,15 @@ TRACED_COUNTER_NAMES = ("subspace.elements", "poset.elements", "poset.covers",
 
 # The tracer's counters per invocation.  The square of B_2(2) has 11
 # elements and 18 covers and is handed to the poset layer with its factor (5
-# and 6); betti adds the square's proper part, 9 points and 9 faces.  The
-# square's mu and descending count are read off the factor, so verify
-# mobius and mobius --segre hand the poset layer the factor alone.
+# and 6).  The square's mu, descending count and Betti numbers are read off
+# the factor, so verify mobius, mobius --segre and betti --segre hand the
+# poset layer the factor alone, and betti lists no chain through
+# chains_by_dimension, the one call the tracer counts faces from.
 TRACED_COUNTERS = {
     ("verify", "el", "--n", "2", "--q", "2", "--segre", "--json"):
         [5, 16, 24, 12, 0],
     ("verify", "mobius", "--n", "2", "--q", "2", "--json"): [5, 5, 6, 3, 0],
-    ("betti", "--n", "2", "--q", "2", "--segre"): [5, 25, 24, 21, 9],
+    ("betti", "--n", "2", "--q", "2", "--segre"): [5, 5, 6, 3, 0],
     ("mobius", "--n", "2", "--q", "3"): [6, 6, 8, 4, 0],
     ("lattice", "--n", "2", "--q", "2", "--chains", "--check-el"):
         [5, 5, 6, 3, 0],
@@ -1113,7 +1154,7 @@ class TestConsoleEntry:
         (("verify", "mobius", "--n", "2", "--q", "2", "--json"), "mobius",
          "poset.segre_chain_report"),
         (("betti", "--n", "2", "--q", "2", "--segre"), None,
-         "poset.rational_betti_numbers"),
+         "poset.segre_betti_numbers"),
         (("mobius", "--n", "2", "--q", "3"), None, "poset.mobius_number"),
         (("lattice", "--n", "2", "--q", "2", "--chains", "--check-el"), None,
          "poset.chain_report"),

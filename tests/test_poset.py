@@ -9,10 +9,11 @@ from hypothesis import strategies as st
 from qsegre.poset import (FACE_COUNT_BOUND, GradedPoset, chain_report, chains_by_dimension,
                           check_el_labeling, mobius_number,
                           order_chain_counts, product_order_less, proper_part,
-                          rational_betti_numbers, segre_chain_report,
-                          segre_mobius_number, segre_product,
-                          to_interchange, _element_matching, _morse_boundary,
-                          _rank_of_sparse_rows, _set_bits)
+                          rational_betti_numbers, segre_betti_numbers,
+                          segre_chain_report, segre_mobius_number,
+                          segre_product, to_interchange, _element_matching,
+                          _morse_boundary, _rank_of_sparse_rows,
+                          _segre_matching, _set_bits)
 from qsegre.cli import BETTI_MATRIX, MOBIUS_MATRIX
 from qsegre.exactalg import q_factorial
 from qsegre.permstats import w_polynomial
@@ -690,10 +691,11 @@ class TestSegreKernelsAgainstTheSquare:
 
 
 class TestQuadraticBitsets:
-    """Only mobius_number, segre_mobius_number, order_chain_counts and
-    strictly_above build the per-element reachability masks;
-    segre_mobius_number builds the downward ones of the factor alone, each
-    as wide as the factor, and the square's stay unbuilt."""
+    """Only mobius_number, segre_mobius_number, segre_betti_numbers,
+    order_chain_counts and strictly_above build the per-element
+    reachability masks; segre_mobius_number builds the downward ones of the
+    factor alone, each as wide as the factor, and the square's stay
+    unbuilt."""
 
     def test_cover_kernels_leave_the_masks_unbuilt(self):
         factor, _ = build_bnq(2, FiniteField(3))
@@ -876,6 +878,133 @@ class TestBetti:
             betti = rational_betti_numbers(p)
             alternating = sum((-1) ** j * b for j, b in enumerate(betti))
             assert alternating == reduced_euler_characteristic(p)
+
+
+def _built_square(p):
+    """The oracle route of segre_betti_numbers: the critical counts of
+    _element_matching and the Betti numbers on the proper part of the
+    square that segre_product builds of p."""
+    square = proper_part(segre_product(p, p))
+    chains = chains_by_dimension(square)
+    mate = _element_matching(square, chains)
+    return ([sum(c not in mate for c in level) for level in chains],
+            rational_betti_numbers(square))
+
+
+def _factor_route(p):
+    """_segre_matching's critical counts and segre_betti_numbers on p."""
+    return _segre_matching(p)[0], segre_betti_numbers(p)
+
+
+def _all_signs_plus(chain):
+    return [(chain[:t] + chain[t + 1:], 1) for t in range(len(chain))]
+
+
+class TestSegreBetti:
+    """segre_betti_numbers on a factor against rational_betti_numbers on
+    the proper part of the square that segre_product builds of it, and the
+    pair matching's critical counts against _element_matching's there."""
+
+    @pytest.mark.parametrize("n, q", [(2, 2), (2, 3), (3, 2), (3, 3), (4, 2)])
+    def test_the_squares_of_bnq(self, n, q):
+        p, _ = build_bnq(n, FiniteField(q))
+        counts, betti = _factor_route(p)
+        assert (counts, betti) == _built_square(p)
+        assert betti == [0] * (n - 2) + [w_polynomial(n).evaluate(q)]
+
+    @given(st.randoms(use_true_random=False), st.booleans())
+    @settings(max_examples=80, deadline=None)
+    def test_random_bounded_posets(self, rng, renumber):
+        # renumbered, the ids leave (rank, id) order and the bottom sits at
+        # rank 2, so a kernel that took the square's element order or its
+        # levels from raw ids or ranks would differ here
+        p = _random_bounded_poset(rng, max_width=4, max_depth=3)
+        if renumber:
+            p = _renumbered(rng, p, shift=2)
+        assert _factor_route(p) == _built_square(p)
+
+    def test_a_square_whose_betti_numbers_hang_on_the_signs(self, monkeypatch):
+        # found by giving the poset of TestBetti's sign test a bottom, a
+        # top and one new element over each of its maximal elements below
+        # the top rank, then dropping covers while the square's Betti
+        # numbers still changed with every incidence sign +1.  Its proper
+        # part is acyclic, its square's is not, and the square's Morse
+        # complex has nonzero boundaries from dimension 2 to dimension 1
+        import qsegre.poset as poset_module
+        ranks = [0, 1, 1, 1, 2, 2, 2, 2, 3, 3, 3, 3, 4, 4, 4, 5]
+        covers = [(0, 1), (0, 2), (0, 3), (1, 4), (2, 5), (2, 7), (3, 4),
+                  (3, 6), (3, 7), (4, 10), (5, 8), (6, 11), (7, 9), (7, 10),
+                  (10, 12), (11, 12), (8, 13), (9, 14), (12, 15), (13, 15),
+                  (14, 15)]
+        p = poset_from_covers([f"v{i}" for i in range(16)], ranks, covers)
+        assert rational_betti_numbers(proper_part(p)) == [0, 0, 0, 0]
+        counts, critical, mate, faces, dimension = _segre_matching(p)
+        assert counts == [0, 6, 6, 0]
+        assert sum(bool(_morse_boundary(c, mate, faces, dimension))
+                   for c in critical(2)) == 4
+        square = proper_part(segre_product(p, p))
+        assert segre_betti_numbers(p) == \
+            rational_betti_numbers_by_elimination(square) == [0, 4, 4, 0]
+        monkeypatch.setattr(poset_module, "_faces", _all_signs_plus)
+        assert segre_betti_numbers(p) == [0, 2, 2, 0]
+
+    @pytest.mark.parametrize("ranks, covers, betti", [
+        # the bottom is the top, so the square's proper part is empty
+        ([0], [], []),
+        ([0, 1], [(0, 1)], []),  # a proper part without elements
+        # the square's proper part is four points
+        ([0, 1, 1, 2], [(0, 1), (0, 2), (1, 3), (2, 3)], [3]),
+    ])
+    def test_small_squares(self, ranks, covers, betti):
+        p = poset_from_covers([f"v{i}" for i in range(len(ranks))], ranks,
+                              covers)
+        assert segre_betti_numbers(p) == \
+            rational_betti_numbers(proper_part(segre_product(p, p))) == betti
+
+    @pytest.mark.parametrize("ranks, covers", [
+        ([0, 1, 1], [(0, 1), (0, 2)]),
+        ([0, 0, 1], [(0, 2), (1, 2)]),
+        ([], []),
+    ])
+    def test_a_missing_bottom_or_top_is_refused_as_proper_part_refuses(
+            self, ranks, covers):
+        p = poset_from_covers(["a", "b", "c"][:len(ranks)], ranks, covers)
+        with pytest.raises(ValueError) as built:
+            proper_part(segre_product(p, p))
+        with pytest.raises(ValueError) as from_factor:
+            segre_betti_numbers(p)
+        assert str(from_factor.value) == str(built.value) == (
+            "proper part requires both a bottom and a top")
+
+    def test_over_the_bound_no_chain_is_listed(self, monkeypatch):
+        import qsegre.poset as poset_module
+        p, _ = build_bnq(3, FiniteField(2))
+        faces = proper_face_count(3, 2, True)
+        monkeypatch.setattr(GradedPoset, "strictly_above", fail_if_called)
+        monkeypatch.setattr(poset_module, "FACE_COUNT_BOUND", faces - 1)
+        with pytest.raises(ValueError, match=f"^{faces} faces of the order "
+                                             f"complex exceed the bound {faces - 1}$"):
+            segre_betti_numbers(p)
+        monkeypatch.undo()
+        monkeypatch.setattr(poset_module, "FACE_COUNT_BOUND", faces)
+        assert segre_betti_numbers(p) == [0, 344]
+
+    def test_a_miscounted_face_is_refused(self, monkeypatch):
+        # the matching first visits each face at its least element; a flag
+        # f-vector one chain over makes those visits fall short of it
+        import qsegre.poset as poset_module
+        p, _ = build_bnq(3, FiniteField(2))
+        counted = poset_module._flag_f_vector
+
+        def one_over(q):
+            alpha = counted(q)
+            alpha[max(alpha)] += 1
+            return alpha
+        monkeypatch.setattr(poset_module, "_flag_f_vector", one_over)
+        with pytest.raises(ArithmeticError, match=(
+                "^the matching visited 539 faces of the Segre square, but "
+                "its factor's flag f-vector counts 582$")):
+            segre_betti_numbers(p)
 
 
 class TestFaceBound:
