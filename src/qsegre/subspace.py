@@ -4,50 +4,49 @@ F_q^n, and its rightmost-coordinate edge labeling.
 A field is named by its order q, a prime power p^k, and is its tables:
 elements are the integers 0..q-1 coding polynomial residues in base p (0 is
 the zero element, 1 the one), and arithmetic is table lookup, which is
-comfortable for the configured size bound of 16.  A subspace is its row
-tuple, the canonical reduced row echelon basis, so subspace equality is
-tuple equality.
+comfortable for the configured size bound of 16.  A subspace is named by its
+row tuple, the canonical reduced row echelon basis, so subspace equality is
+tuple equality.  Labels are 1-based coordinate indices, each the rightmost
+nonzero coordinate of an atom (the basis pivots on the leftmost ones); a
+subspace holds its upper covers grouped by the label they gain, as (label,
+covers) groups, and on the Segre square labels are pairs.
 
-Two conventions coexist on purpose and must not be conflated: the canonical
-RREF basis pivots on the leftmost nonzero coordinates, while the labeling
-reads the rightmost nonzero coordinate of an atom (scaled so that coordinate
-is 1).  Labels are 1-based coordinate indices; each subspace holds its
-upper covers grouped by the label they gain, as (label, covers) groups; on
-the Segre square the labels are pairs.
-
-The lattice is built from joins alone, without any containment test or
-list of echelon forms.  The upper covers of a subspace x with pivot columns
-P are the joins x + <v>, one for each vector v supported off P with leading
-entry 1; these v are the projective points of the coordinate complement of
-x, so distinct v give distinct covers.  The join's RREF is x's rows with
-column lead(v) cleared and v inserted in pivot order, and the joins over
-one rank are the next rank.  The label set of a subspace, the rightmost
-nonzero indices over its vectors, is the pivot set of its echelon form
-taken from the right (reverse the coordinates, reduce, map the pivots
-back), so no vector is listed.
+The build holds a vector as one int, each base-p digit of each coordinate's
+code in its own byte (at p = 2, a code's bits in one byte), coordinate 0
+most significant, so int order is tuple order; a subspace is its packed
+RREF rows, row 0 first, decoded to its row tuple once.  The upper covers of
+a subspace x with pivot columns P are the joins x + <v>, one for each
+vector v supported off P with leading entry 1: the projective points of the
+coordinate complement of x, so distinct v give distinct covers.  The join's
+RREF is x's rows with column lead(v) cleared by lane-wise field addition
+(XOR at p = 2, else one addition folded mod p in every byte) and v inserted
+in pivot order, and the joins over one rank are the next rank.  The label
+set of a subspace, the rightmost nonzero indices over its vectors, comes
+from a reduction of its rows from the right, so no vector is listed.
 
 Every interval is label-isomorphic to one above a coordinate subspace
-e_S, by a witness read off the label set.  Let x have label set S.  Its
-mirrored echelon basis, the one label_set reduces, has one vector b_s per
-s in S, whose last nonzero entry is a 1 at s: label_set's dimension check,
-|label_set(x)| = dim x, is what certifies that.  The matrix u_x with column
-b_s at each s in S and e_i at every other i is then upper unitriangular,
-and u_x e_S = x.  An upper triangular matrix keeps the rightmost nonzero
-coordinate of every vector, so u_x keeps every label set, and so every
-label that is a label-set difference: [x, y] and [e_S, u_x^-1 y] are
-label-isomorphic.  On the Segre square, [(x, x'), (y, y')] is likewise
-label-isomorphic to an interval above (e_S, e_S'), by the pair (u_x, u_x').
-build_bnq checks what this needs of the labeling it builds (each label the
-one index a cover gains, each rank its Gaussian count), so it returns the
-e_S beside the lattice: the witness comes from the code that certifies it.
+e_S, by a witness read off the label set.  Let x have label set S.  The
+rows that reduction keeps, each scaled to end in 1, are a basis of x with
+one vector b_s ending at each s in S, as its dimension check |S| = dim x
+certifies.  The matrix u_x with column b_s at each s in S and e_i at every
+other i is then upper unitriangular, and u_x e_S = x.  An upper
+triangular matrix keeps the rightmost nonzero coordinate of every vector,
+so u_x keeps every label set, and so every label that is a label-set
+difference: [x, y] and [e_S, u_x^-1 y] are label-isomorphic.  On the
+Segre square, [(x, x'), (y, y')] is likewise label-isomorphic to an
+interval above (e_S, e_S'), by the pair (u_x, u_x').  build_bnq checks
+what this needs of the labeling it builds (each label the one index a
+cover gains, each rank its Gaussian count), so it returns the e_S beside
+the lattice: the witness comes from the code that certifies it.
 """
 
 from __future__ import annotations
 
 from bisect import bisect
-from itertools import product
+from collections import Counter
+from itertools import chain, product
 
-from .poset import GradedPoset
+from .poset import GradedPoset, _set_bits
 
 FIELD_SIZE_BOUND = 16
 SUBSPACE_COUNT_BOUND = 100_000
@@ -120,33 +119,6 @@ class FiniteField:
         return f"FiniteField({self.order})"
 
 
-def rref_rows(field: FiniteField, ambient: int, vectors) -> tuple[tuple[int, ...], ...]:
-    """Canonical reduced row echelon basis of the span of the given vectors."""
-    mat = [list(map(int, v)) for v in vectors]
-    for v in mat:
-        if len(v) != ambient:
-            raise ValueError(f"vector of length {len(v)} in ambient dimension {ambient}")
-        if v and (min(v) < 0 or max(v) >= field.order):
-            raise ValueError("vector entry outside the field")
-    add, mul, neg, inv = field._add, field._mul, field._neg, field._inv
-    r = 0
-    for col in range(ambient):
-        piv = next((i for i in range(r, len(mat)) if mat[i][col]), None)
-        if piv is None:
-            continue
-        mat[r], mat[piv] = mat[piv], mat[r]
-        scale = mul[inv[mat[r][col]]]
-        mat[r] = [scale[x] for x in mat[r]]
-        for i in range(len(mat)):
-            if i != r and mat[i][col]:
-                scaled = mul[neg[mat[i][col]]]
-                mat[i] = [add[x][scaled[y]] for x, y in zip(mat[i], mat[r])]
-        r += 1
-        if r == len(mat):
-            break
-    return tuple(tuple(row) for row in mat[:r] if any(row))
-
-
 def _gaussian_count(n: int, k: int, q: int) -> int:
     """Number of k-dimensional subspaces of F_q^n (integer arithmetic only)."""
     result = 1
@@ -202,66 +174,124 @@ def proper_face_count(n: int, q: int, segre: bool = False) -> int:
     return sum(_gaussian_count(n, s, q) ** e * within[s] for s in range(1, n))
 
 
-def label_set(field: FiniteField, rows) -> frozenset[int]:
-    """Rightmost nonzero coordinate indices (1-based) over the atoms of the
-    row space of the RREF rows: the pivots of its echelon form taken from
-    the right.  Its dimension check, one index per row, certifies the
-    witness u_x of the module docstring: the mirrored basis has one vector
-    for each index, ending in a 1 there."""
-    mirrored = rref_rows(field, len(rows[0]) if rows else 0,
-                         [row[::-1] for row in rows])
-    out = frozenset(len(row) - row.index(1) for row in mirrored)
-    if len(out) != len(rows):
-        raise ArithmeticError(f"{rows} reaches {len(out)} rightmost indices, "
-                              f"not its dimension {len(rows)}")
-    return out
+class _Lanes:
+    """F_q^n as ints for one build (see the module docstring): add is the
+    lane-wise field sum, table(c) maps a byte a << 4 | b of codes to a + c b."""
 
+    def __init__(self, field: FiniteField, n: int):
+        p, self.field, self.n = field.p, field, n
+        self.lanes = 1 if p == 2 else field.k  # bytes per coordinate
+        self.row = 8 * self.lanes * n  # bits per row
+        self.points, self.tables = {}, {}  # see joins and table
+        ones = int.from_bytes(b"\1" * (n * n * self.lanes), "big")
 
-def _points_off(n: int, pivots: tuple[int, ...],
-                q: int) -> list[tuple[int, tuple[int, ...]]]:
-    """(lead, v) for every vector v of F_q^n that is zero on the pivot columns
-    and has leading entry 1 at column lead: one per projective point of the
-    coordinate complement."""
-    free = [j for j in range(n) if j not in pivots]
-    out = []
-    for t, lead in enumerate(free):
-        tail = free[t + 1:]
-        for values in product(range(q), repeat=len(tail)):
-            v = [0] * n
-            v[lead] = 1
-            for j, x in zip(tail, values):
-                v[j] = x
-            out.append((lead, tuple(v)))
-    return out
+        def add(s: int, t: int, fold=(128 - p) * ones, high=128 * ones):
+            s += t  # a byte below 2p is at least p iff bit 7 of it + 128 - p
+            return s - p * (((s + fold) & high) >> 7)
+        self.add = int.__xor__ if p == 2 else add
 
+    def pack(self, codes: bytes) -> int:
+        if self.lanes == 2:  # F_9, the one field with two digits at odd p
+            codes = bytes(d for c in codes for d in divmod(c, 3))
+        return int.from_bytes(codes, "big")
 
-def _join(field: FiniteField, rows: tuple[tuple[int, ...], ...],
-          pivots: tuple[int, ...], lead: int, v: tuple[int, ...]):
-    """RREF rows of span(rows) + <v>, for v zero on the pivot columns of the
-    RREF rows with leading entry 1 at column lead: clear that column in each
-    row, then insert v in pivot order."""
-    add, mul, neg = field._add, field._mul, field._neg
-    out = []
-    for row in rows:
-        c = row[lead]
-        if c:
-            scaled = mul[neg[c]]
-            row = tuple(add[x][scaled[y]] for x, y in zip(row, v))
-        out.append(row)
-    out.insert(bisect(pivots, lead), v)
-    return tuple(out)
+    def codes(self, s: int, m: int) -> bytes:
+        raw = s.to_bytes(m * self.row // 8, "big")
+        return raw if self.lanes == 1 else bytes(
+            3 * a + b for a, b in zip(raw[::2], raw[1::2]))
+
+    def table(self, c: int) -> bytes:
+        if c not in self.tables:
+            add, times, q = self.field._add, self.field._mul[c], self.field.order
+            self.tables[c] = bytes(add[a][times[b]] if a < q and b < q else 0
+                                   for a in range(16) for b in range(16))
+        return self.tables[c]
+
+    def times(self, c: int, v: int) -> int:
+        return self.pack(self.codes(v, 1).translate(self.table(c)))
+
+    def rows(self, s: int, m: int) -> tuple[list[bytes], tuple[int, ...]]:
+        """The code rows of a join s of rank m and their leading columns,
+        once s is checked to be a canonical RREF basis: m nonzero rows,
+        leading columns increasing, each leading 1 alone in its column."""
+        n, size = self.n, max(m, -(-s.bit_length() // self.row))
+        codes = self.codes(s, size)
+        rows = [codes[i:i + n] for i in range(0, size * n, n)]
+        leads = tuple([n - len(row.lstrip(b"\0")) for row in rows])
+        if (size > m or leads != tuple(sorted(set(leads) - {n})) or any(
+                codes[i * n + j] != 1 or codes[j::n].count(0) != m - 1
+                for i, j in enumerate(leads))):
+            raise ArithmeticError(
+                f"join {tuple(map(tuple, rows))} in rank {m} of B_{n}"
+                f"({self.field.order}) is not a canonical RREF basis of "
+                f"dimension {m}")
+        return rows, leads
+
+    def joins(self, s: int, rows, pivots: tuple[int, ...],
+              setdefault) -> list[int]:
+        """The packed RREF rows of x + <v> for each point v off the pivot
+        columns of x (packed rows s, row tuple rows), v in tuple order: a
+        row with c at column lead(v) gains -c v, made on first use, and v is
+        inserted in pivot order.  setdefault shares equal joins."""
+        n, q, bits, m = self.n, self.field.order, self.row, len(rows)
+        if pivots not in self.points:
+            free = [j for j in range(n) if j not in pivots]
+            self.points[pivots] = points = []
+            for t, lead in enumerate(free):
+                places = [[self.pack(bytes([c])) << bits // n * (n - 1 - j)
+                           for c in range(q)] for j in free[t + 1:]]
+                points += [(lead, (1 << bits // n * (n - 1 - lead)) + sum(v),
+                            [None] * q) for v in product(*places)]
+        add, neg, out, was = self.add, self.field._neg, [], None
+        for lead, v, multiples in self.points[pivots]:
+            if lead != was:  # rows past the insertion point are 0 at lead
+                was, shift = lead, bits * (m - bisect(pivots, lead))
+                base = (s >> shift) << (shift + bits) | (s & ((1 << shift) - 1))
+                clear = [(neg[row[lead]], bits * (m - i))
+                         for i, row in enumerate(rows) if row[lead]]
+            join = base | v << shift
+            if clear:
+                cleared = 0
+                for c, at in clear:
+                    if multiples[c] is None:
+                        multiples[c] = self.times(c, v)
+                    cleared |= multiples[c] << at
+                join = add(join, cleared)
+            out.append(setdefault(join, join))
+        return out
+
+    def labels(self, rows) -> int:
+        """The label set of these code rows, bit j for label j: each row is
+        reduced from the right by the rows kept until its rightmost nonzero
+        index is new; the dimension check certifies the witness u_x."""
+        mul, neg, inv = self.field._mul, self.field._neg, self.field._inv
+        kept: dict[int, bytes] = {}
+        for row in rows:
+            j = len(row.rstrip(b"\0"))
+            while j and j in kept:
+                table = self.table(mul[neg[row[j - 1]]][inv[kept[j][j - 1]]])
+                row = (int.from_bytes(row, "big") << 4 | int.from_bytes(
+                    kept[j], "big")).to_bytes(self.n, "big").translate(table)
+                j = len(row.rstrip(b"\0"))
+            kept[j] = row
+        mask = sum(1 << j for j in kept) & ~1
+        if mask.bit_count() != len(rows):
+            raise ArithmeticError(
+                f"{tuple(map(tuple, rows))} reaches {mask.bit_count()} "
+                f"rightmost indices, not its dimension {len(rows)}")
+        return mask
 
 
 def build_bnq(n: int, field: FiniteField,
               count_bound: int | None = None) -> tuple[GradedPoset, list[int]]:
     """The subspace lattice of F_q^n with its rightmost-coordinate labels,
     and its coordinate subspaces, as (p, lows): each cover x < y of p is
-    labeled by the one index in label_set(y) that is not in label_set(x),
-    and lows are the ascending indices of the e_S, the elements whose RREF
-    rows are all unit vectors.  Once the checks that follow have passed,
-    every interval of p is label-isomorphic to one above an e_S (see the
-    module docstring), so the EL pushes from lows, or from their pairs on
-    the Segre square, reach every interval.
+    labeled by the one index that y's label set adds to x's, and lows are
+    the ascending indices of the e_S, the elements whose RREF rows are all
+    unit vectors.  Once the checks that follow have passed, every interval
+    of p is label-isomorphic to one above an e_S (see the module
+    docstring), so the EL pushes from lows, or from their pairs on the
+    Segre square, reach every interval.
 
     The lattice is generated from its covers: rank 0 is the zero subspace,
     and rank k+1 is the set of joins x + <v> (see the module docstring) over
@@ -271,50 +301,41 @@ def build_bnq(n: int, field: FiniteField,
     of rank k without exactly [k choose 1]_q lower covers raises
     ArithmeticError."""
     check_count_bound(n, field.order, count_bound=count_bound)
-    q = field.order
-    names = [()]
-    fsets = [frozenset()]
-    points: dict[tuple[int, ...], list] = {}
-    labels = []
-    lower = [0]
-    start = 0
+    q, lanes = field.order, _Lanes(field, n)
+    names, packed, pivots, masks, lower = [()], [0], [()], [0], [0]
+    shared: dict = {}  # a row's codes, or pivot columns, to one tuple
+    labels, start = [], 0
     for k in range(n):
         joins: dict = {}  # each distinct join to itself, then to its index
-        found = []  # the joins of each x of rank k, in the order of points
-        for rows in names[start:]:
-            pivots = tuple(row.index(1) for row in rows)  # rows are RREF
-            if pivots not in points:
-                points[pivots] = _points_off(n, pivots, q)
-            found.append([])
-            for lead, v in points[pivots]:
-                join = _join(field, rows, pivots, lead, v)
-                found[-1].append(joins.setdefault(join, join))
+        found = [lanes.joins(*x, joins.setdefault) for x in zip(
+            packed[start:], names[start:], pivots[start:])]
         expected = _gaussian_count(n, k + 1, q)
         if len(joins) != expected:
             raise ArithmeticError(
                 f"rank {k + 1} of B_{n}({q}) holds {len(joins)} joins, not "
                 f"[{n} choose {k + 1}]_{q} = {expected}")
-        for b, rows in enumerate(sorted(joins), len(names)):
-            if len(rows) != k + 1 or rref_rows(field, n, rows) != rows:
-                raise ArithmeticError(
-                    f"join {rows} in rank {k + 1} of B_{n}({q}) is not a "
-                    f"canonical RREF basis of dimension {k + 1}")
-            joins[rows] = b
-            names.append(rows)
-            fsets.append(label_set(field, rows))
-            lower.append(0)
+        counts = Counter(chain.from_iterable(found))
+        for b, s in enumerate(sorted(joins), len(names)):
+            rows, leads = lanes.rows(s, k + 1)
+            joins[s] = b
+            packed.append(s)
+            names.append(tuple([shared.get(row) or shared.setdefault(
+                row, tuple(row)) for row in rows]))
+            pivots.append(shared.setdefault(leads, leads))
+            masks.append(lanes.labels(rows))
+            lower.append(counts[s])
         for a, joined in enumerate(found, start):
+            off = ~masks[a]
             groups: dict[int, list[int]] = {}
-            for rows in joined:
-                b = joins[rows]
-                difference = fsets[b] - fsets[a]
-                if len(difference) != 1:
+            for s in joined:
+                b = joins[s]
+                gained = masks[b] & off
+                if gained.bit_count() != 1:
                     raise ArithmeticError(
-                        f"cover {names[a]} < {names[b]} of B_{n}({q}) "
-                        f"gains labels {sorted(difference)}, not exactly one")
-                groups.setdefault(next(iter(difference)), []).append(b)
-                lower[b] += 1
-            labels.append(list(groups.items()))
+                        f"cover {names[a]} < {names[b]} of B_{n}({q}) gains "
+                        f"labels {_set_bits(gained)}, not exactly one")
+                groups.setdefault(gained, []).append(b)
+            labels.append([(g.bit_length() - 1, ys) for g, ys in groups.items()])
         start += len(found)
     labels += [[] for _ in range(start, len(names))]
     ranks = [len(rows) for rows in names]
@@ -324,6 +345,5 @@ def build_bnq(n: int, field: FiniteField,
             raise ArithmeticError(
                 f"{names[b]} of B_{n}({q}) has {count} lower covers, "
                 f"not [{ranks[b]} choose 1]_{q} = {expected}")
-    lows = [a for a, rows in enumerate(names)
-            if all(row.count(0) == len(row) - 1 for row in rows)]
+    lows = [a for a, s in enumerate(packed) if s.bit_count() == ranks[a]]
     return GradedPoset(names, ranks, labels), lows

@@ -18,8 +18,11 @@ and build Segre products by numbering pairs in a dict and labeling them
 through element names; the Betti oracle eliminates over the whole order
 complex, listed chain by chain from subsets of elements, and the rank
 oracle eliminates over Fractions.  The subspace oracles list every RREF
-basis by its pivot columns and free positions, test containment by row
-reduction, read label sets off every vector of a subspace, find field
+basis by its pivot columns and free positions, reduce to RREF and take
+label sets by Gauss-Jordan elimination on code tuples, build B_n(q) from
+tuple joins as the package did before it packed rows into ints, test
+containment by row reduction, read label sets off every vector of a
+subspace, find field
 moduli by polynomial trial division, and find the orbits of the
 upper triangular group by mapping every subspace under each of its
 generators.  The
@@ -34,6 +37,7 @@ have a route to be checked against.
 
 from fractions import Fraction
 from functools import lru_cache
+from bisect import bisect
 from itertools import combinations, permutations, product
 from math import factorial
 from typing import NamedTuple
@@ -42,7 +46,7 @@ from qsegre.exactalg import ONE, QPolynomial, one_minus_q_power
 from qsegre.poset import (GradedPoset, chains_by_dimension, order_chain_counts,
                           product_order_less, proper_part, segre_product,
                           _label_ids, _rank_of_sparse_rows)
-from qsegre.subspace import build_bnq, rref_rows
+from qsegre.subspace import _gaussian_count, build_bnq
 from qsegre.symfrob import (_degrees, _perm_of_cycle_type,
                             induce_product_character, partitions_of,
                             specialization_denominator, z_of)
@@ -628,6 +632,135 @@ def rational_betti_numbers_by_elimination(p) -> list[int]:
             rows.append(row)
         ranks[j] = _rank_of_sparse_rows(rows)
     return [len(chains[j]) - ranks[j] - ranks[j + 1] for j in range(top + 1)]
+
+
+def rref_rows(field, ambient: int, vectors) -> tuple[tuple[int, ...], ...]:
+    """Canonical reduced row echelon basis of the span of the given vectors,
+    by Gauss-Jordan elimination on code tuples."""
+    mat = [list(map(int, v)) for v in vectors]
+    for v in mat:
+        if len(v) != ambient:
+            raise ValueError(f"vector of length {len(v)} in ambient dimension {ambient}")
+        if v and (min(v) < 0 or max(v) >= field.order):
+            raise ValueError("vector entry outside the field")
+    add, mul, neg, inv = field._add, field._mul, field._neg, field._inv
+    r = 0
+    for col in range(ambient):
+        piv = next((i for i in range(r, len(mat)) if mat[i][col]), None)
+        if piv is None:
+            continue
+        mat[r], mat[piv] = mat[piv], mat[r]
+        scale = mul[inv[mat[r][col]]]
+        mat[r] = [scale[x] for x in mat[r]]
+        for i in range(len(mat)):
+            if i != r and mat[i][col]:
+                scaled = mul[neg[mat[i][col]]]
+                mat[i] = [add[x][scaled[y]] for x, y in zip(mat[i], mat[r])]
+        r += 1
+        if r == len(mat):
+            break
+    return tuple(tuple(row) for row in mat[:r] if any(row))
+
+
+def label_set(field, rows) -> frozenset[int]:
+    """Rightmost nonzero coordinate indices (1-based) over the atoms of the
+    row space of the RREF rows: the pivots of the RREF of the mirrored rows,
+    mapped back; one index per row, or ArithmeticError."""
+    mirrored = rref_rows(field, len(rows[0]) if rows else 0,
+                         [row[::-1] for row in rows])
+    out = frozenset(len(row) - row.index(1) for row in mirrored)
+    if len(out) != len(rows):
+        raise ArithmeticError(f"{rows} reaches {len(out)} rightmost indices, "
+                              f"not its dimension {len(rows)}")
+    return out
+
+
+def _points_off(n: int, pivots: tuple[int, ...],
+                q: int) -> list[tuple[int, tuple[int, ...]]]:
+    """(lead, v) for every vector v of F_q^n that is zero on the pivot columns
+    and has leading entry 1 at column lead, in tuple order."""
+    free = [j for j in range(n) if j not in pivots]
+    out = []
+    for t, lead in enumerate(free):
+        tail = free[t + 1:]
+        for values in product(range(q), repeat=len(tail)):
+            v = [0] * n
+            v[lead] = 1
+            for j, x in zip(tail, values):
+                v[j] = x
+            out.append((lead, tuple(v)))
+    return out
+
+
+def _join(field, rows, pivots, lead: int, v):
+    """RREF rows of span(rows) + <v>, v zero on the pivot columns of the RREF
+    rows with leading entry 1 at column lead: clear that column in each row
+    by table lookups, then insert v in pivot order."""
+    add, mul, neg = field._add, field._mul, field._neg
+    out = []
+    for row in rows:
+        c = row[lead]
+        if c:
+            scaled = mul[neg[c]]
+            row = tuple(add[x][scaled[y]] for x, y in zip(row, v))
+        out.append(row)
+    out.insert(bisect(pivots, lead), v)
+    return tuple(out)
+
+
+def build_bnq_by_tuples(n: int, field) -> tuple[GradedPoset, list[int]]:
+    """subspace.build_bnq with every subspace a tuple of code-tuple rows,
+    joins cleared by table lookups, each join's canonical form tested as
+    rref_rows(rows) == rows and label sets taken by label_set: the build
+    that the packed one replaced, with the same names, ranks, label groups
+    (in the same order) and lows."""
+    q = field.order
+    names = [()]
+    fsets = [frozenset()]
+    points: dict = {}
+    labels = []
+    lower = [0]
+    start = 0
+    for k in range(n):
+        joins: dict = {}
+        found = []
+        for rows in names[start:]:
+            pivots = tuple(row.index(1) for row in rows)
+            if pivots not in points:
+                points[pivots] = _points_off(n, pivots, q)
+            found.append([])
+            for lead, v in points[pivots]:
+                join = _join(field, rows, pivots, lead, v)
+                found[-1].append(joins.setdefault(join, join))
+        if len(joins) != _gaussian_count(n, k + 1, q):
+            raise ArithmeticError(f"rank {k + 1} holds {len(joins)} joins")
+        for b, rows in enumerate(sorted(joins), len(names)):
+            if len(rows) != k + 1 or rref_rows(field, n, rows) != rows:
+                raise ArithmeticError(f"join {rows} is not canonical")
+            joins[rows] = b
+            names.append(rows)
+            fsets.append(label_set(field, rows))
+            lower.append(0)
+        for a, joined in enumerate(found, start):
+            groups: dict = {}
+            for rows in joined:
+                b = joins[rows]
+                difference = fsets[b] - fsets[a]
+                if len(difference) != 1:
+                    raise ArithmeticError(f"cover {names[a]} < {names[b]} "
+                                          f"gains labels {sorted(difference)}")
+                groups.setdefault(next(iter(difference)), []).append(b)
+                lower[b] += 1
+            labels.append(list(groups.items()))
+        start += len(found)
+    labels += [[] for _ in range(start, len(names))]
+    ranks = [len(rows) for rows in names]
+    for b, count in enumerate(lower):
+        if count != _gaussian_count(ranks[b], 1, q):
+            raise ArithmeticError(f"{names[b]} has {count} lower covers")
+    lows = [a for a, rows in enumerate(names)
+            if all(row.count(0) == len(row) - 1 for row in rows)]
+    return GradedPoset(names, ranks, labels), lows
 
 
 class Subspace(NamedTuple):

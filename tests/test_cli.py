@@ -180,7 +180,7 @@ class TestBoundsBeforeWork:
         # verb that builds a square
         from qsegre import subspace
         monkeypatch.setattr(subspace, "FiniteField", fail_if_called)
-        monkeypatch.setattr(subspace, "_join", fail_if_called)
+        monkeypatch.setattr(subspace, "_Lanes", fail_if_called)
         for argv, pairs in ((("segre", "--n", "4", "--q", "4"), 141901),
                             (("verify", "mobius", "--n", "4", "--q", "4"),
                              141901),
@@ -242,7 +242,7 @@ class TestBoundsBeforeWork:
     def test_negative_count_bound_does_no_work(self, capsys, monkeypatch):
         from qsegre import subspace
         monkeypatch.setattr(subspace, "FiniteField", fail_if_called)
-        monkeypatch.setattr(subspace, "_join", fail_if_called)
+        monkeypatch.setattr(subspace, "_Lanes", fail_if_called)
         for verb, extra in (("lattice", ()), ("segre", ()), ("mobius", ()),
                             ("betti", ("--segre",))):
             code, out, err = run(capsys, verb, "--n", "3", "--q", "4",
@@ -300,7 +300,7 @@ class TestBoundsBeforeWork:
         # the face count comes from Gaussian counts; the subspace count
         # bound is still refused first, with its own line
         from qsegre import subspace
-        monkeypatch.setattr(subspace, "_join", fail_if_called)
+        monkeypatch.setattr(subspace, "_Lanes", fail_if_called)
         for argv, text in (
                 (("--n", "4", "--q", "3", "--segre"),
                  "5157700 faces of the order complex exceed the bound 500000"),

@@ -172,8 +172,9 @@ def _plant(package, filename, anchor, body) -> tuple[pathlib.Path, int]:
 
 
 # (file, a line of the class, dead method, its body): `less` is a local in
-# poset, the table of label order that _label_ids returns; `add` and `neg`
-# are locals in subspace._join
+# poset, the table of label order that _label_ids returns; `add` is a local
+# of FiniteField.__init__ and an attribute of subspace._Lanes, and `neg` is
+# a local in subspace._Lanes.joins and _Lanes.labels
 @pytest.mark.parametrize("filename, anchor, method, body", [
     ("poset.py",
      "    def __len__(self) -> int:\n        return len(self.names)\n",

@@ -11,14 +11,15 @@ from qsegre.permstats import q_binomial, w_polynomial
 from qsegre.poset import (chain_report, check_el_labeling, mobius_number,
                           proper_part, rational_betti_numbers,
                           segre_chain_report)
-from qsegre.subspace import FiniteField, build_bnq, label_set, rref_rows
+from qsegre.subspace import FiniteField, build_bnq
 
 import oracles
-from oracles import (Permutation, borel_representatives, contains,
-                     cover_labels, covers_by_containment,
+from oracles import (Permutation, borel_representatives, build_bnq_by_tuples,
+                     contains, cover_labels, covers_by_containment,
                      enumerate_subspaces, first_irreducible_modulus,
-                     inversions, label_set_by_atoms,
-                     reduced_euler_characteristic, relabel, segre_bnq, span)
+                     inversions, label_set, label_set_by_atoms,
+                     reduced_euler_characteristic, relabel, rref_rows,
+                     segre_bnq, span)
 
 import itertools
 
@@ -211,8 +212,11 @@ class TestCoverGeneration:
     @pytest.mark.parametrize("n, field", ORACLE_LATTICES,
                              ids=lambda x: str(getattr(x, "order", x)))
     def test_label_sets_match_atom_enumeration(self, n, field):
+        lanes = subspace._Lanes(field, n)
         for s in enumerate_subspaces(n, field):
-            assert label_set(field, s.rows) == label_set_by_atoms(s)
+            mask = lanes.labels([bytes(row) for row in s.rows])
+            assert label_set(field, s.rows) == label_set_by_atoms(s) == {
+                j for j in range(1, n + 1) if mask >> j & 1}
 
     @given(st.sampled_from((F2, F3, F4, F5, F9)), st.integers(1, 5), st.data())
     @settings(max_examples=80, deadline=None)
@@ -220,16 +224,15 @@ class TestCoverGeneration:
         vector = st.tuples(*[st.integers(0, field.order - 1)] * n)
         vectors = data.draw(st.lists(vector, min_size=1, max_size=4))
         s = span(field, n, vectors)
-        assert label_set(field, s.rows) == label_set_by_atoms(s)
+        mask = subspace._Lanes(field, n).labels([bytes(r) for r in s.rows])
+        assert label_set(field, s.rows) == label_set_by_atoms(s) == {
+            j for j in range(1, n + 1) if mask >> j & 1}
 
     def test_join_left_in_echelon_form_is_refused(self, monkeypatch):
-        # the 13 lines, each with the 4 points off its pivot, leave 39
-        # distinct uncleared row pairs
-        def uncleared(field, rows, pivots, lead, v):
-            out = list(rows)
-            out.insert(sum(1 for pc in pivots if pc < lead), v)
-            return tuple(out)
-        monkeypatch.setattr(subspace, "_join", uncleared)
+        # with no multiple -c v the rows keep column lead(v): the 13 lines,
+        # each with the 4 points off its pivot, leave 39 distinct uncleared
+        # row pairs
+        monkeypatch.setattr(subspace._Lanes, "times", lambda self, c, v: 0)
         with pytest.raises(ArithmeticError, match=re.escape(
                 "rank 2 of B_3(3) holds 39 joins, not [3 choose 2]_3 = 13")):
             build_bnq(3, F3)
@@ -237,12 +240,12 @@ class TestCoverGeneration:
     def test_join_in_a_non_canonical_basis_is_refused(self, monkeypatch):
         # doubling every row keeps one join per subspace, so the rank count
         # holds and only the canonical-form check sees it
-        join = subspace._join
+        joins = subspace._Lanes.joins
 
-        def doubled(field, rows, pivots, lead, v):
-            return tuple(tuple(field._mul[2][x] for x in row)
-                         for row in join(field, rows, pivots, lead, v))
-        monkeypatch.setattr(subspace, "_join", doubled)
+        def doubled(self, s, rows, pivots, setdefault):
+            return [setdefault(self.add(j, j), self.add(j, j))
+                    for j in joins(self, s, rows, pivots, lambda j, _: j)]
+        monkeypatch.setattr(subspace._Lanes, "joins", doubled)
         with pytest.raises(ArithmeticError, match=re.escape(
                 "join ((0, 2),) in rank 1 of B_2(3) is not a canonical RREF "
                 "basis of dimension 1")):
@@ -252,25 +255,141 @@ class TestCoverGeneration:
         # <e1> + <e3> taken with e2 instead: every plane is still reached
         # from its other lines and each join is canonical, but <e1, e3> has
         # two lower covers and <e1, e2> four
-        join = subspace._join
+        joins = subspace._Lanes.joins
 
-        def wrong_vector_join(field, rows, pivots, lead, v):
-            if rows == ((1, 0, 0),) and v == (0, 0, 1):
-                return join(field, rows, pivots, 1, (0, 1, 0))
-            return join(field, rows, pivots, lead, v)
-        monkeypatch.setattr(subspace, "_join", wrong_vector_join)
+        def wrong_vector_joins(self, s, rows, pivots, setdefault):
+            out = joins(self, s, rows, pivots, setdefault)
+            if rows == ((1, 0, 0),):
+                e1e3 = out.index(self.pack(bytes([1, 0, 0, 0, 0, 1])))
+                out[e1e3] = self.pack(bytes([1, 0, 0, 0, 1, 0]))
+            return out
+        monkeypatch.setattr(subspace._Lanes, "joins", wrong_vector_joins)
         with pytest.raises(ArithmeticError, match=re.escape(
                 "((1, 0, 0), (0, 0, 1)) of B_3(2) has 2 lower covers, "
                 "not [2 choose 1]_2 = 3")):
             build_bnq(3, F2)
 
     def test_wrong_label_sets_are_refused(self, monkeypatch):
-        def rightmost_of_rows(field, rows):
-            return frozenset(max(i for i, x in enumerate(row) if x) + 1
-                             for row in rows)
-        monkeypatch.setattr(subspace, "label_set", rightmost_of_rows)
+        def rightmost_of_rows(self, rows):
+            return sum(1 << j for j in {len(row.rstrip(b"\0")) for row in rows})
+        monkeypatch.setattr(subspace._Lanes, "labels", rightmost_of_rows)
         with pytest.raises(ArithmeticError, match="not exactly one"):
             build_bnq(3, F2)
+
+    def test_a_dependent_row_is_refused_by_the_label_dimension_check(self):
+        lanes = subspace._Lanes(F3, 3)
+        with pytest.raises(ArithmeticError, match=re.escape(
+                "((1, 0, 2), (2, 0, 1)) reaches 1 rightmost indices, not its "
+                "dimension 2")):
+            lanes.labels([bytes([1, 0, 2]), bytes([2, 0, 1])])
+
+
+FIELDS = [FiniteField(q) for q in (2, 3, 4, 5, 7, 8, 9, 11, 13, 16)]
+
+
+def _codes(vectors) -> bytes:
+    return bytes(c for v in vectors for c in v)
+
+
+class TestPackedLanes:
+    """The build's packed vectors against the field tables and the tuple
+    build they replaced."""
+
+    def test_the_packed_build_equals_the_tuple_build(self):
+        # names, ranks, label groups (label order and cover order) and lows
+        instances = ([(n, field) for field in FIELDS for n in range(4)]
+                     + [(4, F2), (4, F3), (4, F4), (4, F5), (4, F8), (4, F9),
+                        (5, F2), (5, F3), (6, F2)])
+        for n, field in instances:
+            p, lows = build_bnq(n, field)
+            oracle, oracle_lows = build_bnq_by_tuples(n, field)
+            assert (p.names, p.ranks, p._up, lows) == (
+                oracle.names, oracle.ranks, oracle._up, oracle_lows), (n, field)
+
+    @pytest.mark.parametrize("field", FIELDS, ids=lambda f: str(f.order))
+    def test_packed_addition_is_the_field_addition_in_every_lane(self, field):
+        # three rows of three coordinates, the widest sum a build of B_3(q)
+        # makes; every pair of codes meets in every lane
+        q, lanes = field.order, subspace._Lanes(field, 3)
+        for a in range(q):
+            for b in range(q):
+                xs = [(a + i) % q for i in range(9)]
+                ys = [(b + 5 * i) % q for i in range(9)]
+                total = lanes.add(lanes.pack(bytes(xs)), lanes.pack(bytes(ys)))
+                assert lanes.codes(total, 3) == bytes(
+                    field._add[x][y] for x, y in zip(xs, ys))
+
+    @pytest.mark.parametrize("field", FIELDS, ids=lambda f: str(f.order))
+    def test_each_stored_multiple_is_the_multiplication_table(
+            self, field, monkeypatch):
+        made = []
+
+        class Recording(subspace._Lanes):
+            def __init__(self, *args):
+                super().__init__(*args)
+                made.append(self)
+        monkeypatch.setattr(subspace, "_Lanes", Recording)
+        build_bnq(3, field)
+        stored = [(c, v, cv) for points in made[0].points.values()
+                  for _, v, multiples in points
+                  for c, cv in enumerate(multiples) if cv is not None]
+        assert stored or field.order == 2
+        for c, v, cv in stored:
+            codes = made[0].codes(v, 1)
+            assert made[0].codes(cv, 1) == bytes(field._mul[c][x]
+                                                 for x in codes)
+            assert c in {field._neg[x] for x in range(1, field.order)}
+
+    @pytest.mark.parametrize("field", FIELDS, ids=lambda f: str(f.order))
+    def test_unpacking_gives_the_vectors_back(self, field):
+        lanes = subspace._Lanes(field, 2)
+        vectors = list(itertools.product(range(field.order), repeat=2))
+        for v in vectors:
+            assert lanes.codes(lanes.pack(bytes(v)), 1) == bytes(v)
+        for rows in zip(vectors, reversed(vectors)):
+            assert lanes.codes(lanes.pack(_codes(rows)), 2) == _codes(rows)
+
+    @given(st.sampled_from(FIELDS), st.integers(1, 4), st.integers(1, 3),
+           st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_packed_order_is_tuple_order(self, field, n, m, data):
+        row = st.tuples(*[st.integers(0, field.order - 1)] * n)
+        names = data.draw(st.lists(st.tuples(*[row] * m), max_size=8))
+        lanes = subspace._Lanes(field, n)
+        by_int = sorted(names, key=lambda rows: lanes.pack(_codes(rows)))
+        assert by_int == sorted(names)
+
+    @given(st.sampled_from(FIELDS), st.integers(1, 4), st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_the_structural_check_is_rref_equality(self, field, n, data):
+        # canonical bases, then each spoiled by a zero row, a non-unit
+        # leading entry, a swap of rows or a row not cleared
+        q = field.order
+        vector = st.tuples(*[st.integers(0, q - 1)] * n)
+        rows = list(rref_rows(field, n, data.draw(
+            st.lists(vector, min_size=1, max_size=n))) or ((1,) + (0,) * (n - 1),))
+        spoil = data.draw(st.sampled_from(
+            ["none", "zero", "scale", "swap", "uncleared"]))
+        i = data.draw(st.integers(0, len(rows) - 1))
+        c = data.draw(st.integers(1, q - 1))
+        if spoil == "zero" and len(rows) < n:
+            rows.insert(i, (0,) * n)
+        elif spoil == "scale":
+            rows[i] = tuple(field._mul[c][x] for x in rows[i])
+        elif spoil == "swap" and len(rows) > 1:
+            rows[i], rows[0] = rows[0], rows[i]
+        elif spoil == "uncleared":
+            j = data.draw(st.integers(0, len(rows) - 1))
+            rows[i] = tuple(field._add[x][field._mul[c][y]]
+                            for x, y in zip(rows[i], rows[j]))
+        rows = tuple(rows)
+        lanes = subspace._Lanes(field, n)
+        try:
+            lanes.rows(lanes.pack(_codes(rows)), len(rows))
+            structural = True
+        except ArithmeticError:
+            structural = False
+        assert structural == (rref_rows(field, n, rows) == rows)
 
 
 class TestLatticeConstruction:
