@@ -200,7 +200,7 @@ def _prop26_instance(k: int, l: int, m: int, n: int) -> tuple[bool, str]:
 
 
 # ---------------------------------------------------------------------------
-# suite checks; top level so the process pool can pickle them
+# suite checks
 
 def _check_each_n(check: str, instance, max_n: int, failed: str,
                   passed: str) -> dict:
@@ -275,28 +275,73 @@ def _check_prop26(size_cap: int) -> dict:
                                    f"sums <= {size_cap}")
 
 
-def _suite_tasks(max_n: int) -> list[tuple]:
-    """The suite in report order, each check with its arguments."""
+def _suite_tasks(max_n: int) -> list:
+    """The suite in report order, each check bound to its arguments."""
+    task = functools.partial
     return [
-        (_check_each_n, ("csv", _csv_instance, 6, "nonzero residual",
-                         "alternating identity residual zero")),
-        (_check_bessel, (5,)),
-        (_check_el, ()),
-        (_check_chains, ()),
-        (_check_mobius, ()),
-        (_check_betti, ()),
-        (_check_each_n, ("thm31", _thm31_instance, max_n, "nonzero residual",
-                         "homogeneous alternating residual zero")),
-        (_check_each_n, ("thm48", _thm48_instance, max_n,
-                         "specialization mismatch",
-                         "specialized characteristic matches")),
-        (_check_prop26, (4,)),
+        task(_check_each_n, "csv", _csv_instance, 6, "nonzero residual",
+             "alternating identity residual zero"),
+        task(_check_bessel, 5),
+        _check_el,
+        _check_chains,
+        _check_mobius,
+        _check_betti,
+        task(_check_each_n, "thm31", _thm31_instance, max_n,
+             "nonzero residual", "homogeneous alternating residual zero"),
+        task(_check_each_n, "thm48", _thm48_instance, max_n,
+             "specialization mismatch", "specialized characteristic matches"),
+        task(_check_prop26, 4),
     ]
 
 
-def _run_suite_task(task: tuple) -> dict:
-    check, args = task
-    return check(*args)
+def _run_forked(tasks: list, workers: int) -> list[dict]:
+    """The tasks' results in order, from forked workers that take task
+    numbers a byte at a time from one pipe and answer each on their own with
+    a JSON line, [number, result] or [number, [is_value_error, text]], and
+    leave by os._exit, flushing none of this process's buffers.  Once every
+    pipe is drained and every worker reaped, the first failing task raises
+    its error here, and a task that died unanswered a RuntimeError."""
+    sys.stdout.flush()
+    sys.stderr.flush()
+    todo, feed = os.pipe()
+    # the longest checks are last in report order: hand them out first
+    os.write(feed, bytes(reversed(range(len(tasks)))))
+    os.close(feed)
+    pipes = []
+    for _ in range(workers):
+        read, write = os.pipe()
+        pid = os.fork()
+        if pid == 0:
+            try:
+                with open(write, "w", buffering=1) as out:
+                    while number := os.read(todo, 1):
+                        try:
+                            answer = tasks[number[0]]()
+                        except (ValueError, ArithmeticError) as exc:
+                            answer = [isinstance(exc, ValueError), str(exc)]
+                        out.write(json.dumps([number[0], answer]) + "\n")
+            except BaseException:
+                sys.excepthook(*sys.exc_info())
+                os._exit(1)
+            finally:  # a worker never returns into the caller
+                os._exit(0)
+        os.close(write)
+        pipes.append((pid, read))
+    os.close(todo)
+    lines = []
+    for pid, read in pipes:
+        with open(read) as pipe:
+            lines += pipe.read().split("\n")[:-1]  # whole lines only
+        os.waitpid(pid, 0)
+    answers = dict(map(json.loads, lines))
+    if len(answers) < len(tasks):
+        raise RuntimeError(f"{len(tasks) - len(answers)} of {len(tasks)} "
+                           f"suite tasks died unanswered with their workers")
+    results = [answers[number] for number in range(len(tasks))]
+    for answer in results:
+        if isinstance(answer, list):
+            raise (ValueError if answer[0] else ArithmeticError)(answer[1])
+    return results
 
 
 # ---------------------------------------------------------------------------
@@ -385,11 +430,6 @@ def _cmd_lattice(args) -> int:
         if args.check_el:
             print(f"  EL check: {'PASS' if ok else 'FAIL ' + violation}")
     return 0 if ok else 1
-
-
-def _cmd_segre(args) -> int:
-    args.segre = True
-    return _cmd_lattice(args)
 
 
 def _cmd_invariant(args) -> int:
@@ -494,20 +534,16 @@ def _cmd_verify_all(args) -> int:
     symfrob.check_homology_bound(args.max_n, name="max-n")  # before any task
     if args.threads < 1:
         raise ValueError("threads must be at least 1")
+    if args.threads > 1 and not hasattr(os, "fork"):
+        raise ValueError("threads above 1 need os.fork, missing here")
     tasks = _suite_tasks(args.max_n)
     if args.threads > 1:
-        # imported here so that every other command skips loading it
-        from concurrent.futures import ProcessPoolExecutor
         # every layer the tasks run, loaded before the fork so that the
         # workers inherit them and none compiles them again
         from . import besselseries, exactalg, permstats, poset, subspace
-        # fork starts every worker at the first submit, so ask for no
-        # more than there are tasks
-        workers = min(args.threads, len(tasks))
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_run_suite_task, tasks))
+        results = _run_forked(tasks, min(args.threads, len(tasks)))
     else:
-        results = [_run_suite_task(t) for t in tasks]
+        results = [task() for task in tasks]
     return _print_results(results, args.json)
 
 
@@ -539,7 +575,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--order", type=int, required=True)
     p.set_defaults(func=_cmd_bessel)
 
-    for name, handler in (("lattice", _cmd_lattice), ("segre", _cmd_segre)):
+    for name in ("lattice", "segre"):
         p = sub.add_parser(name, help=f"build the {'Segre square' if name == 'segre' else 'subspace lattice'}")
         p.add_argument("--n", type=int, required=True)
         p.add_argument("--q", type=int, required=True)
@@ -553,7 +589,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--count-bound", dest="count_bound", type=int,
                        help="override the subspace count bound")
         _add_json_flag(p)
-        p.set_defaults(func=handler)
+        p.set_defaults(func=_cmd_lattice, segre=name == "segre")
 
     for name, text in (("mobius", "Mobius number of the bounded poset"),
                        ("betti", "rational Betti numbers of the proper part")):
@@ -572,6 +608,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_frobenius)
 
     v = sub.add_parser("verify", help="identity checks (exit 0 iff PASS)")
+    v.set_defaults(func=_cmd_verify)  # unless a check names its own
     vsub = v.add_subparsers(dest="check", required=True)
 
     p = vsub.add_parser("csv", help="alternating Gaussian-square identity")
@@ -582,37 +619,29 @@ def build_parser() -> argparse.ArgumentParser:
     p = vsub.add_parser("bessel", help="reciprocal series coefficients")
     p.add_argument("--order", type=int, default=5)
     _add_json_flag(p)
-    p.set_defaults(func=_cmd_verify)
 
     p = vsub.add_parser("el", help="shelling property of the edge labeling")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--q", type=int, required=True)
     p.add_argument("--segre", action="store_true")
     _add_json_flag(p)
-    p.set_defaults(func=_cmd_verify)
 
     p = vsub.add_parser("mobius", help="Mobius number of the Segre square")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--q", type=int, required=True)
     _add_json_flag(p)
-    p.set_defaults(func=_cmd_verify)
 
-    p = vsub.add_parser("thm31", help="alternating homogeneous identity "
-                                      "for the homology characteristics")
-    p.add_argument("--n", type=int, required=True)
-    _add_json_flag(p)
-    p.set_defaults(func=_cmd_verify)
-
-    p = vsub.add_parser("thm48", help="principal specialization identity")
-    p.add_argument("--n", type=int, required=True)
-    _add_json_flag(p)
-    p.set_defaults(func=_cmd_verify)
+    for name, text in (("thm31", "alternating homogeneous identity for the "
+                                 "homology characteristics"),
+                       ("thm48", "principal specialization identity")):
+        p = vsub.add_parser(name, help=text)
+        p.add_argument("--n", type=int, required=True)
+        _add_json_flag(p)
 
     p = vsub.add_parser("prop26", help="characteristic of induction products")
     p.add_argument("--sizes", type=str, required=True,
                    help="four comma-separated sizes k,l,m,n")
     _add_json_flag(p)
-    p.set_defaults(func=_cmd_verify)
 
     p = vsub.add_parser("all", help="run the whole suite")
     p.add_argument("--max-n", dest="max_n", type=int, default=4,

@@ -12,7 +12,11 @@ its coefficients, a sum over the splits of the cycles.  The homomorphism
 check compares it with the induced character on class indicators, whose
 characteristic is p_mu(x) p_lam(y) / (z_mu z_lam), and the alternating
 complete-homogeneous identity sums such tables, h_a(x) h_a(y) being the
-characteristic of the trivial character of S_a x S_a.
+characteristic of the trivial character of S_a x S_a.  Both the induced
+table and the product table are sums over pairs of block cycle types, and
+both visit only the nonzero entries of their two operands, reading each
+pair's class through an inverted per-class table, so that a pair of class
+indicators costs one term.
 
 The character of S_n x S_n on the one nonvanishing reduced homology group of
 the proper part of the rank-equal pair poset of two subset lattices is
@@ -90,11 +94,21 @@ def _degrees(table: dict) -> tuple[int, int]:
     return sum(mu), sum(lam)
 
 
+@lru_cache(maxsize=None)
+def _class_pairs(m: int, n: int) -> tuple:
+    """Every class pair (mu, lam) of S_m x S_n, in the order of the tables."""
+    return tuple((mu, lam) for mu in partitions_of(m)
+                 for lam in partitions_of(n))
+
+
 def _table(m: int, n: int, pair=None) -> dict:
     """A class function on S_m x S_n: 1 on the class pair given as pair
     and 0 on every other, or the trivial character when pair is None."""
-    return {(mu, lam): int(pair is None or (mu, lam) == pair)
-            for mu in partitions_of(m) for lam in partitions_of(n)}
+    if pair is None:
+        return dict.fromkeys(_class_pairs(m, n), 1)
+    table = dict.fromkeys(_class_pairs(m, n), 0)
+    table[pair] = 1
+    return table
 
 
 # ---------------------------------------------------------------------------
@@ -155,33 +169,6 @@ def _check_induction_bound(big_m: int, big_n: int) -> None:
                          f"{INDUCTION_BOUND}")
 
 
-def induce_product_character(t: dict, u: dict) -> dict:
-    """Induction product: the outer tensor of t (on S_k x S_l) and u (on
-    S_m x S_n), induced to S_(k+m) x S_(l+n).
-
-    Computed from the definition of induction: average the extended-by-zero
-    character over conjugators, componentwise, using the profiles above.
-    """
-    (k, l), (m, n) = _degrees(t), _degrees(u)
-    big_m, big_n = k + m, l + n
-    _check_induction_bound(big_m, big_n)
-    denominator = factorial(k) * factorial(m) * factorial(l) * factorial(n)
-    values = {}
-    for mu in partitions_of(big_m):
-        prof1 = _conjugation_profile(k, m, mu)
-        for lam in partitions_of(big_n):
-            prof2 = _conjugation_profile(l, n, lam)
-            acc = 0
-            for (ta, tb), c1 in prof1.items():
-                for (tc, td), c2 in prof2.items():
-                    acc += c1 * c2 * t[(ta, tc)] * u[(tb, td)]
-            quotient, remainder = divmod(acc, denominator)
-            if remainder:
-                raise ArithmeticError("induced character value is not integral")
-            values[(mu, lam)] = quotient
-    return values
-
-
 @lru_cache(maxsize=None)
 def _cycle_splits(parts: Partition) -> dict[int, tuple]:
     """The splits of the cycles of a permutation of cycle type parts into
@@ -204,23 +191,82 @@ def _cycle_splits(parts: Partition) -> dict[int, tuple]:
     return {size: tuple(splits) for size, splits in out.items()}
 
 
+@lru_cache(maxsize=None)
+def _by_blocks(first: int, second: int, induced: bool) -> dict:
+    """The per-class tables of _conjugation_profile (induced) or of
+    _cycle_splits, inverted: table[a][b] = (mu, count) for the block cycle
+    types a of size first and b of size second.  Each pair (a, b) has one
+    mu, the multiset union of a and b: a conjugate has the cycle type of g,
+    and a split keeps every cycle.  A pair that no table lists counts 0."""
+    table = {a: {b: (tuple(sorted(a + b, reverse=True)), 0)
+                 for b in partitions_of(second)}
+             for a in partitions_of(first)}
+    for mu in partitions_of(first + second):
+        if induced:
+            entries = _conjugation_profile(first, second, mu).items()
+        else:
+            entries = (((a, b), count) for a, b, count
+                       in _cycle_splits(mu).get(first, ()))
+        for (a, b), count in entries:
+            table[a][b] = (mu, count)
+    return table
+
+
+def _pair_sum(t: dict, u: dict, induced: bool) -> dict:
+    """The table over every class pair (mu, lam) of S_(k+m) x S_(l+n) of
+    the sum of c1 c2 t(a, c) u(b, d), over the block types that
+    _by_blocks(k, m, induced) sends to (mu, c1) and _by_blocks(l, n,
+    induced) sends to (lam, c2), divided by k! m! l! n! when induced.  Only
+    the nonzero entries of t and u are visited; a class pair that none
+    reaches keeps 0."""
+    (k, l), (m, n) = _degrees(t), _degrees(u)
+    if induced:
+        _check_induction_bound(k + m, l + n)
+    rows, cols = _by_blocks(k, m, induced), _by_blocks(l, n, induced)
+    out = dict.fromkeys(_class_pairs(k + m, l + n), 0)
+    second: dict = {}
+    for (b, d), value in u.items():
+        if value:
+            second.setdefault(b, []).append((d, value))
+    for (a, c), value in t.items():
+        if not value:
+            continue
+        row, col = rows[a], cols[c]
+        for b, entries in second.items():
+            mu, c1 = row[b]
+            scale = c1 * value
+            for d, other in entries:
+                lam, c2 = col[d]
+                out[mu, lam] += scale * c2 * other
+    if induced:
+        denominator = factorial(k) * factorial(m) * factorial(l) * factorial(n)
+        for key, value in out.items():
+            if value:
+                quotient, remainder = divmod(value, denominator)
+                if remainder:
+                    raise ArithmeticError("induced character value is not "
+                                          "integral")
+                out[key] = quotient
+    return out
+
+
+def induce_product_character(t: dict, u: dict) -> dict:
+    """Induction product: the outer tensor of t (on S_k x S_l) and u (on
+    S_m x S_n), induced to S_(k+m) x S_(l+n).
+
+    Computed from the definition of induction: average the extended-by-zero
+    character over conjugators, componentwise, using the profiles above.
+    Only the nonzero entries of t and u are visited.
+    """
+    return _pair_sum(t, u, True)
+
+
 def _product_values(t: dict, u: dict) -> dict:
     """z_mu z_lam times the coefficient of p_mu(x) p_lam(y) in ch(t) ch(u),
     for every class pair of S_(k+m) x S_(l+n): the sum of
     t(a, c) u(b, d) z_mu z_lam / (z_a z_b z_c z_d) over the splits of mu
     into a and b and of lam into c and d, every factor an integer."""
-    (k, l), (m, n) = _degrees(t), _degrees(u)
-    cols = {lam: _cycle_splits(lam).get(l, ()) for lam in partitions_of(l + n)}
-    out = {}
-    for mu in partitions_of(k + m):
-        rows = _cycle_splits(mu).get(k, ())
-        for lam, col in cols.items():
-            acc = 0
-            for a, b, wx in rows:
-                for c, d, wy in col:
-                    acc += wx * wy * t[(a, c)] * u[(b, d)]
-            out[(mu, lam)] = acc
-    return out
+    return _pair_sum(t, u, False)
 
 
 # ---------------------------------------------------------------------------

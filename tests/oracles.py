@@ -27,8 +27,10 @@ moduli by polynomial trial division, and find the orbits of the
 upper triangular group by mapping every subspace under each of its
 generators.  The
 symmetric-function oracles take the homology character from the Hopf trace
-over the chains of the pair poset, and check that induction products go to
-products by comparing characteristics over Fractions.  Those
+over the chains of the pair poset, check that induction products go to
+products by comparing characteristics over Fractions, and build the
+induced and product tables class pair by class pair over every entry of
+their operands, as the package did before it visited only nonzero ones.  Those
 characteristics are two-alphabet symmetric functions as dicts from
 partition pairs (mu, lam) to the nonzero Fraction coefficients of
 p_mu(x) p_lam(y), kept here so that the package's z-cleared integer tables
@@ -47,7 +49,8 @@ from qsegre.poset import (GradedPoset, chains_by_dimension, order_chain_counts,
                           product_order_less, proper_part, segre_product,
                           _label_ids, _rank_of_sparse_rows)
 from qsegre.subspace import _gaussian_count, build_bnq
-from qsegre.symfrob import (_degrees, _perm_of_cycle_type,
+from qsegre.symfrob import (_check_induction_bound, _conjugation_profile,
+                            _cycle_splits, _degrees, _perm_of_cycle_type,
                             induce_product_character, partitions_of,
                             specialization_denominator, z_of)
 
@@ -1066,6 +1069,49 @@ def induction_homomorphism_by_fractions(k: int, l: int, m: int, n: int,
                     sf_product(ch_t, characteristic(u)):
                 return False
     return True
+
+
+def induce_product_character_dense(t: dict, u: dict) -> dict:
+    """The induction product over every class pair, as the package computed
+    it before it visited only nonzero entries: for each (mu, lam), the sum
+    over the conjugation profiles of mu and lam of c1 c2 t(ta, tc)
+    u(tb, td), divided by k! m! l! n!, with the same refusals."""
+    (k, l), (m, n) = _degrees(t), _degrees(u)
+    big_m, big_n = k + m, l + n
+    _check_induction_bound(big_m, big_n)
+    denominator = factorial(k) * factorial(m) * factorial(l) * factorial(n)
+    values = {}
+    for mu in partitions_of(big_m):
+        prof1 = _conjugation_profile(k, m, mu)
+        for lam in partitions_of(big_n):
+            prof2 = _conjugation_profile(l, n, lam)
+            acc = 0
+            for (ta, tb), c1 in prof1.items():
+                for (tc, td), c2 in prof2.items():
+                    acc += c1 * c2 * t[(ta, tc)] * u[(tb, td)]
+            quotient, remainder = divmod(acc, denominator)
+            if remainder:
+                raise ArithmeticError("induced character value is not integral")
+            values[(mu, lam)] = quotient
+    return values
+
+
+def product_values_dense(t: dict, u: dict) -> dict:
+    """z_mu z_lam times the coefficient of p_mu(x) p_lam(y) in ch(t) ch(u)
+    over every class pair, as the package computed it before it visited
+    only nonzero entries: for each (mu, lam), the sum over its splits."""
+    (k, l), (m, n) = _degrees(t), _degrees(u)
+    cols = {lam: _cycle_splits(lam).get(l, ()) for lam in partitions_of(l + n)}
+    out = {}
+    for mu in partitions_of(k + m):
+        rows = _cycle_splits(mu).get(k, ())
+        for lam, col in cols.items():
+            acc = 0
+            for a, b, wx in rows:
+                for c, d, wy in col:
+                    acc += wx * wy * t[(a, c)] * u[(b, d)]
+            out[(mu, lam)] = acc
+    return out
 
 
 def induce_off_by_one(t: dict, u: dict) -> dict:

@@ -266,11 +266,10 @@ class TestBoundsBeforeWork:
 
     def test_suite_arguments_are_refused_before_any_check(
             self, capsys, monkeypatch):
-        import concurrent.futures
         from qsegre import cli
-        monkeypatch.setattr(cli, "_run_suite_task", fail_if_called)
-        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
-                            fail_if_called)
+        monkeypatch.setattr(cli, "_suite_tasks", fail_if_called)
+        monkeypatch.setattr(cli, "_run_forked", fail_if_called)
+        monkeypatch.setattr(os, "fork", fail_if_called)
         for argv, text in ((("--max-n", "0"), "max-n must be at least 1"),
                            (("--max-n", "-2"), "max-n must be at least 1"),
                            (("--max-n", "11", "--threads", "2"),
@@ -340,28 +339,18 @@ class TestBoundsBeforeWork:
 
     def test_the_pool_gets_no_more_workers_than_tasks(
             self, capsys, monkeypatch):
-        # fork starts all max_workers processes at the first submit, so an
-        # uncapped --threads 100000 would ask for 100000 of them; this
-        # recorder stands in for the pool, starts no process and runs the
-        # tasks here, in order
-        import concurrent.futures
+        # the runner forks every worker before any answers, so an uncapped
+        # --threads 100000 would ask for 100000 processes; this recorder
+        # stands in for the runner, starts no process and runs the tasks
+        # here, in order
+        from qsegre import cli
         workers = []
 
-        class RecordingPool:
-            def __init__(self, max_workers):
-                workers.append(max_workers)
+        def recording_runner(tasks, count):
+            workers.append(count)
+            return [task() for task in tasks]
 
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc_info):
-                return False
-
-            def map(self, fn, tasks):
-                return map(fn, tasks)
-
-        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
-                            RecordingPool)
+        monkeypatch.setattr(cli, "_run_forked", recording_runner)
         for threads in ("100000", "9", "2"):
             code, out, err = run(capsys, "verify", "all", "--max-n", "1",
                                  "--threads", threads)
@@ -1102,31 +1091,22 @@ class TestConsoleEntry:
     def test_pool_workers_inherit_every_layer(self):
         # fork hands the workers what the parent has loaded; a layer first
         # imported by a task would be compiled again in each worker.  The
-        # recorder stands in for the pool, starts no process and runs the
+        # recorder stands in for the runner, starts no process and runs the
         # tasks here, in order
         code = textwrap.dedent(f"""\
-            import concurrent.futures, contextlib, io, sys
-            from qsegre.cli import main
+            import contextlib, io, sys
+            from qsegre import cli
             missing = []
 
-            class RecordingPool:
-                def __init__(self, max_workers):
-                    missing.extend(m for m in {LAYERS!r}
-                                   if "qsegre." + m not in sys.modules)
+            def recording_runner(tasks, workers):
+                missing.extend(m for m in {LAYERS!r}
+                               if "qsegre." + m not in sys.modules)
+                return [task() for task in tasks]
 
-                def __enter__(self):
-                    return self
-
-                def __exit__(self, *exc_info):
-                    return False
-
-                def map(self, fn, tasks):
-                    return map(fn, tasks)
-
-            concurrent.futures.ProcessPoolExecutor = RecordingPool
+            cli._run_forked = recording_runner
             with contextlib.redirect_stdout(io.StringIO()):
-                status = main(["verify", "all", "--max-n", "2",
-                               "--threads", "2"])
+                status = cli.main(["verify", "all", "--max-n", "2",
+                                   "--threads", "2"])
             print(status, missing)
             """)
         proc = subprocess.run([sys.executable, "-c", code],
@@ -1191,3 +1171,116 @@ class TestConsoleEntry:
     def test_negative_n_is_a_clean_error(self, capsys):
         code, _, err = run(capsys, "wq", "--n", "-1")
         assert code == 2 and "nonnegative" in err
+
+
+def run_in_child(code: str, *argv: str) -> subprocess.CompletedProcess:
+    """Run code in a fresh interpreter with argv as its arguments, so that
+    what it patches, and the workers it forks and kills, stay out of the
+    test process."""
+    return subprocess.run([sys.executable, "-c", textwrap.dedent(code),
+                           *argv], capture_output=True, text=True,
+                          env=child_env())
+
+
+# two suite checks replaced by ones that raise ERROR with their own texts;
+# the earlier one in task order is the error the suite reports
+FAILING_CHECKS = """\
+    import sys
+    from qsegre import cli
+
+    def failing(text):
+        def check(*args):
+            raise ERROR(text)
+        return check
+
+    cli._check_chains = failing("chains broke")
+    cli._check_prop26 = failing("prop26 broke")
+    sys.exit(cli.main(sys.argv[1:]))
+    """
+
+# a suite check that kills the process running it before it answers
+KILLING_CHECK = """\
+    import os, signal, sys
+    from qsegre import cli
+
+    cli._check_betti = lambda: os.kill(os.getpid(), signal.SIGKILL)
+    sys.exit(cli.main(sys.argv[1:]))
+    """
+
+
+class TestForkedRunner:
+    @pytest.mark.parametrize("error", ["ValueError", "ArithmeticError"])
+    def test_a_failing_check_fails_as_in_the_serial_run(self, error):
+        code = FAILING_CHECKS.replace("ERROR", error)
+        serial = run_in_child(code, "verify", "all", "--max-n", "1")
+        assert (serial.returncode, serial.stdout, serial.stderr) == (
+            2, "", "error: chains broke\n")
+        for threads in ("2", "3", "9"):
+            pooled = run_in_child(code, "verify", "all", "--max-n", "1",
+                                  "--threads", threads, "--json")
+            assert (pooled.returncode, pooled.stdout, pooled.stderr) == (
+                2, "", "error: chains broke\n")
+
+    def test_a_worker_that_dies_unanswered_fails_the_run(self):
+        proc = run_in_child(KILLING_CHECK, "verify", "all", "--max-n", "1",
+                            "--threads", "2", "--json")
+        assert proc.returncode not in (0, 2)
+        assert proc.stdout == ""
+        assert "RuntimeError: 1 of 9 suite tasks died unanswered" in proc.stderr
+
+    def test_no_worker_is_left_after_the_run(self):
+        # the benchmark refuses a run that leaves a process behind
+        proc = run_in_child("""\
+            import contextlib, io, os, signal
+            from qsegre import cli
+            argv = ["verify", "all", "--max-n", "2", "--threads", "3"]
+            statuses = []
+
+            def broken(*args):
+                raise ArithmeticError("broken")
+
+            with contextlib.redirect_stdout(io.StringIO()), \\
+                    contextlib.redirect_stderr(io.StringIO()):
+                statuses.append(cli.main(argv))
+                cli._check_el = broken
+                statuses.append(cli.main(argv))
+                cli._check_el = lambda: os.kill(os.getpid(), signal.SIGKILL)
+                try:
+                    cli.main(argv)
+                except RuntimeError:
+                    statuses.append("died")
+            try:
+                os.waitpid(-1, os.WNOHANG)
+            except ChildProcessError:
+                print(statuses, "no child left")
+            """)
+        assert (proc.returncode, proc.stdout, proc.stderr) == (
+            0, "[0, 2, 'died'] no child left\n", "")
+
+    def test_the_runner_loads_no_process_pool(self):
+        proc = run_in_child("""\
+            import contextlib, io, sys
+            from qsegre.cli import main
+            with contextlib.redirect_stdout(io.StringIO()):
+                status = main(["verify", "all", "--max-n", "1",
+                               "--threads", "2"])
+            print(status, [m for m in ("concurrent.futures", "multiprocessing")
+                           if m in sys.modules])
+            """)
+        assert (proc.returncode, proc.stdout, proc.stderr) == (0, "0 []\n", "")
+
+    def test_threads_are_refused_without_fork(self):
+        code = """\
+            import os, sys
+            del os.fork
+            from qsegre import cli
+
+            def fail_if_called(*args, **kwargs):
+                raise AssertionError("work started before the refusal")
+
+            cli._suite_tasks = fail_if_called
+            sys.exit(cli.main(sys.argv[1:]))
+            """
+        proc = run_in_child(code, "verify", "all", "--threads", "2")
+        assert (proc.returncode, proc.stdout, proc.stderr) == (
+            2, "", "error: threads above 1 need os.fork, missing here\n")

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from functools import lru_cache
 from math import comb, factorial
 
 import pytest
@@ -20,10 +21,12 @@ from qsegre.symfrob import (TOP_HOMOLOGY_BOUND, cleared_specialization,
 from oracles import (SF_ONE, characteristic,
                      characteristic_by_whitney_recursion, class_size,
                      cleared_specialization_matches, dimension, h_to_p,
-                     induce_off_by_one, induction_homomorphism_by_fractions,
+                     induce_off_by_one, induce_product_character_dense,
+                     induction_homomorphism_by_fractions,
                      lefschetz_character_by_chains, pair_poset,
-                     principal_specialization_by_terms, segre_boolean_labeled,
-                     sf_add, sf_product, tensor, trivial_character)
+                     principal_specialization_by_terms,
+                     product_values_dense, segre_boolean_labeled, sf_add,
+                     sf_product, tensor, trivial_character)
 
 
 def random_table(rng, m, n, low=-9, high=10):
@@ -415,6 +418,11 @@ class TestInductionHomomorphism:
                 del counts[((1,), (1,))]
             return counts
         monkeypatch.setattr(symfrob, "_conjugation_profile", short_profile)
+        # induction reads the profiles through a cached inverse table, which
+        # would hide the patch; a fresh cache is dropped with the patch
+        monkeypatch.setattr(symfrob, "_by_blocks",
+                            lru_cache(maxsize=None)(
+                                symfrob._by_blocks.__wrapped__))
         for sizes in ((1, 1, 1, 1), (1, 0, 1, 0), (1, 2, 1, 1), (2, 1, 1, 1)):
             assert not verify_induction_homomorphism(*sizes), sizes
 
@@ -434,3 +442,41 @@ class TestInductionHomomorphism:
                 for l in range(4):
                     for n in range(4 - l):
                         assert verify_induction_homomorphism(k, l, m, n)
+
+
+# every size with k+m and l+n at most 4, and a few at the induction bound 5
+SPARSE_SIZES = [(k, l, m, n) for k in range(5) for m in range(5 - k)
+                for l in range(5) for n in range(5 - l)] + [
+    (2, 3, 3, 2), (1, 0, 4, 5), (5, 2, 0, 3), (3, 3, 2, 2)]
+
+
+class TestSparseTables:
+    def test_the_sparse_tables_equal_the_dense_ones(self):
+        # dense, sparse and zero tables, negative entries included
+        rng = random.Random(30)
+        for k, l, m, n in SPARSE_SIZES:
+            for density in (1.0, 0.3, 0.0):
+                t, u = (
+                    {key: v if rng.random() < density else 0
+                     for key, v in random_table(rng, *sizes).items()}
+                    for sizes in ((k, l), (m, n)))
+                assert (symfrob._product_values(t, u)
+                        == product_values_dense(t, u)), (k, l, m, n)
+                assert (induce_product_character(t, u)
+                        == induce_product_character_dense(t, u)), (k, l, m, n)
+
+    def test_a_non_integral_table_is_refused_alike(self):
+        # an integer table induces to an integer one, so only a table of
+        # fractions reaches the integrality refusal
+        rng = random.Random(31)
+        for k, l, m, n in ((1, 0, 1, 0), (2, 1, 2, 1), (2, 3, 3, 2)):
+            t = {key: Fraction(v, 7) for key, v
+                 in random_table(rng, k, l, 1, 7).items()}
+            u = random_table(rng, m, n, 1, 4)
+            for induce in (induce_product_character,
+                           induce_product_character_dense):
+                with pytest.raises(ArithmeticError,
+                                   match="^induced character value is not "
+                                         "integral$"):
+                    induce(t, u)
+
