@@ -30,14 +30,15 @@ there by an upper unitriangular witness) passes those, and a failure
 among them reruns the full check.  Only segre_product builds a Segre
 square, and its Mobius number, chains and Betti numbers are taken from
 the factor alone, as a chain of the square is a pair of chains of the
-factor with one rank set: segre_mobius_number is Hall's alternating sum
-of the squares of the factor's flag f-vector, segre_chain_report pairs
-the factor's chain words, and segre_betti_numbers runs the element
-matching on pairs of the factor's chains.  Only mobius_number,
-segre_mobius_number and segre_betti_numbers (on the factor),
-order_chain_counts and strictly_above (so also chains_by_dimension) build
-the quadratic reachability bitsets, one mask per element; their queries
-walk only the set bits (`mask & -mask`).  Betti numbers come from an
+factor with one rank set: mobius_number and segre_mobius_number are one
+Hall sum over the flag f-vector, segre_chain_report pairs the factor's
+chain words, and segre_betti_numbers runs the element matching on pairs
+of the factor's chains.  The order is held once, as each element's
+strict downward mask, which sets only bits of lower ranks; the Mobius
+numbers, order_chain_counts, chains_by_dimension and segre_betti_numbers
+(on the factor) build it, and the last two extend chains by one
+transpose of it (_upper_lists).  Queries walk only the set bits
+(`mask & -mask`).  Betti numbers come from an
 acyclic element matching on the order complex (discrete Morse theory):
 its critical chains span the Morse complex, whose boundary follows
 gradient paths, so nothing is eliminated when the critical chains fill
@@ -95,7 +96,7 @@ def _refuse_covers(names, ranks, a: int, groups) -> None:
 
 class GradedPoset:
 
-    __slots__ = ("names", "ranks", "_up", "bottom", "top", "_above", "_below")
+    __slots__ = ("names", "ranks", "_up", "bottom", "top", "_below")
 
     def __init__(self, names, ranks, up):
         """The poset whose element a has the upper covers in up[a], held as
@@ -130,7 +131,6 @@ class GradedPoset:
         self.names, self.ranks, self._up = names, ranks, up
         self.bottom = last.index(-1) if last.count(-1) == 1 else None
         self.top = maxes[0] if len(maxes) == 1 else None
-        self._above = None
         self._below = None
 
     def _covers_of(self, a: int) -> list[int]:
@@ -146,32 +146,18 @@ class GradedPoset:
     def __len__(self) -> int:
         return len(self.names)
 
-    def _above_masks(self) -> list[int]:
-        if self._above is None:
-            m = len(self.names)
-            above = [0] * m
-            for i in sorted(range(m), key=lambda e: -self.ranks[e]):
-                acc = 1 << i
-                for _, ys in self._up[i]:
-                    for j in ys:
-                        acc |= above[j]
-                above[i] = acc
-            self._above = above
-        return self._above
-
     def _below_masks(self) -> list[int]:
+        """Each element's strict downward mask: bit y of mask x is set
+        exactly when y < x."""
         if self._below is None:
-            below = [1 << i for i in range(len(self.names))]
+            below = [0] * len(self.names)
             for i in sorted(range(len(below)), key=self.ranks.__getitem__):
-                acc = below[i]
+                acc = below[i] | 1 << i
                 for _, ys in self._up[i]:
                     for j in ys:
                         below[j] |= acc
             self._below = below
         return self._below
-
-    def strictly_above(self, i: int) -> list[int]:
-        return _set_bits(self._above_masks()[i] & ~(1 << i))
 
     def rank_sizes(self) -> list[int]:
         """Element counts per rank value, indexed from rank 0."""
@@ -241,44 +227,31 @@ def proper_part(p: GradedPoset) -> GradedPoset:
 
 
 def mobius_number(p: GradedPoset) -> int:
-    """mu(bottom, top), by the recursion mu(x) = -sum of mu(y) over y < x,
-    in rank order.  Each distinct nonzero mu value seen so far keeps a mask
-    of its elements, so the sum is sum_v v * |below(x) & class(v)|: one
-    popcount per value class, O(m * classes * m/64) word operations."""
-    bottom, top = p.bottom, p.top
-    if bottom is None or top is None:
-        raise ValueError("Mobius number requires both a bottom and a top")
-    below = p._below_masks()
-    classes: dict[int, int] = {}
-    # the top has the one largest rank, so it comes last
-    for x in sorted(range(len(p)), key=p.ranks.__getitem__):
-        if x == bottom:
-            value = 1
-        else:
-            strict = below[x] ^ (1 << x)
-            value = -sum(v * (strict & mask).bit_count()
-                         for v, mask in classes.items())
-        if value:
-            classes[value] = classes.get(value, 0) | (1 << x)
-    return value
+    """mu(bottom, top), by Hall's sum (see _hall_sum)."""
+    return _hall_sum(p, 1)
 
 
 def segre_mobius_number(p: GradedPoset) -> int:
     """mobius_number of the Segre square of p with itself, read off p's own
-    order: the square is never built.
+    order: the square is never built.  A chain of the square is a pair of
+    chains of p whose interior elements sit at one set s of levels (Bjorner
+    and Welker, Segre and Rees products of posets, JPAA 2005), so the
+    square's alpha(s) is p's squared (see _hall_sum)."""
+    return _hall_sum(p, 2)
 
-    By Hall's theorem mu is the sum of (-1)^k over the chains of k steps
-    from the square's bottom to its top.  Such a chain is a pair of chains
-    of p whose interior elements sit at one set s of levels (Bjorner and
-    Welker, Segre and Rees products of posets, JPAA 2005), so mu is the sum
-    over s of (-1)^(|s|+1) alpha(s)^2, alpha being p's flag f-vector
-    (Stanley, EC1 3.13; see _flag_f_vector)."""
+
+def _hall_sum(p: GradedPoset, power: int) -> int:
+    """The sum over level sets s of (-1)^(|s|+1) alpha(s)^power, alpha
+    being p's flag f-vector (Stanley, EC1 3.13; see _flag_f_vector).  By
+    Hall's theorem mu(bottom, top) is the sum of (-1)^k over the chains of
+    k steps from the bottom to the top, and a chain with interior levels s
+    has |s|+1 steps: power 1 gives p's mu, power 2 its Segre square's."""
     bottom, top = p.bottom, p.top
     if bottom is None or top is None:
         raise ValueError("Mobius number requires both a bottom and a top")
     if bottom == top:
         return 1
-    return sum((-1) ** (s.bit_count() + 1) * count * count
+    return sum((-1) ** (s.bit_count() + 1) * count ** power
                for s, count in _flag_f_vector(p).items())
 
 
@@ -290,27 +263,28 @@ def _flag_f_vector(p: GradedPoset) -> dict[int, int]:
 
     Taken in rank order, x at level h has one chain from the bottom with s
     empty, and counts the chains with s's highest level j by summing, over
-    the y below x at level j, their chains with s minus j: classes[j][s]
-    keeps the elements of level j by that count, one mask per distinct
-    count, so the sum is one popcount per value class, as in mobius_number.
-    The top comes last, and its counts are alpha."""
+    the y below x at level j, their chains with s minus j: classes[j] keeps
+    the elements of level j by their whole tally of counts, one mask per
+    distinct tally, so each tally class costs x one popcount (one per level
+    on B_n(q), whose levels are orbits).  The top comes last, and its
+    counts are alpha."""
     below = p._below_masks()
     low = p.ranks[p.bottom]
-    classes: list[dict[int, dict[int, int]]] = [{}]
+    classes: list[dict[tuple, int]] = [{}]
     for x in sorted(range(len(p)), key=p.ranks.__getitem__):
         h = p.ranks[x] - low
         if h == len(classes):
             classes.append({})
         counts = {0: 1}
         for j in range(1, h):
-            for s, values in classes[j].items():
-                count = sum(v * (below[x] & mask).bit_count()
-                            for v, mask in values.items())
-                if count:
-                    counts[s | 1 << j] = count
-        for s, count in counts.items():
-            values = classes[h].setdefault(s, {})
-            values[count] = values.get(count, 0) | (1 << x)
+            for tally, mask in classes[j].items():
+                found = (below[x] & mask).bit_count()
+                if found:
+                    for s, count in tally:
+                        key = s | 1 << j
+                        counts[key] = counts.get(key, 0) + found * count
+        tally = tuple(counts.items())
+        classes[h][tally] = classes[h].get(tally, 0) | 1 << x
     return counts
 
 
@@ -318,16 +292,15 @@ def order_chain_counts(p: GradedPoset) -> list[int]:
     """Entry j is the number of chains with j+1 elements (faces of the order
     complex of dimension j).
 
-    starts[x][j], the chains with j+1 elements whose least element is x, is
-    1 for j = 0 and else the sum of starts[y][j-1] over y above x.  Taken in
-    descending rank, each dimension keeps one mask per distinct value seen
-    so far, so that sum is one popcount per value class, as in
-    mobius_number; only the value classes are stored."""
-    above = p._above_masks()
+    ends[x][j], the chains with j+1 elements whose greatest element is x, is
+    1 for j = 0 and else the sum of ends[y][j-1] over y below x.  Taken in
+    rank order, each dimension keeps one mask per distinct value seen so
+    far, so that sum is one popcount per value class; only the value
+    classes are stored."""
+    below = p._below_masks()
     classes: list[dict[int, int]] = []
     counts: list[int] = []
-    for x in sorted(range(len(p)), key=lambda e: -p.ranks[e]):
-        strict = above[x] ^ (1 << x)
+    for x in sorted(range(len(p)), key=p.ranks.__getitem__):
         value, j = 1, 0
         while value:
             if j == len(counts):
@@ -335,7 +308,7 @@ def order_chain_counts(p: GradedPoset) -> list[int]:
                 counts.append(0)
             counts[j] += value
             classes[j][value] = classes[j].get(value, 0) | (1 << x)
-            value = sum(v * (strict & mask).bit_count()
+            value = sum(v * (below[x] & mask).bit_count()
                         for v, mask in classes[j].items())
             j += 1
     return counts
@@ -510,11 +483,21 @@ def segre_chain_report(p: GradedPoset) -> tuple[dict, int, int]:
                         for v, d in words})
 
 
+def _upper_lists(p: GradedPoset) -> list[list[int]]:
+    """The elements above each element, ascending: the transpose of p's
+    downward masks."""
+    above: list[list[int]] = [[] for _ in range(len(p))]
+    for y, mask in enumerate(p._below_masks()):
+        for x in _set_bits(mask):
+            above[x].append(y)
+    return above
+
+
 def chains_by_dimension(p: GradedPoset) -> list[list[tuple[int, ...]]]:
     """All chains of the poset grouped by dimension (j+1 elements -> index
     j), each group in lexicographic order: a chain is extended by every
     element above its last."""
-    above = [p.strictly_above(v) for v in range(len(p))]
+    above = _upper_lists(p)
     by_dim: list[list[tuple[int, ...]]] = []
     level = [(v,) for v in range(len(p))]
     while level:
@@ -732,7 +715,8 @@ def _segre_matching(p: GradedPoset):
     level = [r - p.ranks[bottom] for r in p.ranks]
     inner = sorted((x for x in range(len(p)) if x not in (bottom, top)),
                    key=lambda x: (level[x], x))
-    above = {x: [y for y in p.strictly_above(x) if y != top] for x in inner}
+    upper = _upper_lists(p)
+    above = {x: [y for y in upper[x] if y != top] for x in inner}
     groups: dict[int, list[tuple]] = {0: [()]}
     listing = [(x,) for x in inner]
     while listing:

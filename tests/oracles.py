@@ -504,6 +504,25 @@ def order_from_covers(p) -> tuple[list, list]:
     return up, above
 
 
+def mobius_values_by_recursion(p) -> dict[int, int]:
+    """mu(bottom, x) for every x, by the plain recursion mu(x) = -sum of
+    mu(y) over y < x, in rank order, the order read from p.covers alone."""
+    _, above = order_from_covers(p)
+    mu: dict[int, int] = {}
+    for x in sorted(range(len(p)), key=p.ranks.__getitem__):
+        mu[x] = 1 if x == p.bottom else -sum(
+            mu[y] for y in mu if y != x and x in above[y])
+    return mu
+
+
+def mobius_by_recursion(p) -> int:
+    """mu(bottom, top) by mobius_values_by_recursion, refused as
+    mobius_number refuses a poset without a bottom or a top."""
+    if p.bottom is None or p.top is None:
+        raise ValueError("Mobius number requires both a bottom and a top")
+    return mobius_values_by_recursion(p)[p.top]
+
+
 def maximal_chains(p, lo=None, hi=None):
     """All saturated chains from lo to hi (bottom and top by default), by
     walking up the covers."""

@@ -13,7 +13,7 @@ from qsegre.poset import (FACE_COUNT_BOUND, GradedPoset, chain_report, chains_by
                           segre_chain_report, segre_mobius_number,
                           segre_product, to_interchange, _element_matching,
                           _morse_boundary, _rank_of_sparse_rows,
-                          _segre_matching, _set_bits)
+                          _segre_matching, _set_bits, _upper_lists)
 from qsegre.cli import BETTI_MATRIX, MOBIUS_MATRIX
 from qsegre.exactalg import q_factorial
 from qsegre.permstats import w_polynomial
@@ -23,7 +23,8 @@ from oracles import (boolean_lattice, boolean_lattice_labeled,
                      chain_report_by_enumeration, chains_by_subsets,
                      cover_labels, descending_chain_count,
                      el_check_by_intervals, from_interchange,
-                     maximal_chains, order_from_covers, pair_poset,
+                     maximal_chains, mobius_by_recursion,
+                     mobius_values_by_recursion, order_from_covers, pair_poset,
                      poset_from_covers, rank_over_rationals,
                      rational_betti_numbers_by_elimination,
                      reduced_euler_characteristic, relabel,
@@ -119,8 +120,9 @@ class TestGradedPoset:
         empty, full, single = (b.names.index(x) for x in ((), (1, 2, 3), (2,)))
         assert full in above[empty] and full in above[single]
         assert single not in above[full]
+        upper = _upper_lists(b)
         for x in range(len(b)):
-            assert b.strictly_above(x) == sorted(above[x] - {x})
+            assert upper[x] == sorted(above[x] - {x})
 
     def test_rank_sizes(self):
         assert boolean_lattice(3).rank_sizes() == [1, 3, 3, 1]
@@ -223,9 +225,20 @@ class TestGradedPoset:
     def test_below_masks_match_the_order_read_from_the_covers(self, rng):
         for p in (boolean_lattice(3), _random_graded_poset(rng)):
             _, above = order_from_covers(p)
-            below = [{x for x in range(len(p)) if y in above[x]}
+            below = [{x for x in range(len(p)) if y in above[x]} - {y}
                      for y in range(len(p))]
             assert [set(_set_bits(mask)) for mask in p._below_masks()] == below
+
+    @pytest.mark.parametrize("n, q", [(3, 4), (4, 2)])
+    def test_a_downward_mask_stays_below_its_rank_block(self, n, q):
+        # B_n(q) is numbered in rank order, and a strict mask holds only
+        # lower ranks, so it ends before the first element of its rank
+        p, _ = build_bnq(n, FiniteField(q))
+        first = {}
+        for x, r in enumerate(p.ranks):
+            first.setdefault(r, x)
+        assert all(mask.bit_length() <= first[r]
+                   for mask, r in zip(p._below_masks(), p.ranks))
 
     def test_maximal_chain_count_of_boolean_lattice(self):
         p = boolean_lattice_labeled(4)
@@ -303,30 +316,32 @@ class TestMobiusAndEuler:
             assert mobius_number(p) == reduced_euler_characteristic(proper_part(p))
 
     def test_hall_theorem_on_random_bounded_posets(self):
-        # the recursive Mobius sweep against the alternating chain count,
-        # two fully independent code paths
+        # Hall's sum against the recursion read from the covers and the
+        # alternating chain count of the proper part
         import random
         rng = random.Random(424242)
         for _ in range(40):
             p = _random_bounded_poset(rng)
-            assert mobius_number(p) == reduced_euler_characteristic(proper_part(p))
+            assert mobius_number(p) == mobius_by_recursion(p) == \
+                reduced_euler_characteristic(proper_part(p))
 
     @given(st.randoms(use_true_random=False))
     @settings(max_examples=60, deadline=None)
     def test_hall_theorem_on_wide_deep_random_posets(self, rng):
+        # renumbered, the ids leave rank order and the bottom sits at rank
+        # 2, so Hall's sum must take its levels from the bottom's rank
         p = _random_bounded_poset(rng, max_width=7, max_depth=5)
-        assert mobius_number(p) == reduced_euler_characteristic(proper_part(p))
+        r = _renumbered(rng, p, shift=2)
+        assert mobius_number(p) == mobius_by_recursion(p) == \
+            reduced_euler_characteristic(proper_part(p))
+        assert mobius_number(r) == mobius_by_recursion(r) == mobius_number(p)
 
     def test_hall_theorem_with_many_mobius_values(self):
-        # mobius_number keeps one mask per distinct mu value; on this
-        # instance mu(bottom, x), by the plain recursion, takes 14 nonzero values
+        # on this instance mu(bottom, x), by the plain recursion, takes 14
+        # nonzero values
         import random
         p = _random_bounded_poset(random.Random(151), 7, 5)
-        _, above = order_from_covers(p)
-        mu = {}
-        for x in sorted(range(len(p)), key=p.ranks.__getitem__):
-            mu[x] = 1 if x == p.bottom else -sum(
-                mu[y] for y in mu if y != x and x in above[y])
+        mu = mobius_values_by_recursion(p)
         assert len(set(mu.values()) - {0}) == 14
         assert (mobius_number(p) == mu[p.top]
                 == reduced_euler_characteristic(proper_part(p)))
@@ -609,10 +624,11 @@ class TestKernelsAgainstOracles:
 
 def _square_of(p):
     """The oracle route of the Segre kernels: build the square of p, then
-    take its Mobius number, its chain report, and its descending count by
-    the cover push."""
+    take its Mobius number by the recursion, its chain report, and its
+    descending count by the cover push."""
     square = segre_product(p, p)
-    return (_outcome(mobius_number, square), _outcome(chain_report, square),
+    return (_outcome(mobius_by_recursion, square),
+            _outcome(chain_report, square),
             _outcome(descending_chain_count, square))
 
 
@@ -625,8 +641,8 @@ def _from_factor(p):
 
 class TestSegreKernelsAgainstTheSquare:
     """segre_mobius_number and segre_chain_report on a factor against
-    mobius_number, chain_report and the cover push on the square that
-    segre_product builds of it."""
+    the Mobius recursion, chain_report and the cover push on the square
+    that segre_product builds of it."""
 
     @given(st.randoms(use_true_random=False), st.booleans())
     @settings(max_examples=100, deadline=None)
@@ -692,9 +708,9 @@ class TestSegreKernelsAgainstTheSquare:
 
 class TestQuadraticBitsets:
     """Only mobius_number, segre_mobius_number, segre_betti_numbers,
-    order_chain_counts and strictly_above build the per-element
-    reachability masks; segre_mobius_number builds the downward ones of the
-    factor alone, each as wide as the factor, and the square's stay
+    order_chain_counts and chains_by_dimension build the per-element
+    downward masks; segre_mobius_number builds the factor's alone, each
+    spanning only the ranks below its element, and the square's stay
     unbuilt."""
 
     def test_cover_kernels_leave_the_masks_unbuilt(self):
@@ -704,12 +720,11 @@ class TestQuadraticBitsets:
         assert check_el_labeling(sp) == (True, None)
         # W_2(3) = 2*3 + 3^2
         assert segre_chain_report(factor)[2] == 15
-        assert factor._above is None and factor._below is None
-        assert sp._above is None and sp._below is None
+        assert factor._below is None and sp._below is None
         assert segre_mobius_number(factor) == 15
-        assert factor._above is None and factor._below is not None
+        assert factor._below is not None and sp._below is None
         assert mobius_number(sp) == 15
-        assert sp._above is None and sp._below is not None
+        assert sp._below is not None
 
 
 def rp2_face_poset():
@@ -980,7 +995,7 @@ class TestSegreBetti:
         import qsegre.poset as poset_module
         p, _ = build_bnq(3, FiniteField(2))
         faces = proper_face_count(3, 2, True)
-        monkeypatch.setattr(GradedPoset, "strictly_above", fail_if_called)
+        monkeypatch.setattr(poset_module, "_upper_lists", fail_if_called)
         monkeypatch.setattr(poset_module, "FACE_COUNT_BOUND", faces - 1)
         with pytest.raises(ValueError, match=f"^{faces} faces of the order "
                                              f"complex exceed the bound {faces - 1}$"):
