@@ -31,33 +31,37 @@ def _field(q: int) -> subspace.FiniteField:
     return subspace.FiniteField(q)
 
 
-def _square_factor(n: int, q: int, count_bound=None):
-    """B_n(q) and its coordinate subspaces, as the factor of its Segre
-    square: after the refusals that the square would make, so that a square
-    past the pair bound is refused with its own text before any field is
-    built.  The square's mu, chains and Betti numbers are read off this
+def _factor(n: int, q: int, power: int, count_bound=None, faces=False):
+    """B_n(q) and its coordinate subspaces, as (poset, lows), after the
+    refusals that B_n(q) at power 1, or its Segre square at power 2, would
+    make, before any field is built: q not a prime power, then the count
+    bound, and with faces the face bound on the order complex of its proper
+    part.  A square's mu, chains and Betti numbers are read off this
     factor."""
-    from . import subspace
+    from . import poset, subspace
     subspace.prime_power(q)
-    subspace.check_count_bound(n, q, True, count_bound)
-    return _lattice(n, q, False, count_bound)
+    subspace.check_count_bound(n, q, power, count_bound)
+    if faces:
+        poset.check_face_count(subspace.proper_face_count(n, q, power))
+    return _lattice(n, q, 1, count_bound)
 
 
 @functools.lru_cache(maxsize=None)
-def _lattice(n: int, q: int, segre: bool, count_bound=None):
-    """B_n(q), or its Segre square, and the elements the EL check pushes
-    from, as (poset, lows): build_bnq's coordinate subspaces, or on the
-    square their pairs.  A square is refused on its pair count before any
-    field is built (see _square_factor), and is the square of the cached
-    B_n(q); its lows are the pairs whose factor parts are both among the
-    factor's lows, picked by name, and a factor without lows gives a square
-    without.  Only the verbs that need the square's elements build it:
-    `lattice`/`segre` with EL or JSON, and `verify el --segre`.
+def _lattice(n: int, q: int, power: int, count_bound=None):
+    """B_n(q) at power 1, or its Segre square at power 2, and the elements
+    the EL check pushes from, as (poset, lows): build_bnq's coordinate
+    subspaces, or on the square their pairs.  A square is refused on its
+    pair count before any field is built (see _factor), and is the square
+    of the cached B_n(q); its lows are the pairs whose factor parts are
+    both among the factor's lows, picked by name, and a factor without
+    lows gives a square without.  Only the verbs that need the square's
+    elements build it: `lattice`/`segre` with EL or JSON, and `verify el
+    --segre`.
     The caches live for one process and their keys come from one command
     line or the suite's fixed matrices, so they need no eviction."""
     from . import poset, subspace
-    if segre:
-        factor, found = _square_factor(n, q, count_bound)
+    if power == 2:
+        factor, found = _factor(n, q, 2, count_bound)
         square = poset.segre_product(factor, factor)
         lows = None
         if found is not None:
@@ -75,35 +79,27 @@ def _lattice(n: int, q: int, segre: bool, count_bound=None):
     return built
 
 
-def _el_check(n: int, q: int, segre: bool, count_bound=None):
-    """check_el_labeling on _lattice(n, q, segre, count_bound), the one EL
+def _el_check(n: int, q: int, power: int, count_bound=None):
+    """check_el_labeling on _lattice(n, q, power, count_bound), the one EL
     route of `verify el`, the suite and `lattice --check-el`: every interval
     is label-isomorphic to one above a coordinate subspace e_S, or on the
     square above a pair (e_S, e_T) (see subspace.build_bnq), so only those
     are pushed from."""
     from . import poset
-    return poset.check_el_labeling(*_lattice(n, q, segre, count_bound))
+    return poset.check_el_labeling(*_lattice(n, q, power, count_bound))
 
 
 def _lattice_for(args, faces: bool = False):
     """B_n(q), the lattice a compute verb names or the factor of its Segre
-    square, after a warning on stderr if its subspace count bound was
-    raised, and after the refusals that building the lattice or square
-    would make, before any field or subspace is built.  With faces, the
-    order complex of its proper part is then held to the face bound.  A
-    verb that needs the square's own elements then builds it with
-    _lattice."""
-    from . import poset, subspace
+    square (see _factor), after a warning on stderr if its subspace count
+    bound was raised.  A verb that needs the square's own elements then
+    builds it with _lattice."""
+    from . import subspace
     default = subspace.SUBSPACE_COUNT_BOUND
     if args.count_bound is not None and args.count_bound > default:
         print(f"warning: subspace count bound raised to {args.count_bound} "
               f"(default {default}); expect a long runtime", file=sys.stderr)
-    subspace.prime_power(args.q)
-    subspace.check_count_bound(args.n, args.q, args.segre, args.count_bound)
-    if faces:
-        poset.check_face_count(
-            subspace.proper_face_count(args.n, args.q, args.segre))
-    return _lattice(args.n, args.q, False, args.count_bound)[0]
+    return _factor(args.n, args.q, args.power, args.count_bound, faces)[0]
 
 
 def _ratfun_json(nums: list[exactalg.QPolynomial],
@@ -145,11 +141,11 @@ def _csv_instance(n: int) -> tuple[bool, exactalg.QPolynomial]:
     return residual.is_zero(), residual
 
 
-def _el_instance(n: int, q: int, segre: bool) -> tuple[bool, str]:
+def _el_instance(n: int, q: int, power: int) -> tuple[bool, str]:
     """The shelling check on one lattice or Segre square; a failure names
     its interval by the element names that `lattice --json` prints."""
-    ok, violation = _el_check(n, q, segre)
-    return ok, (f"{'segre' if segre else 'lattice'} n={n} q={q}: "
+    ok, violation = _el_check(n, q, power)
+    return ok, (f"{'segre' if power == 2 else 'lattice'} n={n} q={q}: "
                 f"{violation or 'every interval shellable'}")
 
 
@@ -158,9 +154,9 @@ def _mobius_instance(n: int, q: int) -> tuple[bool, str]:
     both read off its factor B_n(q): the square is refused as ever, but
     never built."""
     from . import permstats, poset
-    factor, _ = _square_factor(n, q)
-    mu = poset.segre_mobius_number(factor)
-    descending = poset.segre_chain_report(factor)[2]
+    factor, _ = _factor(n, q, 2)
+    mu = poset.mobius_number(factor, 2)
+    descending = poset.chain_report(factor, 2)[2]
     w_q = permstats.w_polynomial(n).evaluate(q)
     return (mu == (-1) ** n * w_q and descending == w_q,
             f"mu={mu} descending={descending} expected W={w_q}")
@@ -216,10 +212,10 @@ def _check_bessel(order: int) -> dict:
 
 
 def _check_el() -> dict:
-    instances = ([(n, q, False) for n, q in EL_MATRIX]
-                 + [(n, q, True) for n, q in EL_SEGRE_MATRIX])
-    for n, q, segre in instances:
-        ok, detail = _el_instance(n, q, segre)
+    instances = ([(n, q, 1) for n, q in EL_MATRIX]
+                 + [(n, q, 2) for n, q in EL_SEGRE_MATRIX])
+    for n, q, power in instances:
+        ok, detail = _el_instance(n, q, power)
         if not ok:
             return _result("el", ok, detail)
     return _result("el", True, f"every interval shellable on {len(EL_MATRIX)} "
@@ -229,7 +225,7 @@ def _check_el() -> dict:
 def _check_chains() -> dict:
     from . import exactalg, poset
     for n, q in EL_MATRIX:
-        p, _ = _lattice(n, q, False)
+        p, _ = _lattice(n, q, 1)
         words, _, _ = poset.chain_report(p)
         expected = {w: q ** sum(a > b for a, b in combinations(w, 2))
                     for w in permutations(range(1, n + 1))}
@@ -255,8 +251,8 @@ def _check_mobius() -> dict:
 def _check_betti() -> dict:
     from . import permstats, poset
     for n, q in BETTI_MATRIX:
-        factor, _ = _square_factor(n, q)
-        betti = poset.segre_betti_numbers(factor)
+        factor, _ = _factor(n, q, 2)
+        betti = poset.betti_numbers(factor, 2)
         w_q = int(permstats.w_polynomial(n).evaluate(q))
         if len(betti) != n - 1 or betti[-1] != w_q or any(betti[:-1]):
             return _result("betti", False,
@@ -400,25 +396,22 @@ def _cmd_lattice(args) -> int:
     p = _lattice_for(args)
     doc = {}
     if args.json:
-        built, _ = _lattice(args.n, args.q, args.segre, args.count_bound)
+        built, _ = _lattice(args.n, args.q, args.power, args.count_bound)
         doc["poset"] = poset.to_interchange(built)
     if args.chains:
-        report = poset.segre_chain_report if args.segre else poset.chain_report
-        words, increasing, descending = report(p)
+        words, increasing, descending = poset.chain_report(p, args.power)
         doc["chains"] = {"words": {_word_str(w): c for w, c in words.items()},
                          "increasing": increasing, "descending": descending,
                          "total": sum(words.values())}
     ok, violation = True, None
     if args.check_el:
-        ok, violation = _el_check(args.n, args.q, args.segre, args.count_bound)
+        ok, violation = _el_check(args.n, args.q, args.power, args.count_bound)
         doc["el"] = {"pass": ok, "violation": violation}
     if args.json:
         print(_dump(doc))
     else:
-        kind = "segre square" if args.segre else "lattice"
-        sizes = p.rank_sizes()
-        if args.segre:
-            sizes = [size * size for size in sizes]
+        kind = "segre square" if args.power == 2 else "lattice"
+        sizes = [size ** args.power for size in p.rank_sizes()]
         print(f"{kind} n={args.n} q={args.q}: {sum(sizes)} elements, "
               f"rank sizes {sizes}")
         if args.chains:
@@ -440,16 +433,10 @@ def _cmd_invariant(args) -> int:
     from . import poset
     betti = args.command == "betti"
     p = _lattice_for(args, faces=betti)
-    if betti and args.segre:
-        value = poset.segre_betti_numbers(p)
-    elif betti:
-        value = poset.rational_betti_numbers(poset.proper_part(p))
-    elif args.segre:
-        value = poset.segre_mobius_number(p)
-    else:
-        value = poset.mobius_number(p)
+    kernel = poset.betti_numbers if betti else poset.mobius_number
+    value = kernel(p, args.power)
     if args.json:
-        print(_dump({"n": args.n, "q": args.q, "segre": args.segre,
+        print(_dump({"n": args.n, "q": args.q, "segre": args.power == 2,
                      args.command: value}))
     else:
         print(json.dumps(value))
@@ -515,7 +502,7 @@ def _sizes(text: str) -> tuple[int, int, int, int]:
 # verify verb -> its instance helper called on the parsed arguments
 _VERIFY_INSTANCES = {
     "bessel": lambda args: _bessel_instance(args.order),
-    "el": lambda args: _el_instance(args.n, args.q, args.segre),
+    "el": lambda args: _el_instance(args.n, args.q, args.power),
     "mobius": lambda args: _mobius_instance(args.n, args.q),
     "thm31": lambda args: _thm31_instance(args.n),
     "thm48": lambda args: _thm48_instance(args.n),
@@ -552,6 +539,13 @@ def _add_json_flag(p) -> None:
                    help="emit machine-readable JSON with sorted keys")
 
 
+def _add_segre_flag(p, help=None) -> None:
+    """--segre, parsed straight into args.power: 2, the Segre square, or
+    by default 1, the lattice itself."""
+    p.add_argument("--segre", dest="power", action="store_const", const=2,
+                   default=1, help=help)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="qsegre",
@@ -580,8 +574,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--n", type=int, required=True)
         p.add_argument("--q", type=int, required=True)
         if name == "lattice":
-            p.add_argument("--segre", action="store_true",
-                           help="build the Segre square instead")
+            _add_segre_flag(p, help="build the Segre square instead")
         p.add_argument("--chains", action="store_true",
                        help="tally maximal chains by label word")
         p.add_argument("--check-el", dest="check_el", action="store_true",
@@ -589,14 +582,14 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--count-bound", dest="count_bound", type=int,
                        help="override the subspace count bound")
         _add_json_flag(p)
-        p.set_defaults(func=_cmd_lattice, segre=name == "segre")
+        p.set_defaults(func=_cmd_lattice, power=2 if name == "segre" else 1)
 
     for name, text in (("mobius", "Mobius number of the bounded poset"),
                        ("betti", "rational Betti numbers of the proper part")):
         p = sub.add_parser(name, help=text)
         p.add_argument("--n", type=int, required=True)
         p.add_argument("--q", type=int, required=True)
-        p.add_argument("--segre", action="store_true")
+        _add_segre_flag(p)
         p.add_argument("--count-bound", dest="count_bound", type=int,
                        help="override the subspace count bound")
         _add_json_flag(p)
@@ -623,7 +616,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = vsub.add_parser("el", help="shelling property of the edge labeling")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--q", type=int, required=True)
-    p.add_argument("--segre", action="store_true")
+    _add_segre_flag(p)
     _add_json_flag(p)
 
     p = vsub.add_parser("mobius", help="Mobius number of the Segre square")

@@ -28,22 +28,21 @@ to be label-isomorphic to one above a few lower elements (the coordinate
 subspaces of B_n(q), or their pairs on its square, each interval moved
 there by an upper unitriangular witness) passes those, and a failure
 among them reruns the full check.  Only segre_product builds a Segre
-square, and its Mobius number, chains and Betti numbers are taken from
-the factor alone, as a chain of the square is a pair of chains of the
-factor with one rank set: mobius_number and segre_mobius_number are one
-Hall sum over the flag f-vector, segre_chain_report pairs the factor's
-chain words, and segre_betti_numbers runs the element matching on pairs
-of the factor's chains.  The order is held once, as each element's
-strict downward mask, which sets only bits of lower ranks; the Mobius
-numbers, order_chain_counts, chains_by_dimension and segre_betti_numbers
-(on the factor) build it, and the last two extend chains by one
-transpose of it (_upper_lists).  Queries walk only the set bits
-(`mask & -mask`).  Betti numbers come from an
-acyclic element matching on the order complex (discrete Morse theory):
-its critical chains span the Morse complex, whose boundary follows
-gradient paths, so nothing is eliminated when the critical chains fill
-one dimension.  The face count is held to FACE_COUNT_BOUND by
-check_face_count before any chain is listed.
+square.  Its Mobius number, chains and Betti numbers are taken from the
+factor alone, as a chain of the square is a pair of chains of the factor
+with one rank set: mobius_number, chain_report and betti_numbers each take
+a power, 1 for the poset and 2 for its square.  At power 2 the Hall sum
+squares the flag f-vector, the chain tally pairs the factor's words, and
+the element matching runs on pairs of the factor's chains.  The order is
+held once, as each element's strict downward mask, which sets only bits
+of lower ranks; mobius_number, order_chain_counts, chains_by_dimension and
+betti_numbers build it, and the last two extend chains by one transpose
+of it (_upper_lists).  Queries walk only the set bits (`mask & -mask`).
+Betti numbers come from an acyclic element matching on the order complex
+(discrete Morse theory): its critical chains span the Morse complex, whose
+boundary follows gradient paths, so nothing is eliminated when the
+critical chains fill one dimension.  The face count is held to
+FACE_COUNT_BOUND by check_face_count before any chain is listed.
 
 Construction is single threaded; after that every query is read-only apart
 from idempotent lazy caches, so built posets can be shared by concurrent
@@ -209,11 +208,24 @@ def segre_product(p: GradedPoset, q: GradedPoset) -> GradedPoset:
     return GradedPoset(names, ranks, labels)
 
 
+def _bounds(p: GradedPoset, what: str) -> tuple[int, int]:
+    """p's bottom and top, or ValueError naming what needs both."""
+    if p.bottom is None or p.top is None:
+        raise ValueError(f"{what} requires both a bottom and a top")
+    return p.bottom, p.top
+
+
+def _check_power(power: int) -> None:
+    """ValueError for a power other than 1 (the poset) or 2 (its Segre
+    square)."""
+    if power not in (1, 2):
+        raise ValueError(f"power must be 1 (the poset) or 2 (its Segre "
+                         f"square), got {power}")
+
+
 def proper_part(p: GradedPoset) -> GradedPoset:
     """The unlabeled poset with p's bottom and top removed."""
-    bottom, top = p.bottom, p.top
-    if bottom is None or top is None:
-        raise ValueError("proper part requires both a bottom and a top")
+    bottom, top = _bounds(p, "proper part")
     keep = [i for i in range(len(p)) if i not in (bottom, top)]
     remap = [-1] * len(p)
     for new, old in enumerate(keep):
@@ -226,29 +238,19 @@ def proper_part(p: GradedPoset) -> GradedPoset:
                        [p.ranks[i] for i in keep], up)
 
 
-def mobius_number(p: GradedPoset) -> int:
-    """mu(bottom, top), by Hall's sum (see _hall_sum)."""
-    return _hall_sum(p, 1)
+def mobius_number(p: GradedPoset, power: int = 1) -> int:
+    """mu(bottom, top) of p at power 1, or of its Segre square with itself
+    at power 2, read off p's own order: the square is never built.
 
-
-def segre_mobius_number(p: GradedPoset) -> int:
-    """mobius_number of the Segre square of p with itself, read off p's own
-    order: the square is never built.  A chain of the square is a pair of
-    chains of p whose interior elements sit at one set s of levels (Bjorner
-    and Welker, Segre and Rees products of posets, JPAA 2005), so the
-    square's alpha(s) is p's squared (see _hall_sum)."""
-    return _hall_sum(p, 2)
-
-
-def _hall_sum(p: GradedPoset, power: int) -> int:
-    """The sum over level sets s of (-1)^(|s|+1) alpha(s)^power, alpha
-    being p's flag f-vector (Stanley, EC1 3.13; see _flag_f_vector).  By
-    Hall's theorem mu(bottom, top) is the sum of (-1)^k over the chains of
-    k steps from the bottom to the top, and a chain with interior levels s
-    has |s|+1 steps: power 1 gives p's mu, power 2 its Segre square's."""
-    bottom, top = p.bottom, p.top
-    if bottom is None or top is None:
-        raise ValueError("Mobius number requires both a bottom and a top")
+    By Hall's theorem mu(bottom, top) is the sum of (-1)^k over the chains
+    of k steps from the bottom to the top, and a chain with interior levels
+    s has |s|+1 steps.  So mu is the sum over level sets s of
+    (-1)^(|s|+1) alpha(s)^power, alpha being p's flag f-vector (Stanley,
+    EC1 3.13; see _flag_f_vector): a chain of the square is a pair of
+    chains of p with one set s (Bjorner and Welker, Segre and Rees products
+    of posets, JPAA 2005), so the square's alpha(s) is p's squared."""
+    _check_power(power)
+    bottom, top = _bounds(p, "Mobius number")
     if bottom == top:
         return 1
     return sum((-1) ** (s.bit_count() + 1) * count ** power
@@ -461,26 +463,24 @@ def _chain_words(p: GradedPoset) -> dict:
     return words[top]
 
 
-def chain_report(p: GradedPoset) -> tuple[dict, int, int]:
+def chain_report(p: GradedPoset, power: int = 1) -> tuple[dict, int, int]:
     """Maximal chains from bottom to top as (words, increasing, descending):
     the count of each label word, and of the increasing and descending ones
-    (see _chain_words and _classified)."""
-    return _classified(_chain_words(p))
+    (see _chain_words and _classified).
 
-
-def segre_chain_report(p: GradedPoset) -> tuple[dict, int, int]:
-    """chain_report of the Segre square of p with itself, labeled by pairs
-    as segre_product labels it, read off p's chain words: the square is
-    never built.
-
-    A maximal chain of the square is a pair of maximal chains of p, which
-    have one length, and its label word is their two words zipped
-    (Bjorner and Welker, Segre and Rees products of posets, JPAA 2005).  So
-    the square's tally is the product of p's with itself.  The square has
-    a bottom, or a top, exactly when p has, so its refusals are p's."""
-    words = _chain_words(p).items()
-    return _classified({tuple(zip(u, v)): c * d for u, c in words
-                        for v, d in words})
+    At power 2 they are those of the Segre square of p with itself, labeled
+    by pairs as segre_product labels it, read off p's chain words: the
+    square is never built.  A maximal chain of the square is a pair of
+    maximal chains of p, which have one length, and its label word is their
+    two words zipped (Bjorner and Welker, JPAA 2005).  So the square's tally
+    is the product of p's with itself.  The square has a bottom, or a top,
+    exactly when p has, so its refusals are p's."""
+    _check_power(power)
+    words = _chain_words(p)
+    if power == 2:
+        words = {tuple(zip(u, v)): c * d for u, c in words.items()
+                 for v, d in words.items()}
+    return _classified(words)
 
 
 def _upper_lists(p: GradedPoset) -> list[list[int]]:
@@ -666,13 +666,16 @@ def rational_betti_numbers(p: GradedPoset) -> list[int]:
         [len(level) for level in critical], critical.__getitem__, mate)
 
 
-def segre_betti_numbers(p: GradedPoset) -> list[int]:
-    """rational_betti_numbers of the proper part of the Segre square of p
-    with itself, read off p: the square is never built (see
-    _segre_matching).  The refusals are proper_part's."""
-    bottom, top = p.bottom, p.top
-    if bottom is None or top is None:
-        raise ValueError("proper part requires both a bottom and a top")
+def betti_numbers(p: GradedPoset, power: int = 1) -> list[int]:
+    """rational_betti_numbers of the proper part of p at power 1, or of the
+    proper part of its Segre square with itself at power 2, read off p: the
+    square is never built (see _segre_matching).  The refusals are
+    proper_part's.  The power picks the matcher: the element matching on
+    p's proper part itself, or the one on pairs of p's chains."""
+    _check_power(power)
+    if power == 1:
+        return rational_betti_numbers(proper_part(p))
+    bottom, top = _bounds(p, "proper part")
     if bottom == top:
         return []
     return _morse_betti_numbers(

@@ -127,11 +127,11 @@ def _gaussian_count(n: int, k: int, q: int) -> int:
     return result
 
 
-def check_count_bound(n: int, q: int, segre: bool = False,
+def check_count_bound(n: int, q: int, power: int = 1,
                       count_bound: int | None = None) -> None:
     """Refuse a negative ambient dimension or count bound, and B_n(q) of more
-    subspaces than the count bound, or its Segre square of more pairs,
-    sum_k N_k^2 for N_k the subspaces of rank k.
+    subspaces than the count bound at power 1, or at power 2 its Segre
+    square of more pairs, sum_k N_k^2 for N_k the subspaces of rank k.
 
     Rank k = floor(n/2) holds at least q^e subspaces, e = k(n-k) (its
     Gaussian binomial has that degree and nonnegative coefficients), and the
@@ -145,8 +145,7 @@ def check_count_bound(n: int, q: int, segre: bool = False,
     if bound < 0:
         raise ValueError(f"the subspace count bound must be nonnegative, "
                          f"got {bound}")
-    what = "pairs of the Segre square" if segre else "subspaces"
-    power = 2 if segre else 1
+    what = "pairs of the Segre square" if power == 2 else "subspaces"
     e = power * (n // 2) * ((n + 1) // 2)
     if (e * (q.bit_length() - 1) > bound.bit_length()
             or q ** e > max(bound, SUBSPACE_COUNT_BOUND)):
@@ -160,18 +159,19 @@ def check_count_bound(n: int, q: int, segre: bool = False,
         raise ValueError(f"{count} {what} exceed the bound {bound}")
 
 
-def proper_face_count(n: int, q: int, segre: bool = False) -> int:
-    """Faces of the order complex of the proper part of B_n(q), or of its
-    Segre square, whose chains are pairs of flags with one dimension set:
-    the sum over nonempty S in [n-1] of the flags with dimension set S, a
-    q-multinomial, squared for the square.  Summed by the largest dimension
-    s: within[s] sums the flags of a fixed s-space that end at it."""
-    e = 2 if segre else 1
+def proper_face_count(n: int, q: int, power: int = 1) -> int:
+    """Faces of the order complex of the proper part of B_n(q) at power 1,
+    or at power 2 of its Segre square, whose chains are pairs of flags with
+    one dimension set: the sum over nonempty S in [n-1] of the flags with
+    dimension set S, a q-multinomial, to the power.  Summed by the largest
+    dimension s: within[s] sums the flags of a fixed s-space that end at
+    it."""
     within = [0] * n
     for s in range(1, n):
-        within[s] = 1 + sum(_gaussian_count(s, t, q) ** e * within[t]
+        within[s] = 1 + sum(_gaussian_count(s, t, q) ** power * within[t]
                             for t in range(1, s))
-    return sum(_gaussian_count(n, s, q) ** e * within[s] for s in range(1, n))
+    return sum(_gaussian_count(n, s, q) ** power * within[s]
+               for s in range(1, n))
 
 
 class _Lanes:

@@ -386,7 +386,7 @@ def descending_chain_count(p) -> int:
     """Maximal chains from bottom to top whose label words have no ascent,
     chain_report's descending count without the words, by one push over
     the poset's own covers; on segre_product's square it is the second
-    route to the count that segre_chain_report reads off the factor's
+    route to the count that chain_report at power 2 reads off the factor's
     words.
 
     Taken in rank order, tallies[x][s] counts the descending chains from the

@@ -286,7 +286,7 @@ class TestBoundsBeforeWork:
             self, capsys, monkeypatch):
         # the proper part of the (4,3) square has 5157700 faces
         from qsegre import poset
-        for name in ("chains_by_dimension", "segre_betti_numbers"):
+        for name in ("chains_by_dimension", "_segre_matching"):
             monkeypatch.setattr(poset, name, fail_if_called)
         code, out, err = run(capsys, "betti", "--n", "4", "--q", "3",
                              "--segre", "--json")
@@ -426,7 +426,7 @@ class TestBrokenLabeling:
         # the labels 1 and 2 on the chain through the atom <(1,0)> of B_2(2)
         # swapped, so that no chain of the whole lattice is increasing
         from qsegre import cli
-        p, _ = cli._lattice(2, 2, False)
+        p, _ = cli._lattice(2, 2, 1)
         bottom, top = p.bottom, p.top
         atom = p.names.index(((1, 0),))
         swapped = cover_labels(p)
@@ -496,9 +496,9 @@ class TestBorelOrbitRoute:
             pushed.append(lows)
             return check(p, lows)
         monkeypatch.setattr(poset, "check_el_labeling", spy)
-        for segre, lows in ((False, 2 ** n), (True, comb(2 * n, n))):
-            p, _ = cli._lattice(n, q, segre)
-            assert cli._el_check(n, q, segre) == el_check_by_intervals(p)
+        for power, lows in ((1, 2 ** n), (2, comb(2 * n, n))):
+            p, _ = cli._lattice(n, q, power)
+            assert cli._el_check(n, q, power) == el_check_by_intervals(p)
             assert len(pushed.pop()) == lows and pushed == []
 
     def test_a_swap_off_the_symmetry_falls_back_to_every_element(
@@ -515,7 +515,7 @@ class TestBorelOrbitRoute:
             lambda p, lows=None: pushed.append(lows) or check(p, lows))
         violation = ("2 increasing maximal chains in [((), ()), "
                      "(((0, 1, 0), (0, 0, 1)), ((1, 0, 0), (0, 1, 1)))]")
-        assert el_check_by_intervals(fresh_lattices._lattice(3, 2, True)[0]) == (
+        assert el_check_by_intervals(fresh_lattices._lattice(3, 2, 2)[0]) == (
             False, violation)
         code, out, err = run(capsys, "verify", "el", "--n", "3", "--q", "2",
                              "--segre")
@@ -531,7 +531,7 @@ class TestBorelOrbitRoute:
         # offender is named
         from qsegre import poset
         _with_swapped_factor(monkeypatch, ((1, 0, 0),), ((1, 0, 0), (0, 1, 0)))
-        sp, _ = fresh_lattices._lattice(3, 2, True)
+        sp, _ = fresh_lattices._lattice(3, 2, 2)
         starts = []
         push = poset._push_from
         monkeypatch.setattr(poset, "_push_from",
@@ -631,6 +631,24 @@ class TestSegreBettiFromTheFactor:
             0, {"betti": [], "n": n, "q": 2, "segre": True}, "")
 
 
+class TestSegreParsesIntoPower:
+    """--segre, and the `segre` verb, are parsed straight into the power
+    the kernels take: 2 for the Segre square, else 1, and no segre flag is
+    left on the arguments."""
+
+    @pytest.mark.parametrize("argv, power", [
+        *[((*verb, "--n", "2", "--q", "3", *flag), len(flag) + 1)
+          for verb in (("lattice",), ("mobius",), ("betti",), ("verify", "el"))
+          for flag in ((), ("--segre",))],
+        (("segre", "--n", "2", "--q", "3"), 2),
+    ])
+    def test_the_parsed_arguments_carry_the_power(self, argv, power):
+        from qsegre.cli import build_parser
+        args = build_parser().parse_args(argv)
+        assert args.power == power and type(args.power) is int
+        assert not hasattr(args, "segre")
+
+
 class TestSegreTextFromTheFactor:
     """`segre` and `lattice --segre` in text mode, without --check-el or
     --json, print the square's counts and chains off its factor."""
@@ -638,7 +656,7 @@ class TestSegreTextFromTheFactor:
     @pytest.mark.parametrize("n, q", [(0, 2), (1, 3), (2, 2), (2, 3), (3, 2)])
     def test_the_line_is_the_built_squares(self, fresh_lattices, capsys,
                                            n, q):
-        sp, _ = fresh_lattices._lattice(n, q, True)
+        sp, _ = fresh_lattices._lattice(n, q, 2)
         line = (f"segre square n={n} q={q}: {len(sp)} elements, "
                 f"rank sizes {sp.rank_sizes()}\n")
         for verb in (("segre",), ("lattice", "--segre")):
@@ -1132,16 +1150,16 @@ class TestConsoleEntry:
         (("verify", "el", "--n", "2", "--q", "2", "--segre", "--json"), "el",
          "poset.check_el_labeling"),
         (("verify", "mobius", "--n", "2", "--q", "2", "--json"), "mobius",
-         "poset.segre_chain_report"),
+         "poset.chain_report"),
         (("betti", "--n", "2", "--q", "2", "--segre"), None,
-         "poset.segre_betti_numbers"),
+         "poset.betti_numbers"),
         (("mobius", "--n", "2", "--q", "3"), None, "poset.mobius_number"),
         (("lattice", "--n", "2", "--q", "2", "--chains", "--check-el"), None,
          "poset.chain_report"),
         (("verify", "el", "--n", "2", "--q", "3"), None,
          "poset.check_el_labeling"),
         (("mobius", "--n", "2", "--q", "2", "--segre"), None,
-         "poset.segre_mobius_number"),
+         "poset.mobius_number"),
     ])
     def test_the_benchmark_tracer_runs_the_push_kernels(
             self, tmp_path, argv, check, span):

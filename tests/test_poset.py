@@ -6,12 +6,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qsegre.poset import (FACE_COUNT_BOUND, GradedPoset, chain_report, chains_by_dimension,
+from qsegre.poset import (FACE_COUNT_BOUND, GradedPoset, betti_numbers,
+                          chain_report, chains_by_dimension,
                           check_el_labeling, mobius_number,
                           order_chain_counts, product_order_less, proper_part,
-                          rational_betti_numbers, segre_betti_numbers,
-                          segre_chain_report, segre_mobius_number,
-                          segre_product, to_interchange, _element_matching,
+                          rational_betti_numbers, segre_product, to_interchange, _element_matching,
                           _morse_boundary, _rank_of_sparse_rows,
                           _segre_matching, _set_bits, _upper_lists)
 from qsegre.cli import BETTI_MATRIX, MOBIUS_MATRIX
@@ -464,8 +463,10 @@ class TestUnlabeledPosets:
     """The increasing and descending tests compare labels, so a poset whose
     covers carry none is refused before any work, with the cause named."""
 
-    @pytest.mark.parametrize("kernel", [chain_report, segre_chain_report,
-                                        check_el_labeling])
+    @pytest.mark.parametrize("kernel", [
+        chain_report, check_el_labeling,
+        pytest.param(functools.partial(chain_report, power=2),
+                     id="chain_report_at_power_2")])
     def test_an_unlabeled_poset_is_refused(self, kernel):
         with pytest.raises(ValueError, match="^poset is unlabeled: its covers "
                            "carry no labels to compare$"):
@@ -492,7 +493,7 @@ class TestDescendingCount:
         descending = descending_chain_count(sp)
         assert descending == chain_report(sp)[2]
         assert descending == w_polynomial(n).evaluate(q)
-        assert segre_chain_report(factor)[2] == descending
+        assert chain_report(factor, 2)[2] == descending
 
 
 class TestUnboundedPosets:
@@ -634,13 +635,13 @@ def _square_of(p):
 
 def _from_factor(p):
     """The Segre kernels on the factor, as _square_of returns them."""
-    report = _outcome(segre_chain_report, p)
-    return (_outcome(segre_mobius_number, p), report,
+    report = _outcome(chain_report, p, 2)
+    return (_outcome(mobius_number, p, 2), report,
             report if isinstance(report, str) else report[2])
 
 
 class TestSegreKernelsAgainstTheSquare:
-    """segre_mobius_number and segre_chain_report on a factor against
+    """mobius_number and chain_report at power 2 on a factor against
     the Mobius recursion, chain_report and the cover push on the square
     that segre_product builds of it."""
 
@@ -706,10 +707,43 @@ class TestSegreKernelsAgainstTheSquare:
         assert (mu, descending, pushed) == (15, 15, 15)
 
 
+class TestPowers:
+    """mobius_number, chain_report and betti_numbers on a poset at power 1,
+    and on its Segre square at power 2, read off the poset: each equals
+    the route on the built poset or square, and any other power is refused
+    before any work."""
+
+    @pytest.mark.parametrize("power", [1, 2])
+    @pytest.mark.parametrize("n, q", [(2, 3), (3, 2)])
+    def test_each_power_matches_the_built_poset(self, n, q, power):
+        p, _ = build_bnq(n, FiniteField(q))
+        built = p if power == 1 else segre_product(p, p)
+        assert mobius_number(p, power) == mobius_by_recursion(built)
+        assert chain_report(p, power) == chain_report_by_enumeration(built)
+        assert betti_numbers(p, power) == \
+            rational_betti_numbers_by_elimination(proper_part(built))
+
+    @pytest.mark.parametrize("kernel", [mobius_number, chain_report,
+                                        betti_numbers])
+    @pytest.mark.parametrize("power", [0, 3, -1])
+    def test_another_power_is_refused_before_any_work(
+            self, monkeypatch, kernel, power):
+        # an antichain has no bottom or top, so a refusal after the first
+        # step would have another text; every step fails if reached
+        import qsegre.poset as poset_module
+        for name in ("_bounds", "_flag_f_vector", "_chain_words",
+                     "proper_part", "_segre_matching"):
+            monkeypatch.setattr(poset_module, name, fail_if_called)
+        with pytest.raises(ValueError, match=(
+                rf"^power must be 1 \(the poset\) or 2 \(its Segre square\), "
+                rf"got {power}$")):
+            kernel(antichain(3), power)
+
+
 class TestQuadraticBitsets:
-    """Only mobius_number, segre_mobius_number, segre_betti_numbers,
-    order_chain_counts and chains_by_dimension build the per-element
-    downward masks; segre_mobius_number builds the factor's alone, each
+    """Only mobius_number, betti_numbers, order_chain_counts and
+    chains_by_dimension build the per-element downward masks;
+    mobius_number at power 2 builds the factor's alone, each
     spanning only the ranks below its element, and the square's stay
     unbuilt."""
 
@@ -719,9 +753,9 @@ class TestQuadraticBitsets:
         assert sp.bottom == 0 and sp.top == len(sp) - 1
         assert check_el_labeling(sp) == (True, None)
         # W_2(3) = 2*3 + 3^2
-        assert segre_chain_report(factor)[2] == 15
+        assert chain_report(factor, 2)[2] == 15
         assert factor._below is None and sp._below is None
-        assert segre_mobius_number(factor) == 15
+        assert mobius_number(factor, 2) == 15
         assert factor._below is not None and sp._below is None
         assert mobius_number(sp) == 15
         assert sp._below is not None
@@ -896,7 +930,7 @@ class TestBetti:
 
 
 def _built_square(p):
-    """The oracle route of segre_betti_numbers: the critical counts of
+    """The oracle route of betti_numbers at power 2: the critical counts of
     _element_matching and the Betti numbers on the proper part of the
     square that segre_product builds of p."""
     square = proper_part(segre_product(p, p))
@@ -907,8 +941,9 @@ def _built_square(p):
 
 
 def _factor_route(p):
-    """_segre_matching's critical counts and segre_betti_numbers on p."""
-    return _segre_matching(p)[0], segre_betti_numbers(p)
+    """_segre_matching's critical counts and betti_numbers at power 2 on
+    p."""
+    return _segre_matching(p)[0], betti_numbers(p, 2)
 
 
 def _all_signs_plus(chain):
@@ -916,7 +951,7 @@ def _all_signs_plus(chain):
 
 
 class TestSegreBetti:
-    """segre_betti_numbers on a factor against rational_betti_numbers on
+    """betti_numbers at power 2 on a factor against rational_betti_numbers on
     the proper part of the square that segre_product builds of it, and the
     pair matching's critical counts against _element_matching's there."""
 
@@ -958,10 +993,10 @@ class TestSegreBetti:
         assert sum(bool(_morse_boundary(c, mate, faces, dimension))
                    for c in critical(2)) == 4
         square = proper_part(segre_product(p, p))
-        assert segre_betti_numbers(p) == \
+        assert betti_numbers(p, 2) == \
             rational_betti_numbers_by_elimination(square) == [0, 4, 4, 0]
         monkeypatch.setattr(poset_module, "_faces", _all_signs_plus)
-        assert segre_betti_numbers(p) == [0, 2, 2, 0]
+        assert betti_numbers(p, 2) == [0, 2, 2, 0]
 
     @pytest.mark.parametrize("ranks, covers, betti", [
         # the bottom is the top, so the square's proper part is empty
@@ -973,7 +1008,7 @@ class TestSegreBetti:
     def test_small_squares(self, ranks, covers, betti):
         p = poset_from_covers([f"v{i}" for i in range(len(ranks))], ranks,
                               covers)
-        assert segre_betti_numbers(p) == \
+        assert betti_numbers(p, 2) == \
             rational_betti_numbers(proper_part(segre_product(p, p))) == betti
 
     @pytest.mark.parametrize("ranks, covers", [
@@ -987,22 +1022,22 @@ class TestSegreBetti:
         with pytest.raises(ValueError) as built:
             proper_part(segre_product(p, p))
         with pytest.raises(ValueError) as from_factor:
-            segre_betti_numbers(p)
+            betti_numbers(p, 2)
         assert str(from_factor.value) == str(built.value) == (
             "proper part requires both a bottom and a top")
 
     def test_over_the_bound_no_chain_is_listed(self, monkeypatch):
         import qsegre.poset as poset_module
         p, _ = build_bnq(3, FiniteField(2))
-        faces = proper_face_count(3, 2, True)
+        faces = proper_face_count(3, 2, 2)
         monkeypatch.setattr(poset_module, "_upper_lists", fail_if_called)
         monkeypatch.setattr(poset_module, "FACE_COUNT_BOUND", faces - 1)
         with pytest.raises(ValueError, match=f"^{faces} faces of the order "
                                              f"complex exceed the bound {faces - 1}$"):
-            segre_betti_numbers(p)
+            betti_numbers(p, 2)
         monkeypatch.undo()
         monkeypatch.setattr(poset_module, "FACE_COUNT_BOUND", faces)
-        assert segre_betti_numbers(p) == [0, 344]
+        assert betti_numbers(p, 2) == [0, 344]
 
     def test_a_miscounted_face_is_refused(self, monkeypatch):
         # the matching first visits each face at its least element; a flag
@@ -1019,7 +1054,7 @@ class TestSegreBetti:
         with pytest.raises(ArithmeticError, match=(
                 "^the matching visited 539 faces of the Segre square, but "
                 "its factor's flag f-vector counts 582$")):
-            segre_betti_numbers(p)
+            betti_numbers(p, 2)
 
 
 class TestFaceBound:
@@ -1027,21 +1062,21 @@ class TestFaceBound:
         for n, q in ((0, 2), (1, 2), (2, 2), (2, 3), (3, 2), (3, 3), (3, 4),
                      (4, 2)):
             field = FiniteField(q)
-            for segre, build in ((False, lambda n, field: build_bnq(n, field)[0]),
-                                 (True, segre_bnq)):
+            for power, build in ((1, lambda n, field: build_bnq(n, field)[0]),
+                                 (2, segre_bnq)):
                 p = proper_part(build(n, field))
                 assert sum(order_chain_counts(p)) == \
-                    proper_face_count(n, q, segre), (n, q, segre)
+                    proper_face_count(n, q, power), (n, q, power)
         for n in (4, 5):
             p = proper_part(build_bnq(n, FiniteField(2))[0])
             assert sum(order_chain_counts(p)) == proper_face_count(n, 2), n
 
     def test_bound_admits_the_desk_squares_and_refuses_the_next(self):
         for n, q in ((4, 2), (3, 7), (3, 8)):
-            assert proper_face_count(n, q, True) <= FACE_COUNT_BOUND, (n, q)
-        assert proper_face_count(3, 8, True) == 442307
-        assert proper_face_count(4, 3, True) == 5157700 > FACE_COUNT_BOUND
-        assert proper_face_count(3, 9, True) > FACE_COUNT_BOUND
+            assert proper_face_count(n, q, 2) <= FACE_COUNT_BOUND, (n, q)
+        assert proper_face_count(3, 8, 2) == 442307
+        assert proper_face_count(4, 3, 2) == 5157700 > FACE_COUNT_BOUND
+        assert proper_face_count(3, 9, 2) > FACE_COUNT_BOUND
         assert proper_face_count(6, 2) == 2257887 > FACE_COUNT_BOUND
 
     def test_over_the_bound_no_chain_is_listed(self, monkeypatch):

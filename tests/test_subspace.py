@@ -9,8 +9,7 @@ from qsegre import subspace
 from qsegre.exactalg import q_factorial
 from qsegre.permstats import q_binomial, w_polynomial
 from qsegre.poset import (chain_report, check_el_labeling, mobius_number,
-                          proper_part, rational_betti_numbers,
-                          segre_chain_report)
+                          proper_part, rational_betti_numbers)
 from qsegre.subspace import FiniteField, build_bnq
 
 import oracles
@@ -424,7 +423,7 @@ class TestLatticeConstruction:
 
     def test_segre_descending_counts(self):
         for n, field, expected in ((2, F2, 8), (2, F3, 15), (3, F2, 344)):
-            _, _, descending = segre_chain_report(build_bnq(n, field)[0])
+            _, _, descending = chain_report(build_bnq(n, field)[0], 2)
             assert descending == expected
             assert expected == w_polynomial(n).evaluate(field.order)
 
