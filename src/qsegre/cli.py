@@ -47,7 +47,7 @@ def _factor(n: int, q: int, power: int, count_bound=None, faces=False):
 
 
 @functools.lru_cache(maxsize=None)
-def _lattice(n: int, q: int, power: int, count_bound=None):
+def _lattice(n: int, q: int, power: int, count_bound):
     """B_n(q) at power 1, or its Segre square at power 2, and the elements
     the EL check pushes from, as (poset, lows): build_bnq's coordinate
     subspaces, or on the square their pairs.  A square is refused on its
@@ -225,7 +225,7 @@ def _check_el() -> dict:
 def _check_chains() -> dict:
     from . import exactalg, poset
     for n, q in EL_MATRIX:
-        p, _ = _lattice(n, q, 1)
+        p, _ = _lattice(n, q, 1, None)
         words, _, _ = poset.chain_report(p)
         expected = {w: q ** sum(a > b for a, b in combinations(w, 2))
                     for w in permutations(range(1, n + 1))}

@@ -35,14 +35,16 @@ a power, 1 for the poset and 2 for its square.  At power 2 the Hall sum
 squares the flag f-vector, the chain tally pairs the factor's words, and
 the element matching runs on pairs of the factor's chains.  The order is
 held once, as each element's strict downward mask, which sets only bits
-of lower ranks; mobius_number, order_chain_counts, chains_by_dimension and
-betti_numbers build it, and the last two extend chains by one transpose
-of it (_upper_lists).  Queries walk only the set bits (`mask & -mask`).
-Betti numbers come from an acyclic element matching on the order complex
-(discrete Morse theory): its critical chains span the Morse complex, whose
-boundary follows gradient paths, so nothing is eliminated when the
-critical chains fill one dimension.  The face count is held to
-FACE_COUNT_BOUND by check_face_count before any chain is listed.
+of lower ranks; mobius_number and betti_numbers build it, and
+betti_numbers extends chains by one transpose of it (_upper_lists).
+Queries walk only the set bits (`mask & -mask`).  Betti numbers come from
+an acyclic element matching on the order complex (discrete Morse theory):
+its critical chains span the Morse complex, whose boundary follows
+gradient paths, so nothing is eliminated when the critical chains fill
+one dimension.  At both powers the face count is read off the flag
+f-vector and held to FACE_COUNT_BOUND by check_face_count before any
+chain is listed, and the chains of the proper part are listed once, by
+level set.
 
 Construction is single threaded; after that every query is read-only apart
 from idempotent lazy caches, so built posets can be shared by concurrent
@@ -223,21 +225,6 @@ def _check_power(power: int) -> None:
                          f"square), got {power}")
 
 
-def proper_part(p: GradedPoset) -> GradedPoset:
-    """The unlabeled poset with p's bottom and top removed."""
-    bottom, top = _bounds(p, "proper part")
-    keep = [i for i in range(len(p)) if i not in (bottom, top)]
-    remap = [-1] * len(p)
-    for new, old in enumerate(keep):
-        remap[old] = new
-    up = []
-    for i in keep:
-        ys = [remap[b] for _, group in p._up[i] for b in group if b != top]
-        up.append([(None, ys)] if ys else [])
-    return GradedPoset([p.names[i] for i in keep],
-                       [p.ranks[i] for i in keep], up)
-
-
 def mobius_number(p: GradedPoset, power: int = 1) -> int:
     """mu(bottom, top) of p at power 1, or of its Segre square with itself
     at power 2, read off p's own order: the square is never built.
@@ -287,32 +274,6 @@ def _flag_f_vector(p: GradedPoset) -> dict[int, int]:
                         counts[key] = counts.get(key, 0) + found * count
         tally = tuple(counts.items())
         classes[h][tally] = classes[h].get(tally, 0) | 1 << x
-    return counts
-
-
-def order_chain_counts(p: GradedPoset) -> list[int]:
-    """Entry j is the number of chains with j+1 elements (faces of the order
-    complex of dimension j).
-
-    ends[x][j], the chains with j+1 elements whose greatest element is x, is
-    1 for j = 0 and else the sum of ends[y][j-1] over y below x.  Taken in
-    rank order, each dimension keeps one mask per distinct value seen so
-    far, so that sum is one popcount per value class; only the value
-    classes are stored."""
-    below = p._below_masks()
-    classes: list[dict[int, int]] = []
-    counts: list[int] = []
-    for x in sorted(range(len(p)), key=p.ranks.__getitem__):
-        value, j = 1, 0
-        while value:
-            if j == len(counts):
-                classes.append({})
-                counts.append(0)
-            counts[j] += value
-            classes[j][value] = classes[j].get(value, 0) | (1 << x)
-            value = sum(v * (below[x] & mask).bit_count()
-                        for v, mask in classes[j].items())
-            j += 1
     return counts
 
 
@@ -483,27 +444,43 @@ def chain_report(p: GradedPoset, power: int = 1) -> tuple[dict, int, int]:
     return _classified(words)
 
 
-def _upper_lists(p: GradedPoset) -> list[list[int]]:
-    """The elements above each element, ascending: the transpose of p's
-    downward masks."""
-    above: list[list[int]] = [[] for _ in range(len(p))]
+def _upper_lists(p: GradedPoset) -> list[dict[int, list[int]]]:
+    """The elements above each element by rank, each list ascending: the
+    transpose of p's downward masks."""
+    above: list[dict[int, list[int]]] = [{} for _ in range(len(p))]
     for y, mask in enumerate(p._below_masks()):
+        r = p.ranks[y]
         for x in _set_bits(mask):
-            above[x].append(y)
+            above[x].setdefault(r, []).append(y)
     return above
 
 
-def chains_by_dimension(p: GradedPoset) -> list[list[tuple[int, ...]]]:
-    """All chains of the poset grouped by dimension (j+1 elements -> index
-    j), each group in lexicographic order: a chain is extended by every
-    element above its last."""
+def _chains_by_level_set(p: GradedPoset) -> dict[int, list[tuple]]:
+    """The chains of the proper part of p, which has a bottom and a distinct
+    top, with the empty one, grouped by their level sets: a level is a rank
+    less the bottom's, and a chain's set s is a mask over levels.  Each
+    group is in lexicographic order.
+
+    The chains of group s all end at its highest level, and those of s with
+    a higher level g added are those of s, each extended by every element at
+    level g above its last.  So each group is made whole from one other,
+    the singletons from the bottom's upper lists, and no chain's set is
+    computed from its elements."""
     above = _upper_lists(p)
-    by_dim: list[list[tuple[int, ...]]] = []
-    level = [(v,) for v in range(len(p))]
-    while level:
-        by_dim.append(level)
-        level = [c + (y,) for c in level for y in above[c[-1]]]
-    return by_dim
+    low = p.ranks[p.bottom]
+    depth = p.ranks[p.top] - low - 1
+    groups: dict[int, list[tuple]] = {0: [()]}
+    pending = [(1 << (r - low), [(y,) for y in ys])
+               for r, ys in above[p.bottom].items() if r - low <= depth]
+    while pending:
+        s, chains = pending.pop()
+        groups[s] = chains
+        for g in range(s.bit_length(), depth + 1):
+            longer = [c + (y,) for c in chains
+                      for y in above[c[-1]].get(low + g, ())]
+            if longer:
+                pending.append((s | 1 << g, longer))
+    return groups
 
 
 def _primitive(row: dict[int, int]) -> dict[int, int]:
@@ -552,12 +529,15 @@ def _rank_of_sparse_rows(rows: list[dict[int, int]]) -> int:
 
 
 def _element_matching(p: GradedPoset, chains) -> dict:
-    """The iterated element matching on the chains (with the empty chain)
-    of p, as a map sending each matched chain to its partner.
+    """The iterated element matching on chains of p, given in groups and
+    closed under removing elements (the empty chain need not be given), as
+    a map sending each matched chain to its partner, the empty chain
+    included.
 
     The elements are taken in (rank, index) order; element x pairs every
     chain s without x, both still unmatched, with s + x when that is a
-    chain.  One pass over the chains that contain x finds those pairs, and
+    given chain, so an element in none of them pairs nothing.  One pass
+    over the chains that contain x finds those pairs, and
     within one pass they are disjoint.  A sequence of element matchings is
     acyclic (Jonsson, Simplicial Complexes of Graphs, LNM 1928), so the
     unmatched chains span a Morse complex with the reduced homology of the
@@ -640,67 +620,69 @@ def _morse_betti_numbers(what: str, counts: list[int], listed, mate: dict,
     return betti
 
 
-def rational_betti_numbers(p: GradedPoset) -> list[int]:
-    """Reduced Betti numbers of the order complex over the rationals,
-    dimensions 0 through the top; empty for the empty poset.
-
-    The face count is checked against FACE_COUNT_BOUND before any chain is
-    listed.  The critical chains of _element_matching are a basis of the
-    Morse complex (see _morse_betti_numbers).  The empty chain is matched
-    with the first element, so the homology is reduced.  Torsion does not
-    count: the face poset of the six-vertex real projective plane has all
-    Betti numbers 0.
-    """
-    if len(p) == 0:
-        return []
-    counts = order_chain_counts(p)
-    check_face_count(sum(counts))
-    chains = chains_by_dimension(p)
-    if [len(level) for level in chains] != counts:
-        raise ArithmeticError(f"listed {[len(level) for level in chains]} "
-                              f"chains by dimension but counted {counts}")
-    mate = _element_matching(p, chains)
-    critical = [[c for c in level if c not in mate] for level in chains]
-    return _morse_betti_numbers(
-        f"a poset of {len(p)} elements and rank sizes {p.rank_sizes()}",
-        [len(level) for level in critical], critical.__getitem__, mate)
-
-
 def betti_numbers(p: GradedPoset, power: int = 1) -> list[int]:
-    """rational_betti_numbers of the proper part of p at power 1, or of the
-    proper part of its Segre square with itself at power 2, read off p: the
-    square is never built (see _segre_matching).  The refusals are
-    proper_part's.  The power picks the matcher: the element matching on
-    p's proper part itself, or the one on pairs of p's chains."""
+    """Reduced Betti numbers over the rationals of the order complex of the
+    proper part of p at power 1, or of the proper part of its Segre square
+    with itself at power 2, dimensions 0 through the top, read off p: the
+    square is never built.  p needs a bottom and a top; if they are one
+    element, the list is empty.
+
+    A chain of the square's proper part is a pair of chains of p's proper
+    part with one level set s (Bjorner and Welker, Segre and Rees products
+    of posets, JPAA 2005), so at either power the faces number the sum over
+    nonempty s of alpha(s)^power (see _flag_f_vector), which is held to
+    FACE_COUNT_BOUND before any chain is listed.  p's proper part has few
+    chains: they are listed once, by level set (_chains_by_level_set).  At
+    power 1 the groups must hold alpha(s) chains each, or ArithmeticError
+    is raised, and the element matching runs on them; at power 2 the
+    element matching runs on pairs of them (_segre_matching).  The critical
+    chains are a basis of the Morse complex (see _morse_betti_numbers).
+    Torsion does not count: the face poset of the six-vertex real
+    projective plane has all Betti numbers 0."""
     _check_power(power)
-    if power == 1:
-        return rational_betti_numbers(proper_part(p))
     bottom, top = _bounds(p, "proper part")
     if bottom == top:
         return []
+    alpha = _flag_f_vector(p)
+    face_count = sum(a ** power for a in alpha.values()) - 1  # less ()
+    check_face_count(face_count)
+    groups = _chains_by_level_set(p)
+    if power == 2:
+        return _morse_betti_numbers(
+            f"the proper part of the Segre square of a poset of {len(p)} "
+            f"elements",
+            *_segre_matching(p, groups, face_count))
+    listed = {s: len(chains) for s, chains in groups.items()}
+    if listed != alpha:
+        s = min(s for s in listed.keys() | alpha.keys()
+                if listed.get(s) != alpha.get(s))
+        raise ArithmeticError(f"listed {listed.get(s, 0)} chains at levels "
+                              f"{_set_bits(s)}, but the flag f-vector counts "
+                              f"{alpha.get(s, 0)}")
+    mate = _element_matching(p, groups.values())
+    critical = [[c for s, chains in groups.items() if s.bit_count() == j
+                 for c in chains if c not in mate]
+                for j in range(1, p.ranks[top] - p.ranks[bottom])]
+    sizes = p.rank_sizes()[:-1]  # the proper part's: the top alone is last
+    sizes[p.ranks[bottom]] = 0
     return _morse_betti_numbers(
-        f"the proper part of the Segre square of a poset of {len(p)} "
-        f"elements",
-        *_segre_matching(p))
+        f"a poset of {len(p) - 2} elements and rank sizes {sizes}",
+        [len(level) for level in critical], critical.__getitem__, mate)
 
 
-def _segre_matching(p: GradedPoset):
+def _segre_matching(p: GradedPoset, groups: dict[int, list[tuple]],
+                    face_count: int):
     """_element_matching on the proper part of the Segre square of p, which
-    has a bottom and a distinct top, run on pairs of p's chains, as the
-    arguments _morse_betti_numbers takes after its first: the critical
+    has a bottom and a distinct top, run on pairs of the chains of p's
+    proper part, given by level set as _chains_by_level_set lists them, as
+    the arguments _morse_betti_numbers takes after its first: the critical
     counts, their lister, the matching, and the faces and dimension of a
-    key.
+    key.  face_count is the square's face count by p's flag f-vector.
 
-    A chain of the square's proper part is a pair of chains of p's proper
-    part with one set s of levels (Bjorner and Welker, Segre and Rees
-    products of posets, JPAA 2005), so its faces number the sum over
-    nonempty s of alpha(s)^2 (see _flag_f_vector), which is held to
-    FACE_COUNT_BOUND before any chain is listed.  p's proper part has few
-    chains: they are listed once, with the empty one, in groups by s, the
-    groups in ascending size.  The pair of the k-th and l-th chains of
-    group s is the key base[s] + k * alpha(s) + l, base[s] summing the
-    squares of the groups before s, so the keys number the faces by
-    dimension.
+    The groups are taken by their number of levels, then by s.  The pair
+    of the k-th and l-th chains of group s is the key base[s] + k * alpha(s)
+    + l, base[s] summing the squares of the groups before s, so the keys
+    number the faces by dimension.
 
     The square's elements (x, y) are taken in its own (rank, x, y) order.
     The chains through (x, y) are the pairs of a chain through x and one
@@ -710,22 +692,11 @@ def _segre_matching(p: GradedPoset):
     without it.  The critical count in each dimension is its face count
     less the keys matched there, and critical keys are listed only on
     demand.  Faces are first visited at their least element, so the visits
-    there must number the faces, or ArithmeticError is raised."""
-    alpha = _flag_f_vector(p)
-    face_count = sum(a * a for a in alpha.values()) - 1  # less the empty chain
-    check_face_count(face_count)
+    there must number face_count, or ArithmeticError is raised."""
     bottom, top = p.bottom, p.top
     level = [r - p.ranks[bottom] for r in p.ranks]
     inner = sorted((x for x in range(len(p)) if x not in (bottom, top)),
                    key=lambda x: (level[x], x))
-    upper = _upper_lists(p)
-    above = {x: [y for y in upper[x] if y != top] for x in inner}
-    groups: dict[int, list[tuple]] = {0: [()]}
-    listing = [(x,) for x in inner]
-    while listing:
-        for c in listing:
-            groups.setdefault(sum(1 << level[x] for x in c), []).append(c)
-        listing = [c + (y,) for c in listing for y in above[c[-1]]]
     order = sorted(groups, key=lambda s: (s.bit_count(), s))
     starts = list(accumulate((len(groups[s]) ** 2 for s in order), initial=0))
     base = dict(zip(order, starts))

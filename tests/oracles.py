@@ -13,11 +13,14 @@ as a dict from each cover to its label (cover_labels), make a poset with
 another labeling from such a dict (relabel), read the order off the
 covers alone, list every maximal chain
 of every interval, push descending-chain tallies over the covers of a
-built Segre square, count the chains of the proper part for Hall's theorem,
-and build Segre products by numbering pairs in a dict and labeling them
-through element names; the Betti oracle eliminates over the whole order
-complex, listed chain by chain from subsets of elements, and the rank
-oracle eliminates over Fractions.  The subspace oracles list every RREF
+built Segre square, take the proper part of a bounded poset, count and
+list the chains of any poset by dimension, for Hall's theorem among
+others, and build Segre products by numbering pairs in a dict and
+labeling them through element names.  One Betti oracle runs the package's
+element matching on every chain of any poset, where the package runs it
+only on a proper part; the other eliminates over the whole order complex,
+listed chain by chain from subsets of elements, and the rank oracle
+eliminates over Fractions.  The subspace oracles list every RREF
 basis by its pivot columns and free positions, reduce to RREF and take
 label sets by Gauss-Jordan elimination on code tuples, build B_n(q) from
 tuple joins as the package did before it packed rows into ints, test
@@ -45,9 +48,9 @@ from math import factorial
 from typing import NamedTuple
 
 from qsegre.exactalg import ONE, QPolynomial, one_minus_q_power
-from qsegre.poset import (GradedPoset, chains_by_dimension, order_chain_counts,
-                          product_order_less, proper_part, segre_product,
-                          _label_ids, _rank_of_sparse_rows)
+from qsegre.poset import (GradedPoset, product_order_less, segre_product,
+                          _element_matching, _label_ids, _morse_betti_numbers,
+                          _rank_of_sparse_rows)
 from qsegre.subspace import _gaussian_count, build_bnq
 from qsegre.symfrob import (_check_induction_bound, _conjugation_profile,
                             _cycle_splits, _degrees, _perm_of_cycle_type,
@@ -431,6 +434,86 @@ def segre_labels_by_names(square, p, q):
         labels[(a, b)] = (p_labels[(p_index[xa], p_index[xb])],
                           q_labels[(q_index[ya], q_index[yb])])
     return labels
+
+
+def proper_part(p: GradedPoset) -> GradedPoset:
+    """The unlabeled poset with p's bottom and top removed."""
+    if p.bottom is None or p.top is None:
+        raise ValueError("proper part requires both a bottom and a top")
+    keep = [i for i in range(len(p)) if i not in (p.bottom, p.top)]
+    remap = [-1] * len(p)
+    for new, old in enumerate(keep):
+        remap[old] = new
+    up = []
+    for i in keep:
+        ys = [remap[b] for _, group in p._up[i] for b in group if b != p.top]
+        up.append([(None, ys)] if ys else [])
+    return GradedPoset([p.names[i] for i in keep],
+                       [p.ranks[i] for i in keep], up)
+
+
+def order_chain_counts(p) -> list[int]:
+    """Entry j is the number of chains with j+1 elements (faces of the order
+    complex of dimension j).
+
+    ends[x][j], the chains with j+1 elements whose greatest element is x, is
+    1 for j = 0 and else the sum of ends[y][j-1] over y below x.  Taken in
+    rank order, each dimension keeps one mask per distinct value seen so
+    far, so that sum is one popcount per value class; only the value
+    classes are stored."""
+    below = p._below_masks()
+    classes: list[dict[int, int]] = []
+    counts: list[int] = []
+    for x in sorted(range(len(p)), key=p.ranks.__getitem__):
+        value, j = 1, 0
+        while value:
+            if j == len(counts):
+                classes.append({})
+                counts.append(0)
+            counts[j] += value
+            classes[j][value] = classes[j].get(value, 0) | (1 << x)
+            value = sum(v * (below[x] & mask).bit_count()
+                        for v, mask in classes[j].items())
+            j += 1
+    return counts
+
+
+def chains_by_dimension(p) -> list[list[tuple[int, ...]]]:
+    """All chains of the poset grouped by dimension (j+1 elements -> index
+    j), each group in lexicographic order: a chain is extended by every
+    element above its last, the order read from p.covers alone."""
+    _, at_or_above = order_from_covers(p)
+    above = [sorted(at_or_above[x] - {x}) for x in range(len(p))]
+    by_dim: list[list[tuple[int, ...]]] = []
+    level = [(v,) for v in range(len(p))]
+    while level:
+        by_dim.append(level)
+        level = [c + (y,) for c in level for y in above[c[-1]]]
+    return by_dim
+
+
+def rational_betti_numbers(p) -> list[int]:
+    """Reduced Betti numbers over the rationals of the order complex of any
+    finite graded poset, dimensions 0 through the top; empty for the empty
+    poset.  Every chain of p, listed by chains_by_dimension and checked
+    against order_chain_counts, goes through the package's element matching
+    and Morse complex (poset._element_matching, poset._morse_betti_numbers),
+    which betti_numbers runs only on the chains of a proper part.  The
+    empty chain is matched with the first element, so the homology is
+    reduced.  Torsion does not count: the face poset of the six-vertex real
+    projective plane has all Betti numbers 0."""
+    if len(p) == 0:
+        return []
+    counts = order_chain_counts(p)
+    chains = chains_by_dimension(p)
+    if [len(level) for level in chains] != counts:
+        raise ArithmeticError(f"listed {[len(level) for level in chains]} "
+                              f"chains by dimension but counted {counts}")
+    mate = _element_matching(p, chains)
+    critical = [[c for c in level if c not in mate] for level in chains]
+    return _morse_betti_numbers(
+        f"a poset of {len(p)} elements and rank sizes {p.rank_sizes()}",
+        [len(level) for level in critical], critical.__getitem__, mate)
 
 
 def reduced_euler_characteristic(p) -> int:

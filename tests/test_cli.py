@@ -286,7 +286,7 @@ class TestBoundsBeforeWork:
             self, capsys, monkeypatch):
         # the proper part of the (4,3) square has 5157700 faces
         from qsegre import poset
-        for name in ("chains_by_dimension", "_segre_matching"):
+        for name in ("_chains_by_level_set", "_segre_matching"):
             monkeypatch.setattr(poset, name, fail_if_called)
         code, out, err = run(capsys, "betti", "--n", "4", "--q", "3",
                              "--segre", "--json")
@@ -426,7 +426,7 @@ class TestBrokenLabeling:
         # the labels 1 and 2 on the chain through the atom <(1,0)> of B_2(2)
         # swapped, so that no chain of the whole lattice is increasing
         from qsegre import cli
-        p, _ = cli._lattice(2, 2, 1)
+        p, _ = cli._lattice(2, 2, 1, None)
         bottom, top = p.bottom, p.top
         atom = p.names.index(((1, 0),))
         swapped = cover_labels(p)
@@ -497,7 +497,7 @@ class TestBorelOrbitRoute:
             return check(p, lows)
         monkeypatch.setattr(poset, "check_el_labeling", spy)
         for power, lows in ((1, 2 ** n), (2, comb(2 * n, n))):
-            p, _ = cli._lattice(n, q, power)
+            p, _ = cli._lattice(n, q, power, None)
             assert cli._el_check(n, q, power) == el_check_by_intervals(p)
             assert len(pushed.pop()) == lows and pushed == []
 
@@ -515,8 +515,8 @@ class TestBorelOrbitRoute:
             lambda p, lows=None: pushed.append(lows) or check(p, lows))
         violation = ("2 increasing maximal chains in [((), ()), "
                      "(((0, 1, 0), (0, 0, 1)), ((1, 0, 0), (0, 1, 1)))]")
-        assert el_check_by_intervals(fresh_lattices._lattice(3, 2, 2)[0]) == (
-            False, violation)
+        sp, _ = fresh_lattices._lattice(3, 2, 2, None)
+        assert el_check_by_intervals(sp) == (False, violation)
         code, out, err = run(capsys, "verify", "el", "--n", "3", "--q", "2",
                              "--segre")
         assert (code, out, err) == (
@@ -531,7 +531,7 @@ class TestBorelOrbitRoute:
         # offender is named
         from qsegre import poset
         _with_swapped_factor(monkeypatch, ((1, 0, 0),), ((1, 0, 0), (0, 1, 0)))
-        sp, _ = fresh_lattices._lattice(3, 2, 2)
+        sp, _ = fresh_lattices._lattice(3, 2, 2, None)
         starts = []
         push = poset._push_from
         monkeypatch.setattr(poset, "_push_from",
@@ -656,7 +656,7 @@ class TestSegreTextFromTheFactor:
     @pytest.mark.parametrize("n, q", [(0, 2), (1, 3), (2, 2), (2, 3), (3, 2)])
     def test_the_line_is_the_built_squares(self, fresh_lattices, capsys,
                                            n, q):
-        sp, _ = fresh_lattices._lattice(n, q, 2)
+        sp, _ = fresh_lattices._lattice(n, q, 2, None)
         line = (f"segre square n={n} q={q}: {len(sp)} elements, "
                 f"rank sizes {sp.rank_sizes()}\n")
         for verb in (("segre",), ("lattice", "--segre")):
@@ -764,6 +764,22 @@ class TestVerifyCommands:
         lines = [line for line in out.splitlines() if line]
         assert len(lines) == 9
         assert all(line.startswith("PASS") for line in lines)
+
+    def test_serial_verify_all_builds_each_lattice_once(
+            self, fresh_lattices, monkeypatch, capsys):
+        # every check takes B_n(q) from the one cache, so each (n, q) is
+        # built once, whichever check asks first
+        from qsegre import subspace
+        build, built = subspace.build_bnq, []
+
+        def spy(n, field, count_bound=None):
+            built.append((n, field.order))
+            return build(n, field, count_bound)
+        monkeypatch.setattr(subspace, "build_bnq", spy)
+        code, _, _ = run(capsys, "verify", "all", "--max-n", "4")
+        assert code == 0
+        assert sorted(built) == sorted(set(built))
+        assert set(fresh_lattices.EL_MATRIX) <= set(built)
 
     def test_verify_all_json_is_deterministic(self, capsys):
         _, first, _ = run(capsys, "verify", "all", "--max-n", "1", "--json")
@@ -1044,8 +1060,9 @@ TRACED_COUNTER_NAMES = ("subspace.elements", "poset.elements", "poset.covers",
 # elements and 18 covers and is handed to the poset layer with its factor (5
 # and 6).  The square's mu, descending count and Betti numbers are read off
 # the factor, so verify mobius, mobius --segre and betti --segre hand the
-# poset layer the factor alone, and betti lists no chain through
-# chains_by_dimension, the one call the tracer counts faces from.
+# poset layer the factor alone.  The tracer counts faces only from a
+# function named chains_by_dimension, which the package does not define, so
+# every invocation counts 0.
 TRACED_COUNTERS = {
     ("verify", "el", "--n", "2", "--q", "2", "--segre", "--json"):
         [5, 16, 24, 12, 0],

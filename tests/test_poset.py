@@ -7,24 +7,25 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qsegre.poset import (FACE_COUNT_BOUND, GradedPoset, betti_numbers,
-                          chain_report, chains_by_dimension,
-                          check_el_labeling, mobius_number,
-                          order_chain_counts, product_order_less, proper_part,
-                          rational_betti_numbers, segre_product, to_interchange, _element_matching,
-                          _morse_boundary, _rank_of_sparse_rows,
-                          _segre_matching, _set_bits, _upper_lists)
+                          chain_report, check_el_labeling, mobius_number,
+                          product_order_less, segre_product, to_interchange,
+                          _chains_by_level_set, _element_matching,
+                          _flag_f_vector, _morse_boundary,
+                          _rank_of_sparse_rows, _segre_matching, _set_bits,
+                          _upper_lists)
 from qsegre.cli import BETTI_MATRIX, MOBIUS_MATRIX
 from qsegre.exactalg import q_factorial
 from qsegre.permstats import w_polynomial
 from qsegre.subspace import FiniteField, build_bnq, proper_face_count
 
 from oracles import (boolean_lattice, boolean_lattice_labeled,
-                     chain_report_by_enumeration, chains_by_subsets,
-                     cover_labels, descending_chain_count,
+                     chain_report_by_enumeration, chains_by_dimension,
+                     chains_by_subsets, cover_labels, descending_chain_count,
                      el_check_by_intervals, from_interchange,
                      maximal_chains, mobius_by_recursion,
-                     mobius_values_by_recursion, order_from_covers, pair_poset,
-                     poset_from_covers, rank_over_rationals,
+                     mobius_values_by_recursion, order_chain_counts,
+                     order_from_covers, pair_poset, poset_from_covers,
+                     proper_part, rank_over_rationals, rational_betti_numbers,
                      rational_betti_numbers_by_elimination,
                      reduced_euler_characteristic, relabel,
                      segre_boolean_labeled, segre_bnq,
@@ -121,7 +122,10 @@ class TestGradedPoset:
         assert single not in above[full]
         upper = _upper_lists(b)
         for x in range(len(b)):
-            assert upper[x] == sorted(above[x] - {x})
+            by_rank = {}
+            for y in sorted(above[x] - {x}):
+                by_rank.setdefault(b.ranks[y], []).append(y)
+            assert upper[x] == by_rank
 
     def test_rank_sizes(self):
         assert boolean_lattice(3).rank_sizes() == [1, 3, 3, 1]
@@ -732,7 +736,8 @@ class TestPowers:
         # step would have another text; every step fails if reached
         import qsegre.poset as poset_module
         for name in ("_bounds", "_flag_f_vector", "_chain_words",
-                     "proper_part", "_segre_matching"):
+                     "_chains_by_level_set", "_element_matching",
+                     "_segre_matching"):
             monkeypatch.setattr(poset_module, name, fail_if_called)
         with pytest.raises(ValueError, match=(
                 rf"^power must be 1 \(the poset\) or 2 \(its Segre square\), "
@@ -741,9 +746,9 @@ class TestPowers:
 
 
 class TestQuadraticBitsets:
-    """Only mobius_number, betti_numbers, order_chain_counts and
-    chains_by_dimension build the per-element downward masks;
-    mobius_number at power 2 builds the factor's alone, each
+    """Only mobius_number and betti_numbers build the per-element downward
+    masks, betti_numbers bounding faces by the flag f-vector at both
+    powers; mobius_number at power 2 builds the factor's alone, each
     spanning only the ranks below its element, and the square's stay
     unbuilt."""
 
@@ -940,10 +945,17 @@ def _built_square(p):
             rational_betti_numbers(square))
 
 
+def _pair_matching(p):
+    """_segre_matching on p's chains by level set, with the square's face
+    count by p's flag f-vector, as betti_numbers calls it at power 2."""
+    faces = sum(a * a for a in _flag_f_vector(p).values()) - 1
+    return _segre_matching(p, _chains_by_level_set(p), faces)
+
+
 def _factor_route(p):
     """_segre_matching's critical counts and betti_numbers at power 2 on
     p."""
-    return _segre_matching(p)[0], betti_numbers(p, 2)
+    return _pair_matching(p)[0], betti_numbers(p, 2)
 
 
 def _all_signs_plus(chain):
@@ -966,11 +978,14 @@ class TestSegreBetti:
     @settings(max_examples=80, deadline=None)
     def test_random_bounded_posets(self, rng, renumber):
         # renumbered, the ids leave (rank, id) order and the bottom sits at
-        # rank 2, so a kernel that took the square's element order or its
-        # levels from raw ids or ranks would differ here
+        # rank 2, so a kernel that took the element order or the levels of
+        # the poset or its square from raw ids or ranks would differ here;
+        # each example checks both powers
         p = _random_bounded_poset(rng, max_width=4, max_depth=3)
         if renumber:
             p = _renumbered(rng, p, shift=2)
+        assert betti_numbers(p, 1) == \
+            rational_betti_numbers_by_elimination(proper_part(p))
         assert _factor_route(p) == _built_square(p)
 
     def test_a_square_whose_betti_numbers_hang_on_the_signs(self, monkeypatch):
@@ -988,7 +1003,7 @@ class TestSegreBetti:
                   (14, 15)]
         p = poset_from_covers([f"v{i}" for i in range(16)], ranks, covers)
         assert rational_betti_numbers(proper_part(p)) == [0, 0, 0, 0]
-        counts, critical, mate, faces, dimension = _segre_matching(p)
+        counts, critical, mate, faces, dimension = _pair_matching(p)
         assert counts == [0, 6, 6, 0]
         assert sum(bool(_morse_boundary(c, mate, faces, dimension))
                    for c in critical(2)) == 4
@@ -1056,6 +1071,37 @@ class TestSegreBetti:
                 "its factor's flag f-vector counts 582$")):
             betti_numbers(p, 2)
 
+    def test_a_miscounted_face_is_refused_at_power_one(self, monkeypatch):
+        # the plain route lists its chains by level set; a flag f-vector one
+        # chain over at the full set {1, 2} differs from that listing
+        import qsegre.poset as poset_module
+        p, _ = build_bnq(3, FiniteField(2))
+        counted = poset_module._flag_f_vector
+
+        def one_over(q):
+            alpha = counted(q)
+            alpha[max(alpha)] += 1
+            return alpha
+        monkeypatch.setattr(poset_module, "_flag_f_vector", one_over)
+        with pytest.raises(ArithmeticError, match=(
+                r"^listed 21 chains at levels \[1, 2\], but the flag "
+                r"f-vector counts 22$")):
+            betti_numbers(p, 1)
+
+    def test_a_negative_betti_number_names_the_proper_part(self, monkeypatch):
+        # no matching and a rank one too large make both numbers negative;
+        # the text describes the proper part, 14 elements at ranks 1 and 2
+        import qsegre.poset as poset_module
+        p, _ = build_bnq(3, FiniteField(2))
+        monkeypatch.setattr(poset_module, "_element_matching",
+                            lambda p, chains: {})
+        monkeypatch.setattr(poset_module, "_rank_of_sparse_rows",
+                            lambda rows: len(rows) + 1)
+        with pytest.raises(ArithmeticError, match=(
+                r"^negative Betti numbers \[-8, -1\] on a poset of 14 "
+                r"elements and rank sizes \[0, 7, 7\]$")):
+            betti_numbers(p, 1)
+
 
 class TestFaceBound:
     def test_face_formula_matches_the_chain_counts(self):
@@ -1080,17 +1126,20 @@ class TestFaceBound:
         assert proper_face_count(6, 2) == 2257887 > FACE_COUNT_BOUND
 
     def test_over_the_bound_no_chain_is_listed(self, monkeypatch):
+        # at power 1 the face count is the flag f-vector's sum, here that of
+        # the Segre square of the boolean cube built as a poset
         import qsegre.poset as poset_module
-        p = proper_part(segre_boolean_labeled(3))
-        faces = sum(order_chain_counts(p))
-        monkeypatch.setattr(poset_module, "chains_by_dimension", fail_if_called)
+        p = segre_boolean_labeled(3)
+        faces = sum(order_chain_counts(proper_part(p)))
+        monkeypatch.setattr(poset_module, "_chains_by_level_set",
+                            fail_if_called)
         monkeypatch.setattr(poset_module, "FACE_COUNT_BOUND", faces - 1)
         with pytest.raises(ValueError, match=f"^{faces} faces of the order "
                                              f"complex exceed the bound {faces - 1}$"):
-            rational_betti_numbers(p)
+            betti_numbers(p)
         monkeypatch.undo()
         monkeypatch.setattr(poset_module, "FACE_COUNT_BOUND", faces)
-        assert rational_betti_numbers(p) == [0, 19]
+        assert betti_numbers(p) == [0, 19]
 
     def test_the_deep_square_has_homology_on_top_only(self):
         # (4,2): 1675 proper elements, 133975 faces; 10.6 s by elimination
@@ -1111,6 +1160,21 @@ class TestChainListing:
         chains = chains_by_subsets(p)
         assert chains_by_dimension(p) == chains
         assert order_chain_counts(p) == [len(level) for level in chains]
+
+    @given(st.randoms(use_true_random=False))
+    @settings(max_examples=100, deadline=None)
+    def test_the_level_set_listing_matches_pairwise_comparable_sets(self, rng):
+        # renumbered, with the bottom at rank 2: each group must hold the
+        # chains of the proper part at its levels, in lexicographic order
+        p = _renumbered(rng, _random_bounded_poset(rng, 5, 4), shift=2)
+        expected = {0: [()]}
+        for level in chains_by_subsets(p):
+            for c in level:
+                if p.bottom not in c and p.top not in c:
+                    s = sum(1 << (p.ranks[x] - 2) for x in c)
+                    expected.setdefault(s, []).append(c)
+        assert _chains_by_level_set(p) == {
+            s: sorted(chains) for s, chains in expected.items()}
 
 
 class TestInterchange:

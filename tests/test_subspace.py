@@ -8,15 +8,15 @@ from hypothesis import strategies as st
 from qsegre import subspace
 from qsegre.exactalg import q_factorial
 from qsegre.permstats import q_binomial, w_polynomial
-from qsegre.poset import (chain_report, check_el_labeling, mobius_number,
-                          proper_part, rational_betti_numbers)
+from qsegre.poset import (betti_numbers, chain_report, check_el_labeling,
+                          mobius_number)
 from qsegre.subspace import FiniteField, build_bnq
 
 import oracles
 from oracles import (Permutation, borel_representatives, build_bnq_by_tuples,
                      contains, cover_labels, covers_by_containment,
                      enumerate_subspaces, first_irreducible_modulus,
-                     inversions, label_set, label_set_by_atoms,
+                     inversions, label_set, label_set_by_atoms, proper_part,
                      reduced_euler_characteristic, relabel, rref_rows,
                      segre_bnq, span)
 
@@ -453,7 +453,7 @@ class TestLatticeConstruction:
 
     def test_betti_of_lattice_proper_part_matches_descending_count(self):
         p, _ = build_bnq(3, F2)
-        betti = rational_betti_numbers(proper_part(p))
+        betti = betti_numbers(p)
         assert betti == [0, 8]
         _, _, descending = chain_report(p)
         assert descending == 8
@@ -464,9 +464,9 @@ class TestLatticeConstruction:
 
     def test_betti_of_proper_parts(self):
         sp2 = segre_bnq(2, F2)
-        assert rational_betti_numbers(proper_part(sp2)) == [8]
+        assert betti_numbers(sp2) == [8]
         sp3 = segre_bnq(3, F2)
-        assert rational_betti_numbers(proper_part(sp3)) == [0, 344]
+        assert betti_numbers(sp3) == [0, 344]
 
 
 def _swapped_through(p, atom, above):

@@ -9,7 +9,6 @@ from qsegre import symfrob
 from qsegre.exactalg import ONE, QPolynomial
 from qsegre.permstats import (ENUMERATION_BOUND, w_polynomial,
                               w_polynomial_recurrence)
-from qsegre.poset import rational_betti_numbers
 from qsegre.symfrob import (TOP_HOMOLOGY_BOUND, cleared_specialization,
                             h_alternating_residual,
                             induce_product_character, lefschetz_character,
@@ -25,8 +24,9 @@ from oracles import (SF_ONE, characteristic,
                      induction_homomorphism_by_fractions,
                      lefschetz_character_by_chains, pair_poset,
                      principal_specialization_by_terms,
-                     product_values_dense, segre_boolean_labeled, sf_add,
-                     sf_product, tensor, trivial_character)
+                     product_values_dense, rational_betti_numbers,
+                     segre_boolean_labeled, sf_add, sf_product, tensor,
+                     trivial_character)
 
 
 def random_table(rng, m, n, low=-9, high=10):
