@@ -50,13 +50,14 @@ def _factor(n: int, q: int, power: int, count_bound=None, faces=False):
 def _lattice(n: int, q: int, power: int, count_bound):
     """B_n(q) at power 1, or its Segre square at power 2, and the elements
     the EL check pushes from, as (poset, lows): build_bnq's coordinate
-    subspaces, or on the square their pairs.  A square is refused on its
-    pair count before any field is built (see _factor), and is the square
-    of the cached B_n(q); its lows are the pairs whose factor parts are
-    both among the factor's lows, picked by name, and a factor without
-    lows gives a square without.  Only the verbs that need the square's
-    elements build it: `lattice`/`segre` with EL or JSON, and `verify el
-    --segre`.
+    subspaces e_S, or on the square their pairs.  Every interval is
+    label-isomorphic to one above such a low (see subspace.build_bnq), so
+    `verify el`, the suite and `lattice --check-el` push from these alone.
+    A square is refused on its pair count before any field is built (see
+    _factor), and is the square of the cached B_n(q); its lows are the
+    pairs whose factor parts are both among the factor's lows, picked by
+    name, and a factor without lows gives a square without.  Only
+    `lattice --segre` with EL or JSON and `verify el --segre` build it.
     The caches live for one process and their keys come from one command
     line or the suite's fixed matrices, so they need no eviction."""
     from . import poset, subspace
@@ -77,16 +78,6 @@ def _lattice(n: int, q: int, power: int, count_bound):
     # Freezing moves them, and all else alive now, out of its reach.
     gc.freeze()
     return built
-
-
-def _el_check(n: int, q: int, power: int, count_bound=None):
-    """check_el_labeling on _lattice(n, q, power, count_bound), the one EL
-    route of `verify el`, the suite and `lattice --check-el`: every interval
-    is label-isomorphic to one above a coordinate subspace e_S, or on the
-    square above a pair (e_S, e_T) (see subspace.build_bnq), so only those
-    are pushed from."""
-    from . import poset
-    return poset.check_el_labeling(*_lattice(n, q, power, count_bound))
 
 
 def _lattice_for(args, faces: bool = False):
@@ -117,12 +108,13 @@ def _result(check: str, ok: bool, detail: str) -> dict:
 
 def _word_str(word: tuple) -> str:
     if word and isinstance(word[0], tuple):
-        return "|".join(",".join(str(x) for x in pair) for pair in word)
+        return _class_pair_str(word)
     return "".join(str(x) for x in word)
 
 
 def _class_pair_str(key: tuple) -> str:
-    """A class pair (mu, lam) as "mu|lam", e.g. "3|1,1,1"."""
+    """A class pair (mu, lam) as "mu|lam", e.g. "3|1,1,1", or a word of
+    label pairs as "1,1|2,2"."""
     return "|".join(",".join(str(x) for x in parts) for parts in key)
 
 
@@ -144,7 +136,8 @@ def _csv_instance(n: int) -> tuple[bool, exactalg.QPolynomial]:
 def _el_instance(n: int, q: int, power: int) -> tuple[bool, str]:
     """The shelling check on one lattice or Segre square; a failure names
     its interval by the element names that `lattice --json` prints."""
-    ok, violation = _el_check(n, q, power)
+    from . import poset
+    ok, violation = poset.check_el_labeling(*_lattice(n, q, power, None))
     return ok, (f"{'segre' if power == 2 else 'lattice'} n={n} q={q}: "
                 f"{violation or 'every interval shellable'}")
 
@@ -405,7 +398,8 @@ def _cmd_lattice(args) -> int:
                          "total": sum(words.values())}
     ok, violation = True, None
     if args.check_el:
-        ok, violation = _el_check(args.n, args.q, args.power, args.count_bound)
+        ok, violation = poset.check_el_labeling(
+            *_lattice(args.n, args.q, args.power, args.count_bound))
         doc["el"] = {"pass": ok, "violation": violation}
     if args.json:
         print(_dump(doc))
@@ -539,11 +533,11 @@ def _add_json_flag(p) -> None:
                    help="emit machine-readable JSON with sorted keys")
 
 
-def _add_segre_flag(p, help=None) -> None:
+def _add_segre_flag(p) -> None:
     """--segre, parsed straight into args.power: 2, the Segre square, or
     by default 1, the lattice itself."""
     p.add_argument("--segre", dest="power", action="store_const", const=2,
-                   default=1, help=help)
+                   default=1, help="use the Segre square of B_n(q) instead")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -560,8 +554,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--n", type=int, required=True)
         if not wq:
             p.add_argument("--k", type=int, required=True)
-        p.add_argument("--at", type=int,
-                       help="evaluate at this integer q" if wq else None)
+        p.add_argument("--at", type=int, help="evaluate at this integer q")
         _add_json_flag(p)
         p.set_defaults(func=handler)
 
@@ -569,20 +562,18 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--order", type=int, required=True)
     p.set_defaults(func=_cmd_bessel)
 
-    for name in ("lattice", "segre"):
-        p = sub.add_parser(name, help=f"build the {'Segre square' if name == 'segre' else 'subspace lattice'}")
-        p.add_argument("--n", type=int, required=True)
-        p.add_argument("--q", type=int, required=True)
-        if name == "lattice":
-            _add_segre_flag(p, help="build the Segre square instead")
-        p.add_argument("--chains", action="store_true",
-                       help="tally maximal chains by label word")
-        p.add_argument("--check-el", dest="check_el", action="store_true",
-                       help="run the shelling check")
-        p.add_argument("--count-bound", dest="count_bound", type=int,
-                       help="override the subspace count bound")
-        _add_json_flag(p)
-        p.set_defaults(func=_cmd_lattice, power=2 if name == "segre" else 1)
+    p = sub.add_parser("lattice", help="build the subspace lattice")
+    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--q", type=int, required=True)
+    _add_segre_flag(p)
+    p.add_argument("--chains", action="store_true",
+                   help="tally maximal chains by label word")
+    p.add_argument("--check-el", dest="check_el", action="store_true",
+                   help="run the shelling check")
+    p.add_argument("--count-bound", dest="count_bound", type=int,
+                   help="override the subspace count bound")
+    _add_json_flag(p)
+    p.set_defaults(func=_cmd_lattice)
 
     for name, text in (("mobius", "Mobius number of the bounded poset"),
                        ("betti", "rational Betti numbers of the proper part")):

@@ -1,3 +1,4 @@
+import argparse
 import json
 import os
 import pathlib
@@ -9,7 +10,7 @@ from math import comb, factorial
 import pytest
 
 from qsegre import permstats, symfrob
-from qsegre.cli import main
+from qsegre.cli import build_parser, main
 from qsegre.exactalg import ONE, QPolynomial
 from qsegre.subspace import prime_power
 
@@ -79,8 +80,8 @@ class TestComputationCommands:
         assert doc["poset"]["ranks"].count(1) == 3
 
     def test_segre_chain_words_use_pair_syntax(self, capsys):
-        code, out, _ = run(capsys, "segre", "--n", "2", "--q", "2",
-                           "--chains", "--json")
+        code, out, _ = run(capsys, "lattice", "--n", "2", "--q", "2",
+                           "--segre", "--chains", "--json")
         assert code == 0
         doc = json.loads(out)
         assert doc["chains"]["descending"] == 8
@@ -181,7 +182,8 @@ class TestBoundsBeforeWork:
         from qsegre import subspace
         monkeypatch.setattr(subspace, "FiniteField", fail_if_called)
         monkeypatch.setattr(subspace, "_Lanes", fail_if_called)
-        for argv, pairs in ((("segre", "--n", "4", "--q", "4"), 141901),
+        for argv, pairs in ((("lattice", "--n", "4", "--q", "4", "--segre"),
+                             141901),
                             (("verify", "mobius", "--n", "4", "--q", "4"),
                              141901),
                             (("verify", "el", "--n", "3", "--q", "16",
@@ -201,10 +203,12 @@ class TestBoundsBeforeWork:
         monkeypatch.setattr(subspace, "_gaussian_count", fail_if_called)
         for n in (250, 2000, 10 ** 12):
             e = (n // 2) * ((n + 1) // 2)
-            for verb, what, power in (("lattice", "subspaces", 1),
-                                      ("segre", "pairs of the Segre square", 2)):
+            for flag, what, power in (((), "subspaces", 1),
+                                      (("--segre",),
+                                       "pairs of the Segre square", 2)):
                 start = time.perf_counter()
-                code, out, err = run(capsys, verb, "--n", str(n), "--q", q)
+                code, out, err = run(capsys, "lattice", "--n", str(n),
+                                     "--q", q, *flag)
                 assert time.perf_counter() - start < 1.0
                 assert_clean_rejection(code, out, err)
                 assert len(err) < 200
@@ -217,8 +221,8 @@ class TestBoundsBeforeWork:
         # the square's q^e = 2^14280 is within a 4300-digit bound, and the
         # exact total, about 25 q^e, has 4301 digits
         bound = "9" * 4300
-        code, out, err = run(capsys, "segre", "--n", "169", "--q", "2",
-                             "--count-bound", bound)
+        code, out, err = run(capsys, "lattice", "--n", "169", "--q", "2",
+                             "--segre", "--count-bound", bound)
         assert (code, out) == (2, "")
         assert err.splitlines()[-1] == (
             f"error: more than {bound} pairs of the Segre square exceed "
@@ -243,8 +247,8 @@ class TestBoundsBeforeWork:
         from qsegre import subspace
         monkeypatch.setattr(subspace, "FiniteField", fail_if_called)
         monkeypatch.setattr(subspace, "_Lanes", fail_if_called)
-        for verb, extra in (("lattice", ()), ("segre", ()), ("mobius", ()),
-                            ("betti", ("--segre",))):
+        for verb, extra in (("lattice", ()), ("lattice", ("--segre",)),
+                            ("mobius", ()), ("betti", ("--segre",))):
             code, out, err = run(capsys, verb, "--n", "3", "--q", "4",
                                  "--count-bound", "-5", *extra)
             assert_clean_rejection(code, out, err)
@@ -497,8 +501,8 @@ class TestBorelOrbitRoute:
             return check(p, lows)
         monkeypatch.setattr(poset, "check_el_labeling", spy)
         for power, lows in ((1, 2 ** n), (2, comb(2 * n, n))):
-            p, _ = cli._lattice(n, q, power, None)
-            assert cli._el_check(n, q, power) == el_check_by_intervals(p)
+            p, found = cli._lattice(n, q, power, None)
+            assert poset.check_el_labeling(p, found) == el_check_by_intervals(p)
             assert len(pushed.pop()) == lows and pushed == []
 
     def test_a_swap_off_the_symmetry_falls_back_to_every_element(
@@ -540,8 +544,8 @@ class TestBorelOrbitRoute:
         violation = ("0 increasing maximal chains in [((), ()), "
                      "(((0, 1, 0), (0, 0, 1)), ((1, 0, 0), (0, 1, 0)))]")
         assert el_check_by_intervals(sp) == (False, violation)
-        code, out, err = run(capsys, "segre", "--n", "3", "--q", "2",
-                             "--check-el")
+        code, out, err = run(capsys, "lattice", "--n", "3", "--q", "2",
+                             "--segre", "--check-el")
         assert (code, out.splitlines()[-1], err) == (
             1, f"  EL check: FAIL {violation}", "")
         # the full push starts at element 0, the bottom pair, and stops there
@@ -632,26 +636,30 @@ class TestSegreBettiFromTheFactor:
 
 
 class TestSegreParsesIntoPower:
-    """--segre, and the `segre` verb, are parsed straight into the power
-    the kernels take: 2 for the Segre square, else 1, and no segre flag is
-    left on the arguments."""
+    """--segre is parsed straight into the power the kernels take: 2 for
+    the Segre square, else 1, and no segre flag is left on the
+    arguments."""
 
     @pytest.mark.parametrize("argv, power", [
-        *[((*verb, "--n", "2", "--q", "3", *flag), len(flag) + 1)
-          for verb in (("lattice",), ("mobius",), ("betti",), ("verify", "el"))
-          for flag in ((), ("--segre",))],
-        (("segre", "--n", "2", "--q", "3"), 2),
-    ])
+        ((*verb, "--n", "2", "--q", "3", *flag), len(flag) + 1)
+        for verb in (("lattice",), ("mobius",), ("betti",), ("verify", "el"))
+        for flag in ((), ("--segre",))])
     def test_the_parsed_arguments_carry_the_power(self, argv, power):
-        from qsegre.cli import build_parser
         args = build_parser().parse_args(argv)
         assert args.power == power and type(args.power) is int
         assert not hasattr(args, "segre")
 
+    def test_the_square_has_no_verb_of_its_own(self, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["segre", "--n", "2", "--q", "3"])
+        captured = capsys.readouterr()
+        assert exit_info.value.code == 2 and captured.out == ""
+        assert "invalid choice: 'segre'" in captured.err
+
 
 class TestSegreTextFromTheFactor:
-    """`segre` and `lattice --segre` in text mode, without --check-el or
-    --json, print the square's counts and chains off its factor."""
+    """`lattice --segre` in text mode, without --check-el or --json, prints
+    the square's counts and chains off its factor."""
 
     @pytest.mark.parametrize("n, q", [(0, 2), (1, 3), (2, 2), (2, 3), (3, 2)])
     def test_the_line_is_the_built_squares(self, fresh_lattices, capsys,
@@ -659,14 +667,13 @@ class TestSegreTextFromTheFactor:
         sp, _ = fresh_lattices._lattice(n, q, 2, None)
         line = (f"segre square n={n} q={q}: {len(sp)} elements, "
                 f"rank sizes {sp.rank_sizes()}\n")
-        for verb in (("segre",), ("lattice", "--segre")):
-            assert run(capsys, *verb, "--n", str(n), "--q", str(q)) == (
-                0, line, "")
+        assert run(capsys, "lattice", "--n", str(n), "--q", str(q),
+                   "--segre") == (0, line, "")
 
     def test_no_square_is_built(self, fresh_lattices, monkeypatch, capsys):
         from qsegre import poset
         monkeypatch.setattr(poset, "segre_product", forbid)
-        assert run(capsys, "segre", "--n", "3", "--q", "7") == (
+        assert run(capsys, "lattice", "--n", "3", "--q", "7", "--segre") == (
             0, "segre square n=3 q=7: 6500 elements, rank sizes "
                "[1, 3249, 3249, 1]\n", "")
         assert run(capsys, "lattice", "--n", "2", "--q", "2", "--segre",
@@ -677,11 +684,35 @@ class TestSegreTextFromTheFactor:
         # the square's chain words are pairs of the factor's, zipped; the
         # text is the golden's without its EL line
         chains = (GOLDEN / "lattice_n3_q2_segre_chains_el.out").read_text()
-        assert run(capsys, "segre", "--n", "3", "--q", "2", "--chains") == (
+        assert run(capsys, "lattice", "--n", "3", "--q", "2", "--segre",
+                   "--chains") == (
             0, chains.removesuffix("  EL check: PASS\n"), "")
         for flag in ("--check-el", "--json"):
             with pytest.raises(Forbidden):
-                main(["segre", "--n", "2", "--q", "2", flag])
+                main(["lattice", "--n", "2", "--q", "2", "--segre", flag])
+
+
+class TestTheSquareIsBuiltOnce:
+    """A square's EL check and interchange document, and a later `verify el
+    --segre`, take it from _lattice's one cache; its text counts and
+    chains build none."""
+
+    def test_one_build_per_process(self, fresh_lattices, monkeypatch, capsys):
+        from qsegre import poset
+        build, built = poset.segre_product, []
+        monkeypatch.setattr(poset, "segre_product",
+                            lambda *factors: built.append(factors)
+                            or build(*factors))
+        argv = ("lattice", "--n", "2", "--q", "3", "--segre", "--chains")
+        code, _, err = run(capsys, *argv)
+        assert (code, err, built) == (0, "", [])
+        assert run(capsys, *argv, "--check-el", "--json") == (
+            0, (GOLDEN / "segre_n2_q3_chains_el_json.out").read_text(), "")
+        assert len(built) == 1
+        assert run(capsys, "verify", "el", "--n", "2", "--q", "3",
+                   "--segre") == (
+            0, "PASS el: segre n=2 q=3: every interval shellable\n", "")
+        assert len(built) == 1
 
 
 class TestOnlyWhatWasAsked:
@@ -689,7 +720,8 @@ class TestOnlyWhatWasAsked:
 
     @pytest.mark.parametrize("argv", [
         ("lattice", "--n", "2", "--q", "3", "--chains", "--check-el"),
-        ("segre", "--n", "2", "--q", "2", "--chains", "--check-el"),
+        ("lattice", "--n", "2", "--q", "3", "--segre", "--chains",
+         "--check-el"),
         ("lattice", "--n", "2", "--q", "2", "--segre", "--chains",
          "--check-el"),
     ])
@@ -825,13 +857,17 @@ FAILING = {
 }
 
 
-HELP_ARGV = ([()]
-             + [(verb,) for verb in ("wq", "qbinom", "bessel", "lattice",
-                                     "segre", "mobius", "betti", "frobenius",
-                                     "verify")]
-             + [("verify", check) for check in ("csv", "bessel", "el",
-                                                "mobius", "thm31", "thm48",
-                                                "prop26", "all")])
+def _command_paths(parser, prefix=()):
+    """prefix, then the path of every subcommand under parser, depth first
+    in the order the parser adds them."""
+    yield prefix
+    for action in parser._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            for name, sub in action.choices.items():
+                yield from _command_paths(sub, (*prefix, name))
+
+
+HELP_ARGV = list(_command_paths(build_parser()))
 
 
 class TestGoldenDocuments:
@@ -850,7 +886,8 @@ class TestGoldenDocuments:
         assert out == (GOLDEN / name).read_text()
 
     @pytest.mark.parametrize("argv, name", [
-        (("segre", "--n", "3", "--q", "2", "--json"), "segre_n3_q2.out"),
+        (("lattice", "--n", "3", "--q", "2", "--segre", "--json"),
+         "segre_n3_q2.out"),
         (("verify", "mobius", "--n", "3", "--q", "7", "--json"),
          "verify_mobius_n3_q7.out"),
     ])
@@ -945,13 +982,20 @@ class TestGoldenDocuments:
         name = "_".join(argv) or "qsegre"
         assert captured.out == (GOLDEN / "help" / f"{name}.out").read_text()
 
+    def test_the_help_goldens_are_the_parsers_commands(self):
+        # a retired verb's golden, or a verb without one, fails here
+        names = ["_".join(argv) or "qsegre" for argv in HELP_ARGV]
+        assert len(set(names)) == len(names)
+        assert {path.name for path in (GOLDEN / "help").iterdir()} == {
+            f"{name}.out" for name in names}
+
     @pytest.mark.parametrize("argv, name", [
-        (("segre", "--n", "2", "--q", "3", "--chains", "--check-el", "--json"),
-         "segre_n2_q3_chains_el_json.out"),
+        (("lattice", "--n", "2", "--q", "3", "--segre", "--chains",
+          "--check-el", "--json"), "segre_n2_q3_chains_el_json.out"),
         (("lattice", "--n", "3", "--q", "2", "--segre", "--chains",
           "--check-el"), "lattice_n3_q2_segre_chains_el.out"),
-        (("segre", "--n", "3", "--q", "2", "--chains", "--check-el", "--json"),
-         "segre_n3_q2_chains_el_json.out"),
+        (("lattice", "--n", "3", "--q", "2", "--segre", "--chains",
+          "--check-el", "--json"), "segre_n3_q2_chains_el_json.out"),
     ])
     def test_pair_label_documents_are_byte_identical(self, capsys, argv, name):
         # pair-label words with their increasing and descending counts;
@@ -977,7 +1021,8 @@ class TestGoldenDocuments:
          "lattice_n3_q8_json.out"),
         (("lattice", "--n", "2", "--q", "16", "--json"),
          "lattice_n2_q16_json.out"),
-        (("segre", "--n", "2", "--q", "9", "--json"), "segre_n2_q9_json.out"),
+        (("lattice", "--n", "2", "--q", "9", "--segre", "--json"),
+         "segre_n2_q9_json.out"),
     ])
     def test_larger_extension_field_documents_are_byte_identical(
             self, capsys, argv, name):
@@ -1033,7 +1078,8 @@ class TestGoldenDocuments:
     def test_interchange_output_feeds_back_into_the_reader(self, capsys):
         from oracles import from_interchange
         from qsegre.poset import mobius_number
-        code, out, _ = run(capsys, "segre", "--n", "2", "--q", "2", "--json")
+        code, out, _ = run(capsys, "lattice", "--n", "2", "--q", "2",
+                           "--segre", "--json")
         assert code == 0
         rebuilt = from_interchange(json.loads(out)["poset"])
         assert mobius_number(rebuilt) == 8
