@@ -8,15 +8,17 @@ is the sum of table(mu, lam) / (z_mu z_lam) p_mu(x) p_lam(y), and every
 identity here is checked on the integer side of that quotient: the
 denominators are known in advance, so they are cleared rather than carried.
 The product of two characteristics is the integer table of z_mu z_lam times
-its coefficients, a sum over the splits of the cycles.  The homomorphism
-check compares it with the induced character on class indicators, whose
-characteristic is p_mu(x) p_lam(y) / (z_mu z_lam), and the alternating
-complete-homogeneous identity sums such tables, h_a(x) h_a(y) being the
-characteristic of the trivial character of S_a x S_a.  Both the induced
-table and the product table are sums over pairs of block cycle types, and
-both visit only the nonzero entries of their two operands, reading each
-pair's class through an inverted per-class table, so that a pair of class
-indicators costs one term.
+its coefficients, a sum over the splits of the cycles that visits only the
+nonzero entries of its two operands, reading each pair's class through an
+inverted per-class table; the alternating complete-homogeneous identity
+sums such tables, h_a(x) h_a(y) being the characteristic of the trivial
+character of S_a x S_a.  The homomorphism check compares induction
+products with products on class indicators, whose characteristic is
+p_mu(x) p_lam(y) / (z_mu z_lam).  Both maps are bilinear, and on a pair of
+indicators each is one nonzero entry, a product of two counts read off the
+inverted tables: the conjugator scan's for induction, the splits' for the
+product.  So the check compares those structure constants and builds no
+table.
 
 The character of S_n x S_n on the one nonvanishing reduced homology group of
 the proper part of the rank-equal pair poset of two subset lattices is
@@ -101,14 +103,9 @@ def _class_pairs(m: int, n: int) -> tuple:
                  for lam in partitions_of(n))
 
 
-def _table(m: int, n: int, pair=None) -> dict:
-    """A class function on S_m x S_n: 1 on the class pair given as pair
-    and 0 on every other, or the trivial character when pair is None."""
-    if pair is None:
-        return dict.fromkeys(_class_pairs(m, n), 1)
-    table = dict.fromkeys(_class_pairs(m, n), 0)
-    table[pair] = 1
-    return table
+def _table(m: int, n: int) -> dict:
+    """The trivial character of S_m x S_n, 1 on every class pair."""
+    return dict.fromkeys(_class_pairs(m, n), 1)
 
 
 # ---------------------------------------------------------------------------
@@ -212,17 +209,15 @@ def _by_blocks(first: int, second: int, induced: bool) -> dict:
     return table
 
 
-def _pair_sum(t: dict, u: dict, induced: bool) -> dict:
-    """The table over every class pair (mu, lam) of S_(k+m) x S_(l+n) of
-    the sum of c1 c2 t(a, c) u(b, d), over the block types that
-    _by_blocks(k, m, induced) sends to (mu, c1) and _by_blocks(l, n,
-    induced) sends to (lam, c2), divided by k! m! l! n! when induced.  Only
-    the nonzero entries of t and u are visited; a class pair that none
-    reaches keeps 0."""
+def _product_values(t: dict, u: dict) -> dict:
+    """z_mu z_lam times the coefficient of p_mu(x) p_lam(y) in ch(t) ch(u),
+    for every class pair of S_(k+m) x S_(l+n): the sum of
+    t(a, c) u(b, d) z_mu z_lam / (z_a z_b z_c z_d) over the splits of mu
+    into a and b and of lam into c and d, every factor an integer.  Only
+    the nonzero entries of t and u are visited, each block pair read
+    through _by_blocks; a class pair that none reaches keeps 0."""
     (k, l), (m, n) = _degrees(t), _degrees(u)
-    if induced:
-        _check_induction_bound(k + m, l + n)
-    rows, cols = _by_blocks(k, m, induced), _by_blocks(l, n, induced)
+    rows, cols = _by_blocks(k, m, False), _by_blocks(l, n, False)
     out = dict.fromkeys(_class_pairs(k + m, l + n), 0)
     second: dict = {}
     for (b, d), value in u.items():
@@ -238,35 +233,7 @@ def _pair_sum(t: dict, u: dict, induced: bool) -> dict:
             for d, other in entries:
                 lam, c2 = col[d]
                 out[mu, lam] += scale * c2 * other
-    if induced:
-        denominator = factorial(k) * factorial(m) * factorial(l) * factorial(n)
-        for key, value in out.items():
-            if value:
-                quotient, remainder = divmod(value, denominator)
-                if remainder:
-                    raise ArithmeticError("induced character value is not "
-                                          "integral")
-                out[key] = quotient
     return out
-
-
-def induce_product_character(t: dict, u: dict) -> dict:
-    """Induction product: the outer tensor of t (on S_k x S_l) and u (on
-    S_m x S_n), induced to S_(k+m) x S_(l+n).
-
-    Computed from the definition of induction: average the extended-by-zero
-    character over conjugators, componentwise, using the profiles above.
-    Only the nonzero entries of t and u are visited.
-    """
-    return _pair_sum(t, u, True)
-
-
-def _product_values(t: dict, u: dict) -> dict:
-    """z_mu z_lam times the coefficient of p_mu(x) p_lam(y) in ch(t) ch(u),
-    for every class pair of S_(k+m) x S_(l+n): the sum of
-    t(a, c) u(b, d) z_mu z_lam / (z_a z_b z_c z_d) over the splits of mu
-    into a and b and of lam into c and d, every factor an integer."""
-    return _pair_sum(t, u, False)
 
 
 # ---------------------------------------------------------------------------
@@ -389,15 +356,26 @@ def verify_specialization_identity(n: int) -> bool:
 
 def verify_induction_homomorphism(k: int, l: int, m: int, n: int) -> bool:
     """The characteristic map must send induction products to products.
-    Both sides are bilinear in (t, u), so it is checked over every pair of
-    class indicators of S_k x S_l and S_m x S_n, which span the class
-    functions: each induced table must equal the integer table of
-    ch(t) ch(u) with its denominators z_mu z_lam cleared."""
+    Both sides are bilinear in (t, u), so it is checked on their structure
+    constants, the images of each pair of class indicators of S_k x S_l and
+    S_m x S_n, which span the class functions.  Each image is 0 off one
+    class pair: the induced table is c1 c2 / (k! m! l! n!) at the (mu, lam)
+    that _by_blocks(k, m, True) and _by_blocks(l, n, True) give the block
+    types, and the integer table of ch(t) ch(u), its denominators z_mu z_lam
+    cleared, is s1 s2 at the pair that the split tables give.  The two
+    must agree in value, and in class pair where the value is not 0."""
     _check_induction_bound(k + m, l + n)
-    second = [_table(m, n, pair) for pair in _table(m, n)]
-    for pair in _table(k, l):
-        t = _table(k, l, pair)
-        for u in second:
-            if induce_product_character(t, u) != _product_values(t, u):
+    induced_rows, induced_cols = _by_blocks(k, m, True), _by_blocks(l, n, True)
+    split_rows, split_cols = _by_blocks(k, m, False), _by_blocks(l, n, False)
+    denominator = factorial(k) * factorial(m) * factorial(l) * factorial(n)
+    second = _class_pairs(m, n)
+    for a, c in _class_pairs(k, l):
+        for b, d in second:
+            (mu, c1), (lam, c2) = induced_rows[a][b], induced_cols[c][d]
+            induced, remainder = divmod(c1 * c2, denominator)
+            if remainder:
+                raise ArithmeticError("induced character value is not integral")
+            (mu2, s1), (lam2, s2) = split_rows[a][b], split_cols[c][d]
+            if induced != s1 * s2 or (induced and (mu, lam) != (mu2, lam2)):
                 return False
     return True

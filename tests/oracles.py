@@ -30,10 +30,14 @@ moduli by polynomial trial division, and find the orbits of the
 upper triangular group by mapping every subspace under each of its
 generators.  The
 symmetric-function oracles take the homology character from the Hopf trace
-over the chains of the pair poset, check that induction products go to
-products by comparing characteristics over Fractions, and build the
-induced and product tables class pair by class pair over every entry of
-their operands, as the package did before it visited only nonzero ones.  Those
+over the chains of the pair poset, build whole induced tables from the
+package's conjugation profiles and check the homomorphism by comparing
+them with whole product tables, as the package did before it compared
+structure constants, check that induction products go to products by
+comparing characteristics over Fractions, build the induced and product
+tables class pair by class pair over every entry of their operands, as
+the package did before it visited only nonzero ones, and break one count
+of each induced block table.  Those
 characteristics are two-alphabet symmetric functions as dicts from
 partition pairs (mu, lam) to the nonzero Fraction coefficients of
 p_mu(x) p_lam(y), kept here so that the package's z-cleared integer tables
@@ -47,6 +51,7 @@ from itertools import combinations, permutations, product
 from math import factorial
 from typing import NamedTuple
 
+from qsegre import symfrob
 from qsegre.exactalg import ONE, QPolynomial, one_minus_q_power
 from qsegre.poset import (GradedPoset, product_order_less, segre_product,
                           _element_matching, _label_ids, _morse_betti_numbers,
@@ -54,8 +59,7 @@ from qsegre.poset import (GradedPoset, product_order_less, segre_product,
 from qsegre.subspace import _gaussian_count, build_bnq
 from qsegre.symfrob import (_check_induction_bound, _conjugation_profile,
                             _cycle_splits, _degrees, _perm_of_cycle_type,
-                            induce_product_character, partitions_of,
-                            specialization_denominator, z_of)
+                            partitions_of, specialization_denominator, z_of)
 
 
 def series_reciprocal(coeffs) -> list[Fraction]:
@@ -1155,6 +1159,69 @@ def lefschetz_character_by_chains(n: int) -> dict:
                 euler += pointwise if dim % 2 == 0 else -pointwise
             values[(mu, lam)] = euler if n % 2 == 0 else -euler
     return values
+
+
+def induce_product_character(t: dict, u: dict) -> dict:
+    """Induction product: the outer tensor of t (on S_k x S_l) and u (on
+    S_m x S_n), induced to S_(k+m) x S_(l+n), as the package computed it
+    before its check compared structure constants.
+
+    Computed from the definition of induction: average the extended-by-zero
+    character over conjugators, componentwise, through the package's
+    inverted conjugation profiles (read through the module, so that a
+    patched symfrob._by_blocks reaches it).  Only the nonzero entries of t
+    and u are visited."""
+    (k, l), (m, n) = _degrees(t), _degrees(u)
+    _check_induction_bound(k + m, l + n)
+    rows = symfrob._by_blocks(k, m, True)
+    cols = symfrob._by_blocks(l, n, True)
+    out = dict.fromkeys(symfrob._class_pairs(k + m, l + n), 0)
+    for (a, c), value in t.items():
+        if not value:
+            continue
+        for (b, d), other in u.items():
+            if other:
+                (mu, c1), (lam, c2) = rows[a][b], cols[c][d]
+                out[mu, lam] += c1 * c2 * value * other
+    denominator = factorial(k) * factorial(m) * factorial(l) * factorial(n)
+    for key, value in out.items():
+        if value:
+            quotient, remainder = divmod(value, denominator)
+            if remainder:
+                raise ArithmeticError("induced character value is not integral")
+            out[key] = quotient
+    return out
+
+
+def induction_homomorphism_by_tables(k: int, l: int, m: int, n: int) -> bool:
+    """The homomorphism check as the package made it before it compared
+    structure constants: the whole induced table against the whole product
+    table, as dicts, for every pair of class indicators."""
+    second = indicator_tables(m, n)
+    for t in indicator_tables(k, l):
+        for u in second:
+            if induce_product_character(t, u) != symfrob._product_values(t, u):
+                return False
+    return True
+
+
+def blocks_with_one_count_off():
+    """A broken symfrob._by_blocks behind a fresh cache: every induced
+    table has the count of its first block pair raised by first! second!,
+    so that the induced value there is off by one times the other side's
+    count and still an integer; the split tables are the true ones."""
+    true_blocks = symfrob._by_blocks.__wrapped__
+
+    @lru_cache(maxsize=None)
+    def blocks(first: int, second: int, induced: bool) -> dict:
+        table = true_blocks(first, second, induced)
+        if induced:
+            row = table[partitions_of(first)[0]]
+            b = partitions_of(second)[0]
+            mu, count = row[b]
+            row[b] = (mu, count + factorial(first) * factorial(second))
+        return table
+    return blocks
 
 
 def induction_homomorphism_by_fractions(k: int, l: int, m: int, n: int,

@@ -379,9 +379,8 @@ class TestErrorHandling:
 class TestBrokenInduction:
     def test_a_wrong_induced_table_fails_prop26_and_the_suite(
             self, capsys, monkeypatch):
-        from oracles import induce_off_by_one
-        monkeypatch.setattr(symfrob, "induce_product_character",
-                            induce_off_by_one)
+        from oracles import blocks_with_one_count_off
+        monkeypatch.setattr(symfrob, "_by_blocks", blocks_with_one_count_off())
         code, out, err = run(capsys, "verify", "prop26", "--sizes", "1,1,1,1")
         assert (code, out, err) == (1, "FAIL prop26: sizes (1,1,1,1)\n", "")
         code, out, err = run(capsys, "verify", "all", "--max-n", "1")
@@ -389,6 +388,36 @@ class TestBrokenInduction:
         lines = out.splitlines()
         assert lines[-1] == "FAIL prop26: sizes (0,0,0,0)"
         assert all(line.startswith("PASS") for line in lines[:-1])
+
+    def test_the_check_builds_no_table(self, capsys, monkeypatch):
+        # prop26 compares structure constants; a class-function table built
+        # inside it, by _table or _product_values, is counted here
+        built = []
+        verify = symfrob.verify_induction_homomorphism
+        inside = []
+
+        def spy(name, function):
+            def counted(*args):
+                if inside:
+                    built.append(name)
+                return function(*args)
+            return counted
+
+        def checked(*sizes):
+            inside.append(sizes)
+            try:
+                return verify(*sizes)
+            finally:
+                inside.pop()
+        for name in ("_table", "_product_values"):
+            monkeypatch.setattr(symfrob, name, spy(name, getattr(symfrob, name)))
+        monkeypatch.setattr(symfrob, "verify_induction_homomorphism", checked)
+        code, out, err = run(capsys, "verify", "prop26", "--sizes", "2,2,2,2")
+        assert (code, out, err) == (0, "PASS prop26: sizes (2,2,2,2)\n", "")
+        code, out, err = run(capsys, "verify", "all", "--max-n", "1")
+        assert (code, err) == (0, "")
+        assert out.splitlines()[-1].startswith("PASS prop26")
+        assert built == []
 
 
 class TestBrokenChains:

@@ -9,19 +9,21 @@ from qsegre import symfrob
 from qsegre.exactalg import ONE, QPolynomial
 from qsegre.permstats import (ENUMERATION_BOUND, w_polynomial,
                               w_polynomial_recurrence)
-from qsegre.symfrob import (TOP_HOMOLOGY_BOUND, cleared_specialization,
-                            h_alternating_residual,
-                            induce_product_character, lefschetz_character,
+from qsegre.symfrob import (INDUCTION_BOUND, TOP_HOMOLOGY_BOUND,
+                            cleared_specialization, h_alternating_residual,
+                            lefschetz_character,
                             partitions_of, principal_specialization,
                             specialization_denominator,
                             verify_induction_homomorphism,
                             verify_specialization_identity, z_of)
 
-from oracles import (SF_ONE, characteristic,
+from oracles import (SF_ONE, blocks_with_one_count_off, characteristic,
                      characteristic_by_whitney_recursion, class_size,
                      cleared_specialization_matches, dimension, h_to_p,
-                     induce_off_by_one, induce_product_character_dense,
+                     induce_off_by_one, induce_product_character,
+                     induce_product_character_dense,
                      induction_homomorphism_by_fractions,
+                     induction_homomorphism_by_tables,
                      lefschetz_character_by_chains, pair_poset,
                      principal_specialization_by_terms,
                      product_values_dense, rational_betti_numbers,
@@ -348,6 +350,13 @@ class TestSpecialization:
                 assert principal_specialization(term, n) == expected_poly
 
 
+# every size tuple with k+m and l+n at most the induction bound
+BOUND_SIZES = [(k, l, m, n) for k in range(INDUCTION_BOUND + 1)
+               for m in range(INDUCTION_BOUND + 1 - k)
+               for l in range(INDUCTION_BOUND + 1)
+               for n in range(INDUCTION_BOUND + 1 - l)]
+
+
 class TestInductionHomomorphism:
     def test_smallest_case_and_its_common_value(self):
         assert verify_induction_homomorphism(1, 1, 1, 1)
@@ -399,8 +408,7 @@ class TestInductionHomomorphism:
             symfrob._cycle_splits.__wrapped__((2, 1, 1))
 
     def test_a_wrong_induced_table_fails_at_every_size(self, monkeypatch):
-        monkeypatch.setattr(symfrob, "induce_product_character",
-                            induce_off_by_one)
+        monkeypatch.setattr(symfrob, "_by_blocks", blocks_with_one_count_off())
         for k in range(4):
             for m in range(4 - k):
                 for l in range(4):
@@ -426,10 +434,28 @@ class TestInductionHomomorphism:
         for sizes in ((1, 1, 1, 1), (1, 0, 1, 0), (1, 2, 1, 1), (2, 1, 1, 1)):
             assert not verify_induction_homomorphism(*sizes), sizes
 
+    def test_a_wrong_induced_class_fails_the_check(self, monkeypatch):
+        # the induced count of (1)|(1) in S_1 x S_1 filed under the class
+        # (2) of S_2, not (1,1): each side's value is still 4, on different
+        # class pairs
+        true_blocks = symfrob._by_blocks.__wrapped__
+
+        def moved_class(first, second, induced):
+            table = true_blocks(first, second, induced)
+            if induced and (first, second) == (1, 1):
+                mu, count = table[(1,)][(1,)]
+                table[(1,)][(1,)] = ((2,), count)
+            return table
+        monkeypatch.setattr(symfrob, "_by_blocks",
+                            lru_cache(maxsize=None)(moved_class))
+        assert not verify_induction_homomorphism(1, 1, 1, 1)
+        assert not induction_homomorphism_by_tables(1, 1, 1, 1)
+        assert verify_induction_homomorphism(1, 0, 0, 1)
+
     def test_bound_is_checked_before_any_table(self, monkeypatch):
         def fail_if_called(*args, **kwargs):
             raise AssertionError("work started before the bound check")
-        for name in ("_table", "induce_product_character",
+        for name in ("_table", "_by_blocks", "_class_pairs",
                      "partitions_of"):
             monkeypatch.setattr(symfrob, name, fail_if_called)
         for sizes in ((3, 0, 3, 0), (0, 5, 1, 5), (6, 1, 0, 1)):
@@ -442,6 +468,20 @@ class TestInductionHomomorphism:
                 for l in range(4):
                     for n in range(4 - l):
                         assert verify_induction_homomorphism(k, l, m, n)
+
+    def test_the_structure_constants_give_the_tables_verdict(self,
+                                                             monkeypatch):
+        # the whole induced and product tables per pair of indicators, as
+        # dicts, at every size the bound admits: the same verdict with the
+        # true kernels, and False from both with one induced count off
+        for sizes in BOUND_SIZES:
+            assert verify_induction_homomorphism(*sizes), sizes
+            assert induction_homomorphism_by_tables(*sizes), sizes
+        monkeypatch.setattr(symfrob, "_by_blocks", blocks_with_one_count_off())
+        for sizes in BOUND_SIZES:
+            assert not verify_induction_homomorphism(*sizes), sizes
+            assert not induction_homomorphism_by_tables(*sizes), sizes
+
 
 
 # every size with k+m and l+n at most 4, and a few at the induction bound 5
