@@ -9,7 +9,8 @@ Carlitz-Scoville-Vaughan recurrence, so every g_n is an integer polynomial.
 bessel_coefficients returns g_0..g_order alone: f's numerators, +1 and -1,
 and the denominators are formed where they are printed.  verify_reciprocal
 returns them with the check g_n == W_n(q) against the enumerated pair
-polynomial, so a caller that prints them computes them once.  q stays
+polynomial, which is the identity check, so a caller that prints them
+computes them once.  q stays
 symbolic; specializing it is a caller convenience only.
 """
 
@@ -23,7 +24,13 @@ from .permstats import (alternating_square_sum, check_enumeration_bound,
 def bessel_coefficients(order: int) -> list[QPolynomial]:
     """g_0..g_order, where g_n = ([n]_q!)^2 times the z^n coefficient of 1/f,
     with the cleared product identity
-    sum_k (-1)^k [n choose k]_q^2 g_(n-k) = [n = 0] checked."""
+    sum_k (-1)^k [n choose k]_q^2 g_(n-k) = [n = 0] checked.
+
+    That check is an arithmetic self-test and cannot fail on its own:
+    csv_recurrence solves for each g_n so that this very sum vanishes, so
+    re-adding it can catch only an arithmetic fault in exactalg.  The
+    identity is checked by verify_reciprocal, which compares each g_n with
+    the enumerated W_n(q)."""
     if order < 0:
         raise ValueError("order must be nonnegative")
     g = csv_recurrence([ONE], order)
@@ -39,8 +46,9 @@ def bessel_coefficients(order: int) -> list[QPolynomial]:
 def verify_reciprocal(order: int) -> tuple[list[QPolynomial], list[bool]]:
     """(g, flags): g is bessel_coefficients(order), and flags[n] is True
     when g_n, the cleared z^n coefficient of the reciprocal, equals W_n(q)
-    as integer polynomials.  An order beyond the enumeration bound is
-    refused before any work."""
+    as integer polynomials.  That comparison is the identity check, as the
+    enumeration is independent of the recurrence that gives g.  An order
+    beyond the enumeration bound is refused before any work."""
     check_enumeration_bound(order, name="order")
     g = bessel_coefficients(order)
     return g, [g_n == w_polynomial(n) for n, g_n in enumerate(g)]

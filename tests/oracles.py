@@ -53,9 +53,10 @@ from typing import NamedTuple
 
 from qsegre import symfrob
 from qsegre.exactalg import ONE, QPolynomial, one_minus_q_power
-from qsegre.poset import (GradedPoset, product_order_less, segre_product,
-                          _element_matching, _label_ids, _morse_betti_numbers,
+from qsegre.morse import (_element_matching, _morse_betti_numbers,
                           _rank_of_sparse_rows)
+from qsegre.poset import (GradedPoset, product_order_less, segre_product,
+                          _label_ids)
 from qsegre.subspace import _gaussian_count, build_bnq
 from qsegre.symfrob import (_check_induction_bound, _conjugation_profile,
                             _cycle_splits, _degrees, _perm_of_cycle_type,
@@ -501,7 +502,7 @@ def rational_betti_numbers(p) -> list[int]:
     finite graded poset, dimensions 0 through the top; empty for the empty
     poset.  Every chain of p, listed by chains_by_dimension and checked
     against order_chain_counts, goes through the package's element matching
-    and Morse complex (poset._element_matching, poset._morse_betti_numbers),
+    and Morse complex (morse._element_matching, morse._morse_betti_numbers),
     which betti_numbers runs only on the chains of a proper part.  The
     empty chain is matched with the first element, so the homology is
     reduced.  Torsion does not count: the face poset of the six-vertex real

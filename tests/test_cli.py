@@ -270,9 +270,9 @@ class TestBoundsBeforeWork:
 
     def test_suite_arguments_are_refused_before_any_check(
             self, capsys, monkeypatch):
-        from qsegre import cli
-        monkeypatch.setattr(cli, "_suite_tasks", fail_if_called)
-        monkeypatch.setattr(cli, "_run_forked", fail_if_called)
+        from qsegre import suite
+        monkeypatch.setattr(suite, "_suite_tasks", fail_if_called)
+        monkeypatch.setattr(suite, "_run_forked", fail_if_called)
         monkeypatch.setattr(os, "fork", fail_if_called)
         for argv, text in ((("--max-n", "0"), "max-n must be at least 1"),
                            (("--max-n", "-2"), "max-n must be at least 1"),
@@ -289,9 +289,9 @@ class TestBoundsBeforeWork:
     def test_order_complex_beyond_the_face_bound_lists_no_chain(
             self, capsys, monkeypatch):
         # the proper part of the (4,3) square has 5157700 faces
-        from qsegre import poset
-        for name in ("_chains_by_level_set", "_segre_matching"):
-            monkeypatch.setattr(poset, name, fail_if_called)
+        from qsegre import morse, poset
+        monkeypatch.setattr(poset, "_chains_by_level_set", fail_if_called)
+        monkeypatch.setattr(morse, "_segre_matching", fail_if_called)
         code, out, err = run(capsys, "betti", "--n", "4", "--q", "3",
                              "--segre", "--json")
         assert_clean_rejection(code, out, err)
@@ -347,14 +347,14 @@ class TestBoundsBeforeWork:
         # --threads 100000 would ask for 100000 processes; this recorder
         # stands in for the runner, starts no process and runs the tasks
         # here, in order
-        from qsegre import cli
+        from qsegre import suite
         workers = []
 
         def recording_runner(tasks, count):
             workers.append(count)
             return [task() for task in tasks]
 
-        monkeypatch.setattr(cli, "_run_forked", recording_runner)
+        monkeypatch.setattr(suite, "_run_forked", recording_runner)
         for threads in ("100000", "9", "2"):
             code, out, err = run(capsys, "verify", "all", "--max-n", "1",
                                  "--threads", threads)
@@ -595,7 +595,7 @@ class TestSegreFromTheFactor:
     and a square past the bound is refused with the square's own text."""
 
     def test_no_square_is_built(self, fresh_lattices, monkeypatch, capsys):
-        from qsegre import poset, subspace
+        from qsegre import poset, subspace, suite
         monkeypatch.setattr(poset, "segre_product", forbid)
         code, out, err = run(capsys, "verify", "mobius", "--n", "3", "--q", "2")
         assert (code, out, err) == (
@@ -603,7 +603,7 @@ class TestSegreFromTheFactor:
         code, out, err = run(capsys, "mobius", "--n", "3", "--q", "2",
                              "--segre")
         assert (code, out, err) == (0, "-344\n", "")
-        assert fresh_lattices._check_mobius()["status"] == "PASS"
+        assert suite._check_mobius()["status"] == "PASS"
         monkeypatch.setattr(subspace, "FiniteField", forbid)
         code, out, err = run(capsys, "verify", "mobius", "--n", "3", "--q", "16")
         assert (code, out, err) == (
@@ -643,15 +643,15 @@ class TestSegreBettiFromTheFactor:
             self, fresh_lattices, monkeypatch, capsys):
         # the suite's EL check still builds its squares, so segre_product
         # is forbidden only while the betti check runs, on empty caches
-        from qsegre import poset
-        check_betti = fresh_lattices._check_betti
+        from qsegre import poset, suite
+        check_betti = suite._check_betti
 
         def without_squares():
             fresh_lattices._lattice.cache_clear()
             with monkeypatch.context() as forbidden:
                 forbidden.setattr(poset, "segre_product", forbid)
                 return check_betti()
-        monkeypatch.setattr(fresh_lattices, "_check_betti", without_squares)
+        monkeypatch.setattr(suite, "_check_betti", without_squares)
         assert run(capsys, "verify", "all", "--max-n", "4") == (
             0, (GOLDEN / "verify_all_max4.out").read_text(), "")
 
@@ -830,7 +830,7 @@ class TestVerifyCommands:
             self, fresh_lattices, monkeypatch, capsys):
         # every check takes B_n(q) from the one cache, so each (n, q) is
         # built once, whichever check asks first
-        from qsegre import subspace
+        from qsegre import subspace, suite
         build, built = subspace.build_bnq, []
 
         def spy(n, field, count_bound=None):
@@ -840,7 +840,7 @@ class TestVerifyCommands:
         code, _, _ = run(capsys, "verify", "all", "--max-n", "4")
         assert code == 0
         assert sorted(built) == sorted(set(built))
-        assert set(fresh_lattices.EL_MATRIX) <= set(built)
+        assert set(suite.EL_MATRIX) <= set(built)
 
     def test_verify_all_json_is_deterministic(self, capsys):
         _, first, _ = run(capsys, "verify", "all", "--max-n", "1", "--json")
@@ -1116,8 +1116,8 @@ class TestGoldenDocuments:
         assert {type(label) for label in cover_labels(rebuilt).values()} == {tuple}
 
 
-LAYERS = ("besselseries", "exactalg", "permstats", "poset", "subspace",
-          "symfrob")
+LAYERS = ("besselseries", "exactalg", "morse", "permstats", "poset",
+          "subspace", "suite", "symfrob")
 
 
 def child_env() -> dict:
@@ -1174,17 +1174,29 @@ class TestConsoleEntry:
             capture_output=True, text=True, env=child_env())
         assert (proc.returncode, proc.stdout, proc.stderr) == (0, "[]\n", "")
 
-    @pytest.mark.parametrize("argv, loaded", [
-        (("wq", "--n", "2"), {"exactalg", "permstats"}),
-        (("qbinom", "--n", "2", "--k", "1"), {"exactalg", "permstats"}),
-        (("verify", "csv", "--n", "2"), {"exactalg", "permstats"}),
+    @pytest.mark.parametrize("argv, loaded, error", [
+        (("wq", "--n", "2"), {"exactalg", "permstats"}, None),
+        (("qbinom", "--n", "2", "--k", "1"), {"exactalg", "permstats"}, None),
+        (("verify", "csv", "--n", "2"), {"exactalg", "permstats"}, None),
         (("verify", "bessel", "--order", "2"),
-         {"besselseries", "exactalg", "permstats"}),
-        (("mobius", "--n", "2", "--q", "2"), {"poset", "subspace"}),
-        (("verify", "el", "--n", "2", "--q", "2"), {"poset", "subspace"}),
+         {"besselseries", "exactalg", "permstats"}, None),
+        (("mobius", "--n", "2", "--q", "2"), {"poset", "subspace"}, None),
+        (("verify", "el", "--n", "2", "--q", "2"), {"poset", "subspace"},
+         None),
+        (("betti", "--n", "2", "--q", "2"), {"morse", "poset", "subspace"},
+         None),
+        # the square of B_4(3) passes the pair bound but not the face bound
+        (("betti", "--n", "4", "--q", "3", "--segre"), {"poset", "subspace"},
+         "5157700 faces of the order complex exceed the bound 500000"),
+        (("lattice", "--n", "2", "--q", "2", "--chains", "--check-el",
+          "--json"), {"poset", "subspace"}, None),
+        (("verify", "mobius", "--n", "2", "--q", "2"),
+         {"exactalg", "permstats", "poset", "subspace"}, None),
+        (("verify", "all", "--max-n", "1"), set(LAYERS), None),
     ], ids=["wq", "qbinom", "verify-csv", "verify-bessel", "mobius",
-            "verify-el"])
-    def test_a_verb_loads_only_the_layers_it_runs(self, argv, loaded):
+            "verify-el", "betti", "betti-refused", "lattice", "verify-mobius",
+            "verify-all"])
+    def test_a_verb_loads_only_the_layers_it_runs(self, argv, loaded, error):
         code = textwrap.dedent(f"""\
             import contextlib, io, sys
             from qsegre.cli import main
@@ -1196,7 +1208,8 @@ class TestConsoleEntry:
         proc = subprocess.run([sys.executable, "-c", code],
                               capture_output=True, text=True, env=child_env())
         assert (proc.returncode, proc.stdout, proc.stderr) == (
-            0, f"0 {sorted(loaded)}\n", "")
+            (0, f"0 {sorted(loaded)}\n", "") if error is None else
+            (0, f"2 {sorted(loaded)}\n", f"error: {error}\n"))
 
     def test_pool_workers_inherit_every_layer(self):
         # fork hands the workers what the parent has loaded; a layer first
@@ -1205,7 +1218,7 @@ class TestConsoleEntry:
         # tasks here, in order
         code = textwrap.dedent(f"""\
             import contextlib, io, sys
-            from qsegre import cli
+            from qsegre import cli, suite
             missing = []
 
             def recording_runner(tasks, workers):
@@ -1213,7 +1226,7 @@ class TestConsoleEntry:
                                if "qsegre." + m not in sys.modules)
                 return [task() for task in tasks]
 
-            cli._run_forked = recording_runner
+            suite._run_forked = recording_runner
             with contextlib.redirect_stdout(io.StringIO()):
                 status = cli.main(["verify", "all", "--max-n", "2",
                                    "--threads", "2"])
@@ -1296,24 +1309,24 @@ def run_in_child(code: str, *argv: str) -> subprocess.CompletedProcess:
 # the earlier one in task order is the error the suite reports
 FAILING_CHECKS = """\
     import sys
-    from qsegre import cli
+    from qsegre import cli, suite
 
     def failing(text):
         def check(*args):
             raise ERROR(text)
         return check
 
-    cli._check_chains = failing("chains broke")
-    cli._check_prop26 = failing("prop26 broke")
+    suite._check_chains = failing("chains broke")
+    suite._check_prop26 = failing("prop26 broke")
     sys.exit(cli.main(sys.argv[1:]))
     """
 
 # a suite check that kills the process running it before it answers
 KILLING_CHECK = """\
     import os, signal, sys
-    from qsegre import cli
+    from qsegre import cli, suite
 
-    cli._check_betti = lambda: os.kill(os.getpid(), signal.SIGKILL)
+    suite._check_betti = lambda: os.kill(os.getpid(), signal.SIGKILL)
     sys.exit(cli.main(sys.argv[1:]))
     """
 
@@ -1342,7 +1355,7 @@ class TestForkedRunner:
         # the benchmark refuses a run that leaves a process behind
         proc = run_in_child("""\
             import contextlib, io, os, signal
-            from qsegre import cli
+            from qsegre import cli, suite
             argv = ["verify", "all", "--max-n", "2", "--threads", "3"]
             statuses = []
 
@@ -1352,9 +1365,9 @@ class TestForkedRunner:
             with contextlib.redirect_stdout(io.StringIO()), \\
                     contextlib.redirect_stderr(io.StringIO()):
                 statuses.append(cli.main(argv))
-                cli._check_el = broken
+                suite._check_el = broken
                 statuses.append(cli.main(argv))
-                cli._check_el = lambda: os.kill(os.getpid(), signal.SIGKILL)
+                suite._check_el = lambda: os.kill(os.getpid(), signal.SIGKILL)
                 try:
                     cli.main(argv)
                 except RuntimeError:
@@ -1383,12 +1396,12 @@ class TestForkedRunner:
         code = """\
             import os, sys
             del os.fork
-            from qsegre import cli
+            from qsegre import cli, suite
 
             def fail_if_called(*args, **kwargs):
                 raise AssertionError("work started before the refusal")
 
-            cli._suite_tasks = fail_if_called
+            suite._suite_tasks = fail_if_called
             sys.exit(cli.main(sys.argv[1:]))
             """
         proc = run_in_child(code, "verify", "all", "--threads", "2")

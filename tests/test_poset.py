@@ -6,14 +6,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qsegre.morse import (_element_matching, _morse_boundary,
+                          _rank_of_sparse_rows, _segre_matching)
 from qsegre.poset import (FACE_COUNT_BOUND, GradedPoset, betti_numbers,
                           chain_report, check_el_labeling, mobius_number,
                           product_order_less, segre_product, to_interchange,
-                          _chains_by_level_set, _element_matching,
-                          _flag_f_vector, _morse_boundary,
-                          _rank_of_sparse_rows, _segre_matching, _set_bits,
+                          _chains_by_level_set, _flag_f_vector, _set_bits,
                           _upper_lists)
-from qsegre.cli import BETTI_MATRIX, MOBIUS_MATRIX
+from qsegre.suite import BETTI_MATRIX, MOBIUS_MATRIX
 from qsegre.exactalg import q_factorial
 from qsegre.permstats import w_polynomial
 from qsegre.subspace import FiniteField, build_bnq, proper_face_count
@@ -734,11 +734,13 @@ class TestPowers:
             self, monkeypatch, kernel, power):
         # an antichain has no bottom or top, so a refusal after the first
         # step would have another text; every step fails if reached
+        import qsegre.morse as morse_module
         import qsegre.poset as poset_module
         for name in ("_bounds", "_flag_f_vector", "_chain_words",
-                     "_chains_by_level_set", "_element_matching",
-                     "_segre_matching"):
+                     "_chains_by_level_set"):
             monkeypatch.setattr(poset_module, name, fail_if_called)
+        for name in ("_element_matching", "_segre_matching"):
+            monkeypatch.setattr(morse_module, name, fail_if_called)
         with pytest.raises(ValueError, match=(
                 rf"^power must be 1 \(the poset\) or 2 \(its Segre square\), "
                 rf"got {power}$")):
@@ -840,7 +842,7 @@ class TestBetti:
         # hit: one critical chain in each of dimensions 1 and 2, joined by
         # two gradient paths that cancel under the alternating incidence
         # signs; with every sign +1 they add up to -2 and both classes die
-        import qsegre.poset as poset_module
+        import qsegre.morse as morse_module
         ranks = [0, 0, 0, 1, 1, 1, 1, 2, 2, 2, 2, 3]
         covers = [(0, 3), (1, 4), (1, 5), (1, 6), (2, 3), (2, 5), (2, 6),
                   (3, 7), (3, 9), (4, 7), (5, 8), (5, 10), (6, 8), (6, 9),
@@ -853,7 +855,7 @@ class TestBetti:
         assert _morse_boundary((2, 6, 9), mate) == {}
         assert rational_betti_numbers(p) == \
             rational_betti_numbers_by_elimination(p) == [0, 1, 1, 0]
-        monkeypatch.setattr(poset_module, "_faces", lambda chain: [
+        monkeypatch.setattr(morse_module, "_faces", lambda chain: [
             (chain[:t] + chain[t + 1:], 1) for t in range(len(chain))])
         assert _morse_boundary((2, 6, 9), mate) == {(1, 9): -2}
         assert rational_betti_numbers(p) == [0, 0, 0, 0]
@@ -995,7 +997,7 @@ class TestSegreBetti:
         # numbers still changed with every incidence sign +1.  Its proper
         # part is acyclic, its square's is not, and the square's Morse
         # complex has nonzero boundaries from dimension 2 to dimension 1
-        import qsegre.poset as poset_module
+        import qsegre.morse as morse_module
         ranks = [0, 1, 1, 1, 2, 2, 2, 2, 3, 3, 3, 3, 4, 4, 4, 5]
         covers = [(0, 1), (0, 2), (0, 3), (1, 4), (2, 5), (2, 7), (3, 4),
                   (3, 6), (3, 7), (4, 10), (5, 8), (6, 11), (7, 9), (7, 10),
@@ -1010,7 +1012,7 @@ class TestSegreBetti:
         square = proper_part(segre_product(p, p))
         assert betti_numbers(p, 2) == \
             rational_betti_numbers_by_elimination(square) == [0, 4, 4, 0]
-        monkeypatch.setattr(poset_module, "_faces", _all_signs_plus)
+        monkeypatch.setattr(morse_module, "_faces", _all_signs_plus)
         assert betti_numbers(p, 2) == [0, 2, 2, 0]
 
     @pytest.mark.parametrize("ranks, covers, betti", [
@@ -1091,11 +1093,11 @@ class TestSegreBetti:
     def test_a_negative_betti_number_names_the_proper_part(self, monkeypatch):
         # no matching and a rank one too large make both numbers negative;
         # the text describes the proper part, 14 elements at ranks 1 and 2
-        import qsegre.poset as poset_module
+        import qsegre.morse as morse_module
         p, _ = build_bnq(3, FiniteField(2))
-        monkeypatch.setattr(poset_module, "_element_matching",
+        monkeypatch.setattr(morse_module, "_element_matching",
                             lambda p, chains: {})
-        monkeypatch.setattr(poset_module, "_rank_of_sparse_rows",
+        monkeypatch.setattr(morse_module, "_rank_of_sparse_rows",
                             lambda rows: len(rows) + 1)
         with pytest.raises(ArithmeticError, match=(
                 r"^negative Betti numbers \[-8, -1\] on a poset of 14 "
