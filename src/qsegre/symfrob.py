@@ -12,13 +12,14 @@ its coefficients, a sum over the splits of the cycles that visits only the
 nonzero entries of its two operands, reading each pair's class through an
 inverted per-class table; the alternating complete-homogeneous identity
 sums such tables, h_a(x) h_a(y) being the characteristic of the trivial
-character of S_a x S_a.  The homomorphism check compares induction
-products with products on class indicators, whose characteristic is
-p_mu(x) p_lam(y) / (z_mu z_lam).  Both maps are bilinear, and on a pair of
-indicators each is one nonzero entry, a product of two counts read off the
-inverted tables: the conjugator scan's for induction, the splits' for the
-product.  So the check compares those structure constants and builds no
-table.
+character of S_a x S_a.
+
+The homomorphism check is made per alphabet: the characteristic map of
+S_k x S_l is that of S_k tensored with that of S_l, and induction acts on
+each alphabet alone.  On a pair of class indicators both sides are one
+class, the union of the two, with a count: the conjugator scan's for
+induction, the splits' for the product.  So the check compares those
+structure constants and builds no table.
 
 The character of S_n x S_n on the one nonvanishing reduced homology group of
 the proper part of the rank-equal pair poset of two subset lattices is
@@ -27,11 +28,12 @@ trace formula and Hall's theorem (Stanley, JCTA 1982).  That number depends
 only on the two cycle types, so it is a recursion over sub-multisets of
 cycle lengths; it uses no labels and no shelling.
 
-Principal specialization turns a characteristic of degree n into a rational
-function whose denominator divides the product of (1 - q^i)^2 for i <= n,
-so it is returned as the numerator over that known denominator, first with
-m! n! cleared from the coefficients; the paper's specialization theorem
-becomes the polynomial identity numerator == (n!)^2 W_n(q).
+Principal specialization acts per alphabet too, p_mu going to the product
+of 1/(1 - q^a) over the parts a.  Times the product of (1 - q^i) for
+i <= n, that is a polynomial when mu has size at most n, so the result is a
+numerator over the square of that product, first with m! n! cleared from
+the coefficients; the paper's specialization theorem becomes the
+polynomial identity numerator == (n!)^2 W_n(q).
 """
 
 from __future__ import annotations
@@ -189,22 +191,14 @@ def _cycle_splits(parts: Partition) -> dict[int, tuple]:
 
 
 @lru_cache(maxsize=None)
-def _by_blocks(first: int, second: int, induced: bool) -> dict:
-    """The per-class tables of _conjugation_profile (induced) or of
-    _cycle_splits, inverted: table[a][b] = (mu, count) for the block cycle
-    types a of size first and b of size second.  Each pair (a, b) has one
-    mu, the multiset union of a and b: a conjugate has the cycle type of g,
-    and a split keeps every cycle.  A pair that no table lists counts 0."""
-    table = {a: {b: (tuple(sorted(a + b, reverse=True)), 0)
-                 for b in partitions_of(second)}
-             for a in partitions_of(first)}
+def _by_blocks(first: int, second: int) -> dict:
+    """The per-class tables of _cycle_splits, inverted: table[a][b] =
+    (mu, count) for the block cycle types a of size first and b of size
+    second.  A split keeps every cycle, so mu is the multiset union of a and
+    b, and every pair (a, b) is a split of that mu."""
+    table: dict = {a: {} for a in partitions_of(first)}
     for mu in partitions_of(first + second):
-        if induced:
-            entries = _conjugation_profile(first, second, mu).items()
-        else:
-            entries = (((a, b), count) for a, b, count
-                       in _cycle_splits(mu).get(first, ()))
-        for (a, b), count in entries:
+        for a, b, count in _cycle_splits(mu).get(first, ()):
             table[a][b] = (mu, count)
     return table
 
@@ -217,7 +211,7 @@ def _product_values(t: dict, u: dict) -> dict:
     the nonzero entries of t and u are visited, each block pair read
     through _by_blocks; a class pair that none reaches keeps 0."""
     (k, l), (m, n) = _degrees(t), _degrees(u)
-    rows, cols = _by_blocks(k, m, False), _by_blocks(l, n, False)
+    rows, cols = _by_blocks(k, m), _by_blocks(l, n)
     out = dict.fromkeys(_class_pairs(k + m, l + n), 0)
     second: dict = {}
     for (b, d), value in u.items():
@@ -288,42 +282,46 @@ def h_alternating_residual(n: int) -> dict:
     return {key: v for key, v in total.items() if v}
 
 
+@lru_cache(maxsize=None)
+def _specialized(parts: Partition, n: int) -> QPolynomial:
+    """The product of (1 - q^i) for i = 1..n over that of (1 - q^a) for the
+    parts a, with one exact division: a polynomial (a q-multinomial times
+    q-factorials) when the parts sum to at most n."""
+    if parts:
+        divisor = prod(map(one_minus_q_power, parts), start=ONE)
+        return _specialized((), n).exact_div(divisor)
+    return prod(map(one_minus_q_power, range(1, n + 1)), start=ONE)
+
+
 def specialization_denominator(n: int) -> QPolynomial:
     """The product of (1 - q^i)^2 for i = 1..n."""
-    out = ONE
-    for i in range(1, n + 1):
-        factor = one_minus_q_power(i)
-        out = out * factor * factor
-    return out
+    half = _specialized((), n)
+    return half * half
 
 
 def cleared_specialization(table: dict, n: int) -> QPolynomial:
     """m! l! times the principal specialization of the characteristic of a
     class function on S_m x S_l, as an integer numerator over
-    specialization_denominator(n).
+    specialization_denominator(n); ValueError if m or l exceeds n.
 
-    Specializing both alphabets to 1, q, q^2, ... sends p_mu(x) p_lam(y) to
-    1 over the product of (1 - q^a) for the parts a of mu and lam, which
-    divides the denominator when m and l are at most n (a q-multinomial is
-    a polynomial).  The characteristic's coefficient there is
-    table(mu, lam) / (z_mu z_lam), and z_mu divides m!, so
-    table(mu, lam) (m!/z_mu) (l!/z_lam) is an integer.  Those integers are
-    summed per multiset mu + lam, on which the specialized term depends, and
-    the denominator is divided once per multiset; one whose product does not
-    divide it raises ValueError, even when its sum cancels."""
-    fm, fl = map(factorial, _degrees(table))
-    by_parts: dict[tuple[int, ...], int] = {}
+    Specializing each alphabet to 1, q, q^2, ... sends p_mu(x) p_lam(y) to
+    _specialized(mu, n) _specialized(lam, n) over the denominator.  The
+    characteristic's coefficient there is table(mu, lam) / (z_mu z_lam), and
+    z_mu divides m!, so table(mu, lam) (m!/z_mu) (l!/z_lam) is an integer.
+    Those integers are summed against the lam factors into one row per mu,
+    and each row is multiplied by its mu factor."""
+    m, l = _degrees(table)
+    if max(m, l) > n:
+        raise ValueError(f"table degrees ({m},{l}) exceed n={n}")
+    fm, fl = factorial(m), factorial(l)
+    rows: dict = {}
     for (mu, lam), v in table.items():
-        parts = tuple(sorted(mu + lam))
-        by_parts[parts] = (by_parts.get(parts, 0)
-                           + v * (fm // z_of(mu)) * (fl // z_of(lam)))
-    denominator = specialization_denominator(n)
+        if v:
+            c = v * (fm // z_of(mu)) * (fl // z_of(lam))
+            rows[mu] = rows.get(mu, ZERO) + _specialized(lam, n) * c
     total = ZERO
-    for parts, c in by_parts.items():
-        term_den = ONE
-        for part in parts:
-            term_den = term_den * one_minus_q_power(part)
-        total = total + denominator.exact_div(term_den) * c
+    for mu, row in rows.items():
+        total = total + _specialized(mu, n) * row
     return total
 
 
@@ -354,28 +352,29 @@ def verify_specialization_identity(n: int) -> bool:
             == w_polynomial_recurrence(n) * factorial(n) ** 2)
 
 
+def _induction_is_product(first: int, second: int) -> bool:
+    """One alphabet's homomorphism identity, on each pair of class
+    indicators (a, b) of S_first x S_second: induced to S_(first+second),
+    the pair is its conjugator count over first! second!, and the product
+    of characteristics, its denominators z_mu cleared, is its split count;
+    both sit at the class mu of a + b alone.  So for every mu the
+    conjugation profile must be first! second! times mu's split counts."""
+    scale = factorial(first) * factorial(second)
+    for mu in partitions_of(first + second):
+        splits = _cycle_splits(mu).get(first, ())
+        if _conjugation_profile(first, second, mu) != {
+                (a, b): scale * count for a, b, count in splits}:
+            return False
+    return True
+
+
 def verify_induction_homomorphism(k: int, l: int, m: int, n: int) -> bool:
     """The characteristic map must send induction products to products.
-    Both sides are bilinear in (t, u), so it is checked on their structure
-    constants, the images of each pair of class indicators of S_k x S_l and
-    S_m x S_n, which span the class functions.  Each image is 0 off one
-    class pair: the induced table is c1 c2 / (k! m! l! n!) at the (mu, lam)
-    that _by_blocks(k, m, True) and _by_blocks(l, n, True) give the block
-    types, and the integer table of ch(t) ch(u), its denominators z_mu z_lam
-    cleared, is s1 s2 at the pair that the split tables give.  The two
-    must agree in value, and in class pair where the value is not 0."""
+    On S_k x S_l it is the map of S_k in x tensored with that of S_l in y,
+    and induction to S_(k+m) x S_(l+n) induces each alphabet alone, so the
+    identity holds when it holds for S_k x S_m and for S_l x S_n.  Each is
+    checked on its own, which is stronger than checking their tensor
+    product: there a scale on one alphabet could cancel its inverse on the
+    other."""
     _check_induction_bound(k + m, l + n)
-    induced_rows, induced_cols = _by_blocks(k, m, True), _by_blocks(l, n, True)
-    split_rows, split_cols = _by_blocks(k, m, False), _by_blocks(l, n, False)
-    denominator = factorial(k) * factorial(m) * factorial(l) * factorial(n)
-    second = _class_pairs(m, n)
-    for a, c in _class_pairs(k, l):
-        for b, d in second:
-            (mu, c1), (lam, c2) = induced_rows[a][b], induced_cols[c][d]
-            induced, remainder = divmod(c1 * c2, denominator)
-            if remainder:
-                raise ArithmeticError("induced character value is not integral")
-            (mu2, s1), (lam2, s2) = split_rows[a][b], split_cols[c][d]
-            if induced != s1 * s2 or (induced and (mu, lam) != (mu2, lam2)):
-                return False
-    return True
+    return _induction_is_product(k, m) and _induction_is_product(l, n)

@@ -36,11 +36,12 @@ them with whole product tables, as the package did before it compared
 structure constants, check that induction products go to products by
 comparing characteristics over Fractions, build the induced and product
 tables class pair by class pair over every entry of their operands, as
-the package did before it visited only nonzero ones, and break one count
-of each induced block table.  Those
-characteristics are two-alphabet symmetric functions as dicts from
-partition pairs (mu, lam) to the nonzero Fraction coefficients of
-p_mu(x) p_lam(y), kept here so that the package's z-cleared integer tables
+the package did before it visited only nonzero ones, and break the
+conjugation profiles: one count off for each pair of block sizes, or the
+counts of two pairs scaled inversely, which only a per-alphabet check
+sees.  Those characteristics are two-alphabet symmetric functions as
+dicts from partition pairs (mu, lam) to the nonzero Fraction coefficients
+of p_mu(x) p_lam(y), kept here so that the package's z-cleared integer tables
 have a route to be checked against.
 """
 
@@ -1162,20 +1163,36 @@ def lefschetz_character_by_chains(n: int) -> dict:
     return values
 
 
+def induced_blocks(first: int, second: int) -> dict:
+    """The per-class conjugation profiles inverted, as the package inverted
+    them before it checked each alphabet on its own: table[a][b] =
+    (mu, count) for the block cycle types a of size first and b of size
+    second.  A conjugate has the cycle type of g, so each pair (a, b) has
+    one mu, the multiset union of a and b; a pair that no profile lists
+    counts 0.  The profiles are read through the module, uncached, so that
+    a patched symfrob._conjugation_profile reaches the table."""
+    table = {a: {b: (tuple(sorted(a + b, reverse=True)), 0)
+                 for b in partitions_of(second)}
+             for a in partitions_of(first)}
+    for mu in partitions_of(first + second):
+        profile = symfrob._conjugation_profile(first, second, mu)
+        for (a, b), count in profile.items():
+            table[a][b] = (mu, count)
+    return table
+
+
 def induce_product_character(t: dict, u: dict) -> dict:
     """Induction product: the outer tensor of t (on S_k x S_l) and u (on
     S_m x S_n), induced to S_(k+m) x S_(l+n), as the package computed it
     before its check compared structure constants.
 
     Computed from the definition of induction: average the extended-by-zero
-    character over conjugators, componentwise, through the package's
-    inverted conjugation profiles (read through the module, so that a
-    patched symfrob._by_blocks reaches it).  Only the nonzero entries of t
+    character over conjugators, componentwise, through the inverted
+    conjugation profiles of induced_blocks.  Only the nonzero entries of t
     and u are visited."""
     (k, l), (m, n) = _degrees(t), _degrees(u)
     _check_induction_bound(k + m, l + n)
-    rows = symfrob._by_blocks(k, m, True)
-    cols = symfrob._by_blocks(l, n, True)
+    rows, cols = induced_blocks(k, m), induced_blocks(l, n)
     out = dict.fromkeys(symfrob._class_pairs(k + m, l + n), 0)
     for (a, c), value in t.items():
         if not value:
@@ -1206,23 +1223,40 @@ def induction_homomorphism_by_tables(k: int, l: int, m: int, n: int) -> bool:
     return True
 
 
-def blocks_with_one_count_off():
-    """A broken symfrob._by_blocks behind a fresh cache: every induced
-    table has the count of its first block pair raised by first! second!,
-    so that the induced value there is off by one times the other side's
-    count and still an integer; the split tables are the true ones."""
-    true_blocks = symfrob._by_blocks.__wrapped__
+def profile_with_one_count_off():
+    """A broken symfrob._conjugation_profile behind a fresh cache: for each
+    block sizes (first, second), the count of the first block pair (a, b)
+    in the profile of its class, the union of a and b, is raised by
+    first! second!, so that the induced value there is off by one times the
+    other side's count and still an integer."""
+    true_profile = symfrob._conjugation_profile.__wrapped__
 
     @lru_cache(maxsize=None)
-    def blocks(first: int, second: int, induced: bool) -> dict:
-        table = true_blocks(first, second, induced)
-        if induced:
-            row = table[partitions_of(first)[0]]
-            b = partitions_of(second)[0]
-            mu, count = row[b]
-            row[b] = (mu, count + factorial(first) * factorial(second))
-        return table
-    return blocks
+    def profile(first: int, second: int, mu: tuple) -> dict:
+        counts = true_profile(first, second, mu)
+        a, b = partitions_of(first)[0], partitions_of(second)[0]
+        if mu == tuple(sorted(a + b, reverse=True)):
+            counts[a, b] += factorial(first) * factorial(second)
+        return counts
+    return profile
+
+
+def profiles_scaled_inversely():
+    """A broken symfrob._conjugation_profile behind a fresh cache: every
+    count of S_1 x S_1 doubled and every count of S_2 x S_0 halved.  At
+    sizes (1, 2, 1, 0) each product of an x count with a y count is then
+    the true one, so only a check made per alphabet sees the fault."""
+    true_profile = symfrob._conjugation_profile.__wrapped__
+
+    @lru_cache(maxsize=None)
+    def profile(first: int, second: int, mu: tuple) -> dict:
+        counts = true_profile(first, second, mu)
+        if (first, second) == (1, 1):
+            return {key: 2 * count for key, count in counts.items()}
+        if (first, second) == (2, 0):
+            return {key: count // 2 for key, count in counts.items()}
+        return counts
+    return profile
 
 
 def induction_homomorphism_by_fractions(k: int, l: int, m: int, n: int,

@@ -379,8 +379,9 @@ class TestErrorHandling:
 class TestBrokenInduction:
     def test_a_wrong_induced_table_fails_prop26_and_the_suite(
             self, capsys, monkeypatch):
-        from oracles import blocks_with_one_count_off
-        monkeypatch.setattr(symfrob, "_by_blocks", blocks_with_one_count_off())
+        from oracles import profile_with_one_count_off
+        monkeypatch.setattr(symfrob, "_conjugation_profile",
+                            profile_with_one_count_off())
         code, out, err = run(capsys, "verify", "prop26", "--sizes", "1,1,1,1")
         assert (code, out, err) == (1, "FAIL prop26: sizes (1,1,1,1)\n", "")
         code, out, err = run(capsys, "verify", "all", "--max-n", "1")
@@ -388,6 +389,15 @@ class TestBrokenInduction:
         lines = out.splitlines()
         assert lines[-1] == "FAIL prop26: sizes (0,0,0,0)"
         assert all(line.startswith("PASS") for line in lines[:-1])
+
+    def test_a_scale_on_one_alphabet_fails_prop26(self, capsys, monkeypatch):
+        # doubled on S_1 x S_1, halved on S_2 x S_0: the products of the
+        # two alphabets' counts are all true at (1,2,1,0), the x ones not
+        from oracles import profiles_scaled_inversely
+        monkeypatch.setattr(symfrob, "_conjugation_profile",
+                            profiles_scaled_inversely())
+        code, out, err = run(capsys, "verify", "prop26", "--sizes", "1,2,1,0")
+        assert (code, out, err) == (1, "FAIL prop26: sizes (1,2,1,0)\n", "")
 
     def test_the_check_builds_no_table(self, capsys, monkeypatch):
         # prop26 compares structure constants; a class-function table built

@@ -17,7 +17,7 @@ from qsegre.symfrob import (INDUCTION_BOUND, TOP_HOMOLOGY_BOUND,
                             verify_induction_homomorphism,
                             verify_specialization_identity, z_of)
 
-from oracles import (SF_ONE, blocks_with_one_count_off, characteristic,
+from oracles import (SF_ONE, characteristic,
                      characteristic_by_whitney_recursion, class_size,
                      cleared_specialization_matches, dimension, h_to_p,
                      induce_off_by_one, induce_product_character,
@@ -26,7 +26,8 @@ from oracles import (SF_ONE, blocks_with_one_count_off, characteristic,
                      induction_homomorphism_by_tables,
                      lefschetz_character_by_chains, pair_poset,
                      principal_specialization_by_terms,
-                     product_values_dense, rational_betti_numbers,
+                     product_values_dense, profile_with_one_count_off,
+                     profiles_scaled_inversely, rational_betti_numbers,
                      segre_boolean_labeled, sf_add, sf_product, tensor,
                      trivial_character)
 
@@ -309,31 +310,69 @@ class TestSpecialization:
             characteristic(lefschetz_character(3)), 3, w_polynomial(3) + ONE)
 
     def test_denominator_must_clear_every_term(self):
-        with pytest.raises(ValueError, match="not divisible"):
+        with pytest.raises(ValueError, match=r"^table degrees \(3,3\) "
+                                             r"exceed n=2$"):
             principal_specialization(lefschetz_character(3), 2)
 
     def test_denominator_must_clear_a_class_that_cancels(self):
-        # p_3(x) p_1^3(y) - p_1^3(x) p_3(y), scaled: one multiset of parts,
-        # {3, 1, 1, 1}, with coefficient sum 0, and 1 - q^3 does not divide
-        # (1 - q)^2 (1 - q^2)^2
+        # p_3(x) p_1^3(y) - p_1^3(x) p_3(y), scaled: its terms cancel in
+        # q, but 1 - q^3 does not divide (1 - q)^2 (1 - q^2)^2, and the
+        # degrees are refused before any term is looked at
         values = {(mu, lam): 0 for mu in partitions_of(3)
                   for lam in partitions_of(3)}
         values[((3,), (1, 1, 1))] = 1
         values[((1, 1, 1), (3,))] = -1
-        with pytest.raises(ValueError, match="not divisible"):
+        with pytest.raises(ValueError, match=r"^table degrees \(3,3\) "
+                                             r"exceed n=2$"):
             cleared_specialization(values, 2)
 
-    def test_grouping_by_multiset_matches_term_by_term(self):
+    def test_a_degree_above_n_is_refused_before_any_division(self,
+                                                             monkeypatch):
+        # (1,1,1)|(2) at n = 2 specializes to 1/((1 - q)^3 (1 - q^2)),
+        # whose denominator divides (1 - q)^2 (1 - q^2)^2; it is refused
+        # all the same, since the x alphabet's degree 3 exceeds n
+        def fail_if_called(*args):
+            raise AssertionError("a division before the degree check")
+        monkeypatch.setattr(QPolynomial, "exact_div", fail_if_called)
+        one_class = {(mu, lam): 0 for mu in partitions_of(3)
+                     for lam in partitions_of(2)}
+        one_class[((1, 1, 1), (2,))] = 1
+        for table, n, text in ((one_class, 2, r"\(3,2\) exceed n=2"),
+                               (trivial_character(1, 4), 3,
+                                r"\(1,4\) exceed n=3")):
+            with pytest.raises(ValueError, match=text):
+                cleared_specialization(table, n)
+            with pytest.raises(ValueError, match=text):
+                principal_specialization(table, n)
+
+    def test_rows_per_partition_match_term_by_term(self):
         for n in range(1, 7):
             table = lefschetz_character(n)
             assert cleared_specialization(table, n) == \
                 principal_specialization_by_terms(table, n), n
-        # mixed classes: (2,1)|(1,1,1) and (1,1,1)|(2,1) share {2,1,1,1,1}
+        # mixed classes: (2,1)|(1,1,1) and (1,1,1)|(2,1) share {2,1,1,1,1};
+        # degrees below n: (2,3) at n = 5, (3,0) at n = 4, (0,0) at n = 2
         rng = random.Random(48)
-        for m, l in ((3, 3), (2, 3), (3, 0)):
+        for m, l, n in ((3, 3, 3), (2, 3, 3), (3, 0, 3), (2, 3, 5),
+                        (3, 0, 4), (0, 0, 2)):
             table = random_table(rng, m, l)
-            assert cleared_specialization(table, 3) == \
-                principal_specialization_by_terms(table, 3), (m, l)
+            assert cleared_specialization(table, n) == \
+                principal_specialization_by_terms(table, n), (m, l, n)
+
+    def test_one_division_per_partition(self, monkeypatch):
+        # p(10) = 42 partitions of 10, each divided once through a fresh
+        # cache; one division per multiset of parts took 480
+        divisions = []
+        exact_div = QPolynomial.exact_div
+
+        def counted(self, other):
+            divisions.append(other)
+            return exact_div(self, other)
+        monkeypatch.setattr(QPolynomial, "exact_div", counted)
+        monkeypatch.setattr(symfrob, "_specialized", lru_cache(maxsize=None)(
+            symfrob._specialized.__wrapped__))
+        assert verify_specialization_identity(10)
+        assert 0 < len(divisions) <= len(partitions_of(10)) == 42
 
     def test_specializing_the_alternating_identity_recovers_the_polynomial_one(self):
         # term by term: ps(h_(n-i)(x) h_(n-i)(y) ch_i) times prod (1-q^j)^2
@@ -408,7 +447,8 @@ class TestInductionHomomorphism:
             symfrob._cycle_splits.__wrapped__((2, 1, 1))
 
     def test_a_wrong_induced_table_fails_at_every_size(self, monkeypatch):
-        monkeypatch.setattr(symfrob, "_by_blocks", blocks_with_one_count_off())
+        monkeypatch.setattr(symfrob, "_conjugation_profile",
+                            profile_with_one_count_off())
         for k in range(4):
             for m in range(4 - k):
                 for l in range(4):
@@ -426,28 +466,20 @@ class TestInductionHomomorphism:
                 del counts[((1,), (1,))]
             return counts
         monkeypatch.setattr(symfrob, "_conjugation_profile", short_profile)
-        # induction reads the profiles through a cached inverse table, which
-        # would hide the patch; a fresh cache is dropped with the patch
-        monkeypatch.setattr(symfrob, "_by_blocks",
-                            lru_cache(maxsize=None)(
-                                symfrob._by_blocks.__wrapped__))
         for sizes in ((1, 1, 1, 1), (1, 0, 1, 0), (1, 2, 1, 1), (2, 1, 1, 1)):
             assert not verify_induction_homomorphism(*sizes), sizes
 
     def test_a_wrong_induced_class_fails_the_check(self, monkeypatch):
-        # the induced count of (1)|(1) in S_1 x S_1 filed under the class
-        # (2) of S_2, not (1,1): each side's value is still 4, on different
-        # class pairs
-        true_blocks = symfrob._by_blocks.__wrapped__
+        # the two conjugators that take the identity of S_2 into S_1 x S_1,
+        # with blocks (1)|(1), filed under the class (2) of S_2, not (1,1):
+        # the count is still 2, on a different class
+        profile = symfrob._conjugation_profile.__wrapped__
 
-        def moved_class(first, second, induced):
-            table = true_blocks(first, second, induced)
-            if induced and (first, second) == (1, 1):
-                mu, count = table[(1,)][(1,)]
-                table[(1,)][(1,)] = ((2,), count)
-            return table
-        monkeypatch.setattr(symfrob, "_by_blocks",
-                            lru_cache(maxsize=None)(moved_class))
+        def moved_class(first, second, mu):
+            if (first, second) == (1, 1):
+                return {((1,), (1,)): 2} if mu == (2,) else {}
+            return profile(first, second, mu)
+        monkeypatch.setattr(symfrob, "_conjugation_profile", moved_class)
         assert not verify_induction_homomorphism(1, 1, 1, 1)
         assert not induction_homomorphism_by_tables(1, 1, 1, 1)
         assert verify_induction_homomorphism(1, 0, 0, 1)
@@ -456,7 +488,7 @@ class TestInductionHomomorphism:
         def fail_if_called(*args, **kwargs):
             raise AssertionError("work started before the bound check")
         for name in ("_table", "_by_blocks", "_class_pairs",
-                     "partitions_of"):
+                     "partitions_of", "_conjugation_profile", "_cycle_splits"):
             monkeypatch.setattr(symfrob, name, fail_if_called)
         for sizes in ((3, 0, 3, 0), (0, 5, 1, 5), (6, 1, 0, 1)):
             with pytest.raises(ValueError, match="exceed the bound 5"):
@@ -477,10 +509,23 @@ class TestInductionHomomorphism:
         for sizes in BOUND_SIZES:
             assert verify_induction_homomorphism(*sizes), sizes
             assert induction_homomorphism_by_tables(*sizes), sizes
-        monkeypatch.setattr(symfrob, "_by_blocks", blocks_with_one_count_off())
+        monkeypatch.setattr(symfrob, "_conjugation_profile",
+                            profile_with_one_count_off())
         for sizes in BOUND_SIZES:
             assert not verify_induction_homomorphism(*sizes), sizes
             assert not induction_homomorphism_by_tables(*sizes), sizes
+
+    def test_a_scale_on_one_alphabet_and_its_inverse_on_the_other_fails(
+            self, monkeypatch):
+        # counts doubled on S_1 x S_1 and halved on S_2 x S_0: at sizes
+        # (1,2,1,0) every product of an x count with a y count is the true
+        # one, so the tables of the two alphabets at once agree; the x
+        # alphabet alone does not
+        monkeypatch.setattr(symfrob, "_conjugation_profile",
+                            profiles_scaled_inversely())
+        assert induction_homomorphism_by_tables(1, 2, 1, 0)
+        assert not verify_induction_homomorphism(1, 2, 1, 0)
+        assert verify_induction_homomorphism(1, 0, 0, 1)
 
 
 
