@@ -7,9 +7,9 @@ Each function imports the layers it calls, and nothing at module level does:
 a process without a bytecode cache compiles every module it imports, so a
 verb loads only the layers it runs and `--help` loads none.  The same holds
 for code that one verb alone runs: only `verify all` imports suite, which
-holds the suite's checks and its forked runner and shares the instance
-helpers here with the verify verbs, and only betti_numbers, after its
-refusals, imports morse, the discrete Morse matchers.
+holds the suite's checks and their one runner, serial or forked, and shares
+the instance helpers here with the verify verbs, and only betti_numbers,
+after its refusals, imports morse, the discrete Morse matchers.
 """
 
 from __future__ import annotations
@@ -373,15 +373,8 @@ def _cmd_verify_all(args) -> int:
     if args.threads > 1 and not hasattr(os, "fork"):
         raise ValueError("threads above 1 need os.fork, missing here")
     from . import suite
-    tasks = suite._suite_tasks(args.max_n)
-    if args.threads > 1:
-        # every layer the tasks run, loaded before the fork so that the
-        # workers inherit them and none compiles them again
-        from . import besselseries, exactalg, morse, permstats, poset, subspace
-        results = suite._run_forked(tasks, min(args.threads, len(tasks)))
-    else:
-        results = [task() for task in tasks]
-    return _print_results(results, args.json)
+    return _print_results(suite._run_suite(args.max_n, args.threads),
+                          args.json)
 
 
 def _add_json_flag(p) -> None:

@@ -1,5 +1,12 @@
 """The suite behind `verify all`: every identity, each on its fixed matrix
-of instances, in report order, run here in turn or on forked workers.
+of instances, in report order, with one runner for every `--threads`.
+
+`--threads N` runs the suite on N processes, this one included: this one
+builds every lattice the checks read, forks N - 1 workers (at most one
+fewer than there are checks), which inherit those lattices and every layer,
+and then takes checks from the same pipe as they do.  `--threads 1` is the
+same runner with no fork.  Every answer, this process's own too, is one
+JSON line, so a serial and a pooled run report the same bytes.
 
 Each check reports through the instance helper that its `verify` verb runs
 (the cli's _*_instance), so a suite check and a single verify verb share
@@ -11,11 +18,16 @@ imports, so no other verb compiles the suite.
 from __future__ import annotations
 
 import functools
+import io
 import json
 import os
 import sys
 from itertools import combinations, permutations, product
 
+# every layer the checks run, loaded before any fork so that the workers
+# inherit them and none compiles them again
+from . import (besselseries, exactalg, morse, permstats, poset, subspace,
+               symfrob)
 from .cli import (_bessel_instance, _csv_instance, _el_instance, _factor,
                   _lattice, _mobius_instance, _prop26_instance, _result,
                   _thm31_instance, _thm48_instance)
@@ -51,7 +63,6 @@ def _check_el() -> dict:
 
 
 def _check_chains() -> dict:
-    from . import exactalg, poset
     for n, q in EL_MATRIX:
         p, _ = _lattice(n, q, 1, None)
         words, _, _ = poset.chain_report(p)
@@ -77,7 +88,6 @@ def _check_mobius() -> dict:
 
 
 def _check_betti() -> dict:
-    from . import permstats, poset
     for n, q in BETTI_MATRIX:
         factor, _ = _factor(n, q, 2)
         betti = poset.betti_numbers(factor, 2)
@@ -118,45 +128,79 @@ def _suite_tasks(max_n: int) -> list:
     ]
 
 
-def _run_forked(tasks: list, workers: int) -> list[dict]:
-    """The tasks' results in order, from forked workers that take task
-    numbers a byte at a time from one pipe and answer each on their own with
-    a JSON line, [number, result] or [number, [is_value_error, text]], and
-    leave by os._exit, flushing none of this process's buffers.  Once every
-    pipe is drained and every worker reaped, the first failing task raises
-    its error here, and a task that died unanswered a RuntimeError."""
+def _run_suite(max_n: int, processes: int) -> list[dict]:
+    """The suite's results in report order, on `processes` processes, this
+    one included, but no more than there are checks, after this one has
+    built every lattice the checks read: the forked workers inherit them,
+    so none is built twice."""
+    # in the order the checks first ask for them
+    for n, q in EL_MATRIX:
+        _lattice(n, q, 1, None)
+    for n, q in EL_SEGRE_MATRIX:
+        _lattice(n, q, 2, None)
+    for n, q in MOBIUS_MATRIX + BETTI_MATRIX:
+        _factor(n, q, 2)
+    tasks = _suite_tasks(max_n)
+    return _run(tasks, min(processes, len(tasks)))
+
+
+def _answer(tasks: list, todo: int, out) -> None:
+    """Take task numbers a byte at a time from the pipe todo until it is
+    empty, and answer each on out with a JSON line, [number, result] or
+    [number, [is_value_error, text]]."""
+    while number := os.read(todo, 1):
+        try:
+            answer = tasks[number[0]]()
+        except (ValueError, ArithmeticError) as exc:
+            answer = [isinstance(exc, ValueError), str(exc)]
+        out.write(json.dumps([number[0], answer]) + "\n")
+
+
+def _run(tasks: list, processes: int) -> list[dict]:
+    """The tasks' results in order, from this process and processes - 1
+    forked workers, all answering from one pipe of task numbers (see
+    _answer): this one into memory, each worker on a pipe of its own,
+    leaving by os._exit and flushing none of this process's buffers.  A fork
+    that fails ends the forking, and the processes already running finish
+    the tasks.  Once every pipe is drained and every worker reaped, the
+    first failing task raises its error here, and a task that died
+    unanswered a RuntimeError; any other error of a task run here is raised
+    after the draining too."""
     sys.stdout.flush()
     sys.stderr.flush()
     todo, feed = os.pipe()
     # the longest checks are last in report order: hand them out first
     os.write(feed, bytes(reversed(range(len(tasks)))))
     os.close(feed)
-    pipes = []
-    for _ in range(workers):
-        read, write = os.pipe()
-        pid = os.fork()
-        if pid == 0:
+    here, pipes = io.StringIO(), []
+    try:
+        for _ in range(processes - 1):
+            read, write = os.pipe()
             try:
-                with open(write, "w", buffering=1) as out:
-                    while number := os.read(todo, 1):
-                        try:
-                            answer = tasks[number[0]]()
-                        except (ValueError, ArithmeticError) as exc:
-                            answer = [isinstance(exc, ValueError), str(exc)]
-                        out.write(json.dumps([number[0], answer]) + "\n")
-            except BaseException:
-                sys.excepthook(*sys.exc_info())
-                os._exit(1)
-            finally:  # a worker never returns into the caller
-                os._exit(0)
-        os.close(write)
-        pipes.append((pid, read))
-    os.close(todo)
-    lines = []
-    for pid, read in pipes:
-        with open(read) as pipe:
-            lines += pipe.read().split("\n")[:-1]  # whole lines only
-        os.waitpid(pid, 0)
+                pid = os.fork()
+            except OSError:  # out of processes: finish on those running
+                os.close(read)
+                os.close(write)
+                break
+            if pid == 0:
+                try:
+                    with open(write, "w", buffering=1) as out:
+                        _answer(tasks, todo, out)
+                except BaseException:
+                    sys.excepthook(*sys.exc_info())
+                    os._exit(1)
+                finally:  # a worker never returns into the caller
+                    os._exit(0)
+            os.close(write)
+            pipes.append((pid, read))
+        _answer(tasks, todo, here)
+    finally:
+        os.close(todo)
+        lines = here.getvalue().split("\n")[:-1]
+        for pid, read in pipes:
+            with open(read) as pipe:
+                lines += pipe.read().split("\n")[:-1]  # whole lines only
+            os.waitpid(pid, 0)
     answers = dict(map(json.loads, lines))
     if len(answers) < len(tasks):
         raise RuntimeError(f"{len(tasks) - len(answers)} of {len(tasks)} "

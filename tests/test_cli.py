@@ -271,8 +271,9 @@ class TestBoundsBeforeWork:
     def test_suite_arguments_are_refused_before_any_check(
             self, capsys, monkeypatch):
         from qsegre import suite
+        monkeypatch.setattr(suite, "_run_suite", fail_if_called)
         monkeypatch.setattr(suite, "_suite_tasks", fail_if_called)
-        monkeypatch.setattr(suite, "_run_forked", fail_if_called)
+        monkeypatch.setattr(suite, "_run", fail_if_called)
         monkeypatch.setattr(os, "fork", fail_if_called)
         for argv, text in ((("--max-n", "0"), "max-n must be at least 1"),
                            (("--max-n", "-2"), "max-n must be at least 1"),
@@ -344,22 +345,22 @@ class TestBoundsBeforeWork:
     def test_the_pool_gets_no_more_workers_than_tasks(
             self, capsys, monkeypatch):
         # the runner forks every worker before any answers, so an uncapped
-        # --threads 100000 would ask for 100000 processes; this recorder
+        # --threads 100000 would ask for 99999 processes; this recorder
         # stands in for the runner, starts no process and runs the tasks
         # here, in order
         from qsegre import suite
-        workers = []
+        processes = []
 
         def recording_runner(tasks, count):
-            workers.append(count)
+            processes.append(count)
             return [task() for task in tasks]
 
-        monkeypatch.setattr(suite, "_run_forked", recording_runner)
+        monkeypatch.setattr(suite, "_run", recording_runner)
         for threads in ("100000", "9", "2"):
             code, out, err = run(capsys, "verify", "all", "--max-n", "1",
                                  "--threads", threads)
             assert code == 0 and err == "" and out.count("PASS") == 9
-        assert workers == [9, 9, 2]
+        assert processes == [9, 9, 2]
 
 
 def fail_if_called(*args, **kwargs):
@@ -1224,19 +1225,18 @@ class TestConsoleEntry:
     def test_pool_workers_inherit_every_layer(self):
         # fork hands the workers what the parent has loaded; a layer first
         # imported by a task would be compiled again in each worker.  The
-        # recorder stands in for the runner, starts no process and runs the
-        # tasks here, in order
+        # spy records, at each fork, the layers not loaded yet
         code = textwrap.dedent(f"""\
-            import contextlib, io, sys
-            from qsegre import cli, suite
-            missing = []
+            import contextlib, io, os, sys
+            from qsegre import cli
+            fork, missing = os.fork, []
 
-            def recording_runner(tasks, workers):
-                missing.extend(m for m in {LAYERS!r}
-                               if "qsegre." + m not in sys.modules)
-                return [task() for task in tasks]
+            def spy():
+                missing.append([m for m in {LAYERS!r}
+                                if "qsegre." + m not in sys.modules])
+                return fork()
 
-            suite._run_forked = recording_runner
+            os.fork = spy
             with contextlib.redirect_stdout(io.StringIO()):
                 status = cli.main(["verify", "all", "--max-n", "2",
                                    "--threads", "2"])
@@ -1244,7 +1244,8 @@ class TestConsoleEntry:
             """)
         proc = subprocess.run([sys.executable, "-c", code],
                               capture_output=True, text=True, env=child_env())
-        assert (proc.returncode, proc.stdout, proc.stderr) == (0, "0 []\n", "")
+        assert (proc.returncode, proc.stdout, proc.stderr) == (
+            0, "0 [[]]\n", "")
 
     @pytest.mark.parametrize("argv", [
         ("wq", "--n", "2"),  # fits the buffer: fails at the final flush
@@ -1331,13 +1332,53 @@ FAILING_CHECKS = """\
     sys.exit(cli.main(sys.argv[1:]))
     """
 
-# a suite check that kills the process running it before it answers
-KILLING_CHECK = """\
-    import os, signal, sys
+# a fork after which this process waits for the worker to end, and leaves
+# it for the runner to reap: each worker takes every task it can before this
+# process takes any, so a check that kills the process running it kills a
+# worker, never this process
+WAITING_FORK = textwrap.dedent("""\
+    import os
+    fork = os.fork
+
+    def waiting_fork():
+        pid = fork()
+        if pid:
+            os.waitid(os.P_PID, pid, os.WEXITED | os.WNOWAIT)
+        return pid
+
+    os.fork = waiting_fork
+    """)
+
+# a suite check that kills the worker running it before it answers
+KILLING_CHECK = WAITING_FORK + textwrap.dedent("""\
+    import signal, sys
     from qsegre import cli, suite
 
     suite._check_betti = lambda: os.kill(os.getpid(), signal.SIGKILL)
     sys.exit(cli.main(sys.argv[1:]))
+    """)
+
+# the second fork of a run fails, as it does when no process is to be had;
+# a run that leaves a child behind exits with a message instead
+SECOND_FORK_FAILS = """\
+    import os, sys
+    from qsegre import cli
+    fork, forks = os.fork, []
+
+    def second_fork_fails():
+        forks.append(1)
+        if len(forks) == 2:
+            raise BlockingIOError(11, "Resource temporarily unavailable")
+        return fork()
+
+    os.fork = second_fork_fails
+    status = cli.main(sys.argv[1:])
+    sys.stdout.flush()
+    try:
+        os.waitpid(-1, os.WNOHANG)
+    except ChildProcessError:
+        sys.exit(status)
+    sys.exit("a child was left behind")
     """
 
 
@@ -1363,8 +1404,8 @@ class TestForkedRunner:
 
     def test_no_worker_is_left_after_the_run(self):
         # the benchmark refuses a run that leaves a process behind
-        proc = run_in_child("""\
-            import contextlib, io, os, signal
+        proc = run_in_child(WAITING_FORK + textwrap.dedent("""\
+            import contextlib, io, signal
             from qsegre import cli, suite
             argv = ["verify", "all", "--max-n", "2", "--threads", "3"]
             statuses = []
@@ -1386,9 +1427,132 @@ class TestForkedRunner:
                 os.waitpid(-1, os.WNOHANG)
             except ChildProcessError:
                 print(statuses, "no child left")
-            """)
+            """))
         assert (proc.returncode, proc.stdout, proc.stderr) == (
             0, "[0, 2, 'died'] no child left\n", "")
+
+    def test_a_failed_fork_finishes_on_the_processes_running(self):
+        for extra in ((), ("--json",)):
+            serial = run_in_child(SECOND_FORK_FAILS, "verify", "all",
+                                  "--max-n", "2", *extra)
+            assert (serial.returncode, serial.stderr) == (0, "")
+            pooled = run_in_child(SECOND_FORK_FAILS, "verify", "all",
+                                  "--max-n", "2", "--threads", "3", *extra)
+            assert (pooled.returncode, pooled.stdout, pooled.stderr) == (
+                serial.returncode, serial.stdout, serial.stderr)
+
+    def test_threads_count_this_process(self):
+        # --threads N runs on N processes, this one included, and on no
+        # more processes than there are checks
+        proc = run_in_child("""\
+            import contextlib, io, os
+            from qsegre import cli
+            fork, forks = os.fork, []
+
+            def spy():
+                forks.append(1)
+                return fork()
+
+            os.fork = spy
+            counts = []
+            for threads in ("1", "2", "9", "100000"):
+                forks.clear()
+                with contextlib.redirect_stdout(io.StringIO()):
+                    status = cli.main(["verify", "all", "--max-n", "1",
+                                       "--threads", threads])
+                counts.append((status, len(forks)))
+            print(counts)
+            """)
+        assert (proc.returncode, proc.stdout, proc.stderr) == (
+            0, "[(0, 0), (0, 1), (0, 8), (0, 8)]\n", "")
+
+    def test_a_pooled_run_builds_each_lattice_once_before_any_fork(
+            self, tmp_path):
+        # the spy writes each call straight to the log, so that a call in a
+        # worker would show there too, with the worker's pid
+        log = tmp_path / "builds"
+        proc = run_in_child("""\
+            import contextlib, io, os, sys
+            from qsegre import cli, subspace
+            fork, build, forks = os.fork, subspace.build_bnq, []
+            log = os.open(sys.argv[1], os.O_WRONLY | os.O_CREAT | os.O_APPEND)
+
+            def fork_spy():
+                forks.append(1)
+                return fork()
+
+            def build_spy(n, field, count_bound=None):
+                os.write(log, f"{n} {field.order} {os.getpid()} "
+                              f"{len(forks)}\\n".encode())
+                return build(n, field, count_bound)
+
+            os.fork, subspace.build_bnq = fork_spy, build_spy
+            with contextlib.redirect_stdout(io.StringIO()):
+                status = cli.main(["verify", "all", "--max-n", "2",
+                                   "--threads", "3"])
+            print(status, os.getpid(), len(forks))
+            """, str(log))
+        assert (proc.returncode, proc.stderr) == (0, "")
+        status, pid, forks = proc.stdout.split()
+        assert (status, forks) == ("0", "2")
+        builds = [line.split() for line in log.read_text().splitlines()]
+        from qsegre import suite
+        assert sorted((int(n), int(q)) for n, q, _, _ in builds) == sorted(
+            suite.EL_MATRIX)
+        assert {(at, before) for _, _, at, before in builds} == {(pid, "0")}
+
+    def test_a_failing_build_fails_as_in_the_serial_run(self):
+        # the lattices are built before any fork, so a run that forks
+        # fails here
+        code = """\
+            import os, sys
+            from qsegre import cli, subspace
+
+            def broken(*args):
+                raise ArithmeticError("build broke")
+
+            def no_fork():
+                raise AssertionError("forked before the lattices were built")
+
+            subspace.build_bnq, os.fork = broken, no_fork
+            sys.exit(cli.main(sys.argv[1:]))
+            """
+        for threads in ("1", "2", "3"):
+            proc = run_in_child(code, "verify", "all", "--max-n", "1",
+                                "--threads", threads)
+            assert (proc.returncode, proc.stdout, proc.stderr) == (
+                2, "", "error: build broke\n")
+
+    def test_a_task_here_that_raises_leaves_no_child(self):
+        # a task run by this process raises past the runner; each worker
+        # holds its first task until this process has taken one
+        proc = run_in_child("""\
+            import os, select
+            from qsegre import cli, suite
+            here, tasks = os.getpid(), suite._suite_tasks
+            held, go = os.pipe()
+
+            def holding(task):
+                def check():
+                    if os.getpid() == here:
+                        os.write(go, b"go")
+                        raise AssertionError("a task here broke")
+                    select.select([held], [], [], 5)
+                    return task()
+                return check
+
+            suite._suite_tasks = lambda max_n: list(map(holding, tasks(max_n)))
+            try:
+                cli.main(["verify", "all", "--max-n", "1", "--threads", "3"])
+            except AssertionError as exc:
+                print(exc)
+            try:
+                os.waitpid(-1, os.WNOHANG)
+            except ChildProcessError:
+                print("no child left")
+            """)
+        assert (proc.returncode, proc.stdout, proc.stderr) == (
+            0, "a task here broke\nno child left\n", "")
 
     def test_the_runner_loads_no_process_pool(self):
         proc = run_in_child("""\
